@@ -1,12 +1,13 @@
 // Benchmarks regenerating the paper's tables and figures (one benchmark
 // per artifact) plus ablation benches for the design choices called out in
-// DESIGN.md. `go test -bench=. -benchmem` runs the whole evaluation at a
-// small dataset scale; `cmd/hgbench` prints the full paper-style rows.
+// docs/ARCHITECTURE.md ("Planning and matching", "Execution engine").
+// `go test -bench=. -benchmem` runs the whole evaluation at a small dataset
+// scale; `cmd/hgbench` prints the full paper-style rows.
 //
 // Absolute numbers differ from the paper (synthetic scaled datasets, one
 // machine); the *shapes* — who wins, the candidate-filtering funnel, the
-// memory gap between schedulers — are the reproduction targets recorded in
-// EXPERIMENTS.md.
+// memory gap between schedulers — are the reproduction targets (README,
+// "Performance notes").
 package hgmatch_test
 
 import (
@@ -162,6 +163,46 @@ func BenchmarkKernelQ3(b *testing.B) {
 			allocs := float64(ms1.Mallocs-ms0.Mallocs) / float64(b.N)
 			b.ReportMetric(allocs/float64(emb), "allocs/emb")
 			b.ReportMetric(float64(emb), "embeddings")
+		})
+	}
+}
+
+// BenchmarkKernelQ4Count measures the validation kernel on the shape hgload's
+// count_heavy workload serves: the full SB graph and one of that workload's
+// fixed q4 queries (q4#25, 1.1·10⁶ embeddings out of 1.6·10⁶ candidates),
+// counted with no callback — so the last step runs the count-only leaf — on
+// one worker and on GOMAXPROCS workers. ns/candidate is the kernel's unit
+// cost (hgload's core.expand_ns_per_candidate, here with the engine around
+// it); allocs/emb must stay ~0.
+func BenchmarkKernelQ4Count(b *testing.B) {
+	prof, _ := datagen.ProfileByName("SB")
+	h := datagen.Generate(prof, 3)
+	s, _ := querygen.SettingByName("q4")
+	// hgload's pool: the 64 queries sampled at seed 11+|E(q)|, picked by index.
+	q := querygen.SampleMany(rand.New(rand.NewSource(11+int64(s.NumEdges))), h, s, 64)[25]
+	p, err := core.NewPlan(q, h)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+		b.Run(bName("t", workers), func(b *testing.B) {
+			var res engine.Result
+			b.ReportAllocs()
+			var ms0, ms1 runtime.MemStats
+			runtime.ReadMemStats(&ms0)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res = engine.Run(p, engine.Options{Workers: workers})
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&ms1)
+			if res.Embeddings == 0 {
+				b.Fatal("kernel workload found nothing")
+			}
+			allocs := float64(ms1.Mallocs-ms0.Mallocs) / float64(b.N)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(res.Counters.Candidates), "ns/candidate")
+			b.ReportMetric(allocs/float64(res.Embeddings), "allocs/emb")
+			b.ReportMetric(float64(res.Embeddings), "embeddings")
 		})
 	}
 }
@@ -658,7 +699,7 @@ func BenchmarkFig9CandidateFiltering(b *testing.B) {
 // BenchmarkFig10Scalability measures Exp-4: the same plan under growing
 // worker counts. On a single-core machine the wall clock stays flat; the
 // reported steals/op and balance metrics still demonstrate scheduling
-// behaviour (DESIGN.md substitution #6).
+// behaviour (docs/ARCHITECTURE.md, "Execution").
 func BenchmarkFig10Scalability(b *testing.B) {
 	h, q := workload()
 	p, err := core.NewPlan(q, h)
@@ -777,7 +818,7 @@ func BenchmarkFig13CaseStudy(b *testing.B) {
 	b.ReportMetric(float64(n2), "q2-answers")
 }
 
-// --- Ablation benches (design choices from DESIGN.md §2) ---
+// --- Ablation benches (design choices described in docs/ARCHITECTURE.md) ---
 
 // BenchmarkAblationIntersect compares the merge and galloping intersection
 // kernels on skewed posting lists (design choice: set-operation candidate
@@ -1030,8 +1071,9 @@ func BenchmarkAblationPartitioning(b *testing.B) {
 }
 
 // BenchmarkAblationDeque compares the mutex-guarded steal-half deque
-// against the lock-free Chase-Lev steal-one deque (DESIGN.md substitution
-// #3 / paper citation [17]) on the same parallel workload.
+// against the lock-free Chase-Lev steal-one deque (paper citation [17];
+// docs/ARCHITECTURE.md, "§VI-B scheduler, morsel-driven variant") on the
+// same parallel workload.
 func BenchmarkAblationDeque(b *testing.B) {
 	h, q := workload()
 	p, err := core.NewPlan(q, h)

@@ -1,7 +1,7 @@
 // Command hgbench regenerates the paper's tables and figures over the
 // synthetic dataset suite, printing the same rows/series the paper reports
-// (shape reproduction; see EXPERIMENTS.md for the paper-vs-measured
-// discussion).
+// (shape reproduction; docs/ARCHITECTURE.md, "Evaluation", describes the
+// synthetic datasets and query workloads behind them).
 //
 // Usage:
 //

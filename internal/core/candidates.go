@@ -27,15 +27,95 @@ func (c *Counters) Add(o Counters) {
 // aligned with the plan's matching order, it generates the candidate data
 // hyperedges of ϕ[depth] (Algorithm 4), filters them (Observation V.5 and
 // Algorithm 5), and calls emit for every data hyperedge that extends the
-// partial embedding to a valid embedding of the prefix through depth.
+// partial embedding to a valid embedding of the prefix through depth. A nil
+// emit only counts them, in ct.Valid (see CountValid).
 //
 // Expand is safe for concurrent use across workers as long as each worker
 // passes its own Scratch and Counters.
 func (p *Plan) Expand(depth int, m []hypergraph.EdgeID, sc *Scratch, ct *Counters, emit func(hypergraph.EdgeID)) {
 	ct.Expansions++
 	st := &p.steps[depth]
-	if st.part == nil {
+	cand := p.candidates(st, depth, m, sc)
+	if len(cand) == 0 {
 		return
+	}
+	data := p.Data
+	lanes := st.lanes && !sc.useMap
+	if lanes {
+		sc.tagLanes(st, data, m, depth)
+	}
+	hmVerts := sc.vlen()
+	for _, c := range cand {
+		if st.reuses(m, c) {
+			continue
+		}
+		ct.Candidates++
+		if lanes {
+			acc := sc.laneWord(data.Edge(c))
+			if hmVerts+int(acc&laneMask) != st.qVerts {
+				continue // Observation V.5
+			}
+			ct.Filtered++
+			if acc != st.wantLanes {
+				continue // Theorem V.2
+			}
+		} else if !p.validateStep(st, depth, c, hmVerts, sc, ct) {
+			continue
+		}
+		ct.Valid++
+		if emit != nil {
+			emit(c)
+		}
+	}
+}
+
+// CountValid is Expand for a consumer that only wants to know how many
+// extensions are valid: identical candidates, checks and Counters, no
+// per-extension call. At the last matching-order position the return value
+// is the number of embeddings rooted at m[:depth].
+func (p *Plan) CountValid(depth int, m []hypergraph.EdgeID, sc *Scratch, ct *Counters) uint64 {
+	before := ct.Valid
+	p.Expand(depth, m, sc, ct, nil)
+	return ct.Valid - before
+}
+
+// reuses reports whether the partial embedding m already maps a query
+// hyperedge to c. A data hyperedge cannot serve two query hyperedges:
+// distinct query edges have distinct vertex sets, so injective mappings give
+// distinct images. Every hyperedge sits in exactly one table, so only the
+// positions matched out of this step's own table can hold c.
+func (st *step) reuses(m []hypergraph.EdgeID, c hypergraph.EdgeID) bool {
+	for _, k := range st.samePart {
+		if m[k] == c {
+			return true
+		}
+	}
+	return false
+}
+
+// CandidatesOnly runs Algorithm 4 without validation and returns the raw
+// candidate set (post intersection and duplicate-edge filter, before the
+// Observation V.5 / Algorithm 5 checks); used by tests and the ablation
+// benchmarks.
+func (p *Plan) CandidatesOnly(depth int, m []hypergraph.EdgeID) []hypergraph.EdgeID {
+	st := &p.steps[depth]
+	var out []hypergraph.EdgeID
+	for _, c := range p.candidates(st, depth, m, NewScratch()) {
+		if !st.reuses(m, c) {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// candidates is Algorithm 4: the data hyperedges of st's signature table
+// that are incident to the partial embedding m[:depth] the way ϕ[depth] is
+// incident to the matched query prefix. The result may still contain
+// members of m and lives in sc until the next call. As a side effect sc's
+// incidence-mask table describes m[:depth], which validation reads.
+func (p *Plan) candidates(st *step, depth int, m []hypergraph.EdgeID, sc *Scratch) []hypergraph.EdgeID {
+	if st.part == nil {
+		return nil
 	}
 	data := p.Data
 
@@ -110,7 +190,7 @@ func (p *Plan) Expand(depth int, m []hypergraph.EdgeID, sc *Scratch, ct *Counter
 				}
 			}
 			if len(sc.views) == 0 {
-				return // some required vertex has no incident candidates
+				return nil // some required vertex has no incident candidates
 			}
 			// Union the posting views into the per-set slot
 			// (⋃_{v∈V_incdt} he(v, S(eq))): k-way, one pass, adaptive
@@ -141,7 +221,7 @@ func (p *Plan) Expand(depth int, m []hypergraph.EdgeID, sc *Scratch, ct *Counter
 	if len(sc.sets) == 0 {
 		// Cannot happen for a validated connected order at depth ≥ 1,
 		// but keep the invariant locally obvious.
-		return
+		return nil
 	}
 
 	// Intersect all candidate sets, smallest first (Algorithm 4 line 7):
@@ -149,128 +229,5 @@ func (p *Plan) Expand(depth int, m []hypergraph.EdgeID, sc *Scratch, ct *Counter
 	// array sets, decoded back to global hyperedge IDs.
 	cand := setops.IntersectK(sc.inter[:0], sc.sets, rank, unrank, &sc.ks)
 	sc.inter = cand[:0] // retain whichever backing the result landed in
-
-	// Emit validated candidates.
-	hmVerts := sc.vlen()
-candidates:
-	for _, c := range cand {
-		// A data hyperedge cannot serve two query hyperedges: distinct
-		// query edges have distinct vertex sets, so injective mappings
-		// give distinct images.
-		for k := 0; k < depth; k++ {
-			if m[k] == c {
-				continue candidates
-			}
-		}
-		ct.Candidates++
-		if !p.validateStep(st, depth, m, c, hmVerts, sc, ct) {
-			continue
-		}
-		ct.Valid++
-		emit(c)
-	}
-}
-
-// CandidatesOnly runs Algorithm 4 without validation and returns the raw
-// candidate set (post intersection and duplicate-edge filter, before the
-// Observation V.5 / Algorithm 5 checks); used by tests and the ablation
-// benchmarks.
-func (p *Plan) CandidatesOnly(depth int, m []hypergraph.EdgeID) []hypergraph.EdgeID {
-	sc := NewScratch()
-	var ct Counters
-	var out []hypergraph.EdgeID
-	p.expandRaw(depth, m, sc, &ct, &out)
-	return out
-}
-
-// expandRaw produces the post-intersection candidate list (after the
-// duplicate-edge filter, before Observation V.5 / Algorithm 5).
-func (p *Plan) expandRaw(depth int, m []hypergraph.EdgeID, sc *Scratch, ct *Counters, out *[]hypergraph.EdgeID) {
-	st := &p.steps[depth]
-	if st.part == nil {
-		return
-	}
-	data := p.Data
-	sc.resetVcnt(data.NumVertices(), len(p.Order))
-	for k := 0; k < depth; k++ {
-		for _, v := range data.Edge(m[k]) {
-			sc.vinc(v, k)
-		}
-	}
-	sc.nonAdj = sc.nonAdj[:0]
-	for _, j := range st.nonAdjPos {
-		sc.acc = setops.Union(sc.acc[:0], sc.nonAdj, data.Edge(m[j]))
-		sc.nonAdj, sc.acc = sc.acc, sc.nonAdj
-	}
-	dense := st.useBitmaps
-	var rank setops.RankTable
-	var unrank []uint32
-	if dense {
-		rank = st.part.BitmapRanks()
-		unrank = st.part.BaseEdges()
-		sc.ensureBitmapBufs(st.nSets, st.nBits)
-	}
-	sc.sets = sc.sets[:0]
-	nset := 0
-	for gi := range st.adjGroups {
-		g := &st.adjGroups[gi]
-		fe := data.Edge(m[g.pos])
-		for _, u := range g.us {
-			sc.views = sc.views[:0]
-			for _, v := range fe {
-				if data.Label(v) != u.label || sc.vdegOf(v) != u.prefDeg {
-					continue
-				}
-				if len(sc.nonAdj) > 0 && setops.Contains(sc.nonAdj, v) {
-					continue
-				}
-				if dense {
-					if vw := st.part.PostingsView(v); !vw.IsEmpty() {
-						sc.views = append(sc.views, vw)
-					}
-				} else if pl := st.part.Postings(v); len(pl) > 0 {
-					sc.views = append(sc.views, setops.View{Arr: pl})
-				}
-				if pl := st.part.DeltaPostings(v); len(pl) > 0 {
-					sc.views = append(sc.views, setops.View{Arr: pl})
-				}
-			}
-			if len(sc.views) == 0 {
-				return
-			}
-			for len(sc.setBufs) <= nset {
-				sc.setBufs = append(sc.setBufs, nil)
-			}
-			var set setops.View
-			if len(sc.views) == 1 {
-				set = sc.views[0] // zero-copy; setBufs keeps its own backing
-			} else {
-				var bm *setops.Bitmap
-				if dense {
-					bm = &sc.bmSets[nset]
-				}
-				set = setops.UnionK(sc.setBufs[nset][:0], bm, st.nBits, rank, sc.views, &sc.ks)
-				if set.Arr != nil {
-					sc.setBufs[nset] = set.Arr
-				}
-			}
-			sc.sets = append(sc.sets, set)
-			nset++
-		}
-	}
-	if len(sc.sets) == 0 {
-		return
-	}
-	cand := setops.IntersectK(sc.inter[:0], sc.sets, rank, unrank, &sc.ks)
-	sc.inter = cand[:0]
-candidates:
-	for _, c := range cand {
-		for k := 0; k < depth; k++ {
-			if m[k] == c {
-				continue candidates
-			}
-		}
-		ct.Candidates++
-		*out = append(*out, c)
-	}
+	return cand
 }

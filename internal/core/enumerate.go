@@ -11,9 +11,21 @@ import "hgmatch/internal/hypergraph"
 // experiments; the parallel engine in internal/engine produces identical
 // results with p workers.
 func (p *Plan) EnumerateSequential(emit func(m []hypergraph.EdgeID)) Counters {
-	var ct Counters
+	_, ct := p.enumerate(emit)
+	return ct
+}
+
+// CountSequential counts embeddings without materialising them: the last
+// matching-order step only counts its valid candidates (CountValid).
+func (p *Plan) CountSequential() (uint64, Counters) {
+	return p.enumerate(nil)
+}
+
+// enumerate walks the embedding tree depth first. With emit nil it counts
+// the leaves instead of visiting them; the count is only returned then.
+func (p *Plan) enumerate(emit func(m []hypergraph.EdgeID)) (count uint64, ct Counters) {
 	if p.Empty {
-		return ct
+		return 0, ct
 	}
 	// One scratch per depth: Expand is in the middle of iterating its own
 	// scratch buffers when emit recurses, so recursion levels must not
@@ -21,31 +33,36 @@ func (p *Plan) EnumerateSequential(emit func(m []hypergraph.EdgeID)) Counters {
 	n := p.NumSteps()
 	scratches := make([]*Scratch, n)
 	for i := range scratches {
-		scratches[i] = NewScratch()
+		scratches[i] = GetScratch()
 	}
+	defer func() {
+		for _, sc := range scratches {
+			PutScratch(sc)
+		}
+	}()
 	m := make([]hypergraph.EdgeID, n)
 	var rec func(depth int)
 	rec = func(depth int) {
-		if depth == n {
-			emit(m)
-			return
+		switch {
+		case depth == n:
+			if emit != nil {
+				emit(m)
+			} else {
+				count++ // single-hyperedge query: the scan is the leaf
+			}
+		case depth == n-1 && emit == nil:
+			count += p.CountValid(depth, m, scratches[depth], &ct)
+		default:
+			p.Expand(depth, m, scratches[depth], &ct, func(c hypergraph.EdgeID) {
+				m[depth] = c
+				rec(depth + 1)
+			})
 		}
-		p.Expand(depth, m, scratches[depth], &ct, func(c hypergraph.EdgeID) {
-			m[depth] = c
-			rec(depth + 1)
-		})
 	}
 	for _, e := range p.InitialCandidates() {
 		m[0] = e
 		ct.Valid++ // first-hyperedge matches are valid by signature equality
 		rec(1)
 	}
-	return ct
-}
-
-// CountSequential counts embeddings without materialising them.
-func (p *Plan) CountSequential() (uint64, Counters) {
-	var n uint64
-	ct := p.EnumerateSequential(func([]hypergraph.EdgeID) { n++ })
-	return n, ct
+	return count, ct
 }

@@ -56,9 +56,20 @@ type step struct {
 	part      *hypergraph.Partition // data table with that signature (nil ⇒ no results)
 	adjGroups []adjGroup            // previous adjacent positions
 	nonAdjPos []int                 // previous non-adjacent positions (V_n_incdt)
+	samePart  []int                 // previous positions matched out of this same table
 	wantProf  []profile             // sorted query-side profile multiset for ϕ[i]'s vertices
 	qVerts    int                   // |V(q')| of the prefix through position i
 	arity     int                   // a(ϕ[i])
+
+	// Compiled validation kernel (validate.go): when lanes is set, the
+	// seen-vertex classes of wantProf sit in laneProf[:nClasses] (class j
+	// counts in lane j+1) and wantLanes is the word a valid candidate's
+	// lane sum must equal. Decided once here from the step's shape;
+	// otherwise validateStep sorts and compares wantProf.
+	lanes     bool
+	nClasses  int
+	laneProf  [maxLaneClasses]profile
+	wantLanes uint64
 
 	// Hybrid-container shape of the step's table, precompiled so Expand
 	// branches once: useBitmaps enables the word-parallel kernels (the
@@ -193,6 +204,9 @@ func compilePlan(q, h *hypergraph.Hypergraph, order []hypergraph.EdgeID, qs *que
 		// query BEFORE adding qe, i.e. prefixDeg from the previous
 		// iteration.
 		for j := 0; j < i; j++ {
+			if st.part != nil && p.steps[j].part == st.part {
+				st.samePart = append(st.samePart, j)
+			}
 			ej := order[j]
 			sharedBuf = setops.Intersect(sharedBuf[:0], q.Edge(ej), q.Edge(qe))
 			if len(sharedBuf) == 0 {
@@ -248,6 +262,7 @@ func compilePlan(q, h *hypergraph.Hypergraph, order []hypergraph.EdgeID, qs *que
 		}
 		st.wantProf = profBacking[profStart:len(profBacking):len(profBacking)]
 		insertionSortProfiles(st.wantProf)
+		st.compileLanes(i, h.NumVertices(), len(order))
 
 		p.steps[i] = st
 	}

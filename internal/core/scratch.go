@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/bits"
+	"sync"
 
 	"hgmatch/internal/setops"
 )
@@ -31,10 +32,15 @@ const denseVcntBudget = 1 << 21
 // into a(e) word loads. The table is a dense, epoch-stamped pair of slices
 // indexed by vertex ID — "clearing" is one epoch increment — with a map
 // fallback for graphs above the budget (see BenchmarkScratchVcnt).
+//
+// The stamp word also carries the compiled validation kernel's lane tag in
+// its low laneTagBits bits (see validate.go), so the table stays at 12 bytes
+// per vertex: a stamp is live when it equals vepoch in every bit above the
+// tag.
 type Scratch struct {
-	vmask     []uint64          // incidence mask, valid only where vstamp[v] == vepoch
-	vstamp    []uint32          // epoch stamp per data vertex
-	vepoch    uint32            // current epoch; bumped per resetVcnt
+	vmask     []uint64          // incidence mask, valid only where vstamp[v] is live
+	vstamp    []uint32          // epoch<<laneTagBits | lane tag, per data vertex
+	vepoch    uint32            // current epoch, pre-shifted; bumped per resetVcnt
 	vdistinct int               // |V(Hm)| under the dense table
 	vcnt      map[uint32]uint64 // fallback table for huge graphs
 	useMap    bool              // current mode, decided per resetVcnt
@@ -57,6 +63,21 @@ func NewScratch() *Scratch {
 	return &Scratch{}
 }
 
+// scratchPool recycles scratch areas between one-shot runs (solo
+// engine.Run, EnumerateSequential): their dense tables cost O(|V(H)|) to
+// allocate and zero, which on a large sparse graph dwarfs a sub-millisecond
+// query. Long-lived owners (the shared engine pool's workers) keep their
+// own and never come here.
+var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
+
+// GetScratch returns a scratch area from the process-wide pool; hand it
+// back with PutScratch when no Expand call is using it any more. A Scratch
+// resets itself per Expand, so one serves any sequence of plans and graphs.
+func GetScratch() *Scratch { return scratchPool.Get().(*Scratch) }
+
+// PutScratch returns sc to the pool.
+func PutScratch(sc *Scratch) { scratchPool.Put(sc) }
+
 // resetVcnt clears the vertex-incidence table for a new Expand over a data
 // graph with numVertices vertices and a plan of steps matching-order
 // positions (one Scratch may exist per step), sizing the dense table on
@@ -77,12 +98,12 @@ func (sc *Scratch) resetVcnt(numVertices, steps int) {
 		sc.vmask = make([]uint64, numVertices)
 		sc.vepoch = 0
 	}
-	sc.vepoch++
+	sc.vepoch += 1 << laneTagBits
 	if sc.vepoch == 0 {
-		// uint32 wrap: stale stamps from 2^32 calls ago could alias the new
-		// epoch, so pay one full clear every 4 billion resets.
+		// Epoch wrap: stale stamps from 2^29 calls ago could alias the new
+		// epoch, so pay one full clear every half billion resets.
 		clear(sc.vstamp)
-		sc.vepoch = 1
+		sc.vepoch = 1 << laneTagBits
 	}
 	sc.vdistinct = 0
 }
@@ -95,8 +116,8 @@ func (sc *Scratch) vinc(v uint32, k int) {
 		sc.vcnt[v] |= bit
 		return
 	}
-	if sc.vstamp[v] != sc.vepoch {
-		sc.vstamp[v] = sc.vepoch
+	if sc.vstamp[v]^sc.vepoch >= 1<<laneTagBits {
+		sc.vstamp[v] = sc.vepoch // lane tag 0 until tagLanes runs
 		sc.vmask[v] = bit
 		sc.vdistinct++
 		return
@@ -110,7 +131,7 @@ func (sc *Scratch) vmaskOf(v uint32) uint64 {
 	if sc.useMap {
 		return sc.vcnt[v]
 	}
-	if sc.vstamp[v] != sc.vepoch {
+	if sc.vstamp[v]^sc.vepoch >= 1<<laneTagBits {
 		return 0
 	}
 	return sc.vmask[v]

@@ -5,9 +5,112 @@ import (
 	"hgmatch/internal/setops"
 )
 
-// validateStep implements Algorithm 5 (IsValidEmbedding) for the partial
-// embedding m[:depth] extended by candidate c at matching-order position
-// depth:
+// The compiled validation kernel packs Algorithm 5 into one machine word.
+//
+// Every candidate of step i comes out of the signature table of S(ϕ[i]), so
+// its vertex-label multiset already equals ϕ[i]'s. Profile-multiset equality
+// (Theorem V.2) therefore only has to be checked on the vertices the partial
+// embedding has already seen: once the seen profiles agree, the unseen
+// remainders have equal label multisets by subtraction and identical masks
+// (just the bit of position i). The seen side is a multiset over at most
+// maxLaneClasses distinct (label, mask) classes, which fits a uint64 as
+// 8-bit counters ("lanes"):
+//
+//	lane 0               vertices not in the partial embedding (Observation V.5)
+//	lanes 1..nClasses    one per distinct seen-vertex profile of ϕ[i]
+//	lane badLane         seen vertices whose profile ϕ[i] does not want
+//
+// Expand tags each partial-embedding vertex with its lane once per call
+// (tagLanes), in the low bits of the Scratch stamp word; validating a
+// candidate is then a(e) stamp loads and adds (laneWord), the V.5 test on
+// lane 0 and one compare against the precompiled word.
+const (
+	laneTagBits    = 3                    // lane index width inside a Scratch stamp
+	laneBits       = 8                    // counter width; 8 lanes fill the word
+	badLane        = 1<<laneTagBits - 1   // tag of a seen vertex with an unwanted profile
+	maxLaneClasses = badLane - 1          // lanes left for seen-vertex classes
+	maxLaneArity   = 1<<laneBits - 1      // larger hyperedges could overflow a lane
+	laneMask       = uint64(maxLaneArity) // extracts lane 0
+)
+
+// compileLanes derives step i's lane encoding from its sorted profile
+// multiset. It leaves st.lanes false — validateStep then serves the step —
+// when the shape does not fit: more seen classes than lanes, an arity that
+// could overflow a counter, or a data graph whose Scratch runs on the map
+// fallback (the tag lives in the dense table's stamp word).
+func (st *step) compileLanes(i, dataVertices, steps int) {
+	if st.arity > maxLaneArity || dataVertices*steps > denseVcntBudget {
+		return
+	}
+	dbit := uint64(1) << uint(i)
+	var want uint64
+	n := 0
+	for k, pr := range st.wantProf {
+		seen := pr.mask &^ dbit
+		if seen == 0 {
+			want++ // lane 0
+			continue
+		}
+		// wantProf is sorted, so the members of a class are adjacent.
+		if k == 0 || st.wantProf[k-1] != pr {
+			if n == maxLaneClasses {
+				return
+			}
+			st.laneProf[n] = profile{label: pr.label, mask: seen}
+			n++
+		}
+		want += 1 << (uint(n) * laneBits) // class n-1 counts in lane n
+	}
+	st.nClasses, st.wantLanes, st.lanes = n, want, true
+}
+
+// tagLanes writes the lane of every vertex of the partial embedding
+// m[:depth] into its stamp. Must follow the vinc pass of the same Expand
+// (masks are final) on the dense table.
+func (sc *Scratch) tagLanes(st *step, data *hypergraph.Hypergraph, m []hypergraph.EdgeID, depth int) {
+	for k := 0; k < depth; k++ {
+		below := uint64(1)<<uint(k) - 1
+		for _, v := range data.Edge(m[k]) {
+			mask := sc.vmask[v]
+			if mask&below != 0 {
+				continue // tagged at its first matched hyperedge
+			}
+			lane := uint32(badLane)
+			for j := 0; j < st.nClasses; j++ {
+				if c := &st.laneProf[j]; c.mask == mask && c.label == data.Label(v) {
+					lane = uint32(j + 1)
+					break
+				}
+			}
+			sc.vstamp[v] = sc.vepoch | lane
+		}
+	}
+}
+
+// laneWord sums the lanes of a candidate's vertices: a stale stamp is an
+// unseen vertex (lane 0), a live one carries its tag. Kept out of line:
+// inlined into Expand, the accumulator and loop index spill to the stack
+// (~5 % of count_heavy's kernel time).
+//
+//go:noinline
+func (sc *Scratch) laneWord(vs []uint32) uint64 {
+	stamps, epoch := sc.vstamp, sc.vepoch
+	var acc uint64
+	for _, v := range vs {
+		tag := stamps[v] ^ epoch
+		if tag > badLane {
+			tag = 0
+		}
+		acc += 1 << (tag * laneBits & 63)
+	}
+	return acc
+}
+
+// validateStep is Algorithm 5 (IsValidEmbedding) in its general
+// sort-and-compare form, for the partial embedding m[:depth] extended by
+// candidate c at matching-order position depth. It serves the steps
+// compileLanes turns down and is the reference the compiled kernel is
+// tested against:
 //
 //  1. Observation V.5 — |V(q')| must equal |V(Hm')|. hmVerts is |V(Hm)|
 //     before adding c; the new count is hmVerts plus c's previously unseen
@@ -19,15 +122,11 @@ import (
 //     bitmasks, so equality is a sort-and-compare over at most a(e)
 //     two-word records — no backtracking.
 //
-// It updates ct.Filtered for candidates passing check 1.
-//
-// Both checks read the Scratch incidence-mask table that Expand seeded
-// while computing d_Hm: a vertex's data-side profile mask IS its table
-// entry (plus the bit for position depth), so the former per-candidate
-// membership scan over every matched hyperedge — O(a(e)·depth·log a)
-// binary searches, the hottest loop of the whole kernel — collapses to
-// one word load per vertex.
-func (p *Plan) validateStep(st *step, depth int, m []hypergraph.EdgeID, c hypergraph.EdgeID, hmVerts int, sc *Scratch, ct *Counters) bool {
+// It updates ct.Filtered for candidates passing check 1. Both checks read
+// the Scratch incidence-mask table that Expand seeded while computing d_Hm:
+// a vertex's data-side profile mask IS its table entry (plus the bit for
+// position depth).
+func (p *Plan) validateStep(st *step, depth int, c hypergraph.EdgeID, hmVerts int, sc *Scratch, ct *Counters) bool {
 	data := p.Data
 	cvs := data.Edge(c)
 

@@ -29,7 +29,7 @@ func runBFS(p *core.Plan, opts Options) Result {
 	res := Result{Workers: make([]WorkerStats, opts.Workers)}
 	peakEmb := int64(len(level))
 
-	st := &runState{plan: p, opts: opts, nq: nq}
+	st := &runState{plan: p, opts: opts, nq: nq, stats: res.Workers}
 	if opts.Timeout > 0 {
 		st.deadline = time.Now().Add(opts.Timeout)
 		st.hasDL = true
@@ -72,11 +72,11 @@ func runBFS(p *core.Plan, opts Options) Result {
 	}
 
 	// Sink the final level (complete embeddings). The sharded sink needs a
-	// workerState even on this single-threaded tail; its local count and
-	// aggregation map are merged by detach. The recover wrapper contains a
-	// panicking sink callback: runBFS runs on the submitter's goroutine, so
-	// without it the panic would escape Run itself.
-	w0 := &workerState{id: 0, st: st, ws: &res.Workers[0]}
+	// workerState even on this single-threaded tail; its local count, stats
+	// and aggregation map are merged by detach. The recover wrapper contains
+	// a panicking sink callback: runBFS runs on the submitter's goroutine,
+	// so without it the panic would escape Run itself.
+	w0 := &workerState{id: 0, st: st}
 	func() {
 		defer func() {
 			if rec := recover(); rec != nil {
@@ -126,7 +126,8 @@ func parallelExpandLevel(p *core.Plan, st *runState, res *Result, level [][]hype
 					st.poison("bfs", rec)
 				}
 			}()
-			sc := core.NewScratch()
+			sc := core.GetScratch()
+			defer core.PutScratch(sc)
 			var ct core.Counters
 			var out [][]hypergraph.EdgeID
 			t0 := time.Now()

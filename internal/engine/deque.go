@@ -26,7 +26,8 @@ type task struct {
 // deque [17]; we guard the tiny critical sections with a per-deque mutex
 // instead — the stealing semantics (half from the tail) are identical, and
 // the owner path is a few nanoseconds of uncontended locking (see
-// DESIGN.md substitution #3).
+// docs/ARCHITECTURE.md, "§VI-B scheduler, morsel-driven variant";
+// BenchmarkAblationDeque compares the two).
 type deque struct {
 	mu  sync.Mutex
 	buf []task // buf[0] is the tail (oldest), buf[len-1] the head (newest)

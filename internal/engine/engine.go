@@ -169,6 +169,16 @@ type WorkerStats struct {
 	SinkCount uint64        // embeddings this worker sank
 }
 
+// Add accumulates o into s.
+func (s *WorkerStats) Add(o WorkerStats) {
+	s.Tasks += o.Tasks
+	s.Spawned += o.Spawned
+	s.Steals += o.Steals
+	s.Stolen += o.Stolen
+	s.BusyTime += o.BusyTime
+	s.SinkCount += o.SinkCount
+}
+
 // Result is the outcome of a Run.
 type Result struct {
 	Embeddings uint64
@@ -255,7 +265,7 @@ type runState struct {
 	first []hypergraph.EdgeID
 
 	deques     []taskQueue
-	stats      []WorkerStats // per-worker-slot stats; len == len(deques)
+	stats      []WorkerStats // per-worker-slot stats, written only by detach; len == len(deques)
 	pending    atomic.Int64  // live tasks (queued or executing)
 	liveBlocks atomic.Int64  // embedding blocks alive (queued, executing, filling)
 	peak       atomic.Int64  // high-water mark of liveBlocks
@@ -277,6 +287,10 @@ type runState struct {
 	hasDL     bool
 	hasCancel bool // deadline or context present
 	watch     bool // any stop condition can fire mid-run (limit/deadline/ctx)
+	// countOnly: nothing consumes the embeddings themselves (no callback,
+	// filter, aggregate, limit or fault hook), so the last matching-order
+	// step counts its valid candidates instead of sinking them one by one.
+	countOnly bool
 
 	sinkMu sync.Mutex // serialises the legacy OnEmbedding callback
 	groups map[string]uint64
@@ -286,9 +300,11 @@ type runState struct {
 }
 
 // workerState is one worker's private execution state: scratch areas, the
-// block free list, and the sharded sink accumulators (local embedding
-// count, aggregation map) that are merged into runState at detach — the
-// steady-state sink path touches no shared cache line.
+// block free list, and every accumulator the worker writes per task or per
+// embedding (local embedding count, stats, aggregation map), merged into
+// runState at detach — the steady-state path touches no shared cache line.
+// (runState.stats is one slice of adjacent slots: counting into it directly
+// made two workers share a line and the same query answer at two speeds.)
 //
 // In solo Run mode a workerState lives for exactly one request. On a
 // shared Pool the state is owned by a long-lived pool worker and attached
@@ -299,9 +315,8 @@ type runState struct {
 // detach.
 type workerState struct {
 	id int
-	st *runState    // current request; re-pointed by attach on a pool
-	ws *WorkerStats // &st.stats[id]
-	my taskQueue    // st.deques[id]
+	st *runState // current request; re-pointed by attach on a pool
+	my taskQueue // st.deques[id]
 
 	// One Scratch per matching-order depth: inline block expansion
 	// re-enters Expand for depth d+1 from inside depth d's emit callback,
@@ -314,6 +329,7 @@ type workerState struct {
 	free    []*block // recycled blocks; the allocation-free steady state
 
 	localCount uint64            // embeddings sunk (no-limit path); flushed at detach
+	stats      WorkerStats       // this attachment's share of st.stats[id]; flushed at detach
 	groups     map[string]uint64 // per-worker AGGREGATE map; merged at detach
 
 	// held tracks the blocks this worker owns outside any deque — the
@@ -335,7 +351,6 @@ type workerState struct {
 // plan-shaped buffers. The worker must be detached (or fresh).
 func (w *workerState) attach(st *runState) {
 	w.st = st
-	w.ws = &st.stats[w.id]
 	w.my = st.deques[w.id]
 	if n := st.nq; len(w.scs) < n {
 		w.scs = append(w.scs, make([]*core.Scratch, n-len(w.scs))...)
@@ -349,15 +364,20 @@ func (w *workerState) attach(st *runState) {
 
 // detach flushes the worker's request-scoped accumulators into the request
 // and drops the references: the batched embedding count (one atomic add
-// per attachment on the no-limit path), expansion counters and the
-// per-worker aggregation map. Merges are skipped when empty so a late
-// drive-by attachment (a pool worker visiting an already-finished request)
-// writes nothing to state the submitter may already be reading.
+// per attachment on the no-limit path), the worker's stats, expansion
+// counters and the per-worker aggregation map. It runs on every way out of
+// an attachment, recovered panics included. Merges are skipped when empty so
+// a late drive-by attachment (a pool worker visiting an already-finished
+// request) writes nothing to state the submitter may already be reading.
 func (w *workerState) detach() {
 	st := w.st
 	if w.localCount > 0 {
 		st.count.Add(w.localCount)
 		w.localCount = 0
+	}
+	if w.stats != (WorkerStats{}) {
+		st.stats[w.id].Add(w.stats)
+		w.stats = WorkerStats{}
 	}
 	if w.ct != (core.Counters{}) || len(w.groups) > 0 {
 		st.mergeMu.Lock()
@@ -369,7 +389,7 @@ func (w *workerState) detach() {
 		w.ct = core.Counters{}
 		clear(w.groups)
 	}
-	w.st, w.ws, w.my = nil, nil, nil
+	w.st, w.my = nil, nil
 }
 
 // runOne executes one popped task with stop handling, panic containment and
@@ -404,7 +424,7 @@ func (w *workerState) runOne(t task) {
 		hook("task")
 	}
 	st.execute(t, w)
-	w.ws.Tasks++
+	w.stats.Tasks++
 }
 
 // hold registers a block as owned by this worker outside any deque.
@@ -482,6 +502,8 @@ func newRunState(p *core.Plan, opts Options, slots int) *runState {
 	}
 	st.hasCancel = st.hasDL || opts.Context != nil
 	st.watch = st.hasCancel || opts.Limit > 0
+	st.countOnly = opts.OnEmbedding == nil && opts.OnEmbeddingWorker == nil && opts.Filter == nil &&
+		opts.Aggregate == nil && opts.Limit == 0 && opts.FaultHook == nil
 	if opts.MaxMemory > 0 {
 		// Budget in block units; a budget below one block still admits the
 		// run but trips on the first acquisition (maxLive 0), which is the
@@ -567,6 +589,11 @@ func (st *runState) worker(id int) {
 	defer func() {
 		w.closeBusy()
 		w.detach()
+		for _, sc := range w.scs {
+			if sc != nil {
+				core.PutScratch(sc)
+			}
+		}
 	}()
 
 	idleRounds := 0
@@ -589,8 +616,8 @@ func (st *runState) worker(id int) {
 				continue
 			}
 			idleRounds = 0
-			w.ws.Steals++
-			w.ws.Stolen += uint64(len(stolen))
+			w.stats.Steals++
+			w.stats.Stolen += uint64(len(stolen))
 			w.my.pushN(stolen)
 			continue
 		}
@@ -627,7 +654,7 @@ func (w *workerState) openBusy() {
 // closeBusy ends the current sampling window, attributing its wall time.
 func (w *workerState) closeBusy() {
 	if w.busyOpen {
-		w.ws.BusyTime += time.Since(w.busyStart)
+		w.stats.BusyTime += time.Since(w.busyStart)
 		w.busyOpen = false
 		w.busyTasks = 0
 	}
@@ -674,7 +701,7 @@ func (st *runState) execute(t task, w *workerState) {
 		st.pending.Add(2)
 		w.my.push(task{lo: mid, hi: t.hi})
 		w.my.push(task{lo: t.lo, hi: mid})
-		w.ws.Spawned += 2
+		w.stats.Spawned += 2
 		return
 	}
 	if st.nq == 1 {
@@ -710,7 +737,7 @@ func (w *workerState) dispatch(b *block) {
 	st := w.st
 	if !st.opts.DisableStealing && w.my.size() < publishThreshold {
 		st.pending.Add(1)
-		w.ws.Spawned++
+		w.stats.Spawned++
 		w.unhold(b)
 		w.my.push(task{blk: b})
 		return
@@ -722,9 +749,10 @@ func (w *workerState) dispatch(b *block) {
 // expandBlock runs EXPAND over every row of a block. Children fill a block
 // of depth+1 that is dispatched as it becomes full; at the final step the
 // children are complete embeddings and sink directly (fusing TEXPAND with
-// its TSINK children — same results, fewer scheduler round-trips). Inline
-// dispatch recurses at most |E(q)| frames deep, so a worker holds at most
-// ~2·|E(q)| blocks outside its deque — the Theorem VI.1 bound in blocks.
+// its TSINK children — same results, fewer scheduler round-trips), or are
+// only counted when the run is countOnly. Inline dispatch recurses at most
+// |E(q)| frames deep, so a worker holds at most ~2·|E(q)| blocks outside its
+// deque — the Theorem VI.1 bound in blocks.
 func (w *workerState) expandBlock(b *block) {
 	st := w.st
 	if hook := st.opts.FaultHook; hook != nil {
@@ -733,6 +761,17 @@ func (w *workerState) expandBlock(b *block) {
 	depth := b.depth
 	sc := w.scratch(depth)
 
+	if depth == st.nq-1 && st.countOnly {
+		for i := 0; i < b.n; i++ {
+			if w.shouldStop() {
+				return
+			}
+			n := st.plan.CountValid(depth, b.row(i), sc, &w.ct)
+			w.localCount += n
+			w.stats.SinkCount += n
+		}
+		return
+	}
 	if depth == st.nq-1 {
 		emit := func(c hypergraph.EdgeID) {
 			w.emitBuf[depth] = c
@@ -797,11 +836,12 @@ func (w *workerState) shouldStop() bool {
 	return false
 }
 
-// scratch returns the worker's Scratch for one matching-order depth,
-// creating it on first use.
+// scratch returns the worker's Scratch for one matching-order depth, drawn
+// from core's pool on first use: a pool worker keeps it for life, a solo
+// worker hands it back when its run ends.
 func (w *workerState) scratch(depth int) *core.Scratch {
 	if w.scs[depth] == nil {
-		w.scs[depth] = core.NewScratch()
+		w.scs[depth] = core.GetScratch()
 	}
 	return w.scs[depth]
 }
@@ -886,7 +926,7 @@ func (st *runState) sink(m []hypergraph.EdgeID, w *workerState) {
 	} else {
 		w.localCount++
 	}
-	w.ws.SinkCount++
+	w.stats.SinkCount++
 	if st.opts.Aggregate != nil {
 		if w.groups == nil {
 			w.groups = make(map[string]uint64, 16)

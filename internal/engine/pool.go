@@ -340,8 +340,8 @@ func (p *Pool) runQuantum(w *workerState, r *poolReq, rng *rand.Rand) (did bool)
 				}
 				break
 			}
-			w.ws.Steals++
-			w.ws.Stolen += uint64(len(stolen))
+			w.stats.Steals++
+			w.stats.Stolen += uint64(len(stolen))
 			w.my.pushN(stolen)
 			continue
 		}

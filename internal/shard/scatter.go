@@ -390,12 +390,7 @@ func mergeResult(dst *engine.Result, sub engine.Result) {
 		dst.Workers = append(dst.Workers, engine.WorkerStats{})
 	}
 	for i, ws := range sub.Workers {
-		dst.Workers[i].Tasks += ws.Tasks
-		dst.Workers[i].Spawned += ws.Spawned
-		dst.Workers[i].Steals += ws.Steals
-		dst.Workers[i].Stolen += ws.Stolen
-		dst.Workers[i].BusyTime += ws.BusyTime
-		dst.Workers[i].SinkCount += ws.SinkCount
+		dst.Workers[i].Add(ws)
 	}
 	if sub.PeakTasks > dst.PeakTasks {
 		dst.PeakTasks = sub.PeakTasks

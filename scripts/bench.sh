@@ -20,7 +20,7 @@ if [ -f "$out" ]; then
 fi
 
 go test -run '^$' \
-	-bench 'BenchmarkKernelQ3|BenchmarkSharedPoolQ3|BenchmarkShardedScatterQ3|BenchmarkFig8SingleThread/HGMatch|BenchmarkFig11Scheduling|BenchmarkAblationDeque|BenchmarkPublicAPI|BenchmarkOnlineIngest' \
+	-bench 'BenchmarkKernelQ3|BenchmarkKernelQ4Count|BenchmarkSharedPoolQ3|BenchmarkShardedScatterQ3|BenchmarkFig8SingleThread/HGMatch|BenchmarkFig11Scheduling|BenchmarkAblationDeque|BenchmarkPublicAPI|BenchmarkOnlineIngest' \
 	-benchmem -count=3 -benchtime=50x . | tee "$tmp"
 
 # The durability tax on the serving path: one 100-record ingest request
@@ -49,10 +49,18 @@ go test -run '^$' \
 	-bench 'BenchmarkCompile$|BenchmarkLoadFile|BenchmarkMappedOpen' \
 	-benchmem -count=3 . | tee -a "$tmp"
 
+# Where it ran: a scaling row (t=4 vs t=1) means nothing without the core
+# count. GOMAXPROCS is what the benchmarks saw (the "-N" go test appends to
+# benchmark names; absent when it is 1), the CPU model is go test's "cpu:" line.
+nproc=$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN)
+gomaxprocs=$(awk '/^Benchmark/ { n = split($1, a, "-"); print (n > 1 && a[n] ~ /^[0-9]+$/) ? a[n] : 1; exit }' "$tmp")
+cpu=$(sed -n 's/^cpu: //p' "$tmp" | head -n 1)
+
 {
 	printf '{\n'
 	printf '  "generated": "%s",\n' "$(date -u +%Y-%m-%dT%H:%M:%SZ)"
 	printf '  "go": "%s",\n' "$(go version)"
+	printf '  "machine": {"nproc": %s, "gomaxprocs": %s, "cpu": "%s"},\n' "$nproc" "$gomaxprocs" "$cpu"
 	printf '  "workload": "q3 kernel: SB scale 0.4, best-of-8 q3 query, ~100k embeddings",\n'
 	if [ -n "$base" ]; then
 		printf '%s\n' "$base"
