@@ -114,7 +114,7 @@ func (p *Plan) CandidatesOnly(depth int, m []hypergraph.EdgeID) []hypergraph.Edg
 // members of m and lives in sc until the next call. As a side effect sc's
 // incidence-mask table describes m[:depth], which validation reads.
 func (p *Plan) candidates(st *step, depth int, m []hypergraph.EdgeID, sc *Scratch) []hypergraph.EdgeID {
-	if st.part == nil {
+	if st.part.Len() == 0 {
 		return nil
 	}
 	data := p.Data

@@ -55,11 +55,11 @@ func computeQuerySigs(q, h *hypergraph.Hypergraph) querySigs {
 
 // partFor resolves the data hyperedge table matching query hyperedge qe,
 // honouring edge labels when both graphs carry them (the footnote-2
-// extension); nil when no table matches.
-func (qs *querySigs) partFor(q, h *hypergraph.Hypergraph, qe hypergraph.EdgeID) *hypergraph.Partition {
+// extension); the empty table when none matches.
+func (qs *querySigs) partFor(q, h *hypergraph.Hypergraph, qe hypergraph.EdgeID) hypergraph.Partition {
 	id := qs.ids[qe]
 	if id == hypergraph.NoSigID {
-		return nil
+		return hypergraph.Partition{}
 	}
 	if q.EdgeLabelled() && h.EdgeLabelled() {
 		return h.PartitionBySigLabelled(q.EdgeLabel(qe), id)

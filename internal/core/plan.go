@@ -50,16 +50,16 @@ type adjGroup struct {
 // step is the compiled expansion logic for one matching-order position
 // i ≥ 1.
 type step struct {
-	qe        hypergraph.EdgeID     // ϕ[i]
-	sig       hypergraph.Signature  // S(ϕ[i])
-	sigID     hypergraph.SigID      // interned data-side ID of S(ϕ[i]); NoSigID ⇒ no table
-	part      *hypergraph.Partition // data table with that signature (nil ⇒ no results)
-	adjGroups []adjGroup            // previous adjacent positions
-	nonAdjPos []int                 // previous non-adjacent positions (V_n_incdt)
-	samePart  []int                 // previous positions matched out of this same table
-	wantProf  []profile             // sorted query-side profile multiset for ϕ[i]'s vertices
-	qVerts    int                   // |V(q')| of the prefix through position i
-	arity     int                   // a(ϕ[i])
+	qe        hypergraph.EdgeID    // ϕ[i]
+	sig       hypergraph.Signature // S(ϕ[i])
+	sigID     hypergraph.SigID     // interned data-side ID of S(ϕ[i]); NoSigID ⇒ no table
+	part      hypergraph.Partition // view of the data table with that signature (empty ⇒ no results)
+	adjGroups []adjGroup           // previous adjacent positions
+	nonAdjPos []int                // previous non-adjacent positions (V_n_incdt)
+	samePart  []int                // previous positions matched out of this same table
+	wantProf  []profile            // sorted query-side profile multiset for ϕ[i]'s vertices
+	qVerts    int                  // |V(q')| of the prefix through position i
+	arity     int                  // a(ϕ[i])
 
 	// Compiled validation kernel (validate.go): when lanes is set, the
 	// seen-vertex classes of wantProf sit in laneProf[:nClasses] (class j
@@ -91,7 +91,7 @@ type Plan struct {
 	Data  *hypergraph.Hypergraph
 	Order []hypergraph.EdgeID
 
-	startPart *hypergraph.Partition
+	startPart hypergraph.Partition
 	steps     []step // steps[i] compiled for order position i (steps[0] carries only sig/part)
 
 	// Empty is true when some query hyperedge has no data table with a
@@ -165,7 +165,7 @@ func compilePlan(q, h *hypergraph.Hypergraph, order []hypergraph.EdgeID, qs *que
 		arity: q.Arity(order[0]),
 	}
 	p.startPart = p.steps[0].part
-	if p.startPart == nil {
+	if p.startPart.Len() == 0 {
 		p.Empty = true
 	}
 
@@ -194,7 +194,7 @@ func compilePlan(q, h *hypergraph.Hypergraph, order []hypergraph.EdgeID, qs *que
 			part:  qs.partFor(q, h, qe),
 			arity: q.Arity(qe),
 		}
-		if st.part == nil {
+		if st.part.Len() == 0 {
 			p.Empty = true
 		}
 
@@ -204,7 +204,7 @@ func compilePlan(q, h *hypergraph.Hypergraph, order []hypergraph.EdgeID, qs *que
 		// query BEFORE adding qe, i.e. prefixDeg from the previous
 		// iteration.
 		for j := 0; j < i; j++ {
-			if st.part != nil && p.steps[j].part == st.part {
+			if pj := &p.steps[j].part; st.part.Len() > 0 && pj.SigID == st.part.SigID && pj.EdgeLabel == st.part.EdgeLabel {
 				st.samePart = append(st.samePart, j)
 			}
 			ej := order[j]
@@ -273,8 +273,9 @@ func compilePlan(q, h *hypergraph.Hypergraph, order []hypergraph.EdgeID, qs *que
 func (p *Plan) NumSteps() int { return len(p.Order) }
 
 // StartPartition returns the data hyperedge table scanned by the SCAN
-// operator (all data hyperedges with signature S(ϕ[0])); nil when empty.
-func (p *Plan) StartPartition() *hypergraph.Partition { return p.startPart }
+// operator (all data hyperedges with signature S(ϕ[0])); the empty table
+// when there is none.
+func (p *Plan) StartPartition() *hypergraph.Partition { return &p.startPart }
 
 // InitialCandidates returns the matches of the first query hyperedge:
 // every edge of the start partition (Algorithm 2 lines 2-3), including any
@@ -282,7 +283,7 @@ func (p *Plan) StartPartition() *hypergraph.Partition { return p.startPart }
 // merged member list). The returned slice is shared and must not be
 // mutated.
 func (p *Plan) InitialCandidates() []hypergraph.EdgeID {
-	if p.Empty || p.startPart == nil {
+	if p.Empty {
 		return nil
 	}
 	return p.startPart.Edges
@@ -310,14 +311,14 @@ const MaxCost = uint64(1) << 62
 // the absolute scale only needs to be monotone in real work, not
 // calibrated. Saturates at MaxCost; provably empty plans cost 0.
 func (p *Plan) EstimateCost() uint64 {
-	if p.Empty || p.startPart == nil {
+	if p.Empty {
 		return 0
 	}
 	prefix := float64(p.startPart.Len())
 	cost := prefix
 	for i := 1; i < len(p.steps); i++ {
 		st := &p.steps[i]
-		if st.part == nil {
+		if st.part.Len() == 0 {
 			return 0
 		}
 		b := 1.0

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"hgmatch/internal/hypergraph"
 	"hgmatch/internal/setops"
@@ -199,7 +200,7 @@ func WriteBinary(w io.Writer, h *hypergraph.Hypergraph) error {
 		if err := bw.deltaSet(p.Edges); err != nil {
 			return err
 		}
-		if err := bw.writePostings(p); err != nil {
+		if err := bw.writePostings(&p); err != nil {
 			return err
 		}
 	}
@@ -334,7 +335,23 @@ type commonSections struct {
 	dict       *hypergraph.Dict
 	labels     []hypergraph.Label
 	edgeLabels []hypergraph.Label // nil when !hasEL
-	edges      [][]uint32
+	edgeOff    []uint32           // edge e is edgeVerts[edgeOff[e]:edgeOff[e+1]]
+	edgeVerts  []uint32
+}
+
+// edge returns the vertex set of edge e.
+func (c *commonSections) edge(e uint32) []uint32 {
+	return c.edgeVerts[c.edgeOff[e]:c.edgeOff[e+1]]
+}
+
+// fit returns s without the spare capacity append-growth left behind when
+// that is more than a sixteenth of it: the arrays decoded here are the
+// graph's storage for as long as it is loaded.
+func fit(s []uint32) []uint32 {
+	if cap(s)-len(s) > len(s)/16 {
+		return slices.Clone(s)
+	}
+	return s
 }
 
 func (r *binReader) readCommon() (*commonSections, error) {
@@ -386,7 +403,7 @@ func (r *binReader) readCommon() (*commonSections, error) {
 	if c.hasEL {
 		c.edgeLabels = make([]hypergraph.Label, 0, preallocCap(ne))
 	}
-	c.edges = make([][]uint32, 0, preallocCap(ne))
+	c.edgeOff = append(make([]uint32, 0, preallocCap(ne+1)), 0)
 	for e := uint64(0); e < ne; e++ {
 		if c.hasEL {
 			el, err := r.edgeLabel()
@@ -402,12 +419,15 @@ func (r *binReader) readCommon() (*commonSections, error) {
 		if arity > nv {
 			return nil, fmt.Errorf("hgio: edge %d arity %d exceeds vertex count", e, arity)
 		}
-		vs, err := r.deltaSet(arity, nv, "vertex id")
-		if err != nil {
+		if c.edgeVerts, err = r.deltaSetInto(c.edgeVerts, arity, nv, "vertex id"); err != nil {
 			return nil, err
 		}
-		c.edges = append(c.edges, vs)
+		if uint64(len(c.edgeVerts)) >= 1<<32 {
+			return nil, fmt.Errorf("hgio: total arity exceeds 32-bit offsets")
+		}
+		c.edgeOff = append(c.edgeOff, uint32(len(c.edgeVerts)))
 	}
+	c.edgeOff, c.edgeVerts = fit(c.edgeOff), fit(c.edgeVerts)
 	return c, nil
 }
 
@@ -451,11 +471,11 @@ func readBinaryV1(r *binReader) (*hypergraph.Hypergraph, error) {
 	for _, l := range c.labels {
 		b.AddVertex(l)
 	}
-	for e, vs := range c.edges {
+	for e := uint32(0); uint64(e) < c.ne; e++ {
 		if c.hasEL && c.edgeLabels[e] != hypergraph.NoEdgeLabel {
-			b.AddLabelledEdge(c.edgeLabels[e], vs...)
+			b.AddLabelledEdge(c.edgeLabels[e], c.edge(e)...)
 		} else {
-			b.AddEdge(vs...)
+			b.AddEdge(c.edge(e)...)
 		}
 	}
 	return b.Build()
@@ -476,24 +496,35 @@ func readBinaryV2(r *binReader) (*hypergraph.Hypergraph, error) {
 	if np > c.ne {
 		return nil, fmt.Errorf("hgio: %d partitions for %d edges", np, c.ne)
 	}
-	parts := make([]hypergraph.RawPartition, 0, preallocCap(np))
+	// The index decodes straight into the graph's shared table arrays; the
+	// directory rows record where each table's windows start. Posting
+	// arrays of a valid index hold exactly one entry per (vertex, member
+	// edge) incidence, and member lists one entry per edge, so both are
+	// sized by what the edge section actually contained.
+	st := hypergraph.Storage{
+		Labels: c.labels, EdgeOff: c.edgeOff, EdgeVerts: c.edgeVerts, EdgeLabels: c.edgeLabels,
+		Tables:    make([]hypergraph.TableRow, 0, np+1),
+		PartEdges: make([]uint32, 0, c.ne),
+		PartPosts: make([]uint32, 0, len(c.edgeVerts)),
+		Dict:      c.dict,
+	}
 	// Partitions must claim disjoint edges (re-checked structurally by
 	// Assemble); enforcing it while decoding bounds the total posting
-	// capacity allocated across ALL partitions by Σ a(e) of the actually
+	// count decoded across ALL partitions by Σ a(e) of the actually
 	// parsed edges — a malicious file cannot multiply one big edge into
-	// many partitions' preallocations.
+	// many partitions' posting lists.
 	claimed := make([]bool, c.ne)
 	for pi := uint64(0); pi < np; pi++ {
-		parts = append(parts, hypergraph.RawPartition{})
-		rp := &parts[len(parts)-1]
-		rp.EdgeLabel = hypergraph.NoEdgeLabel
+		row := hypergraph.TableRow{
+			EdgeLabel: hypergraph.NoEdgeLabel,
+			Edges:     uint32(len(st.PartEdges)), Verts: uint32(len(st.PartVerts)), Posts: uint32(len(st.PartPosts)),
+		}
 		if c.hasEL {
-			el, err := r.edgeLabel()
-			if err != nil {
+			if row.EdgeLabel, err = r.edgeLabel(); err != nil {
 				return nil, err
 			}
-			rp.EdgeLabel = el
 		}
+		st.Tables = append(st.Tables, row)
 		npe, err := r.uv("partition edge count")
 		if err != nil {
 			return nil, err
@@ -501,19 +532,16 @@ func readBinaryV2(r *binReader) (*hypergraph.Hypergraph, error) {
 		if npe == 0 || npe > c.ne {
 			return nil, fmt.Errorf("hgio: partition %d has implausible edge count %d", pi, npe)
 		}
-		if rp.Edges, err = r.deltaSet(npe, c.ne, "partition edge id"); err != nil {
+		if st.PartEdges, err = r.deltaSetInto(st.PartEdges, npe, c.ne, "partition edge id"); err != nil {
 			return nil, err
 		}
-		// The posting arrays of a valid index hold exactly one entry per
-		// (vertex, member edge) incidence; bound the decode by that total
-		// so corrupt counts cannot balloon allocations.
 		occ := uint64(0)
-		for _, e := range rp.Edges {
+		for _, e := range st.PartEdges[row.Edges:] {
 			if claimed[e] {
 				return nil, fmt.Errorf("hgio: edge %d claimed by two partitions", e)
 			}
 			claimed[e] = true
-			occ += uint64(len(c.edges[e]))
+			occ += uint64(len(c.edge(e)))
 		}
 		nverts, err := r.uv("partition vertex count")
 		if err != nil {
@@ -522,27 +550,29 @@ func readBinaryV2(r *binReader) (*hypergraph.Hypergraph, error) {
 		if nverts == 0 || nverts > occ || nverts > c.nv {
 			return nil, fmt.Errorf("hgio: partition %d has implausible vertex count %d", pi, nverts)
 		}
-		if rp.Verts, err = r.deltaSet(nverts, c.nv, "CSR vertex"); err != nil {
+		if st.PartVerts, err = r.deltaSetInto(st.PartVerts, nverts, c.nv, "CSR vertex"); err != nil {
 			return nil, err
 		}
-		rp.Offsets = make([]uint32, 0, nverts+1)
-		rp.Offsets = append(rp.Offsets, 0)
-		rp.Posts = make([]hypergraph.EdgeID, 0, preallocCap(occ))
-		for range rp.Verts {
+		st.PartOffs = append(st.PartOffs, 0)
+		for range st.PartVerts[row.Verts:] {
 			plen, err := r.uv("posting length")
 			if err != nil {
 				return nil, err
 			}
-			if plen == 0 || uint64(len(rp.Posts))+plen > occ {
+			if have := uint64(len(st.PartPosts)) - uint64(row.Posts); plen == 0 || have+plen > occ {
 				return nil, fmt.Errorf("hgio: partition %d posting lists overflow %d incidences", pi, occ)
 			}
-			if rp.Posts, err = r.deltaSetInto(rp.Posts, plen, c.ne, "posting edge id"); err != nil {
+			if st.PartPosts, err = r.deltaSetInto(st.PartPosts, plen, c.ne, "posting edge id"); err != nil {
 				return nil, err
 			}
-			rp.Offsets = append(rp.Offsets, uint32(len(rp.Posts)))
+			st.PartOffs = append(st.PartOffs, uint32(len(st.PartPosts))-row.Posts)
 		}
 	}
-	h, err := hypergraph.Assemble(c.labels, c.edges, c.edgeLabels, parts, c.dict, nil)
+	st.Tables = append(st.Tables, hypergraph.TableRow{
+		Edges: uint32(len(st.PartEdges)), Verts: uint32(len(st.PartVerts)), Posts: uint32(len(st.PartPosts)),
+	})
+	st.PartVerts, st.PartOffs = fit(st.PartVerts), fit(st.PartOffs)
+	h, err := hypergraph.Assemble(st)
 	if err != nil {
 		return nil, fmt.Errorf("hgio: %w", err)
 	}

@@ -109,18 +109,6 @@ func v3AlignUp(x, align uint64) uint64 { return (x + align - 1) &^ (align - 1) }
 // ---------------------------------------------------------------------------
 // Writer
 
-// v3PartRow is one PartMeta directory row (element offsets, not bytes).
-type v3PartRow struct {
-	edgeLabel uint32
-	edgesOff  uint32
-	edgesLen  uint32
-	vertsOff  uint32
-	vertsLen  uint32
-	offsOff   uint32
-	postsOff  uint32
-	postsLen  uint32
-}
-
 // v3BmRow is one BmMeta directory row.
 type v3BmRow struct {
 	nBms     uint32
@@ -144,6 +132,8 @@ func WriteBinaryV3(w io.Writer, h *hypergraph.Hypergraph) error {
 			return err
 		}
 	}
+	// A compacted graph keeps exactly the arrays the sections hold.
+	st := h.Storage()
 	nv, ne, np := h.NumVertices(), h.NumEdges(), h.NumPartitions()
 	ta := h.TotalArity()
 	if uint64(ta) >= 1<<32 || uint64(ne) >= 1<<31 || uint64(nv) >= 1<<31 {
@@ -164,59 +154,32 @@ func WriteBinaryV3(w io.Writer, h *hypergraph.Hypergraph) error {
 		edgeDictLen = d.Len()
 	}
 
-	// Partition and sidecar directory rows, plus the shared-array totals
-	// the variable-length sections are sized by.
-	partRows := make([]v3PartRow, np)
+	// Sidecar directory rows (element offsets are running sums: the reader
+	// requires contiguous, in-order windows, which is also what makes its
+	// bounds checks O(np)) and the shared-array totals their sections are
+	// sized by.
 	bmRows := make([]v3BmRow, np)
-	var sumVerts, sumOffs, sumPosts, sumBmIdx, sumWords, sumCards, sumRanks uint64
-	hasBitmaps := false
-	for pi := 0; pi < np; pi++ {
-		p := h.Partition(pi)
-		verts, offsets, posts := p.BaseCSR()
-		partRows[pi] = v3PartRow{
-			edgeLabel: p.EdgeLabel,
-			edgesOff:  partRows[pi].edgesOff, // filled below
-			edgesLen:  uint32(len(p.Edges)),
-			vertsLen:  uint32(len(verts)),
-			postsLen:  uint32(len(posts)),
+	var sumBmIdx, sumWords, sumCards, sumRanks uint64
+	for _, sc := range st.Sidecars {
+		bmRows[sc.Table] = v3BmRow{
+			nBms:     uint32(len(sc.Bms)),
+			idxOff:   uint32(sumBmIdx),
+			wordsOff: uint32(sumWords),
+			cardsOff: uint32(sumCards),
+			rankOff:  uint32(sumRanks),
+			rankLen:  uint32(len(sc.Ranks.Tab)),
+			rankBase: sc.Ranks.Base,
 		}
-		if len(offsets) != len(verts)+1 {
-			return fmt.Errorf("hgio: partition %d CSR malformed", pi)
+		sumBmIdx += uint64(len(sc.BmIdx))
+		for i := range sc.Bms {
+			sumWords += uint64(len(sc.Bms[i].Words()))
 		}
-		ranks, bmIdx, bms := p.BitmapSidecar()
-		if len(bms) > 0 {
-			hasBitmaps = true
-			bmRows[pi] = v3BmRow{
-				nBms:     uint32(len(bms)),
-				idxOff:   uint32(sumBmIdx),
-				wordsOff: uint32(sumWords),
-				cardsOff: uint32(sumCards),
-				rankOff:  uint32(sumRanks),
-				rankLen:  uint32(len(ranks.Tab)),
-				rankBase: ranks.Base,
-			}
-			sumBmIdx += uint64(len(bmIdx))
-			words := setops.WordsFor(len(p.Edges))
-			sumWords += uint64(len(bms)) * uint64(words)
-			sumCards += uint64(len(bms))
-			sumRanks += uint64(len(ranks.Tab))
-		}
-		sumVerts += uint64(len(verts))
-		sumOffs += uint64(len(offsets))
-		sumPosts += uint64(len(posts))
+		sumCards += uint64(len(sc.Bms))
+		sumRanks += uint64(len(sc.Ranks.Tab))
 	}
-	// Element offsets are running sums: the reader requires contiguous,
-	// in-order windows, which is also what makes its bounds checks O(np).
-	var eo, vo, oo, po uint64
-	for pi := range partRows {
-		r := &partRows[pi]
-		r.edgesOff, r.vertsOff, r.offsOff, r.postsOff = uint32(eo), uint32(vo), uint32(oo), uint32(po)
-		eo += uint64(r.edgesLen)
-		vo += uint64(r.vertsLen)
-		oo += uint64(r.vertsLen) + 1
-		po += uint64(r.postsLen)
-	}
-	if sumVerts >= 1<<32 || sumPosts >= 1<<32 || sumWords >= 1<<32 || sumRanks >= 1<<32 {
+	hasBitmaps := len(st.Sidecars) > 0
+	sumVerts, sumOffs, sumPosts := uint64(len(st.PartVerts)), uint64(len(st.PartOffs)), uint64(len(st.PartPosts))
+	if sumWords >= 1<<32 || sumRanks >= 1<<32 {
 		return fmt.Errorf("hgio: graph too large for binary v3 (CSR arrays exceed 32-bit offsets)")
 	}
 	if hasBitmaps {
@@ -275,15 +238,6 @@ func WriteBinaryV3(w io.Writer, h *hypergraph.Hypergraph) error {
 		fileSize = dir[n-1].off + dir[n-1].len
 	}
 
-	// edgePart is private to the hypergraph; recover it from the member
-	// lists (O(ne)).
-	edgePart := make([]uint32, ne)
-	for pi := 0; pi < np; pi++ {
-		for _, e := range h.Partition(pi).Edges {
-			edgePart[e] = uint32(pi)
-		}
-	}
-
 	emitPayload := func(em *v3Emitter) {
 		for _, d := range dir {
 			em.padTo(d.off)
@@ -293,66 +247,39 @@ func WriteBinaryV3(w io.Writer, h *hypergraph.Hypergraph) error {
 			case secEdgeDict:
 				em.bytes(edgeDictBlob)
 			case secLabels:
-				em.u32s(h.Labels())
+				em.u32s(st.Labels)
 			case secEdgeLabels:
-				for e := 0; e < ne; e++ {
-					em.u32(h.EdgeLabel(uint32(e)))
-				}
+				em.u32s(st.EdgeLabels)
 			case secEdgeOff:
-				off := uint32(0)
-				em.u32(0)
-				for e := 0; e < ne; e++ {
-					off += uint32(h.Arity(uint32(e)))
-					em.u32(off)
-				}
+				em.u32s(st.EdgeOff)
 			case secEdgeVerts:
-				for e := 0; e < ne; e++ {
-					em.u32s(h.Edge(uint32(e)))
-				}
+				em.u32s(st.EdgeVerts)
 			case secIncOff:
-				off := uint32(0)
-				em.u32(0)
-				for v := 0; v < nv; v++ {
-					off += uint32(h.Degree(uint32(v)))
-					em.u32(off)
-				}
+				em.u32s(st.IncOff)
 			case secIncEdges:
-				for v := 0; v < nv; v++ {
-					em.u32s(h.Incident(uint32(v)))
-				}
+				em.u32s(st.IncEdges)
 			case secEdgePart:
-				em.u32s(edgePart)
+				em.u32s(st.EdgePart)
 			case secPartMeta:
-				for pi := range partRows {
-					r := &partRows[pi]
-					em.u32(r.edgeLabel)
-					em.u32(r.edgesOff)
-					em.u32(r.edgesLen)
-					em.u32(r.vertsOff)
-					em.u32(r.vertsLen)
-					em.u32(r.offsOff)
-					em.u32(r.postsOff)
-					em.u32(r.postsLen)
+				for pi := 0; pi < np; pi++ {
+					r, end := st.Tables[pi], st.Tables[pi+1]
+					em.u32(r.EdgeLabel)
+					em.u32(r.Edges)
+					em.u32(end.Edges - r.Edges)
+					em.u32(r.Verts)
+					em.u32(end.Verts - r.Verts)
+					em.u32(r.Verts + uint32(pi))
+					em.u32(r.Posts)
+					em.u32(end.Posts - r.Posts)
 				}
 			case secPartEdges:
-				for pi := 0; pi < np; pi++ {
-					em.u32s(h.Partition(pi).Edges)
-				}
+				em.u32s(st.PartEdges)
 			case secPartVerts:
-				for pi := 0; pi < np; pi++ {
-					verts, _, _ := h.Partition(pi).BaseCSR()
-					em.u32s(verts)
-				}
+				em.u32s(st.PartVerts)
 			case secPartOffs:
-				for pi := 0; pi < np; pi++ {
-					_, offsets, _ := h.Partition(pi).BaseCSR()
-					em.u32s(offsets)
-				}
+				em.u32s(st.PartOffs)
 			case secPartPosts:
-				for pi := 0; pi < np; pi++ {
-					_, _, posts := h.Partition(pi).BaseCSR()
-					em.u32s(posts)
-				}
+				em.u32s(st.PartPosts)
 			case secBmMeta:
 				for pi := range bmRows {
 					r := &bmRows[pi]
@@ -366,29 +293,23 @@ func WriteBinaryV3(w io.Writer, h *hypergraph.Hypergraph) error {
 					em.u32(0)
 				}
 			case secBmIdx:
-				for pi := 0; pi < np; pi++ {
-					_, bmIdx, _ := h.Partition(pi).BitmapSidecar()
-					em.i32s(bmIdx)
+				for _, sc := range st.Sidecars {
+					em.i32s(sc.BmIdx)
 				}
 			case secBmWords:
-				for pi := 0; pi < np; pi++ {
-					_, _, bms := h.Partition(pi).BitmapSidecar()
-					for i := range bms {
-						em.u64s(bms[i].Words())
+				for _, sc := range st.Sidecars {
+					for i := range sc.Bms {
+						em.u64s(sc.Bms[i].Words())
 					}
 				}
 			case secBmRanks:
-				for pi := 0; pi < np; pi++ {
-					ranks, _, bms := h.Partition(pi).BitmapSidecar()
-					if len(bms) > 0 {
-						em.u32s(ranks.Tab)
-					}
+				for _, sc := range st.Sidecars {
+					em.u32s(sc.Ranks.Tab)
 				}
 			case secBmCards:
-				for pi := 0; pi < np; pi++ {
-					_, _, bms := h.Partition(pi).BitmapSidecar()
-					for i := range bms {
-						em.u32(uint32(bms[i].Count()))
+				for _, sc := range st.Sidecars {
+					for i := range sc.Bms {
+						em.u32(uint32(sc.Bms[i].Count()))
 					}
 				}
 			}
@@ -781,21 +702,16 @@ func decodeDictBlob(blob []byte, n int) (*hypergraph.Dict, error) {
 	return d, nil
 }
 
-// v3PartWindows cuts the shared partition arrays into per-partition
-// element windows, validating the PartMeta rows: windows must be
-// contiguous, in order, exactly covering their sections, with the member
-// counts summing to the header's edge count and the posting counts to the
-// total arity. O(np).
-type v3PartWin struct {
-	edgeLabel                    uint32
-	edges, verts, offsets, posts []byte // byte windows into the sections
-}
-
-func (f *v3File) partWindows() ([]v3PartWin, error) {
+// tableRows decodes the PartMeta section into partition-directory rows
+// (plus the closing sentinel), validating it: windows must be non-empty,
+// contiguous, in order and exactly covering their sections, with the
+// member counts summing to the header's edge count and the posting counts
+// to the total arity. O(np), one allocation.
+func (f *v3File) tableRows() ([]hypergraph.TableRow, error) {
 	le := binary.LittleEndian
 	meta := f.sec[secPartMeta]
-	wins := make([]v3PartWin, f.np)
-	var eo, vo, oo, po uint64
+	rows := make([]hypergraph.TableRow, f.np+1)
+	var eo, vo, po uint64
 	for pi := 0; pi < f.np; pi++ {
 		row := meta[pi*32:]
 		edgeLabel := le.Uint32(row)
@@ -809,34 +725,28 @@ func (f *v3File) partWindows() ([]v3PartWin, error) {
 		if edgesLen == 0 || vertsLen == 0 || postsLen == 0 {
 			return nil, fmt.Errorf("hgio: partition %d is empty", pi)
 		}
-		if edgesOff != eo || vertsOff != vo || offsOff != oo || postsOff != po {
+		if edgesOff != eo || vertsOff != vo || offsOff != vo+uint64(pi) || postsOff != po {
 			return nil, fmt.Errorf("hgio: partition %d windows not contiguous", pi)
 		}
+		rows[pi] = hypergraph.TableRow{EdgeLabel: edgeLabel, Edges: uint32(eo), Verts: uint32(vo), Posts: uint32(po)}
 		eo += edgesLen
 		vo += vertsLen
-		oo += vertsLen + 1
 		po += postsLen
-		wins[pi] = v3PartWin{
-			edgeLabel: edgeLabel,
-			edges:     sliceWin(f.sec[secPartEdges], edgesOff, edgesLen, 4),
-			verts:     sliceWin(f.sec[secPartVerts], vertsOff, vertsLen, 4),
-			offsets:   sliceWin(f.sec[secPartOffs], offsOff, vertsLen+1, 4),
-			posts:     sliceWin(f.sec[secPartPosts], postsOff, postsLen, 4),
-		}
-		if wins[pi].edges == nil || wins[pi].verts == nil || wins[pi].offsets == nil || wins[pi].posts == nil {
+		if eo > uint64(f.ne) || po > uint64(f.ta) || vo > uint64(f.ta) {
 			return nil, fmt.Errorf("hgio: partition %d windows out of bounds", pi)
 		}
 	}
 	if eo != uint64(f.ne) {
 		return nil, fmt.Errorf("hgio: partitions claim %d member edges, file has %d", eo, f.ne)
 	}
-	if po != uint64(f.ta) {
+	if po != uint64(f.ta) || po*4 != uint64(len(f.sec[secPartPosts])) {
 		return nil, fmt.Errorf("hgio: partitions claim %d postings, file has %d incidences", po, f.ta)
 	}
-	if vo*4 != uint64(len(f.sec[secPartVerts])) || oo*4 != uint64(len(f.sec[secPartOffs])) {
+	if vo*4 != uint64(len(f.sec[secPartVerts])) || (vo+uint64(f.np))*4 != uint64(len(f.sec[secPartOffs])) {
 		return nil, fmt.Errorf("hgio: partition windows do not cover their sections")
 	}
-	return wins, nil
+	rows[f.np] = hypergraph.TableRow{Edges: uint32(eo), Verts: uint32(vo), Posts: uint32(po)}
+	return rows, nil
 }
 
 // v3BmWindows cuts the bitmap sidecar sections, validating the BmMeta rows
@@ -847,12 +757,13 @@ type v3BmWin struct {
 	idx, words, cards, ranks []byte
 }
 
-func (f *v3File) bmWindows(parts []v3PartWin) ([]v3BmWin, error) {
+func (f *v3File) bmWindows(rows []hypergraph.TableRow) ([]v3BmWin, error) {
 	if !f.hasBitmaps() {
 		return nil, nil
 	}
 	le := binary.LittleEndian
 	meta := f.sec[secBmMeta]
+	partEdges := f.sec[secPartEdges]
 	wins := make([]v3BmWin, f.np)
 	var io_, wo, co, ro uint64
 	for pi := 0; pi < f.np; pi++ {
@@ -867,15 +778,15 @@ func (f *v3File) bmWindows(parts []v3PartWin) ([]v3BmWin, error) {
 			}
 			continue
 		}
-		nEdges := uint64(len(parts[pi].edges)) / 4
-		nVerts := uint64(len(parts[pi].verts)) / 4
+		nEdges := uint64(rows[pi+1].Edges - rows[pi].Edges)
+		nVerts := uint64(rows[pi+1].Verts - rows[pi].Verts)
 		if nBms > nVerts { // one container per distinct vertex at most
 			return nil, fmt.Errorf("hgio: partition %d claims %d bitmap containers for %d vertices", pi, nBms, nVerts)
 		}
 		// The rank table must span exactly the member-edge ID range: two
 		// boundary reads against the partition's edge window prove it.
-		first := le.Uint32(parts[pi].edges)
-		last := le.Uint32(parts[pi].edges[len(parts[pi].edges)-4:])
+		first := le.Uint32(partEdges[4*rows[pi].Edges:])
+		last := le.Uint32(partEdges[4*rows[pi+1].Edges-4:])
 		if rankBase != first || last < first || rankLen != uint64(last-first)+1 {
 			return nil, fmt.Errorf("hgio: partition %d rank table spans [%d,+%d), members span [%d,%d]", pi, rankBase, rankLen, first, last)
 		}
@@ -947,31 +858,26 @@ func readBinaryV3(data []byte) (*hypergraph.Hypergraph, error) {
 			edgeLabels = []hypergraph.Label{}
 		}
 	}
-	edgeOff := decodeU32s(f.sec[secEdgeOff])
-	edgeVerts := decodeU32s(f.sec[secEdgeVerts])
-	edges, err := cutSlices(edgeOff, edgeVerts, true)
-	if err != nil {
-		return nil, fmt.Errorf("hgio: v3 edge table: %w", err)
-	}
-	wins, err := f.partWindows()
+	rows, err := f.tableRows()
 	if err != nil {
 		return nil, err
-	}
-	parts := make([]hypergraph.RawPartition, f.np)
-	for pi := range wins {
-		w := &wins[pi]
-		parts[pi] = hypergraph.RawPartition{
-			EdgeLabel: w.edgeLabel,
-			Edges:     decodeU32s(w.edges),
-			Verts:     decodeU32s(w.verts),
-			Offsets:   decodeU32s(w.offsets),
-			Posts:     decodeU32s(w.posts),
-		}
 	}
 	// Incidence lists, edge→partition links and bitmap sidecars are
 	// re-derived by Assemble; their sections were still checksummed above,
 	// so corruption anywhere in the file fails the load.
-	h, err := hypergraph.Assemble(labels, edges, edgeLabels, parts, dict, edgeDict)
+	h, err := hypergraph.Assemble(hypergraph.Storage{
+		Labels:     labels,
+		EdgeOff:    decodeU32s(f.sec[secEdgeOff]),
+		EdgeVerts:  decodeU32s(f.sec[secEdgeVerts]),
+		EdgeLabels: edgeLabels,
+		Tables:     rows,
+		PartEdges:  decodeU32s(f.sec[secPartEdges]),
+		PartVerts:  decodeU32s(f.sec[secPartVerts]),
+		PartOffs:   decodeU32s(f.sec[secPartOffs]),
+		PartPosts:  decodeU32s(f.sec[secPartPosts]),
+		Dict:       dict,
+		EdgeDict:   edgeDict,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("hgio: %w", err)
 	}
@@ -990,27 +896,24 @@ func decodeU32s(b []byte) []uint32 {
 	return out
 }
 
-// cutSlices cuts a flat array into per-row views by an offset table:
-// offsets[0] must be 0, the sequence monotone (strictly increasing when
-// nonEmpty — every row holds at least one element), and the final offset
-// must equal the array length.
-func cutSlices(offsets, flat []uint32, nonEmpty bool) ([][]uint32, error) {
+// checkOffsets validates a CSR offset table over a flat array of n
+// elements: offsets[0] must be 0, the sequence monotone (strictly
+// increasing when nonEmpty — every row holds at least one element), and
+// the final offset must equal n.
+func checkOffsets(offsets []uint32, n int, nonEmpty bool) error {
 	if len(offsets) == 0 {
-		return nil, fmt.Errorf("missing offset table")
+		return fmt.Errorf("missing offset table")
 	}
 	if offsets[0] != 0 {
-		return nil, fmt.Errorf("offset table does not start at 0")
+		return fmt.Errorf("offset table does not start at 0")
 	}
-	if int(offsets[len(offsets)-1]) != len(flat) {
-		return nil, fmt.Errorf("offset table covers %d of %d elements", offsets[len(offsets)-1], len(flat))
+	if int(offsets[len(offsets)-1]) != n {
+		return fmt.Errorf("offset table covers %d of %d elements", offsets[len(offsets)-1], n)
 	}
-	rows := make([][]uint32, len(offsets)-1)
-	for i := range rows {
-		lo, hi := offsets[i], offsets[i+1]
-		if hi < lo || (nonEmpty && hi == lo) {
-			return nil, fmt.Errorf("row %d offsets [%d,%d) malformed", i, lo, hi)
+	for i := 1; i < len(offsets); i++ {
+		if lo, hi := offsets[i-1], offsets[i]; hi < lo || (nonEmpty && hi == lo) {
+			return fmt.Errorf("row %d offsets [%d,%d) malformed", i-1, lo, hi)
 		}
-		rows[i] = flat[lo:hi:hi]
 	}
-	return rows, nil
+	return nil
 }

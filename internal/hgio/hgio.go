@@ -28,7 +28,9 @@ import (
 // Read parses a hypergraph from r.
 func Read(r io.Reader) (*hypergraph.Hypergraph, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	// The scanner starts from its small default buffer and grows to the line
+	// cap on demand: every /match and /count parses its query through here.
+	sc.Buffer(nil, 16*1024*1024)
 	dict := hypergraph.NewDict()
 	edgeDict := hypergraph.NewDict()
 	b := hypergraph.NewBuilder().WithDicts(dict, edgeDict)

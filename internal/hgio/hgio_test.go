@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -155,5 +156,26 @@ func TestCommentsAndBlanks(t *testing.T) {
 	}
 	if h.NumVertices() != 2 || h.NumEdges() != 1 {
 		t.Fatalf("got %v", h)
+	}
+}
+
+// TestReadSmallQueryAllocatesLittle: every /match and /count parses its
+// query through Read, so a 3-edge query must not cost a fixed 64 KiB
+// scanner buffer (which was two thirds of the serving path's garbage).
+func TestReadSmallQueryAllocatesLittle(t *testing.T) {
+	const query = "v A\nv C\nv A\nv A\nv B\ne 2 4\ne 0 1 2\ne 0 1 3 4\n"
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := hgio.Read(strings.NewReader(query)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perRead := (after.TotalAlloc - before.TotalAlloc) / runs; perRead >= 8<<10 {
+		t.Fatalf("parsing a 3-edge query allocates %d bytes, want < 8 KiB", perRead)
+	} else {
+		t.Logf("parsing a 3-edge query allocates %d bytes", perRead)
 	}
 }

@@ -19,8 +19,8 @@ import (
 // is adopted as zero-copy views into the mapping, trusted under the file's
 // payload checksum (verified only on request: it would fault every page
 // in). The kernel pages the arrays in on first touch and may drop them
-// again under memory pressure; the Go heap holds only slice headers and
-// the per-partition lookup structures.
+// again under memory pressure; the Go heap holds only the partition
+// directory and the signature lookup structures.
 
 // ErrNotV3 reports that a file is not in binary format v3 and therefore
 // cannot be memory-mapped; callers typically fall back to a heap load.
@@ -119,14 +119,13 @@ func (m *MappedGraph) Path() string { return m.path }
 // keeps resident for it.
 func (m *MappedGraph) FileBytes() int { return len(m.data) }
 
-// HeapOverheadBytes estimates the Go-heap bytes the attached graph pins
-// while mapped: slice headers for the per-edge and per-vertex views plus
-// the partition objects and lookup tables. The big arrays themselves live
-// in the mapping and are not counted.
+// HeapOverheadBytes reports the Go-heap bytes the attached graph pins
+// while mapped: the partition directory, the signature interner and the
+// signature→table lookup. Everything per edge, per vertex and per posting
+// lives in the mapping and is not counted.
 func (m *MappedGraph) HeapOverheadBytes() int {
-	const sliceHeader = 24
-	const partObject = 224 // Partition struct + sidecar slice headers
-	return sliceHeader*(m.h.NumEdges()+m.h.NumVertices()) + partObject*m.h.NumPartitions()
+	st := hypergraph.ComputeStats(m.h)
+	return st.SigTableBytes + 20*st.Partitions + 4*st.Signatures
 }
 
 // Retain takes an additional reference. It must only be called by a holder
@@ -224,49 +223,55 @@ func attachV3(data []byte, verify bool) (*hypergraph.Hypergraph, error) {
 		return nil, err
 	}
 
-	edges, err := cutSlices(u32view(f.sec[secEdgeOff]), u32view(f.sec[secEdgeVerts]), true)
-	if err != nil {
+	st := hypergraph.Storage{
+		Labels:    u32view(f.sec[secLabels]),
+		EdgeOff:   u32view(f.sec[secEdgeOff]),
+		EdgeVerts: u32view(f.sec[secEdgeVerts]),
+		PartEdges: u32view(f.sec[secPartEdges]),
+		PartVerts: u32view(f.sec[secPartVerts]),
+		PartOffs:  u32view(f.sec[secPartOffs]),
+		PartPosts: u32view(f.sec[secPartPosts]),
+		IncOff:    u32view(f.sec[secIncOff]),
+		IncEdges:  u32view(f.sec[secIncEdges]),
+		EdgePart:  u32view(f.sec[secEdgePart]),
+		NumLabels: f.numLabels,
+		MaxArity:  f.maxArity,
+		Dict:      dict,
+		EdgeDict:  edgeDict,
+	}
+	if f.hasEdgeLabels() {
+		st.EdgeLabels = u32view(f.sec[secEdgeLabels])
+		if st.EdgeLabels == nil {
+			st.EdgeLabels = []hypergraph.Label{}
+		}
+	}
+	if err := checkOffsets(st.EdgeOff, len(st.EdgeVerts), true); err != nil {
 		return nil, fmt.Errorf("hgio: v3 edge table: %w", err)
 	}
-	incidence, err := cutSlices(u32view(f.sec[secIncOff]), u32view(f.sec[secIncEdges]), false)
-	if err != nil {
+	if err := checkOffsets(st.IncOff, len(st.IncEdges), false); err != nil {
 		return nil, fmt.Errorf("hgio: v3 incidence table: %w", err)
 	}
-	edgePart := u32view(f.sec[secEdgePart])
-	for _, p := range edgePart {
+	for _, p := range st.EdgePart {
 		if int(p) >= f.np {
 			return nil, fmt.Errorf("hgio: edge linked to partition %d of %d", p, f.np)
 		}
 	}
 
-	wins, err := f.partWindows()
+	if st.Tables, err = f.tableRows(); err != nil {
+		return nil, err
+	}
+	bmWins, err := f.bmWindows(st.Tables)
 	if err != nil {
 		return nil, err
 	}
-	bmWins, err := f.bmWindows(wins)
-	if err != nil {
-		return nil, err
-	}
-	parts := make([]hypergraph.ForeignPartition, f.np)
-	for pi := range wins {
-		w := &wins[pi]
-		fp := &parts[pi]
-		fp.EdgeLabel = w.edgeLabel
-		fp.Edges = u32view(w.edges)
-		fp.Verts = u32view(w.verts)
-		fp.Offsets = u32view(w.offsets)
-		fp.Posts = u32view(w.posts)
+	for pi := 0; pi < f.np; pi++ {
+		r, end := st.Tables[pi], st.Tables[pi+1]
 		// The per-partition CSR offset window must be a valid cover of the
 		// posting window: starts at 0, strictly increasing (every vertex
 		// posts at least once), ends at the posting count.
-		offs := fp.Offsets
-		if offs[0] != 0 || int(offs[len(offs)-1]) != len(fp.Posts) {
-			return nil, fmt.Errorf("hgio: partition %d CSR offsets do not cover postings", pi)
-		}
-		for i := 1; i < len(offs); i++ {
-			if offs[i] <= offs[i-1] {
-				return nil, fmt.Errorf("hgio: partition %d CSR offsets not strictly increasing at %d", pi, i)
-			}
+		offs := st.PartOffs[int(r.Verts)+pi : int(end.Verts)+pi+1]
+		if err := checkOffsets(offs, int(end.Posts-r.Posts), true); err != nil {
+			return nil, fmt.Errorf("hgio: partition %d CSR offsets: %w", pi, err)
 		}
 		if bmWins == nil || bmWins[pi].nBms == 0 {
 			continue
@@ -279,7 +284,7 @@ func attachV3(data []byte, verify bool) (*hypergraph.Hypergraph, error) {
 			}
 		}
 		cards := u32view(bw.cards)
-		nbits := len(fp.Edges)
+		nbits := int(end.Edges - r.Edges)
 		words := u64view(bw.words)
 		wpb := setops.WordsFor(nbits)
 		bms := make([]setops.Bitmap, bw.nBms)
@@ -290,28 +295,12 @@ func attachV3(data []byte, verify bool) (*hypergraph.Hypergraph, error) {
 			}
 			bms[i] = setops.BorrowBitmap(words[i*wpb:(i+1)*wpb], nbits, card)
 		}
-		fp.Ranks = setops.RankTable{Base: bw.rankBase, Tab: u32view(bw.ranks)}
-		fp.BmIdx = idx
-		fp.Bms = bms
-	}
-
-	st := hypergraph.ForeignStorage{
-		Labels:     u32view(f.sec[secLabels]),
-		Edges:      edges,
-		Incidence:  incidence,
-		EdgePart:   edgePart,
-		Parts:      parts,
-		NumLabels:  f.numLabels,
-		MaxArity:   f.maxArity,
-		TotalArity: f.ta,
-		Dict:       dict,
-		EdgeDict:   edgeDict,
-	}
-	if f.hasEdgeLabels() {
-		st.EdgeLabels = u32view(f.sec[secEdgeLabels])
-		if st.EdgeLabels == nil {
-			st.EdgeLabels = []hypergraph.Label{}
-		}
+		st.Sidecars = append(st.Sidecars, hypergraph.Sidecar{
+			Table: uint32(pi),
+			Ranks: setops.RankTable{Base: bw.rankBase, Tab: u32view(bw.ranks)},
+			BmIdx: idx,
+			Bms:   bms,
+		})
 	}
 	h, err := hypergraph.AdoptForeign(st)
 	if err != nil {

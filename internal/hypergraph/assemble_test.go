@@ -2,40 +2,28 @@ package hypergraph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
-// rawPartsOf extracts Assemble inputs from a built graph — the same arrays
-// the binary v2 format persists.
-func rawPartsOf(h *Hypergraph) ([]Label, [][]uint32, []Label, []RawPartition) {
-	labels := append([]Label(nil), h.Labels()...)
-	edges := make([][]uint32, h.NumEdges())
-	var edgeLabels []Label
-	if h.EdgeLabelled() {
-		edgeLabels = make([]Label, h.NumEdges())
+// storageOf extracts Assemble's input from a built graph as private
+// copies — the same arrays the binary formats persist — without the
+// derived parts Assemble rebuilds.
+func storageOf(h *Hypergraph) Storage {
+	src := h.Storage()
+	return Storage{
+		Labels:     slices.Clone(src.Labels),
+		EdgeOff:    slices.Clone(src.EdgeOff),
+		EdgeVerts:  slices.Clone(src.EdgeVerts),
+		EdgeLabels: slices.Clone(src.EdgeLabels),
+		Tables:     slices.Clone(src.Tables),
+		PartEdges:  slices.Clone(src.PartEdges),
+		PartVerts:  slices.Clone(src.PartVerts),
+		PartOffs:   slices.Clone(src.PartOffs),
+		PartPosts:  slices.Clone(src.PartPosts),
+		Dict:       src.Dict,
+		EdgeDict:   src.EdgeDict,
 	}
-	for e := range edges {
-		edges[e] = append([]uint32(nil), h.Edge(EdgeID(e))...)
-		if edgeLabels != nil {
-			edgeLabels[e] = h.EdgeLabel(EdgeID(e))
-		}
-	}
-	parts := make([]RawPartition, h.NumPartitions())
-	for pi := range parts {
-		p := h.Partition(pi)
-		rp := RawPartition{
-			EdgeLabel: p.EdgeLabel,
-			Edges:     append([]EdgeID(nil), p.Edges...),
-			Verts:     append([]VertexID(nil), p.PostingVertices()...),
-			Offsets:   []uint32{0},
-		}
-		for i := range p.PostingVertices() {
-			rp.Posts = append(rp.Posts, p.PostingsAt(i)...)
-			rp.Offsets = append(rp.Offsets, uint32(len(rp.Posts)))
-		}
-		parts[pi] = rp
-	}
-	return labels, edges, edgeLabels, parts
 }
 
 func buildRandom(seed int64) *Hypergraph {
@@ -64,8 +52,7 @@ func buildRandom(seed int64) *Hypergraph {
 func TestAssembleRoundTrip(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		h := buildRandom(seed)
-		labels, edges, edgeLabels, parts := rawPartsOf(h)
-		got, err := Assemble(labels, edges, edgeLabels, parts, h.Dict(), h.EdgeDict())
+		got, err := Assemble(storageOf(h))
 		if err != nil {
 			t.Fatalf("seed %d: Assemble: %v", seed, err)
 		}
@@ -102,49 +89,62 @@ func TestAssembleRejectsMalformed(t *testing.T) {
 		[]Label{0, 1, 0, 1},
 		[][]uint32{{0, 1}, {2, 3}, {0, 1, 2}},
 	)
+	// Table 0 is {0,1}-signature edges 0 and 1; table 1 is edge 2.
 	cases := []struct {
 		name   string
-		mutate func(labels []Label, edges [][]uint32, parts []RawPartition)
+		mutate func(st *Storage)
 	}{
-		{"unsorted edge", func(_ []Label, edges [][]uint32, _ []RawPartition) {
-			edges[0][0], edges[0][1] = edges[0][1], edges[0][0]
+		{"unsorted edge", func(st *Storage) {
+			st.EdgeVerts[0], st.EdgeVerts[1] = st.EdgeVerts[1], st.EdgeVerts[0]
 		}},
-		{"vertex out of range", func(_ []Label, edges [][]uint32, _ []RawPartition) {
-			edges[0][1] = 99
+		{"vertex out of range", func(st *Storage) {
+			st.EdgeVerts[1] = 99
 		}},
-		{"offsets too short", func(_ []Label, _ [][]uint32, parts []RawPartition) {
-			parts[0].Offsets = parts[0].Offsets[:len(parts[0].Offsets)-1]
+		{"edge offsets decreasing", func(st *Storage) {
+			st.EdgeOff[1] = st.EdgeOff[2] + 1
 		}},
-		{"offsets decreasing", func(_ []Label, _ [][]uint32, parts []RawPartition) {
-			parts[0].Offsets[1] = parts[0].Offsets[len(parts[0].Offsets)-1] + 1
+		{"empty edge", func(st *Storage) {
+			st.EdgeOff[1] = 0
 		}},
-		{"offsets not spanning", func(_ []Label, _ [][]uint32, parts []RawPartition) {
-			parts[0].Offsets[len(parts[0].Offsets)-1]--
+		{"offsets too short", func(st *Storage) {
+			st.PartOffs = st.PartOffs[:len(st.PartOffs)-1]
 		}},
-		{"posting edge out of range", func(_ []Label, _ [][]uint32, parts []RawPartition) {
-			parts[0].Posts[0] = 99
+		{"offsets decreasing", func(st *Storage) {
+			st.PartOffs[1] = st.PartOffs[st.Tables[1].Verts] + 1
 		}},
-		{"foreign posting edge", func(_ []Label, _ [][]uint32, parts []RawPartition) {
-			parts[0].Posts[0] = parts[1].Edges[0]
+		{"offsets not spanning", func(st *Storage) {
+			st.PartOffs[st.Tables[1].Verts]--
 		}},
-		{"duplicated partition edge", func(_ []Label, _ [][]uint32, parts []RawPartition) {
-			parts[1].Edges = append([]EdgeID(nil), parts[0].Edges...)
+		{"posting edge out of range", func(st *Storage) {
+			st.PartPosts[0] = 99
 		}},
-		{"missing partition", func(_ []Label, _ [][]uint32, parts []RawPartition) {
-			parts[1] = parts[0]
+		{"foreign posting edge", func(st *Storage) {
+			st.PartPosts[0] = st.PartEdges[st.Tables[1].Edges]
 		}},
-		{"signature mismatch", func(labels []Label, _ [][]uint32, _ []RawPartition) {
-			labels[0] = 5
+		{"duplicated partition edge", func(st *Storage) {
+			st.PartEdges[st.Tables[1].Edges] = st.PartEdges[0]
 		}},
-		{"empty partition", func(_ []Label, _ [][]uint32, parts []RawPartition) {
-			parts[0].Edges = nil
+		{"missing partition", func(st *Storage) {
+			st.Tables = append(st.Tables[:1], st.Tables[2:]...)
+		}},
+		{"missing sentinel", func(st *Storage) {
+			st.Tables = st.Tables[:len(st.Tables)-1]
+		}},
+		{"directory past its arrays", func(st *Storage) {
+			st.Tables[len(st.Tables)-1].Posts++
+		}},
+		{"signature mismatch", func(st *Storage) {
+			st.Labels[0] = 5
+		}},
+		{"empty partition", func(st *Storage) {
+			st.Tables[1].Edges = st.Tables[0].Edges
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			labels, edges, edgeLabels, parts := rawPartsOf(h)
-			tc.mutate(labels, edges, parts)
-			got, err := Assemble(labels, edges, edgeLabels, parts, nil, nil)
+			st := storageOf(h)
+			tc.mutate(&st)
+			got, err := Assemble(st)
 			if err == nil {
 				// A mutation may coincidentally produce a valid graph; it
 				// must then satisfy every invariant.
@@ -159,16 +159,17 @@ func TestAssembleRejectsMalformed(t *testing.T) {
 func TestAssembleRejectsDuplicateEdges(t *testing.T) {
 	// Two identical edges with consistent CSR entries: only the dedup
 	// check can catch this.
-	labels := []Label{0, 1}
-	edges := [][]uint32{{0, 1}, {0, 1}}
-	parts := []RawPartition{{
-		EdgeLabel: NoEdgeLabel,
-		Edges:     []EdgeID{0, 1},
-		Verts:     []VertexID{0, 1},
-		Offsets:   []uint32{0, 2, 4},
-		Posts:     []EdgeID{0, 1, 0, 1},
-	}}
-	if _, err := Assemble(labels, edges, nil, parts, nil, nil); err == nil {
+	st := Storage{
+		Labels:    []Label{0, 1},
+		EdgeOff:   []uint32{0, 2, 4},
+		EdgeVerts: []uint32{0, 1, 0, 1},
+		Tables:    []TableRow{{EdgeLabel: NoEdgeLabel}, {Edges: 2, Verts: 2, Posts: 4}},
+		PartEdges: []EdgeID{0, 1},
+		PartVerts: []VertexID{0, 1},
+		PartOffs:  []uint32{0, 2, 4},
+		PartPosts: []EdgeID{0, 1, 0, 1},
+	}
+	if _, err := Assemble(st); err == nil {
 		t.Fatal("Assemble accepted duplicate hyperedges")
 	}
 }

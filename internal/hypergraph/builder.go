@@ -1,8 +1,9 @@
 package hypergraph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"hgmatch/internal/setops"
 )
@@ -14,7 +15,8 @@ import (
 // signature and the inverted hyperedge index is constructed per table.
 type Builder struct {
 	labels     []Label
-	edges      [][]uint32
+	edgeOff    []uint32 // raw edge i is edgeVerts[edgeOff[i]:edgeOff[i+1]]
+	edgeVerts  []uint32
 	edgeLabels []Label
 	dict       *Dict
 	edgeDict   *Dict
@@ -23,7 +25,7 @@ type Builder struct {
 
 // NewBuilder returns an empty builder.
 func NewBuilder() *Builder {
-	return &Builder{}
+	return &Builder{edgeOff: []uint32{0}}
 }
 
 // WithDicts attaches label dictionaries so the built graph can render label
@@ -39,23 +41,14 @@ func (b *Builder) AddVertex(l Label) VertexID {
 	return VertexID(len(b.labels) - 1)
 }
 
-// AddVertices appends n vertices with the given label, returning the first
-// new ID.
-func (b *Builder) AddVertices(n int, l Label) VertexID {
-	first := VertexID(len(b.labels))
-	for i := 0; i < n; i++ {
-		b.labels = append(b.labels, l)
-	}
-	return first
-}
-
 // NumVertices returns the number of vertices added so far.
 func (b *Builder) NumVertices() int { return len(b.labels) }
 
 // AddEdge appends a hyperedge over the given vertices. The slice is copied;
 // order and duplicates are normalised at Build time.
 func (b *Builder) AddEdge(vertices ...uint32) {
-	b.edges = append(b.edges, append([]uint32(nil), vertices...))
+	b.edgeVerts = append(b.edgeVerts, vertices...)
+	b.edgeOff = append(b.edgeOff, uint32(len(b.edgeVerts)))
 	b.edgeLabels = append(b.edgeLabels, NoEdgeLabel)
 }
 
@@ -63,8 +56,8 @@ func (b *Builder) AddEdge(vertices ...uint32) {
 // footnote-2 extension). Mixing labelled and unlabelled edges is allowed;
 // unlabelled edges get NoEdgeLabel.
 func (b *Builder) AddLabelledEdge(label Label, vertices ...uint32) {
-	b.edges = append(b.edges, append([]uint32(nil), vertices...))
-	b.edgeLabels = append(b.edgeLabels, label)
+	b.AddEdge(vertices...)
+	b.edgeLabels[len(b.edgeLabels)-1] = label
 	b.hasEdgeLbl = true
 }
 
@@ -73,7 +66,7 @@ func (b *Builder) AddLabelledEdge(label Label, vertices ...uint32) {
 // added before Build are retained.
 func (b *Builder) Build() (*Hypergraph, error) {
 	h := &Hypergraph{
-		labels:   append([]Label(nil), b.labels...),
+		labels:   slices.Clone(b.labels),
 		dict:     b.dict,
 		edgeDict: b.edgeDict,
 	}
@@ -82,16 +75,13 @@ func (b *Builder) Build() (*Hypergraph, error) {
 	// (edge label, sorted vertex set) pair — ID-based, no per-edge key
 	// bytes — and the interner includes the edge label so that two
 	// same-vertex edges with different labels coexist (they are distinct
-	// relations in an edge-labelled hypergraph).
-	type pending struct {
-		vs    []uint32
-		label Label
-	}
-	seen := newU32Interner(len(b.edges))
-	var kept []pending
-	for i, raw := range b.edges {
-		vs := append([]uint32(nil), raw...)
-		sort.Slice(vs, func(a, c int) bool { return vs[a] < vs[c] })
+	// relations in an edge-labelled hypergraph). Kept edges receive dense
+	// IDs in input order, so the interner's flat arrays are the edge table.
+	seen := newU32Interner(len(b.edgeLabels), len(b.edgeVerts))
+	var vs []uint32
+	for i, el := range b.edgeLabels {
+		vs = append(vs[:0], b.edgeVerts[b.edgeOff[i]:b.edgeOff[i+1]]...)
+		slices.Sort(vs)
 		vs = setops.Dedup(vs)
 		if len(vs) == 0 {
 			continue // paper: hyperedges are non-empty subsets
@@ -101,30 +91,19 @@ func (b *Builder) Build() (*Hypergraph, error) {
 				return nil, fmt.Errorf("hypergraph: edge %d references unknown vertex %d", i, v)
 			}
 		}
-		el := b.edgeLabels[i]
 		if _, added := seen.intern(el, vs); !added {
 			continue // repeated hyperedge: dropped, per paper preprocessing
 		}
-		kept = append(kept, pending{vs: vs, label: el})
+		h.maxArity = max(h.maxArity, len(vs))
 	}
-
-	h.edges = make([][]uint32, len(kept))
+	h.edgeOff, h.edgeVerts = seen.off, seen.cells
 	if b.hasEdgeLbl {
-		h.edgeLabels = make([]Label, len(kept))
+		h.edgeLabels = seen.tags
 	}
-	for i, p := range kept {
-		h.edges[i] = p.vs
-		if b.hasEdgeLbl {
-			h.edgeLabels[i] = p.label
-		}
-		h.totalArity += len(p.vs)
-		if len(p.vs) > h.maxArity {
-			h.maxArity = len(p.vs)
-		}
-	}
+	h.totalArity = len(h.edgeVerts)
 
 	h.buildIncidence()
-	h.buildPartitions()
+	h.buildTables()
 	h.countLabels()
 	return h, nil
 }
@@ -139,171 +118,213 @@ func (b *Builder) MustBuild() *Hypergraph {
 	return h
 }
 
+// buildIncidence derives the incidence CSR from the edge table by a
+// count / prefix-sum / fill pass; edges are visited in increasing ID, so
+// every list comes out sorted.
 func (h *Hypergraph) buildIncidence() {
-	deg := make([]int, len(h.labels))
-	for _, vs := range h.edges {
-		for _, v := range vs {
-			deg[v]++
+	off := make([]uint32, len(h.labels)+1)
+	for _, v := range h.edgeVerts {
+		off[v+1]++
+	}
+	for v := range h.labels {
+		off[v+1] += off[v]
+	}
+	inc := make([]uint32, len(h.edgeVerts))
+	next := slices.Clone(off[:len(h.labels)])
+	for e := 0; e < h.NumEdges(); e++ {
+		for _, v := range h.Edge(EdgeID(e)) {
+			inc[next[v]] = EdgeID(e)
+			next[v]++
 		}
 	}
-	// Single backing array, sliced per vertex (avoids len(V) small allocs).
-	backing := make([]uint32, h.totalArity)
-	h.incidence = make([][]uint32, len(h.labels))
-	off := 0
-	for v, d := range deg {
-		h.incidence[v] = backing[off : off : off+d]
-		off += d
-	}
-	for e, vs := range h.edges {
-		for _, v := range vs {
-			h.incidence[v] = append(h.incidence[v], EdgeID(e))
-		}
-	}
-	// Edges were appended in increasing e, so lists are already sorted.
+	h.incOff, h.incEdges = off, inc
 }
 
-func (h *Hypergraph) buildPartitions() {
-	h.edgePart = make([]uint32, len(h.edges))
+// buildTables partitions the edge table by (edge label, signature) and
+// builds the directory, the member lists and every table's CSR inverted
+// index into the shared arrays.
+func (h *Hypergraph) buildTables() {
+	ne := h.NumEdges()
+	h.edgePart = make([]uint32, ne)
 
 	// Pass 1: intern every edge's signature (one hash probe per edge, no
-	// key bytes) and group edges by (edge label, SigID).
-	type agg struct {
-		sigID SigID
-		elbl  Label
-		edges []EdgeID
-	}
-	h.sigTab = newU32Interner(16)
-	byKey := make(map[uint64]int32)
-	var aggs []*agg
+	// key bytes), number the (edge label, SigID) groups in first-seen order
+	// and count their members.
+	h.sigTab = newU32Interner(16, 64)
+	byKey := make(map[uint64]uint32)
+	var groups []TableRow // Edges holds the member count for now
 	sigBuf := make(Signature, 0, 16)
-	for e, vs := range h.edges {
-		sigBuf = AppendSignature(sigBuf[:0], vs, h.labels)
-		id, ok := h.sigTab.lookup(0, sigBuf)
+	for e := 0; e < ne; e++ {
+		sigBuf = AppendSignature(sigBuf[:0], h.Edge(EdgeID(e)), h.labels)
+		id, _ := h.sigTab.intern(0, sigBuf)
+		key := partKey(h.EdgeLabel(EdgeID(e)), id)
+		g, ok := byKey[key]
 		if !ok {
-			id, _ = h.sigTab.intern(0, append(Signature(nil), sigBuf...))
+			g = uint32(len(groups))
+			byKey[key] = g
+			groups = append(groups, TableRow{SigID: id, EdgeLabel: h.EdgeLabel(EdgeID(e))})
 		}
-		el := NoEdgeLabel
-		if h.edgeLabels != nil {
-			el = h.edgeLabels[e]
-		}
-		key := uint64(el)<<32 | uint64(id)
-		slot, ok := byKey[key]
-		if !ok {
-			slot = int32(len(aggs))
-			byKey[key] = slot
-			aggs = append(aggs, &agg{sigID: id, elbl: el})
-		}
-		aggs[slot].edges = append(aggs[slot].edges, EdgeID(e))
+		groups[g].Edges++
+		h.edgePart[e] = g
 	}
 	h.sigTab.compact()
 
 	// Canonical partition order: by (edge label, signature), numerically —
 	// the same order the former byte-key sort produced, so partition
 	// indices stay deterministic across builds and binary round trips.
-	sort.Slice(aggs, func(i, j int) bool {
-		if aggs[i].elbl != aggs[j].elbl {
-			return aggs[i].elbl < aggs[j].elbl
+	order := make([]uint32, len(groups))
+	for i := range order {
+		order[i] = uint32(i)
+	}
+	slices.SortFunc(order, func(a, b uint32) int {
+		ga, gb := &groups[a], &groups[b]
+		if ga.EdgeLabel != gb.EdgeLabel {
+			return cmp.Compare(ga.EdgeLabel, gb.EdgeLabel)
 		}
-		return sigLess(h.Sig(aggs[i].sigID), h.Sig(aggs[j].sigID))
+		return slices.Compare(h.Sig(ga.SigID), h.Sig(gb.SigID))
 	})
+	np := len(groups)
+	h.tables = make([]TableRow, np+1)
+	slot := make([]uint32, np) // group -> table index
+	start := uint32(0)
+	for pi, g := range order {
+		h.tables[pi] = TableRow{SigID: groups[g].SigID, EdgeLabel: groups[g].EdgeLabel, Edges: start}
+		start += groups[g].Edges
+		slot[g] = uint32(pi)
+	}
+	h.tables[np].Edges = start
 
-	h.partitions = make([]*Partition, 0, len(aggs))
+	// Member lists: edges land in increasing ID, so every list is sorted.
+	h.partEdges = make([]EdgeID, ne)
+	next := make([]uint32, np)
+	for pi := range next {
+		next[pi] = h.tables[pi].Edges
+	}
+	for e := range h.edgePart {
+		pi := slot[h.edgePart[e]]
+		h.edgePart[e] = pi
+		h.partEdges[next[pi]] = EdgeID(e)
+		next[pi]++
+	}
+	h.nParts = np
+	h.buildCSR()
+	h.indexTables()
+	h.buildSidecars()
+}
+
+// buildCSR constructs every table's CSR inverted index in one linear sweep
+// over the incidence lists: iterating vertices ascending and each vertex's
+// (already sorted) incident edges yields the per-table vertex dictionaries
+// and posting lists in exactly CSR order — no maps, no per-list sorts,
+// three flat arrays shared by all tables. It fills the Verts and Posts
+// columns of the directory.
+func (h *Hypergraph) buildCSR() {
+	np := h.nParts
+	postCount := make([]uint32, np)
+	vertCount := make([]uint32, np)
+	lastSeen := make([]uint32, np) // vertex+1 last counted per table
+	h.sweepIncidence(func(v VertexID, _ EdgeID, pi uint32) {
+		postCount[pi]++
+		if lastSeen[pi] != v+1 {
+			lastSeen[pi] = v + 1
+			vertCount[pi]++
+		}
+	})
+	var nv, npost uint32
+	for pi := 0; pi < np; pi++ {
+		h.tables[pi].Verts, h.tables[pi].Posts = nv, npost
+		nv += vertCount[pi]
+		npost += postCount[pi]
+	}
+	h.tables[np].Verts, h.tables[np].Posts = nv, npost
+	h.partVerts = make([]VertexID, nv)
+	h.partOffs = make([]uint32, int(nv)+np)
+	h.partPosts = make([]EdgeID, npost)
+
+	// vertCount and postCount restart as per-table fill cursors.
+	clear(vertCount)
+	clear(postCount)
+	clear(lastSeen)
+	h.sweepIncidence(func(v VertexID, e EdgeID, pi uint32) {
+		r := &h.tables[pi]
+		if lastSeen[pi] != v+1 {
+			lastSeen[pi] = v + 1
+			h.partVerts[r.Verts+vertCount[pi]] = v
+			h.partOffs[r.Verts+pi+vertCount[pi]] = postCount[pi]
+			vertCount[pi]++
+		}
+		h.partPosts[r.Posts+postCount[pi]] = e
+		postCount[pi]++
+	})
+	for pi := 0; pi < np; pi++ {
+		h.partOffs[h.tables[pi+1].Verts+uint32(pi)] = postCount[pi]
+	}
+}
+
+// sweepIncidence visits every (vertex, incident edge, edge's table) triple
+// in (vertex, edge) order.
+func (h *Hypergraph) sweepIncidence(visit func(v VertexID, e EdgeID, pi uint32)) {
+	for v := range h.labels {
+		for _, e := range h.incEdges[h.incOff[v]:h.incOff[v+1]] {
+			visit(VertexID(v), e, h.edgePart[e])
+		}
+	}
+}
+
+// indexTables (re)derives the SigID→table and (edge label, SigID)→table
+// lookups from the directory, rejecting two tables under one key.
+func (h *Hypergraph) indexTables() error {
 	h.sigParts = make([]int32, h.sigTab.len())
 	for i := range h.sigParts {
 		h.sigParts[i] = -1
 	}
-	for pi, a := range aggs {
-		p := &Partition{
-			Sig:       h.Sig(a.sigID),
-			SigID:     a.sigID,
-			EdgeLabel: a.elbl,
-			Edges:     a.edges, // appended in increasing e => sorted
-		}
-		for _, e := range a.edges {
-			h.edgePart[e] = uint32(pi)
-		}
-		h.partitions = append(h.partitions, p)
-		if a.elbl == NoEdgeLabel {
-			h.sigParts[a.sigID] = int32(pi)
-		} else {
-			if h.labelledParts == nil {
-				h.labelledParts = make(map[uint64]int32)
+	h.labelledParts = nil
+	for pi, r := range h.tables[:len(h.tables)-1] {
+		if r.EdgeLabel == NoEdgeLabel {
+			if h.sigParts[r.SigID] >= 0 {
+				return fmt.Errorf("hypergraph: two partitions share signature %v", h.Sig(r.SigID))
 			}
-			h.labelledParts[uint64(a.elbl)<<32|uint64(a.sigID)] = int32(pi)
+			h.sigParts[r.SigID] = int32(pi)
+			continue
 		}
+		if h.labelledParts == nil {
+			h.labelledParts = make(map[uint64]int32)
+		}
+		if _, dup := h.labelledParts[partKey(r.EdgeLabel, r.SigID)]; dup {
+			return fmt.Errorf("hypergraph: two partitions share (label %d, signature %v)", r.EdgeLabel, h.Sig(r.SigID))
+		}
+		h.labelledParts[partKey(r.EdgeLabel, r.SigID)] = int32(pi)
 	}
-	h.buildCSR()
+	return nil
 }
 
-// buildCSR constructs every partition's CSR inverted index in one linear
-// sweep over the incidence lists: iterating vertices ascending and each
-// vertex's (already sorted) incident edges yields the per-partition vertex
-// dictionaries and posting lists in exactly CSR order — no maps, no
-// per-list sorts, three flat backing arrays shared by all tables.
-func (h *Hypergraph) buildCSR() {
-	np := len(h.partitions)
-	if np == 0 {
-		return
-	}
-	postCount := make([]int, np)
-	vertCount := make([]int, np)
-	lastSeen := make([]uint32, np) // vertex+1 last counted per partition
-	for v, es := range h.incidence {
-		for _, e := range es {
-			pi := h.edgePart[e]
-			postCount[pi]++
-			if lastSeen[pi] != uint32(v)+1 {
-				lastSeen[pi] = uint32(v) + 1
-				vertCount[pi]++
-			}
+// buildSidecars derives the bitmap sidecar of every table big enough to
+// carry one and files the resulting views in the side table.
+func (h *Hypergraph) buildSidecars() {
+	for pi := 0; pi < h.nParts; pi++ {
+		if h.rowLen(uint32(pi)) < bitmapMinEdges {
+			continue
+		}
+		if p := h.Partition(pi); p.buildBitmapSidecar() {
+			h.setSide(uint32(pi), &p)
 		}
 	}
-	totalVerts := 0
-	for pi := range h.partitions {
-		totalVerts += vertCount[pi]
+}
+
+// setSide files p as table pi's materialised view.
+func (h *Hypergraph) setSide(pi uint32, p *Partition) {
+	if h.side == nil {
+		h.side = make(map[uint32]*Partition)
 	}
-	// Single backing arrays, sliced per partition.
-	vertsBack := make([]VertexID, 0, totalVerts)
-	offsBack := make([]uint32, 0, totalVerts+np)
-	postsBack := make([]EdgeID, h.totalArity)
-	postOff := 0
-	for pi, p := range h.partitions {
-		p.verts = vertsBack[len(vertsBack) : len(vertsBack) : len(vertsBack)+vertCount[pi]]
-		p.offsets = offsBack[len(offsBack) : len(offsBack) : len(offsBack)+vertCount[pi]+1]
-		vertsBack = vertsBack[:len(vertsBack)+vertCount[pi]]
-		offsBack = offsBack[:len(offsBack)+vertCount[pi]+1]
-		p.posts = postsBack[postOff : postOff+postCount[pi]]
-		postOff += postCount[pi]
-	}
-	fill := make([]uint32, np)
-	clear(lastSeen)
-	for v, es := range h.incidence {
-		for _, e := range es {
-			pi := h.edgePart[e]
-			p := h.partitions[pi]
-			if lastSeen[pi] != uint32(v)+1 {
-				lastSeen[pi] = uint32(v) + 1
-				p.verts = append(p.verts, VertexID(v))
-				p.offsets = append(p.offsets, fill[pi])
-			}
-			p.posts[fill[pi]] = e
-			fill[pi]++
-		}
-	}
-	for pi, p := range h.partitions {
-		p.offsets = append(p.offsets, fill[pi])
-	}
-	for _, p := range h.partitions {
-		p.buildBitmapSidecar()
-	}
+	h.side[pi] = p
 }
 
 // PartitionForLabelled returns the table for (edge label, signature) in an
 // edge-labelled hypergraph.
-func (h *Hypergraph) PartitionForLabelled(el Label, sig Signature) *Partition {
+func (h *Hypergraph) PartitionForLabelled(el Label, sig Signature) Partition {
 	id, ok := h.LookupSig(sig)
 	if !ok {
-		return nil
+		return Partition{}
 	}
 	return h.PartitionBySigLabelled(el, id)
 }

@@ -1,9 +1,10 @@
 package hypergraph
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -18,13 +19,18 @@ import (
 // deduplicated against both the base and each other through the same
 // interner machinery the offline Builder uses, so online ingest preserves
 // the simple-hypergraph invariant). Snapshot publication is copy-on-write
-// and incremental: untouched partitions are shared by reference with the
-// base, partitions that gained edges get an append-side delta CSR segment
-// (see Partition), and partitions that lost edges have their base segment
-// rebuilt without the tombstoned members. The published *Hypergraph hangs
-// off an atomic pointer — an MVCC epoch handoff: a match that started on
-// snapshot N keeps reading N while N+1 serves new requests, with no locks
-// anywhere on the match hot path.
+// and incremental: a snapshot shares the base's flat arrays — edge and
+// incidence CSR, partition directory, member lists, inverted indexes — by
+// reference and owns only what the pending writes touched: the incidence
+// lists of touched vertices (an overlay map), a materialised view per
+// touched table in the side table (gained edges: a delta CSR segment, see
+// Partition; lost edges: a base segment rebuilt without the tombstoned
+// members; lost all: an empty table holding its index until compaction),
+// and the tables of signatures first seen online, indexed past the
+// directory. The published *Hypergraph hangs off an atomic pointer — an
+// MVCC epoch handoff: a match that started on snapshot N keeps reading N
+// while N+1 serves new requests, with no locks anywhere on the match hot
+// path.
 //
 // Compact folds all pending state into a fresh fully-indexed base (the
 // exact graph an offline Builder run over the same live edge set would
@@ -41,12 +47,23 @@ type DeltaBuffer struct {
 	dirty      atomic.Bool
 	pubVersion atomic.Uint64
 
-	labels   []Label       // full vertex-label table (base prefix + added)
-	pend     []pendingEdge // pending inserts; slot i has hyperedge ID base.NumEdges()+i
-	pendDead []bool        // pending slots deleted again before compaction
-	pendTab  *u32Interner  // (edge label, sorted vertex set) -> pending slot
+	labels []Label // full vertex-label table (base prefix + added)
+
+	// Pending inserts: slot i is hyperedge ID base.NumEdges()+i, with its
+	// edge label as the interner tag and its sorted vertex set as the body.
+	pend     *u32Interner
+	pendDead []bool // pending slots deleted again before compaction
 	livePend int
 	dead     map[EdgeID]struct{} // tombstoned base edges
+
+	// The edge table every snapshot since the last compaction reads: the
+	// base's CSR followed by the pending slots published so far. It only
+	// ever grows by append past the longest published view (a pending
+	// slot's content never changes, dead or alive), so snapshots share one
+	// backing array and a publication costs the new slots alone.
+	edgeOff    []uint32
+	edgeVerts  []uint32
+	edgeLabels []Label // nil until the table holds a labelled edge
 
 	// Pooled publish-side scratch (guarded by mu): the append-side maps a
 	// publication fills and drains are reused across publications instead
@@ -58,11 +75,6 @@ type DeltaBuffer struct {
 	pubAddInc  map[VertexID][]EdgeID
 	pubTouched map[VertexID]struct{}
 	segCnt     map[VertexID]uint32
-}
-
-type pendingEdge struct {
-	vs    []uint32
-	label Label
 }
 
 // NewDeltaBuffer returns a buffer over base. A delta-carrying snapshot is
@@ -79,14 +91,27 @@ func NewDeltaBuffer(base *Hypergraph) (*DeltaBuffer, error) {
 		}
 	}
 	d := &DeltaBuffer{
-		base:    base,
-		labels:  base.labels[:len(base.labels):len(base.labels)],
-		pendTab: newU32Interner(16),
-		dead:    make(map[EdgeID]struct{}),
+		pubAddInc:  make(map[VertexID][]EdgeID),
+		pubTouched: make(map[VertexID]struct{}),
+		segCnt:     make(map[VertexID]uint32),
 	}
+	d.rebase(base)
 	d.pubVersion.Store(base.deltaVersion)
-	d.snap.Store(base)
 	return d, nil
+}
+
+// rebase makes base the buffer's compacted base and published snapshot,
+// with no pending state. The shared arrays are clipped to their lengths:
+// the first append must copy, never write into capacity another holder of
+// base (a second buffer, the builder that made it) might also extend into.
+func (d *DeltaBuffer) rebase(base *Hypergraph) {
+	d.base = base
+	d.labels = slices.Clip(base.labels)
+	d.pend, d.pendDead, d.livePend = newU32Interner(16, 64), nil, 0
+	d.dead = make(map[EdgeID]struct{})
+	d.edgeOff, d.edgeVerts, d.edgeLabels = slices.Clip(base.edgeOff), slices.Clip(base.edgeVerts), slices.Clip(base.edgeLabels)
+	d.snap.Store(base)
+	d.dirty.Store(false)
 }
 
 // Base returns the most recently compacted base graph.
@@ -144,7 +169,7 @@ func (d *DeltaBuffer) PendingEdges() int {
 func (d *DeltaBuffer) TombstonedEdges() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return len(d.dead) + (len(d.pend) - d.livePend)
+	return len(d.dead) + (d.pend.len() - d.livePend)
 }
 
 // AddVertex appends a vertex with the given label and returns its ID. The
@@ -196,7 +221,7 @@ func (d *DeltaBuffer) InsertLabelled(el Label, vertices ...uint32) (EdgeID, bool
 		return e, false, nil
 	}
 	nb := EdgeID(d.base.NumEdges())
-	if slot, ok := d.pendTab.lookup(uint32(el), vs); ok {
+	if slot, ok := d.pend.lookup(el, vs); ok {
 		if d.pendDead[slot] {
 			d.pendDead[slot] = false
 			d.livePend++
@@ -205,8 +230,7 @@ func (d *DeltaBuffer) InsertLabelled(el Label, vertices ...uint32) (EdgeID, bool
 		}
 		return nb + EdgeID(slot), false, nil
 	}
-	slot, _ := d.pendTab.intern(uint32(el), vs)
-	d.pend = append(d.pend, pendingEdge{vs: vs, label: el})
+	slot, _ := d.pend.intern(el, vs)
 	d.pendDead = append(d.pendDead, false)
 	d.livePend++
 	d.dirty.Store(true)
@@ -237,7 +261,7 @@ func (d *DeltaBuffer) DeleteLabelled(el Label, vertices ...uint32) (bool, error)
 		d.dirty.Store(true)
 		return true, nil
 	}
-	if slot, ok := d.pendTab.lookup(uint32(el), vs); ok && !d.pendDead[slot] {
+	if slot, ok := d.pend.lookup(el, vs); ok && !d.pendDead[slot] {
 		d.pendDead[slot] = true
 		d.livePend--
 		d.dirty.Store(true)
@@ -267,8 +291,8 @@ func (d *DeltaBuffer) CompactCounted() (nh *Hypergraph, folded, dropped int, err
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	folded = d.livePend
-	dropped = len(d.dead) + (len(d.pend) - d.livePend)
-	if len(d.pend) == 0 && len(d.dead) == 0 && len(d.labels) == len(d.base.labels) &&
+	dropped = len(d.dead) + (d.pend.len() - d.livePend)
+	if d.pend.len() == 0 && len(d.dead) == 0 && len(d.labels) == len(d.base.labels) &&
 		d.snap.Load() == d.base && !d.dirty.Load() {
 		// Truly idle (the base IS the published snapshot): keep it and its
 		// version, so a periodic compaction neither copies the graph nor
@@ -284,180 +308,182 @@ func (d *DeltaBuffer) CompactCounted() (nh *Hypergraph, folded, dropped int, err
 		return nil, 0, 0, err // unreachable: every input was validated on entry
 	}
 	nh.deltaVersion = d.pubVersion.Add(1)
-	d.base = nh
-	d.labels = nh.labels[:len(nh.labels):len(nh.labels)]
-	d.pend, d.pendDead, d.livePend = nil, nil, 0
-	d.pendTab = newU32Interner(16)
-	d.dead = make(map[EdgeID]struct{})
-	d.snap.Store(nh)
-	d.dirty.Store(false)
+	d.rebase(nh)
 	return nh, folded, dropped, nil
 }
 
 // normalise sorts and dedups an insert/delete vertex list into a private
-// copy (pending slices are retained by published snapshots).
+// copy.
 func (d *DeltaBuffer) normalise(vertices []uint32) ([]uint32, error) {
 	if len(vertices) == 0 {
 		return nil, fmt.Errorf("hypergraph: empty hyperedge")
 	}
-	vs := append([]uint32(nil), vertices...)
-	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
+	vs := slices.Clone(vertices)
+	slices.Sort(vs)
 	return setops.Dedup(vs), nil
 }
 
-// segCntMap returns the pooled segment-CSR counting map (guarded by mu).
-func (d *DeltaBuffer) segCntMap() map[VertexID]uint32 {
-	if d.segCnt == nil {
-		d.segCnt = make(map[VertexID]uint32)
+// extendEdgeTable appends the pending slots not yet in the shared edge
+// table (dead ones too — ID slots are stable until compaction).
+func (d *DeltaBuffer) extendEdgeTable() {
+	nb := d.base.NumEdges()
+	for slot := len(d.edgeOff) - 1 - nb; slot < d.pend.len(); slot++ {
+		el := d.pend.tags[slot]
+		if el != NoEdgeLabel && d.edgeLabels == nil {
+			// First labelled edge of an unlabelled graph: the label column
+			// materialises, NoEdgeLabel for everything before it.
+			d.edgeLabels = make([]Label, nb+slot, nb+d.pend.len())
+			for i := range d.edgeLabels {
+				d.edgeLabels[i] = NoEdgeLabel
+			}
+		}
+		if d.edgeLabels != nil {
+			d.edgeLabels = append(d.edgeLabels, el)
+		}
+		d.edgeVerts = append(d.edgeVerts, d.pend.body(uint32(slot))...)
+		d.edgeOff = append(d.edgeOff, uint32(len(d.edgeVerts)))
 	}
-	return d.segCnt
 }
 
 // publishLocked builds and publishes a fresh snapshot from base + pending
-// state. Cost is O(|V| + |E|) slice-header copies plus work proportional
-// to the touched partitions and the delta itself; everything untouched is
-// shared by reference with the base.
+// state. Cost is proportional to the pending writes, the incidence lists
+// they touch and the tables they land in (plus one flat copy of the
+// signature interner when a batch brings a signature never seen before);
+// everything untouched is shared by reference with the base.
 func (d *DeltaBuffer) publishLocked() {
 	base := d.base
-	nb := len(base.edges)
-	nPend := len(d.pend)
+	nb := base.NumEdges()
+	nPend := d.pend.len()
 
+	d.extendEdgeTable()
 	h := &Hypergraph{
-		dict:     base.dict,
-		edgeDict: base.edgeDict,
-		delta:    d.livePend > 0 || len(d.dead) > 0 || nPend > d.livePend,
-	}
-	// d.labels is append-only; the full slice expression makes later
-	// AddVertex appends copy rather than scribble on this snapshot.
-	h.labels = d.labels[:len(d.labels):len(d.labels)]
+		// d.labels is append-only; clipping makes later AddVertex appends
+		// copy rather than scribble on this snapshot. The edge table is
+		// shared the same way.
+		labels:     slices.Clip(d.labels),
+		edgeOff:    slices.Clip(d.edgeOff),
+		edgeVerts:  slices.Clip(d.edgeVerts),
+		edgeLabels: slices.Clip(d.edgeLabels),
+		incOff:     base.incOff,
+		incEdges:   base.incEdges,
+		tables:     base.tables,
+		partEdges:  base.partEdges,
+		partVerts:  base.partVerts,
+		partOffs:   base.partOffs,
+		partPosts:  base.partPosts,
+		side:       maps.Clone(base.side),
+		nParts:     base.nParts,
+		edgePart:   base.edgePart,
+		pendPart:   make([]uint32, nPend), // dead slots keep 0: tombstones have no table
+		sigTab:     base.sigTab,
+		sigParts:   base.sigParts,
+		dict:       base.dict,
+		edgeDict:   base.edgeDict,
+		numLabels:  base.numLabels,
+		totalArity: base.totalArity,
+		maxArity:   base.maxArity,
+		delta:      nPend > 0 || len(d.dead) > 0 || len(d.labels) > len(base.labels),
 
-	// Edge table: share the base prefix outright when nothing was appended;
-	// otherwise copy it once at exact capacity (append-grow doubling would
-	// copy it anyway, plus churn), then append every pending slot (dead
-	// ones too — ID slots are stable until compaction).
-	edges := base.edges[:nb:nb]
-	if nPend > 0 {
-		edges = make([][]uint32, nb, nb+nPend)
-		copy(edges, base.edges)
-	}
-	hasEL := base.edgeLabels != nil
-	for _, pe := range d.pend {
-		edges = append(edges, pe.vs)
-		if pe.label != NoEdgeLabel {
-			hasEL = true
-		}
-	}
-	h.edges = edges
-	if hasEL {
-		els := make([]Label, 0, len(edges))
-		if base.edgeLabels != nil {
-			els = append(els, base.edgeLabels...)
-		} else {
-			for i := 0; i < nb; i++ {
-				els = append(els, NoEdgeLabel)
-			}
-		}
-		for _, pe := range d.pend {
-			els = append(els, pe.label)
-		}
-		h.edgeLabels = els
+		labelledParts: base.labelledParts,
 	}
 
 	isDeadBase := func(e EdgeID) bool { _, ok := d.dead[e]; return ok }
 
-	// Tombstone list.
-	dead := make([]EdgeID, 0, len(d.dead)+(nPend-d.livePend))
+	// Tombstone list, and arity aggregates over live edges only.
+	h.dead = make([]EdgeID, 0, len(d.dead)+(nPend-d.livePend))
+	lostMax := false
 	for e := range d.dead {
-		dead = append(dead, e)
+		h.dead = append(h.dead, e)
+		h.totalArity -= base.Arity(e)
+		lostMax = lostMax || base.Arity(e) == base.maxArity
 	}
 	for i, dd := range d.pendDead {
 		if dd {
-			dead = append(dead, EdgeID(nb+i))
+			h.dead = append(h.dead, EdgeID(nb+i))
 		}
 	}
-	sort.Slice(dead, func(i, j int) bool { return dead[i] < dead[j] })
-	h.dead = dead
-
-	// Arity aggregates over live edges only.
-	for e, vs := range edges {
-		if e < nb {
-			if isDeadBase(EdgeID(e)) {
-				continue
+	slices.Sort(h.dead)
+	if lostMax {
+		h.maxArity = 0
+		for e := EdgeID(0); int(e) < nb; e++ {
+			if !isDeadBase(e) {
+				h.maxArity = max(h.maxArity, base.Arity(e))
 			}
-		} else if d.pendDead[e-nb] {
-			continue
-		}
-		h.totalArity += len(vs)
-		if len(vs) > h.maxArity {
-			h.maxArity = len(vs)
 		}
 	}
 
-	// Incidence: copy the header array, then rebuild only the lists of
-	// vertices touched by tombstoned base edges or live pending edges.
+	// Incidence: only the lists of vertices touched by tombstoned base
+	// edges or live pending edges are rebuilt, into the snapshot's overlay.
 	// Pending IDs all exceed base IDs, so appends keep lists sorted. The
 	// rebuilt lists are carved out of one exactly-sized backing array
 	// (sized up-front from the touched lists' lengths), and the side maps
 	// come from the buffer's pooled scratch.
-	inc := make([][]uint32, len(h.labels))
-	copy(inc, base.incidence)
-	if d.pubAddInc == nil {
-		d.pubAddInc = make(map[VertexID][]EdgeID)
-		d.pubTouched = make(map[VertexID]struct{})
-	}
 	addInc, touched := d.pubAddInc, d.pubTouched
 	for v := range addInc {
 		addInc[v] = addInc[v][:0] // keep the backings for reuse
 	}
 	clear(touched)
-	for i, pe := range d.pend {
-		if d.pendDead[i] {
+	for i, isDead := range d.pendDead {
+		if isDead {
 			continue
 		}
-		id := EdgeID(nb + i)
-		for _, v := range pe.vs {
-			addInc[v] = append(addInc[v], id)
+		vs := d.pend.body(uint32(i))
+		h.totalArity += len(vs)
+		h.maxArity = max(h.maxArity, len(vs))
+		for _, v := range vs {
+			addInc[v] = append(addInc[v], EdgeID(nb+i))
 			touched[v] = struct{}{}
 		}
 	}
 	for e := range d.dead {
-		for _, v := range base.edges[e] {
+		for _, v := range base.Edge(e) {
 			touched[v] = struct{}{}
 		}
 	}
 	total := 0
 	for v := range touched {
-		if int(v) < len(base.incidence) {
-			total += len(base.incidence[v])
-		}
-		total += len(addInc[v])
+		total += base.Degree(v) + len(addInc[v])
 	}
 	backing := make([]uint32, 0, total) // upper bound: tombstones shrink lists
+	h.incOver = make(map[VertexID][]uint32, len(touched))
 	for v := range touched {
 		start := len(backing)
-		if int(v) < len(base.incidence) {
-			if len(d.dead) == 0 {
-				backing = append(backing, base.incidence[v]...)
-			} else {
-				for _, e := range base.incidence[v] {
-					if !isDeadBase(e) {
-						backing = append(backing, e)
-					}
+		if len(d.dead) == 0 {
+			backing = append(backing, base.Incident(v)...)
+		} else {
+			for _, e := range base.Incident(v) {
+				if !isDeadBase(e) {
+					backing = append(backing, e)
 				}
 			}
 		}
 		backing = append(backing, addInc[v]...)
-		inc[v] = backing[start:len(backing):len(backing)]
+		h.incOver[v] = backing[start:len(backing):len(backing)]
 	}
-	h.incidence = inc
+
+	// Rebuild the base segment of every table holding tombstones; a table
+	// that lost every member stays as an empty view under its index.
+	for e := range d.dead {
+		pi := base.edgePart[e]
+		if p := h.side[pi]; p != nil && p != base.side[pi] {
+			continue // already rebuilt for an earlier tombstone
+		}
+		bp := base.Partition(int(pi))
+		np := &Partition{Sig: bp.Sig, SigID: bp.SigID, EdgeLabel: bp.EdgeLabel}
+		for _, m := range bp.Edges {
+			if !isDeadBase(m) {
+				np.Edges = append(np.Edges, m)
+			}
+		}
+		if len(np.Edges) > 0 {
+			np.verts, np.offsets, np.posts = buildSegmentCSR(h, np.Edges, d.segCnt)
+			np.buildBitmapSidecar() // fresh base segment, fresh containers
+		}
+		h.setSide(pi, np)
+	}
 
 	// Group live pending edges by (edge label, signature), interning new
 	// signatures into a copy-on-write clone of the base's table.
-	sigTab := base.sigTab
-	if sigTab == nil {
-		sigTab = newU32Interner(16)
-	}
-	sigShared := sigTab == base.sigTab
 	type group struct {
 		sigID SigID
 		elbl  Label
@@ -466,197 +492,99 @@ func (d *DeltaBuffer) publishLocked() {
 	byKey := make(map[uint64]int)
 	var groups []*group
 	var sigBuf Signature
-	for i, pe := range d.pend {
-		if d.pendDead[i] {
+	for i, isDead := range d.pendDead {
+		if isDead {
 			continue
 		}
-		sigBuf = AppendSignature(sigBuf[:0], pe.vs, h.labels)
-		id, ok := sigTab.lookup(0, sigBuf)
+		sigBuf = AppendSignature(sigBuf[:0], d.pend.body(uint32(i)), h.labels)
+		id, ok := h.sigTab.lookup(0, sigBuf)
 		if !ok {
-			if sigShared {
-				sigTab = sigTab.clone()
-				sigShared = false
+			if h.sigTab == base.sigTab {
+				h.sigTab = base.sigTab.clone()
 			}
-			id, _ = sigTab.intern(0, append(Signature(nil), sigBuf...))
+			id, _ = h.sigTab.intern(0, sigBuf)
 		}
-		key := uint64(pe.label)<<32 | uint64(id)
+		key := partKey(d.pend.tags[i], id)
 		gi, ok := byKey[key]
 		if !ok {
 			gi = len(groups)
 			byKey[key] = gi
-			groups = append(groups, &group{sigID: id, elbl: pe.label})
+			groups = append(groups, &group{sigID: id, elbl: d.pend.tags[i]})
 		}
 		groups[gi].ids = append(groups[gi].ids, EdgeID(nb+i))
 	}
 	// Deterministic ordering for appended partitions (the canonical
 	// (edge label, signature) order the Builder uses).
-	sort.Slice(groups, func(i, j int) bool {
-		if groups[i].elbl != groups[j].elbl {
-			return groups[i].elbl < groups[j].elbl
+	slices.SortFunc(groups, func(a, b *group) int {
+		if a.elbl != b.elbl {
+			return cmp.Compare(a.elbl, b.elbl)
 		}
-		return sigLess(Signature(sigTab.body(groups[i].sigID)), Signature(sigTab.body(groups[j].sigID)))
+		return slices.Compare(h.Sig(a.sigID), h.Sig(b.sigID))
 	})
 
-	parts := make([]*Partition, len(base.partitions))
-	copy(parts, base.partitions)
-
-	// Rebuild the base segment of every partition holding tombstones.
-	droppedAny, appendedAny := false, false
-	if len(d.dead) > 0 {
-		delParts := make(map[uint32]struct{})
-		for e := range d.dead {
-			delParts[base.edgePart[e]] = struct{}{}
-		}
-		for pi := range delParts {
-			bp := base.partitions[pi]
-			var live []EdgeID
-			for _, e := range bp.Edges {
-				if !isDeadBase(e) {
-					live = append(live, e)
-				}
-			}
-			if len(live) == 0 {
-				parts[pi] = nil // fully emptied; dropped below
-				droppedAny = true
-				continue
-			}
-			np := &Partition{Sig: bp.Sig, SigID: bp.SigID, EdgeLabel: bp.EdgeLabel, Edges: live}
-			np.setCSR(buildSegmentCSR(edges, live, d.segCntMap()))
-			np.buildBitmapSidecar() // fresh base segment, fresh containers
-			parts[pi] = np
-		}
-	}
-
-	// Attach the append-side segments. Without tombstones, partition
-	// indices cannot shift (nothing is dropped, new tables only append),
-	// so the edge→partition table extends by memcpy instead of a full
-	// walk over every partition's members; pendPart collects the new
-	// entries as groups land.
-	var pendPart []uint32
-	if len(d.dead) == 0 && nPend > 0 {
-		pendPart = make([]uint32, nPend)
-	}
-	record := func(g *group, idx int) {
-		if pendPart != nil {
-			for _, e := range g.ids {
-				pendPart[int(e)-nb] = uint32(idx)
-			}
-		}
-	}
+	// Attach the append-side segments: a table the base knows gains a delta
+	// block beside its (shared or tombstone-rebuilt) base block and keeps
+	// its sidecar; a table emptied by tombstones or never seen offline is
+	// all delta, so uncompacted volume stays visible to Stats.DeltaEdges.
+	// New tables take the indices past the directory, and the lookups that
+	// must find them are copied before they are extended.
+	ownSigParts, ownLabelled := false, false
 	for _, g := range groups {
-		pi := int32(-1)
-		if g.elbl == NoEdgeLabel {
-			if int(g.sigID) < len(base.sigParts) {
-				pi = base.sigParts[g.sigID]
-			}
-		} else if base.labelledParts != nil {
-			if x, ok := base.labelledParts[uint64(g.elbl)<<32|uint64(g.sigID)]; ok {
-				pi = x
-			}
-		}
-		dv, do, dp := buildSegmentCSR(edges, g.ids, d.segCntMap())
-		switch {
-		case pi >= 0 && parts[pi] != nil:
-			bp := parts[pi] // base partition, or its tombstone-filtered rebuild
-			np := &Partition{
-				Sig: bp.Sig, SigID: bp.SigID, EdgeLabel: bp.EdgeLabel,
-				Edges: append(bp.Edges[:len(bp.Edges):len(bp.Edges)], g.ids...),
-			}
-			np.setCSR(bp.verts, bp.offsets, bp.posts)
-			np.shareBitmapSidecar(bp) // base CSR shared verbatim, sidecar too
-			np.setDeltaCSR(len(g.ids), dv, do, dp)
-			parts[pi] = np
-			record(g, int(pi))
-		case pi >= 0:
-			// Every base member was tombstoned; the reborn table is all
-			// online edges, carried as a delta segment over an empty base
-			// so uncompacted volume stays visible to Stats.DeltaEdges.
-			bp := base.partitions[pi]
-			np := &Partition{Sig: bp.Sig, SigID: bp.SigID, EdgeLabel: bp.EdgeLabel, Edges: g.ids}
-			np.setDeltaCSR(len(g.ids), dv, do, dp)
-			parts[pi] = np
-		default:
-			// First table of a signature never seen offline: likewise all
-			// delta, so Stats.DeltaEdges == the buffer's pending count.
-			np := &Partition{Sig: Signature(sigTab.body(g.sigID)), SigID: g.sigID, EdgeLabel: g.elbl, Edges: g.ids}
-			np.setDeltaCSR(len(g.ids), dv, do, dp)
-			parts = append(parts, np)
-			appendedAny = true
-			record(g, len(parts)-1)
-		}
-	}
-
-	// Drop fully-emptied partitions and rebuild the lookup tables.
-	np := 0
-	for _, p := range parts {
-		if p != nil {
-			parts[np] = p
-			np++
-		}
-	}
-	parts = parts[:np]
-	h.partitions = parts
-	if len(d.dead) == 0 {
-		// Tombstone-free publication: base partition indices are intact,
-		// so the prefix copies by append (a memcpy, or pure sharing when
-		// nothing is pending) and only the pending entries are new. Dead
-		// pending slots keep a zero entry — tombstones have no partition.
-		h.edgePart = append(base.edgePart[:nb:nb], pendPart...)
-	} else {
-		h.edgePart = make([]uint32, len(edges))
-		for pi, p := range parts {
-			for _, e := range p.Edges {
-				h.edgePart[e] = uint32(pi)
-			}
-		}
-	}
-	h.sigTab = sigTab
-	if sigShared && !droppedAny && !appendedAny {
-		// No partition was added, dropped or re-signed: the (signature,
-		// edge label) → index mappings are bit-identical to the base's
-		// and shared by reference, like every other untouched structure.
-		h.sigParts = base.sigParts
-		h.labelledParts = base.labelledParts
-	} else {
-		h.sigParts = make([]int32, sigTab.len())
-		for i := range h.sigParts {
-			h.sigParts[i] = -1
-		}
-		for pi, p := range parts {
-			if p.EdgeLabel == NoEdgeLabel {
-				h.sigParts[p.SigID] = int32(pi)
-			} else {
-				if h.labelledParts == nil {
-					h.labelledParts = make(map[uint64]int32)
+		var np Partition
+		pi := base.tableOf(g.elbl, g.sigID)
+		if pi >= 0 {
+			np = h.Partition(pi)
+		} else {
+			pi = h.nParts
+			np = Partition{Sig: h.Sig(g.sigID), SigID: g.sigID, EdgeLabel: g.elbl}
+			h.nParts++
+			if g.elbl == NoEdgeLabel {
+				if !ownSigParts {
+					ownSigParts = true
+					h.sigParts = make([]int32, h.sigTab.len())
+					for i := copy(h.sigParts, base.sigParts); i < len(h.sigParts); i++ {
+						h.sigParts[i] = -1
+					}
 				}
-				h.labelledParts[uint64(p.EdgeLabel)<<32|uint64(p.SigID)] = int32(pi)
+				h.sigParts[g.sigID] = int32(pi)
+			} else {
+				if !ownLabelled {
+					ownLabelled = true
+					h.labelledParts = make(map[uint64]int32, len(base.labelledParts)+1)
+					maps.Copy(h.labelledParts, base.labelledParts)
+				}
+				h.labelledParts[partKey(g.elbl, g.sigID)] = int32(pi)
 			}
+		}
+		np.Edges = append(slices.Clip(np.Edges), g.ids...)
+		np.nDelta = len(g.ids)
+		np.dverts, np.doffsets, np.dposts = buildSegmentCSR(h, g.ids, d.segCnt)
+		h.setSide(uint32(pi), &np)
+		for _, e := range g.ids {
+			h.pendPart[int(e)-nb] = uint32(pi)
 		}
 	}
 
 	if len(h.labels) != len(base.labels) {
 		h.countLabels()
-	} else {
-		h.numLabels = base.numLabels
 	}
-
 	h.deltaVersion = d.pubVersion.Add(1)
 	d.snap.Store(h)
 	d.dirty.Store(false)
 }
 
 // buildSegmentCSR constructs one canonical CSR block over the given member
-// edges: sorted vertex dictionary, spanning offsets, posting lists sorted
-// because members arrive in ascending ID order. Off the hot path — it runs
-// only at snapshot publication, for touched partitions. cnt is a pooled
-// counting map (cleared here); the retained outputs are allocated at exact
-// size in a count/fill two-pass, so publication leaves no map-of-slices
-// garbage behind.
-func buildSegmentCSR(edges [][]uint32, members []EdgeID, cnt map[VertexID]uint32) (verts []VertexID, offsets []uint32, posts []EdgeID) {
+// edges of h: sorted vertex dictionary, spanning offsets, posting lists
+// sorted because members arrive in ascending ID order. Off the hot path —
+// it runs only at snapshot publication, for touched partitions. cnt is a
+// pooled counting map (cleared here); the retained outputs are allocated at
+// exact size in a count/fill two-pass, so publication leaves no
+// map-of-slices garbage behind.
+func buildSegmentCSR(h *Hypergraph, members []EdgeID, cnt map[VertexID]uint32) (verts []VertexID, offsets []uint32, posts []EdgeID) {
 	clear(cnt)
 	total := 0
 	for _, e := range members {
-		for _, v := range edges[e] {
+		for _, v := range h.Edge(e) {
 			cnt[v]++
 			total++
 		}
@@ -677,7 +605,7 @@ func buildSegmentCSR(edges [][]uint32, members []EdgeID, cnt map[VertexID]uint32
 	offsets[len(verts)] = off
 	posts = make([]EdgeID, total)
 	for _, e := range members {
-		for _, v := range edges[e] {
+		for _, v := range h.Edge(e) {
 			posts[cnt[v]] = e
 			cnt[v]++
 		}
@@ -689,24 +617,7 @@ func buildSegmentCSR(edges [][]uint32, members []EdgeID, cnt map[VertexID]uint32
 // (edge label, sorted vertex set), if present; the label-aware FindEdge
 // used by online dedup.
 func (h *Hypergraph) findEdgeLabelled(el Label, vertices []uint32) (EdgeID, bool) {
-	if len(vertices) == 0 || int(vertices[0]) >= len(h.incidence) {
-		return 0, false
-	}
-	best := vertices[0]
-	for _, v := range vertices[1:] {
-		if int(v) >= len(h.incidence) {
-			return 0, false
-		}
-		if len(h.incidence[v]) < len(h.incidence[best]) {
-			best = v
-		}
-	}
-	for _, e := range h.incidence[best] {
-		if h.EdgeLabel(e) == el && setops.Equal(h.edges[e], vertices) {
-			return e, true
-		}
-	}
-	return 0, false
+	return h.findEdge(vertices, func(e EdgeID) bool { return h.EdgeLabel(e) == el })
 }
 
 // Compacted returns a fully compacted equivalent of h: the graph an
@@ -730,11 +641,9 @@ func (h *Hypergraph) Compacted() (*Hypergraph, error) {
 // rebuild sequence behind both Compact and Compacted, so "compaction ==
 // cold offline build" is a single code path. labels is the full vertex
 // table (src's, possibly extended by online AddVertex calls).
-func rebuildLive(src *Hypergraph, labels []Label, isDead func(EdgeID) bool, extra []pendingEdge, extraDead []bool) (*Hypergraph, error) {
+func rebuildLive(src *Hypergraph, labels []Label, isDead func(EdgeID) bool, extra *u32Interner, extraDead []bool) (*Hypergraph, error) {
 	b := NewBuilder().WithDicts(src.dict, src.edgeDict)
-	for _, l := range labels {
-		b.AddVertex(l)
-	}
+	b.labels = labels // Build copies
 	addEdge := func(el Label, vs []uint32) {
 		if el != NoEdgeLabel {
 			b.AddLabelledEdge(el, vs...)
@@ -742,17 +651,15 @@ func rebuildLive(src *Hypergraph, labels []Label, isDead func(EdgeID) bool, extr
 			b.AddEdge(vs...)
 		}
 	}
-	for e, vs := range src.edges {
-		if isDead(EdgeID(e)) {
-			continue
+	for e := EdgeID(0); int(e) < src.NumEdges(); e++ {
+		if !isDead(e) {
+			addEdge(src.EdgeLabel(e), src.Edge(e))
 		}
-		addEdge(src.EdgeLabel(EdgeID(e)), vs)
 	}
-	for i, pe := range extra {
-		if extraDead[i] {
-			continue
+	for i, dead := range extraDead {
+		if !dead {
+			addEdge(extra.tags[i], extra.body(uint32(i)))
 		}
-		addEdge(pe.label, pe.vs)
 	}
 	return b.Build()
 }

@@ -244,7 +244,7 @@ func TestDeltaCompactEquivalence(t *testing.T) {
 		for pi := 0; pi < cold.NumPartitions(); pi++ {
 			cp := cold.Partition(pi)
 			gp := got.PartitionForLabelled(cp.EdgeLabel, cp.Sig)
-			if gp == nil || !setops.Equal(gp.Edges, cp.Edges) {
+			if !setops.Equal(gp.Edges, cp.Edges) {
 				t.Fatalf("partition %v members diverge: %v != %v", cp.Sig, gp.Edges, cp.Edges)
 			}
 			// Full posting lists (base ++ delta) must agree per vertex.

@@ -1,6 +1,10 @@
 package hypergraph
 
-import "hgmatch/internal/setops"
+import (
+	"slices"
+
+	"hgmatch/internal/setops"
+)
 
 // SigID is a dense interned identifier for a hyperedge signature. Every
 // distinct signature of a built Hypergraph gets one SigID in
@@ -13,28 +17,46 @@ type SigID = uint32
 const NoSigID = ^SigID(0)
 
 // u32Interner interns (tag, body) pairs — a uint32 tag plus a []uint32
-// body — into dense uint32 IDs. It backs both the global signature table
-// (tag unused, body = sorted label multiset) and the Builder's exact-set
-// edge dedup (tag = edge label, body = sorted vertex set).
+// body — into dense uint32 IDs. It backs the global signature table (tag
+// unused, body = sorted label multiset), the Builder's exact-set edge
+// dedup and the DeltaBuffer's pending-edge table (tag = edge label, body =
+// sorted vertex set).
 //
 // The table is open-addressing with linear probing, and both lookup and
 // intern hash the slice in place: unlike a map[string]T keyed on encoded
-// bytes, no key allocation happens on either path. Interned bodies are
-// stored by reference; callers must not mutate them afterwards.
+// bytes, no key allocation happens on either path. Bodies are copied into
+// one flat cell array located by running-sum offsets, so an interner of
+// any size is four pointer-free arrays — and an interner fed hyperedges in
+// ID order IS their CSR edge table (off, cells) and label column (tags).
 type u32Interner struct {
-	tags   []uint32   // id -> tag
-	bodies [][]uint32 // id -> body
-	slots  []uint32   // hash slot -> id+1; 0 = empty
-	mask   uint32     // len(slots)-1; len is a power of two
+	tags  []uint32 // id -> tag
+	off   []uint32 // id -> start of its body in cells; len = entries+1
+	cells []uint32 // every body back to back
+	slots []uint32 // hash slot -> id+1; 0 = empty
+	mask  uint32   // len(slots)-1; len is a power of two
 }
 
-// newU32Interner returns an interner pre-sized for about n entries.
-func newU32Interner(n int) *u32Interner {
+// newU32Interner returns an interner pre-sized for about n entries holding
+// about cells body words in total.
+func newU32Interner(n, cells int) *u32Interner {
+	size := internerSlots(n)
+	return &u32Interner{
+		tags:  make([]uint32, 0, n),
+		off:   append(make([]uint32, 0, n+1), 0),
+		cells: make([]uint32, 0, cells),
+		slots: make([]uint32, size),
+		mask:  size - 1,
+	}
+}
+
+// internerSlots is the canonical slot-table size for n entries: the
+// smallest power of two keeping the load factor under 3/4.
+func internerSlots(n int) uint32 {
 	size := uint32(8)
-	for int(size)*3 < n*4 { // keep load factor under 3/4 at capacity n
+	for int(size)*3 < n*4 {
 		size <<= 1
 	}
-	return &u32Interner{slots: make([]uint32, size), mask: size - 1}
+	return size
 }
 
 // hashU32s is FNV-1a over the tag and body words, mixing each uint32 as
@@ -53,85 +75,83 @@ func hashU32s(tag uint32, body []uint32) uint64 {
 }
 
 // len returns the number of interned entries.
-func (t *u32Interner) len() int { return len(t.bodies) }
+func (t *u32Interner) len() int { return len(t.tags) }
 
-// body returns the body slice of an interned ID.
-func (t *u32Interner) body(id uint32) []uint32 { return t.bodies[id] }
+// body returns the body of an interned ID as a view into the cell array.
+// Callers must not mutate it.
+func (t *u32Interner) body(id uint32) []uint32 {
+	lo, hi := t.off[id], t.off[id+1]
+	return t.cells[lo:hi:hi]
+}
+
+// find probes for (tag, body), returning its ID or, when absent, the empty
+// slot the probe ended on.
+func (t *u32Interner) find(tag uint32, body []uint32) (id, slot uint32, ok bool) {
+	i := uint32(hashU32s(tag, body)) & t.mask
+	for {
+		s := t.slots[i]
+		if s == 0 {
+			return NoSigID, i, false
+		}
+		if id := s - 1; t.tags[id] == tag && setops.Equal(t.body(id), body) {
+			return id, i, true
+		}
+		i = (i + 1) & t.mask
+	}
+}
 
 // lookup returns the ID interned for (tag, body), if any. It allocates
 // nothing.
 func (t *u32Interner) lookup(tag uint32, body []uint32) (uint32, bool) {
-	if t == nil || len(t.bodies) == 0 {
+	if t == nil || len(t.tags) == 0 {
 		return NoSigID, false
 	}
-	i := uint32(hashU32s(tag, body)) & t.mask
-	for {
-		s := t.slots[i]
-		if s == 0 {
-			return NoSigID, false
-		}
-		id := s - 1
-		if t.tags[id] == tag && setops.Equal(t.bodies[id], body) {
-			return id, true
-		}
-		i = (i + 1) & t.mask
-	}
+	id, _, ok := t.find(tag, body)
+	return id, ok
 }
 
-// intern returns the ID for (tag, body), interning it with the next dense
-// ID on first sight. added reports whether this call created the entry;
-// when it did, body is retained by reference.
+// intern returns the ID for (tag, body), interning a copy of body under
+// the next dense ID on first sight. added reports whether this call
+// created the entry.
 func (t *u32Interner) intern(tag uint32, body []uint32) (id uint32, added bool) {
-	i := uint32(hashU32s(tag, body)) & t.mask
-	for {
-		s := t.slots[i]
-		if s == 0 {
-			break
-		}
-		id := s - 1
-		if t.tags[id] == tag && setops.Equal(t.bodies[id], body) {
-			return id, false
-		}
-		i = (i + 1) & t.mask
+	id, slot, ok := t.find(tag, body)
+	if ok {
+		return id, false
 	}
-	id = uint32(len(t.bodies))
+	id = uint32(len(t.tags))
 	t.tags = append(t.tags, tag)
-	t.bodies = append(t.bodies, body)
-	t.slots[i] = id + 1
-	if uint32(len(t.bodies))*4 >= uint32(len(t.slots))*3 {
-		t.grow()
+	t.cells = append(t.cells, body...)
+	t.off = append(t.off, uint32(len(t.cells)))
+	t.slots[slot] = id + 1
+	if uint32(len(t.tags))*4 >= uint32(len(t.slots))*3 {
+		t.rehash(uint32(len(t.slots)) * 2)
 	}
 	return id, true
 }
 
-// clone returns an independent copy sharing only the (immutable) interned
-// body slices; the DeltaBuffer snapshot path clones the base graph's table
-// copy-on-write before interning signatures first seen online, so already
-// published snapshots keep probing an untouched table.
+// clone returns an independent copy; the DeltaBuffer snapshot path clones
+// the base graph's table copy-on-write before interning signatures first
+// seen online, so already published snapshots keep probing an untouched
+// table.
 func (t *u32Interner) clone() *u32Interner {
 	return &u32Interner{
-		tags:   append([]uint32(nil), t.tags...),
-		bodies: append([][]uint32(nil), t.bodies...),
-		slots:  append([]uint32(nil), t.slots...),
-		mask:   t.mask,
+		tags:  slices.Clone(t.tags),
+		off:   slices.Clone(t.off),
+		cells: slices.Clone(t.cells),
+		slots: slices.Clone(t.slots),
+		mask:  t.mask,
 	}
 }
 
-// grow doubles the slot table and rehashes every entry.
-func (t *u32Interner) grow() {
-	t.rehash(uint32(len(t.slots)) * 2)
-}
-
-// compact rebuilds the slot table at the canonical size for the current
-// entry count, making the table's footprint a function of its contents
-// alone — graphs built offline and graphs assembled from a binary file
-// report identical index statistics.
+// compact trims the entry arrays to their contents and rebuilds the slot
+// table at the canonical size for the entry count, making the table's
+// footprint a function of its contents alone — graphs built offline and
+// graphs assembled from a binary file report identical index statistics.
 func (t *u32Interner) compact() {
-	size := uint32(8)
-	for int(size)*3 < t.len()*4 {
-		size <<= 1
+	if cap(t.cells) > len(t.cells) || cap(t.tags) > len(t.tags) {
+		t.tags, t.off, t.cells = slices.Clone(t.tags), slices.Clone(t.off), slices.Clone(t.cells)
 	}
-	if size != uint32(len(t.slots)) {
+	if size := internerSlots(t.len()); size != uint32(len(t.slots)) {
 		t.rehash(size)
 	}
 }
@@ -139,8 +159,8 @@ func (t *u32Interner) compact() {
 func (t *u32Interner) rehash(size uint32) {
 	t.slots = make([]uint32, size)
 	t.mask = size - 1
-	for id := range t.bodies {
-		i := uint32(hashU32s(t.tags[id], t.bodies[id])) & t.mask
+	for id, tag := range t.tags {
+		i := uint32(hashU32s(tag, t.body(uint32(id)))) & t.mask
 		for t.slots[i] != 0 {
 			i = (i + 1) & t.mask
 		}
@@ -148,11 +168,10 @@ func (t *u32Interner) rehash(size uint32) {
 	}
 }
 
-// tableBytes approximates the interner's memory footprint: slot table plus
-// per-entry headers (bodies are shared with the partitions, not counted).
+// tableBytes returns the interner's memory footprint: four flat arrays.
 func (t *u32Interner) tableBytes() int {
 	if t == nil {
 		return 0
 	}
-	return 4*len(t.slots) + 4*len(t.tags) + 24*len(t.bodies)
+	return 4 * (len(t.slots) + len(t.tags) + len(t.off) + len(t.cells))
 }

@@ -2,11 +2,12 @@ package hypergraph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
 func TestU32InternerBasics(t *testing.T) {
-	it := newU32Interner(4)
+	it := newU32Interner(4, 0)
 	a := []uint32{1, 2, 3}
 	id1, added := it.intern(7, a)
 	if !added || id1 != 0 {
@@ -29,13 +30,14 @@ func TestU32InternerBasics(t *testing.T) {
 	if _, ok := it.lookup(7, []uint32{1, 2}); ok {
 		t.Fatal("lookup of unknown body succeeded")
 	}
-	if got := it.body(id1); &got[0] != &a[0] {
-		t.Fatal("interned body not retained by reference")
+	a[0] = 99 // bodies are copied in: the caller's slice is its own again
+	if got := it.body(id1); !slices.Equal(got, []uint32{1, 2, 3}) {
+		t.Fatalf("interned body = %v, want a private copy of {1 2 3}", got)
 	}
 }
 
 func TestU32InternerGrowAndDense(t *testing.T) {
-	it := newU32Interner(0)
+	it := newU32Interner(0, 0)
 	const n = 10_000
 	rng := rand.New(rand.NewSource(3))
 	bodies := make([][]uint32, n)
@@ -88,7 +90,7 @@ func TestSigIDsAndPartitions(t *testing.T) {
 			t.Fatalf("edge %d: Sig(SigIDOf) mismatch", e)
 		}
 		p := h.PartitionBySig(id)
-		if p == nil || p.SigID != id {
+		if p.Len() == 0 || p.SigID != id {
 			t.Fatalf("edge %d: PartitionBySig broken", e)
 		}
 		if h.CardinalityBySig(id) != p.Len() {

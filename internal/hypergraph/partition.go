@@ -6,10 +6,21 @@ import (
 	"hgmatch/internal/setops"
 )
 
-// Partition is one hyperedge table (paper §IV-B, Table I): all data
-// hyperedges sharing one hyperedge signature, plus the table's inverted
-// hyperedge index (paper §IV-C) mapping each member vertex to the sorted
-// posting list of its incident hyperedges *within this table*.
+// Partition is a view of one hyperedge table (paper §IV-B, Table I): all
+// data hyperedges sharing one hyperedge signature, plus the table's
+// inverted hyperedge index (paper §IV-C) mapping each member vertex to the
+// sorted posting list of its incident hyperedges *within this table*.
+//
+// A Hypergraph does not store Partition values for its tables: a table is
+// a fixed-size row of the partition directory locating its windows in four
+// graph-wide arrays (see TableRow), and Hypergraph.Partition cuts this view
+// from the row on demand. The view is a plain value — a dozen slice headers
+// into storage the graph owns — so a compiled plan keeps one per step and
+// reads postings at exactly the cost of a slice index. Only the few tables
+// that carry more than a directory row (a bitmap sidecar, an append-side
+// delta, a tombstone-rebuilt base) are kept materialised, in the graph's
+// sparse side table. A view stays valid for the lifetime of its graph; the
+// zero Partition is the empty table every accessor answers "nothing" for.
 //
 // The index is stored in CSR form: a sorted local vertex dictionary
 // (verts) and two flat arrays (offsets, posts) holding every posting list
@@ -65,7 +76,7 @@ type Partition struct {
 	// only), and all bitmap words share one backing array. The sidecar is
 	// derived state: built after the base CSR, rebuilt whenever the base
 	// segment is (delta publication with deletes, compaction, binary
-	// load), never persisted.
+	// load); only binary v3 persists it.
 	ranks setops.RankTable
 	bmIdx []int32
 	bms   []setops.Bitmap
@@ -86,9 +97,6 @@ const (
 // Len returns the table cardinality |{e ∈ E(H) : S(e) = Sig}|. This is the
 // O(1) Card() fetch used by the matching-order planner (Definition V.2).
 func (p *Partition) Len() int {
-	if p == nil {
-		return 0
-	}
 	return len(p.Edges)
 }
 
@@ -99,9 +107,6 @@ func (p *Partition) Len() int {
 // list of v is Postings(v) followed by DeltaPostings(v) — both sorted, and
 // every delta ID greater than every base ID.
 func (p *Partition) Postings(v VertexID) []EdgeID {
-	if p == nil {
-		return nil
-	}
 	return csrPostings(p.verts, p.offsets, p.posts, v)
 }
 
@@ -110,7 +115,7 @@ func (p *Partition) Postings(v VertexID) []EdgeID {
 // delta or v occurs in none of its delta hyperedges. Callers must not
 // mutate it.
 func (p *Partition) DeltaPostings(v VertexID) []EdgeID {
-	if p == nil || len(p.dverts) == 0 {
+	if len(p.dverts) == 0 {
 		return nil
 	}
 	return csrPostings(p.dverts, p.doffsets, p.dposts, v)
@@ -124,9 +129,6 @@ func (p *Partition) DeltaPostings(v VertexID) []EdgeID {
 // mutate either representation. A vertex not occurring in the base
 // segment yields the empty view.
 func (p *Partition) PostingsView(v VertexID) setops.View {
-	if p == nil {
-		return setops.View{}
-	}
 	i := csrRank(p.verts, v)
 	if i < 0 {
 		return setops.View{}
@@ -139,7 +141,7 @@ func (p *Partition) PostingsView(v VertexID) setops.View {
 
 // HasBitmaps reports whether the table carries a bitmap sidecar (at least
 // one dense vertex posting container).
-func (p *Partition) HasBitmaps() bool { return p != nil && len(p.bms) > 0 }
+func (p *Partition) HasBitmaps() bool { return len(p.bms) > 0 }
 
 // BitmapRanks returns the sidecar's member-ID→rank mapping (empty without
 // a sidecar). Callers must not mutate it.
@@ -148,9 +150,6 @@ func (p *Partition) BitmapRanks() setops.RankTable { return p.ranks }
 // NumBaseEdges returns the base-segment cardinality: the rank span of the
 // sidecar's bitmaps.
 func (p *Partition) NumBaseEdges() int {
-	if p == nil {
-		return 0
-	}
 	return len(p.Edges) - p.nDelta
 }
 
@@ -158,7 +157,7 @@ func (p *Partition) NumBaseEdges() int {
 // bitmap container, and the total sidecar bytes (bitmap words + the
 // per-vertex index + the rank table). Both are 0 without a sidecar.
 func (p *Partition) BitmapStats() (verts, bytes int) {
-	if p == nil || len(p.bms) == 0 {
+	if len(p.bms) == 0 {
 		return 0, 0
 	}
 	words := setops.WordsFor(p.NumBaseEdges())
@@ -168,16 +167,17 @@ func (p *Partition) BitmapStats() (verts, bytes int) {
 // buildBitmapSidecar (re)derives the bitmap sidecar from the base CSR:
 // one linear sweep over the posting arrays scattering each dense vertex's
 // list into its container. Called wherever a base segment is (re)built —
-// offline build, delta publication rebuilds, binary-load assembly.
-func (p *Partition) buildBitmapSidecar() {
-	p.ranks, p.bmIdx, p.bms = setops.RankTable{}, nil, nil
+// offline build, delta publication rebuilds, binary-load assembly. It
+// reports whether the table ended up with a sidecar.
+func (p *Partition) buildBitmapSidecar() bool {
+	p.dropBitmapSidecar()
 	base := p.BaseEdges()
 	n := len(base)
 	if n < bitmapMinEdges || len(p.verts) == 0 {
-		return
+		return false
 	}
 	if int(base[n-1]-base[0])+1 > rankSpanFactor*n {
-		return
+		return false
 	}
 	nDense := 0
 	for i := range p.verts {
@@ -186,7 +186,7 @@ func (p *Partition) buildBitmapSidecar() {
 		}
 	}
 	if nDense == 0 {
-		return
+		return false
 	}
 	words := setops.WordsFor(n)
 	p.ranks = setops.BuildRankTable(base)
@@ -207,12 +207,7 @@ func (p *Partition) buildBitmapSidecar() {
 		p.bmIdx[i] = int32(len(p.bms))
 		p.bms = append(p.bms, bm)
 	}
-}
-
-// shareBitmapSidecar adopts src's sidecar; valid only when p shares src's
-// base CSR arrays verbatim (copy-on-write delta publication).
-func (p *Partition) shareBitmapSidecar(src *Partition) {
-	p.ranks, p.bmIdx, p.bms = src.ranks, src.bmIdx, src.bms
+	return true
 }
 
 // dropBitmapSidecar removes the sidecar, returning the table to array-only
@@ -253,9 +248,6 @@ func csrPostings(verts []VertexID, offsets []uint32, posts []EdgeID, v VertexID)
 // PostingVertices returns the sorted set of vertices occurring in the
 // table's base segment. Callers must not mutate it.
 func (p *Partition) PostingVertices() []VertexID {
-	if p == nil {
-		return nil
-	}
 	return p.verts
 }
 
@@ -268,102 +260,34 @@ func (p *Partition) PostingsAt(i int) []EdgeID {
 // NumPostingVertices returns how many distinct vertices appear in the
 // table's base segment.
 func (p *Partition) NumPostingVertices() int {
-	if p == nil {
-		return 0
-	}
 	return len(p.verts)
 }
 
 // DeltaPostingVertices returns the sorted set of vertices occurring in the
 // table's delta segment (nil without one). Callers must not mutate it.
 func (p *Partition) DeltaPostingVertices() []VertexID {
-	if p == nil {
-		return nil
-	}
 	return p.dverts
-}
-
-// DeltaPostingsAt returns the posting list of DeltaPostingVertices()[i];
-// serialisation/test companion of DeltaPostingVertices.
-func (p *Partition) DeltaPostingsAt(i int) []EdgeID {
-	return p.dposts[p.doffsets[i]:p.doffsets[i+1]]
 }
 
 // NumDeltaEdges returns the size of the append-side delta segment (0 on a
 // fully-compacted table).
 func (p *Partition) NumDeltaEdges() int {
-	if p == nil {
-		return 0
-	}
 	return p.nDelta
 }
 
 // HasDelta reports whether the table carries an append-side delta segment.
-func (p *Partition) HasDelta() bool { return p != nil && p.nDelta > 0 }
+func (p *Partition) HasDelta() bool { return p.nDelta > 0 }
 
 // BaseEdges returns the base-segment member edges (Edges minus the delta
 // tail). Callers must not mutate it.
 func (p *Partition) BaseEdges() []EdgeID {
-	if p == nil {
-		return nil
-	}
 	return p.Edges[:len(p.Edges)-p.nDelta]
 }
 
 // DeltaEdges returns the append-side delta members (empty when compacted).
 // Callers must not mutate it.
 func (p *Partition) DeltaEdges() []EdgeID {
-	if p == nil {
-		return nil
-	}
 	return p.Edges[len(p.Edges)-p.nDelta:]
-}
-
-// IndexBytes returns the memory footprint of the inverted hyperedge index:
-// each hyperedge contributes O(a(e)) posting entries (paper §IV-C size
-// analysis), 4 bytes each, plus the CSR vertex dictionary and offset
-// arrays — base and delta blocks both counted at their exact flat-array
-// footprint, with no per-vertex map overhead left to approximate.
-func (p *Partition) IndexBytes() int {
-	return 4 * (len(p.verts) + len(p.offsets) + len(p.posts) +
-		len(p.dverts) + len(p.doffsets) + len(p.dposts))
-}
-
-// TableBytes returns the memory footprint of the hyperedge table itself:
-// the signature header plus the vertex cells of every member edge (the
-// paper's O(a_H × |E(H)|) analysis, §IV-B).
-func (p *Partition) TableBytes(h *Hypergraph) int {
-	total := 4 * len(p.Sig) // signature header
-	for _, e := range p.Edges {
-		total += 24 + 4*h.Arity(e) // slice header + vertex cells
-	}
-	return total
-}
-
-// BaseCSR exposes the base segment's flat CSR arrays (vertex dictionary,
-// offsets, postings) for serialisation. Callers must not mutate them.
-func (p *Partition) BaseCSR() (verts []VertexID, offsets []uint32, posts []EdgeID) {
-	return p.verts, p.offsets, p.posts
-}
-
-// BitmapSidecar exposes the bitmap sidecar's raw structures (rank table,
-// per-vertex container index, containers) for serialisation; all three are
-// empty without a sidecar. Callers must not mutate them.
-func (p *Partition) BitmapSidecar() (ranks setops.RankTable, bmIdx []int32, bms []setops.Bitmap) {
-	return p.ranks, p.bmIdx, p.bms
-}
-
-// setCSR installs a prebuilt base CSR index; used by the builder and
-// Assemble.
-func (p *Partition) setCSR(verts []VertexID, offsets []uint32, posts []EdgeID) {
-	p.verts, p.offsets, p.posts = verts, offsets, posts
-}
-
-// setDeltaCSR installs a prebuilt append-side CSR block covering the last
-// nDelta entries of Edges; used by DeltaBuffer snapshot publication.
-func (p *Partition) setDeltaCSR(nDelta int, verts []VertexID, offsets []uint32, posts []EdgeID) {
-	p.nDelta = nDelta
-	p.dverts, p.doffsets, p.dposts = verts, offsets, posts
 }
 
 // validate checks partition-internal invariants against the parent graph.
@@ -428,7 +352,7 @@ func (p *Partition) validate(h *Hypergraph) error {
 		if i >= nBase {
 			pl = func(v VertexID) []EdgeID { return p.DeltaPostings(v) }
 		}
-		for _, v := range h.edges[e] {
+		for _, v := range h.Edge(e) {
 			if !setops.Contains(pl(v), e) {
 				return fmt.Errorf("edge %d missing from posting list of vertex %d", e, v)
 			}
@@ -467,7 +391,7 @@ func validateCSRBlock(h *Hypergraph, members []EdgeID, verts []VertexID, offsets
 			return fmt.Errorf("posting list of vertex %d not sorted", v)
 		}
 		for _, e := range l {
-			if !setops.Contains(h.edges[e], v) {
+			if !setops.Contains(h.Edge(e), v) {
 				return fmt.Errorf("posting list of vertex %d lists edge %d not containing it", v, e)
 			}
 			if !setops.Contains(members, e) {

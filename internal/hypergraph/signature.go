@@ -45,21 +45,6 @@ func AppendSignature(dst Signature, vertices []uint32, labels []Label) Signature
 	return dst
 }
 
-// sigLess orders signatures lexicographically (element-wise numeric,
-// shorter prefix first) — the canonical partition order.
-func sigLess(a, b Signature) bool {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
-}
-
 // Arity returns the arity of any hyperedge carrying this signature.
 func (s Signature) Arity() int { return len(s) }
 
@@ -95,17 +80,6 @@ func keyWithEdgeLabel(el Label, s Signature) string {
 		binary.BigEndian.PutUint32(b[4+4*i:], l)
 	}
 	return string(b)
-}
-
-// CountOf returns the multiplicity of label l in the signature.
-func (s Signature) CountOf(l Label) int {
-	n := 0
-	for _, x := range s {
-		if x == l {
-			n++
-		}
-	}
-	return n
 }
 
 // String formats the signature with the dictionary if provided, else

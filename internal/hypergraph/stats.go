@@ -27,7 +27,13 @@ type Stats struct {
 	BitmapBytes    int
 }
 
-// ComputeStats gathers Table II-style statistics for h.
+// ComputeStats gathers Table II-style statistics for h. The four byte
+// counts are the exact lengths of the arrays behind them, so on a heap
+// graph their sum is what the graph costs the Go heap: IndexBytes the
+// shared CSR arrays (plus the delta blocks of an online snapshot),
+// BitmapBytes the sidecars, SigTableBytes the interner, GraphBytes the
+// rest — labels, edge and incidence CSR, member lists, edge→table links,
+// the partition directory and its lookups.
 func ComputeStats(h *Hypergraph) Stats {
 	s := Stats{
 		NumVertices:   h.NumVertices(),
@@ -39,15 +45,35 @@ func ComputeStats(h *Hypergraph) Stats {
 		Partitions:    h.NumPartitions(),
 		Signatures:    h.NumSignatures(),
 		SigTableBytes: h.sigTab.tableBytes(),
+		IndexBytes:    4 * (len(h.partVerts) + len(h.partOffs) + len(h.partPosts)),
 	}
-	for i := 0; i < h.NumPartitions(); i++ {
-		p := h.Partition(i)
-		s.IndexBytes += p.IndexBytes()
-		s.GraphBytes += p.TableBytes(h)
-		s.DeltaEdges += p.NumDeltaEdges()
+	s.GraphBytes = 4*(len(h.labels)+len(h.edgeOff)+len(h.edgeVerts)+len(h.edgeLabels)+
+		len(h.incOff)+len(h.incEdges)+len(h.edgePart)+len(h.pendPart)+len(h.partEdges)+len(h.sigParts)+len(h.dead)) +
+		tableRowBytes*len(h.tables) + 16*len(h.labelledParts)
+	for _, l := range h.incOver {
+		s.GraphBytes += 4 * len(l)
+	}
+	for pi, p := range h.side {
 		bv, bb := p.BitmapStats()
 		s.BitmapVertices += bv
 		s.BitmapBytes += bb
+		if h.onlySidecar(pi, p) {
+			continue
+		}
+		// A table the snapshot owns: its member list and delta block, and
+		// the base block too when publication rebuilt it.
+		if p.Len() == 0 {
+			s.Partitions--
+		}
+		s.DeltaEdges += p.NumDeltaEdges()
+		s.GraphBytes += 4 * len(p.Edges)
+		s.IndexBytes += 4 * (len(p.dverts) + len(p.doffsets) + len(p.dposts))
+		if int(pi) >= len(h.tables)-1 || p.NumBaseEdges() != h.rowLen(pi) {
+			s.IndexBytes += 4 * (len(p.verts) + len(p.offsets) + len(p.posts))
+		}
 	}
 	return s
 }
+
+// tableRowBytes is the size of one TableRow: five 32-bit columns.
+const tableRowBytes = 20
