@@ -325,6 +325,21 @@ func WithWorkerCallback(fn func(worker int, m []EdgeID)) Option {
 	return func(o *engine.Options) { o.OnEmbeddingWorker = fn }
 }
 
+// WithGroupCallback streams every embedding to fn the way match-by-hyperedge
+// finds them: one call stands for the len(last) embeddings prefix+[c], c
+// ranging over last in order — a partial embedding in matching order and the
+// data hyperedges that validly complete it. A run with no WithLimit,
+// WithFilter, WithGroupBy, WithFaultHook or per-embedding callback hands over
+// each parent row's whole candidate run, which lets a consumer pay per-row
+// costs (a lock, an encoded prefix) once per group; every other run delivers
+// the same embeddings in the same per-worker order as groups of one.
+// Concurrency is WithWorkerCallback's: fn must shard its state by worker or
+// synchronise internally. Both slices are reused between calls and must not
+// be modified — copy to retain.
+func WithGroupCallback(fn func(worker int, prefix, last []EdgeID)) Option {
+	return func(o *engine.Options) { o.OnGroup = fn }
+}
+
 // WithFilter drops embeddings failing pred before they are counted (the
 // dataflow FILTER extension operator). pred must be safe for concurrent
 // calls.
@@ -408,8 +423,8 @@ func NewPool(workers int) *Pool {
 // Run executes the plan on the shared pool, blocking until the result is
 // complete. WithWorkers caps how many pool workers serve this request at
 // once; WithWeight sets its fair-share weight. Worker indexes seen by
-// WithWorkerCallback range over [0, Workers()) — the pool's size, not the
-// request's cap.
+// WithWorkerCallback and WithGroupCallback range over [0, Workers()) — the
+// pool's size, not the request's cap.
 func (pl *Pool) Run(p *Plan, opts ...Option) Result {
 	var eo engine.Options
 	for _, o := range opts {
@@ -450,7 +465,8 @@ func NewShardedGraph(h *Hypergraph, n int) (*ShardedGraph, error) {
 // RunSharded scatters the plan across g's shards on the shared pool and
 // gathers one merged result, semantically equivalent to a solo Run against
 // g.Live().Snapshot(): counts, counters and groups match exactly, and with
-// WithCallback/WithWorkerCallback or WithLimit the merged embedding stream
+// a callback (WithCallback, WithWorkerCallback, WithGroupCallback — the last
+// in groups of one) or WithLimit the merged embedding stream
 // is delivered in a deterministic order that is identical for every shard
 // count. The plan must be compiled against a snapshot of g.Live().
 func (pl *Pool) RunSharded(p *Plan, g *ShardedGraph, opts ...Option) Result {

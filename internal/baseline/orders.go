@@ -11,7 +11,8 @@ import (
 // effectively.
 //
 // The emulations capture each algorithm's defining order policy over a
-// shared IHS-filtered candidate space (see DESIGN.md substitution #4):
+// shared IHS-filtered candidate space (a substitution: the original CFL, DAF
+// and CECI systems are not reimplemented, only their order policies):
 //
 //   - CFL-H: core-forest-leaf decomposition — 2-core vertices first, then
 //     forest vertices, leaves last (CFL's "postponing Cartesian products").

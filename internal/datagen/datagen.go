@@ -9,7 +9,8 @@
 // characteristic *shape* — label-set size, average and maximum arity, and
 // power-law vertex degrees — which is what drives the paper's qualitative
 // results (high-arity datasets benefit from match-by-hyperedge the most).
-// See DESIGN.md substitution #1. Generation is deterministic per seed.
+// That substitution — calibrated synthetic profiles for Table II's real
+// datasets — is this package. Generation is deterministic per seed.
 package datagen
 
 import (

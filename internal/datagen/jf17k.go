@@ -17,7 +17,7 @@ import (
 //
 // The real JF17K (a Freebase subset) is unavailable offline; the generator
 // plants both incidental and guaranteed answers for the case-study queries
-// (DESIGN.md substitution #7).
+// (a substitution: synthetic facts in JF17K's two schemas for the real KB).
 type KB struct {
 	Graph *hypergraph.Hypergraph
 	Dict  *hypergraph.Dict

@@ -99,6 +99,21 @@ type Options struct {
 	// reused; copy to retain. This is the sharded-sink path: no global
 	// lock is taken per embedding.
 	OnEmbeddingWorker func(worker int, m []hypergraph.EdgeID)
+	// OnGroup, when non-nil, receives every embedding on the worker that
+	// found it, in the shape match-by-hyperedge produces them: one call
+	// stands for the len(last) embeddings prefix+[c], c ranging over last in
+	// order, where prefix is a partial embedding aligned with the plan's
+	// matching order and last holds the valid data hyperedges of the final
+	// EXPAND (paper Algorithms 3-5; a one-hyperedge query has an empty
+	// prefix and a SCAN range as last). A run nothing inspects row by row —
+	// no Limit, Filter, Aggregate, FaultHook, OnEmbedding or
+	// OnEmbeddingWorker — hands over each parent row's whole candidate run;
+	// any other run delivers the same embeddings in the same per-worker
+	// order as groups of one. Concurrency is OnEmbeddingWorker's: calls from
+	// different workers overlap, always with distinct worker indexes. Both
+	// slices are the engine's own storage, reused between calls: read only,
+	// copy to retain.
+	OnGroup func(worker int, prefix, last []hypergraph.EdgeID)
 	// Limit stops the run after this many embeddings (0 = unlimited).
 	Limit uint64
 	// Timeout aborts the run after this duration (0 = none). Aborted runs
@@ -287,9 +302,13 @@ type runState struct {
 	hasDL     bool
 	hasCancel bool // deadline or context present
 	watch     bool // any stop condition can fire mid-run (limit/deadline/ctx)
-	// countOnly: nothing consumes the embeddings themselves (no callback,
+	// byGroup: nothing looks at single embeddings (no per-row callback,
 	// filter, aggregate, limit or fault hook), so the last matching-order
-	// step counts its valid candidates instead of sinking them one by one.
+	// step sinks a parent row's whole candidate run at once. countOnly is
+	// byGroup with no OnGroup either: nothing consumes the embeddings at
+	// all, and the last step counts its valid candidates without
+	// materialising the run.
+	byGroup   bool
 	countOnly bool
 
 	sinkMu sync.Mutex // serialises the legacy OnEmbedding callback
@@ -327,6 +346,9 @@ type workerState struct {
 	ct      core.Counters
 	emitBuf []hypergraph.EdgeID
 	free    []*block // recycled blocks; the allocation-free steady state
+	// run collects the final EXPAND's valid candidates for one parent row,
+	// so they sink as one (row, run) group instead of one call each.
+	run []hypergraph.EdgeID
 
 	localCount uint64            // embeddings sunk (no-limit path); flushed at detach
 	stats      WorkerStats       // this attachment's share of st.stats[id]; flushed at detach
@@ -502,8 +524,9 @@ func newRunState(p *core.Plan, opts Options, slots int) *runState {
 	}
 	st.hasCancel = st.hasDL || opts.Context != nil
 	st.watch = st.hasCancel || opts.Limit > 0
-	st.countOnly = opts.OnEmbedding == nil && opts.OnEmbeddingWorker == nil && opts.Filter == nil &&
+	st.byGroup = opts.OnEmbedding == nil && opts.OnEmbeddingWorker == nil && opts.Filter == nil &&
 		opts.Aggregate == nil && opts.Limit == 0 && opts.FaultHook == nil
+	st.countOnly = st.byGroup && opts.OnGroup == nil
 	if opts.MaxMemory > 0 {
 		// Budget in block units; a budget below one block still admits the
 		// run but trips on the first acquisition (maxLive 0), which is the
@@ -705,11 +728,9 @@ func (st *runState) execute(t task, w *workerState) {
 		return
 	}
 	if st.nq == 1 {
-		for _, e := range st.first[t.lo:t.hi] {
-			w.ct.Valid++
-			w.emitBuf[0] = e
-			st.sink(w.emitBuf[:1], w)
-		}
+		run := st.first[t.lo:t.hi]
+		w.ct.Valid += uint64(len(run))
+		w.sinkRun(nil, run)
 		return
 	}
 	b := w.acquire(1)
@@ -748,9 +769,10 @@ func (w *workerState) dispatch(b *block) {
 
 // expandBlock runs EXPAND over every row of a block. Children fill a block
 // of depth+1 that is dispatched as it becomes full; at the final step the
-// children are complete embeddings and sink directly (fusing TEXPAND with
-// its TSINK children — same results, fewer scheduler round-trips), or are
-// only counted when the run is countOnly. Inline dispatch recurses at most
+// children are complete embeddings, collected into the worker's candidate
+// run and sunk once per parent row (fusing TEXPAND with its TSINK children —
+// same results, fewer scheduler round-trips), or are only counted when the
+// run is countOnly. Inline dispatch recurses at most
 // |E(q)| frames deep, so a worker holds at most ~2·|E(q)| blocks outside its
 // deque — the Theorem VI.1 bound in blocks.
 func (w *workerState) expandBlock(b *block) {
@@ -773,17 +795,15 @@ func (w *workerState) expandBlock(b *block) {
 		return
 	}
 	if depth == st.nq-1 {
-		emit := func(c hypergraph.EdgeID) {
-			w.emitBuf[depth] = c
-			st.sink(w.emitBuf[:depth+1], w)
-		}
+		emit := func(c hypergraph.EdgeID) { w.run = append(w.run, c) }
 		for i := 0; i < b.n; i++ {
 			if w.shouldStop() {
 				return
 			}
 			m := b.row(i)
-			copy(w.emitBuf, m)
+			w.run = w.run[:0]
 			st.plan.Expand(depth, m, sc, &w.ct, emit)
+			w.sinkRun(m, w.run)
 		}
 		return
 	}
@@ -894,6 +914,30 @@ func (st *runState) notePeak(cur int64) {
 	}
 }
 
+// sinkRun consumes the embeddings prefix+[c], c in run — one parent row's
+// share of the final EXPAND. A byGroup run counts them and hands them on
+// whole; every other run loops them through the per-row sink.
+func (w *workerState) sinkRun(prefix, run []hypergraph.EdgeID) {
+	st := w.st
+	if !st.byGroup {
+		d := len(prefix)
+		copy(w.emitBuf, prefix)
+		for _, c := range run {
+			w.emitBuf[d] = c
+			st.sink(w.emitBuf[:d+1], w)
+		}
+		return
+	}
+	if len(run) == 0 || st.stopped.Load() {
+		return
+	}
+	w.localCount += uint64(len(run))
+	w.stats.SinkCount += uint64(len(run))
+	if st.opts.OnGroup != nil {
+		st.opts.OnGroup(w.id, prefix, run)
+	}
+}
+
 // sink consumes one complete embedding: TSINK (paper §VI-A), plus the
 // FILTER and AGGREGATE extension operators. The path is sharded per worker:
 // without a Limit the count is worker-local (flushed at exit), aggregation
@@ -935,6 +979,9 @@ func (st *runState) sink(m []hypergraph.EdgeID, w *workerState) {
 	}
 	if st.opts.OnEmbeddingWorker != nil {
 		st.opts.OnEmbeddingWorker(w.id, m)
+	}
+	if st.opts.OnGroup != nil {
+		st.opts.OnGroup(w.id, m[:len(m)-1], m[len(m)-1:])
 	}
 	if st.opts.OnEmbedding != nil {
 		// Deferred unlock so a panicking callback cannot wedge the sink

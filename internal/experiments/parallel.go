@@ -29,7 +29,8 @@ type Fig10Row struct {
 	Speedup float64 // t=1 elapsed / this elapsed
 	// WorkBalance is max/mean of per-worker busy time (1.0 = perfect);
 	// reported because wall-clock speedup cannot materialise on machines
-	// with fewer cores than workers (DESIGN.md substitution #6).
+	// with fewer cores than workers (a substitution: balance stands in for
+	// the paper's 60-thread speedup curve on small machines).
 	WorkBalance float64
 }
 

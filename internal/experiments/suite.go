@@ -6,8 +6,8 @@
 // Fig. 13 (JF17K case study).
 //
 // Datasets are calibrated synthetic stand-ins (internal/datagen) scaled by
-// Config.Scale; EXPERIMENTS.md records how the measured shapes relate to
-// the paper's absolute numbers.
+// Config.Scale (a substitution: shapes and orderings are comparable with the
+// paper's, absolute numbers are not).
 package experiments
 
 import (

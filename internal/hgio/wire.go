@@ -2,6 +2,7 @@ package hgio
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"hgmatch/internal/hypergraph"
@@ -61,6 +62,40 @@ func (r *MatchRequest) ParseQuery() (*hypergraph.Hypergraph, error) {
 // plan's matching order (the "order" field of the closing MatchSummary).
 type EmbeddingRecord struct {
 	Embedding []uint32 `json:"embedding"`
+}
+
+// AppendEmbeddingRecord appends m's NDJSON line to dst: byte for byte
+// json.Marshal(EmbeddingRecord{Embedding: m}) plus "\n", without reflection
+// or allocation once dst has grown. It is AppendEmbeddingPrefix over all but
+// m's last ID, then AppendEmbeddingLast.
+func AppendEmbeddingRecord(dst []byte, m []uint32) []byte {
+	switch {
+	case m == nil:
+		return append(dst, `{"embedding":null}`+"\n"...)
+	case len(m) == 0:
+		return append(dst, `{"embedding":[]}`+"\n"...)
+	}
+	return AppendEmbeddingLast(AppendEmbeddingPrefix(dst, m[:len(m)-1]), m[len(m)-1])
+}
+
+// AppendEmbeddingPrefix appends the part of an EmbeddingRecord line that
+// every embedding extending prefix shares — `{"embedding":[p0,p1,` — so a
+// streamer holding a (partial embedding, candidate run) group encodes it once
+// and copies it per row.
+func AppendEmbeddingPrefix(dst []byte, prefix []uint32) []byte {
+	dst = append(dst, `{"embedding":[`...)
+	for _, e := range prefix {
+		dst = strconv.AppendUint(dst, uint64(e), 10)
+		dst = append(dst, ',')
+	}
+	return dst
+}
+
+// AppendEmbeddingLast completes a line begun by AppendEmbeddingPrefix with
+// the embedding's last hyperedge ID and the closing `]}` and newline.
+func AppendEmbeddingLast(dst []byte, last uint32) []byte {
+	dst = strconv.AppendUint(dst, uint64(last), 10)
+	return append(dst, "]}\n"...)
 }
 
 // MatchSummary is the final NDJSON line of POST /match and the whole body
@@ -311,51 +346,6 @@ type SchedulerStats struct {
 	ShardsConfigured int               `json:"shards_configured,omitempty"`
 	ScatterRequests  uint64            `json:"scatter_requests,omitempty"`
 	ShardGraphs      []GraphShardStats `json:"shard_graphs,omitempty"`
-}
-
-// ScatterRequest is the unit of work a scatter coordinator hands one
-// shard in cluster mode. Stage 1 (intra-process, internal/shard) passes
-// the equivalent in memory; stage 2 (cross-process) serialises this type
-// so a shard server can run the sub-query and stream EmbeddingRecords
-// back through the same merge path. Seeds are SCAN candidates of the
-// shard-resident start partition — the sub-run expands only embeddings
-// rooted at them, so units from different requests never overlap.
-type ScatterRequest struct {
-	// Graph and Query identify the plan exactly as in MatchRequest; the
-	// shard compiles (or cache-hits) the same plan the coordinator did.
-	Graph string `json:"graph"`
-	Query string `json:"query"`
-	// Shard and Shards pin the placement the coordinator assumed; a
-	// receiver whose topology disagrees must reject the unit rather than
-	// silently return a subset.
-	Shard  int `json:"shard"`
-	Shards int `json:"shards"`
-	// Unit is this sub-run's position in the scatter (ascending unit
-	// order is the merge order); Seeds are its SCAN candidates. An empty
-	// Seeds list is an explicit empty-shard unit and must short-circuit.
-	Unit  int      `json:"unit"`
-	Seeds []uint32 `json:"seeds"`
-	// Workers/TimeoutMs bound the sub-run like MatchRequest.
-	Workers   int   `json:"workers,omitempty"`
-	TimeoutMs int64 `json:"timeout_ms,omitempty"`
-}
-
-// ScatterSummary closes one shard's sub-run stream: the trailer the
-// coordinator folds into the gathered MatchSummary (counts summed, peaks
-// maxed, timed_out ORed). Rows must arrive sorted lexicographically by
-// edge tuple so the coordinator's unit-order concatenation reproduces the
-// stage-1 deterministic stream byte for byte.
-type ScatterSummary struct {
-	Done       bool   `json:"done"`
-	Shard      int    `json:"shard"`
-	Unit       int    `json:"unit"`
-	Embeddings uint64 `json:"embeddings"`
-	Candidates uint64 `json:"candidates"`
-	Filtered   uint64 `json:"filtered"`
-	Valid      uint64 `json:"valid"`
-	PeakTasks  int64  `json:"peak_tasks,omitempty"`
-	ElapsedUs  int64  `json:"elapsed_us"`
-	TimedOut   bool   `json:"timed_out,omitempty"`
 }
 
 // ShardStats reports one shard's resident volume inside a

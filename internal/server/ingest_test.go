@@ -423,8 +423,12 @@ func TestIngestMatchGoldenDense(t *testing.T) {
 	// redraws isomorphic queries often — a cached plan's matching order
 	// (numbered in the earlier text's edge IDs) would make the capped
 	// single-worker streams diverge spuriously. Every request compiles
-	// the exact text under test, so orders are deterministic per text.
-	s := New(reg, Config{PlanCacheSize: -1})
+	// the exact text under test, so orders are deterministic per text. The
+	// pool is one worker wide: a request's workers field only caps how many
+	// pool workers attach at once, they still take turns from their own
+	// deques, so "single-worker enumeration order is fixed" (below) holds
+	// only on a pool of one.
+	s := New(reg, Config{PlanCacheSize: -1, Workers: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

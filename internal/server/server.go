@@ -28,9 +28,10 @@
 // as strings in the same text format the CLIs read from .hg files.
 //
 // The hot path is built for concurrency: plans are immutable and shared
-// across requests, embeddings stream through hgmatch.WithWorkerCallback
-// into per-worker NDJSON buffers (no global per-embedding lock, nothing
-// materialises server-side; lines from different workers interleave), and
+// across requests, embeddings stream through hgmatch.WithGroupCallback —
+// one (partial embedding, candidate run) group per call — into per-worker
+// NDJSON buffers (no per-embedding lock or reflection, nothing materialises
+// server-side; lines from different workers interleave), and
 // every run is wired to the request context through hgmatch.WithContext so
 // a client disconnect stops enumeration mid-run. All matches execute on
 // one process-wide hgmatch.Pool (Config.Workers) under weighted fair
@@ -42,8 +43,6 @@
 package server
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -538,8 +537,8 @@ func summarise(res hgmatch.Result, plan *hgmatch.Plan, cached bool) hgio.MatchSu
 // admission cost — and drops all further output. A stalled reader
 // therefore costs one write timeout, never a pinned worker set.
 type guardedWriter struct {
+	w       http.ResponseWriter
 	rc      *http.ResponseController
-	bw      *bufio.Writer
 	timeout time.Duration
 	cancel  context.CancelFunc
 	onStall func(err error)
@@ -548,16 +547,17 @@ type guardedWriter struct {
 
 func newGuardedWriter(w http.ResponseWriter, timeout time.Duration, cancel context.CancelFunc, onStall func(error)) *guardedWriter {
 	return &guardedWriter{
+		w:       w,
 		rc:      http.NewResponseController(w),
-		bw:      bufio.NewWriter(w),
 		timeout: timeout,
 		cancel:  cancel,
 		onStall: onStall,
 	}
 }
 
-// write sends p to the client and flushes it to the wire, returning false
-// once the connection is broken. Callers must serialise calls.
+// write sends p to the client as one Write on the ResponseWriter and flushes
+// it to the wire, returning false once the connection is broken. Callers
+// must serialise calls.
 func (g *guardedWriter) write(p []byte) bool {
 	if g.broken.Load() {
 		return false
@@ -568,10 +568,7 @@ func (g *guardedWriter) write(p []byte) bool {
 		// one still fails at the Write below if the client is gone.
 		g.rc.SetWriteDeadline(time.Now().Add(g.timeout))
 	}
-	_, err := g.bw.Write(p)
-	if err == nil {
-		err = g.bw.Flush()
-	}
+	_, err := g.w.Write(p)
 	if err == nil {
 		if ferr := g.rc.Flush(); ferr != nil && !errors.Is(ferr, http.ErrNotSupported) {
 			err = ferr
@@ -589,15 +586,32 @@ func (g *guardedWriter) write(p []byte) bool {
 	return true
 }
 
+// matchShard is one engine worker's share of a streaming /match response:
+// whole NDJSON lines waiting for the next drain. buf stays nil until the
+// worker's first row; pre is the encoded prefix of the group being appended.
+// All shards of a request sit in one slice and each is written on every row,
+// so the pad keeps two workers' shards off one cache line.
+type matchShard struct {
+	mu  sync.Mutex
+	buf []byte
+	pre []byte
+	_   [72]byte // 56 B of fields padded to 128
+}
+
 // handleMatch streams every embedding as one NDJSON line, closing with a
-// MatchSummary line. Results never materialise server-side, and the stream
-// is sharded: every engine worker encodes into its own buffer via
-// WithWorkerCallback, guarded by a per-shard mutex that only the owning
-// worker and the 5Hz background flusher ever contend for — no global
-// per-embedding lock. Full buffers drain immediately; the flusher drains
-// partial ones so slow enumerations still stream interactively. Lines from
-// different workers interleave, but each drained buffer holds whole lines,
-// so the NDJSON framing is preserved; result order was never deterministic.
+// MatchSummary line. Results never materialise server-side. The unit of
+// output is the engine's (partial embedding, candidate run) group
+// (WithGroupCallback): the worker that found it takes its own shard's mutex
+// once, encodes `{"embedding":[p0,p1,…,` once, and per candidate copies that
+// prefix and appends one number and `]}` — hgio's append encoder, no
+// reflection, no per-row lock. A shard that reaches shardFlushBytes drains
+// to the response at once under the writer lock; the 5Hz background flusher
+// drains partial ones so slow enumerations still stream interactively;
+// whatever is left rides with the summary in one tail write, so a response
+// under shardFlushBytes is a single guarded write. Lines from different
+// workers interleave, but each worker's rows keep their order and every
+// drained buffer holds whole lines, so the NDJSON framing is preserved. A
+// Limited request reaches the same callback as groups of one.
 func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	req, ok := s.decodeRequest(w, r)
 	if !ok {
@@ -636,30 +650,21 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Plan-Cache", cacheHeader(cached))
 
-	type shard struct {
-		mu  sync.Mutex
-		buf bytes.Buffer
-		enc *json.Encoder
-	}
 	// Shards are sized to the whole pool, not the request's workers cap:
 	// on the shared pool any worker may serve this request, so callback
 	// worker indexes range over [0, pool.Workers()).
-	shards := make([]*shard, s.pool.Workers())
-	for i := range shards {
-		shards[i] = &shard{}
-		shards[i].enc = json.NewEncoder(&shards[i].buf)
-	}
+	shards := make([]matchShard, s.pool.Workers())
 	var wmu sync.Mutex // serialises shard drains into the response
 	// drain moves a shard's buffered lines to the response; the caller
 	// holds sh.mu (lock order: sh.mu, then wmu). The buffer is reset even
 	// when the connection is broken — the guard has already cancelled the
 	// run, and resetting is what keeps per-connection encode memory
 	// bounded on workers that haven't observed the stop yet.
-	drain := func(sh *shard) {
+	drain := func(sh *matchShard) {
 		wmu.Lock()
-		gw.write(sh.buf.Bytes())
+		gw.write(sh.buf)
 		wmu.Unlock()
-		sh.buf.Reset()
+		sh.buf = sh.buf[:0]
 	}
 	stopFlush := make(chan struct{})
 	flushDone := make(chan struct{})
@@ -672,9 +677,10 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 			case <-stopFlush:
 				return
 			case <-tick.C:
-				for _, sh := range shards {
+				for i := range shards {
+					sh := &shards[i]
 					sh.mu.Lock()
-					if sh.buf.Len() > 0 {
+					if len(sh.buf) > 0 {
 						drain(sh)
 					}
 					sh.mu.Unlock()
@@ -682,20 +688,31 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}()
-	opts = append(opts, hgmatch.WithWorkerCallback(func(wid int, m []hgmatch.EdgeID) {
-		// The engine reuses the tuple between calls; encode immediately
+	opts = append(opts, hgmatch.WithGroupCallback(func(wid int, prefix, last []hgmatch.EdgeID) {
+		// The engine reuses both slices between calls; encode immediately
 		// rather than copy-and-retain. The shard mutex is effectively
 		// private to this worker (the flusher grabs it 5 times a second),
-		// so the steady-state cost is an uncontended lock, not the old
-		// all-workers sink mutex.
+		// so the steady-state cost is one uncontended lock per group.
 		if gw.broken.Load() {
 			return // client gone; stop encoding while the cancel propagates
 		}
-		sh := shards[wid]
+		sh := &shards[wid]
 		sh.mu.Lock()
-		sh.enc.Encode(hgio.EmbeddingRecord{Embedding: m})
-		if sh.buf.Len() >= shardFlushBytes {
-			drain(sh)
+		// The group's first line is encoded in place; the rest copy its
+		// prefix, which pre keeps across a mid-group drain.
+		start := len(sh.buf)
+		sh.buf = hgio.AppendEmbeddingPrefix(sh.buf, prefix)
+		if len(last) > 1 {
+			sh.pre = append(sh.pre[:0], sh.buf[start:]...)
+		}
+		for i, c := range last {
+			if i > 0 {
+				sh.buf = append(sh.buf, sh.pre...)
+			}
+			sh.buf = hgio.AppendEmbeddingLast(sh.buf, c)
+			if len(sh.buf) >= shardFlushBytes {
+				drain(sh)
+			}
 		}
 		sh.mu.Unlock()
 	}))
@@ -706,21 +723,25 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	// The run and the flusher are over: no writers are in flight, so the
 	// remaining shard tails and the summary (or error-trailer) line can
 	// assemble without locking and ship as one guarded write.
-	var tail bytes.Buffer
-	for _, sh := range shards {
-		if sh.buf.Len() > 0 {
-			tail.Write(sh.buf.Bytes())
-		}
+	tail := shards[0].buf
+	for i := 1; i < len(shards); i++ {
+		tail = append(tail, shards[i].buf...)
 	}
-	json.NewEncoder(&tail).Encode(summarise(res, plan, cached))
-	gw.write(tail.Bytes())
+	gw.write(appendSummary(tail, summarise(res, plan, cached)))
+}
+
+// appendSummary appends the closing MatchSummary (or error-trailer) line of
+// an NDJSON /match response.
+func appendSummary(dst []byte, sum hgio.MatchSummary) []byte {
+	line, _ := json.Marshal(sum) // numbers, strings and bools: cannot fail
+	return append(append(dst, line...), '\n')
 }
 
 // serveShardedMatch streams a scattered /match. The coordinator merges
 // the shard sub-runs into one deterministic embedding stream (per-unit
 // sorted, unit-order concatenated — identical for every shard count) and
 // replays it through one serialised callback, so this path needs no
-// per-worker shard buffers or background flusher: a single encoder
+// per-worker shard buffers or background flusher: a single buffer
 // accumulates merged lines and ships them through the slow-client guard a
 // chunk at a time, then the closing summary (or error trailer). The
 // X-Shards header reports the topology without touching the MatchSummary
@@ -730,25 +751,23 @@ func (s *Server) serveShardedMatch(w http.ResponseWriter, gw *guardedWriter, req
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Plan-Cache", cacheHeader(cached))
 	w.Header().Set("X-Shards", strconv.Itoa(sg.NumShards()))
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
+	var buf []byte
 	opts = append(opts, hgmatch.WithCallback(func(m []hgmatch.EdgeID) {
 		if gw.broken.Load() {
 			// Client gone: the guard already cancelled the run (which also
 			// stops the scatter claiming new shard units); dropping the
 			// buffer bounds this connection's encode memory meanwhile.
-			buf.Reset()
+			buf = buf[:0]
 			return
 		}
-		enc.Encode(hgio.EmbeddingRecord{Embedding: m})
-		if buf.Len() >= shardFlushBytes {
-			gw.write(buf.Bytes())
-			buf.Reset()
+		buf = hgio.AppendEmbeddingRecord(buf, m)
+		if len(buf) >= shardFlushBytes {
+			gw.write(buf)
+			buf = buf[:0]
 		}
 	}))
 	res := s.recordRun(req.Graph, s.pool.RunSharded(plan, sg, opts...))
-	enc.Encode(summarise(res, plan, cached))
-	gw.write(buf.Bytes())
+	gw.write(appendSummary(buf, summarise(res, plan, cached)))
 }
 
 // handleCount runs the same pipeline as /match with the sink counting

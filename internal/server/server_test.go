@@ -295,6 +295,67 @@ func TestBadInputs(t *testing.T) {
 	}
 }
 
+// countingWriter counts the Write calls that reach the ResponseWriter: the
+// guarded writer passes each of its writes straight through, so this is the
+// number of guarded writes a response cost.
+type countingWriter struct {
+	*httptest.ResponseRecorder
+	writes int
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	c.writes++
+	return c.ResponseRecorder.Write(p)
+}
+
+// TestMatchGuardedWriteCount pins the flush policy from the socket's side. A
+// response under shardFlushBytes — here /match limit 100 — is one write
+// carrying rows and summary together. An unlimited stream drains a shard only
+// once it holds shardFlushBytes, so it costs at most bytes/shardFlushBytes
+// writes plus the tail (plus what the 200 ms flusher drained, if the run was
+// slow enough for it to tick).
+func TestMatchGuardedWriteCount(t *testing.T) {
+	s := cliqueServer(t, 14, 1, Config{})
+	defer s.Close()
+	serve := func(req hgio.MatchRequest) (*countingWriter, hgio.MatchSummary, time.Duration) {
+		t.Helper()
+		w := &countingWriter{ResponseRecorder: httptest.NewRecorder()}
+		start := time.Now()
+		s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/match", matchBody(t, req)))
+		elapsed := time.Since(start)
+		if w.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", w.Code, w.Body)
+		}
+		recs, sum := decodeStream(t, w.Body.Bytes())
+		if uint64(len(recs)) != sum.Embeddings || sum.Error != "" {
+			t.Fatalf("streamed %d rows, summary %+v", len(recs), sum)
+		}
+		// The rows on the wire are encoding/json's bytes, whatever mix of
+		// whole groups, groups of one and mid-group drains produced them.
+		var rows []byte
+		for _, rec := range recs {
+			line, _ := json.Marshal(rec)
+			rows = append(append(rows, line...), '\n')
+		}
+		if !bytes.HasPrefix(w.Body.Bytes(), rows) {
+			t.Fatal("embedding lines are not json.Marshal(EmbeddingRecord) byte for byte")
+		}
+		return w, sum, elapsed
+	}
+
+	w, sum, _ := serve(hgio.MatchRequest{Graph: "clique", Query: pathQueryText, Limit: 100})
+	if sum.Embeddings != 100 || w.Body.Len() >= shardFlushBytes || w.writes != 1 {
+		t.Fatalf("limit 100: %d embeddings, %d bytes, %d writes; want one write", sum.Embeddings, w.Body.Len(), w.writes)
+	}
+
+	w, sum, elapsed := serve(hgio.MatchRequest{Graph: "clique", Query: pathQueryText})
+	ticks := int(elapsed / shardFlushInterval) // 0 unless the box is very slow
+	most := w.Body.Len()/shardFlushBytes + 1 + ticks*s.Pool().Workers()
+	if w.Body.Len() < 8*shardFlushBytes || w.writes > most {
+		t.Fatalf("unlimited: %d embeddings, %d bytes in %d writes over %v; want at most %d", sum.Embeddings, w.Body.Len(), w.writes, elapsed, most)
+	}
+}
+
 // heavyServer registers a single-label complete graph K_n: a 3-edge path
 // query then has Θ(n⁴) embeddings, enough work that millisecond timeouts
 // reliably trip mid-run.

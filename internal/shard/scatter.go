@@ -53,8 +53,9 @@ var emptyScan = []hypergraph.EdgeID{}
 //   - With callbacks or a Limit the per-unit embeddings are buffered,
 //     sorted within the unit, and concatenated in unit order — a
 //     deterministic total order — with callbacks replayed serially in
-//     that order (OnEmbeddingWorker sees worker index 0). Under a Limit,
-//     units run sequentially with early stop once the kept set reaches n;
+//     that order (OnEmbeddingWorker sees worker index 0, OnGroup worker 0
+//     and groups of one — sorting dissolves the engine's runs). Under a
+//     Limit, units run sequentially with early stop once the kept set reaches n;
 //     the kept set is the canonical first n, identical for every shard
 //     count, and Groups are recomputed from it. Without a Limit,
 //     completed units flush to the callbacks as soon as every earlier
@@ -102,7 +103,7 @@ func Scatter(pool *engine.Pool, g *Graph, p *core.Plan, opts engine.Options) eng
 		}
 		sub := opts
 		sub.Scan = emptyScan
-		sub.OnEmbedding, sub.OnEmbeddingWorker = nil, nil
+		sub.OnEmbedding, sub.OnEmbeddingWorker, sub.OnGroup = nil, nil, nil
 		mergeResult(&res, pool.Submit(p, sub))
 	}
 
@@ -118,6 +119,9 @@ func Scatter(pool *engine.Pool, g *Graph, p *core.Plan, opts engine.Options) eng
 	emit := func(m []hypergraph.EdgeID) {
 		if opts.OnEmbeddingWorker != nil {
 			opts.OnEmbeddingWorker(0, m)
+		}
+		if opts.OnGroup != nil {
+			opts.OnGroup(0, m[:len(m)-1], m[len(m)-1:])
 		}
 		if opts.OnEmbedding != nil {
 			opts.OnEmbedding(m)
@@ -201,7 +205,7 @@ func Scatter(pool *engine.Pool, g *Graph, p *core.Plan, opts engine.Options) eng
 // under the gather lock — recovers a panicking callback instead of
 // deadlocking the other lanes on that lock.
 func scatterParallel(pool *engine.Pool, p *core.Plan, opts *engine.Options, units [][]hypergraph.EdgeID, res *engine.Result, emit func([]hypergraph.EdgeID)) (ctxStopped bool) {
-	buffered := opts.OnEmbedding != nil || opts.OnEmbeddingWorker != nil
+	buffered := opts.OnEmbedding != nil || opts.OnEmbeddingWorker != nil || opts.OnGroup != nil
 	ctx := opts.Context
 	par := pool.Workers()
 	if par > len(units) {
@@ -358,7 +362,7 @@ func runUnit(pool *engine.Pool, p *core.Plan, opts *engine.Options, unit []hyper
 		return pool.Submit(p, sub), nil
 	}
 	sub.Limit = 0
-	sub.OnEmbedding = nil
+	sub.OnEmbedding, sub.OnGroup = nil, nil
 	if opts.Limit > 0 {
 		sub.Aggregate = nil
 	}

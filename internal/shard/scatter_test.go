@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -111,14 +112,24 @@ func TestShardScatterStreamDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var rows []string
+		var rows, grouped []string
 		shard.Scatter(pool, g, p, engine.Options{
 			Workers: 4,
 			Limit:   limit,
 			OnEmbedding: func(m []hypergraph.EdgeID) {
 				rows = append(rows, fmt.Sprint(m))
 			},
+			// The gather replays its sorted stream to a group consumer too,
+			// one row per group.
+			OnGroup: func(_ int, prefix, last []hypergraph.EdgeID) {
+				for _, c := range last {
+					grouped = append(grouped, fmt.Sprint(append(prefix[:len(prefix):len(prefix)], c)))
+				}
+			},
 		})
+		if !slices.Equal(grouped, rows) {
+			t.Fatalf("limit=%d n=%d: OnGroup saw %d rows, OnEmbedding %d, or in another order", limit, n, len(grouped), len(rows))
+		}
 		return rows
 	}
 	for _, limit := range []uint64{0, 1, 1500} {
