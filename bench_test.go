@@ -723,33 +723,35 @@ func BenchmarkFig10Scalability(b *testing.B) {
 }
 
 // BenchmarkFig11Scheduling measures Exp-5: task scheduler vs BFS
-// scheduling; the peak-bytes metric is the figure's y-axis. Caveat at this
-// tiny scale (~70 results): block tasks are accounted at full arena
+// scheduling; the peak-bytes metric is the figure's y-axis. The BFS side is
+// the level-synchronous materialiser of internal/experiments. Caveat at
+// this tiny scale (~70 results): block tasks are accounted at full arena
 // capacity, so the task scheduler's peak sits on its granularity floor of
 // a few blocks and can exceed BFS here — the bounded-vs-materialised gap
 // the figure is about only opens up with workload size (see
-// TestPeakBlockAccounting, which pins BFS >> blocks at 10k+ results).
+// TestBFSBytesAboveBlockPeak in internal/experiments).
 func BenchmarkFig11Scheduling(b *testing.B) {
 	h, q := workload()
 	p, err := core.NewPlan(q, h)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, mode := range []struct {
-		name  string
-		sched engine.Scheduler
-	}{{"Task", engine.SchedulerTask}, {"BFS", engine.SchedulerBFS}} {
-		mode := mode
-		b.Run(mode.name, func(b *testing.B) {
-			var peak int64
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res := engine.Run(p, engine.Options{Workers: 4, Scheduler: mode.sched, Limit: 500_000})
-				peak = res.PeakTaskBytes
-			}
-			b.ReportMetric(float64(peak), "peak-bytes")
-		})
-	}
+	b.Run("Task", func(b *testing.B) {
+		var peak int64
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			peak = engine.Run(p, engine.Options{Workers: 4, Limit: 500_000}).PeakTaskBytes
+		}
+		b.ReportMetric(float64(peak), "peak-bytes")
+	})
+	b.Run("BFS", func(b *testing.B) {
+		var peak int64
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			peak = experiments.RunBFS(p, 0).PeakBytes
+		}
+		b.ReportMetric(float64(peak), "peak-bytes")
+	})
 }
 
 // BenchmarkFig12WorkStealing measures Exp-6: dynamic stealing vs static
@@ -1067,28 +1069,6 @@ func BenchmarkAblationPartitioning(b *testing.B) {
 			}
 		}
 		b.ReportMetric(float64(n), "matches")
-	})
-}
-
-// BenchmarkAblationDeque compares the mutex-guarded steal-half deque
-// against the lock-free Chase-Lev steal-one deque (paper citation [17];
-// docs/ARCHITECTURE.md, "§VI-B scheduler, morsel-driven variant") on the
-// same parallel workload.
-func BenchmarkAblationDeque(b *testing.B) {
-	h, q := workload()
-	p, err := core.NewPlan(q, h)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("StealHalfMutex", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			engine.Run(p, engine.Options{Workers: 8, Limit: 200_000})
-		}
-	})
-	b.Run("ChaseLevStealOne", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			engine.Run(p, engine.Options{Workers: 8, StealOne: true, Limit: 200_000})
-		}
 	})
 }
 

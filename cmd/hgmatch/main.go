@@ -6,7 +6,7 @@
 // Usage:
 //
 //	hgmatch -data data.hg -query query.hg [-workers 8] [-timeout 1h]
-//	        [-limit N] [-print] [-explain] [-scheduler task|bfs] [-nosteal]
+//	        [-limit N] [-print] [-explain]
 //	        [-baseline cfl|daf|ceci|rapid]
 //
 // With -baseline the extended match-by-vertex comparison algorithms run
@@ -37,8 +37,6 @@ func main() {
 		doPrint   = flag.Bool("print", false, "print each embedding (edge tuples)")
 		doMap     = flag.Bool("mappings", false, "with -print: also print one vertex mapping per embedding")
 		doExplain = flag.Bool("explain", false, "print the dataflow plan before running")
-		scheduler = flag.String("scheduler", "task", "scheduler: task | bfs")
-		noSteal   = flag.Bool("nosteal", false, "disable dynamic work stealing")
 		baseAlg   = flag.String("baseline", "", "run a baseline instead: cfl | daf | ceci | rapid")
 	)
 	flag.Parse()
@@ -76,12 +74,6 @@ func main() {
 		hgmatch.WithWorkers(*workers),
 		hgmatch.WithTimeout(*timeout),
 		hgmatch.WithLimit(*limit),
-	}
-	if strings.EqualFold(*scheduler, "bfs") {
-		opts = append(opts, hgmatch.WithScheduler(hgmatch.SchedulerBFS))
-	}
-	if *noSteal {
-		opts = append(opts, hgmatch.WithoutWorkStealing())
 	}
 	if *doPrint {
 		opts = append(opts, hgmatch.WithCallback(func(m []hgmatch.EdgeID) {

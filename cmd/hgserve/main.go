@@ -60,8 +60,8 @@
 // recovered at the task boundary and returned as a 500 with code
 // "request_poisoned" (stack logged server-side) without taking down the
 // process or other in-flight requests. -request-max-bytes caps each
-// request's engine working memory (task blocks, BFS levels, gather
-// windows); over-budget runs abort with 413 / "budget_exceeded" (0 =
+// request's engine working memory (task blocks, gather windows);
+// over-budget runs abort with 413 / "budget_exceeded" (0 =
 // unlimited). -write-timeout bounds each NDJSON write so a stalled reader
 // cancels only its own run and releases its admission cost (negative
 // disables). GET /healthz reports liveness; GET /readyz reports readiness

@@ -86,19 +86,6 @@ type (
 // DeltaBuffer.InsertLabelled/DeleteLabelled for unlabelled edges.
 const NoEdgeLabel = hypergraph.NoEdgeLabel
 
-// Scheduler selects the parallel engine's scheduling strategy.
-type Scheduler = engine.Scheduler
-
-// Scheduler values.
-const (
-	// SchedulerTask is the bounded-memory task scheduler (default).
-	SchedulerTask = engine.SchedulerTask
-	// SchedulerBFS is the level-synchronous breadth-first scheduler; it
-	// materialises whole intermediate levels and exists mainly for
-	// memory-behaviour comparisons.
-	SchedulerBFS = engine.SchedulerBFS
-)
-
 // NewBuilder returns an empty hypergraph builder.
 func NewBuilder() *Builder { return hypergraph.NewBuilder() }
 
@@ -243,9 +230,8 @@ type Result struct {
 	Filtered   uint64
 	Valid      uint64
 	// PeakTasks and PeakTaskBytes report the scheduler's high-water mark
-	// (the quantity Theorem VI.1 bounds). The task scheduler counts live
-	// embedding blocks (fixed-capacity morsels) and their byte footprint;
-	// the BFS scheduler counts materialised embeddings.
+	// (the quantity Theorem VI.1 bounds): live embedding blocks
+	// (fixed-capacity morsels) and their byte footprint.
 	PeakTasks     int64
 	PeakTaskBytes int64
 	// Elapsed is the wall-clock run time; TimedOut reports whether the
@@ -274,19 +260,6 @@ type Option func(*engine.Options)
 
 // WithWorkers sets the thread-pool size p (default GOMAXPROCS).
 func WithWorkers(n int) Option { return func(o *engine.Options) { o.Workers = n } }
-
-// WithScheduler selects the scheduling strategy.
-func WithScheduler(s Scheduler) Option { return func(o *engine.Options) { o.Scheduler = s } }
-
-// WithoutWorkStealing disables dynamic work stealing (static initial
-// partitioning only); exists for load-balancing studies.
-func WithoutWorkStealing() Option { return func(o *engine.Options) { o.DisableStealing = true } }
-
-// WithChaseLevDeques switches the per-worker task queues to lock-free
-// Chase-Lev deques (steal one task per steal) instead of the default
-// mutex-guarded steal-half deques. Results are identical; only the
-// scheduling constants differ.
-func WithChaseLevDeques() Option { return func(o *engine.Options) { o.StealOne = true } }
 
 // WithWeight sets the request's fair-share weight on a shared Pool: a
 // weight-2 request receives twice the morsel slots of a weight-1 request
@@ -355,12 +328,11 @@ func WithGroupBy(key func(m []EdgeID) string) Option {
 }
 
 // WithMaxMemory bounds the run's accounted memory in bytes: live embedding
-// blocks at Plan.TaskBlockBytes each, the BFS scheduler's materialised
-// levels, and a sharded run's gather window. 0 (the default) means
-// unlimited. A run that would cross the budget is aborted cooperatively
-// with Result.Err = ErrBudgetExceeded and lower-bound counts — the
-// per-request guard that keeps one runaway query from OOMing a shared
-// process (cmd/hgserve's -request-max-bytes).
+// blocks at Plan.TaskBlockBytes each and a sharded run's gather window. 0
+// (the default) means unlimited. A run that would cross the budget is
+// aborted cooperatively with Result.Err = ErrBudgetExceeded and
+// lower-bound counts — the per-request guard that keeps one runaway query
+// from OOMing a shared process (cmd/hgserve's -request-max-bytes).
 func WithMaxMemory(n int64) Option {
 	return func(o *engine.Options) { o.MaxMemory = n }
 }
@@ -400,13 +372,14 @@ func wrapResult(r engine.Result) Result {
 }
 
 // Pool is a process-wide worker set shared by all requests submitted to
-// it: the multi-tenant form of the parallel engine. Where Plan.Run spawns
-// workers per call, a Pool keeps them resident and divides morsel slots
-// across concurrent Run calls by weighted fair scheduling, so one
-// pathological query cannot starve the rest. Within a request execution
-// is identical to Plan.Run — same results, same operators — and worker
-// scratch memory is reused across requests. A serving layer should create
-// one Pool per process (see cmd/hgserve's -workers flag).
+// it: the multi-tenant form of the parallel engine. Plan.Run is a pool of
+// one request, started and closed per call; a Pool keeps its workers
+// resident and divides morsel slots across concurrent Run calls by
+// weighted fair scheduling, so one pathological query cannot starve the
+// rest. Within a request execution is identical to Plan.Run — same
+// results, same operators — and worker scratch memory is reused across
+// requests. A serving layer should create one Pool per process (see
+// cmd/hgserve's -workers flag).
 type Pool struct {
 	p *engine.Pool
 }

@@ -144,9 +144,8 @@ func TestFilterGroupLimitTimeout(t *testing.T) {
 func TestSchedulersAndStealingOptions(t *testing.T) {
 	q, h := fig1(t)
 	for _, opt := range [][]hgmatch.Option{
-		{hgmatch.WithScheduler(hgmatch.SchedulerBFS)},
-		{hgmatch.WithoutWorkStealing(), hgmatch.WithWorkers(3)},
-		{hgmatch.WithScheduler(hgmatch.SchedulerTask), hgmatch.WithWorkers(1)},
+		{hgmatch.WithWorkers(3)},
+		{hgmatch.WithWorkers(1)},
 	} {
 		res, err := hgmatch.Match(q, h, opt...)
 		if err != nil || res.Embeddings != 2 {

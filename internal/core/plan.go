@@ -272,11 +272,6 @@ func compilePlan(q, h *hypergraph.Hypergraph, order []hypergraph.EdgeID, qs *que
 // NumSteps returns |E(q)|: the number of matching-order positions.
 func (p *Plan) NumSteps() int { return len(p.Order) }
 
-// StartPartition returns the data hyperedge table scanned by the SCAN
-// operator (all data hyperedges with signature S(ϕ[0])); the empty table
-// when there is none.
-func (p *Plan) StartPartition() *hypergraph.Partition { return &p.startPart }
-
 // InitialCandidates returns the matches of the first query hyperedge:
 // every edge of the start partition (Algorithm 2 lines 2-3), including any
 // append-side delta members of an online snapshot (Partition.Edges is the

@@ -63,11 +63,11 @@ func NewScratch() *Scratch {
 	return &Scratch{}
 }
 
-// scratchPool recycles scratch areas between one-shot runs (solo
-// engine.Run, EnumerateSequential): their dense tables cost O(|V(H)|) to
-// allocate and zero, which on a large sparse graph dwarfs a sub-millisecond
-// query. Long-lived owners (the shared engine pool's workers) keep their
-// own and never come here.
+// scratchPool recycles scratch areas between short-lived owners (the
+// workers of engine.Run's per-call pool, EnumerateSequential): their dense
+// tables cost O(|V(H)|) to allocate and zero, which on a large sparse graph
+// dwarfs a sub-millisecond query. Engine pool workers draw theirs here on
+// first use and hand them back when their pool closes.
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
 // GetScratch returns a scratch area from the process-wide pool; hand it

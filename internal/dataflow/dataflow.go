@@ -7,9 +7,9 @@
 // The paper notes the dataflow design "makes it highly customizable and
 // allows it to be easily extended with other functionalities of hypergraph
 // databases ... by introducing new dataflow operators. Examples include
-// adding extra aggregation and property filtering." This package implements
-// those two extension operators (FILTER and AGGREGATE); the engine applies
-// them at materialisation points.
+// adding extra aggregation and property filtering." This package defines
+// the signatures of those two extension operators (Predicate for FILTER,
+// KeyFunc for AGGREGATE); the engine applies them at its sink.
 package dataflow
 
 import (
@@ -30,11 +30,6 @@ const (
 	// OpExpand extends each input partial embedding by one matched
 	// hyperedge (candidate generation + validation).
 	OpExpand
-	// OpFilter drops embeddings failing a predicate (extension operator).
-	OpFilter
-	// OpAggregate groups embeddings by a key function and counts per
-	// group (extension operator).
-	OpAggregate
 	// OpSink consumes the results (count or collect).
 	OpSink
 )
@@ -45,10 +40,6 @@ func (k OpKind) String() string {
 		return "SCAN"
 	case OpExpand:
 		return "EXPAND"
-	case OpFilter:
-		return "FILTER"
-	case OpAggregate:
-		return "AGGREGATE"
 	case OpSink:
 		return "SINK"
 	default:
@@ -67,18 +58,13 @@ type KeyFunc func(m []hypergraph.EdgeID) string
 
 // Operator is one vertex of the dataflow graph.
 type Operator struct {
-	Kind  OpKind
-	Depth int // EXPAND: matching-order position (1-based prefix length it produces)
-
+	Kind OpKind
 	// QueryEdge is the query hyperedge this SCAN/EXPAND matches.
 	QueryEdge hypergraph.EdgeID
-
-	Pred Predicate // FILTER only
-	Key  KeyFunc   // AGGREGATE only
 }
 
 // Graph is a compiled dataflow graph: a directed path of operators over a
-// core.Plan. Operators beyond SCAN/EXPAND/SINK are optional extensions.
+// core.Plan.
 type Graph struct {
 	Plan *core.Plan
 	Ops  []Operator
@@ -90,71 +76,10 @@ func FromPlan(p *core.Plan) *Graph {
 	g := &Graph{Plan: p}
 	g.Ops = append(g.Ops, Operator{Kind: OpScan, QueryEdge: p.Order[0]})
 	for i := 1; i < p.NumSteps(); i++ {
-		g.Ops = append(g.Ops, Operator{Kind: OpExpand, Depth: i, QueryEdge: p.Order[i]})
+		g.Ops = append(g.Ops, Operator{Kind: OpExpand, QueryEdge: p.Order[i]})
 	}
 	g.Ops = append(g.Ops, Operator{Kind: OpSink})
 	return g
-}
-
-// WithFilter inserts a FILTER operator immediately before the SINK. Filters
-// compose: all inserted predicates must pass.
-func (g *Graph) WithFilter(pred Predicate) *Graph {
-	g.insertBeforeSink(Operator{Kind: OpFilter, Pred: pred})
-	return g
-}
-
-// WithAggregate inserts an AGGREGATE operator immediately before the SINK.
-// At most one aggregate is supported; later calls replace earlier ones.
-func (g *Graph) WithAggregate(key KeyFunc) *Graph {
-	for i := range g.Ops {
-		if g.Ops[i].Kind == OpAggregate {
-			g.Ops[i].Key = key
-			return g
-		}
-	}
-	g.insertBeforeSink(Operator{Kind: OpAggregate, Key: key})
-	return g
-}
-
-func (g *Graph) insertBeforeSink(op Operator) {
-	n := len(g.Ops)
-	g.Ops = append(g.Ops, Operator{})
-	copy(g.Ops[n:], g.Ops[n-1:])
-	g.Ops[n-1] = op
-}
-
-// Filters returns the composed predicate of all FILTER operators, or nil.
-func (g *Graph) Filters() Predicate {
-	var preds []Predicate
-	for _, op := range g.Ops {
-		if op.Kind == OpFilter && op.Pred != nil {
-			preds = append(preds, op.Pred)
-		}
-	}
-	switch len(preds) {
-	case 0:
-		return nil
-	case 1:
-		return preds[0]
-	}
-	return func(m []hypergraph.EdgeID) bool {
-		for _, p := range preds {
-			if !p(m) {
-				return false
-			}
-		}
-		return true
-	}
-}
-
-// Aggregate returns the AGGREGATE key function, or nil when absent.
-func (g *Graph) Aggregate() KeyFunc {
-	for _, op := range g.Ops {
-		if op.Kind == OpAggregate {
-			return op.Key
-		}
-	}
-	return nil
 }
 
 // Explain renders the dataflow graph like the paper's Fig. 5a, e.g.
@@ -163,11 +88,10 @@ func (g *Graph) Aggregate() KeyFunc {
 func (g *Graph) Explain() string {
 	var parts []string
 	for _, op := range g.Ops {
-		switch op.Kind {
-		case OpScan, OpExpand:
-			parts = append(parts, fmt.Sprintf("%s(%s)", op.Kind, formatQueryEdge(g.Plan.Query, op.QueryEdge)))
-		default:
+		if op.Kind == OpSink {
 			parts = append(parts, op.Kind.String())
+		} else {
+			parts = append(parts, fmt.Sprintf("%s(%s)", op.Kind, formatQueryEdge(g.Plan.Query, op.QueryEdge)))
 		}
 	}
 	return strings.Join(parts, " -> ")
@@ -184,36 +108,4 @@ func formatQueryEdge(q *hypergraph.Hypergraph, e hypergraph.EdgeID) string {
 	}
 	b.WriteByte('}')
 	return b.String()
-}
-
-// Validate checks structural sanity: exactly one SCAN first, one SINK last,
-// EXPAND depths contiguous.
-func (g *Graph) Validate() error {
-	if len(g.Ops) < 2 {
-		return fmt.Errorf("dataflow: graph needs at least SCAN and SINK")
-	}
-	if g.Ops[0].Kind != OpScan {
-		return fmt.Errorf("dataflow: first operator must be SCAN, got %v", g.Ops[0].Kind)
-	}
-	if g.Ops[len(g.Ops)-1].Kind != OpSink {
-		return fmt.Errorf("dataflow: last operator must be SINK, got %v", g.Ops[len(g.Ops)-1].Kind)
-	}
-	wantDepth := 1
-	for _, op := range g.Ops[1 : len(g.Ops)-1] {
-		switch op.Kind {
-		case OpExpand:
-			if op.Depth != wantDepth {
-				return fmt.Errorf("dataflow: EXPAND depth %d out of order (want %d)", op.Depth, wantDepth)
-			}
-			wantDepth++
-		case OpFilter, OpAggregate:
-			// allowed anywhere after expansions in this release
-		default:
-			return fmt.Errorf("dataflow: unexpected interior operator %v", op.Kind)
-		}
-	}
-	if wantDepth != g.Plan.NumSteps() {
-		return fmt.Errorf("dataflow: %d EXPANDs for %d-step plan", wantDepth-1, g.Plan.NumSteps()-1)
-	}
-	return nil
 }

@@ -1,13 +1,11 @@
 package dataflow_test
 
 import (
-	"strings"
 	"testing"
 
 	"hgmatch/internal/core"
 	"hgmatch/internal/dataflow"
 	"hgmatch/internal/hgtest"
-	"hgmatch/internal/hypergraph"
 )
 
 func fig1Graph(t *testing.T) *dataflow.Graph {
@@ -21,9 +19,6 @@ func fig1Graph(t *testing.T) *dataflow.Graph {
 
 func TestFromPlanShape(t *testing.T) {
 	g := fig1Graph(t)
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	kinds := []dataflow.OpKind{dataflow.OpScan, dataflow.OpExpand, dataflow.OpExpand, dataflow.OpSink}
 	if len(g.Ops) != len(kinds) {
 		t.Fatalf("ops = %d, want %d", len(g.Ops), len(kinds))
@@ -47,84 +42,11 @@ func TestExplainMatchesFig5a(t *testing.T) {
 	}
 }
 
-func TestFiltersCompose(t *testing.T) {
-	g := fig1Graph(t)
-	g.WithFilter(func(m []hypergraph.EdgeID) bool { return m[0] == 0 })
-	g.WithFilter(func(m []hypergraph.EdgeID) bool { return len(m) == 3 })
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	pred := g.Filters()
-	if pred == nil {
-		t.Fatal("no composed filter")
-	}
-	if !pred([]hypergraph.EdgeID{0, 2, 4}) {
-		t.Error("composed filter rejected passing tuple")
-	}
-	if pred([]hypergraph.EdgeID{1, 3, 5}) {
-		t.Error("composed filter accepted failing tuple")
-	}
-	if !strings.Contains(g.Explain(), "FILTER -> FILTER -> SINK") {
-		t.Errorf("Explain = %q", g.Explain())
-	}
-}
-
-func TestAggregateReplace(t *testing.T) {
-	g := fig1Graph(t)
-	g.WithAggregate(func(m []hypergraph.EdgeID) string { return "a" })
-	g.WithAggregate(func(m []hypergraph.EdgeID) string { return "b" })
-	n := 0
-	for _, op := range g.Ops {
-		if op.Kind == dataflow.OpAggregate {
-			n++
-		}
-	}
-	if n != 1 {
-		t.Fatalf("%d aggregate ops, want 1", n)
-	}
-	if g.Aggregate()(nil) != "b" {
-		t.Error("aggregate not replaced")
-	}
-}
-
-func TestNilAccessors(t *testing.T) {
-	g := fig1Graph(t)
-	if g.Filters() != nil {
-		t.Error("Filters should be nil without FILTER ops")
-	}
-	if g.Aggregate() != nil {
-		t.Error("Aggregate should be nil without AGGREGATE op")
-	}
-}
-
-func TestValidateRejectsBadGraphs(t *testing.T) {
-	g := fig1Graph(t)
-	// Swap SCAN and SINK.
-	bad := &dataflow.Graph{Plan: g.Plan, Ops: []dataflow.Operator{g.Ops[len(g.Ops)-1], g.Ops[0]}}
-	if err := bad.Validate(); err == nil {
-		t.Error("reversed graph validated")
-	}
-	// Missing EXPAND.
-	bad2 := &dataflow.Graph{Plan: g.Plan, Ops: []dataflow.Operator{g.Ops[0], g.Ops[len(g.Ops)-1]}}
-	if err := bad2.Validate(); err == nil {
-		t.Error("truncated graph validated")
-	}
-	// Depth out of order.
-	ops := append([]dataflow.Operator(nil), g.Ops...)
-	ops[1], ops[2] = ops[2], ops[1]
-	bad3 := &dataflow.Graph{Plan: g.Plan, Ops: ops}
-	if err := bad3.Validate(); err == nil {
-		t.Error("depth-scrambled graph validated")
-	}
-}
-
 func TestOpKindString(t *testing.T) {
 	names := map[dataflow.OpKind]string{
-		dataflow.OpScan:      "SCAN",
-		dataflow.OpExpand:    "EXPAND",
-		dataflow.OpFilter:    "FILTER",
-		dataflow.OpAggregate: "AGGREGATE",
-		dataflow.OpSink:      "SINK",
+		dataflow.OpScan:   "SCAN",
+		dataflow.OpExpand: "EXPAND",
+		dataflow.OpSink:   "SINK",
 	}
 	for k, want := range names {
 		if k.String() != want {

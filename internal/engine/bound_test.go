@@ -14,9 +14,9 @@ import (
 // task scheduler: with LIFO scheduling, live tasks never exceed
 // O(|E(q)| × |E(H)|) per worker — each of the |E(q)| dataflow operators can
 // have at most |C(e_q)| ≤ |E(H)| tasks outstanding per queue — so peak
-// bytes stay within O(a_q × |E(q)|² × |E(H)|) overall. The BFS scheduler
-// deliberately violates this (it materialises whole levels), which Exp-5
-// demonstrates.
+// bytes stay within O(a_q × |E(q)|² × |E(H)|) overall. A BFS materialiser
+// deliberately violates this (it holds whole levels), which Exp-5
+// demonstrates (internal/experiments).
 func TestTheoremVI1MemoryBound(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -50,37 +50,6 @@ func TestTheoremVI1MemoryBound(t *testing.T) {
 					res.PeakTaskBytes, res.PeakTasks, engine.TaskBlockBytes(p))
 			}
 		}
-	}
-}
-
-// TestBFSMaterialisesLevels: the contrast side of Exp-5 — on a workload
-// with a wide final level, BFS peak grows with the result count while the
-// task scheduler's stays near the Theorem VI.1 bound and far below BFS.
-func TestBFSMaterialisesLevels(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	// Single label, dense: result counts explode combinatorially.
-	h := hgtest.RandomHypergraph(rng, hgtest.RandomConfig{
-		NumVertices: 25, NumEdges: 250, NumLabels: 1, MaxArity: 3,
-	})
-	q := hgtest.ConnectedQueryFromWalk(rng, h, 3)
-	if q == nil {
-		t.Skip("no query")
-	}
-	p, err := core.NewPlan(q, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	task := engine.Run(p, engine.Options{Workers: 2})
-	bfs := engine.Run(p, engine.Options{Workers: 2, Scheduler: engine.SchedulerBFS})
-	if task.Embeddings != bfs.Embeddings {
-		t.Fatalf("schedulers disagree: %d vs %d", task.Embeddings, bfs.Embeddings)
-	}
-	if task.Embeddings < 1000 {
-		t.Skipf("workload too small (%d embeddings) to contrast schedulers", task.Embeddings)
-	}
-	if bfs.PeakTasks <= task.PeakTasks {
-		t.Errorf("BFS peak %d not above task scheduler peak %d on a %d-result workload",
-			bfs.PeakTasks, task.PeakTasks, task.Embeddings)
 	}
 }
 
@@ -135,7 +104,7 @@ func TestEdgeLabelledMatching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := engine.Count(plan2, 1); n != 0 {
+	if n := engine.Run(plan2, engine.Options{Workers: 1}).Embeddings; n != 0 {
 		t.Fatalf("unlabelled query matched %d labelled facts", n)
 	}
 }
@@ -168,7 +137,7 @@ func TestEdgeLabelledTwoStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := engine.Count(plan, 2); n != 1 {
+	if n := engine.Run(plan, engine.Options{Workers: 2}).Embeddings; n != 1 {
 		t.Fatalf("edge-labelled 2-step count = %d, want 1", n)
 	}
 }

@@ -42,11 +42,11 @@ func sortedEmbeddings(run func(opts engine.Options) engine.Result, base engine.O
 	return out, res
 }
 
-// TestChaosSoloPanics sweeps randomized panic-injection targets across a
-// solo run's fault-point sequence. Every poisoned run must report
-// ErrRequestPoisoned with a captured stack and zero leaked blocks; every
-// run whose target lay beyond the points actually crossed must be
-// indistinguishable from a clean run.
+// TestChaosSoloPanics sweeps randomized panic-injection targets across the
+// fault-point sequence of a lone request (Run's pool of one). Every
+// poisoned run must report ErrRequestPoisoned with a captured stack and
+// zero leaked blocks; every run whose target lay beyond the points actually
+// crossed must be indistinguishable from a clean run.
 func TestChaosSoloPanics(t *testing.T) {
 	p := morselWorkload(t, 21, 3)
 	counter := &hgtest.FaultCounter{}
@@ -190,31 +190,28 @@ func TestChaosPoolIsolation(t *testing.T) {
 }
 
 // TestChaosSinkCallbackPanic covers the other panic source: the caller's
-// own embedding callback blowing up, on both the task scheduler and the
-// BFS fallback. Both must contain it as a poisoned request.
+// own embedding callback blowing up must be contained as a poisoned request
+// with nothing leaked.
 func TestChaosSinkCallbackPanic(t *testing.T) {
 	p := morselWorkload(t, 7, 3)
-	for _, sched := range []engine.Scheduler{engine.SchedulerTask, engine.SchedulerBFS} {
-		n := 0
-		res := engine.Run(p, engine.Options{
-			Workers:   4,
-			Scheduler: sched,
-			OnEmbedding: func(m []hypergraph.EdgeID) {
-				if n++; n == 100 {
-					panic("callback exploded")
-				}
-			},
-		})
-		if !errors.Is(res.Err, engine.ErrRequestPoisoned) {
-			t.Fatalf("scheduler %v: err=%v", sched, res.Err)
-		}
-		if sched == engine.SchedulerTask && res.LeakedBlocks != 0 {
-			t.Fatalf("scheduler %v: leaked %d blocks", sched, res.LeakedBlocks)
-		}
-		var pe *engine.PoisonedError
-		if !errors.As(res.Err, &pe) || !strings.Contains(fmt.Sprint(pe.Value), "callback exploded") {
-			t.Fatalf("scheduler %v: wrong poison payload %v", sched, res.Err)
-		}
+	n := 0
+	res := engine.Run(p, engine.Options{
+		Workers: 4,
+		OnEmbedding: func(m []hypergraph.EdgeID) {
+			if n++; n == 100 {
+				panic("callback exploded")
+			}
+		},
+	})
+	if !errors.Is(res.Err, engine.ErrRequestPoisoned) {
+		t.Fatalf("err=%v", res.Err)
+	}
+	if res.LeakedBlocks != 0 {
+		t.Fatalf("leaked %d blocks", res.LeakedBlocks)
+	}
+	var pe *engine.PoisonedError
+	if !errors.As(res.Err, &pe) || !strings.Contains(fmt.Sprint(pe.Value), "callback exploded") {
+		t.Fatalf("wrong poison payload %v", res.Err)
 	}
 }
 

@@ -24,23 +24,20 @@ func TestContextCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Pre-cancelled context: both schedulers must stop early and report
-	// it.
+	// Pre-cancelled context: the run must stop early and report it.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, sched := range []engine.Scheduler{engine.SchedulerTask, engine.SchedulerBFS} {
-		res := engine.Run(p, engine.Options{Workers: 2, Scheduler: sched, Context: ctx})
-		if !res.TimedOut {
-			// Tiny workloads may finish before the first check; require
-			// that heavy ones do not.
-			if res.Embeddings > 100_000 {
-				t.Errorf("sched %d: cancelled run completed fully (%d embeddings)", sched, res.Embeddings)
-			}
+	res := engine.Run(p, engine.Options{Workers: 2, Context: ctx})
+	if !res.TimedOut {
+		// Tiny workloads may finish before the first check; require that
+		// heavy ones do not.
+		if res.Embeddings > 100_000 {
+			t.Errorf("cancelled run completed fully (%d embeddings)", res.Embeddings)
 		}
 	}
 
 	// Live context: run completes normally.
-	res := engine.Run(p, engine.Options{Workers: 2, Context: context.Background(), Limit: 10_000})
+	res = engine.Run(p, engine.Options{Workers: 2, Context: context.Background(), Limit: 10_000})
 	if res.Embeddings == 0 {
 		t.Error("live-context run found nothing")
 	}

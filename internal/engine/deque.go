@@ -1,8 +1,10 @@
 // Package engine implements HGMatch's parallel execution engine (paper
 // §VI): a task-based scheduler over per-worker LIFO deques with
 // fine-grained dynamic work stealing, giving bounded-memory execution
-// (Theorem VI.1) and near-perfect load balancing; plus the BFS-style
-// scheduler used as the memory-consumption baseline in Exp-5.
+// (Theorem VI.1) and near-perfect load balancing. It has one execution
+// path: a Pool of workers shared by every request submitted to it; Run is
+// a pool of one request. The BFS baseline of Exp-5 lives in
+// internal/experiments.
 package engine
 
 import (
@@ -24,10 +26,9 @@ type task struct {
 // (LIFO order, which bounds memory, §VI-B); idle workers steal half of the
 // tasks from the tail (§VI-C). The paper uses a non-blocking Chase-Lev
 // deque [17]; we guard the tiny critical sections with a per-deque mutex
-// instead — the stealing semantics (half from the tail) are identical, and
-// the owner path is a few nanoseconds of uncontended locking (see
-// docs/ARCHITECTURE.md, "§VI-B scheduler, morsel-driven variant";
-// BenchmarkAblationDeque compares the two).
+// instead — the owner touches its deque once per block task, not per
+// embedding, so the lock is a few uncontended nanoseconds per morsel (see
+// docs/ARCHITECTURE.md, "§VI-B scheduler, morsel-driven variant").
 type deque struct {
 	mu  sync.Mutex
 	buf []task // buf[0] is the tail (oldest), buf[len-1] the head (newest)

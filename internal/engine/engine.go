@@ -2,7 +2,7 @@ package engine
 
 import (
 	"context"
-	"math/rand"
+	"math/rand/v2"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -12,22 +12,6 @@ import (
 	"hgmatch/internal/core"
 	"hgmatch/internal/dataflow"
 	"hgmatch/internal/hypergraph"
-)
-
-// Scheduler selects the engine's scheduling strategy.
-type Scheduler int
-
-const (
-	// SchedulerTask is HGMatch's task-based LIFO scheduler with bounded
-	// memory (paper §VI-B), in its morsel-driven form: tasks carry blocks
-	// of partial embeddings and workers expand depth-first inline,
-	// publishing stealable blocks only when their deque runs dry. This is
-	// the default.
-	SchedulerTask Scheduler = iota
-	// SchedulerBFS is the breadth-first, level-synchronous scheduler that
-	// materialises every intermediate result; it serves as the
-	// memory-consumption baseline of Exp-5 (paper Fig. 11).
-	SchedulerBFS
 )
 
 // scanChunk bounds how many first-hyperedge matches one SCAN task expands
@@ -75,16 +59,10 @@ func TaskBlockBytes(p *core.Plan) int {
 type Options struct {
 	// Workers is the thread-pool size p; 0 means GOMAXPROCS.
 	Workers int
-	// Scheduler selects task-based (default) or BFS scheduling.
-	Scheduler Scheduler
 	// DisableStealing turns dynamic work stealing off, leaving only the
 	// static initial split of first-hyperedge matches across workers —
 	// the "HGMatch-NOSTL" configuration of Exp-6 (paper Fig. 12).
 	DisableStealing bool
-	// StealOne switches the per-worker queues to lock-free Chase-Lev
-	// deques (the paper's [17]) where thieves steal one task at a time,
-	// instead of the default mutex-guarded steal-half-from-tail deques.
-	StealOne bool
 	// OnEmbedding, when non-nil, receives every embedding (the tuple is
 	// aligned with plan.Order and reused; copy to retain). Calls are
 	// serialised by the engine, so the callback needs no locking — at the
@@ -132,26 +110,26 @@ type Options struct {
 	Aggregate dataflow.KeyFunc
 	// Weight is the request's fair-share weight on a shared Pool: a
 	// request of weight 2 receives twice the morsel slots of a weight-1
-	// request while both are runnable. 0 means 1. Solo Run ignores it.
+	// request while both are runnable. 0 means 1. Run, a pool of one
+	// request, has nobody to share with and ignores it.
 	Weight int
 	// Scan, when non-nil, replaces the plan's full start partition as the
 	// run's SCAN seed set: only these first-hyperedge candidates are
 	// expanded. This is the sharded scatter hook (internal/shard): a
 	// coordinator splits InitialCandidates() into disjoint subsets and
 	// runs one sub-run per subset — the union of the sub-runs' embeddings
-	// is exactly the solo run's, with no overlap, because every embedding
-	// is rooted at exactly one scan candidate. The slice must be a subset
-	// of the plan's start partition and is not copied; a non-nil empty
-	// slice short-circuits the run (an empty-shard plan).
+	// is exactly the unsharded run's, with no overlap, because every
+	// embedding is rooted at exactly one scan candidate. The slice must be
+	// a subset of the plan's start partition and is not copied; a non-nil
+	// empty slice short-circuits the run (an empty-shard plan).
 	Scan []hypergraph.EdgeID
 	// MaxMemory bounds the run's accounted memory in bytes: live embedding
-	// blocks at TaskBlockBytes(plan) each (Theorem VI.1's accounting), the
-	// BFS scheduler's materialised levels, and — on a scatter — the gather
-	// window's buffered rows. 0 means unlimited. A run that would cross
-	// the budget stops cooperatively and reports ErrBudgetExceeded in
-	// Result.Err with lower-bound counts; because the check sits at block
-	// acquisition the instantaneous overshoot is bounded by one block per
-	// attached worker.
+	// blocks at TaskBlockBytes(plan) each (Theorem VI.1's accounting) and —
+	// on a scatter — the gather window's buffered rows. 0 means unlimited.
+	// A run that would cross the budget stops cooperatively and reports
+	// ErrBudgetExceeded in Result.Err with lower-bound counts; because the
+	// check sits at block acquisition the instantaneous overshoot is
+	// bounded by one block per attached worker.
 	MaxMemory int64
 	// FaultHook, when non-nil, is called at the engine's instrumented
 	// execution points with the point's label: "task" once per scheduled
@@ -202,9 +180,7 @@ type Result struct {
 	// PeakTasks is the high-water mark of live embedding blocks (queued,
 	// executing, or being filled inline); PeakTaskBytes applies the
 	// per-block size TaskBlockBytes (Theorem VI.1's accounting in block
-	// units; scan-range tasks are a few words each and not counted). For
-	// the BFS scheduler these describe the largest materialised level in
-	// embeddings and per-embedding bytes instead.
+	// units; scan-range tasks are a few words each and not counted).
 	PeakTasks     int64
 	PeakTaskBytes int64
 	Elapsed       time.Duration
@@ -244,42 +220,28 @@ func (r *Result) TotalSteals() uint64 {
 	return n
 }
 
-// Run executes the plan's dataflow graph and returns counts and stats.
+// Run executes the plan's dataflow graph and returns counts and stats. It
+// is a pool of one request: a Pool of opts.Workers workers (GOMAXPROCS when
+// 0) serves the request and is closed once it drains, so a one-shot run and
+// a served request take the same execution path.
 func Run(p *core.Plan, opts Options) Result {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
-	start := time.Now()
-	var res Result
-	if p.Empty || len(seedCandidates(p, &opts)) == 0 {
-		res.Elapsed = time.Since(start)
-		return res
-	}
-	switch opts.Scheduler {
-	case SchedulerBFS:
-		res = runBFS(p, opts)
-	default:
-		res = runTasks(p, opts)
-	}
-	res.Elapsed = time.Since(start)
-	return res
+	pool := NewPool(opts.Workers)
+	defer pool.Close()
+	return pool.Submit(p, opts)
 }
 
-// Count is a convenience wrapper returning only the embedding count.
-func Count(p *core.Plan, workers int) uint64 {
-	return Run(p, Options{Workers: workers}).Embeddings
-}
-
-// run state shared by all workers of one task-scheduler execution — one
-// request's state, whether served by its own worker set (Run) or by the
-// shared pool (Pool.Submit).
+// runState is one request's execution state, shared by every pool worker
+// attached to it.
 type runState struct {
 	plan  *core.Plan
 	opts  Options
 	nq    int // |E(q)|
 	first []hypergraph.EdgeID
 
-	deques     []taskQueue
+	deques     []deque
 	stats      []WorkerStats // per-worker-slot stats, written only by detach; len == len(deques)
 	pending    atomic.Int64  // live tasks (queued or executing)
 	liveBlocks atomic.Int64  // embedding blocks alive (queued, executing, filling)
@@ -325,17 +287,15 @@ type runState struct {
 // (runState.stats is one slice of adjacent slots: counting into it directly
 // made two workers share a line and the same query answer at two speeds.)
 //
-// In solo Run mode a workerState lives for exactly one request. On a
-// shared Pool the state is owned by a long-lived pool worker and attached
-// to one request at a time (attach/detach): the scratch areas, block free
-// list and emit buffer persist across requests — the allocation-free
-// steady state now amortises across the whole process, not one run —
-// while the request-scoped accumulators are flushed and cleared on every
-// detach.
+// The state is owned by a pool worker and attached to one request at a time
+// (attach/detach): the scratch areas, block free list and emit buffer
+// persist across requests — the allocation-free steady state amortises over
+// the pool's life, not one run — while the request-scoped accumulators are
+// flushed and cleared on every detach.
 type workerState struct {
 	id int
-	st *runState // current request; re-pointed by attach on a pool
-	my taskQueue // st.deques[id]
+	st *runState // current request; re-pointed by attach
+	my *deque    // &st.deques[id]
 
 	// One Scratch per matching-order depth: inline block expansion
 	// re-enters Expand for depth d+1 from inside depth d's emit callback,
@@ -373,7 +333,7 @@ type workerState struct {
 // plan-shaped buffers. The worker must be detached (or fresh).
 func (w *workerState) attach(st *runState) {
 	w.st = st
-	w.my = st.deques[w.id]
+	w.my = &st.deques[w.id]
 	if n := st.nq; len(w.scs) < n {
 		w.scs = append(w.scs, make([]*core.Scratch, n-len(w.scs))...)
 	}
@@ -415,8 +375,7 @@ func (w *workerState) detach() {
 }
 
 // runOne executes one popped task with stop handling, panic containment and
-// stats accounting (the body both the solo worker loop and the pool quantum
-// loop share). This is the worker task boundary: a panic anywhere below —
+// stats accounting. This is the worker task boundary: a panic anywhere below —
 // kernel step, user callback, chaos hook — is recovered here, poisons only
 // this request, releases every block the worker holds, and retires the task
 // so the drain protocol (pending reaching 0) still completes.
@@ -515,7 +474,7 @@ func newRunState(p *core.Plan, opts Options, slots int) *runState {
 		opts:   opts,
 		nq:     p.NumSteps(),
 		first:  seedCandidates(p, &opts),
-		deques: make([]taskQueue, slots),
+		deques: make([]deque, slots),
 		stats:  make([]WorkerStats, slots),
 	}
 	if opts.Timeout > 0 {
@@ -536,13 +495,6 @@ func newRunState(p *core.Plan, opts Options, slots int) *runState {
 	}
 	if opts.Aggregate != nil {
 		st.groups = make(map[string]uint64)
-	}
-	for i := range st.deques {
-		if opts.StealOne {
-			st.deques[i] = newChaseLevDeque()
-		} else {
-			st.deques[i] = &deque{}
-		}
 	}
 
 	// TSCAN: split the start partition's edge range statically across
@@ -576,20 +528,6 @@ func (st *runState) result() Result {
 	}
 }
 
-func runTasks(p *core.Plan, opts Options) Result {
-	st := newRunState(p, opts, opts.Workers)
-	var wg sync.WaitGroup
-	for i := 0; i < opts.Workers; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			st.worker(id)
-		}(i)
-	}
-	wg.Wait()
-	return st.result()
-}
-
 func (st *runState) hitDeadline() bool {
 	if st.hasDL && !time.Now().Before(st.deadline) {
 		return true
@@ -602,51 +540,6 @@ func (st *runState) hitDeadline() bool {
 		}
 	}
 	return false
-}
-
-func (st *runState) worker(id int) {
-	w := &workerState{id: id}
-	w.attach(st)
-	rng := rand.New(rand.NewSource(int64(id)*0x9E3779B9 + 1))
-
-	defer func() {
-		w.closeBusy()
-		w.detach()
-		for _, sc := range w.scs {
-			if sc != nil {
-				core.PutScratch(sc)
-			}
-		}
-	}()
-
-	idleRounds := 0
-	for {
-		t, ok := w.my.pop()
-		if !ok {
-			w.closeBusy()
-			if st.opts.DisableStealing {
-				// Tasks never migrate without stealing, so an empty own
-				// deque means this worker's whole share is finished.
-				return
-			}
-			stolen := st.trySteal(id, rng)
-			if stolen == nil {
-				if st.pending.Load() == 0 {
-					return
-				}
-				idleWait(idleRounds)
-				idleRounds++
-				continue
-			}
-			idleRounds = 0
-			w.stats.Steals++
-			w.stats.Stolen += uint64(len(stolen))
-			w.my.pushN(stolen)
-			continue
-		}
-		idleRounds = 0
-		w.runOne(t)
-	}
 }
 
 // idleWait backs off a worker that found nothing to steal while tasks are
@@ -697,13 +590,13 @@ func (st *runState) trySteal(self int, rng *rand.Rand) []task {
 	}
 	// Random starting victim, then scan all others once (paper: "randomly
 	// pick one of the other threads with a non-empty task queue").
-	off := rng.Intn(n)
+	off := rng.IntN(n)
 	for i := 0; i < n; i++ {
 		v := (off + i) % n
 		if v == self {
 			continue
 		}
-		if stolen := st.deques[v].steal(); stolen != nil {
+		if stolen := st.deques[v].stealHalf(); stolen != nil {
 			return stolen
 		}
 	}
@@ -857,8 +750,9 @@ func (w *workerState) shouldStop() bool {
 }
 
 // scratch returns the worker's Scratch for one matching-order depth, drawn
-// from core's pool on first use: a pool worker keeps it for life, a solo
-// worker hands it back when its run ends.
+// from core's pool on first use. The worker keeps it until its pool closes
+// and then hands it back, so the next pool — Run makes one per call — finds
+// it warm.
 func (w *workerState) scratch(depth int) *core.Scratch {
 	if w.scs[depth] == nil {
 		w.scs[depth] = core.GetScratch()

@@ -25,14 +25,12 @@ func fig1Plan(t *testing.T) *core.Plan {
 func TestFig1Parallel(t *testing.T) {
 	p := fig1Plan(t)
 	for _, workers := range []int{1, 2, 4, 8} {
-		for _, sched := range []engine.Scheduler{engine.SchedulerTask, engine.SchedulerBFS} {
-			res := engine.Run(p, engine.Options{Workers: workers, Scheduler: sched})
-			if res.Embeddings != 2 {
-				t.Errorf("workers=%d sched=%d: embeddings = %d, want 2", workers, sched, res.Embeddings)
-			}
-			if res.TimedOut {
-				t.Errorf("workers=%d sched=%d: spurious timeout", workers, sched)
-			}
+		res := engine.Run(p, engine.Options{Workers: workers})
+		if res.Embeddings != 2 {
+			t.Errorf("workers=%d: embeddings = %d, want 2", workers, res.Embeddings)
+		}
+		if res.TimedOut {
+			t.Errorf("workers=%d: spurious timeout", workers)
 		}
 	}
 }
@@ -65,17 +63,9 @@ func TestParallelMatchesSequential(t *testing.T) {
 				res.Counters.Valid != wantCt.Valid {
 				t.Fatalf("seed %d workers %d: counters %+v want %+v", seed, workers, res.Counters, wantCt)
 			}
-			bfs := engine.Run(p, engine.Options{Workers: workers, Scheduler: engine.SchedulerBFS})
-			if bfs.Embeddings != want {
-				t.Fatalf("seed %d workers %d BFS: got %d want %d", seed, workers, bfs.Embeddings, want)
-			}
 			nost := engine.Run(p, engine.Options{Workers: workers, DisableStealing: true})
 			if nost.Embeddings != want {
 				t.Fatalf("seed %d workers %d NOSTL: got %d want %d", seed, workers, nost.Embeddings, want)
-			}
-			cl := engine.Run(p, engine.Options{Workers: workers, StealOne: true})
-			if cl.Embeddings != want {
-				t.Fatalf("seed %d workers %d ChaseLev: got %d want %d", seed, workers, cl.Embeddings, want)
 			}
 		}
 	}
@@ -94,11 +84,10 @@ func TestCollectedEmbeddingsIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	collect := func(workers int, sched engine.Scheduler) []string {
+	collect := func(workers int) []string {
 		var out []string
 		engine.Run(p, engine.Options{
-			Workers:   workers,
-			Scheduler: sched,
+			Workers: workers,
 			OnEmbedding: func(m []hypergraph.EdgeID) {
 				out = append(out, fmt.Sprint(m))
 			},
@@ -106,19 +95,16 @@ func TestCollectedEmbeddingsIdentical(t *testing.T) {
 		sort.Strings(out)
 		return out
 	}
-	want := collect(1, engine.SchedulerTask)
+	want := collect(1)
 	for _, workers := range []int{2, 5} {
-		for _, sched := range []engine.Scheduler{engine.SchedulerTask, engine.SchedulerBFS} {
-			got := collect(workers, sched)
-			if len(got) != len(want) {
-				t.Fatalf("workers=%d sched=%d: %d embeddings, want %d", workers, sched, len(got), len(want))
+		got := collect(workers)
+		if len(got) != len(want) {
+			t.Fatalf("workers=%d: %d embeddings, want %d", workers, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("workers=%d: embedding sets differ at %d", workers, i)
 			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("workers=%d sched=%d: embedding sets differ at %d", workers, sched, i)
-				}
-			}
-			// Every embedding passes the Definition III.3 oracle.
 		}
 	}
 	// Soundness of collected results.
@@ -244,29 +230,6 @@ func TestWorkerStatsConservation(t *testing.T) {
 	}
 }
 
-func TestBFSPeakAtLeastResultCount(t *testing.T) {
-	// BFS materialises the last level, so its peak is >= the number of
-	// embeddings of the widest level; the task scheduler should generally
-	// stay below that on fan-out-heavy workloads.
-	rng := rand.New(rand.NewSource(9))
-	h := hgtest.RandomHypergraph(rng, hgtest.RandomConfig{
-		NumVertices: 40, NumEdges: 300, NumLabels: 1, MaxArity: 3,
-	})
-	q := hgtest.ConnectedQueryFromWalk(rng, h, 3)
-	if q == nil {
-		t.Skip("no query")
-	}
-	p, err := core.NewPlan(q, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bfs := engine.Run(p, engine.Options{Workers: 2, Scheduler: engine.SchedulerBFS})
-	if bfs.Embeddings > 0 && bfs.PeakTasks < int64(bfs.Embeddings) {
-		// The last level holds every embedding; peak must cover it.
-		t.Errorf("BFS peak %d < embeddings %d", bfs.PeakTasks, bfs.Embeddings)
-	}
-}
-
 func TestEmptyPlanRun(t *testing.T) {
 	qb := hypergraph.NewBuilder()
 	v0 := qb.AddVertex(77)
@@ -295,17 +258,8 @@ func TestSingleEdgeQueryParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sched := range []engine.Scheduler{engine.SchedulerTask, engine.SchedulerBFS} {
-		res := engine.Run(p, engine.Options{Workers: 3, Scheduler: sched})
-		if res.Embeddings != 2 { // e3, e4 have signature {A,A,C}
-			t.Errorf("sched %d: %d embeddings, want 2", sched, res.Embeddings)
-		}
-	}
-}
-
-func TestCountHelper(t *testing.T) {
-	p := fig1Plan(t)
-	if n := engine.Count(p, 2); n != 2 {
-		t.Errorf("Count = %d", n)
+	res := engine.Run(p, engine.Options{Workers: 3})
+	if res.Embeddings != 2 { // e3, e4 have signature {A,A,C}
+		t.Errorf("%d embeddings, want 2", res.Embeddings)
 	}
 }

@@ -40,7 +40,7 @@ var ErrPoolClosed = fmt.Errorf("engine: pool closed: %w", hgio.ErrShuttingDown)
 type PoisonedError struct {
 	Value any    // the value passed to panic()
 	Stack []byte // debug.Stack() at the recovery point
-	Point string // worker boundary that recovered it ("task", "bfs", ...)
+	Point string // worker boundary that recovered it ("task", "pool", "gather")
 }
 
 func (e *PoisonedError) Error() string {

@@ -167,10 +167,6 @@ func TestGroupCallbackEquivalence(t *testing.T) {
 	}{
 		{"solo1", 1, func(p *core.Plan, o engine.Options) engine.Result { o.Workers = 1; return engine.Run(p, o) }},
 		{"solo4", 4, func(p *core.Plan, o engine.Options) engine.Result { o.Workers = 4; return engine.Run(p, o) }},
-		{"bfs", 1, func(p *core.Plan, o engine.Options) engine.Result {
-			o.Workers, o.Scheduler = 2, engine.SchedulerBFS // sinks its last level on worker 0
-			return engine.Run(p, o)
-		}},
 		{"pool1", 1, pool1.Submit},
 		{"pool4", 4, pool4.Submit},
 	}
@@ -185,14 +181,11 @@ func TestGroupCallbackEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n := engine.Count(p, 2); n == 0 || n > 12_000 {
+			if n := engine.Run(p, engine.Options{Workers: 2}).Embeddings; n == 0 || n > 12_000 {
 				continue
 			}
 			cases++
 			for _, r := range runners {
-				if r.name == "bfs" && nq == 1 {
-					continue // nothing to expand: no task stats for checkFlushed to find
-				}
 				name := fmt.Sprintf("nq%d/q%d/%s", nq, i, r.name)
 				byRow, byGroup := newGroupTrace(r.workers), newGroupTrace(r.workers)
 				want := r.run(p, engine.Options{OnEmbeddingWorker: byRow.onRow})

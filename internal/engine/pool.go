@@ -1,7 +1,7 @@
 package engine
 
 import (
-	"math/rand"
+	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,16 +21,16 @@ const fairQuantum = 8
 // slot count.
 const maxWeight = 1 << 20
 
-// Pool is a process-wide morsel worker set shared by all in-flight
-// requests: the tentpole of the multi-tenant scheduler. Each Submit
+// Pool is a morsel worker set shared by all in-flight requests, and the
+// engine's only execution path (Run is a pool of one request). Each Submit
 // registers the request's task queues with the pool; the persistent
 // workers divide their morsel slots across active requests by weighted
 // fair scheduling (lowest virtual time first, vt = slots/weight), while
-// within a request the execution is exactly the solo engine — per-worker
-// LIFO deques, dynamic stealing, depth-first inline expansion, and the
-// per-worker block free lists and scratch areas, which on a pool persist
-// across requests so the allocation-free steady state amortises over the
-// whole process instead of one run.
+// within a request they run the paper's scheduler — per-worker LIFO
+// deques, dynamic stealing, depth-first inline expansion. Per-worker block
+// free lists and scratch areas persist across requests, so the
+// allocation-free steady state amortises over the pool's life instead of
+// one run.
 type Pool struct {
 	workers int
 
@@ -122,23 +122,19 @@ func (p *Pool) Close() {
 }
 
 // Submit runs one request on the shared pool and blocks until its result
-// is complete, exactly as engine.Run would have produced it. Options are
-// honoured with pool semantics: Workers caps how many pool workers may
-// serve the request at once (0 or oversize means all of them), Weight sets
-// the fair-share weight. The BFS scheduler and the NOSTL (DisableStealing)
-// configuration depend on owning their worker set, so they fall back to a
-// solo Run. Submit on a closed pool refuses the request with
-// Result.Err = ErrPoolClosed (which wraps hgio.ErrShuttingDown) — the same
-// shutdown sentinel the registry reports, so callers classify both alike.
+// is complete. Options are honoured with pool semantics: Workers caps how
+// many pool workers may serve the request at once (0 or oversize means all
+// of them), Weight sets the fair-share weight. Under DisableStealing each
+// worker serves only its own deque slot of the static split. Submit on a
+// closed pool refuses the request with Result.Err = ErrPoolClosed (which
+// wraps hgio.ErrShuttingDown) — the same shutdown sentinel the registry
+// reports, so callers classify both alike.
 func (p *Pool) Submit(plan *core.Plan, opts Options) Result {
 	if opts.Workers <= 0 || opts.Workers > p.workers {
 		opts.Workers = p.workers
 	}
 	if p.isClosed() {
 		return Result{Err: ErrPoolClosed}
-	}
-	if opts.Scheduler == SchedulerBFS || opts.DisableStealing {
-		return Run(plan, opts)
 	}
 	start := time.Now()
 	if plan.Empty || len(seedCandidates(plan, &opts)) == 0 {
@@ -215,11 +211,22 @@ func fairPick(slots, weights []uint64) int {
 
 // workerLoop is one persistent pool worker: snapshot the active requests,
 // serve them in virtual-time order one quantum at a time, back off when no
-// request has runnable work, exit when the pool is closed and drained.
+// request has runnable work, exit when the pool is closed and drained. An
+// exiting worker hands its scratch areas back to core's pool before Close
+// returns, so the per-call pools of Run keep reusing warm ones.
 func (p *Pool) workerLoop(id int) {
 	defer p.wg.Done()
 	w := &workerState{id: id}
-	rng := rand.New(rand.NewSource(int64(id)*0x9E3779B9 + 1))
+	defer func() {
+		for _, sc := range w.scs {
+			if sc != nil {
+				core.PutScratch(sc)
+			}
+		}
+	}()
+	// PCG seeds in two words; math/rand's source seeds a 607-word table,
+	// ~10 µs that Run's per-call pool would pay per worker per call.
+	rng := rand.New(rand.NewPCG(uint64(id), 0x9E3779B97F4A7C15))
 	var (
 		cands   []*poolReq
 		slots   []uint64
@@ -292,7 +299,7 @@ func (p *Pool) waitWork() bool {
 
 // runQuantum attaches the worker to one request and executes up to
 // fairQuantum tasks from it (popping its own deque slot first, stealing
-// within the request otherwise), then detaches. Returns whether any task
+// within the request otherwise unless it disables stealing), then detaches. Returns whether any task
 // ran. The worker whose task retires the request's pending count to zero
 // finishes it; the last worker to detach from a finished request closes
 // its drained channel — after its own detach, so the submitter never
@@ -333,7 +340,12 @@ func (p *Pool) runQuantum(w *workerState, r *poolReq, rng *rand.Rand) (did bool)
 	for executed < fairQuantum {
 		t, ok := w.my.pop()
 		if !ok {
-			stolen := st.trySteal(w.id, rng)
+			// Under NOSTL tasks never migrate: an empty own deque means
+			// this worker's share of the request is done.
+			var stolen []task
+			if !st.opts.DisableStealing {
+				stolen = st.trySteal(w.id, rng)
+			}
 			if stolen == nil {
 				if st.pending.Load() == 0 {
 					p.finish(r)

@@ -106,8 +106,8 @@ type Config struct {
 	// leaves admission off (every request runs immediately).
 	Admission AdmissionConfig
 	// RequestMaxBytes bounds each request's accounted engine memory
-	// (hgmatch.WithMaxMemory): embedding blocks, BFS levels, scatter
-	// gather window. 0 disables the budget. A request whose plan cannot
+	// (hgmatch.WithMaxMemory): embedding blocks and the scatter gather
+	// window. 0 disables the budget. A request whose plan cannot
 	// fit even its minimum footprint is refused upfront with 413; a run
 	// that crosses the budget mid-flight is aborted with the same
 	// budget_exceeded code. See cmd/hgserve's -request-max-bytes.

@@ -16,7 +16,7 @@ import "math/bits"
 // the representation of choice for sparse sets; View carries either, and
 // the k-way kernels in kway.go mix both.
 
-// Bitmap is a fixed-span bitset over the dense coordinate range [0, NBits()).
+// Bitmap is a fixed-span bitset over a dense coordinate range [0, span).
 // The zero value is an empty bitmap of span 0. Bitmaps either own their
 // words (FromSorted) or borrow caller storage (Reuse) — the scratch
 // discipline of the match hot path hands out per-set word windows from one
@@ -71,23 +71,10 @@ func (b *Bitmap) Clear() {
 	b.card = 0
 }
 
-// NBits returns the bitmap's span.
-func (b *Bitmap) NBits() int { return b.nbits }
-
-// Add sets bit x (which must be < NBits()).
+// Add sets bit x (which must be inside the span).
 func (b *Bitmap) Add(x uint32) {
 	b.words[x>>6] |= 1 << (x & 63)
 	b.card = -1
-}
-
-// AddSorted sets every bit of a sorted in-span slice.
-func (b *Bitmap) AddSorted(s []uint32) {
-	for _, x := range s {
-		b.words[x>>6] |= 1 << (x & 63)
-	}
-	if len(s) > 0 {
-		b.card = -1
-	}
 }
 
 // AddRanked sets the bit rank.Rank(x) for every x of a sorted global-ID
@@ -102,7 +89,7 @@ func (b *Bitmap) AddRanked(s []uint32, rank RankTable) {
 	}
 }
 
-// Contains reports whether bit x is set; x must be < NBits().
+// Contains reports whether bit x is set; x must be inside the span.
 func (b *Bitmap) Contains(x uint32) bool {
 	return b.words[x>>6]&(1<<(x&63)) != 0
 }

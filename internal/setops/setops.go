@@ -276,40 +276,6 @@ func ContainsAny(a, b []uint32) bool {
 	return false
 }
 
-// IsSubset reports whether every element of a is contained in b.
-func IsSubset(a, b []uint32) bool {
-	if len(a) > len(b) {
-		return false
-	}
-	if len(b) >= gallopRatio*len(a) {
-		lo := 0
-		for _, x := range a {
-			lo = gallop(b, lo, x)
-			if lo == len(b) || b[lo] != x {
-				return false
-			}
-			lo++
-		}
-		return true
-	}
-	i, j := 0, 0
-	for i < len(a) {
-		if j == len(b) {
-			return false
-		}
-		switch {
-		case a[i] < b[j]:
-			return false
-		case a[i] > b[j]:
-			j++
-		default:
-			i++
-			j++
-		}
-	}
-	return true
-}
-
 // IsSorted reports whether s is strictly increasing (a valid set).
 func IsSorted(s []uint32) bool {
 	for i := 1; i < len(s); i++ {

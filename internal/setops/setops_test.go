@@ -258,27 +258,6 @@ func TestContainsAny(t *testing.T) {
 	}
 }
 
-func TestIsSubset(t *testing.T) {
-	f := func(xs, ys []uint32) bool {
-		a, b := mkset(xs), mkset(ys)
-		want := len(naiveDifference(a, b)) == 0
-		return IsSubset(a, b) == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-	big := make([]uint32, 1000)
-	for i := range big {
-		big[i] = uint32(i * 2)
-	}
-	if !IsSubset([]uint32{0, 500, 1998}, big) {
-		t.Error("IsSubset gallop false negative")
-	}
-	if IsSubset([]uint32{0, 501}, big) {
-		t.Error("IsSubset gallop false positive")
-	}
-}
-
 func TestIsSortedAndDedup(t *testing.T) {
 	if !IsSorted(nil) || !IsSorted([]uint32{5}) || !IsSorted([]uint32{1, 2, 9}) {
 		t.Error("IsSorted false negative")

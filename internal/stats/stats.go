@@ -1,7 +1,6 @@
 // Package stats provides the small statistical helpers the experiment
 // harness needs: box-plot five-number summaries (the paper's Fig. 6),
-// means, geometric means (for "average speedup" claims), and byte/duration
-// formatting for table output.
+// means, speedup factors, and byte/duration formatting for table output.
 package stats
 
 import (
@@ -66,23 +65,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// GeoMean returns the geometric mean of positive values; zero and negative
-// entries are skipped. Used for average speedup factors, matching how
-// "average speedup of N orders of magnitude" is computed across queries.
-func GeoMean(xs []float64) float64 {
-	sum, n := 0.0, 0
-	for _, x := range xs {
-		if x > 0 {
-			sum += math.Log(x)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(sum / float64(n))
-}
-
 // Speedup returns base/target as a factor, treating non-positive targets
 // as missing (0).
 func Speedup(base, target time.Duration) float64 {
@@ -128,34 +110,4 @@ func FormatDuration(d time.Duration) string {
 	default:
 		return fmt.Sprintf("%.3gs", d.Seconds())
 	}
-}
-
-// Histogram buckets xs into log10 bins [10^lo, 10^hi); used to draw the
-// paper's log-scale distribution plots as text.
-func Histogram(xs []float64, bins int) []int {
-	if len(xs) == 0 || bins <= 0 {
-		return nil
-	}
-	counts := make([]int, bins)
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, x := range xs {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	if lo == hi {
-		counts[0] = len(xs)
-		return counts
-	}
-	for _, x := range xs {
-		b := int(float64(bins) * (x - lo) / (hi - lo))
-		if b >= bins {
-			b = bins - 1
-		}
-		counts[b]++
-	}
-	return counts
 }

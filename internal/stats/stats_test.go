@@ -48,12 +48,6 @@ func TestMeans(t *testing.T) {
 	if m := stats.Mean(nil); m != 0 {
 		t.Errorf("Mean(nil) = %f", m)
 	}
-	if g := stats.GeoMean([]float64{1, 100}); math.Abs(g-10) > 1e-9 {
-		t.Errorf("GeoMean = %f", g)
-	}
-	if g := stats.GeoMean([]float64{0, -5}); g != 0 {
-		t.Errorf("GeoMean(non-positive) = %f", g)
-	}
 }
 
 func TestSpeedup(t *testing.T) {
@@ -90,22 +84,5 @@ func TestFormatters(t *testing.T) {
 	}
 	if got := stats.FormatDuration(90 * time.Second); got != "90s" {
 		t.Errorf("FormatDuration s = %q", got)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := stats.Histogram([]float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 5)
-	total := 0
-	for _, c := range h {
-		total += c
-	}
-	if total != 10 || len(h) != 5 {
-		t.Errorf("Histogram = %v", h)
-	}
-	if h := stats.Histogram([]float64{3, 3, 3}, 4); h[0] != 3 {
-		t.Errorf("constant histogram = %v", h)
-	}
-	if h := stats.Histogram(nil, 3); h != nil {
-		t.Errorf("empty histogram = %v", h)
 	}
 }

@@ -19,8 +19,13 @@ if [ -f "$out" ]; then
 	base=$(awk '/^  "baseline_commit"/ { f = 1 } /^  "benchmarks": \[/ { exit } f { print }' "$out")
 fi
 
+kernels='BenchmarkKernelQ3|BenchmarkKernelQ4Count|BenchmarkSharedPoolQ3|BenchmarkShardedScatterQ3|BenchmarkFig8SingleThread/HGMatch|BenchmarkFig11Scheduling|BenchmarkPublicAPI|BenchmarkOnlineIngest'
+wal='BenchmarkWALIngest'
+setops='BenchmarkAblationSetops'
+loads='BenchmarkCompile$|BenchmarkLoadFile|BenchmarkMappedOpen'
+
 go test -run '^$' \
-	-bench 'BenchmarkKernelQ3|BenchmarkKernelQ4Count|BenchmarkSharedPoolQ3|BenchmarkShardedScatterQ3|BenchmarkFig8SingleThread/HGMatch|BenchmarkFig11Scheduling|BenchmarkAblationDeque|BenchmarkPublicAPI|BenchmarkOnlineIngest' \
+	-bench "$kernels" \
 	-benchmem -count=3 -benchtime=50x . | tee "$tmp"
 
 # The durability tax on the serving path: one 100-record ingest request
@@ -28,7 +33,7 @@ go test -run '^$' \
 # publish) across WAL sync policies, with "nowal" as the in-memory
 # baseline. The robustness PR's bar: batch within 2x of nowal.
 go test -run '^$' \
-	-bench 'BenchmarkWALIngest' \
+	-bench "$wal" \
 	-benchmem -count=3 -benchtime=50x ./internal/server | tee -a "$tmp"
 
 # The set-kernel ablation (array vs bitmap vs hybrid containers across
@@ -36,7 +41,7 @@ go test -run '^$' \
 # ops; it documents where the hybrid posting containers win and where the
 # adaptive threshold falls back to arrays.
 go test -run '^$' \
-	-bench 'BenchmarkAblationSetops' \
+	-bench "$setops" \
 	-benchmem -count=1 -benchtime=10000x . | tee -a "$tmp"
 
 # The compile, load and mapped-open benches run at the default benchtime:
@@ -46,8 +51,18 @@ go test -run '^$' \
 # tiered-residency bar: MmapAttach must stay >=10x under the heap loads,
 # and SteadyStateHeap's heap/mapped ratio >=5x.
 go test -run '^$' \
-	-bench 'BenchmarkCompile$|BenchmarkLoadFile|BenchmarkMappedOpen' \
+	-bench "$loads" \
 	-benchmem -count=3 . | tee -a "$tmp"
+
+# go test runs whatever a -bench pattern matches and is silent about an
+# alternative that matches nothing, so a renamed or deleted benchmark would
+# quietly drop out of the file: require a result line for every name.
+for name in $(printf '%s|%s|%s|%s' "$kernels" "$wal" "$setops" "$loads" | tr '|' ' '); do
+	if ! grep -q "^${name%\$}" "$tmp"; then
+		echo "bench.sh: no result for $name" >&2
+		exit 1
+	fi
+done
 
 # Where it ran: a scaling row (t=4 vs t=1) means nothing without the core
 # count. GOMAXPROCS is what the benchmarks saw (the "-N" go test appends to
