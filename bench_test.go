@@ -32,7 +32,6 @@ import (
 	"hgmatch/internal/hypergraph"
 	"hgmatch/internal/querygen"
 	"hgmatch/internal/setops"
-	"hgmatch/internal/shard"
 )
 
 // benchCfg is the shared small-scale configuration for figure benches.
@@ -292,58 +291,6 @@ func BenchmarkSharedPoolQ3(b *testing.B) {
 // job the compaction threshold schedules. "match-on-delta" reruns the q3
 // kernel against a delta-carrying snapshot, pinning the read-side price of
 // merge-on-read postings.
-// BenchmarkShardedScatterQ3 measures the cost of scatter-gather serving
-// (cluster mode stage 1, internal/shard) against a solo pool submit of the
-// same q3 plan: the coordinator splits the SCAN into units, fans them out
-// as sub-runs (plus one empty sub-run per non-owning shard) and sums the
-// streamed counts. The delta over solo is the scatter overhead an operator
-// buys with -shards before any cross-process scaling exists.
-func BenchmarkShardedScatterQ3(b *testing.B) {
-	h, q := kernelWorkload()
-	p, err := core.NewPlan(q, h)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const workers = 4
-	b.Run("solo", func(b *testing.B) {
-		pool := engine.NewPool(workers)
-		defer pool.Close()
-		var emb uint64
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			emb = pool.Submit(p, engine.Options{Workers: workers}).Embeddings
-		}
-		b.StopTimer()
-		if emb == 0 {
-			b.Fatal("kernel workload found nothing")
-		}
-		b.ReportMetric(float64(emb), "embeddings")
-	})
-	for _, n := range []int{1, 2, 4} {
-		n := n
-		b.Run(bName("shards", n), func(b *testing.B) {
-			g, err := shard.New(h, n)
-			if err != nil {
-				b.Fatal(err)
-			}
-			pool := engine.NewPool(workers)
-			defer pool.Close()
-			var emb uint64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				emb = shard.Scatter(pool, g, p, engine.Options{Workers: workers}).Embeddings
-			}
-			b.StopTimer()
-			if emb == 0 {
-				b.Fatal("scattered workload found nothing")
-			}
-			b.ReportMetric(float64(emb), "embeddings")
-		})
-	}
-}
-
 func BenchmarkOnlineIngest(b *testing.B) {
 	h, q := kernelWorkload()
 	const batch = 100

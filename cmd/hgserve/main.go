@@ -8,8 +8,7 @@
 //	hgserve -addr :8080 [-plan-cache 256] [-workers 0] [-timeout 1m]
 //	        [-compact-threshold 10000] [-admission] [-tenant-quota 1000000]
 //	        [-wal-dir /var/lib/hgserve/wal] [-wal-sync batch]
-//	        [-mmap] [-resident-bytes 0] [-mmap-verify]
-//	        [-shards 1] [-drain-timeout 10s]
+//	        [-mmap] [-resident-bytes 0] [-mmap-verify] [-drain-timeout 10s]
 //	        [-request-max-bytes 0] [-write-timeout 30s]
 //	        name=path.hg [name2=path2.hg ...]
 //
@@ -28,16 +27,6 @@
 // ordinary heap graph. Mutually exclusive with -wal-dir (an evicted
 // mapping cannot replay online writes); see docs/OPERATIONS.md for sizing.
 //
-// With -shards N (N > 1), every registered graph is partitioned across N
-// intra-process shards by signature-partition hash; each /match and /count
-// request scatters its compiled plan across per-shard sub-runs on the
-// shared worker pool and gathers the embedding streams back into one
-// deterministic NDJSON stream, byte-identical to an unsharded server's
-// (responses carry an X-Shards header; GET /stats gains per-shard rows).
-// This is cluster mode stage 1 — one process, shard-partitioned storage —
-// and is mutually exclusive with -mmap and -wal-dir. See
-// docs/OPERATIONS.md for sizing.
-//
 // With -wal-dir set, ingest is crash-safe: every acked batch is journaled
 // to a per-graph write-ahead log under that directory before its snapshot
 // publishes, compaction doubles as an atomic checkpoint, and a restart
@@ -50,21 +39,22 @@
 //
 // All matches run on one shared worker pool of -workers goroutines under
 // weighted fair scheduling; a request's "workers" field caps its share,
-// it no longer spawns threads. With -admission, expensive queries (planner
-// cost estimate at or above -cheap-threshold) must fit their tenant's
-// -tenant-quota of in-flight cost or receive 429 with a retry-after;
-// tenants are identified by the X-API-Key or Authorization header. GET
-// /stats reports the pool and admission counters.
+// it no longer spawns threads. A /match with a "limit" streams the first
+// limit rows of the sequential match order — the same rows on every run
+// and core count — from one worker at a time. With -admission, expensive
+// queries (planner cost estimate at or above -cheap-threshold) must fit
+// their tenant's -tenant-quota of in-flight cost or receive 429 with a
+// retry-after; tenants are identified by the X-API-Key or Authorization
+// header. GET /stats reports the pool and admission counters.
 //
 // Serving is fault-contained: a panic inside one request's match run is
 // recovered at the task boundary and returned as a 500 with code
 // "request_poisoned" (stack logged server-side) without taking down the
 // process or other in-flight requests. -request-max-bytes caps each
-// request's engine working memory (task blocks, gather windows);
-// over-budget runs abort with 413 / "budget_exceeded" (0 =
-// unlimited). -write-timeout bounds each NDJSON write so a stalled reader
-// cancels only its own run and releases its admission cost (negative
-// disables). GET /healthz reports liveness; GET /readyz reports readiness
+// request's engine working memory (task blocks); over-budget runs abort
+// with 413 / "budget_exceeded" (0 = unlimited). -write-timeout bounds each
+// NDJSON write so a stalled reader cancels only its own run and releases
+// its admission cost (negative disables). GET /healthz reports liveness; GET /readyz reports readiness
 // — false (503) while graphs load at boot and once shutdown begins, and
 // degraded detail lists graphs serving read-only. See docs/OPERATIONS.md
 // for the overload & incident runbook. Example session:
@@ -119,8 +109,6 @@ func main() {
 			"with -mmap, bound the summed file bytes of concurrently mapped graphs; LRU graphs are unmapped over budget (0 = unbounded)")
 		mmapVerify = flag.Bool("mmap-verify", false,
 			"with -mmap, verify each file's payload checksum on every attach (reads the whole file once)")
-		shards = flag.Int("shards", 1,
-			"partition each graph across N intra-process shards served by scatter-gather (1 = unsharded); incompatible with -mmap and -wal-dir")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second,
 			"how long shutdown waits for in-flight requests to drain before forcing connections closed")
 		requestMaxBytes = flag.Int64("request-max-bytes", 0,
@@ -138,19 +126,7 @@ func main() {
 	if *useMmap && *walDir != "" {
 		log.Fatalf("hgserve: -mmap and -wal-dir are mutually exclusive (an unmapped graph cannot replay online writes)")
 	}
-	if *shards > 1 && *useMmap {
-		log.Fatalf("hgserve: -shards and -mmap are mutually exclusive (shards are rebuilt heap graphs, not file mappings)")
-	}
-	if *shards > 1 && *walDir != "" {
-		log.Fatalf("hgserve: -shards and -wal-dir are mutually exclusive (the WAL journals the unsharded write path)")
-	}
 	reg := server.NewRegistry()
-	if *shards > 1 {
-		if err := reg.SetShards(*shards); err != nil {
-			log.Fatalf("hgserve: %v", err)
-		}
-		log.Printf("sharding on: %d intra-process shards per graph", *shards)
-	}
 	if *useMmap {
 		reg.SetResidentBudget(*residentBytes)
 		reg.SetMapVerify(*mmapVerify)

@@ -42,7 +42,6 @@ import (
 	"hgmatch/internal/engine"
 	"hgmatch/internal/hgio"
 	"hgmatch/internal/hypergraph"
-	"hgmatch/internal/shard"
 )
 
 // Hypergraph is an immutable, indexed, vertex-labelled hypergraph. Build
@@ -266,7 +265,13 @@ func WithWorkers(n int) Option { return func(o *engine.Options) { o.Workers = n 
 // while both are runnable. Values below 1 mean 1. Plan.Run ignores it.
 func WithWeight(n int) Option { return func(o *engine.Options) { o.Weight = n } }
 
-// WithLimit stops the run after n embeddings.
+// WithLimit stops the run after n embeddings. A capped run that delivers
+// rows (WithCallback, WithWorkerCallback, WithGroupCallback or WithGroupBy)
+// keeps the first n rows of the sequential depth-first order — the n
+// lexicographically smallest tuples in matching order — and streams them in
+// that order on one worker at a time, so callbacks see worker index 0. The
+// answer is the same on every path and core count. A capped count stays
+// parallel.
 func WithLimit(n uint64) Option { return func(o *engine.Options) { o.Limit = n } }
 
 // WithTimeout aborts the run after d.
@@ -328,19 +333,19 @@ func WithGroupBy(key func(m []EdgeID) string) Option {
 }
 
 // WithMaxMemory bounds the run's accounted memory in bytes: live embedding
-// blocks at Plan.TaskBlockBytes each and a sharded run's gather window. 0
-// (the default) means unlimited. A run that would cross the budget is
-// aborted cooperatively with Result.Err = ErrBudgetExceeded and
-// lower-bound counts — the per-request guard that keeps one runaway query
-// from OOMing a shared process (cmd/hgserve's -request-max-bytes).
+// blocks at Plan.TaskBlockBytes each. 0 (the default) means unlimited. A
+// run that would cross the budget is aborted cooperatively with
+// Result.Err = ErrBudgetExceeded and lower-bound counts — the per-request
+// guard that keeps one runaway query from OOMing a shared process
+// (cmd/hgserve's -request-max-bytes).
 func WithMaxMemory(n int64) Option {
 	return func(o *engine.Options) { o.MaxMemory = n }
 }
 
 // WithFaultHook installs a callback invoked at the engine's instrumented
-// execution points ("task", "expand", "sink", "gather") — the fault
-// injection surface of the chaos harness, which passes hooks that panic to
-// exercise the engine's containment. fn must be safe for concurrent calls.
+// execution points ("task", "expand", "sink") — the fault injection
+// surface of the chaos harness, which passes hooks that panic to exercise
+// the engine's containment. fn must be safe for concurrent calls.
 // Production paths leave it unset.
 func WithFaultHook(fn func(point string)) Option {
 	return func(o *engine.Options) { o.FaultHook = fn }
@@ -417,38 +422,6 @@ func (pl *Pool) Stats() PoolStats { return pl.p.Stats() }
 // draining process must not serve new work on ad-hoc workers its drain
 // never waits for.
 func (pl *Pool) Close() { pl.p.Close() }
-
-// ShardedGraph is a data hypergraph partitioned across N shards by
-// signature-partition hash — cluster mode, stage 1 (intra-process). Each
-// shard is a self-contained DeltaBuffer over its owned hyperedge tables;
-// ingest through the ShardedGraph routes each record to its owning shard
-// while a mirror buffer keeps the solo-identical union view that
-// Pool.RunSharded matches against. See internal/shard and the "Sharded
-// serving" section of docs/ARCHITECTURE.md.
-type ShardedGraph = shard.Graph
-
-// ShardStat reports one shard's resident volume (ShardedGraph.Stats).
-type ShardStat = shard.Stat
-
-// NewShardedGraph partitions h across n shards (n >= 1).
-func NewShardedGraph(h *Hypergraph, n int) (*ShardedGraph, error) {
-	return shard.New(h, n)
-}
-
-// RunSharded scatters the plan across g's shards on the shared pool and
-// gathers one merged result, semantically equivalent to a solo Run against
-// g.Live().Snapshot(): counts, counters and groups match exactly, and with
-// a callback (WithCallback, WithWorkerCallback, WithGroupCallback — the last
-// in groups of one) or WithLimit the merged embedding stream
-// is delivered in a deterministic order that is identical for every shard
-// count. The plan must be compiled against a snapshot of g.Live().
-func (pl *Pool) RunSharded(p *Plan, g *ShardedGraph, opts ...Option) Result {
-	var eo engine.Options
-	for _, o := range opts {
-		o(&eo)
-	}
-	return wrapResult(shard.Scatter(pl.p, g, p.core, eo))
-}
 
 // Match compiles and runs in one call: it finds all subhypergraph
 // embeddings of query in data.

@@ -74,7 +74,7 @@ type Options struct {
 	// Calls are NOT serialised across workers — two workers may call
 	// concurrently (always with distinct worker indexes), so fn must
 	// shard its state by worker or synchronise internally. The tuple is
-	// reused; copy to retain. This is the sharded-sink path: no global
+	// reused; copy to retain. This is the per-worker sink path: no global
 	// lock is taken per embedding.
 	OnEmbeddingWorker func(worker int, m []hypergraph.EdgeID)
 	// OnGroup, when non-nil, receives every embedding on the worker that
@@ -92,7 +92,15 @@ type Options struct {
 	// slices are the engine's own storage, reused between calls: read only,
 	// copy to retain.
 	OnGroup func(worker int, prefix, last []hypergraph.EdgeID)
-	// Limit stops the run after this many embeddings (0 = unlimited).
+	// Limit stops the run after this many embeddings (0 = unlimited). A
+	// capped run that delivers rows — OnEmbedding, OnEmbeddingWorker,
+	// OnGroup or Aggregate set — keeps the first Limit rows of the
+	// sequential depth-first order (core.Plan.EnumerateSequential), which
+	// are the Limit lexicographically smallest tuples in plan order. It
+	// runs on one worker at a time, streams those rows in that order with
+	// no buffering, and every callback sees worker index 0. A capped run
+	// that only counts keeps the parallel path: its count does not depend
+	// on which rows are kept.
 	Limit uint64
 	// Timeout aborts the run after this duration (0 = none). Aborted runs
 	// report TimedOut = true and a lower-bound embedding count.
@@ -115,30 +123,34 @@ type Options struct {
 	Weight int
 	// Scan, when non-nil, replaces the plan's full start partition as the
 	// run's SCAN seed set: only these first-hyperedge candidates are
-	// expanded. This is the sharded scatter hook (internal/shard): a
-	// coordinator splits InitialCandidates() into disjoint subsets and
-	// runs one sub-run per subset — the union of the sub-runs' embeddings
-	// is exactly the unsharded run's, with no overlap, because every
-	// embedding is rooted at exactly one scan candidate. The slice must be
-	// a subset of the plan's start partition and is not copied; a non-nil
-	// empty slice short-circuits the run (an empty-shard plan).
+	// expanded. A caller that splits InitialCandidates() into disjoint
+	// subsets and runs one sub-run per subset (internal/shard's unit
+	// fan-out) gets exactly the whole run's embeddings, with no overlap,
+	// because every embedding is rooted at exactly one scan candidate. The
+	// slice must be a subset of the plan's start partition and is not
+	// copied; a non-nil empty slice short-circuits the run.
 	Scan []hypergraph.EdgeID
 	// MaxMemory bounds the run's accounted memory in bytes: live embedding
-	// blocks at TaskBlockBytes(plan) each (Theorem VI.1's accounting) and —
-	// on a scatter — the gather window's buffered rows. 0 means unlimited.
-	// A run that would cross the budget stops cooperatively and reports
-	// ErrBudgetExceeded in Result.Err with lower-bound counts; because the
-	// check sits at block acquisition the instantaneous overshoot is
-	// bounded by one block per attached worker.
+	// blocks at TaskBlockBytes(plan) each (Theorem VI.1's accounting). 0
+	// means unlimited. A run that would cross the budget stops
+	// cooperatively and reports ErrBudgetExceeded in Result.Err with
+	// lower-bound counts; because the check sits at block acquisition the
+	// instantaneous overshoot is bounded by one block per attached worker.
 	MaxMemory int64
 	// FaultHook, when non-nil, is called at the engine's instrumented
 	// execution points with the point's label: "task" once per scheduled
-	// task, "expand" once per block expansion, "sink" once per embedding
-	// (the scatter gather adds "gather" once per merged unit). It exists
-	// for the chaos harness (internal/hgtest): a hook that panics
-	// exercises the panic containment at exactly that boundary. Serving
-	// paths leave it nil; a nil-check per point is the only cost then.
+	// task, "expand" once per block expansion, "sink" once per embedding.
+	// It exists for the chaos harness (internal/hgtest): a hook that
+	// panics exercises the panic containment at exactly that boundary.
+	// Serving paths leave it nil; a nil-check per point is the only cost
+	// then.
 	FaultHook func(point string)
+}
+
+// ordered reports whether the run's answer is the first Limit rows of the
+// sequential order (see Limit): a cap on a run that delivers rows.
+func (o *Options) ordered() bool {
+	return o.Limit > 0 && (o.OnEmbedding != nil || o.OnEmbeddingWorker != nil || o.OnGroup != nil || o.Aggregate != nil)
 }
 
 // seedCandidates resolves a run's SCAN seed set: the Scan override when
@@ -272,6 +284,10 @@ type runState struct {
 	// materialising the run.
 	byGroup   bool
 	countOnly bool
+	// serial: the run is ordered (Options.ordered), so it has one deque
+	// that whichever attached worker serves, depth first and without
+	// publishing or stealing.
+	serial bool
 
 	sinkMu sync.Mutex // serialises the legacy OnEmbedding callback
 	groups map[string]uint64
@@ -293,9 +309,10 @@ type runState struct {
 // the pool's life, not one run — while the request-scoped accumulators are
 // flushed and cleared on every detach.
 type workerState struct {
-	id int
-	st *runState // current request; re-pointed by attach
-	my *deque    // &st.deques[id]
+	id   int       // pool worker index
+	slot int       // deque, stats and callback index in st: id, or 0 in a serial run
+	st   *runState // current request; re-pointed by attach
+	my   *deque    // &st.deques[slot]
 
 	// One Scratch per matching-order depth: inline block expansion
 	// re-enters Expand for depth d+1 from inside depth d's emit callback,
@@ -333,7 +350,11 @@ type workerState struct {
 // plan-shaped buffers. The worker must be detached (or fresh).
 func (w *workerState) attach(st *runState) {
 	w.st = st
-	w.my = &st.deques[w.id]
+	w.slot = w.id
+	if st.serial {
+		w.slot = 0
+	}
+	w.my = &st.deques[w.slot]
 	if n := st.nq; len(w.scs) < n {
 		w.scs = append(w.scs, make([]*core.Scratch, n-len(w.scs))...)
 	}
@@ -358,7 +379,7 @@ func (w *workerState) detach() {
 		w.localCount = 0
 	}
 	if w.stats != (WorkerStats{}) {
-		st.stats[w.id].Add(w.stats)
+		st.stats[w.slot].Add(w.stats)
 		w.stats = WorkerStats{}
 	}
 	if w.ct != (core.Counters{}) || len(w.groups) > 0 {
@@ -467,9 +488,18 @@ func (st *runState) runErr() error {
 
 // newRunState builds one request's execution state for a worker-slot count
 // of slots: deques, stats, deadline/cancel wiring and the static TSCAN
-// split of the start partition across slots.
+// split of the start partition across slots. An ordered run gets one slot
+// under NOSTL instead: every block then expands inline as it fills, so
+// rows reach the sink in the sequential order and the Limit reservation
+// keeps its first n.
 func newRunState(p *core.Plan, opts Options, slots int) *runState {
+	serial := opts.ordered()
+	if serial {
+		slots = 1
+		opts.DisableStealing = true
+	}
 	st := &runState{
+		serial: serial,
 		plan:   p,
 		opts:   opts,
 		nq:     p.NumSteps(),
@@ -828,7 +858,7 @@ func (w *workerState) sinkRun(prefix, run []hypergraph.EdgeID) {
 	w.localCount += uint64(len(run))
 	w.stats.SinkCount += uint64(len(run))
 	if st.opts.OnGroup != nil {
-		st.opts.OnGroup(w.id, prefix, run)
+		st.opts.OnGroup(w.slot, prefix, run)
 	}
 }
 
@@ -872,10 +902,10 @@ func (st *runState) sink(m []hypergraph.EdgeID, w *workerState) {
 		w.groups[st.opts.Aggregate(m)]++
 	}
 	if st.opts.OnEmbeddingWorker != nil {
-		st.opts.OnEmbeddingWorker(w.id, m)
+		st.opts.OnEmbeddingWorker(w.slot, m)
 	}
 	if st.opts.OnGroup != nil {
-		st.opts.OnGroup(w.id, m[:len(m)-1], m[len(m)-1:])
+		st.opts.OnGroup(w.slot, m[:len(m)-1], m[len(m)-1:])
 	}
 	if st.opts.OnEmbedding != nil {
 		// Deferred unlock so a panicking callback cannot wedge the sink

@@ -22,14 +22,14 @@ import (
 var ErrRequestPoisoned = errors.New("engine: request poisoned by worker panic")
 
 // ErrBudgetExceeded marks a run aborted because its accounted memory —
-// live embedding blocks at TaskBlockBytes each, plus a scatter gather
-// window — crossed Options.MaxMemory. The abort is cooperative: counts in
-// the Result are lower bounds over what was enumerated in budget.
+// live embedding blocks at TaskBlockBytes each — crossed
+// Options.MaxMemory. The abort is cooperative: counts in the Result are
+// lower bounds over what was enumerated in budget.
 var ErrBudgetExceeded = errors.New("engine: request memory budget exceeded")
 
 // ErrPoolClosed is returned by Pool.Submit once Close has begun: the
 // shutdown sentinel, shared with the registry via hgio.ErrShuttingDown so
-// the solo and sharded serving paths report shutdown identically (the
+// a closed pool and a closed registry report shutdown identically (the
 // HTTP layer maps it to 503/shutting_down).
 var ErrPoolClosed = fmt.Errorf("engine: pool closed: %w", hgio.ErrShuttingDown)
 
@@ -40,7 +40,7 @@ var ErrPoolClosed = fmt.Errorf("engine: pool closed: %w", hgio.ErrShuttingDown)
 type PoisonedError struct {
 	Value any    // the value passed to panic()
 	Stack []byte // debug.Stack() at the recovery point
-	Point string // worker boundary that recovered it ("task", "pool", "gather")
+	Point string // worker boundary that recovered it ("task", "pool")
 }
 
 func (e *PoisonedError) Error() string {

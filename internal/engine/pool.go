@@ -89,7 +89,7 @@ func NewPool(workers int) *Pool {
 }
 
 // Workers returns the pool's worker count — the number of distinct worker
-// indexes a sharded sink (Options.OnEmbeddingWorker) can observe.
+// indexes a per-worker sink (Options.OnEmbeddingWorker) can observe.
 func (p *Pool) Workers() int { return p.workers }
 
 // Stats returns a snapshot of the pool's scheduler counters.
@@ -125,13 +125,17 @@ func (p *Pool) Close() {
 // is complete. Options are honoured with pool semantics: Workers caps how
 // many pool workers may serve the request at once (0 or oversize means all
 // of them), Weight sets the fair-share weight. Under DisableStealing each
-// worker serves only its own deque slot of the static split. Submit on a
-// closed pool refuses the request with Result.Err = ErrPoolClosed (which
-// wraps hgio.ErrShuttingDown) — the same shutdown sentinel the registry
-// reports, so callers classify both alike.
+// worker serves only its own deque slot of the static split. A capped run
+// that delivers rows is served by one worker at a time (see
+// Options.Limit). Submit on a closed pool refuses the request with
+// Result.Err = ErrPoolClosed (which wraps hgio.ErrShuttingDown) — the same
+// shutdown sentinel the registry reports, so callers classify both alike.
 func (p *Pool) Submit(plan *core.Plan, opts Options) Result {
 	if opts.Workers <= 0 || opts.Workers > p.workers {
 		opts.Workers = p.workers
+	}
+	if opts.ordered() {
+		opts.Workers = 1 // one deque, served by one worker at a time
 	}
 	if p.isClosed() {
 		return Result{Err: ErrPoolClosed}
@@ -159,7 +163,8 @@ func (p *Pool) Submit(plan *core.Plan, opts Options) Result {
 		return Result{Err: ErrPoolClosed}
 	}
 	// Task queues are sized to the whole pool: any worker may serve any
-	// request, so every worker needs its own deque slot in every request.
+	// request, so every worker needs its own deque slot in every request
+	// (an ordered run has the one slot they all serve, see newRunState).
 	st := newRunState(plan, opts, p.workers)
 	st.onPanic = func() { p.panics.Add(1) }
 	r.st = st
@@ -344,7 +349,7 @@ func (p *Pool) runQuantum(w *workerState, r *poolReq, rng *rand.Rand) (did bool)
 			// this worker's share of the request is done.
 			var stolen []task
 			if !st.opts.DisableStealing {
-				stolen = st.trySteal(w.id, rng)
+				stolen = st.trySteal(w.slot, rng)
 			}
 			if stolen == nil {
 				if st.pending.Load() == 0 {

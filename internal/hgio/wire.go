@@ -338,31 +338,6 @@ type SchedulerStats struct {
 	GraphActivations uint64 `json:"graph_activations,omitempty"`
 	GraphEvictions   uint64 `json:"graph_evictions,omitempty"`
 	GraphPromotions  uint64 `json:"graph_promotions,omitempty"`
-
-	// Sharded serving (-shards; zero/absent otherwise). ShardsConfigured
-	// is the per-graph shard count N, ScatterRequests counts /match//count
-	// requests served by scatter-gather, and ShardGraphs breaks down each
-	// graph's per-shard resident volume.
-	ShardsConfigured int               `json:"shards_configured,omitempty"`
-	ScatterRequests  uint64            `json:"scatter_requests,omitempty"`
-	ShardGraphs      []GraphShardStats `json:"shard_graphs,omitempty"`
-}
-
-// ShardStats reports one shard's resident volume inside a
-// GraphShardStats row (GET /stats on a sharded server).
-type ShardStats struct {
-	Shard        int `json:"shard"`
-	Edges        int `json:"edges"`
-	Partitions   int `json:"partitions"`
-	PendingEdges int `json:"pending_edges,omitempty"`
-	DeadEdges    int `json:"dead_edges,omitempty"`
-}
-
-// GraphShardStats is one sharded graph's per-shard breakdown in
-// SchedulerStats.ShardGraphs.
-type GraphShardStats struct {
-	Graph  string       `json:"graph"`
-	Shards []ShardStats `json:"shards"`
 }
 
 // ReadyResponse is the body of GET /readyz: readiness for traffic, as

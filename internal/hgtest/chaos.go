@@ -1,7 +1,7 @@
 // Chaos-testing harness for the serving path: deterministic panic
 // injection at the engine's instrumented fault points, fault-point
 // counting to randomize injection sites, and raw-connection HTTP clients
-// that stall or disconnect mid-stream. Engine, shard and server batteries
+// that stall or disconnect mid-stream. Engine and server batteries
 // compose these to assert the fault-containment contract (process
 // survives, pool drains, zero leaked blocks, concurrent requests
 // untouched); see docs/OPERATIONS.md.
@@ -17,7 +17,7 @@ import (
 
 // PanicInjector is an engine FaultHook that panics on its Target'th
 // eligible invocation. With Point set, only hook calls for that point
-// label count ("task", "expand", "sink", "gather"); otherwise every call
+// label count ("task", "expand", "sink"); otherwise every call
 // counts, so Target indexes the run's global fault-point sequence.
 //
 // A single run's hook invocation order is deterministic only for one

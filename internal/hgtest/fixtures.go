@@ -5,6 +5,8 @@ package hgtest
 
 import (
 	"math/rand"
+	"slices"
+	"strconv"
 
 	"hgmatch/internal/hypergraph"
 )
@@ -178,6 +180,114 @@ func ConnectedQueryFromWalk(rng *rand.Rand, h *hypergraph.Hypergraph, n int) *hy
 			vs = append(vs, remap[v])
 		}
 		b.AddEdge(vs...)
+	}
+	return b.MustBuild()
+}
+
+// NamedGraph is a fixture graph with a name for test messages.
+type NamedGraph struct {
+	Name  string
+	Graph *hypergraph.Hypergraph
+}
+
+// ServingGraphs returns data graphs in the four storage shapes every
+// matching path must answer alike:
+//
+//	dense      one label and small arities: tables large and dense enough
+//	           for bitmap posting containers
+//	arrays     two labels, every table array-only
+//	delta      arrays behind a DeltaBuffer after ApplyDelta: delta
+//	           postings, tombstones and one table emptied by them
+//	compacted  delta folded into a fresh base
+//
+// Label l is named "L<l>" in each graph's dictionary — the name hgio.Write
+// gives a label of a dictionary-less graph — so a query sampled from the
+// graph and sent in text format aligns back onto the same label IDs.
+func ServingGraphs() []NamedGraph {
+	rng := rand.New(rand.NewSource(26))
+	dense := withLabelNames(RandomHypergraph(rng, RandomConfig{
+		NumVertices: 24, NumEdges: 200, NumLabels: 1, MaxArity: 3,
+	}))
+	arrays := withLabelNames(RandomHypergraph(rng, RandomConfig{
+		NumVertices: 30, NumEdges: 240, NumLabels: 2, MaxArity: 3,
+	})).WithoutBitmapSidecars()
+	buf, err := hypergraph.NewDeltaBuffer(arrays)
+	if err != nil {
+		panic(err)
+	}
+	if err := ApplyDelta(buf); err != nil {
+		panic(err)
+	}
+	delta := buf.Snapshot()
+	compacted, err := buf.Compact()
+	if err != nil {
+		panic(err)
+	}
+	return []NamedGraph{{"dense", dense}, {"arrays", arrays}, {"delta", delta}, {"compacted", compacted}}
+}
+
+// ApplyDelta writes a fixed batch of online updates into buf and publishes
+// them: inserts of random hyperedges, then deletes of some inserted and
+// some base hyperedges and of every hyperedge of the smallest base table
+// holding at least two, which leaves that table's slot in the snapshot with
+// no live edge.
+func ApplyDelta(buf *hypergraph.DeltaBuffer) error {
+	rng := rand.New(rand.NewSource(27))
+	var inserted []hypergraph.EdgeID
+	for i := 0; i < 40; i++ {
+		perm := rng.Perm(buf.NumVertices())[:2+rng.Intn(3)]
+		vs := make([]uint32, len(perm))
+		for j, v := range perm {
+			vs[j] = uint32(v)
+		}
+		e, added, err := buf.Insert(vs...)
+		if err != nil {
+			return err
+		}
+		if added {
+			inserted = append(inserted, e)
+		}
+	}
+	h := buf.Publish()
+	var deletes []hypergraph.EdgeID
+	for i := 0; i < len(inserted); i += 4 {
+		deletes = append(deletes, inserted[i])
+	}
+	for e := 0; e < h.NumEdges(); e += 17 {
+		deletes = append(deletes, hypergraph.EdgeID(e))
+	}
+	// The emptied table must be a base table: one only the delta created
+	// vanishes with its last edge instead of keeping its slot.
+	baseEdges := hypergraph.EdgeID(buf.Base().NumEdges())
+	smallest := -1
+	for i := 0; i < h.NumPartitions(); i++ {
+		p := h.Partition(i)
+		if n := len(p.Edges); n >= 2 && p.Edges[0] < baseEdges && (smallest < 0 || n < len(h.Partition(smallest).Edges)) {
+			smallest = i
+		}
+	}
+	for _, e := range append(deletes, h.Partition(smallest).Edges...) {
+		if _, err := buf.Delete(h.Edge(e)...); err != nil {
+			return err
+		}
+	}
+	buf.Publish()
+	return nil
+}
+
+// withLabelNames rebuilds h with a vertex-label dictionary naming label l
+// "L<l>".
+func withLabelNames(h *hypergraph.Hypergraph) *hypergraph.Hypergraph {
+	dict := hypergraph.NewDict()
+	for l := 0; l <= int(slices.Max(h.Labels())); l++ {
+		dict.Intern("L" + strconv.Itoa(l))
+	}
+	b := hypergraph.NewBuilder().WithDicts(dict, nil)
+	for v := 0; v < h.NumVertices(); v++ {
+		b.AddVertex(h.Label(uint32(v)))
+	}
+	for e := 0; e < h.NumEdges(); e++ {
+		b.AddEdge(h.Edge(hypergraph.EdgeID(e))...)
 	}
 	return b.MustBuild()
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hgmatch/internal/hgtest"
+	"hgmatch/internal/hypergraph"
 )
 
 func TestFixturesAreValid(t *testing.T) {
@@ -48,5 +49,35 @@ func TestConnectedQueryFromWalkBounds(t *testing.T) {
 	}
 	if err := q.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestServingGraphsShapes pins what ServingGraphs promises: valid graphs,
+// bitmap containers on the dense one, and a delta snapshot that keeps the
+// slot of a table whose every edge is a tombstone, which compaction drops.
+func TestServingGraphsShapes(t *testing.T) {
+	graphs := hgtest.ServingGraphs()
+	for _, g := range graphs {
+		if err := g.Graph.Validate(); err != nil {
+			t.Fatalf("%s: %v", g.Name, err)
+		}
+	}
+	if s := hypergraph.ComputeStats(graphs[0].Graph); s.BitmapVertices == 0 {
+		t.Fatalf("%s built no bitmap containers: %+v", graphs[0].Name, s)
+	}
+	emptied := func(h *hypergraph.Hypergraph) (n int) {
+		for i := 0; i < h.NumPartitions(); i++ {
+			if len(h.Partition(i).Edges) == 0 {
+				n++
+			}
+		}
+		return n
+	}
+	delta, compacted := graphs[2].Graph, graphs[3].Graph
+	if emptied(delta) == 0 || delta.NumLiveEdges() == delta.NumEdges() {
+		t.Fatalf("%s: no tombstones or no emptied table slot", graphs[2].Name)
+	}
+	if emptied(compacted) != 0 || compacted.NumLiveEdges() != delta.NumLiveEdges() {
+		t.Fatalf("%s: %d emptied slots, %d live edges (delta has %d)", graphs[3].Name, emptied(compacted), compacted.NumLiveEdges(), delta.NumLiveEdges())
 	}
 }

@@ -59,9 +59,6 @@ func (r *Registry) EnableDurability(cfg DurabilityConfig) error {
 	if len(r.graphs) > 0 {
 		return errors.New("server: EnableDurability must precede graph registration")
 	}
-	if r.shards > 1 {
-		return errors.New("server: sharding and durability are mutually exclusive")
-	}
 	r.dur = &cfg
 	return nil
 }
@@ -109,11 +106,9 @@ func (r *Registry) ReadOnlyNames() []string {
 // makes the drain sound: an Acquire racing Close could otherwise Add to
 // the inflight WaitGroup after Wait saw zero (WaitGroup reuse panic) or
 // take a reference the teardown below would unmap anyway. It then drains
-// every outstanding Acquire reference: a scatter coordinator holds one
-// acquired snapshot across a whole fan-out of pool sub-runs, so releasing
-// the mapped tier on the strength of per-request Retains alone would race
-// the fan-out's tail (the PR 8 refcount path assumed one handler frame
-// per reference). Ingest must still be quiesced by the caller before
+// every outstanding Acquire reference: a handler holds one across its
+// whole engine run, so Close waits for in-flight runs before it releases
+// the mapped tier. Ingest must still be quiesced by the caller before
 // Close.
 func (r *Registry) Close() error {
 	r.mu.Lock()

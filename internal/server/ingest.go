@@ -13,34 +13,6 @@ import (
 	"hgmatch/internal/hgio"
 )
 
-// liveGraph is the write surface ingest and compaction drive: a plain
-// *hgmatch.DeltaBuffer, or a *hgmatch.ShardedGraph that applies each
-// record to the mirror buffer AND routes it to the owning shard's buffer
-// (cluster mode stage 1 — see internal/shard). Keeping the handler logic
-// on this interface is what guarantees sharded and solo ingest share
-// every semantic: dedup, tombstones, publication and compaction counts
-// all come from the same mirror code path.
-type liveGraph interface {
-	InsertLabelled(el hgmatch.Label, vertices ...uint32) (hgmatch.EdgeID, bool, error)
-	DeleteLabelled(el hgmatch.Label, vertices ...uint32) (bool, error)
-	AddVertex(l hgmatch.Label) hgmatch.VertexID
-	Base() *hgmatch.Hypergraph
-	NumVertices() int
-	Publish() *hgmatch.Hypergraph
-	PendingEdges() int
-	TombstonedEdges() int
-	CompactCounted() (*hgmatch.Hypergraph, int, int, error)
-}
-
-// writeSurface resolves the entry's write surface: the shard router when
-// the registry is sharded, the heap DeltaBuffer otherwise.
-func (e *graphEntry) writeSurface(live *hgmatch.DeltaBuffer) liveGraph {
-	if e.sharded != nil {
-		return e.sharded
-	}
-	return live
-}
-
 // handleIngest implements POST /graphs/{name}/edges: NDJSON bulk ingest of
 // hyperedge inserts/deletes (and vertex adds) into the named live graph.
 //
@@ -74,7 +46,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	target := e.writeSurface(live)
 	start := time.Now()
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	dec.DisallowUnknownFields()
@@ -120,7 +91,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	var applyErr string
 	for i := range recs {
 		sum.Lines++
-		if err := applyRecord(target, &recs[i], &sum); err != nil {
+		if err := applyRecord(live, &recs[i], &sum); err != nil {
 			applyErr = fmt.Sprintf("line %d: %v", sum.Lines, err)
 			break
 		}
@@ -142,7 +113,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		sum.Durable = durable
 		sum.WalSeq = seq
 	}
-	s.publishIngest(name, e, target, &sum, start)
+	s.publishIngest(name, e, live, &sum, start)
 	if applyErr != "" {
 		// Semantic failures stay partial by contract (the summary says how
 		// far the batch got), and the applied prefix is journaled+published
@@ -166,10 +137,9 @@ func writeReadOnly(w http.ResponseWriter, name, reason string) {
 // applyRecord applies one record to the live graph, updating the summary.
 // add_vertex records are normalised in place to their numeric label, so
 // the record journals (and replays) without a dictionary lookup. Shared by
-// the ingest handler (on either write surface — plain or sharded) and WAL
-// replay (durability.go), which is what makes recovery replay exactly what
-// the handler did.
-func applyRecord(live liveGraph, rec *hgio.IngestRecord, sum *hgio.IngestSummary) error {
+// the ingest handler and WAL replay (durability.go), which is what makes
+// recovery replay exactly what the handler did.
+func applyRecord(live *hgmatch.DeltaBuffer, rec *hgio.IngestRecord, sum *hgio.IngestSummary) error {
 	op := rec.Op
 	if op == "" && len(rec.Vertices) > 0 {
 		op = "insert"
@@ -217,7 +187,7 @@ func applyRecord(live liveGraph, rec *hgio.IngestRecord, sum *hgio.IngestSummary
 // numeric "label" field, or "label_name" resolved against the graph's
 // dictionary (names never intern new dictionary entries online — the
 // dictionary is shared by live snapshots and must stay immutable).
-func resolveLabel(live liveGraph, rec *hgio.IngestRecord) (hgmatch.Label, error) {
+func resolveLabel(live *hgmatch.DeltaBuffer, rec *hgio.IngestRecord) (hgmatch.Label, error) {
 	if rec.Label != nil {
 		return *rec.Label, nil
 	}
@@ -255,7 +225,7 @@ func (e errUnknownLabel) Error() string {
 // buffer the records were applied to — re-resolving the name could hit a
 // concurrently re-registered replacement and leave the writes unpublished
 // while reporting the replacement's version.
-func (s *Server) publishIngest(name string, e *graphEntry, live liveGraph, sum *hgio.IngestSummary, start time.Time) {
+func (s *Server) publishIngest(name string, e *graphEntry, live *hgmatch.DeltaBuffer, sum *hgio.IngestSummary, start time.Time) {
 	h := live.Publish() // writer-side: blocks until this batch's writes are live
 	sum.Version = e.version(h)
 	sum.PendingEdges = live.PendingEdges()
@@ -309,7 +279,7 @@ func (e errGraphReadOnly) Error() string { return "graph is read-only: " + strin
 // ingest lock so no concurrent batch lands between the fold and the
 // truncation (it would be dropped from the log while missing from the
 // checkpoint).
-func (s *Server) compactGraph(name string, e *graphEntry, live liveGraph) (nh *hgmatch.Hypergraph, folded, dropped int, err error) {
+func (s *Server) compactGraph(name string, e *graphEntry, live *hgmatch.DeltaBuffer) (nh *hgmatch.Hypergraph, folded, dropped int, err error) {
 	e.ingestMu.Lock()
 	defer e.ingestMu.Unlock()
 	if reason, ro := e.readOnly(); ro {
@@ -345,7 +315,7 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 	_, before, _ := s.graphs.GetVersioned(name)
 	// Counts come from the fold itself: reading them beforehand would
 	// race with a concurrent ingest and under-report.
-	nh, folded, dropped, err := s.compactGraph(name, e, e.writeSurface(live))
+	nh, folded, dropped, err := s.compactGraph(name, e, live)
 	if err != nil {
 		var ro errGraphReadOnly
 		if errors.As(err, &ro) {

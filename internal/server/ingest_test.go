@@ -129,8 +129,17 @@ func TestIngestPublishesOnce(t *testing.T) {
 }
 
 // sortedMatchLines runs POST /match and returns the embedding lines sorted
-// (stream order is nondeterministic across workers) plus the summary.
+// (an uncapped stream's order is free across workers) plus the summary.
 func sortedMatchLines(t testing.TB, ts *httptest.Server, req hgio.MatchRequest) ([]string, hgio.MatchSummary) {
+	t.Helper()
+	lines, summary := matchLines(t, ts, req)
+	sort.Strings(lines)
+	return lines, summary
+}
+
+// matchLines runs POST /match and returns the embedding lines in stream
+// order plus the summary.
+func matchLines(t testing.TB, ts *httptest.Server, req hgio.MatchRequest) ([]string, hgio.MatchSummary) {
 	t.Helper()
 	resp, err := http.Post(ts.URL+"/match", "application/json", matchBody(t, req))
 	if err != nil {
@@ -163,7 +172,6 @@ func sortedMatchLines(t testing.TB, ts *httptest.Server, req hgio.MatchRequest) 
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	sort.Strings(lines)
 	return lines, summary
 }
 
@@ -381,11 +389,11 @@ func TestConcurrentIngestAndMatchHTTP(t *testing.T) {
 
 // TestIngestMatchGoldenDense is TestIngestMatchGolden on a graph dense
 // enough to activate the bitmap posting-container sidecar (one label,
-// small arities, hundreds of edges per signature table): /match responses
-// must stay byte-identical (modulo stream order) across three servings of
-// the same edge set — a cold offline build (sidecars on), the same build
-// with sidecars stripped (the pre-hybrid array-only path), and a live
-// graph grown by online ingest — before and after compaction.
+// small arities, hundreds of edges per signature table): capped /match
+// streams must stay byte-identical, in order, across three servings of the
+// same edge set — a cold offline build (sidecars on), the same build with
+// sidecars stripped (the pre-hybrid array-only path), and a live graph
+// grown by online ingest — before and after compaction.
 func TestIngestMatchGoldenDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	cold := hgtest.RandomHypergraph(rng, hgtest.RandomConfig{
@@ -422,13 +430,9 @@ func TestIngestMatchGoldenDense(t *testing.T) {
 	// query texts as one entry, and with a single label the sampler
 	// redraws isomorphic queries often — a cached plan's matching order
 	// (numbered in the earlier text's edge IDs) would make the capped
-	// single-worker streams diverge spuriously. Every request compiles
-	// the exact text under test, so orders are deterministic per text. The
-	// pool is one worker wide: a request's workers field only caps how many
-	// pool workers attach at once, they still take turns from their own
-	// deques, so "single-worker enumeration order is fixed" (below) holds
-	// only on a pool of one.
-	s := New(reg, Config{PlanCacheSize: -1, Workers: 1})
+	// streams diverge spuriously. Every request compiles the exact text
+	// under test, so orders are deterministic per text.
+	s := New(reg, Config{PlanCacheSize: -1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -456,18 +460,18 @@ func TestIngestMatchGoldenDense(t *testing.T) {
 				continue
 			}
 			qText := graphText(t, q)
-			// One worker + a result cap keep the comparison deterministic
-			// AND fast: single-worker enumeration order is fixed, so the
-			// capped prefix is the same for every serving of the edge set.
-			req := hgio.MatchRequest{Graph: "cold", Query: qText, Workers: 1, Limit: 5000}
-			wantLines, wantSum := sortedMatchLines(t, ts, req)
+			// A result cap keeps the comparison deterministic AND fast: a
+			// capped stream is the first rows of the sequential order, so it
+			// is the same for every serving of the edge set.
+			req := hgio.MatchRequest{Graph: "cold", Query: qText, Limit: 5000}
+			wantLines, wantSum := matchLines(t, ts, req)
 			if len(wantLines) == 0 {
 				continue
 			}
 			compared++
 			for _, g := range []string{"cold_arrays", "live"} {
 				req.Graph = g
-				gotLines, gotSum := sortedMatchLines(t, ts, req)
+				gotLines, gotSum := matchLines(t, ts, req)
 				if strings.Join(gotLines, "\n") != strings.Join(wantLines, "\n") {
 					t.Fatalf("%s: query %d: %s stream diverges from cold (%d vs %d lines)",
 						stage, i, g, len(gotLines), len(wantLines))

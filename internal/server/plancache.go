@@ -60,23 +60,16 @@ func NewPlanCache(capacity int) *PlanCache {
 }
 
 // Key builds the cache key for a query against one version of a named
-// data graph under one shard topology. The graph name is length-prefixed
-// so (name, querykey) pairs cannot collide across graphs whatever bytes
-// the names contain; the version keeps plans compiled against a replaced
-// graph from ever being served for its successor (see
-// Registry.GetVersioned); shards (1 = unsharded) keys the topology the
-// request will scatter over, so a re-sharded deployment can never serve a
-// plan whose scatter assumptions belong to a different N.
-func Key(graph string, version uint64, shards int, queryKey string) string {
-	b := make([]byte, 0, 16+len(graph)+len(queryKey))
+// data graph. The graph name is length-prefixed so (name, querykey) pairs
+// cannot collide across graphs whatever bytes the names contain; the
+// version keeps plans compiled against a replaced graph from ever being
+// served for its successor (see Registry.GetVersioned).
+func Key(graph string, version uint64, queryKey string) string {
+	b := make([]byte, 0, 12+len(graph)+len(queryKey))
 	b = append(b, GraphPrefix(graph)...)
 	for shift := 56; shift >= 0; shift -= 8 {
 		b = append(b, byte(version>>shift))
 	}
-	if shards < 1 {
-		shards = 1
-	}
-	b = append(b, byte(shards>>24), byte(shards>>16), byte(shards>>8), byte(shards))
 	b = append(b, queryKey...)
 	return string(b)
 }

@@ -66,13 +66,13 @@ func TestPlanCacheReset(t *testing.T) {
 func TestKeyUnambiguous(t *testing.T) {
 	// The length prefix must keep (graph, querykey) splits apart even when
 	// their concatenations collide.
-	if Key("ab", 1, 1, "c") == Key("a", 1, 1, "bc") {
+	if Key("ab", 1, "c") == Key("a", 1, "bc") {
 		t.Fatal("key collision across graph-name boundary")
 	}
-	if Key("g", 1, 1, "q") != Key("g", 1, 1, "q") {
+	if Key("g", 1, "q") != Key("g", 1, "q") {
 		t.Fatal("key not deterministic")
 	}
-	if Key("g", 1, 1, "q") == Key("g", 2, 1, "q") {
+	if Key("g", 1, "q") == Key("g", 2, "q") {
 		t.Fatal("graph version must separate cache keys")
 	}
 }
@@ -176,17 +176,17 @@ func TestPlanCacheMidFlightPurge(t *testing.T) {
 func TestPlanCacheDropPrefix(t *testing.T) {
 	c := NewPlanCache(8)
 	p := testPlan(t)
-	c.Put(Key("g1", 1, 1, "qa"), p)
-	c.Put(Key("g1", 2, 1, "qb"), p)
-	c.Put(Key("g2", 1, 1, "qa"), p)
+	c.Put(Key("g1", 1, "qa"), p)
+	c.Put(Key("g1", 2, "qb"), p)
+	c.Put(Key("g2", 1, "qa"), p)
 	c.DropPrefix(GraphPrefix("g1"))
-	if _, ok := c.Get(Key("g1", 1, 1, "qa")); ok {
+	if _, ok := c.Get(Key("g1", 1, "qa")); ok {
 		t.Fatal("g1 v1 plan survived DropPrefix")
 	}
-	if _, ok := c.Get(Key("g1", 2, 1, "qb")); ok {
+	if _, ok := c.Get(Key("g1", 2, "qb")); ok {
 		t.Fatal("g1 v2 plan survived DropPrefix")
 	}
-	if _, ok := c.Get(Key("g2", 1, 1, "qa")); !ok {
+	if _, ok := c.Get(Key("g2", 1, "qa")); !ok {
 		t.Fatal("g2 plan was wrongly dropped")
 	}
 }

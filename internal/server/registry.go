@@ -1,7 +1,6 @@
 package server
 
 import (
-	"errors"
 	"fmt"
 	"log"
 	"sort"
@@ -51,17 +50,12 @@ type Registry struct {
 	// checkpoint + WAL under dur.Dir and routes Add through recovery.
 	// Durability and mapped registration are mutually exclusive.
 	dur *DurabilityConfig
-	// shards, when > 1 (SetShards), partitions every graph registered
-	// after the call across that many intra-process shards; Add then
-	// builds a ShardedGraph and the match path scatters across it.
-	// Mutually exclusive with durability and mapped registration.
-	shards int
 
 	// inflight counts Acquire references not yet released. Close drains it
-	// before dropping the registry's mapped-tier references: a scatter
-	// coordinator fans one acquired snapshot out to many pool sub-runs, so
-	// the window between Acquire and release is no longer one handler's
-	// stack frame — Close must not pull mappings out from under it.
+	// before dropping the registry's mapped-tier references: a handler
+	// holds its reference for the whole engine run, not just for planning,
+	// so Close must not pull mappings out from under a run still reading
+	// them.
 	// closed (guarded by mu) fails new Acquires once Close begins, so the
 	// drain can never race a fresh inflight.Add against inflight.Wait
 	// (WaitGroup reuse panic) or hand out a mapping Close is about to
@@ -110,12 +104,6 @@ type graphEntry struct {
 	info        hgio.GraphInfo
 	infoVersion uint64 // combined version info was computed at; 0 = never
 
-	// sharded, when non-nil, is the graph's shard set (SetShards); live
-	// then holds sharded.Live() — the mirror buffer — so every snapshot
-	// and version path works unchanged, while ingest and matching route
-	// through the ShardedGraph.
-	sharded *hgmatch.ShardedGraph
-
 	// ingestMu serialises writers (ingest apply+journal+publish, and
 	// compaction+checkpoint+truncate), so WAL order is apply order and a
 	// checkpoint can never race the appends it is folding in. Readers
@@ -152,70 +140,6 @@ func (r *Registry) SetResidentBudget(n int64) { r.budget.Store(n) }
 // (reading the whole file once) before serving from it.
 func (r *Registry) SetMapVerify(v bool) { r.mapVerify.Store(v) }
 
-// SetShards partitions every graph registered after the call across n
-// intra-process shards (cluster mode, stage 1; see internal/shard). Call
-// it on an empty registry, before Add/LoadFile. n <= 1 is a no-op.
-// Mutually exclusive with durability (a shard set has no WAL replay
-// story yet) and with mapped registration (shards are heap-resident).
-func (r *Registry) SetShards(n int) error {
-	if n <= 1 {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.dur != nil {
-		return errors.New("server: sharding and durability are mutually exclusive")
-	}
-	if len(r.graphs) > 0 {
-		return errors.New("server: SetShards must precede graph registration")
-	}
-	r.shards = n
-	return nil
-}
-
-// Shards returns the configured shard count (1 = unsharded).
-func (r *Registry) Shards() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if r.shards <= 1 {
-		return 1
-	}
-	return r.shards
-}
-
-// Sharded returns the named graph's shard set, if the registry is sharded.
-func (r *Registry) Sharded(name string) (*hgmatch.ShardedGraph, bool) {
-	e, ok := r.entry(name)
-	if !ok || e.sharded == nil {
-		return nil, false
-	}
-	return e.sharded, true
-}
-
-// ShardStats reports every sharded graph's per-shard resident volume for
-// GET /stats, sorted by graph name.
-func (r *Registry) ShardStats() []hgio.GraphShardStats {
-	var out []hgio.GraphShardStats
-	for _, name := range r.Names() {
-		e, ok := r.entry(name)
-		if !ok || e.sharded == nil {
-			continue
-		}
-		row := hgio.GraphShardStats{Graph: name}
-		for _, s := range e.sharded.Stats() {
-			row.Shards = append(row.Shards, hgio.ShardStats{
-				Shard:        s.Shard,
-				Edges:        s.Edges,
-				Partitions:   s.Partitions,
-				PendingEdges: s.PendingEdges,
-				DeadEdges:    s.DeadEdges,
-			})
-		}
-		out = append(out, row)
-	}
-	return out
-}
-
 // errRegistryClosed rejects Acquire once Close has begun draining; the
 // server maps it to 503 (shutting down), not 404. It wraps the serving
 // stack's single shutdown sentinel, hgio.ErrShuttingDown — the same one a
@@ -225,7 +149,7 @@ var errRegistryClosed = fmt.Errorf("server: registry closed: %w", hgio.ErrShutti
 
 // track registers one in-flight snapshot reference and wraps its release:
 // idempotent (handlers release on every path, sometimes twice under
-// defer+explicit), and counted so Close can drain scatter fan-outs before
+// defer+explicit), and counted so Close can drain in-flight runs before
 // tearing down the mapped tier. The Add happens under the registry lock
 // with the closed flag checked: Close flips the flag under the write lock
 // before it calls inflight.Wait, so every Add either strictly precedes the
@@ -264,24 +188,12 @@ func (r *Registry) Add(name string, h *hgmatch.Hypergraph) error {
 	if dur != nil {
 		return r.addDurable(name, *dur, func() (*hgmatch.Hypergraph, error) { return h, nil })
 	}
-	r.mu.RLock()
-	shards := r.shards
-	r.mu.RUnlock()
-	e := &graphEntry{}
-	if shards > 1 {
-		sg, err := hgmatch.NewShardedGraph(h, shards)
-		if err != nil {
-			return fmt.Errorf("server: registering sharded graph %q: %w", name, err)
-		}
-		e.sharded = sg
-		e.live.Store(sg.Live())
-	} else {
-		live, err := hgmatch.NewDeltaBuffer(h)
-		if err != nil {
-			return fmt.Errorf("server: registering graph %q: %w", name, err)
-		}
-		e.live.Store(live)
+	live, err := hgmatch.NewDeltaBuffer(h)
+	if err != nil {
+		return fmt.Errorf("server: registering graph %q: %w", name, err)
 	}
+	e := &graphEntry{}
+	e.live.Store(live)
 	r.install(name, e)
 	return nil
 }
@@ -295,13 +207,9 @@ func (r *Registry) Add(name string, h *hgmatch.Hypergraph) error {
 func (r *Registry) RegisterMapped(name, path string) error {
 	r.mu.RLock()
 	dur := r.dur
-	shards := r.shards
 	r.mu.RUnlock()
 	if dur != nil {
 		return fmt.Errorf("server: mapped graph %q: tiered residency and durability are mutually exclusive", name)
-	}
-	if shards > 1 {
-		return fmt.Errorf("server: mapped graph %q: tiered residency and sharding are mutually exclusive", name)
 	}
 	pk, err := hgio.PeekFile(path)
 	if err != nil {

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"hgmatch"
 	"hgmatch/internal/hgio"
@@ -488,5 +489,74 @@ func TestResidencyGoldenEquivalence(t *testing.T) {
 		if strings.Join(got, "\n") != strings.Join(golden, "\n") {
 			t.Fatalf("%s diverges from heap-v2 after ingest:\n%v\nwant:\n%v", v.name, got, golden)
 		}
+	}
+}
+
+// TestShardRegistryCloseDrainsInflight pins Close ordering: a handler holds
+// its Acquire reference for the whole engine run, so Close must block until
+// every reference is released before tearing down the registry's residency
+// state.
+func TestShardRegistryCloseDrainsInflight(t *testing.T) {
+	h, _ := hgmatch.Load(strings.NewReader(fig1DataText))
+	reg := NewRegistry()
+	reg.Add("fig1", h)
+	_, _, release, err := reg.Acquire("fig1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan struct{})
+	go func() {
+		reg.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while an Acquire reference was outstanding")
+	case <-time.After(30 * time.Millisecond):
+	}
+	release()
+	select {
+	case <-closed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close still blocked after the last reference was released")
+	}
+	// Releases are idempotent: a handler's defer after an explicit release
+	// must not panic or double-count.
+	release()
+}
+
+// TestShardRegistryCloseRejectsNewAcquires: once Close begins, new
+// Acquires must fail (the no-requests-after-Close contract is enforced, not
+// just documented) — otherwise an Acquire racing the drain could Add to the
+// inflight WaitGroup after Wait observed zero (WaitGroup reuse panic) or
+// take a mapped reference Close is about to release. The hammer loop runs
+// under -race in CI.
+func TestShardRegistryCloseRejectsNewAcquires(t *testing.T) {
+	h, _ := hgmatch.Load(strings.NewReader(fig1DataText))
+	reg := NewRegistry()
+	reg.Add("fig1", h)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for j := 0; j < 200; j++ {
+				_, _, release, err := reg.Acquire("fig1")
+				if err != nil {
+					return // registry closed under us: the expected refusal
+				}
+				release()
+			}
+		}()
+	}
+	close(start)
+	if err := reg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	if _, _, _, err := reg.Acquire("fig1"); err == nil {
+		t.Fatal("Acquire after Close succeeded")
 	}
 }

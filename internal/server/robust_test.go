@@ -191,8 +191,8 @@ func TestBudgetEndToEnd(t *testing.T) {
 }
 
 // cliqueServer registers a single-label complete graph K_n (as
-// heavyServer) under a caller-chosen Config, optionally sharded.
-func cliqueServer(t testing.TB, n, shards int, cfg Config) *Server {
+// heavyServer) under a caller-chosen Config.
+func cliqueServer(t testing.TB, n int, cfg Config) *Server {
 	t.Helper()
 	labels := make([]uint32, n)
 	var edges [][]uint32
@@ -206,11 +206,6 @@ func cliqueServer(t testing.TB, n, shards int, cfg Config) *Server {
 		t.Fatal(err)
 	}
 	reg := NewRegistry()
-	if shards > 1 {
-		if err := reg.SetShards(shards); err != nil {
-			t.Fatal(err)
-		}
-	}
 	if err := reg.Add("clique", h); err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +235,7 @@ func waitStats(t testing.TB, base string, what string, pred func(hgio.SchedulerS
 // it, and the server keeps serving other clients at full speed. Needs a
 // real listener — httptest recorders don't implement write deadlines.
 func TestSlowClientAborted(t *testing.T) {
-	s := cliqueServer(t, 60, 1, Config{
+	s := cliqueServer(t, 60, Config{
 		WriteTimeout: 200 * time.Millisecond,
 		Admission:    AdmissionConfig{Enabled: true, TenantQuota: 1 << 40, CheapThreshold: 1},
 	})
@@ -273,59 +268,55 @@ func TestSlowClientAborted(t *testing.T) {
 }
 
 // TestClientDisconnectMidStream hangs up partway through a heavy NDJSON
-// stream — on the solo path and the sharded scatter path — and asserts
-// the containment ledger: the run cancels promptly (active requests and
-// tenants drain to zero, so admission cost and shard units are released),
-// no blocks leak, and the next request is exact. Several clients
-// disconnect concurrently to stress the teardown interleavings.
+// stream and asserts the containment ledger: the run cancels promptly
+// (active requests and tenants drain to zero, so admission cost is
+// released), no blocks leak, and the next request is exact. Several
+// clients disconnect concurrently to stress the teardown interleavings.
 func TestClientDisconnectMidStream(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		shards int
-	}{{"solo", 1}, {"sharded", 4}} {
-		t.Run(tc.name, func(t *testing.T) {
-			s := cliqueServer(t, 40, tc.shards, Config{
-				Admission: AdmissionConfig{Enabled: true, TenantQuota: 1 << 40, CheapThreshold: 1},
-			})
-			defer s.Close()
-			srv := httptest.NewServer(s.Handler())
-			defer srv.Close()
-			addr := strings.TrimPrefix(srv.URL, "http://")
-			body, err := json.Marshal(hgio.MatchRequest{Graph: "clique", Query: pathQueryText, TimeoutMs: 120_000})
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			clients := chaosRounds(12, 4)
-			var wg sync.WaitGroup
-			for c := 0; c < clients; c++ {
-				wg.Add(1)
-				go func(c int) {
-					defer wg.Done()
-					conn, err := hgtest.DialRequest(addr, http.MethodPost, "/match", string(body))
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					// Read a slice of the stream, then vanish mid-line.
-					io := make([]byte, 256*(1+c%8))
-					conn.Read(io)
-					conn.Close()
-				}(c)
-			}
-			wg.Wait()
-
-			st := waitStats(t, srv.URL, "disconnect drain", func(st hgio.SchedulerStats) bool {
-				return st.ActiveRequests == 0 && st.ActiveTenants == 0
-			})
-			if st.LeakedBlocks != 0 {
-				t.Fatalf("disconnects leaked %d blocks", st.LeakedBlocks)
-			}
-			if code, recs, sum := postMatch(t, srv.URL, hgio.MatchRequest{Graph: "clique", Query: pathQueryText, Limit: 7}); code != 200 || len(recs) != 7 || sum.Error != "" {
-				t.Fatalf("service degraded after disconnects: status=%d records=%d err=%q", code, len(recs), sum.Error)
-			}
+	// The sharded scatter case is gone with sharded serving; the
+	// single-graph path keeps its case name.
+	t.Run("solo", func(t *testing.T) {
+		s := cliqueServer(t, 40, Config{
+			Admission: AdmissionConfig{Enabled: true, TenantQuota: 1 << 40, CheapThreshold: 1},
 		})
-	}
+		defer s.Close()
+		srv := httptest.NewServer(s.Handler())
+		defer srv.Close()
+		addr := strings.TrimPrefix(srv.URL, "http://")
+		body, err := json.Marshal(hgio.MatchRequest{Graph: "clique", Query: pathQueryText, TimeoutMs: 120_000})
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		clients := chaosRounds(12, 4)
+		var wg sync.WaitGroup
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				conn, err := hgtest.DialRequest(addr, http.MethodPost, "/match", string(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				// Read a slice of the stream, then vanish mid-line.
+				io := make([]byte, 256*(1+c%8))
+				conn.Read(io)
+				conn.Close()
+			}(c)
+		}
+		wg.Wait()
+
+		st := waitStats(t, srv.URL, "disconnect drain", func(st hgio.SchedulerStats) bool {
+			return st.ActiveRequests == 0 && st.ActiveTenants == 0
+		})
+		if st.LeakedBlocks != 0 {
+			t.Fatalf("disconnects leaked %d blocks", st.LeakedBlocks)
+		}
+		if code, recs, sum := postMatch(t, srv.URL, hgio.MatchRequest{Graph: "clique", Query: pathQueryText, Limit: 7}); code != 200 || len(recs) != 7 || sum.Error != "" {
+			t.Fatalf("service degraded after disconnects: status=%d records=%d err=%q", code, len(recs), sum.Error)
+		}
+	})
 }
 
 // TestReadyzLifecycle walks the readiness state machine: ready on build,

@@ -31,7 +31,8 @@
 // across requests, embeddings stream through hgmatch.WithGroupCallback —
 // one (partial embedding, candidate run) group per call — into per-worker
 // NDJSON buffers (no per-embedding lock or reflection, nothing materialises
-// server-side; lines from different workers interleave), and
+// server-side; an uncapped stream interleaves workers' lines, a capped one
+// is the first rows of the sequential order), and
 // every run is wired to the request context through hgmatch.WithContext so
 // a client disconnect stops enumeration mid-run. All matches execute on
 // one process-wide hgmatch.Pool (Config.Workers) under weighted fair
@@ -106,11 +107,11 @@ type Config struct {
 	// leaves admission off (every request runs immediately).
 	Admission AdmissionConfig
 	// RequestMaxBytes bounds each request's accounted engine memory
-	// (hgmatch.WithMaxMemory): embedding blocks and the scatter gather
-	// window. 0 disables the budget. A request whose plan cannot
-	// fit even its minimum footprint is refused upfront with 413; a run
-	// that crosses the budget mid-flight is aborted with the same
-	// budget_exceeded code. See cmd/hgserve's -request-max-bytes.
+	// (hgmatch.WithMaxMemory): its embedding blocks. 0 disables the
+	// budget. A request whose plan cannot fit even its minimum footprint
+	// is refused upfront with 413; a run that crosses the budget
+	// mid-flight is aborted with the same budget_exceeded code. See
+	// cmd/hgserve's -request-max-bytes.
 	RequestMaxBytes int64
 	// WriteTimeout bounds each write of the NDJSON stream to the client.
 	// A connection that misses the deadline is treated as a stalled
@@ -164,10 +165,6 @@ type Server struct {
 	// burst of over-threshold ingests schedules one fold, not one per
 	// request.
 	compacting sync.Map // graph name -> struct{}
-
-	// scatters counts /match and /count requests served by sharded
-	// scatter-gather (GET /stats).
-	scatters atomic.Uint64
 
 	// Robustness counters (GET /stats): each increments when the
 	// containment layer absorbs a fault instead of letting it take the
@@ -326,7 +323,7 @@ func (s *Server) plan(req *hgio.MatchRequest) (*hgmatch.Plan, bool, func(), erro
 		release()
 		return nil, false, nil, badRequestError{err}
 	}
-	key := Key(req.Graph, version, s.graphs.Shards(), hgmatch.QueryKey(query))
+	key := Key(req.Graph, version, hgmatch.QueryKey(query))
 	p, cached, err := s.plans.GetOrCompute(key, func() (*hgmatch.Plan, error) {
 		p, err := hgmatch.Compile(query, data)
 		if err != nil {
@@ -533,9 +530,9 @@ func summarise(res hgmatch.Result, plan *hgmatch.Plan, cached bool) hgio.MatchSu
 // guardedWriter is the slow-client guard on an NDJSON response: every
 // write (whole lines only) runs under a deadline, and the first failed or
 // timed-out write marks the connection broken, cancels the run's context —
-// releasing its pool slots, shard units and (via the handler's defers)
-// admission cost — and drops all further output. A stalled reader
-// therefore costs one write timeout, never a pinned worker set.
+// releasing its pool slots and (via the handler's defers) admission cost —
+// and drops all further output. A stalled reader therefore costs one write
+// timeout, never a pinned worker set.
 type guardedWriter struct {
 	w       http.ResponseWriter
 	rc      *http.ResponseController
@@ -611,7 +608,9 @@ type matchShard struct {
 // under shardFlushBytes is a single guarded write. Lines from different
 // workers interleave, but each worker's rows keep their order and every
 // drained buffer holds whole lines, so the NDJSON framing is preserved. A
-// Limited request reaches the same callback as groups of one.
+// request with a limit reaches the same callback as groups of one, all on
+// worker 0: its shard holds the first limit rows of the sequential order,
+// in that order.
 func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	req, ok := s.decodeRequest(w, r)
 	if !ok {
@@ -642,11 +641,6 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		s.slowClientAborts.Add(1)
 		log.Printf("server: slow client: graph=%q write failed (%v); run cancelled, output dropped", req.Graph, err)
 	})
-	if sg, ok := s.graphs.Sharded(req.Graph); ok {
-		s.serveShardedMatch(w, gw, req, sg, plan, cached, opts)
-		return
-	}
-
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Plan-Cache", cacheHeader(cached))
 
@@ -737,39 +731,6 @@ func appendSummary(dst []byte, sum hgio.MatchSummary) []byte {
 	return append(append(dst, line...), '\n')
 }
 
-// serveShardedMatch streams a scattered /match. The coordinator merges
-// the shard sub-runs into one deterministic embedding stream (per-unit
-// sorted, unit-order concatenated — identical for every shard count) and
-// replays it through one serialised callback, so this path needs no
-// per-worker shard buffers or background flusher: a single buffer
-// accumulates merged lines and ships them through the slow-client guard a
-// chunk at a time, then the closing summary (or error trailer). The
-// X-Shards header reports the topology without touching the MatchSummary
-// wire shape, keeping sharded and solo bodies byte-comparable.
-func (s *Server) serveShardedMatch(w http.ResponseWriter, gw *guardedWriter, req *hgio.MatchRequest, sg *hgmatch.ShardedGraph, plan *hgmatch.Plan, cached bool, opts []hgmatch.Option) {
-	s.scatters.Add(1)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Plan-Cache", cacheHeader(cached))
-	w.Header().Set("X-Shards", strconv.Itoa(sg.NumShards()))
-	var buf []byte
-	opts = append(opts, hgmatch.WithCallback(func(m []hgmatch.EdgeID) {
-		if gw.broken.Load() {
-			// Client gone: the guard already cancelled the run (which also
-			// stops the scatter claiming new shard units); dropping the
-			// buffer bounds this connection's encode memory meanwhile.
-			buf = buf[:0]
-			return
-		}
-		buf = hgio.AppendEmbeddingRecord(buf, m)
-		if len(buf) >= shardFlushBytes {
-			gw.write(buf)
-			buf = buf[:0]
-		}
-	}))
-	res := s.recordRun(req.Graph, s.pool.RunSharded(plan, sg, opts...))
-	gw.write(appendSummary(buf, summarise(res, plan, cached)))
-}
-
 // handleCount runs the same pipeline as /match with the sink counting
 // instead of streaming; the body is a single MatchSummary.
 func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
@@ -792,14 +753,7 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	opts, _ := s.options(r.Context(), req)
-	var res hgmatch.Result
-	if sg, ok := s.graphs.Sharded(req.Graph); ok {
-		s.scatters.Add(1)
-		w.Header().Set("X-Shards", strconv.Itoa(sg.NumShards()))
-		res = s.recordRun(req.Graph, s.pool.RunSharded(plan, sg, opts...))
-	} else {
-		res = s.recordRun(req.Graph, s.pool.Run(plan, opts...))
-	}
+	res := s.recordRun(req.Graph, s.pool.Run(plan, opts...))
 	if status, code, ok := runErrStatus(res.Err); ok {
 		// /count has not written its body yet, so failures keep a proper
 		// status code instead of /match's mid-stream trailer.
@@ -871,11 +825,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if s.adm.cfg.Enabled {
 		out.CheapThreshold = s.adm.cfg.CheapThreshold
 		out.TenantQuota = s.adm.cfg.TenantQuota
-	}
-	if n := s.graphs.Shards(); n > 1 {
-		out.ShardsConfigured = n
-		out.ScatterRequests = s.scatters.Load()
-		out.ShardGraphs = s.graphs.ShardStats()
 	}
 	writeJSON(w, out)
 }

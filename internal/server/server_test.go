@@ -315,7 +315,7 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 // writes plus the tail (plus what the 200 ms flusher drained, if the run was
 // slow enough for it to tick).
 func TestMatchGuardedWriteCount(t *testing.T) {
-	s := cliqueServer(t, 14, 1, Config{})
+	s := cliqueServer(t, 14, Config{})
 	defer s.Close()
 	serve := func(req hgio.MatchRequest) (*countingWriter, hgio.MatchSummary, time.Duration) {
 		t.Helper()
@@ -712,7 +712,7 @@ func BenchmarkPlanCompileVsCacheGet(b *testing.B) {
 	b.Run("cache-get", func(b *testing.B) {
 		c := NewPlanCache(8)
 		p, _ := hgmatch.Compile(query, data)
-		key := Key("fig1", 1, 1, hgmatch.QueryKey(query))
+		key := Key("fig1", 1, hgmatch.QueryKey(query))
 		c.Put(key, p)
 		for i := 0; i < b.N; i++ {
 			if _, ok := c.Get(key); !ok {

@@ -2,6 +2,7 @@ package shard_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -37,7 +38,7 @@ func scatterPlan(t *testing.T, seed int64) (*core.Plan, *hypergraph.Hypergraph) 
 
 // wideWorkload builds a single-table graph whose SCAN has thousands of
 // candidates, so a scatter splits it into several units (unitEdges = 1024)
-// and the multi-unit merge path is exercised, not just the 1-unit one.
+// and the multi-unit merge is exercised, not just the 1-unit one.
 func wideWorkload(t *testing.T) (*core.Plan, *hypergraph.Hypergraph) {
 	t.Helper()
 	const L, edges = 7, 2500
@@ -61,10 +62,10 @@ func wideWorkload(t *testing.T) (*core.Plan, *hypergraph.Hypergraph) {
 	return p, h
 }
 
-// TestShardScatterMatchesSolo pins the scatter/gather contract: for every
-// shard count, a scattered run reports the same embedding count, the same
+// TestShardScatterMatchesSolo pins the fan-out contract: for every shard
+// count, a scattered run reports the same embedding count, the same
 // deterministic instrumentation counters and the same AGGREGATE groups as
-// one solo engine run of the identical plan, and leaks no blocks.
+// one pool.Submit of the identical plan, and leaks no blocks.
 func TestShardScatterMatchesSolo(t *testing.T) {
 	pool := engine.NewPool(4)
 	defer pool.Close()
@@ -74,7 +75,7 @@ func TestShardScatterMatchesSolo(t *testing.T) {
 			continue
 		}
 		agg := func(m []hypergraph.EdgeID) string { return fmt.Sprint(m[0] % 3) }
-		want := engine.Run(p, engine.Options{Workers: 4, Aggregate: agg})
+		want := pool.Submit(p, engine.Options{Workers: 4, Aggregate: agg})
 		for _, n := range []int{1, 2, 4, 8} {
 			g, err := shard.New(h, n)
 			if err != nil {
@@ -99,102 +100,38 @@ func TestShardScatterMatchesSolo(t *testing.T) {
 	}
 }
 
-// TestShardScatterStreamDeterministic pins the gather order: the merged
-// embedding stream is byte-identical across every shard count (per-unit
-// sorted rows in ascending unit order), which is what lets the server
-// promise byte-identical NDJSON bodies however the deployment is sharded.
+// TestShardScatterStreamDeterministic pins a capped scatter's stream: for
+// every shard count it is the first n rows of the sequential order, in that
+// order, to OnEmbedding and OnGroup alike (groups of one).
 func TestShardScatterStreamDeterministic(t *testing.T) {
 	pool := engine.NewPool(4)
 	defer pool.Close()
 	p, h := wideWorkload(t)
-	collect := func(n int, limit uint64) []string {
-		g, err := shard.New(h, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var rows, grouped []string
-		shard.Scatter(pool, g, p, engine.Options{
-			Workers: 4,
-			Limit:   limit,
-			OnEmbedding: func(m []hypergraph.EdgeID) {
-				rows = append(rows, fmt.Sprint(m))
-			},
-			// The gather replays its sorted stream to a group consumer too,
-			// one row per group.
-			OnGroup: func(_ int, prefix, last []hypergraph.EdgeID) {
-				for _, c := range last {
-					grouped = append(grouped, fmt.Sprint(append(prefix[:len(prefix):len(prefix)], c)))
-				}
-			},
-		})
-		if !slices.Equal(grouped, rows) {
-			t.Fatalf("limit=%d n=%d: OnGroup saw %d rows, OnEmbedding %d, or in another order", limit, n, len(grouped), len(rows))
-		}
-		return rows
-	}
-	for _, limit := range []uint64{0, 1, 1500} {
-		want := collect(1, limit)
-		wantLen := 2500
-		if limit > 0 {
-			wantLen = int(limit)
-		}
-		if len(want) != wantLen {
-			t.Fatalf("limit=%d: n=1 streamed %d rows, want %d", limit, len(want), wantLen)
-		}
-		for _, n := range []int{2, 4, 8} {
-			got := collect(n, limit)
-			if len(got) != len(want) {
-				t.Fatalf("limit=%d n=%d: %d rows, n=1 streamed %d", limit, n, len(got), len(want))
+	var sequential []string
+	p.EnumerateSequential(func(m []hypergraph.EdgeID) { sequential = append(sequential, fmt.Sprint(m)) })
+	for _, limit := range []uint64{1, 1500, 2500} {
+		for _, n := range []int{1, 2, 4, 8} {
+			g, err := shard.New(h, n)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("limit=%d n=%d: stream diverges at row %d: %s vs %s",
-						limit, n, i, got[i], want[i])
-				}
+			var rows, grouped []string
+			shard.Scatter(pool, g, p, engine.Options{
+				Workers: 4,
+				Limit:   limit,
+				OnEmbedding: func(m []hypergraph.EdgeID) {
+					rows = append(rows, fmt.Sprint(m))
+				},
+				OnGroup: func(_ int, prefix, last []hypergraph.EdgeID) {
+					for _, c := range last {
+						grouped = append(grouped, fmt.Sprint(append(prefix[:len(prefix):len(prefix)], c)))
+					}
+				},
+			})
+			if !slices.Equal(rows, sequential[:limit]) || !slices.Equal(grouped, rows) {
+				t.Fatalf("limit=%d n=%d: streamed %d rows (%d grouped), not the sequential prefix", limit, n, len(rows), len(grouped))
 			}
 		}
-	}
-}
-
-// TestShardScatterLimitSubset checks a limited scatter returns a true
-// subset of the full result set and recomputes Groups from the kept rows.
-func TestShardScatterLimitSubset(t *testing.T) {
-	pool := engine.NewPool(2)
-	defer pool.Close()
-	p, h := wideWorkload(t)
-	full := make(map[string]bool)
-	engine.Run(p, engine.Options{Workers: 1, OnEmbedding: func(m []hypergraph.EdgeID) {
-		full[fmt.Sprint(m)] = true
-	}})
-	g, err := shard.New(h, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const limit = 100
-	agg := func(m []hypergraph.EdgeID) string { return fmt.Sprint(m[0] % 2) }
-	var kept []string
-	res := shard.Scatter(pool, g, p, engine.Options{
-		Workers:   2,
-		Limit:     limit,
-		Aggregate: agg,
-		OnEmbedding: func(m []hypergraph.EdgeID) {
-			kept = append(kept, fmt.Sprint(m))
-		},
-	})
-	if res.Embeddings != limit || len(kept) != limit {
-		t.Fatalf("limited scatter kept %d rows (res %d), want %d", len(kept), res.Embeddings, limit)
-	}
-	for _, row := range kept {
-		if !full[row] {
-			t.Fatalf("limited scatter emitted %s, not in the full result set", row)
-		}
-	}
-	var groupSum uint64
-	for _, c := range res.Groups {
-		groupSum += c
-	}
-	if groupSum != limit {
-		t.Fatalf("groups sum to %d, want the %d kept rows", groupSum, limit)
 	}
 }
 
@@ -228,13 +165,12 @@ func TestShardScatterEmptyShortCircuit(t *testing.T) {
 	}
 }
 
-// TestShardScatterTimeoutBoundsRun pins the review fix on deadline
-// propagation: Options.Timeout is converted once into a shared context
-// deadline that must reach every unit sub-run AND be checked between
-// units, so an expired deadline stops the scatter instead of letting the
-// fan-out run unbounded (the server's MaxTimeout contract). An already-
-// expired 1ns deadline must abort both the parallel and the Limit paths
-// before they enumerate the full 2500-row workload.
+// TestShardScatterTimeoutBoundsRun pins deadline propagation:
+// Options.Timeout is converted once into a shared context deadline that
+// must reach every unit sub-run AND be checked between units, so an
+// expired deadline stops the fan-out instead of letting it run unbounded.
+// An already-expired 1ns deadline must abort both the fan-out and a capped
+// run before they enumerate the full 2500-row workload.
 func TestShardScatterTimeoutBoundsRun(t *testing.T) {
 	pool := engine.NewPool(4)
 	defer pool.Close()
@@ -268,9 +204,10 @@ func TestShardScatterTimeoutBoundsRun(t *testing.T) {
 }
 
 // TestShardScatterConcurrentCancel races several scattered runs against
-// cancellation at randomized points mid-scatter (including mid-merge) and
-// checks the invariant the engine promises on every abort path: zero
-// leaked embedding blocks, and the shared pool stays fully serviceable.
+// cancellation at randomized points mid-fan-out and checks the invariant
+// the engine promises on every abort path: zero leaked embedding blocks,
+// and the shared pool stays fully serviceable. A faulted sub-run must
+// classify the whole scatter the same way.
 func TestShardScatterConcurrentCancel(t *testing.T) {
 	pool := engine.NewPool(4)
 	defer pool.Close()
@@ -294,11 +231,9 @@ func TestShardScatterConcurrentCancel(t *testing.T) {
 			defer timer.Stop()
 			defer cancel()
 			res := shard.Scatter(pool, g, p, engine.Options{
-				Workers: 2,
-				Context: ctx,
-				OnEmbedding: func(m []hypergraph.EdgeID) {
-					_ = m // buffered gather path: cancellation can land mid-merge
-				},
+				Workers:   2,
+				Context:   ctx,
+				Aggregate: func(m []hypergraph.EdgeID) string { return "" },
 			})
 			if res.LeakedBlocks != 0 {
 				t.Errorf("cancel after %v: %d leaked blocks", d, res.LeakedBlocks)
@@ -311,79 +246,11 @@ func TestShardScatterConcurrentCancel(t *testing.T) {
 	if res.Embeddings != 2500 || res.LeakedBlocks != 0 {
 		t.Fatalf("post-cancel scatter: %d embeddings, %d leaked", res.Embeddings, res.LeakedBlocks)
 	}
-}
-
-// TestShardIngestWhileScatterMatching runs scattered matches concurrently
-// with routed ingest through the same sharded graph. Every match is
-// compiled against an immutable snapshot, so each scattered result must
-// equal a solo run of its own plan no matter how the writer interleaves.
-func TestShardIngestWhileScatterMatching(t *testing.T) {
-	pool := engine.NewPool(4)
-	defer pool.Close()
-	rng := rand.New(rand.NewSource(5))
-	h := hgtest.RandomHypergraph(rng, hgtest.RandomConfig{
-		NumVertices: 25, NumEdges: 60, NumLabels: 2, MaxArity: 4,
-	})
-	q := hgtest.ConnectedQueryFromWalk(rng, h, 2)
-	if q == nil {
-		t.Skip("no query")
+	res = shard.Scatter(pool, g, p, engine.Options{FaultHook: func(string) { panic("injected") }})
+	if !errors.Is(res.Err, engine.ErrRequestPoisoned) || res.LeakedBlocks != 0 {
+		t.Fatalf("faulted scatter: err=%v, %d leaked", res.Err, res.LeakedBlocks)
 	}
-	g, err := shard.New(h, 4)
-	if err != nil {
-		t.Fatal(err)
+	if res = shard.Scatter(pool, g, p, engine.Options{Workers: 4}); res.Err != nil || res.Embeddings != 2500 {
+		t.Fatalf("scatter after a fault: err=%v, %d embeddings", res.Err, res.Embeddings)
 	}
-	stop := make(chan struct{})
-	var writer sync.WaitGroup
-	writer.Add(1)
-	go func() {
-		defer writer.Done()
-		wrng := rand.New(rand.NewSource(6))
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			vs := []uint32{wrng.Uint32() % 25, wrng.Uint32() % 25}
-			if _, _, err := g.Insert(vs...); err != nil {
-				t.Errorf("ingest: %v", err)
-				return
-			}
-			g.Publish()
-			if i%8 == 7 {
-				if _, err := g.Compact(); err != nil {
-					t.Errorf("compact: %v", err)
-					return
-				}
-			}
-		}
-	}()
-	var readers sync.WaitGroup
-	for r := 0; r < 3; r++ {
-		readers.Add(1)
-		go func() {
-			defer readers.Done()
-			for i := 0; i < 20; i++ {
-				snap := g.Live().Snapshot()
-				p, err := core.NewPlan(q, snap)
-				if err != nil {
-					t.Errorf("plan: %v", err)
-					return
-				}
-				res := shard.Scatter(pool, g, p, engine.Options{Workers: 2})
-				want := engine.Run(p, engine.Options{Workers: 1})
-				if res.Embeddings != want.Embeddings {
-					t.Errorf("iter %d: scattered %d embeddings, solo %d", i, res.Embeddings, want.Embeddings)
-					return
-				}
-				if res.LeakedBlocks != 0 {
-					t.Errorf("iter %d: %d leaked blocks", i, res.LeakedBlocks)
-					return
-				}
-			}
-		}()
-	}
-	readers.Wait()
-	close(stop)
-	writer.Wait()
 }

@@ -1,38 +1,25 @@
-// Package shard implements cluster mode, stage 1 (intra-process): a data
-// hypergraph partitioned across N shards by signature-partition hash, plus
-// the scatter/gather coordinator that fans one compiled plan out to
-// per-shard sub-runs on the shared engine.Pool and merges their embedding
-// streams deterministically (scatter.go).
+// Package shard splits one match into independent sub-runs by SCAN seed
+// and fans them out over the shared engine.Pool (scatter.go). It is the
+// remainder of intra-process sharded serving: the server no longer uses
+// it, and the benchmark ladder (bench/ladder.go) times Scatter against a
+// plain pool.Submit of the same plan to price the fan-out.
 //
-// The hypergraph's CSR tables are already independent per-signature units,
-// so placement is table-granular: every hyperedge table (signature, edge
-// label) hashes to exactly one owning shard, each shard holds a
-// self-contained hypergraph.Hypergraph (full vertex table, owned tables
-// only) behind its own DeltaBuffer, and ingest routes each delta record to
-// its owner's buffer. Stage 1 keeps everything in one address space: the
-// coordinator additionally maintains a mirror DeltaBuffer holding the
-// union graph through the exact same code path a solo deployment uses, so
-// hyperedge IDs, tombstone holes and compaction renumbering are identical
-// to an unsharded server's — the property the golden equivalence battery
-// pins. Stage 2 (cross-process) replaces the mirror's shared-memory
-// expansion with remote partition fetches over the wire types in
-// internal/hgio/wire.go; the shard placement, ingest routing and merge
-// semantics built here carry over unchanged.
+// A Graph is a data hypergraph behind one DeltaBuffer (the mirror) plus a
+// shard count N. Hyperedge tables hash to an owning shard (Owner); a
+// plan's SCAN seeds all come from one table, so one shard owns them and
+// Scatter gives the other N-1 shards explicit empty sub-runs.
 package shard
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"hgmatch/internal/hypergraph"
 )
 
 // fnv64Offset/fnv64Prime are the FNV-1a 64-bit parameters. Placement must
-// be a pure function of the table key — stable across processes, enumeration
-// orders and restarts — so stage 2 coordinators and shard servers agree on
-// ownership without coordination; FNV-1a over the canonical signature bytes
-// gives that with no dependencies.
+// be a pure function of the table key — stable across processes,
+// enumeration orders and restarts — and FNV-1a over the canonical
+// signature bytes gives that with no dependencies.
 const (
 	fnv64Offset = 14695981039346656037
 	fnv64Prime  = 1099511628211
@@ -59,41 +46,16 @@ func Owner(sig hypergraph.Signature, edgeLabel hypergraph.Label, shards int) int
 	return int(h % uint64(shards))
 }
 
-// Stat reports one shard's storage state for GET /stats.
-type Stat struct {
-	Shard        int // shard index
-	Edges        int // live hyperedges resident on the shard
-	Partitions   int // hyperedge tables owned by the shard
-	PendingEdges int // uncompacted delta inserts routed to the shard
-	DeadEdges    int // tombstones awaiting compaction on the shard
-}
-
-// Graph is a data hypergraph partitioned across N shards by
-// signature-table hash. Each shard is a self-contained DeltaBuffer over
-// its own Hypergraph (full vertex table, owned hyperedge tables); the
-// mirror is the union DeltaBuffer matching runs against in stage 1 (its
-// snapshots are bit-identical to a solo deployment's, see the package
-// comment). All writers route through Graph methods, which keep the owner
-// shard and the mirror in lockstep under one mutex; readers take mirror
-// snapshots lock-free via Live().Snapshot().
+// Graph is a data hypergraph with a shard count: the mirror DeltaBuffer
+// every Scatter matches against, and the N its table ownership is hashed
+// over.
 type Graph struct {
 	n      int
 	mirror *hypergraph.DeltaBuffer
-	shards []*hypergraph.DeltaBuffer
-
-	// mu serialises writers across the mirror and the shard buffers (each
-	// buffer has its own internal lock, but a routed op must land in both
-	// or neither side of a concurrent snapshot boundary) and guards labels.
-	mu sync.Mutex
-	// labels mirrors the full vertex-label table including not-yet-published
-	// AddVertex appends: ingest routing needs each record's signature before
-	// the mirror publishes, and snapshots only expose published labels.
-	labels []hypergraph.Label
 }
 
-// New partitions h across n shards. The mirror compacts a delta-carrying h
-// first (exactly as NewDeltaBuffer would), so shards are always built from
-// a clean base.
+// New wraps h in a mirror DeltaBuffer (compacting a delta-carrying h first,
+// as NewDeltaBuffer does) with n shards.
 func New(h *hypergraph.Hypergraph, n int) (*Graph, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("shard: %d shards (want >= 1)", n)
@@ -102,195 +64,14 @@ func New(h *hypergraph.Hypergraph, n int) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	base := mirror.Base()
-	builders := make([]*hypergraph.Builder, n)
-	for s := range builders {
-		b := hypergraph.NewBuilder()
-		// Full vertex table on every shard: vertex IDs are global, so a
-		// shard's tables reference them without translation and an
-		// AddVertex broadcast keeps every ID space aligned.
-		for _, l := range base.Labels() {
-			b.AddVertex(l)
-		}
-		builders[s] = b
-	}
-	for i := 0; i < base.NumPartitions(); i++ {
-		p := base.Partition(i)
-		b := builders[Owner(p.Sig, p.EdgeLabel, n)]
-		for _, e := range p.Edges {
-			if p.EdgeLabel == hypergraph.NoEdgeLabel {
-				b.AddEdge(base.Edge(e)...)
-			} else {
-				b.AddLabelledEdge(p.EdgeLabel, base.Edge(e)...)
-			}
-		}
-	}
-	g := &Graph{
-		n:      n,
-		mirror: mirror,
-		shards: make([]*hypergraph.DeltaBuffer, n),
-		labels: append([]hypergraph.Label(nil), base.Labels()...),
-	}
-	for s, b := range builders {
-		sh, err := b.Build()
-		if err != nil {
-			return nil, fmt.Errorf("shard: building shard %d/%d: %w", s, n, err)
-		}
-		if g.shards[s], err = hypergraph.NewDeltaBuffer(sh); err != nil {
-			return nil, err
-		}
-	}
-	return g, nil
+	return &Graph{n: n, mirror: mirror}, nil
 }
 
-// NumShards returns the shard count N.
-func (g *Graph) NumShards() int { return g.n }
-
-// Live returns the mirror DeltaBuffer — the union view whose snapshots
-// matching (and versioning) runs against. Callers must not write through
-// it directly; writes go through Graph methods so they reach the owning
-// shard too.
+// Live returns the mirror DeltaBuffer, whose snapshots plans for Scatter
+// are compiled against.
 func (g *Graph) Live() *hypergraph.DeltaBuffer { return g.mirror }
 
-// ShardBuffer returns shard s's own DeltaBuffer (tests and stats walk it;
-// stage 2 serves it remotely).
-func (g *Graph) ShardBuffer(s int) *hypergraph.DeltaBuffer { return g.shards[s] }
-
-// OwnerOf returns the shard owning hyperedge e of snapshot h (a mirror
-// snapshot; the table key is derived from it, not from shard-local state).
+// OwnerOf returns the shard owning hyperedge e of snapshot h.
 func (g *Graph) OwnerOf(h *hypergraph.Hypergraph, e hypergraph.EdgeID) int {
 	return Owner(h.SignatureOf(e), h.EdgeLabel(e), g.n)
-}
-
-// ownerOfVertices computes the owning shard for a record over the given
-// vertex set, using the routing label table (which includes unpublished
-// AddVertex appends). Callers hold g.mu and have validated the IDs.
-func (g *Graph) ownerOfVertices(el hypergraph.Label, vertices []uint32) int {
-	vs := append([]uint32(nil), vertices...)
-	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
-	j := 0
-	for i, v := range vs { // dedup: signatures are over vertex *sets*
-		if i == 0 || v != vs[j-1] {
-			vs[j] = v
-			j++
-		}
-	}
-	return Owner(hypergraph.SignatureOf(vs[:j], g.labels), el, g.n)
-}
-
-// Insert routes an unlabelled hyperedge insert (see InsertLabelled).
-func (g *Graph) Insert(vertices ...uint32) (hypergraph.EdgeID, bool, error) {
-	return g.InsertLabelled(hypergraph.NoEdgeLabel, vertices...)
-}
-
-// InsertLabelled applies the insert to the mirror and to the owning
-// shard's DeltaBuffer. The returned ID and added flag are the mirror's —
-// identical to a solo deployment's answer; shard-local IDs are an
-// implementation detail of shard residency.
-func (g *Graph) InsertLabelled(el hypergraph.Label, vertices ...uint32) (hypergraph.EdgeID, bool, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	e, added, err := g.mirror.InsertLabelled(el, vertices...)
-	if err != nil {
-		return e, added, err
-	}
-	owner := g.ownerOfVertices(el, vertices)
-	if _, _, serr := g.shards[owner].InsertLabelled(el, vertices...); serr != nil {
-		return e, added, fmt.Errorf("shard %d diverged on insert: %w", owner, serr)
-	}
-	return e, added, nil
-}
-
-// Delete routes an unlabelled hyperedge delete (see DeleteLabelled).
-func (g *Graph) Delete(vertices ...uint32) (bool, error) {
-	return g.DeleteLabelled(hypergraph.NoEdgeLabel, vertices...)
-}
-
-// DeleteLabelled applies the delete to the mirror and to the owning shard.
-func (g *Graph) DeleteLabelled(el hypergraph.Label, vertices ...uint32) (bool, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	ok, err := g.mirror.DeleteLabelled(el, vertices...)
-	if err != nil {
-		return ok, err
-	}
-	owner := g.ownerOfVertices(el, vertices)
-	if _, serr := g.shards[owner].DeleteLabelled(el, vertices...); serr != nil {
-		return ok, fmt.Errorf("shard %d diverged on delete: %w", owner, serr)
-	}
-	return ok, nil
-}
-
-// AddVertex broadcasts a vertex append to the mirror and every shard,
-// keeping the global vertex ID space aligned across all of them. Returns
-// the mirror's (global) vertex ID.
-func (g *Graph) AddVertex(l hypergraph.Label) hypergraph.VertexID {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	v := g.mirror.AddVertex(l)
-	for _, sh := range g.shards {
-		sh.AddVertex(l)
-	}
-	g.labels = append(g.labels, l)
-	return v
-}
-
-// Base returns the mirror's most recently compacted base graph.
-func (g *Graph) Base() *hypergraph.Hypergraph { return g.mirror.Base() }
-
-// NumVertices returns the mirror's vertex count, pending appends included.
-func (g *Graph) NumVertices() int { return g.mirror.NumVertices() }
-
-// Publish publishes pending writes on every shard and then the mirror,
-// returning the mirror's new snapshot (the writer-side ack surface, like
-// DeltaBuffer.Publish).
-func (g *Graph) Publish() *hypergraph.Hypergraph {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for _, sh := range g.shards {
-		sh.Publish()
-	}
-	return g.mirror.Publish()
-}
-
-// PendingEdges returns the mirror's uncompacted insert count.
-func (g *Graph) PendingEdges() int { return g.mirror.PendingEdges() }
-
-// TombstonedEdges returns the mirror's deletions awaiting compaction.
-func (g *Graph) TombstonedEdges() int { return g.mirror.TombstonedEdges() }
-
-// CompactCounted folds every shard's delta and then the mirror's,
-// returning the mirror's fresh base and fold counts (the solo-identical
-// numbers a CompactSummary reports).
-func (g *Graph) CompactCounted() (nh *hypergraph.Hypergraph, folded, dropped int, err error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for s, sh := range g.shards {
-		if _, err := sh.Compact(); err != nil {
-			return nil, 0, 0, fmt.Errorf("shard: compacting shard %d: %w", s, err)
-		}
-	}
-	return g.mirror.CompactCounted()
-}
-
-// Compact is CompactCounted without the counts.
-func (g *Graph) Compact() (*hypergraph.Hypergraph, error) {
-	nh, _, _, err := g.CompactCounted()
-	return nh, err
-}
-
-// Stats reports each shard's resident volume (GET /stats rows).
-func (g *Graph) Stats() []Stat {
-	out := make([]Stat, g.n)
-	for s, sh := range g.shards {
-		h := sh.Snapshot()
-		out[s] = Stat{
-			Shard:        s,
-			Edges:        h.NumLiveEdges(),
-			Partitions:   h.NumPartitions(),
-			PendingEdges: sh.PendingEdges(),
-			DeadEdges:    sh.TombstonedEdges(),
-		}
-	}
-	return out
 }

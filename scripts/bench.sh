@@ -19,7 +19,7 @@ if [ -f "$out" ]; then
 	base=$(awk '/^  "baseline_commit"/ { f = 1 } /^  "benchmarks": \[/ { exit } f { print }' "$out")
 fi
 
-kernels='BenchmarkKernelQ3|BenchmarkKernelQ4Count|BenchmarkSharedPoolQ3|BenchmarkShardedScatterQ3|BenchmarkFig8SingleThread/HGMatch|BenchmarkFig11Scheduling|BenchmarkPublicAPI|BenchmarkOnlineIngest'
+kernels='BenchmarkKernelQ3|BenchmarkKernelQ4Count|BenchmarkSharedPoolQ3|BenchmarkFig8SingleThread/HGMatch|BenchmarkFig11Scheduling|BenchmarkPublicAPI|BenchmarkOnlineIngest'
 wal='BenchmarkWALIngest'
 setops='BenchmarkAblationSetops'
 loads='BenchmarkCompile$|BenchmarkLoadFile|BenchmarkMappedOpen'
