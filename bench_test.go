@@ -286,11 +286,14 @@ func BenchmarkSharedPoolQ3(b *testing.B) {
 // BenchmarkOnlineIngest measures the online-update subsystem on the q3
 // workload graph. "ingest100" is the amortised unit hgserve pays per bulk
 // ingest request: a 100-edge insert batch plus one snapshot publication
-// (copy-on-write partition merge, O(|V|+|E|) header copies). "compact"
-// folds a ~400-edge delta into a fresh fully-indexed base — the background
-// job the compaction threshold schedules. "match-on-delta" reruns the q3
-// kernel against a delta-carrying snapshot, pinning the read-side price of
-// merge-on-read postings.
+// (copy-on-write partition merge: new delta blocks, base shared).
+// "delete100" is the same for 100 deletes of base edges, which publish as
+// tombstone masks over the shared base index. "compact" folds a ~400-edge
+// delta into a fresh fully-indexed base — the background job the
+// compaction threshold schedules. "match-on-delta" and
+// "match-on-tombstoned" rerun the q3 kernel against those two snapshots,
+// pinning the read-side price of merge-on-read postings and of subtracting
+// dead lists.
 func BenchmarkOnlineIngest(b *testing.B) {
 	h, q := kernelWorkload()
 	const batch = 100
@@ -299,6 +302,22 @@ func BenchmarkOnlineIngest(b *testing.B) {
 	edges := make([][]uint32, batch*4)
 	for i := range edges {
 		edges[i] = []uint32{rng.Uint32() % nv, rng.Uint32() % nv, rng.Uint32() % nv}
+	}
+	victims := make([][]uint32, batch)
+	for i, e := range rng.Perm(h.NumEdges())[:batch] {
+		victims[i] = h.Edge(hypergraph.EdgeID(e))
+	}
+	deleteBatch := func(b *testing.B) *hypergraph.Hypergraph {
+		d, err := hypergraph.NewDeltaBuffer(h)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, vs := range victims {
+			if ok, err := d.Delete(vs...); err != nil || !ok {
+				b.Fatalf("delete %v: %v %v", vs, ok, err)
+			}
+		}
+		return d.Publish()
 	}
 	b.Run("ingest100", func(b *testing.B) {
 		b.ReportAllocs()
@@ -315,6 +334,12 @@ func BenchmarkOnlineIngest(b *testing.B) {
 			if s := d.Snapshot(); !s.HasDelta() {
 				b.Fatal("no delta published")
 			}
+		}
+	})
+	b.Run("delete100", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			deleteBatch(b)
 		}
 	})
 	b.Run("compact", func(b *testing.B) {
@@ -356,6 +381,22 @@ func BenchmarkOnlineIngest(b *testing.B) {
 		}
 		if emb == 0 {
 			b.Fatal("kernel workload found nothing on the delta snapshot")
+		}
+		b.ReportMetric(float64(emb), "embeddings")
+	})
+	b.Run("match-on-tombstoned", func(b *testing.B) {
+		p, err := core.NewPlan(q, deleteBatch(b))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		var emb uint64
+		for i := 0; i < b.N; i++ {
+			emb = engine.Run(p, engine.Options{Workers: 4}).Embeddings
+		}
+		if emb == 0 {
+			b.Fatal("kernel workload found nothing on the tombstoned snapshot")
 		}
 		b.ReportMetric(float64(emb), "embeddings")
 	})

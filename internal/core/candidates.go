@@ -229,5 +229,15 @@ func (p *Plan) candidates(st *step, depth int, m []hypergraph.EdgeID, sc *Scratc
 	// array sets, decoded back to global hyperedge IDs.
 	cand := setops.IntersectK(sc.inter[:0], sc.sets, rank, unrank, &sc.ks)
 	sc.inter = cand[:0] // retain whichever backing the result landed in
+
+	// A masked table's base postings still list its tombstoned members
+	// (online snapshots, until compaction): one set difference removes
+	// them before anything is counted, so Counters read as on the
+	// compacted graph. The result lands in its own buffer — never over
+	// index memory, never over the buffer it reads.
+	if dead := st.part.DeadEdges(); len(dead) > 0 && len(cand) > 0 {
+		cand = setops.Difference(sc.live[:0], cand, dead)
+		sc.live = cand[:0]
+	}
 	return cand
 }

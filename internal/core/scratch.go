@@ -55,6 +55,7 @@ type Scratch struct {
 	ks      setops.KScratch // k-way kernel scratch (loser tree, AND fold)
 	acc     []uint32        // union accumulator (V_n_incdt construction)
 	inter   []uint32        // intersection result buffer
+	live    []uint32        // intersection minus a masked table's tombstones
 	profs   []profile       // data-side profile buffer for validation
 }
 

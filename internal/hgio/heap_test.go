@@ -124,19 +124,35 @@ func TestMapFileAttachAllocsBounded(t *testing.T) {
 
 // TestStatsAgreeWithHeap: the byte counts ComputeStats reports (and GET
 // /graphs/{g}/stats serves) are what the graph actually costs the Go heap,
-// to within a tenth, on a table-heavy and on a table-light graph.
+// to within a tenth, on a table-heavy and on a table-light graph — and on
+// a snapshot whose deletes masked tables over the base's shared index.
 func TestStatsAgreeWithHeap(t *testing.T) {
 	for _, tc := range []struct {
 		profile string
 		scale   float64
 	}{{"TC", 0.1}, {"SB", 1}} {
 		src := datagen.Generate(scaledProfile(t, tc.profile, tc.scale), 3)
-		for name, load := range graphLoaders(t, src) {
-			if name == "map-v3" {
-				continue // its arrays are the file's pages, not heap
+		loaders := graphLoaders(t, src)
+		delete(loaders, "map-v3") // its arrays are the file's pages, not heap
+		loaders["tombstoned"] = func() any {
+			h := loaders["build"]().(*hypergraph.Hypergraph)
+			buf, err := hypergraph.NewDeltaBuffer(h)
+			if err != nil {
+				t.Fatal(err)
 			}
+			for e := 0; e < h.NumEdges(); e += 50 {
+				if ok, err := buf.Delete(h.Edge(hypergraph.EdgeID(e))...); err != nil || !ok {
+					t.Fatalf("delete edge %d: %v %v", e, ok, err)
+				}
+			}
+			return buf.Publish()
+		}
+		for name, load := range loaders {
 			_, heap, keep := heapDelta(load)
 			st := hypergraph.ComputeStats(graphOf(keep))
+			if name == "tombstoned" && st.DeadEdges == 0 {
+				t.Fatalf("%s %s: no tombstone published", tc.profile, name)
+			}
 			reported := int64(st.GraphBytes + st.IndexBytes + st.SigTableBytes + st.BitmapBytes)
 			t.Logf("%s %s: reported %d B, heap %d B (%.3f)", tc.profile, name, reported, heap, float64(reported)/float64(heap))
 			if d := reported - heap; d > heap/10 || -d > heap/10 {

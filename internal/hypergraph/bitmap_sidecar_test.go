@@ -112,9 +112,10 @@ func TestBitmapSidecarSparseGraphHasNone(t *testing.T) {
 
 // TestPostingsViewAcrossSnapshots walks one graph through the online
 // lifecycle — base, insert-only delta (sidecar shared), delete-carrying
-// delta (base segments rebuilt), compaction — asserting at every stage
-// that views equal the CSR arrays and the full Validate invariants hold
-// (which include bitmap-decodes-to-postings and rank-table inversion).
+// delta (tables masked, sidecar still shared), compaction — asserting at
+// every stage that views equal the CSR arrays and the full Validate
+// invariants hold (which include bitmap-decodes-to-postings and rank-table
+// inversion).
 func TestPostingsViewAcrossSnapshots(t *testing.T) {
 	base := denseTestGraph(t, 3, 300)
 	d, err := NewDeltaBuffer(base)
@@ -139,8 +140,8 @@ func TestPostingsViewAcrossSnapshots(t *testing.T) {
 	}
 	assertViewsMatchPostings(t, snap, "insert-delta")
 
-	// Delete base edges: the touched partitions' base segments (and their
-	// sidecars) are rebuilt at the next publication.
+	// Delete base edges: the touched partitions are masked at the next
+	// publication, over their unchanged base segments and sidecars.
 	deleted := 0
 	for e := 0; e < base.NumEdges() && deleted < 20; e += 7 {
 		ok, err := d.Delete(base.Edge(EdgeID(e))...)

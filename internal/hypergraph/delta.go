@@ -24,13 +24,13 @@ import (
 // reference and owns only what the pending writes touched: the incidence
 // lists of touched vertices (an overlay map), a materialised view per
 // touched table in the side table (gained edges: a delta CSR segment, see
-// Partition; lost edges: a base segment rebuilt without the tombstoned
-// members; lost all: an empty table holding its index until compaction),
-// and the tables of signatures first seen online, indexed past the
-// directory. The published *Hypergraph hangs off an atomic pointer — an
-// MVCC epoch handoff: a match that started on snapshot N keeps reading N
-// while N+1 serves new requests, with no locks anywhere on the match hot
-// path.
+// Partition; lost edges: a tombstone mask — the live member list and a
+// dead list beside the unchanged, shared base index; lost all: a mask
+// with no live member, holding its index until compaction), and the
+// tables of signatures first seen online, indexed past the directory. The
+// published *Hypergraph hangs off an atomic pointer — an MVCC epoch
+// handoff: a match that started on snapshot N keeps reading N while N+1
+// serves new requests, with no locks anywhere on the match hot path.
 //
 // Compact folds all pending state into a fresh fully-indexed base (the
 // exact graph an offline Builder run over the same live edge set would
@@ -54,7 +54,15 @@ type DeltaBuffer struct {
 	pend     *u32Interner
 	pendDead []bool // pending slots deleted again before compaction
 	livePend int
-	dead     map[EdgeID]struct{} // tombstoned base edges
+
+	dead setops.Bitmap // tombstoned base edges, one bit per base edge ID
+
+	// masked holds, per base table with tombstoned members, the masked
+	// view last published for it. A delete or a resurrection sets its
+	// table's entry to nil: re-mask at the next publication. Published
+	// views are never written again, so a snapshot shares the masks of
+	// every table the writes since the last one left alone.
+	masked map[uint32]*Partition
 
 	// The edge table every snapshot since the last compaction reads: the
 	// base's CSR followed by the pending slots published so far. It only
@@ -108,7 +116,8 @@ func (d *DeltaBuffer) rebase(base *Hypergraph) {
 	d.base = base
 	d.labels = slices.Clip(base.labels)
 	d.pend, d.pendDead, d.livePend = newU32Interner(16, 64), nil, 0
-	d.dead = make(map[EdgeID]struct{})
+	d.dead = *setops.FromSorted(nil, base.NumEdges())
+	d.masked = make(map[uint32]*Partition)
 	d.edgeOff, d.edgeVerts, d.edgeLabels = slices.Clip(base.edgeOff), slices.Clip(base.edgeVerts), slices.Clip(base.edgeLabels)
 	d.snap.Store(base)
 	d.dirty.Store(false)
@@ -169,7 +178,7 @@ func (d *DeltaBuffer) PendingEdges() int {
 func (d *DeltaBuffer) TombstonedEdges() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return len(d.dead) + (d.pend.len() - d.livePend)
+	return d.dead.Count() + (d.pend.len() - d.livePend)
 }
 
 // AddVertex appends a vertex with the given label and returns its ID. The
@@ -213,8 +222,9 @@ func (d *DeltaBuffer) InsertLabelled(el Label, vertices ...uint32) (EdgeID, bool
 		return 0, false, fmt.Errorf("hypergraph: insert references unknown vertex %d", vs[len(vs)-1])
 	}
 	if e, ok := d.base.findEdgeLabelled(el, vs); ok {
-		if _, tomb := d.dead[e]; tomb {
-			delete(d.dead, e) // resurrection: the tombstone is withdrawn
+		if d.dead.Contains(e) {
+			d.dead.Remove(e) // resurrection: the tombstone is withdrawn
+			d.masked[d.base.edgePart[e]] = nil
 			d.dirty.Store(true)
 			return e, true, nil
 		}
@@ -254,10 +264,11 @@ func (d *DeltaBuffer) DeleteLabelled(el Label, vertices ...uint32) (bool, error)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if e, ok := d.base.findEdgeLabelled(el, vs); ok {
-		if _, tomb := d.dead[e]; tomb {
+		if d.dead.Contains(e) {
 			return false, nil
 		}
-		d.dead[e] = struct{}{}
+		d.dead.Add(e)
+		d.masked[d.base.edgePart[e]] = nil
 		d.dirty.Store(true)
 		return true, nil
 	}
@@ -291,8 +302,8 @@ func (d *DeltaBuffer) CompactCounted() (nh *Hypergraph, folded, dropped int, err
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	folded = d.livePend
-	dropped = len(d.dead) + (d.pend.len() - d.livePend)
-	if d.pend.len() == 0 && len(d.dead) == 0 && len(d.labels) == len(d.base.labels) &&
+	dropped = d.dead.Count() + (d.pend.len() - d.livePend)
+	if d.pend.len() == 0 && d.dead.Count() == 0 && len(d.labels) == len(d.base.labels) &&
 		d.snap.Load() == d.base && !d.dirty.Load() {
 		// Truly idle (the base IS the published snapshot): keep it and its
 		// version, so a periodic compaction neither copies the graph nor
@@ -302,8 +313,7 @@ func (d *DeltaBuffer) CompactCounted() (nh *Hypergraph, folded, dropped int, err
 		// full rebuild: versions must never move backwards.
 		return d.base, folded, dropped, nil
 	}
-	isDead := func(e EdgeID) bool { _, tomb := d.dead[e]; return tomb }
-	nh, err = rebuildLive(d.base, d.labels, isDead, d.pend, d.pendDead)
+	nh, err = rebuildLive(d.base, d.labels, d.dead.Contains, d.pend, d.pendDead)
 	if err != nil {
 		return nil, 0, 0, err // unreachable: every input was validated on entry
 	}
@@ -346,14 +356,19 @@ func (d *DeltaBuffer) extendEdgeTable() {
 }
 
 // publishLocked builds and publishes a fresh snapshot from base + pending
-// state. Cost is proportional to the pending writes, the incidence lists
-// they touch and the tables they land in (plus one flat copy of the
-// signature interner when a batch brings a signature never seen before);
-// everything untouched is shared by reference with the base.
+// state. Everything untouched is shared by reference with the base, and the
+// cost is cumulative since the last compaction: proportional to the
+// pending inserts, the incidence lists that pending inserts and tombstones
+// touch, and the tables inserts land in (plus one flat copy of the
+// signature interner when a batch brings a signature never seen before).
+// A tombstone costs a bit: its table is re-masked — one pass over the
+// table's member list, no re-indexing — only at the first publication
+// after the delete, and shares that mask with every snapshot after it.
 func (d *DeltaBuffer) publishLocked() {
 	base := d.base
 	nb := base.NumEdges()
 	nPend := d.pend.len()
+	nDead := d.dead.Count()
 
 	d.extendEdgeTable()
 	h := &Hypergraph{
@@ -382,18 +397,17 @@ func (d *DeltaBuffer) publishLocked() {
 		numLabels:  base.numLabels,
 		totalArity: base.totalArity,
 		maxArity:   base.maxArity,
-		delta:      nPend > 0 || len(d.dead) > 0 || len(d.labels) > len(base.labels),
+		delta:      nPend > 0 || nDead > 0 || len(d.labels) > len(base.labels),
 
 		labelledParts: base.labelledParts,
 	}
 
-	isDeadBase := func(e EdgeID) bool { _, ok := d.dead[e]; return ok }
-
-	// Tombstone list, and arity aggregates over live edges only.
-	h.dead = make([]EdgeID, 0, len(d.dead)+(nPend-d.livePend))
+	// Tombstone list — the bitset decodes in ID order and every pending
+	// slot follows every base ID, so it comes out sorted — and arity
+	// aggregates over live edges only.
+	h.dead = d.dead.AppendTo(make([]EdgeID, 0, nDead+(nPend-d.livePend)))
 	lostMax := false
-	for e := range d.dead {
-		h.dead = append(h.dead, e)
+	for _, e := range h.dead {
 		h.totalArity -= base.Arity(e)
 		lostMax = lostMax || base.Arity(e) == base.maxArity
 	}
@@ -402,11 +416,10 @@ func (d *DeltaBuffer) publishLocked() {
 			h.dead = append(h.dead, EdgeID(nb+i))
 		}
 	}
-	slices.Sort(h.dead)
 	if lostMax {
 		h.maxArity = 0
 		for e := EdgeID(0); int(e) < nb; e++ {
-			if !isDeadBase(e) {
+			if !d.dead.Contains(e) {
 				h.maxArity = max(h.maxArity, base.Arity(e))
 			}
 		}
@@ -435,7 +448,7 @@ func (d *DeltaBuffer) publishLocked() {
 			touched[v] = struct{}{}
 		}
 	}
-	for e := range d.dead {
+	for _, e := range h.dead[:nDead] {
 		for _, v := range base.Edge(e) {
 			touched[v] = struct{}{}
 		}
@@ -448,11 +461,11 @@ func (d *DeltaBuffer) publishLocked() {
 	h.incOver = make(map[VertexID][]uint32, len(touched))
 	for v := range touched {
 		start := len(backing)
-		if len(d.dead) == 0 {
+		if nDead == 0 {
 			backing = append(backing, base.Incident(v)...)
 		} else {
 			for _, e := range base.Incident(v) {
-				if !isDeadBase(e) {
+				if !d.dead.Contains(e) {
 					backing = append(backing, e)
 				}
 			}
@@ -461,25 +474,17 @@ func (d *DeltaBuffer) publishLocked() {
 		h.incOver[v] = backing[start:len(backing):len(backing)]
 	}
 
-	// Rebuild the base segment of every table holding tombstones; a table
-	// that lost every member stays as an empty view under its index.
-	for e := range d.dead {
-		pi := base.edgePart[e]
-		if p := h.side[pi]; p != nil && p != base.side[pi] {
-			continue // already rebuilt for an earlier tombstone
-		}
-		bp := base.Partition(int(pi))
-		np := &Partition{Sig: bp.Sig, SigID: bp.SigID, EdgeLabel: bp.EdgeLabel}
-		for _, m := range bp.Edges {
-			if !isDeadBase(m) {
-				np.Edges = append(np.Edges, m)
+	// Every table holding tombstones is published masked; a table that lost
+	// every member stays, with no live member, under its index.
+	for pi, mp := range d.masked {
+		if mp == nil {
+			if mp = d.mask(pi); mp == nil {
+				delete(d.masked, pi) // its tombstones were all withdrawn
+				continue
 			}
+			d.masked[pi] = mp
 		}
-		if len(np.Edges) > 0 {
-			np.verts, np.offsets, np.posts = buildSegmentCSR(h, np.Edges, d.segCnt)
-			np.buildBitmapSidecar() // fresh base segment, fresh containers
-		}
-		h.setSide(pi, np)
+		h.setSide(pi, mp)
 	}
 
 	// Group live pending edges by (edge label, signature), interning new
@@ -523,9 +528,9 @@ func (d *DeltaBuffer) publishLocked() {
 	})
 
 	// Attach the append-side segments: a table the base knows gains a delta
-	// block beside its (shared or tombstone-rebuilt) base block and keeps
-	// its sidecar; a table emptied by tombstones or never seen offline is
-	// all delta, so uncompacted volume stays visible to Stats.DeltaEdges.
+	// block beside its shared base block and keeps its sidecar and mask; a
+	// table emptied by tombstones or never seen offline is all delta, so
+	// uncompacted volume stays visible to Stats.DeltaEdges.
 	// New tables take the indices past the directory, and the lookups that
 	// must find them are copied before they are extended.
 	ownSigParts, ownLabelled := false, false
@@ -571,6 +576,35 @@ func (d *DeltaBuffer) publishLocked() {
 	h.deltaVersion = d.pubVersion.Add(1)
 	d.snap.Store(h)
 	d.dirty.Store(false)
+}
+
+// mask returns base table pi's masked view under the current tombstones,
+// or nil when none of its members is dead: its live members and its dead
+// ones, split in one pass over the member list, beside the base's own
+// index (BaseEdges stays the full member list, so the sidecar's rank space
+// is unchanged).
+func (d *DeltaBuffer) mask(pi uint32) *Partition {
+	p := d.base.Partition(int(pi))
+	nDead := 0
+	for _, e := range p.Edges {
+		if d.dead.Contains(e) {
+			nDead++
+		}
+	}
+	if nDead == 0 {
+		return nil
+	}
+	live := make([]EdgeID, 0, len(p.Edges)-nDead)
+	dead := make([]EdgeID, 0, nDead)
+	for _, e := range p.Edges {
+		if d.dead.Contains(e) {
+			dead = append(dead, e)
+		} else {
+			live = append(live, e)
+		}
+	}
+	p.baseAll, p.Edges, p.dead = p.Edges, live, dead
+	return &p
 }
 
 // buildSegmentCSR constructs one canonical CSR block over the given member

@@ -65,8 +65,8 @@ type Hypergraph struct {
 	// windows in partEdges, partVerts, partOffs and partPosts (one sentinel
 	// row closes the last table). side holds a materialised view for every
 	// table that carries more than its row: a bitmap sidecar, an
-	// append-side delta, a tombstone-rebuilt base — and, past the
-	// directory, the tables an online snapshot added. nParts counts both.
+	// append-side delta, a tombstone mask — and, past the directory, the
+	// tables an online snapshot added. nParts counts both.
 	tables    []TableRow
 	partEdges []EdgeID
 	partVerts []VertexID
@@ -98,11 +98,15 @@ type Hypergraph struct {
 
 	// Online-snapshot state (zero for offline-built graphs). dead lists
 	// tombstoned hyperedge IDs: the slots stay in the edge table (IDs are
-	// never renumbered between compactions) but the edges belong to no
-	// partition and no incidence list, so matching never sees them. delta
-	// marks the graph as a DeltaBuffer snapshot (some partitions may carry
-	// append-side segments); deltaVersion is the buffer's publication
-	// counter, letting (snapshot, version) travel as one consistent pair.
+	// never renumbered between compactions) but the edges are in no
+	// table's member list and no incidence list, so matching never
+	// produces them. A tombstoned base edge does stay in its table's base
+	// postings, which are shared with the base until compaction: the table
+	// is masked (see Partition), and candidate generation subtracts its
+	// dead list. delta marks the graph as a DeltaBuffer snapshot (some
+	// partitions may carry append-side segments or masks); deltaVersion is
+	// the buffer's publication counter, letting (snapshot, version) travel
+	// as one consistent pair.
 	dead         []EdgeID // sorted tombstoned edge IDs
 	delta        bool
 	deltaVersion uint64
@@ -260,7 +264,7 @@ func (h *Hypergraph) rowLen(pi uint32) int {
 // onlySidecar reports whether side entry p of table pi is the directory
 // row's own view plus a bitmap sidecar, owning no arrays besides it.
 func (h *Hypergraph) onlySidecar(pi uint32, p *Partition) bool {
-	return int(pi) < len(h.tables)-1 && !p.HasDelta() && p.Len() == h.rowLen(pi)
+	return int(pi) < len(h.tables)-1 && !p.HasDelta() && p.dead == nil
 }
 
 // partOf returns the index of the table holding live edge e.
@@ -454,7 +458,9 @@ func (h *Hypergraph) String() string {
 // Validate checks structural invariants; it is meant for tests and loaders,
 // not hot paths. It returns the first violation found. Tombstoned slots of
 // online snapshots are required to be absent from every incidence list and
-// partition; the remaining invariants apply to live edges only.
+// every table's member list; only a masked table's base postings may still
+// list them, and only its own. The remaining invariants apply to live edges
+// only.
 func (h *Hypergraph) Validate() error {
 	if !setops.IsSorted(h.dead) {
 		return fmt.Errorf("tombstone list not sorted")
@@ -513,12 +519,19 @@ func (h *Hypergraph) Validate() error {
 			return fmt.Errorf("partition %d is not the table its (edge label, signature) resolves to", pi)
 		}
 		total += p.Len()
-		for _, e := range p.Edges {
-			if int(h.partOf(e)) != pi {
-				return fmt.Errorf("edge %d partition cross-link broken", e)
-			}
-			if h.EdgeLabel(e) != p.EdgeLabel || !p.Sig.Equal(SignatureOf(h.Edge(e), h.labels)) {
-				return fmt.Errorf("edge %d signature mismatch", e)
+		// Members are live; a mask's dead members are tombstones of this
+		// very table.
+		for i, es := range [][]EdgeID{p.Edges, p.DeadEdges()} {
+			for _, e := range es {
+				if h.IsDeadEdge(e) != (i == 1) {
+					return fmt.Errorf("partition %d lists edge %d (tombstoned: %v) among its %s", pi, e, i == 0, [2]string{"live members", "dead ones"}[i])
+				}
+				if int(h.partOf(e)) != pi {
+					return fmt.Errorf("edge %d partition cross-link broken", e)
+				}
+				if h.EdgeLabel(e) != p.EdgeLabel || !p.Sig.Equal(SignatureOf(h.Edge(e), h.labels)) {
+					return fmt.Errorf("edge %d signature mismatch", e)
+				}
 			}
 		}
 		if err := p.validate(h); err != nil {

@@ -14,9 +14,10 @@ import (
 // checkViews compares every view accessor of h against a naive
 // recomputation from h's own live edge list: the incidence lists, each
 // table's member list, and per (table, vertex) the base postings, the delta
-// postings and the decoded hybrid view. It is self-contained — nothing but
-// Edge, EdgeLabel and IsDeadEdge is trusted — so it can run on any snapshot
-// from any goroutine.
+// postings and the decoded hybrid view. A masked table's base postings may
+// also list its own tombstones, and nothing else may list one. It is
+// self-contained — nothing but Edge, EdgeLabel and IsDeadEdge is trusted —
+// so it can run on any snapshot from any goroutine.
 func checkViews(h *hypergraph.Hypergraph) error {
 	if err := h.Validate(); err != nil {
 		return fmt.Errorf("Validate: %w", err)
@@ -45,27 +46,37 @@ func checkViews(h *hypergraph.Hypergraph) error {
 	seen := 0
 	for pi := 0; pi < h.NumPartitions(); pi++ {
 		p := h.Partition(pi)
-		if p.Len() == 0 {
-			continue // emptied by tombstones, awaiting compaction
+		key := tableKey{p.EdgeLabel, string(p.Sig.Key())}
+		for _, e := range p.DeadEdges() {
+			if !h.IsDeadEdge(e) || h.EdgeLabel(e) != p.EdgeLabel || string(hypergraph.SignatureOf(h.Edge(e), h.Labels()).Key()) != key.sig {
+				return fmt.Errorf("table %d (%v) masks edge %d, not one of its own tombstones", pi, p.Sig, e)
+			}
 		}
-		seen++
-		want := members[tableKey{p.EdgeLabel, string(p.Sig.Key())}]
+		if p.Len() > 0 {
+			seen++ // else emptied by tombstones, awaiting compaction
+		}
+		want := members[key]
 		if !slices.Equal(p.Edges, want) {
 			return fmt.Errorf("table %d (%v) members = %v, want %v", pi, p.Sig, p.Edges, want)
 		}
 		if q := h.PartitionForLabelled(p.EdgeLabel, p.Sig); !slices.Equal(q.Edges, want) {
 			return fmt.Errorf("table %d (%v) does not resolve by signature", pi, p.Sig)
 		}
-		nBase := p.NumBaseEdges()
+		// The base index covers the live base members plus the masked ones.
+		nLiveBase := p.Len() - p.NumDeltaEdges()
+		indexed := slices.Sorted(slices.Values(append(slices.Clone(want[:nLiveBase]), p.DeadEdges()...)))
+		if !slices.Equal(p.BaseEdges(), indexed) {
+			return fmt.Errorf("table %d (%v) base members = %v, want %v", pi, p.Sig, p.BaseEdges(), indexed)
+		}
 		for v := hypergraph.VertexID(0); int(v) < h.NumVertices(); v++ {
 			var base, delta []hypergraph.EdgeID
-			for i, e := range want {
-				if !slices.Contains(h.Edge(e), v) {
-					continue
-				}
-				if i < nBase {
+			for _, e := range indexed {
+				if slices.Contains(h.Edge(e), v) {
 					base = append(base, e)
-				} else {
+				}
+			}
+			for _, e := range want[nLiveBase:] {
+				if slices.Contains(h.Edge(e), v) {
 					delta = append(delta, e)
 				}
 			}

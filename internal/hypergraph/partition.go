@@ -18,7 +18,7 @@ import (
 // into storage the graph owns — so a compiled plan keeps one per step and
 // reads postings at exactly the cost of a slice index. Only the few tables
 // that carry more than a directory row (a bitmap sidecar, an append-side
-// delta, a tombstone-rebuilt base) are kept materialised, in the graph's
+// delta, a tombstone mask) are kept materialised, in the graph's
 // sparse side table. A view stays valid for the lifetime of its graph; the
 // zero Partition is the empty table every accessor answers "nothing" for.
 //
@@ -39,6 +39,14 @@ import (
 // by consuming Postings(v) and DeltaPostings(v) back to back, with no
 // merge, no copy and no locks. Compact() folds the segments into one
 // fresh base CSR.
+//
+// A partition of an online snapshot that lost base members to tombstones
+// is masked rather than re-indexed: its base CSR and sidecar stay the
+// directory row's, covering every base member, while Edges lists only the
+// live ones and DeadEdges the lost ones. Candidate generation subtracts
+// DeadEdges from what the base postings yield (Algorithm 4 is set algebra,
+// so a tombstone is one more set difference); everything that reads Edges
+// — Len, SCAN, the planner — sees the table as compaction will leave it.
 type Partition struct {
 	// Sig is the signature shared by every edge in this table.
 	Sig Signature
@@ -47,17 +55,23 @@ type Partition struct {
 	// EdgeLabel is the shared hyperedge label (NoEdgeLabel when the graph
 	// is vertex-labelled only).
 	EdgeLabel Label
-	// Edges lists the global hyperedge IDs in this table, sorted ascending.
-	// The last nDelta entries are the append-side delta segment.
+	// Edges lists the live global hyperedge IDs in this table, sorted
+	// ascending. The last nDelta entries are the append-side delta segment.
 	Edges []EdgeID
 
 	// CSR inverted hyperedge index (Table I's I): verts is the strictly
 	// sorted set of vertices occurring in the table, offsets has
 	// len(verts)+1 entries, and posts[offsets[i]:offsets[i+1]] is the
-	// sorted posting list of verts[i]. It covers Edges[:len(Edges)-nDelta].
+	// sorted posting list of verts[i]. It covers BaseEdges().
 	verts   []VertexID
 	offsets []uint32
 	posts   []EdgeID
+
+	// Tombstone mask, set only on a table that lost base members: baseAll
+	// is the full base member list the CSR and sidecar cover (the directory
+	// row's, shared) and dead its tombstoned members, sorted and non-empty.
+	baseAll []EdgeID
+	dead    []EdgeID
 
 	// Delta-side CSR covering Edges[len(Edges)-nDelta:]; all arrays are nil
 	// on fully-compacted partitions (the zero value means "no delta").
@@ -75,8 +89,9 @@ type Partition struct {
 	// kernels' scatter/probe steps, bmIdx parallels verts (-1 = array
 	// only), and all bitmap words share one backing array. The sidecar is
 	// derived state: built after the base CSR, rebuilt whenever the base
-	// segment is (delta publication with deletes, compaction, binary
-	// load); only binary v3 persists it.
+	// segment is (compaction, binary load) and kept as is by a tombstone
+	// mask, whose rank space is still BaseEdges(); only binary v3 persists
+	// it.
 	ranks setops.RankTable
 	bmIdx []int32
 	bms   []setops.Bitmap
@@ -94,8 +109,9 @@ const (
 	rankSpanFactor = 64
 )
 
-// Len returns the table cardinality |{e ∈ E(H) : S(e) = Sig}|. This is the
-// O(1) Card() fetch used by the matching-order planner (Definition V.2).
+// Len returns the table cardinality |{e ∈ E(H) : S(e) = Sig}| over live
+// edges. This is the O(1) Card() fetch used by the matching-order planner
+// (Definition V.2).
 func (p *Partition) Len() int {
 	return len(p.Edges)
 }
@@ -105,7 +121,8 @@ func (p *Partition) Len() int {
 // the CSR arrays. Callers must not mutate it. A vertex not occurring in
 // the segment yields nil. On a delta-carrying partition the full posting
 // list of v is Postings(v) followed by DeltaPostings(v) — both sorted, and
-// every delta ID greater than every base ID.
+// every delta ID greater than every base ID. On a masked table it may list
+// members of DeadEdges().
 func (p *Partition) Postings(v VertexID) []EdgeID {
 	return csrPostings(p.verts, p.offsets, p.posts, v)
 }
@@ -147,10 +164,10 @@ func (p *Partition) HasBitmaps() bool { return len(p.bms) > 0 }
 // a sidecar). Callers must not mutate it.
 func (p *Partition) BitmapRanks() setops.RankTable { return p.ranks }
 
-// NumBaseEdges returns the base-segment cardinality: the rank span of the
-// sidecar's bitmaps.
+// NumBaseEdges returns the base-segment cardinality, tombstoned members
+// of a masked table included: the rank span of the sidecar's bitmaps.
 func (p *Partition) NumBaseEdges() int {
-	return len(p.Edges) - p.nDelta
+	return len(p.BaseEdges())
 }
 
 // BitmapStats returns the sidecar's footprint: how many vertices carry a
@@ -166,9 +183,9 @@ func (p *Partition) BitmapStats() (verts, bytes int) {
 
 // buildBitmapSidecar (re)derives the bitmap sidecar from the base CSR:
 // one linear sweep over the posting arrays scattering each dense vertex's
-// list into its container. Called wherever a base segment is (re)built —
-// offline build, delta publication rebuilds, binary-load assembly. It
-// reports whether the table ended up with a sidecar.
+// list into its container. Called wherever a base segment is built —
+// offline build (and so compaction), binary-load assembly. It reports
+// whether the table ended up with a sidecar.
 func (p *Partition) buildBitmapSidecar() bool {
 	p.dropBitmapSidecar()
 	base := p.BaseEdges()
@@ -278,11 +295,20 @@ func (p *Partition) NumDeltaEdges() int {
 // HasDelta reports whether the table carries an append-side delta segment.
 func (p *Partition) HasDelta() bool { return p.nDelta > 0 }
 
-// BaseEdges returns the base-segment member edges (Edges minus the delta
-// tail). Callers must not mutate it.
+// BaseEdges returns the members the base index covers, sorted: Edges
+// minus the delta tail, plus on a masked table its DeadEdges. It is the
+// sidecar's unrank array. Callers must not mutate it.
 func (p *Partition) BaseEdges() []EdgeID {
+	if p.dead != nil {
+		return p.baseAll
+	}
 	return p.Edges[:len(p.Edges)-p.nDelta]
 }
+
+// DeadEdges returns the tombstoned base members a masked table's base
+// postings still list, sorted; nil on any other table. Callers must not
+// mutate it.
+func (p *Partition) DeadEdges() []EdgeID { return p.dead }
 
 // DeltaEdges returns the append-side delta members (empty when compacted).
 // Callers must not mutate it.
@@ -297,6 +323,16 @@ func (p *Partition) validate(h *Hypergraph) error {
 	}
 	if p.nDelta < 0 || p.nDelta > len(p.Edges) {
 		return fmt.Errorf("delta segment of %d edges in a table of %d", p.nDelta, len(p.Edges))
+	}
+	// A mask's base members are exactly its live base members plus its
+	// dead ones (Hypergraph.Validate checks the dead ones are tombstones),
+	// so the base postings list no other table's tombstone.
+	if p.dead != nil {
+		live := p.Edges[:len(p.Edges)-p.nDelta]
+		all := setops.Union(nil, live, p.dead)
+		if len(p.dead) == 0 || !setops.IsSorted(p.dead) || len(all) != len(live)+len(p.dead) || !setops.Equal(all, p.baseAll) {
+			return fmt.Errorf("tombstone mask: base members are not the live ones plus the dead ones")
+		}
 	}
 	// Each block is checked against ITS segment's members, so a posting
 	// cross-wired into the wrong segment is a validation failure.
@@ -346,14 +382,18 @@ func (p *Partition) validate(h *Hypergraph) error {
 	}
 	// Every member edge must appear in the posting list of each member
 	// vertex, on the segment it belongs to.
-	nBase := len(p.Edges) - p.nDelta
-	for i, e := range p.Edges {
-		pl := func(v VertexID) []EdgeID { return p.Postings(v) }
-		if i >= nBase {
-			pl = func(v VertexID) []EdgeID { return p.DeltaPostings(v) }
-		}
+	if err := checkPosted(h, p.BaseEdges(), p.Postings); err != nil {
+		return err
+	}
+	return checkPosted(h, p.DeltaEdges(), p.DeltaPostings)
+}
+
+// checkPosted checks that each of members is in the posting list of each
+// of its vertices.
+func checkPosted(h *Hypergraph, members []EdgeID, postings func(VertexID) []EdgeID) error {
+	for _, e := range members {
 		for _, v := range h.Edge(e) {
-			if !setops.Contains(pl(v), e) {
+			if !setops.Contains(postings(v), e) {
 				return fmt.Errorf("edge %d missing from posting list of vertex %d", e, v)
 			}
 		}

@@ -1,5 +1,7 @@
 package hypergraph
 
+import "unsafe"
+
 // Stats summarises a hypergraph with the columns of the paper's Table II:
 // |V|, |E|, |Σ|, a_max, average arity a, and the size of the inverted
 // hyperedge index — plus the interned-signature table the storage layer
@@ -33,7 +35,8 @@ type Stats struct {
 // shared CSR arrays (plus the delta blocks of an online snapshot),
 // BitmapBytes the sidecars, SigTableBytes the interner, GraphBytes the
 // rest — labels, edge and incidence CSR, member lists, edge→table links,
-// the partition directory and its lookups.
+// the partition directory and its lookups, and the entries of the side
+// table and of a snapshot's incidence overlay.
 func ComputeStats(h *Hypergraph) Stats {
 	s := Stats{
 		NumVertices:   h.NumVertices(),
@@ -51,8 +54,9 @@ func ComputeStats(h *Hypergraph) Stats {
 		len(h.incOff)+len(h.incEdges)+len(h.edgePart)+len(h.pendPart)+len(h.partEdges)+len(h.sigParts)+len(h.dead)) +
 		tableRowBytes*len(h.tables) + 16*len(h.labelledParts)
 	for _, l := range h.incOver {
-		s.GraphBytes += 4 * len(l)
+		s.GraphBytes += overlayEntryBytes + 4*len(l)
 	}
+	s.GraphBytes += sideEntryBytes * len(h.side)
 	for pi, p := range h.side {
 		bv, bb := p.BitmapStats()
 		s.BitmapVertices += bv
@@ -60,20 +64,25 @@ func ComputeStats(h *Hypergraph) Stats {
 		if h.onlySidecar(pi, p) {
 			continue
 		}
-		// A table the snapshot owns: its member list and delta block, and
-		// the base block too when publication rebuilt it.
+		// A table the snapshot owns: its member list, dead list and delta
+		// block. Its base block, if any, is the directory row's, shared
+		// with the base and counted above.
 		if p.Len() == 0 {
 			s.Partitions--
 		}
 		s.DeltaEdges += p.NumDeltaEdges()
-		s.GraphBytes += 4 * len(p.Edges)
+		s.GraphBytes += 4 * (len(p.Edges) + len(p.dead))
 		s.IndexBytes += 4 * (len(p.dverts) + len(p.doffsets) + len(p.dposts))
-		if int(pi) >= len(h.tables)-1 || p.NumBaseEdges() != h.rowLen(pi) {
-			s.IndexBytes += 4 * (len(p.verts) + len(p.offsets) + len(p.posts))
-		}
 	}
 	return s
 }
 
 // tableRowBytes is the size of one TableRow: five 32-bit columns.
 const tableRowBytes = 20
+
+// A side-table entry costs its key, its pointer and the Partition view it
+// points at; an incidence-overlay entry its key and its slice header.
+const (
+	sideEntryBytes    = 4 + 8 + int(unsafe.Sizeof(Partition{}))
+	overlayEntryBytes = 4 + int(unsafe.Sizeof([]uint32(nil)))
+)

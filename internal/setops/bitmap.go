@@ -77,6 +77,12 @@ func (b *Bitmap) Add(x uint32) {
 	b.card = -1
 }
 
+// Remove clears bit x (which must be inside the span).
+func (b *Bitmap) Remove(x uint32) {
+	b.words[x>>6] &^= 1 << (x & 63)
+	b.card = -1
+}
+
 // AddRanked sets the bit rank.Rank(x) for every x of a sorted global-ID
 // slice: the scatter step of a dense union over array inputs.
 func (b *Bitmap) AddRanked(s []uint32, rank RankTable) {

@@ -107,6 +107,11 @@ func TestBitmapReuseClear(t *testing.T) {
 	if got := b.AppendTo(nil); !Equal(got, []uint32{7, 199}) {
 		t.Fatalf("after Add: %v", got)
 	}
+	b.Remove(7)
+	b.Remove(8) // absent: no-op
+	if got := b.AppendTo(nil); !Equal(got, []uint32{199}) || b.Count() != 1 {
+		t.Fatalf("after Remove: %v (count %d)", got, b.Count())
+	}
 }
 
 func TestRankTable(t *testing.T) {
