@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"hgmatch/internal/engine"
 	"hgmatch/internal/hgtest"
@@ -126,10 +127,11 @@ func TestChaosPointLabels(t *testing.T) {
 }
 
 // TestChaosPoolIsolation runs victim requests with injected panics
-// concurrently with clean bystander requests on one shared pool. The
-// bystanders' embedding streams must be byte-identical to their baseline,
-// the pool must keep serving after every fault, and its cumulative
-// recovered-panic counter must match the faults that fired.
+// concurrently with clean bystander requests on one shared pool, each
+// bystander made to yield to its victim. The bystanders' embedding streams
+// must be byte-identical to their baseline, the pool must keep serving
+// after every fault, and its cumulative recovered-panic counter must match
+// the faults that fired.
 func TestChaosPoolIsolation(t *testing.T) {
 	victim := morselWorkload(t, 11, 3)
 	bystander := morselWorkload(t, 5, 3)
@@ -152,6 +154,27 @@ func TestChaosPoolIsolation(t *testing.T) {
 	var fired int
 	for i := 0; i < rounds; i++ {
 		inj := &hgtest.PanicInjector{Target: 1 + rng.Int63n(max64(1, counter.Total()*3/4))}
+		// The bystander parks at its first row until the victim has
+		// registered and its slice is over, so it resumes due to yield:
+		// every round re-queues bystander rows beside a faulting neighbour.
+		before := pool.Stats().Submitted
+		parked, gate := make(chan struct{}), make(chan struct{})
+		var park sync.Once
+		var got []string
+		var bres engine.Result
+		bdone := make(chan struct{})
+		go func() {
+			defer close(bdone)
+			got, bres = sortedEmbeddings(func(o engine.Options) engine.Result {
+				row := o.OnEmbedding
+				o.OnEmbedding = func(m []hypergraph.EdgeID) {
+					park.Do(func() { close(parked); <-gate })
+					row(m)
+				}
+				return pool.Submit(bystander, o)
+			}, engine.Options{Workers: 2})
+		}()
+		<-parked
 		var wg sync.WaitGroup
 		wg.Add(1)
 		var vres engine.Result
@@ -159,12 +182,22 @@ func TestChaosPoolIsolation(t *testing.T) {
 			defer wg.Done()
 			vres = pool.Submit(victim, engine.Options{Workers: 2, FaultHook: inj.Hook})
 		}()
-		got, bres := sortedEmbeddings(func(o engine.Options) engine.Result {
-			return pool.Submit(bystander, o)
-		}, engine.Options{Workers: 2})
+		for pool.Stats().Submitted < before+2 {
+			time.Sleep(20 * time.Microsecond)
+		}
+		time.Sleep(2 * time.Millisecond)
+		close(gate)
+		<-bdone
 		wg.Wait()
 		if bres.Err != nil || bres.LeakedBlocks != 0 {
 			t.Fatalf("round %d: bystander err=%v leaked=%d", i, bres.Err, bres.LeakedBlocks)
+		}
+		var yields uint64
+		for _, w := range bres.Workers {
+			yields += w.Yields
+		}
+		if yields == 0 {
+			t.Fatalf("round %d: the parked bystander did not yield", i)
 		}
 		if strings.Join(got, "\n") != strings.Join(baseWant, "\n") {
 			t.Fatalf("round %d: bystander stream diverged beside a poisoned request", i)

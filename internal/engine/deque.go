@@ -18,8 +18,10 @@ import (
 // semantics (LIFO order, stealable units, bounded live set) while
 // eliminating the per-embedding allocation and most scheduler round-trips.
 type task struct {
-	blk    *block // block of partial embeddings; nil for scan tasks
-	lo, hi uint32 // scan range [lo, hi) into the start partition
+	blk *block // block of partial embeddings; nil for scan tasks
+	// A scan task's range [lo, hi) into the start partition; a block task's
+	// first row still to expand in lo (non-zero once a yield re-queued it).
+	lo, hi uint32
 }
 
 // deque is one worker's task queue. The owner pushes and pops at the head

@@ -39,6 +39,19 @@ const busyWindow = 16
 // per task pop). Bounds cancellation latency without a clock read per row.
 const cancelCheckRows = 1024
 
+// yieldSlice is the least time a pool worker keeps one attachment before it
+// yields to a request that registered after it attached (see preempted).
+// Requests that finish inside it never yield, so sub-millisecond queries pay
+// nothing for preemption.
+const yieldSlice = 250 * time.Microsecond
+
+// runState.ctl layout: bit 0 is the stop flag, the bits above it count the
+// requests registered with the pool after this one.
+const (
+	ctlStop    = 1
+	ctlArrival = 2
+)
+
 // maxFreeBlocks caps a worker's block free list; beyond it drained blocks
 // are dropped for the GC (only reachable under pathological steal churn).
 const maxFreeBlocks = 64
@@ -170,6 +183,7 @@ type WorkerStats struct {
 	Spawned   uint64        // tasks spawned (pushed to a deque)
 	Steals    uint64        // successful steal operations performed
 	Stolen    uint64        // tasks obtained via stealing
+	Yields    uint64        // attachments ended early for a newer request
 	BusyTime  time.Duration // time spent executing tasks (window-sampled)
 	SinkCount uint64        // embeddings this worker sank
 }
@@ -180,6 +194,7 @@ func (s *WorkerStats) Add(o WorkerStats) {
 	s.Spawned += o.Spawned
 	s.Steals += o.Steals
 	s.Stolen += o.Stolen
+	s.Yields += o.Yields
 	s.BusyTime += o.BusyTime
 	s.SinkCount += o.SinkCount
 }
@@ -258,13 +273,19 @@ type runState struct {
 	pending    atomic.Int64  // live tasks (queued or executing)
 	liveBlocks atomic.Int64  // embedding blocks alive (queued, executing, filling)
 	peak       atomic.Int64  // high-water mark of liveBlocks
-	stopped    atomic.Bool
 	count      atomic.Uint64
+	// ctl is the one word the per-row predicate (shouldStop) loads: the
+	// stop flag (limit, deadline, context, poison, budget) in ctlStop and,
+	// above it, a count of later arrivals that Pool.Submit bumps. The pad
+	// keeps it off the cache line of the counters above, which workers
+	// write per block.
+	_   [64]byte
+	ctl atomic.Uint64
 
 	// Fault containment: the first recovered panic poisons the request
 	// (first writer wins; later panics are recovered and dropped), and a
-	// block acquisition beyond the memory budget aborts it. Both set
-	// stopped, so the existing cancellation drain — every queued task is
+	// block acquisition beyond the memory budget aborts it. Both stop the
+	// run, so the existing cancellation drain — every queued task is
 	// popped, discarded and its block released — is also the fault drain.
 	poisoned  atomic.Pointer[PoisonedError]
 	budgetHit atomic.Bool
@@ -341,6 +362,13 @@ type workerState struct {
 
 	rowsToCancelCheck int
 
+	// Preemption (see preempted): ctl0 is st.ctl at attach without the stop
+	// bit, so a later arrival shows as a changed word in the per-row load;
+	// attachedAt starts the worker's slice; yielding latches the decision.
+	ctl0       uint64
+	attachedAt time.Time
+	yielding   bool
+
 	busyStart time.Time
 	busyOpen  bool
 	busyTasks int
@@ -363,6 +391,9 @@ func (w *workerState) attach(st *runState) {
 	}
 	w.emitBuf = w.emitBuf[:st.nq]
 	w.rowsToCancelCheck = 0
+	w.ctl0 = st.ctl.Load() &^ ctlStop
+	w.attachedAt = time.Now()
+	w.yielding = false
 }
 
 // detach flushes the worker's request-scoped accumulators into the request
@@ -405,8 +436,8 @@ func (w *workerState) runOne(t task) {
 	if t.blk != nil {
 		w.hold(t.blk)
 	}
-	if st.stopped.Load() || (st.hasCancel && st.hitDeadline()) {
-		st.stopped.Store(true)
+	if st.isStopped() || (st.hasCancel && st.hitDeadline()) {
+		st.stop()
 		st.pending.Add(-1)
 		w.discard(t)
 		return
@@ -463,7 +494,7 @@ func (st *runState) poison(point string, v any) {
 	if st.poisoned.CompareAndSwap(nil, pe) && st.onPanic != nil {
 		st.onPanic()
 	}
-	st.stopped.Store(true)
+	st.stop()
 }
 
 // exceedBudget aborts the run over Options.MaxMemory: the cooperative stop
@@ -471,7 +502,7 @@ func (st *runState) poison(point string, v any) {
 // released rather than grown.
 func (st *runState) exceedBudget() {
 	st.budgetHit.Store(true)
-	st.stopped.Store(true)
+	st.stop()
 }
 
 // runErr classifies an abnormal completion; poison outranks the budget
@@ -551,12 +582,19 @@ func (st *runState) result() Result {
 		Workers:       st.stats,
 		PeakTasks:     st.peak.Load(),
 		PeakTaskBytes: st.peak.Load() * int64(TaskBlockBytes(st.plan)),
-		TimedOut:      st.stopped.Load() && st.hitDeadline(),
+		TimedOut:      st.isStopped() && st.hitDeadline(),
 		Groups:        st.groups,
 		LeakedBlocks:  st.liveBlocks.Load(),
 		Err:           st.runErr(),
 	}
 }
+
+// stop sets the run's stop flag; every attached worker sees it at its next
+// row or task.
+func (st *runState) stop() { st.ctl.Or(ctlStop) }
+
+// isStopped reports whether the run's stop flag is set.
+func (st *runState) isStopped() bool { return st.ctl.Load()&ctlStop != 0 }
 
 func (st *runState) hitDeadline() bool {
 	if st.hasDL && !time.Now().Before(st.deadline) {
@@ -636,8 +674,9 @@ func (st *runState) trySteal(self int, rng *rand.Rand) []task {
 // execute runs one task: a SCAN range split/emit or one block EXPAND.
 func (st *runState) execute(t task, w *workerState) {
 	if t.blk != nil {
-		w.expandBlock(t.blk)
-		w.release(t.blk)
+		if !w.expandBlock(t.blk, int(t.lo)) {
+			w.release(t.blk)
+		}
 		return
 	}
 
@@ -675,30 +714,33 @@ func (st *runState) execute(t task, w *workerState) {
 // dispatch hands a filled block onward: published to the worker's deque
 // (stealable, one scheduler round-trip) only while the deque is starved,
 // otherwise expanded depth-first inline — the morsel scheduler's fast path.
+// A yielding worker publishes every block: it is unwinding, not descending.
 // Publishing transfers block ownership to the deque (the popper re-holds
 // it), so the block leaves this worker's held set.
 func (w *workerState) dispatch(b *block) {
 	st := w.st
-	if !st.opts.DisableStealing && w.my.size() < publishThreshold {
+	if !st.opts.DisableStealing && (w.yielding || w.my.size() < publishThreshold) {
 		st.pending.Add(1)
 		w.stats.Spawned++
 		w.unhold(b)
 		w.my.push(task{blk: b})
 		return
 	}
-	w.expandBlock(b)
-	w.release(b)
+	if !w.expandBlock(b, 0) {
+		w.release(b)
+	}
 }
 
-// expandBlock runs EXPAND over every row of a block. Children fill a block
-// of depth+1 that is dispatched as it becomes full; at the final step the
-// children are complete embeddings, collected into the worker's candidate
-// run and sunk once per parent row (fusing TEXPAND with its TSINK children —
-// same results, fewer scheduler round-trips), or are only counted when the
-// run is countOnly. Inline dispatch recurses at most
+// expandBlock runs EXPAND over rows [from, b.n) of a block. Children fill a
+// block of depth+1 that is dispatched as it becomes full; at the final step
+// the children are complete embeddings, collected into the worker's
+// candidate run and sunk once per parent row (fusing TEXPAND with its TSINK
+// children — same results, fewer scheduler round-trips), or are only
+// counted when the run is countOnly. Inline dispatch recurses at most
 // |E(q)| frames deep, so a worker holds at most ~2·|E(q)| blocks outside its
-// deque — the Theorem VI.1 bound in blocks.
-func (w *workerState) expandBlock(b *block) {
+// deque — the Theorem VI.1 bound in blocks. It reports whether a yield
+// re-queued the block (see yieldRest); otherwise the caller still holds it.
+func (w *workerState) expandBlock(b *block, from int) (requeued bool) {
 	st := w.st
 	if hook := st.opts.FaultHook; hook != nil {
 		hook("expand")
@@ -707,28 +749,28 @@ func (w *workerState) expandBlock(b *block) {
 	sc := w.scratch(depth)
 
 	if depth == st.nq-1 && st.countOnly {
-		for i := 0; i < b.n; i++ {
+		for i := from; i < b.n; i++ {
 			if w.shouldStop() {
-				return
+				return w.yieldRest(b, i)
 			}
 			n := st.plan.CountValid(depth, b.row(i), sc, &w.ct)
 			w.localCount += n
 			w.stats.SinkCount += n
 		}
-		return
+		return false
 	}
 	if depth == st.nq-1 {
 		emit := func(c hypergraph.EdgeID) { w.run = append(w.run, c) }
-		for i := 0; i < b.n; i++ {
+		for i := from; i < b.n; i++ {
 			if w.shouldStop() {
-				return
+				return w.yieldRest(b, i)
 			}
 			m := b.row(i)
 			w.run = w.run[:0]
 			st.plan.Expand(depth, m, sc, &w.ct, emit)
 			w.sinkRun(m, w.run)
 		}
-		return
+		return false
 	}
 
 	out := w.acquire(depth + 1)
@@ -740,8 +782,11 @@ func (w *workerState) expandBlock(b *block) {
 			out = w.acquire(depth + 1)
 		}
 	}
-	for i := 0; i < b.n; i++ {
+	for i := from; i < b.n; i++ {
 		if w.shouldStop() {
+			// Re-queue the unexpanded rows before publishing the children,
+			// so the children sit on top of the LIFO deque.
+			requeued = w.yieldRest(b, i)
 			break
 		}
 		cur = b.row(i)
@@ -752,16 +797,22 @@ func (w *workerState) expandBlock(b *block) {
 	} else {
 		w.release(out)
 	}
+	return requeued
 }
 
-// shouldStop polls the stop flag per row and the deadline/context every
-// cancelCheckRows rows, bounding cancellation latency inside long blocks.
-// The stop flag is checked before the watch gate: poison and budget aborts
-// can fire on any run (watch only predicts limit/deadline/ctx), and a
-// poisoned run must stop expanding promptly.
+// shouldStop is the one per-row predicate of block expansion: true when the
+// run stopped (limit, deadline, context, poison, budget) or the worker
+// yields its slot (preempted). Its common path is one load of st.ctl, a
+// request-local word that changes only on a stop or an arrival, compared
+// with the value the worker attached with. The stop bit is checked before
+// the watch gate: poison and budget aborts can fire on any run (watch only
+// predicts limit/deadline/ctx), and a poisoned run must stop expanding
+// promptly. The deadline and context are polled every cancelCheckRows rows,
+// bounding cancellation latency inside long blocks without a clock read
+// per row.
 func (w *workerState) shouldStop() bool {
 	st := w.st
-	if st.stopped.Load() {
+	if c := st.ctl.Load(); c != w.ctl0 && (c&ctlStop != 0 || w.preempted()) {
 		return true
 	}
 	if !st.watch {
@@ -771,12 +822,41 @@ func (w *workerState) shouldStop() bool {
 		if w.rowsToCancelCheck--; w.rowsToCancelCheck <= 0 {
 			w.rowsToCancelCheck = cancelCheckRows
 			if st.hitDeadline() {
-				st.stopped.Store(true)
+				st.stop()
 				return true
 			}
 		}
 	}
 	return false
+}
+
+// preempted reports whether the worker should give its slot back: a
+// request registered with the pool after the worker attached (Pool.Submit
+// bumped st.ctl) and the worker has held the slot for yieldSlice. The answer
+// latches until the next attach. A yielding worker stops inlining —
+// dispatch publishes every full block — and each frame of its inline stack
+// finishes its current row, then re-queues the rest (yieldRest), so the
+// worker detaches within one row per matching-order level.
+func (w *workerState) preempted() bool {
+	if !w.yielding && w.st.ctl.Load()&^ctlStop != w.ctl0 && time.Since(w.attachedAt) >= yieldSlice {
+		w.yielding = true
+	}
+	return w.yielding
+}
+
+// yieldRest re-queues rows [i, b.n) of b as a task when the worker stopped
+// to yield rather than because the run stopped, and reports whether it did.
+// The block stays as it is — the task records the row to resume from — so a
+// yield copies no rows and acquires no block.
+func (w *workerState) yieldRest(b *block, i int) bool {
+	if !w.yielding {
+		return false
+	}
+	w.st.pending.Add(1)
+	w.stats.Spawned++
+	w.unhold(b)
+	w.my.push(task{blk: b, lo: uint32(i)})
+	return true
 }
 
 // scratch returns the worker's Scratch for one matching-order depth, drawn
@@ -852,7 +932,7 @@ func (w *workerState) sinkRun(prefix, run []hypergraph.EdgeID) {
 		}
 		return
 	}
-	if len(run) == 0 || st.stopped.Load() {
+	if len(run) == 0 || st.isStopped() {
 		return
 	}
 	w.localCount += uint64(len(run))
@@ -870,7 +950,7 @@ func (w *workerState) sinkRun(prefix, run []hypergraph.EdgeID) {
 // reserves a slot and the racing over-reservation is trimmed back — keeping
 // the reported count and callback deliveries exactly Limit.
 func (st *runState) sink(m []hypergraph.EdgeID, w *workerState) {
-	if st.stopped.Load() {
+	if st.isStopped() {
 		return
 	}
 	if hook := st.opts.FaultHook; hook != nil {
@@ -885,11 +965,11 @@ func (st *runState) sink(m []hypergraph.EdgeID, w *workerState) {
 			// A concurrent sink raced past the limit; undo and drop so
 			// the reported count never exceeds it.
 			st.count.Add(^uint64(0))
-			st.stopped.Store(true)
+			st.stop()
 			return
 		}
 		if n == st.opts.Limit {
-			st.stopped.Store(true)
+			st.stop()
 		}
 	} else {
 		w.localCount++

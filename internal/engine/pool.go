@@ -10,10 +10,14 @@ import (
 )
 
 // fairQuantum is how many tasks a pool worker executes for one request
-// before re-ranking the active requests by virtual time. Small enough that
-// a newly arrived request waits at most one quantum per worker before
-// receiving slots, large enough to amortise the attach/detach and ranking
-// cost over several morsels.
+// before re-ranking the active requests by virtual time, large enough to
+// amortise the attach/detach and ranking cost over several morsels. It does
+// not bound how long a newcomer waits: one block task can inline-expand a
+// whole subtree. A worker ends its quantum early once a request registered
+// after it attached and it has held the slot for yieldSlice (see
+// workerState.preempted), so a newcomer waits about one slice plus one row
+// per matching-order level. Ordered (capped-row) and NOSTL runs never yield:
+// their row order and static split are defined by whole quanta.
 const fairQuantum = 8
 
 // maxWeight caps a request's fair-share weight so the integer
@@ -44,6 +48,7 @@ type Pool struct {
 	completed atomic.Uint64
 	tasks     atomic.Uint64
 	panics    atomic.Uint64
+	yields    atomic.Uint64
 }
 
 // poolReq is one request registered with the pool.
@@ -66,6 +71,9 @@ type PoolStats struct {
 	Submitted uint64 // requests ever accepted by Submit
 	Completed uint64 // requests fully drained
 	Tasks     uint64 // morsel tasks executed across all requests
+	// Yields counts quanta a worker ended early because a newer request
+	// registered while it held its slot past yieldSlice.
+	Yields uint64
 	// PanicsRecovered counts requests poisoned by a recovered worker
 	// panic (one per poisoned request, not per panic — later panics on an
 	// already-poisoned request are recovered silently). A non-zero value
@@ -103,6 +111,7 @@ func (p *Pool) Stats() PoolStats {
 		Submitted:       p.submitted.Load(),
 		Completed:       p.completed.Load(),
 		Tasks:           p.tasks.Load(),
+		Yields:          p.yields.Load(),
 		PanicsRecovered: p.panics.Load(),
 	}
 }
@@ -174,6 +183,14 @@ func (p *Pool) Submit(plan *core.Plan, opts Options) Result {
 	if len(p.reqs) > 0 {
 		m := p.reqs[minVT(p.reqs)]
 		r.slots.Store(m.slots.Load() / m.weight * weight)
+	}
+	// Tell every registered request about the newcomer: their workers
+	// yield once past their slice (workerState.preempted). Ordered and
+	// NOSTL runs are not told; they keep whole quanta.
+	for _, q := range p.reqs {
+		if !q.st.opts.DisableStealing {
+			q.st.ctl.Add(ctlArrival)
+		}
 	}
 	p.reqs = append(p.reqs, r)
 	p.mu.Unlock()
@@ -304,8 +321,9 @@ func (p *Pool) waitWork() bool {
 
 // runQuantum attaches the worker to one request and executes up to
 // fairQuantum tasks from it (popping its own deque slot first, stealing
-// within the request otherwise unless it disables stealing), then detaches. Returns whether any task
-// ran. The worker whose task retires the request's pending count to zero
+// within the request otherwise unless it disables stealing), then detaches;
+// a yield to a newer request ends the quantum early. Returns whether any
+// task ran. The worker whose task retires the request's pending count to zero
 // finishes it; the last worker to detach from a finished request closes
 // its drained channel — after its own detach, so the submitter never
 // observes a partial merge.
@@ -337,12 +355,16 @@ func (p *Pool) runQuantum(w *workerState, r *poolReq, rng *rand.Rand) (did bool)
 			did = executed > 0
 		}
 		w.closeBusy()
+		if w.yielding {
+			w.stats.Yields++
+			p.yields.Add(1)
+		}
 		w.detach()
 		if executed > 0 {
 			p.tasks.Add(uint64(executed))
 		}
 	}()
-	for executed < fairQuantum {
+	for executed < fairQuantum && !w.preempted() {
 		t, ok := w.my.pop()
 		if !ok {
 			// Under NOSTL tasks never migrate: an empty own deque means

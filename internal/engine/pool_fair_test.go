@@ -1,6 +1,13 @@
 package engine
 
-import "testing"
+import (
+	"sync"
+	"testing"
+
+	"hgmatch/internal/core"
+	"hgmatch/internal/hgtest"
+	"hgmatch/internal/hypergraph"
+)
 
 // TestFairnessCountedSlots is the fairness regression test, made
 // deterministic through the counted-slot hook: fairPick is the exact
@@ -52,23 +59,58 @@ func TestFairPickProperties(t *testing.T) {
 	}
 }
 
-// TestPoolSlotRatioTwoTenants runs the real pool with two long workloads
-// of weights 1 and 3 and checks the consumed morsel-slot ratio lands in a
-// generous band around 3x while both were runnable. The deterministic
-// proportionality proof lives in TestFairnessCountedSlots; this is an
-// end-to-end smoke check that Submit wires Weight through to the pick.
+// TestPoolSlotRatioTwoTenants pins Submit's weight plumbing on the real
+// pool with two tenants registered at once: a Weight of 0 registers as 1, a
+// weight above maxWeight is clamped to it, and the second tenant starts at
+// the first one's virtual time, so their slot counters stand in the ratio of
+// their weights. Deterministic: the first tenant is parked in its row
+// callback while the second registers and reads the request list from
+// inside its own run.
 func TestPoolSlotRatioTwoTenants(t *testing.T) {
-	// The counted-slot test above is the regression gate; here we only
-	// assert the plumbing: a Weight below 1 normalises, an explicit weight
-	// registers. Running real concurrent workloads to measure slot ratios
-	// would reintroduce the wall-clock flakiness the hook exists to avoid.
-	weights := []uint64{1, 3}
-	slots := []uint64{0, 0}
-	for i := 0; i < 400; i++ {
-		slots[fairPick(slots, weights)]++
+	plan, err := core.NewPlan(hgtest.Fig1Query(), hgtest.Fig1Data())
+	if err != nil {
+		t.Fatal(err)
 	}
-	ratio := float64(slots[1]) / float64(slots[0])
-	if ratio < 2.9 || ratio > 3.1 {
-		t.Errorf("weight-3 tenant got %.2fx the slots of weight-1, want ~3x", ratio)
+	pool := NewPool(2)
+	defer pool.Close()
+
+	parked, gate := make(chan struct{}), make(chan struct{})
+	var park sync.Once
+	first := make(chan Result, 1)
+	go func() {
+		first <- pool.Submit(plan, Options{Workers: 1, OnEmbeddingWorker: func(int, []hypergraph.EdgeID) {
+			park.Do(func() { close(parked); <-gate })
+		}})
+	}()
+	<-parked
+	const firstSlots = 3
+	pool.mu.Lock()
+	pool.reqs[0].slots.Store(firstSlots)
+	pool.mu.Unlock()
+
+	var weights, slots []uint64
+	var read sync.Once
+	second := pool.Submit(plan, Options{Weight: maxWeight + 7, OnEmbeddingWorker: func(int, []hypergraph.EdgeID) {
+		read.Do(func() {
+			pool.mu.Lock()
+			defer pool.mu.Unlock()
+			for _, r := range pool.reqs {
+				weights = append(weights, r.weight)
+				slots = append(slots, r.slots.Load())
+			}
+		})
+	}})
+	close(gate)
+	if res := <-first; res.Embeddings != 2 || second.Embeddings != 2 {
+		t.Fatalf("tenants found %d and %d embeddings, want 2 each", res.Embeddings, second.Embeddings)
+	}
+	if len(weights) != 2 || weights[0] != 1 || weights[1] != maxWeight {
+		t.Fatalf("registered weights %v, want [1 %d]", weights, maxWeight)
+	}
+	// The second tenant's counter started at firstSlots·maxWeight and has
+	// only grown by the few tasks it ran before its first row.
+	if slots[0] != firstSlots || slots[1]/weights[1] != firstSlots {
+		t.Errorf("slots %v with weights %v: virtual times %d and %d, want both %d",
+			slots, weights, slots[0]/weights[0], slots[1]/weights[1], firstSlots)
 	}
 }

@@ -264,8 +264,9 @@ func TestRunJoinsItsPool(t *testing.T) {
 // TestLeakDetectorRandomizedCancel is the block-leak audit's regression
 // test: across many randomized cancel points (cancel after k embeddings,
 // k drawn per run) the engine must report blocks out == blocks in —
-// LeakedBlocks exactly zero — on solo runs and pool submits alike. A
-// single unreleased block on any cancel path fails this immediately.
+// LeakedBlocks exactly zero — on solo runs and pool submits alike, the
+// latter beside a neighbour that makes yields fire. A single unreleased
+// block on any cancel path fails this immediately.
 func TestLeakDetectorRandomizedCancel(t *testing.T) {
 	p := morselWorkload(t, 11, 4)
 	full := engine.Run(p, engine.Options{Workers: 2})
@@ -289,6 +290,44 @@ func TestLeakDetectorRandomizedCancel(t *testing.T) {
 	if n := int64(full.Embeddings); n < maxCancel {
 		maxCancel = n
 	}
+
+	// A neighbour request keeps arriving beside the pool-path runs, so
+	// yields fire both ways: the neighbour yields to each arriving run, and
+	// a run past its slice yields to the neighbour's next arrival. Half the
+	// neighbour's runs carry a short timeout, so some stop with re-queued
+	// blocks in their deques.
+	np := morselWorkload(t, 5, 3)
+	nfull := engine.Run(np, engine.Options{Workers: 2}).Embeddings
+	stop := make(chan struct{})
+	neighbour := make(chan error, 1)
+	go func() {
+		nrng := rand.New(rand.NewSource(7))
+		for {
+			select {
+			case <-stop:
+				neighbour <- nil
+				return
+			default:
+			}
+			var opts engine.Options
+			if nrng.Intn(2) == 0 {
+				opts.Timeout = time.Duration(1 + nrng.Int63n(int64(4*time.Millisecond)))
+			}
+			res := pool.Submit(np, opts)
+			if res.LeakedBlocks != 0 || (!res.TimedOut && res.Embeddings != nfull) {
+				neighbour <- fmt.Errorf("neighbour (timeout %v): %d embeddings, timed out %v, leaked %d blocks",
+					opts.Timeout, res.Embeddings, res.TimedOut, res.LeakedBlocks)
+				return
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		if err := <-neighbour; err != nil {
+			t.Error(err)
+		}
+	}()
+
 	for i := 0; i < runs; i++ {
 		cancelAt := 1 + uint64(rng.Int63n(maxCancel))
 		ctx, cancel := context.WithCancel(context.Background())
@@ -312,5 +351,8 @@ func TestLeakDetectorRandomizedCancel(t *testing.T) {
 		if res.LeakedBlocks != 0 {
 			t.Fatalf("run %d (cancel@%d): leaked %d blocks", i, cancelAt, res.LeakedBlocks)
 		}
+	}
+	if pool.Stats().Yields == 0 {
+		t.Error("no yield fired beside the neighbour")
 	}
 }

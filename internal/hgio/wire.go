@@ -282,6 +282,10 @@ type SchedulerStats struct {
 	Submitted uint64 `json:"submitted"`
 	Completed uint64 `json:"completed"`
 	Tasks     uint64 `json:"tasks"`
+	// PoolYields counts quanta a pool worker cut short because a newer
+	// request registered while it held its slot past the engine's slice:
+	// how often a concurrent request's arrival preempted running ones.
+	PoolYields uint64 `json:"pool_yields,omitempty"`
 
 	// AdmissionEnabled mirrors -admission; the remaining fields are zero
 	// when it is off.

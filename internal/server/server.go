@@ -801,6 +801,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Submitted:        ps.Submitted,
 		Completed:        ps.Completed,
 		Tasks:            ps.Tasks,
+		PoolYields:       ps.Yields,
 		AdmissionEnabled: s.adm.cfg.Enabled,
 		Bypassed:         s.adm.bypassed.Load(),
 		Admitted:         s.adm.admitted.Load(),
