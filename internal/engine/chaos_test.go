@@ -154,10 +154,11 @@ func TestChaosPoolIsolation(t *testing.T) {
 	var fired int
 	for i := 0; i < rounds; i++ {
 		inj := &hgtest.PanicInjector{Target: 1 + rng.Int63n(max64(1, counter.Total()*3/4))}
-		// The bystander parks at its first row until the victim has
-		// registered and its slice is over, so it resumes due to yield:
-		// every round re-queues bystander rows beside a faulting neighbour.
-		before := pool.Stats().Submitted
+		// The bystander parks at its first row until its slice is over and
+		// the victim has registered, so it resumes due to yield while the
+		// victim runs: every round re-queues bystander rows beside a
+		// faulting neighbour.
+		before, yields := pool.Stats().Submitted, pool.Stats().Yields
 		parked, gate := make(chan struct{}), make(chan struct{})
 		var park sync.Once
 		var got []string
@@ -175,6 +176,7 @@ func TestChaosPoolIsolation(t *testing.T) {
 			}, engine.Options{Workers: 2})
 		}()
 		<-parked
+		time.Sleep(2 * time.Millisecond)
 		var wg sync.WaitGroup
 		wg.Add(1)
 		var vres engine.Result
@@ -185,18 +187,13 @@ func TestChaosPoolIsolation(t *testing.T) {
 		for pool.Stats().Submitted < before+2 {
 			time.Sleep(20 * time.Microsecond)
 		}
-		time.Sleep(2 * time.Millisecond)
 		close(gate)
 		<-bdone
 		wg.Wait()
 		if bres.Err != nil || bres.LeakedBlocks != 0 {
 			t.Fatalf("round %d: bystander err=%v leaked=%d", i, bres.Err, bres.LeakedBlocks)
 		}
-		var yields uint64
-		for _, w := range bres.Workers {
-			yields += w.Yields
-		}
-		if yields == 0 {
+		if pool.Stats().Yields == yields {
 			t.Fatalf("round %d: the parked bystander did not yield", i)
 		}
 		if strings.Join(got, "\n") != strings.Join(baseWant, "\n") {

@@ -45,6 +45,12 @@ const cancelCheckRows = 1024
 // nothing for preemption.
 const yieldSlice = 250 * time.Microsecond
 
+// sliceCheckRows is how many rows a worker expands between slice-clock reads
+// once a request has arrived beside its own (see preempted); the first row
+// after the arrival reads the clock, so a worker already past its slice
+// yields at once. Rows before any arrival never read the clock.
+const sliceCheckRows = 32
+
 // runState.ctl layout: bit 0 is the stop flag, the bits above it count the
 // requests registered with the pool after this one.
 const (
@@ -183,7 +189,6 @@ type WorkerStats struct {
 	Spawned   uint64        // tasks spawned (pushed to a deque)
 	Steals    uint64        // successful steal operations performed
 	Stolen    uint64        // tasks obtained via stealing
-	Yields    uint64        // attachments ended early for a newer request
 	BusyTime  time.Duration // time spent executing tasks (window-sampled)
 	SinkCount uint64        // embeddings this worker sank
 }
@@ -194,7 +199,6 @@ func (s *WorkerStats) Add(o WorkerStats) {
 	s.Spawned += o.Spawned
 	s.Steals += o.Steals
 	s.Stolen += o.Stolen
-	s.Yields += o.Yields
 	s.BusyTime += o.BusyTime
 	s.SinkCount += o.SinkCount
 }
@@ -364,10 +368,12 @@ type workerState struct {
 
 	// Preemption (see preempted): ctl0 is st.ctl at attach without the stop
 	// bit, so a later arrival shows as a changed word in the per-row load;
-	// attachedAt starts the worker's slice; yielding latches the decision.
-	ctl0       uint64
-	attachedAt time.Time
-	yielding   bool
+	// attachedAt starts the worker's slice, read every sliceCheckRows rows
+	// after an arrival; yielding latches the decision.
+	ctl0             uint64
+	attachedAt       time.Time
+	rowsToSliceCheck int
+	yielding         bool
 
 	busyStart time.Time
 	busyOpen  bool
@@ -393,6 +399,7 @@ func (w *workerState) attach(st *runState) {
 	w.rowsToCancelCheck = 0
 	w.ctl0 = st.ctl.Load() &^ ctlStop
 	w.attachedAt = time.Now()
+	w.rowsToSliceCheck = 0
 	w.yielding = false
 }
 
@@ -809,7 +816,7 @@ func (w *workerState) expandBlock(b *block, from int) (requeued bool) {
 // predicts limit/deadline/ctx), and a poisoned run must stop expanding
 // promptly. The deadline and context are polled every cancelCheckRows rows,
 // bounding cancellation latency inside long blocks without a clock read
-// per row.
+// per row; preempted rate-limits its slice clock the same way.
 func (w *workerState) shouldStop() bool {
 	st := w.st
 	if c := st.ctl.Load(); c != w.ctl0 && (c&ctlStop != 0 || w.preempted()) {
@@ -832,15 +839,24 @@ func (w *workerState) shouldStop() bool {
 
 // preempted reports whether the worker should give its slot back: a
 // request registered with the pool after the worker attached (Pool.Submit
-// bumped st.ctl) and the worker has held the slot for yieldSlice. The answer
-// latches until the next attach. A yielding worker stops inlining —
-// dispatch publishes every full block — and each frame of its inline stack
-// finishes its current row, then re-queues the rest (yieldRest), so the
-// worker detaches within one row per matching-order level.
+// bumped st.ctl) and the worker has held the slot for yieldSlice. The slice
+// clock is read on the first call after the arrival and then every
+// sliceCheckRows calls, so a request that finishes inside its slice pays a
+// clock read per sliceCheckRows rows, not per row. The answer latches until
+// the next attach. A yielding worker stops inlining — dispatch publishes
+// every full block — and each frame of its inline stack finishes its
+// current row, then re-queues the rest (yieldRest), so the worker detaches
+// within one row per matching-order level of its first slice-clock read
+// past the slice.
 func (w *workerState) preempted() bool {
-	if !w.yielding && w.st.ctl.Load()&^ctlStop != w.ctl0 && time.Since(w.attachedAt) >= yieldSlice {
-		w.yielding = true
+	if w.yielding || w.st.ctl.Load()&^ctlStop == w.ctl0 {
+		return w.yielding
 	}
+	if w.rowsToSliceCheck--; w.rowsToSliceCheck > 0 {
+		return false
+	}
+	w.rowsToSliceCheck = sliceCheckRows
+	w.yielding = time.Since(w.attachedAt) >= yieldSlice
 	return w.yielding
 }
 

@@ -15,8 +15,8 @@ import (
 // not bound how long a newcomer waits: one block task can inline-expand a
 // whole subtree. A worker ends its quantum early once a request registered
 // after it attached and it has held the slot for yieldSlice (see
-// workerState.preempted), so a newcomer waits about one slice plus one row
-// per matching-order level. Ordered (capped-row) and NOSTL runs never yield:
+// workerState.preempted), so a newcomer waits about one slice plus
+// sliceCheckRows rows. Ordered (capped-row) and NOSTL runs never yield:
 // their row order and static split are defined by whole quanta.
 const fairQuantum = 8
 
@@ -356,7 +356,6 @@ func (p *Pool) runQuantum(w *workerState, r *poolReq, rng *rand.Rand) (did bool)
 		}
 		w.closeBusy()
 		if w.yielding {
-			w.stats.Yields++
 			p.yields.Add(1)
 		}
 		w.detach()

@@ -54,23 +54,16 @@ func parkThenSubmit(t *testing.T, pool *engine.Pool, a, b *core.Plan, onA func(w
 	return <-resA, <-resB
 }
 
-func totalYields(r engine.Result) uint64 {
-	var n uint64
-	for _, w := range r.Workers {
-		n += w.Yields
-	}
-	return n
-}
-
 // TestYieldBoundedInRows pins the preemption bound in rows. Both workers of
 // a 2-worker pool are parked inside a long uncapped request A when B
 // registers; released past their slice, each may finish the leaf row it was
 // in and must then detach, publishing the rest instead of expanding it. B
 // carries so much weight that a yielding worker's re-pick goes to B, so a
 // worker's A rows before its first B row are exactly the rows it expanded
-// after B arrived: they must all extend one partial embedding. Both answers
-// must equal their lone runs — a re-queued block resumes where it stopped,
-// expanding no row twice and skipping none.
+// after B arrived: they must all extend one partial embedding. The pool
+// counts exactly two yields, one per parked worker of A (nothing arrives
+// after B). Both answers must equal their lone runs — a re-queued block
+// resumes where it stopped, expanding no row twice and skipping none.
 func TestYieldBoundedInRows(t *testing.T) {
 	pa := morselWorkload(t, 11, 4)
 	pb := morselWorkload(t, 5, 3)
@@ -111,14 +104,8 @@ func TestYieldBoundedInRows(t *testing.T) {
 			t.Errorf("worker %d expanded %d leaf rows of A after B arrived, want at most the one it was in", w, len(rows))
 		}
 	}
-	if y := totalYields(a); y != 2 {
-		t.Errorf("A reported %d yields, want 2 (one per parked worker)", y)
-	}
-	if y := totalYields(b); y != 0 {
-		t.Errorf("B reported %d yields; nothing arrived after it", y)
-	}
 	if got := pool.Stats().Yields; got != 2 {
-		t.Errorf("pool counted %d yields, want 2", got)
+		t.Errorf("pool counted %d yields, want 2 (one per parked worker of A)", got)
 	}
 	if a.Embeddings != loneA.Embeddings || a.Counters != loneA.Counters || a.LeakedBlocks != 0 {
 		t.Errorf("A: %d embeddings, counters %+v, %d leaked; lone run %d, %+v",
@@ -133,18 +120,14 @@ func TestYieldBoundedInRows(t *testing.T) {
 	}
 }
 
-// TestYieldNeverAlone: a request nothing arrives beside never yields — Run's
-// pool of one, and a Submit with nothing else registered.
+// TestYieldNeverAlone: a Submit with nothing else registered never yields,
+// however long it runs — nothing arrives beside it.
 func TestYieldNeverAlone(t *testing.T) {
 	p := morselWorkload(t, 11, 4)
-	if y := totalYields(engine.Run(p, engine.Options{Workers: 2})); y != 0 {
-		t.Errorf("Run reported %d yields", y)
-	}
 	pool := engine.NewPool(2)
 	defer pool.Close()
-	if y := totalYields(pool.Submit(p, engine.Options{})); y != 0 {
-		t.Errorf("lone Submit reported %d yields", y)
-	}
+	pool.Submit(p, engine.Options{})
+	pool.Submit(p, engine.Options{})
 	if got := pool.Stats().Yields; got != 0 {
 		t.Errorf("pool counted %d yields with one request at a time", got)
 	}
@@ -159,7 +142,7 @@ func TestWorkerStatsConservationUnderYield(t *testing.T) {
 	pool := engine.NewPool(2)
 	defer pool.Close()
 	a, _ := parkThenSubmit(t, pool, pa, pb, nil, engine.Options{})
-	if totalYields(a) == 0 {
+	if pool.Stats().Yields == 0 {
 		t.Fatal("no yield fired")
 	}
 	var tasks, spawned uint64
@@ -192,7 +175,7 @@ func TestYieldSkipsOrderedAndNoStealing(t *testing.T) {
 	} {
 		var res engine.Result
 		var wg sync.WaitGroup
-		before := pool.Stats().Submitted
+		before, yields := pool.Stats().Submitted, pool.Stats().Yields
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -201,9 +184,9 @@ func TestYieldSkipsOrderedAndNoStealing(t *testing.T) {
 		for pool.Stats().Submitted == before {
 			time.Sleep(20 * time.Microsecond)
 		}
-		pool.Submit(p, engine.Options{}) // arrives beside it
+		pool.Submit(p, engine.Options{}) // arrives beside it; nothing arrives after it
 		wg.Wait()
-		if y := totalYields(res); y != 0 {
+		if y := pool.Stats().Yields - yields; y != 0 {
 			t.Errorf("%s run: %d yields", name, y)
 		}
 		n := want
