@@ -288,7 +288,11 @@ func BenchmarkSharedPoolQ3(b *testing.B) {
 // ingest request: a 100-edge insert batch plus one snapshot publication
 // (copy-on-write partition merge: new delta blocks, base shared).
 // "delete100" is the same for 100 deletes of base edges, which publish as
-// tombstone masks over the shared base index. "compact" folds a ~400-edge
+// tombstone masks over the shared base index. "steady" is the ack between
+// compactions: one 50-insert + 50-delete batch (half the deletes hit base
+// edges, half cancel earlier pending inserts) published on a buffer that
+// already holds ~1000 pending inserts and ~1000 tombstones, so what a
+// publication costs beyond its own batch shows. "compact" folds a ~400-edge
 // delta into a fresh fully-indexed base — the background job the
 // compaction threshold schedules. "match-on-delta" and
 // "match-on-tombstoned" rerun the q3 kernel against those two snapshots,
@@ -340,6 +344,72 @@ func BenchmarkOnlineIngest(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			deleteBatch(b)
+		}
+	})
+	b.Run("steady", func(b *testing.B) {
+		const (
+			prefill = 1000 // pending inserts and base tombstones before the first timed batch
+			half    = batch / 2
+			cycle   = 10 // timed batches before the buffer is rebuilt
+		)
+		fresh := make([][]uint32, prefill+cycle*half)
+		for i := range fresh {
+			vs := make([]uint32, 3+rng.Intn(10))
+			for j := range vs {
+				vs[j] = rng.Uint32() % nv
+			}
+			fresh[i] = vs
+		}
+		perm := rng.Perm(h.NumEdges())
+		doomed := make([][]uint32, prefill+cycle*half/2)
+		for i := range doomed {
+			doomed[i] = h.Edge(hypergraph.EdgeID(perm[i]))
+		}
+		var d *hypergraph.DeltaBuffer
+		var pending [][]uint32 // inserts of the current cycle, in order
+		insert := func(vs []uint32) {
+			if _, added, err := d.Insert(vs...); err != nil {
+				b.Fatal(err)
+			} else if added {
+				pending = append(pending, vs)
+			}
+		}
+		del := func(vs []uint32) {
+			if _, err := d.Delete(vs...); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			k := i % cycle
+			if k == 0 {
+				b.StopTimer()
+				var err error
+				if d, err = hypergraph.NewDeltaBuffer(h); err != nil {
+					b.Fatal(err)
+				}
+				pending = pending[:0]
+				for _, vs := range fresh[:prefill] {
+					insert(vs)
+				}
+				for _, vs := range doomed[:prefill] {
+					del(vs)
+				}
+				d.Publish()
+				b.StartTimer()
+			}
+			for _, vs := range fresh[prefill+k*half : prefill+(k+1)*half] {
+				insert(vs)
+			}
+			for _, vs := range doomed[prefill+k*half/2 : prefill+(k+1)*half/2] {
+				del(vs)
+			}
+			for _, vs := range pending[k*half/2 : (k+1)*half/2] {
+				del(vs)
+			}
+			if s := d.Publish(); !s.HasDelta() {
+				b.Fatal("no delta published")
+			}
 		}
 	})
 	b.Run("compact", func(b *testing.B) {

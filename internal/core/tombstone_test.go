@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"hgmatch/internal/core"
 	"hgmatch/internal/engine"
@@ -131,6 +132,171 @@ func TestTombstonedSnapshotEquivalence(t *testing.T) {
 	}
 }
 
+// TestIncrementalPublishEquivalence: a publication rebuilds the views of
+// the tables its batch touched and re-attaches every other one as the
+// snapshot before it published it. A table T is touched (inserts and a
+// delete, so its view is a delta segment over a mask), left alone while
+// writes land elsewhere, touched again (a delete, a cancelled insert, a
+// resurrection) and left alone again. After each publication every table
+// no write touched must be the very view of the previous snapshot, and
+// matching on the snapshot — random queries and a one-edge query on T,
+// uncapped and capped — must be matching on its compacted twin.
+func TestIncrementalPublishEquivalence(t *testing.T) {
+	for gi, g := range hgtest.ServingGraphs()[:2] {
+		rng := rand.New(rand.NewSource(int64(700 + gi)))
+		buf, err := hypergraph.NewDeltaBuffer(g.Graph)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := buf.Base()
+		target := base.Partition(largestTable(base))
+		keyOf := func(el hypergraph.Label, sig hypergraph.Signature) string {
+			return fmt.Sprint(el, sig)
+		}
+		tKey := keyOf(target.EdgeLabel, target.Sig)
+		touched := map[string]bool{}
+		keyOfEdge := func(vs []uint32) string {
+			return keyOf(hypergraph.NoEdgeLabel, hypergraph.SignatureOf(vs, base.Labels()))
+		}
+		insert := func(inT bool) []uint32 {
+			t.Helper()
+			for {
+				var vs []uint32
+				if inT { // a fresh edge with T's signature
+					for _, l := range target.Sig {
+						for {
+							v := uint32(rng.Intn(base.NumVertices()))
+							if base.Label(v) == l && !slices.Contains(vs, v) {
+								vs = append(vs, v)
+								break
+							}
+						}
+					}
+				} else {
+					vs = make([]uint32, 2+rng.Intn(4))
+					for j := range vs {
+						vs[j] = uint32(rng.Intn(base.NumVertices()))
+					}
+				}
+				slices.Sort(vs)
+				vs = slices.Compact(vs)
+				if k := keyOfEdge(vs); (k == tKey) != inT {
+					continue
+				}
+				if _, added, err := buf.Insert(vs...); err != nil {
+					t.Fatal(err)
+				} else if added {
+					touched[keyOfEdge(vs)] = true
+					return vs
+				}
+			}
+		}
+		del := func(vs []uint32) {
+			t.Helper()
+			if ok, err := buf.Delete(vs...); err != nil || !ok {
+				t.Fatalf("%s: delete %v: %v %v", g.Name, vs, ok, err)
+			}
+			touched[keyOfEdge(vs)] = true
+		}
+		deleteElsewhere := func() {
+			t.Helper()
+			s := buf.Snapshot()
+			for {
+				e := hypergraph.EdgeID(rng.Intn(s.NumEdges()))
+				if vs := s.Edge(e); !s.IsDeadEdge(e) && keyOfEdge(vs) != tKey {
+					del(vs)
+					return
+				}
+			}
+		}
+		var tInserts [][]uint32
+		steps := []struct {
+			name   string
+			touchT bool
+			writes func()
+		}{
+			{"touch T", true, func() {
+				tInserts = append(tInserts, insert(true), insert(true))
+				del(base.Edge(target.Edges[0]))
+				for i := 0; i < 3; i++ {
+					insert(false)
+				}
+				deleteElsewhere()
+			}},
+			{"leave T alone", false, func() {
+				for i := 0; i < 3; i++ {
+					insert(false)
+				}
+				deleteElsewhere()
+				deleteElsewhere()
+			}},
+			{"touch T again", true, func() {
+				del(base.Edge(target.Edges[1]))
+				del(tInserts[0])
+				if _, added, err := buf.Insert(base.Edge(target.Edges[0])...); err != nil || !added {
+					t.Fatalf("%s: resurrect: %v %v", g.Name, added, err)
+				}
+				insert(false)
+			}},
+			{"leave T alone again", false, func() {
+				insert(false)
+				deleteElsewhere()
+			}},
+		}
+		prev := buf.Publish()
+		for _, st := range steps {
+			clear(touched)
+			st.writes()
+			snap := buf.Publish()
+			what := fmt.Sprintf("%s after %q", g.Name, st.name)
+			if touched[tKey] != st.touchT {
+				t.Fatalf("%s: T touched %v, want %v", what, touched[tKey], st.touchT)
+			}
+			shared := 0
+			for pi := 0; pi < prev.NumPartitions(); pi++ {
+				a, b := prev.Partition(pi), snap.Partition(pi)
+				if touched[keyOf(a.EdgeLabel, a.Sig)] {
+					continue
+				}
+				if !sameView(a, b) {
+					t.Fatalf("%s: untouched table %d (%v) was rebuilt", what, pi, a.Sig)
+				}
+				shared++
+			}
+			tp := snap.PartitionBySigLabelled(target.EdgeLabel, target.SigID)
+			if !tp.HasDelta() || len(tp.DeadEdges()) == 0 {
+				t.Fatalf("%s: T is not a delta over a mask (delta %v, dead %v)", what, tp.HasDelta(), tp.DeadEdges())
+			}
+			if shared == 0 {
+				t.Fatalf("%s: no untouched table to compare", what)
+			}
+			checkTombstonedSnapshot(t, what, snap, rand.New(rand.NewSource(rng.Int63())))
+			comp, err := snap.Compacted()
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := hypergraph.NewBuilder()
+			vs := make([]uint32, len(target.Sig))
+			for j, l := range target.Sig {
+				vs[j] = b.AddVertex(l)
+			}
+			b.AddEdge(vs...)
+			checkQueryOnSnapshot(t, what+", one-edge query on T", b.MustBuild(), snap, comp)
+			prev = snap
+		}
+	}
+}
+
+// sameView reports whether a and b are one table view: the same member,
+// dead and base lists and the same delta dictionary, array for array.
+func sameView(a, b hypergraph.Partition) bool {
+	same := func(x, y []uint32) bool {
+		return len(x) == len(y) && unsafe.SliceData(x) == unsafe.SliceData(y)
+	}
+	return same(a.Edges, b.Edges) && same(a.DeadEdges(), b.DeadEdges()) &&
+		same(a.BaseEdges(), b.BaseEdges()) && same(a.DeltaPostingVertices(), b.DeltaPostingVertices())
+}
+
 // checkTombstonedSnapshot compares snap against snap.Compacted() on random
 // queries of one to four hyperedges, and on a one-edge query for each table
 // tombstones emptied (no answer on either graph).
@@ -169,42 +335,66 @@ func checkTombstonedSnapshot(t *testing.T, what string, snap *hypergraph.Hypergr
 		}
 	}
 	for _, q := range queries {
-		nq := q.NumEdges()
-		want, err := core.NewPlan(q, comp)
-		if err != nil {
-			t.Fatal(err)
+		checkQueryOnSnapshot(t, what, q, snap, comp)
+	}
+}
+
+// checkQueryOnSnapshot compares query q on snap against its compacted twin
+// comp: the same matching order, rows as vertex-set tuples and Counters,
+// Run agreeing with the sequential enumeration, and capped Run streams
+// that are the sequential order's prefix and, edge by edge, the vertex
+// sets the same capped run streams on comp (compaction renumbers in prior
+// ID order, so the capped order survives it). Queries with more than
+// tombstoneQueryRows answers are skipped.
+func checkQueryOnSnapshot(t *testing.T, what string, q, snap, comp *hypergraph.Hypergraph) {
+	t.Helper()
+	nq := q.NumEdges()
+	want, err := core.NewPlan(q, comp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := want.CountSequential(); n > tombstoneQueryRows {
+		return
+	}
+	got, err := core.NewPlan(q, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.Order, want.Order) {
+		t.Fatalf("%s, %d-edge query: matching order %v, compacted graph's %v", what, nq, got.Order, want.Order)
+	}
+	gotRows, gotCt := vertexRows(got)
+	wantRows, wantCt := vertexRows(want)
+	if gotCt != wantCt || !slices.Equal(gotRows, wantRows) {
+		t.Fatalf("%s, %d-edge query: %d rows, %+v; compacted graph: %d rows, %+v",
+			what, nq, len(gotRows), gotCt, len(wantRows), wantCt)
+	}
+	var seq [][]hypergraph.EdgeID
+	got.EnumerateSequential(func(m []hypergraph.EdgeID) { seq = append(seq, slices.Clone(m)) })
+	if res := engine.Run(got, engine.Options{Workers: 2}); res.Embeddings != uint64(len(seq)) || res.Counters != gotCt {
+		t.Fatalf("%s, %d-edge query: Run found %d embeddings, %+v; sequential %d, %+v",
+			what, nq, res.Embeddings, res.Counters, len(seq), gotCt)
+	}
+	capped := func(p *core.Plan, limit int) (rows [][]hypergraph.EdgeID, tuples []string) {
+		res := engine.Run(p, engine.Options{Workers: 2, Limit: uint64(limit), OnEmbedding: func(m []hypergraph.EdgeID) {
+			rows = append(rows, slices.Clone(m))
+		}})
+		if res.LeakedBlocks != 0 {
+			t.Fatalf("%s, %d-edge query, limit %d: %d leaked blocks", what, nq, limit, res.LeakedBlocks)
 		}
-		if n, _ := want.CountSequential(); n > tombstoneQueryRows {
-			continue
+		for _, m := range rows {
+			tuples = append(tuples, vertexTuple(p, m))
 		}
-		got, err := core.NewPlan(q, snap)
-		if err != nil {
-			t.Fatal(err)
+		return rows, tuples
+	}
+	for _, limit := range []int{1, 7, len(seq) + 1} {
+		rows, tuples := capped(got, limit)
+		if prefix := seq[:min(limit, len(seq))]; !slices.EqualFunc(rows, prefix, slices.Equal) {
+			t.Fatalf("%s, %d-edge query, limit %d: Run streamed %d rows, want the first %d of the sequential order",
+				what, nq, limit, len(rows), len(prefix))
 		}
-		if !slices.Equal(got.Order, want.Order) {
-			t.Fatalf("%s, %d-edge query: matching order %v, compacted graph's %v", what, nq, got.Order, want.Order)
-		}
-		gotRows, gotCt := vertexRows(got)
-		wantRows, wantCt := vertexRows(want)
-		if gotCt != wantCt || !slices.Equal(gotRows, wantRows) {
-			t.Fatalf("%s, %d-edge query: %d rows, %+v; compacted graph: %d rows, %+v",
-				what, nq, len(gotRows), gotCt, len(wantRows), wantCt)
-		}
-		var seq [][]hypergraph.EdgeID
-		got.EnumerateSequential(func(m []hypergraph.EdgeID) { seq = append(seq, slices.Clone(m)) })
-		if res := engine.Run(got, engine.Options{Workers: 2}); res.Embeddings != uint64(len(seq)) || res.Counters != gotCt {
-			t.Fatalf("%s, %d-edge query: Run found %d embeddings, %+v; sequential %d, %+v",
-				what, nq, res.Embeddings, res.Counters, len(seq), gotCt)
-		}
-		for _, limit := range []int{1, 7, len(seq) + 1} {
-			var rows [][]hypergraph.EdgeID
-			res := engine.Run(got, engine.Options{Workers: 2, Limit: uint64(limit), OnEmbedding: func(m []hypergraph.EdgeID) {
-				rows = append(rows, slices.Clone(m))
-			}})
-			if prefix := seq[:min(limit, len(seq))]; !slices.EqualFunc(rows, prefix, slices.Equal) || res.LeakedBlocks != 0 {
-				t.Fatalf("%s, %d-edge query, limit %d: Run streamed %d rows (%d leaked blocks), want the first %d of the sequential order",
-					what, nq, limit, len(rows), res.LeakedBlocks, len(prefix))
-			}
+		if _, wantTuples := capped(want, limit); !slices.Equal(tuples, wantTuples) {
+			t.Fatalf("%s, %d-edge query, limit %d: capped rows %v, compacted graph's %v", what, nq, limit, tuples, wantTuples)
 		}
 	}
 }
@@ -214,14 +404,19 @@ func checkTombstonedSnapshot(t *testing.T, what string, snap *hypergraph.Hypergr
 func vertexRows(p *core.Plan) ([]string, core.Counters) {
 	var rows []string
 	ct := p.EnumerateSequential(func(m []hypergraph.EdgeID) {
-		row := make([][]uint32, len(m))
-		for i, e := range m {
-			row[i] = p.Data.Edge(e)
-		}
-		rows = append(rows, fmt.Sprint(row))
+		rows = append(rows, vertexTuple(p, m))
 	})
 	slices.Sort(rows)
 	return rows, ct
+}
+
+// vertexTuple renders row m of p as its hyperedges' vertex sets.
+func vertexTuple(p *core.Plan, m []hypergraph.EdgeID) string {
+	row := make([][]uint32, len(m))
+	for i, e := range m {
+		row[i] = p.Data.Edge(e)
+	}
+	return fmt.Sprint(row)
 }
 
 // largestTable returns the index of h's largest table, the one most

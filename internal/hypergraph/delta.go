@@ -1,7 +1,6 @@
 package hypergraph
 
 import (
-	"cmp"
 	"fmt"
 	"maps"
 	"slices"
@@ -19,15 +18,18 @@ import (
 // deduplicated against both the base and each other through the same
 // interner machinery the offline Builder uses, so online ingest preserves
 // the simple-hypergraph invariant). Snapshot publication is copy-on-write
-// and incremental: a snapshot shares the base's flat arrays — edge and
-// incidence CSR, partition directory, member lists, inverted indexes — by
-// reference and owns only what the pending writes touched: the incidence
-// lists of touched vertices (an overlay map), a materialised view per
-// touched table in the side table (gained edges: a delta CSR segment, see
-// Partition; lost edges: a tombstone mask — the live member list and a
-// dead list beside the unchanged, shared base index; lost all: a mask
-// with no live member, holding its index until compaction), and the
-// tables of signatures first seen online, indexed past the directory. The
+// and incremental against the previous snapshot: a snapshot shares the
+// base's flat arrays — edge and incidence CSR, partition directory, member
+// lists, inverted indexes, signature interner and lookups — by reference,
+// and shares with the snapshot before it the view of every table no write
+// since then touched. A write marks its table's view stale, and the next
+// publication rebuilds the stale views alone (gained edges: a delta CSR
+// segment, see Partition; lost edges: a tombstone mask — the live member
+// list and a dead list beside the unchanged, shared base index; lost all:
+// a mask with no live member, holding its index until compaction).
+// Signatures and tables first seen online live in a small append-only
+// side interner with IDs and indices past the base's. The incidence
+// overlay is not built at all until a reader asks (see incOverlay). The
 // published *Hypergraph hangs off an atomic pointer — an MVCC epoch
 // handoff: a match that started on snapshot N keeps reading N while N+1
 // serves new requests, with no locks anywhere on the match hot path.
@@ -51,18 +53,45 @@ type DeltaBuffer struct {
 
 	// Pending inserts: slot i is hyperedge ID base.NumEdges()+i, with its
 	// edge label as the interner tag and its sorted vertex set as the body.
+	// pendPart[i] is the slot's table, fixed when the slot is created; it
+	// only grows by append, so snapshots share it as their pendPart.
 	pend     *u32Interner
 	pendDead []bool // pending slots deleted again before compaction
+	pendPart []uint32
 	livePend int
 
 	dead setops.Bitmap // tombstoned base edges, one bit per base edge ID
 
-	// masked holds, per base table with tombstoned members, the masked
-	// view last published for it. A delete or a resurrection sets its
-	// table's entry to nil: re-mask at the next publication. Published
-	// views are never written again, so a snapshot shares the masks of
-	// every table the writes since the last one left alone.
-	masked map[uint32]*Partition
+	// Per-table write state: the pending slots each table holds (live and
+	// cancelled, ascending) and the number of tombstoned members of each
+	// base table.
+	tabPend map[uint32][]uint32
+	tabDead map[uint32]int
+
+	// stale holds the tables written since the last publication: an
+	// insert, a delete, a cancelled insert or a resurrection in a table
+	// adds it. The view last published for every table — a delta segment,
+	// a mask or both — is cached in the latest snapshot's side table; the
+	// next publication clones that table and rebuilds the stale entries
+	// alone. Published views are never written again, so a snapshot shares
+	// the views of every table the writes since the one before it left
+	// alone.
+	stale map[uint32]bool
+
+	// Signatures and tables first seen since the last compaction (see
+	// onlineTables); newTables[i] is the partKey of table base.nParts+i.
+	// online is written in place; onlinePub is the copy the latest
+	// snapshot holds, retaken only at a publication whose batch added to
+	// online.
+	online      onlineTables
+	onlinePub   *onlineTables
+	onlineDirty bool
+	newTables   []uint64
+
+	// Arity aggregates over live edges: their sum and, per arity, their
+	// count — the maximum arity is the highest non-zero count.
+	totalArity int
+	arities    []int
 
 	// The edge table every snapshot since the last compaction reads: the
 	// base's CSR followed by the pending slots published so far. It only
@@ -73,16 +102,36 @@ type DeltaBuffer struct {
 	edgeVerts  []uint32
 	edgeLabels []Label // nil until the table holds a labelled edge
 
-	// Pooled publish-side scratch (guarded by mu): the append-side maps a
-	// publication fills and drains are reused across publications instead
-	// of being reallocated per snapshot, which cuts the per-ingest-request
-	// garbage roughly in half (the rest is the retained snapshot itself).
-	// pubAddInc keeps its value slices' backings alive between uses —
-	// entries are truncated, not deleted, so steady-state publication
-	// appends into recycled buffers.
-	pubAddInc  map[VertexID][]EdgeID
-	pubTouched map[VertexID]struct{}
-	segCnt     map[VertexID]uint32
+	// Writer-side scratch: the signature of the edge being inserted, and
+	// buildSegmentCSR's dense per-vertex counters (all zero between calls)
+	// with the list of vertices it touched.
+	sigBuf Signature
+	vcount []uint32
+	vseen  []VertexID
+}
+
+// onlineTables is what the writes since the last compaction add past the
+// base's signature interner and table lookups: signatures first seen
+// online, under SigIDs continuing the base interner's, and the tables
+// first seen online, under indices past the partition directory. Every
+// lookup probes the base first, so the base's interner and lookups are
+// shared, never cloned; a snapshot holds a copy of this small remainder.
+type onlineTables struct {
+	sigs  *u32Interner
+	parts map[uint64]int32 // partKey(edge label, SigID) -> table index
+}
+
+// numSigs returns the number of signatures first seen online.
+func (o *onlineTables) numSigs() int {
+	if o == nil {
+		return 0
+	}
+	return o.sigs.len()
+}
+
+// clone returns an independent copy for a snapshot to hold.
+func (o *onlineTables) clone() *onlineTables {
+	return &onlineTables{sigs: o.sigs.clone(), parts: maps.Clone(o.parts)}
 }
 
 // NewDeltaBuffer returns a buffer over base. A delta-carrying snapshot is
@@ -98,11 +147,7 @@ func NewDeltaBuffer(base *Hypergraph) (*DeltaBuffer, error) {
 			return nil, err
 		}
 	}
-	d := &DeltaBuffer{
-		pubAddInc:  make(map[VertexID][]EdgeID),
-		pubTouched: make(map[VertexID]struct{}),
-		segCnt:     make(map[VertexID]uint32),
-	}
+	d := &DeltaBuffer{}
 	d.rebase(base)
 	d.pubVersion.Store(base.deltaVersion)
 	return d, nil
@@ -115,9 +160,16 @@ func NewDeltaBuffer(base *Hypergraph) (*DeltaBuffer, error) {
 func (d *DeltaBuffer) rebase(base *Hypergraph) {
 	d.base = base
 	d.labels = slices.Clip(base.labels)
-	d.pend, d.pendDead, d.livePend = newU32Interner(16, 64), nil, 0
+	d.pend, d.pendDead, d.pendPart, d.livePend = newU32Interner(16, 64), nil, nil, 0
 	d.dead = *setops.FromSorted(nil, base.NumEdges())
-	d.masked = make(map[uint32]*Partition)
+	d.tabPend, d.tabDead = make(map[uint32][]uint32), make(map[uint32]int)
+	d.stale = make(map[uint32]bool)
+	d.online = onlineTables{sigs: newU32Interner(16, 64), parts: make(map[uint64]int32)}
+	d.onlinePub, d.onlineDirty, d.newTables = nil, false, nil
+	d.totalArity, d.arities = base.totalArity, make([]int, base.maxArity+1)
+	for e := EdgeID(0); int(e) < base.NumEdges(); e++ {
+		d.arities[base.Arity(e)]++
+	}
 	d.edgeOff, d.edgeVerts, d.edgeLabels = slices.Clip(base.edgeOff), slices.Clip(base.edgeVerts), slices.Clip(base.edgeLabels)
 	d.snap.Store(base)
 	d.dirty.Store(false)
@@ -221,11 +273,13 @@ func (d *DeltaBuffer) InsertLabelled(el Label, vertices ...uint32) (EdgeID, bool
 	if int(vs[len(vs)-1]) >= len(d.labels) {
 		return 0, false, fmt.Errorf("hypergraph: insert references unknown vertex %d", vs[len(vs)-1])
 	}
-	if e, ok := d.base.findEdgeLabelled(el, vs); ok {
+	id := d.sigOf(vs)
+	if e, ok := d.findBase(el, id, vs); ok {
 		if d.dead.Contains(e) {
 			d.dead.Remove(e) // resurrection: the tombstone is withdrawn
-			d.masked[d.base.edgePart[e]] = nil
-			d.dirty.Store(true)
+			pi := d.base.edgePart[e]
+			d.tabDead[pi]--
+			d.changed(pi, len(vs), 1)
 			return e, true, nil
 		}
 		return e, false, nil
@@ -235,16 +289,94 @@ func (d *DeltaBuffer) InsertLabelled(el Label, vertices ...uint32) (EdgeID, bool
 		if d.pendDead[slot] {
 			d.pendDead[slot] = false
 			d.livePend++
-			d.dirty.Store(true)
+			d.changed(d.pendPart[slot], len(vs), 1)
 			return nb + EdgeID(slot), true, nil
 		}
 		return nb + EdgeID(slot), false, nil
 	}
+	pi := d.tableFor(el, id)
 	slot, _ := d.pend.intern(el, vs)
 	d.pendDead = append(d.pendDead, false)
+	d.pendPart = append(d.pendPart, pi)
+	d.tabPend[pi] = append(d.tabPend[pi], slot)
 	d.livePend++
-	d.dirty.Store(true)
+	d.changed(pi, len(vs), 1)
 	return nb + EdgeID(slot), true, nil
+}
+
+// sigOf returns the base's SigID for vs's signature, or NoSigID when the
+// base has never seen it, and leaves the signature in d.sigBuf.
+func (d *DeltaBuffer) sigOf(vs []uint32) SigID {
+	d.sigBuf = AppendSignature(d.sigBuf[:0], vs, d.labels)
+	if id, ok := d.base.sigTab.lookup(0, d.sigBuf); ok {
+		return id
+	}
+	return NoSigID
+}
+
+// findBase returns the base edge with exactly (el, vs), whose base
+// signature ID is id, if there is one. It scans the shortest of vs's
+// posting lists in that one table — not the graph-wide incidence lists —
+// so online dedup reads a few table-local entries per vertex.
+func (d *DeltaBuffer) findBase(el Label, id SigID, vs []uint32) (EdgeID, bool) {
+	pi := -1
+	if id != NoSigID {
+		pi = d.base.tableOf(el, id)
+	}
+	if pi < 0 {
+		return 0, false
+	}
+	p := d.base.Partition(pi)
+	var best []EdgeID
+	for i, v := range vs {
+		if l := p.Postings(v); i == 0 || len(l) < len(best) {
+			best = l
+		}
+	}
+	for _, e := range best {
+		if setops.Equal(d.base.Edge(e), vs) {
+			return e, true
+		}
+	}
+	return 0, false
+}
+
+// tableFor returns the table a new pending edge lands in, given its base
+// signature ID from sigOf. A signature the base has never seen is
+// interned from d.sigBuf into the online interner, and a table the base
+// has no row for gets the next index past the directory, which it keeps
+// until compaction.
+func (d *DeltaBuffer) tableFor(el Label, id SigID) uint32 {
+	if id == NoSigID {
+		var added bool
+		id, added = d.online.sigs.intern(0, d.sigBuf)
+		id += SigID(d.base.sigTab.len())
+		d.onlineDirty = d.onlineDirty || added
+	} else if pi := d.base.tableOf(el, id); pi >= 0 {
+		return uint32(pi)
+	}
+	key := partKey(el, id)
+	pi, ok := d.online.parts[key]
+	if !ok {
+		pi = int32(d.base.nParts + len(d.newTables))
+		d.online.parts[key] = pi
+		d.newTables = append(d.newTables, key)
+		d.onlineDirty = true
+	}
+	return uint32(pi)
+}
+
+// changed records a write to table pi that made one edge of the given
+// arity live (sign 1) or dead (sign -1): the live-arity aggregates move,
+// and the table's published view goes stale.
+func (d *DeltaBuffer) changed(pi uint32, arity, sign int) {
+	if arity >= len(d.arities) {
+		d.arities = append(d.arities, make([]int, arity+1-len(d.arities))...)
+	}
+	d.arities[arity] += sign
+	d.totalArity += sign * arity
+	d.stale[pi] = true
+	d.dirty.Store(true)
 }
 
 // Delete removes the hyperedge with exactly the given vertex set, if
@@ -263,19 +395,23 @@ func (d *DeltaBuffer) DeleteLabelled(el Label, vertices ...uint32) (bool, error)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if e, ok := d.base.findEdgeLabelled(el, vs); ok {
+	if int(vs[len(vs)-1]) >= len(d.labels) {
+		return false, nil
+	}
+	if e, ok := d.findBase(el, d.sigOf(vs), vs); ok {
 		if d.dead.Contains(e) {
 			return false, nil
 		}
 		d.dead.Add(e)
-		d.masked[d.base.edgePart[e]] = nil
-		d.dirty.Store(true)
+		pi := d.base.edgePart[e]
+		d.tabDead[pi]++
+		d.changed(pi, len(vs), -1)
 		return true, nil
 	}
 	if slot, ok := d.pend.lookup(el, vs); ok && !d.pendDead[slot] {
 		d.pendDead[slot] = true
 		d.livePend--
-		d.dirty.Store(true)
+		d.changed(d.pendPart[slot], len(vs), -1)
 		return true, nil
 	}
 	return false, nil
@@ -356,219 +492,86 @@ func (d *DeltaBuffer) extendEdgeTable() {
 }
 
 // publishLocked builds and publishes a fresh snapshot from base + pending
-// state. Everything untouched is shared by reference with the base, and the
-// cost is cumulative since the last compaction: proportional to the
-// pending inserts, the incidence lists that pending inserts and tombstones
-// touch, and the tables inserts land in (plus one flat copy of the
-// signature interner when a batch brings a signature never seen before).
-// A tombstone costs a bit: its table is re-masked — one pass over the
-// table's member list, no re-indexing — only at the first publication
-// after the delete, and shares that mask with every snapshot after it.
+// state, incrementally against the previous snapshot: it costs the batch,
+// not everything pending since the last compaction. The new pending slots
+// are appended to the shared edge table; the views of the tables the
+// batch touched are rebuilt (a touched table costs one pass over its
+// members and its pending slots, no re-indexing of its base block) and
+// every other view is re-attached as published; the online signatures and
+// tables are copied only when the batch added to them. What remains per
+// publication beyond the batch is flat: the tombstone list and one copy
+// of the side table's pointers. The incidence overlay is left for the
+// first reader that asks for it.
 func (d *DeltaBuffer) publishLocked() {
-	base := d.base
+	base, prev := d.base, d.snap.Load()
 	nb := base.NumEdges()
 	nPend := d.pend.len()
 	nDead := d.dead.Count()
 
 	d.extendEdgeTable()
+	if d.onlineDirty {
+		d.onlinePub, d.onlineDirty = d.online.clone(), false
+	}
 	h := &Hypergraph{
 		// d.labels is append-only; clipping makes later AddVertex appends
-		// copy rather than scribble on this snapshot. The edge table is
-		// shared the same way.
+		// copy rather than scribble on this snapshot. The edge table and
+		// the pending slots' table links are shared the same way.
 		labels:     slices.Clip(d.labels),
 		edgeOff:    slices.Clip(d.edgeOff),
 		edgeVerts:  slices.Clip(d.edgeVerts),
 		edgeLabels: slices.Clip(d.edgeLabels),
 		incOff:     base.incOff,
 		incEdges:   base.incEdges,
+		inc:        &incOverlay{},
 		tables:     base.tables,
 		partEdges:  base.partEdges,
 		partVerts:  base.partVerts,
 		partOffs:   base.partOffs,
 		partPosts:  base.partPosts,
-		side:       maps.Clone(base.side),
-		nParts:     base.nParts,
+		side:       maps.Clone(prev.side),
+		nParts:     base.nParts + len(d.newTables),
 		edgePart:   base.edgePart,
-		pendPart:   make([]uint32, nPend), // dead slots keep 0: tombstones have no table
+		pendPart:   slices.Clip(d.pendPart),
 		sigTab:     base.sigTab,
 		sigParts:   base.sigParts,
+		online:     d.onlinePub,
 		dict:       base.dict,
 		edgeDict:   base.edgeDict,
 		numLabels:  base.numLabels,
-		totalArity: base.totalArity,
-		maxArity:   base.maxArity,
+		totalArity: d.totalArity,
 		delta:      nPend > 0 || nDead > 0 || len(d.labels) > len(base.labels),
 
 		labelledParts: base.labelledParts,
 	}
-
-	// Tombstone list — the bitset decodes in ID order and every pending
-	// slot follows every base ID, so it comes out sorted — and arity
-	// aggregates over live edges only.
-	h.dead = d.dead.AppendTo(make([]EdgeID, 0, nDead+(nPend-d.livePend)))
-	lostMax := false
-	for _, e := range h.dead {
-		h.totalArity -= base.Arity(e)
-		lostMax = lostMax || base.Arity(e) == base.maxArity
+	for a := len(d.arities) - 1; a > 0 && h.maxArity == 0; a-- {
+		if d.arities[a] > 0 {
+			h.maxArity = a
+		}
 	}
+
+	// Tombstone list: the bitset decodes in ID order and every pending slot
+	// follows every base ID, so it comes out sorted.
+	h.dead = d.dead.AppendTo(make([]EdgeID, 0, nDead+(nPend-d.livePend)))
 	for i, dd := range d.pendDead {
 		if dd {
 			h.dead = append(h.dead, EdgeID(nb+i))
 		}
 	}
-	if lostMax {
-		h.maxArity = 0
-		for e := EdgeID(0); int(e) < nb; e++ {
-			if !d.dead.Contains(e) {
-				h.maxArity = max(h.maxArity, base.Arity(e))
-			}
-		}
-	}
 
-	// Incidence: only the lists of vertices touched by tombstoned base
-	// edges or live pending edges are rebuilt, into the snapshot's overlay.
-	// Pending IDs all exceed base IDs, so appends keep lists sorted. The
-	// rebuilt lists are carved out of one exactly-sized backing array
-	// (sized up-front from the touched lists' lengths), and the side maps
-	// come from the buffer's pooled scratch.
-	addInc, touched := d.pubAddInc, d.pubTouched
-	for v := range addInc {
-		addInc[v] = addInc[v][:0] // keep the backings for reuse
-	}
-	clear(touched)
-	for i, isDead := range d.pendDead {
-		if isDead {
-			continue
-		}
-		vs := d.pend.body(uint32(i))
-		h.totalArity += len(vs)
-		h.maxArity = max(h.maxArity, len(vs))
-		for _, v := range vs {
-			addInc[v] = append(addInc[v], EdgeID(nb+i))
-			touched[v] = struct{}{}
-		}
-	}
-	for _, e := range h.dead[:nDead] {
-		for _, v := range base.Edge(e) {
-			touched[v] = struct{}{}
-		}
-	}
-	total := 0
-	for v := range touched {
-		total += base.Degree(v) + len(addInc[v])
-	}
-	backing := make([]uint32, 0, total) // upper bound: tombstones shrink lists
-	h.incOver = make(map[VertexID][]uint32, len(touched))
-	for v := range touched {
-		start := len(backing)
-		if nDead == 0 {
-			backing = append(backing, base.Incident(v)...)
+	// prev.side is the base's side table with every view published so
+	// far; only the stale tables change. A base table the writes left
+	// with neither a tombstone nor a pending insert goes back to the
+	// base's own entry (its sidecar) or to its directory row.
+	for pi := range d.stale {
+		if v := d.view(h, pi); v != nil {
+			h.setSide(pi, v)
+		} else if bp := base.side[pi]; bp != nil {
+			h.side[pi] = bp
 		} else {
-			for _, e := range base.Incident(v) {
-				if !d.dead.Contains(e) {
-					backing = append(backing, e)
-				}
-			}
-		}
-		backing = append(backing, addInc[v]...)
-		h.incOver[v] = backing[start:len(backing):len(backing)]
-	}
-
-	// Every table holding tombstones is published masked; a table that lost
-	// every member stays, with no live member, under its index.
-	for pi, mp := range d.masked {
-		if mp == nil {
-			if mp = d.mask(pi); mp == nil {
-				delete(d.masked, pi) // its tombstones were all withdrawn
-				continue
-			}
-			d.masked[pi] = mp
-		}
-		h.setSide(pi, mp)
-	}
-
-	// Group live pending edges by (edge label, signature), interning new
-	// signatures into a copy-on-write clone of the base's table.
-	type group struct {
-		sigID SigID
-		elbl  Label
-		ids   []EdgeID
-	}
-	byKey := make(map[uint64]int)
-	var groups []*group
-	var sigBuf Signature
-	for i, isDead := range d.pendDead {
-		if isDead {
-			continue
-		}
-		sigBuf = AppendSignature(sigBuf[:0], d.pend.body(uint32(i)), h.labels)
-		id, ok := h.sigTab.lookup(0, sigBuf)
-		if !ok {
-			if h.sigTab == base.sigTab {
-				h.sigTab = base.sigTab.clone()
-			}
-			id, _ = h.sigTab.intern(0, sigBuf)
-		}
-		key := partKey(d.pend.tags[i], id)
-		gi, ok := byKey[key]
-		if !ok {
-			gi = len(groups)
-			byKey[key] = gi
-			groups = append(groups, &group{sigID: id, elbl: d.pend.tags[i]})
-		}
-		groups[gi].ids = append(groups[gi].ids, EdgeID(nb+i))
-	}
-	// Deterministic ordering for appended partitions (the canonical
-	// (edge label, signature) order the Builder uses).
-	slices.SortFunc(groups, func(a, b *group) int {
-		if a.elbl != b.elbl {
-			return cmp.Compare(a.elbl, b.elbl)
-		}
-		return slices.Compare(h.Sig(a.sigID), h.Sig(b.sigID))
-	})
-
-	// Attach the append-side segments: a table the base knows gains a delta
-	// block beside its shared base block and keeps its sidecar and mask; a
-	// table emptied by tombstones or never seen offline is all delta, so
-	// uncompacted volume stays visible to Stats.DeltaEdges.
-	// New tables take the indices past the directory, and the lookups that
-	// must find them are copied before they are extended.
-	ownSigParts, ownLabelled := false, false
-	for _, g := range groups {
-		var np Partition
-		pi := base.tableOf(g.elbl, g.sigID)
-		if pi >= 0 {
-			np = h.Partition(pi)
-		} else {
-			pi = h.nParts
-			np = Partition{Sig: h.Sig(g.sigID), SigID: g.sigID, EdgeLabel: g.elbl}
-			h.nParts++
-			if g.elbl == NoEdgeLabel {
-				if !ownSigParts {
-					ownSigParts = true
-					h.sigParts = make([]int32, h.sigTab.len())
-					for i := copy(h.sigParts, base.sigParts); i < len(h.sigParts); i++ {
-						h.sigParts[i] = -1
-					}
-				}
-				h.sigParts[g.sigID] = int32(pi)
-			} else {
-				if !ownLabelled {
-					ownLabelled = true
-					h.labelledParts = make(map[uint64]int32, len(base.labelledParts)+1)
-					maps.Copy(h.labelledParts, base.labelledParts)
-				}
-				h.labelledParts[partKey(g.elbl, g.sigID)] = int32(pi)
-			}
-		}
-		np.Edges = append(slices.Clip(np.Edges), g.ids...)
-		np.nDelta = len(g.ids)
-		np.dverts, np.doffsets, np.dposts = buildSegmentCSR(h, g.ids, d.segCnt)
-		h.setSide(uint32(pi), &np)
-		for _, e := range g.ids {
-			h.pendPart[int(e)-nb] = uint32(pi)
+			delete(h.side, pi)
 		}
 	}
+	clear(d.stale)
 
 	if len(h.labels) != len(base.labels) {
 		h.countLabels()
@@ -578,56 +581,94 @@ func (d *DeltaBuffer) publishLocked() {
 	d.dirty.Store(false)
 }
 
-// mask returns base table pi's masked view under the current tombstones,
-// or nil when none of its members is dead: its live members and its dead
+// view returns table pi's view under the current writes, or nil for a
+// base table that has neither a tombstoned member nor a live pending one.
+// A base table that lost members is masked: its live members and its dead
 // ones, split in one pass over the member list, beside the base's own
 // index (BaseEdges stays the full member list, so the sidecar's rank space
-// is unchanged).
-func (d *DeltaBuffer) mask(pi uint32) *Partition {
-	p := d.base.Partition(int(pi))
-	nDead := 0
-	for _, e := range p.Edges {
-		if d.dead.Contains(e) {
-			nDead++
+// is unchanged). Live pending members are appended to the member list and
+// indexed by a delta CSR segment. A table first seen online is all delta,
+// and stays, empty if its inserts were all deleted again, until
+// compaction. h is the snapshot being published, whose interners name
+// every signature.
+func (d *DeltaBuffer) view(h *Hypergraph, pi uint32) *Partition {
+	nb := uint32(d.base.NumEdges())
+	pend, nDead := d.tabPend[pi], d.tabDead[pi]
+	nNew := 0
+	for _, slot := range pend {
+		if !d.pendDead[slot] {
+			nNew++
 		}
 	}
-	if nDead == 0 {
-		return nil
+	var p Partition
+	if int(pi) < d.base.nParts {
+		if nNew == 0 && nDead == 0 {
+			return nil
+		}
+		p = d.base.Partition(int(pi))
+	} else {
+		key := d.newTables[int(pi)-d.base.nParts]
+		p = Partition{Sig: h.Sig(SigID(key)), SigID: SigID(key), EdgeLabel: Label(key >> 32)}
 	}
-	live := make([]EdgeID, 0, len(p.Edges)-nDead)
-	dead := make([]EdgeID, 0, nDead)
-	for _, e := range p.Edges {
-		if d.dead.Contains(e) {
-			dead = append(dead, e)
-		} else {
-			live = append(live, e)
+	edges := make([]EdgeID, 0, len(p.Edges)-nDead+nNew)
+	if nDead > 0 {
+		dead := make([]EdgeID, 0, nDead)
+		for _, e := range p.Edges {
+			if d.dead.Contains(e) {
+				dead = append(dead, e)
+			} else {
+				edges = append(edges, e)
+			}
+		}
+		p.baseAll, p.dead = p.Edges, dead
+	} else {
+		edges = append(edges, p.Edges...)
+	}
+	for _, slot := range pend {
+		if !d.pendDead[slot] {
+			edges = append(edges, nb+slot)
 		}
 	}
-	p.baseAll, p.Edges, p.dead = p.Edges, live, dead
+	p.Edges = edges
+	if nNew > 0 {
+		p.nDelta = nNew
+		p.dverts, p.doffsets, p.dposts = d.buildSegmentCSR(edges[len(edges)-nNew:])
+	}
 	return &p
 }
 
-// buildSegmentCSR constructs one canonical CSR block over the given member
-// edges of h: sorted vertex dictionary, spanning offsets, posting lists
-// sorted because members arrive in ascending ID order. Off the hot path —
-// it runs only at snapshot publication, for touched partitions. cnt is a
-// pooled counting map (cleared here); the retained outputs are allocated at
-// exact size in a count/fill two-pass, so publication leaves no
-// map-of-slices garbage behind.
-func buildSegmentCSR(h *Hypergraph, members []EdgeID, cnt map[VertexID]uint32) (verts []VertexID, offsets []uint32, posts []EdgeID) {
-	clear(cnt)
-	total := 0
+// buildSegmentCSR constructs one canonical CSR block over the given
+// pending member edges: sorted vertex dictionary, spanning offsets,
+// posting lists sorted because members arrive in ascending ID order. It
+// counts into the buffer's dense per-vertex array and resets only the
+// entries it touched, so a segment costs its own cells; the retained
+// outputs are allocated at exact size in a count/fill two-pass.
+func (d *DeltaBuffer) buildSegmentCSR(members []EdgeID) (verts []VertexID, offsets []uint32, posts []EdgeID) {
+	nb := EdgeID(d.base.NumEdges())
+	if len(d.vcount) < len(d.labels) {
+		d.vcount = make([]uint32, len(d.labels))
+	}
+	cnt, seen := d.vcount, d.vseen[:0]
 	for _, e := range members {
-		for _, v := range h.Edge(e) {
+		for _, v := range d.pend.body(e - nb) {
+			if cnt[v] == 0 {
+				seen = append(seen, v)
+			}
 			cnt[v]++
-			total++
 		}
 	}
-	verts = make([]VertexID, 0, len(cnt))
-	for v := range cnt {
-		verts = append(verts, v)
+	if len(seen)*16 < len(cnt) {
+		slices.Sort(seen)
+	} else { // a dense segment: a sweep of the counters beats the sort
+		seen = seen[:0]
+		for v, c := range cnt {
+			if c > 0 {
+				seen = append(seen, VertexID(v))
+			}
+		}
 	}
-	slices.Sort(verts)
+	verts = slices.Clone(seen)
+	d.vseen = seen
 	offsets = make([]uint32, len(verts)+1)
 	off := uint32(0)
 	for i, v := range verts {
@@ -637,21 +678,84 @@ func buildSegmentCSR(h *Hypergraph, members []EdgeID, cnt map[VertexID]uint32) (
 		off += c
 	}
 	offsets[len(verts)] = off
-	posts = make([]EdgeID, total)
+	posts = make([]EdgeID, off)
 	for _, e := range members {
-		for _, v := range h.Edge(e) {
+		for _, v := range d.pend.body(e - nb) {
 			posts[cnt[v]] = e
 			cnt[v]++
 		}
 	}
+	for _, v := range verts {
+		cnt[v] = 0
+	}
 	return verts, offsets, posts
 }
 
-// findEdgeLabelled returns the ID of the hyperedge with exactly the given
-// (edge label, sorted vertex set), if present; the label-aware FindEdge
-// used by online dedup.
-func (h *Hypergraph) findEdgeLabelled(el Label, vertices []uint32) (EdgeID, bool) {
-	return h.findEdge(vertices, func(e EdgeID) bool { return h.EdgeLabel(e) == el })
+// incOverlay is an online snapshot's incidence overlay: the rebuilt lists
+// of the vertices its pending writes touched — those of live pending edges
+// and of tombstoned base edges. It is derived from the snapshot's own
+// immutable fields (the base incidence CSR, the tombstone list and the
+// pending slots of the shared edge table) the first time Incident asks.
+// The matcher never does — Algorithm 4 reads the edge table and the
+// table-local postings — so publication leaves it unbuilt. It sits behind
+// a pointer so the value copies WithoutBitmapSidecars makes share one
+// build.
+type incOverlay struct {
+	once  sync.Once
+	lists atomic.Pointer[map[VertexID][]uint32] // nil until built
+}
+
+// get returns h's overlay, building it on first use.
+func (o *incOverlay) get(h *Hypergraph) map[VertexID][]uint32 {
+	o.once.Do(func() {
+		m := h.buildOverlay()
+		o.lists.Store(&m)
+	})
+	return *o.lists.Load()
+}
+
+// buildOverlay derives h's incidence overlay. Pending IDs all exceed base
+// IDs, so appending a vertex's pending edges after its live base ones
+// keeps its list sorted.
+func (h *Hypergraph) buildOverlay() map[VertexID][]uint32 {
+	nb := len(h.edgePart)
+	split, _ := slices.BinarySearch(h.dead, EdgeID(nb))
+	deadBase, deadPend := h.dead[:split], h.dead[split:]
+	added := make(map[VertexID][]EdgeID)
+	for _, e := range deadBase {
+		for _, v := range h.Edge(e) {
+			if _, ok := added[v]; !ok {
+				added[v] = nil
+			}
+		}
+	}
+	for e := EdgeID(nb); int(e) < h.NumEdges(); e++ {
+		if len(deadPend) > 0 && deadPend[0] == e {
+			deadPend = deadPend[1:]
+			continue
+		}
+		for _, v := range h.Edge(e) {
+			added[v] = append(added[v], e)
+		}
+	}
+	isDead := setops.FromSorted(deadBase, nb)
+	total := 0
+	for v, es := range added {
+		total += len(h.baseIncident(v)) + len(es)
+	}
+	backing := make([]uint32, 0, total) // upper bound: tombstones shrink lists
+	lists := make(map[VertexID][]uint32, len(added))
+	for v, es := range added {
+		start := len(backing)
+		for _, e := range h.baseIncident(v) {
+			if len(deadBase) == 0 || !isDead.Contains(e) {
+				backing = append(backing, e)
+			}
+		}
+		backing = append(backing, es...)
+		lists[v] = backing[start:len(backing):len(backing)]
+	}
+	return lists
 }
 
 // Compacted returns a fully compacted equivalent of h: the graph an

@@ -3,6 +3,8 @@ package hypergraph
 import (
 	"math/rand"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"hgmatch/internal/setops"
@@ -392,4 +394,116 @@ func TestDeltaRandomisedValidate(t *testing.T) {
 func statsNoBytes(s Stats) Stats {
 	s.SigTableBytes = 0
 	return s
+}
+
+// TestIncidenceOnDemand: a snapshot's incidence overlay is derived from the
+// snapshot alone, the first time a reader asks, and never by Publish. Random
+// rounds of inserts, deletes of base and pending edges, resurrections,
+// cancelled inserts and AddVertex calls (with an occasional compaction) are
+// published one by one; eight goroutines then race to the first Incident
+// call, and every vertex's list must equal a scan of the snapshot's live
+// edges.
+func TestIncidenceOnDemand(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	labels := make([]Label, 30)
+	for v := range labels {
+		labels[v] = Label(rng.Intn(3))
+	}
+	randomEdge := func(nv int) []uint32 {
+		vs := make([]uint32, 2+rng.Intn(3))
+		for i := range vs {
+			vs[i] = uint32(rng.Intn(nv))
+		}
+		return vs
+	}
+	var edges [][]uint32
+	for len(edges) < 120 {
+		edges = append(edges, randomEdge(len(labels)))
+	}
+	base, err := FromEdges(labels, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := newBuf(t, base)
+	var deleted [][]uint32 // deleted edges, for resurrection
+	for round := 0; round < 40; round++ {
+		for op := 0; op < 6; op++ {
+			s := d.Snapshot()
+			switch rng.Intn(6) {
+			case 0, 1:
+				if _, _, err := d.Insert(randomEdge(d.NumVertices())...); err != nil {
+					t.Fatal(err)
+				}
+			case 2: // delete any live edge, base or pending
+				if e := EdgeID(rng.Intn(s.NumEdges())); !s.IsDeadEdge(e) {
+					if ok, err := d.Delete(s.Edge(e)...); err != nil || !ok {
+						t.Fatalf("delete %v: %v %v", s.Edge(e), ok, err)
+					}
+					deleted = append(deleted, s.Edge(e))
+				}
+			case 3: // cancel a pending insert
+				if nb := d.Base().NumEdges(); s.NumEdges() > nb {
+					if e := EdgeID(nb + rng.Intn(s.NumEdges()-nb)); !s.IsDeadEdge(e) {
+						if ok, err := d.Delete(s.Edge(e)...); err != nil || !ok {
+							t.Fatalf("cancel %v: %v %v", s.Edge(e), ok, err)
+						}
+					}
+				}
+			case 4:
+				if len(deleted) > 0 {
+					if _, _, err := d.Insert(deleted[rng.Intn(len(deleted))]...); err != nil {
+						t.Fatal(err)
+					}
+				}
+			case 5:
+				d.AddVertex(Label(rng.Intn(4)))
+			}
+		}
+		if _, _, err := d.Insert(randomEdge(d.NumVertices())...); err != nil {
+			t.Fatal(err)
+		}
+		if round%13 == 12 {
+			if _, err := d.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			deleted = nil
+			if _, _, err := d.Insert(randomEdge(d.NumVertices())...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s := d.Publish()
+		if s.inc == nil || s.inc.lists.Load() != nil {
+			t.Fatalf("round %d: Publish left the overlay %v, want an unbuilt one", round, s.inc)
+		}
+
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(v VertexID) {
+				defer wg.Done()
+				<-start
+				s.Incident(v)
+			}(VertexID(rng.Intn(s.NumVertices())))
+		}
+		close(start)
+		wg.Wait()
+
+		want := make([][]EdgeID, s.NumVertices())
+		for e := EdgeID(0); int(e) < s.NumEdges(); e++ {
+			if !s.IsDeadEdge(e) {
+				for _, v := range s.Edge(e) {
+					want[v] = append(want[v], e)
+				}
+			}
+		}
+		for v, w := range want {
+			if got := s.Incident(VertexID(v)); !slices.Equal(got, w) {
+				t.Fatalf("round %d: Incident(%d) = %v, want %v", round, v, got, w)
+			}
+		}
+		if err := s.Validate(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+	}
 }

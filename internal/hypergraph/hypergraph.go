@@ -55,11 +55,13 @@ type Hypergraph struct {
 
 	// Incidence lists he(v) = incEdges[incOff[v]:incOff[v+1]], sorted. An
 	// online snapshot shares its base's pair and overrides the lists its
-	// pending writes touched in incOver; a vertex added online has no
-	// incOff entry and is incident to nothing until an override says so.
+	// pending writes touched in an overlay it derives from its own fields
+	// the first time a reader asks (see incOverlay) — the matcher never
+	// does, so a publication builds none. A vertex added online has no
+	// incOff entry and is incident to nothing until the overlay says so.
 	incOff   []uint32
 	incEdges []uint32
-	incOver  map[VertexID][]uint32
+	inc      *incOverlay
 
 	// Partition directory: tables[i] and tables[i+1] bound table i's
 	// windows in partEdges, partVerts, partOffs and partPosts (one sentinel
@@ -84,10 +86,14 @@ type Hypergraph struct {
 	// maps a SigID to its vertex-label-only partition (-1 when the
 	// signature occurs only under edge labels), and labelledParts maps
 	// (edge label, SigID) pairs for the edge-labelled extension. Lookups
-	// probe label slices directly — no canonical key bytes are built.
+	// probe label slices directly — no canonical key bytes are built. An
+	// online snapshot shares all three with its base; online holds what
+	// the writes since the last compaction added past them, and every
+	// lookup probes the base first.
 	sigTab        *u32Interner
 	sigParts      []int32
 	labelledParts map[uint64]int32
+	online        *onlineTables
 
 	dict     *Dict // vertex-label dictionary (may be nil for raw graphs)
 	edgeDict *Dict // edge-label dictionary (may be nil)
@@ -201,9 +207,16 @@ func (h *Hypergraph) TotalArity() int { return h.totalArity }
 // Incident returns he(v): the sorted edge IDs of all hyperedges incident to
 // v. Callers must not mutate it.
 func (h *Hypergraph) Incident(v VertexID) []uint32 {
-	if l, ok := h.incOver[v]; ok {
-		return l
+	if h.inc != nil {
+		if l, ok := h.inc.get(h)[v]; ok {
+			return l
+		}
 	}
+	return h.baseIncident(v)
+}
+
+// baseIncident returns v's list in the incidence CSR, without the overlay.
+func (h *Hypergraph) baseIncident(v VertexID) []uint32 {
 	if int(v)+1 >= len(h.incOff) {
 		return nil
 	}
@@ -275,20 +288,33 @@ func (h *Hypergraph) partOf(e EdgeID) uint32 {
 	return h.pendPart[int(e)-len(h.edgePart)]
 }
 
-// NumSignatures returns the number of distinct interned signatures.
-func (h *Hypergraph) NumSignatures() int { return h.sigTab.len() }
+// NumSignatures returns the number of distinct interned signatures. On an
+// online snapshot it counts every signature interned since the last
+// compaction, including ones whose inserts were deleted again.
+func (h *Hypergraph) NumSignatures() int { return h.sigTab.len() + h.online.numSigs() }
 
 // LookupSig returns the interned SigID of sig, if any hyperedge of h
 // carries it. The probe hashes the label slice in place and allocates
 // nothing, which is what makes SigID the planner's currency: one lookup
 // per query hyperedge per compile, then integer IDs everywhere.
 func (h *Hypergraph) LookupSig(sig Signature) (SigID, bool) {
-	return h.sigTab.lookup(0, sig)
+	if id, ok := h.sigTab.lookup(0, sig); ok || h.online == nil {
+		return id, ok
+	}
+	if id, ok := h.online.sigs.lookup(0, sig); ok {
+		return SigID(h.sigTab.len()) + id, true
+	}
+	return NoSigID, false
 }
 
 // Sig returns the canonical signature interned under id. Callers must not
 // mutate it.
-func (h *Hypergraph) Sig(id SigID) Signature { return Signature(h.sigTab.body(id)) }
+func (h *Hypergraph) Sig(id SigID) Signature {
+	if n := SigID(h.sigTab.len()); id >= n {
+		return Signature(h.online.sigs.body(id - n))
+	}
+	return Signature(h.sigTab.body(id))
+}
 
 // PartitionBySig returns the vertex-label-only hyperedge table for an
 // interned signature, or the empty table when the signature occurs only
@@ -309,16 +335,20 @@ func (h *Hypergraph) PartitionBySigLabelled(el Label, id SigID) Partition {
 
 // tableOf returns the index of the (edge label, signature) table, or -1.
 func (h *Hypergraph) tableOf(el Label, id SigID) int {
+	pi := int32(-1)
 	if el != NoEdgeLabel {
-		if pi, ok := h.labelledParts[partKey(el, id)]; ok {
-			return int(pi)
+		if p, ok := h.labelledParts[partKey(el, id)]; ok {
+			pi = p
 		}
-		return -1
+	} else if id < SigID(len(h.sigParts)) {
+		pi = h.sigParts[id]
 	}
-	if id >= SigID(len(h.sigParts)) {
-		return -1
+	if pi < 0 && h.online != nil {
+		if p, ok := h.online.parts[partKey(el, id)]; ok {
+			pi = p
+		}
 	}
-	return int(h.sigParts[id])
+	return int(pi)
 }
 
 // partKey is the labelledParts key of a table.
@@ -398,15 +428,9 @@ func (h *Hypergraph) ArityHistogram(v VertexID) map[int]int {
 
 // FindEdge returns the ID of the hyperedge with exactly the given sorted
 // vertex set, if present. Used by the match-by-vertex baseline to check the
-// Theorem III.2 constraint.
+// Theorem III.2 constraint. Every member's incidence list contains the
+// edge, so the scan runs over the rarest vertex's list.
 func (h *Hypergraph) FindEdge(vertices []uint32) (EdgeID, bool) {
-	return h.findEdge(vertices, nil)
-}
-
-// findEdge returns the first hyperedge with exactly the given sorted vertex
-// set that keep (when non-nil) accepts. Every member's incidence list
-// contains the edge, so the scan runs over the rarest vertex's list.
-func (h *Hypergraph) findEdge(vertices []uint32, keep func(EdgeID) bool) (EdgeID, bool) {
 	if len(vertices) == 0 {
 		return 0, false
 	}
@@ -420,7 +444,7 @@ func (h *Hypergraph) findEdge(vertices []uint32, keep func(EdgeID) bool) (EdgeID
 		}
 	}
 	for _, e := range best {
-		if setops.Equal(h.Edge(e), vertices) && (keep == nil || keep(e)) {
+		if setops.Equal(h.Edge(e), vertices) {
 			return e, true
 		}
 	}

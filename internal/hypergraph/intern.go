@@ -129,10 +129,10 @@ func (t *u32Interner) intern(tag uint32, body []uint32) (id uint32, added bool) 
 	return id, true
 }
 
-// clone returns an independent copy; the DeltaBuffer snapshot path clones
-// the base graph's table copy-on-write before interning signatures first
-// seen online, so already published snapshots keep probing an untouched
-// table.
+// clone returns an independent copy; a DeltaBuffer publication hands its
+// snapshot a clone of the interner of signatures first seen online, so
+// already published snapshots keep probing an untouched table while the
+// buffer interns more.
 func (t *u32Interner) clone() *u32Interner {
 	return &u32Interner{
 		tags:  slices.Clone(t.tags),

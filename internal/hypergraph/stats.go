@@ -36,7 +36,9 @@ type Stats struct {
 // BitmapBytes the sidecars, SigTableBytes the interner, GraphBytes the
 // rest — labels, edge and incidence CSR, member lists, edge→table links,
 // the partition directory and its lookups, and the entries of the side
-// table and of a snapshot's incidence overlay.
+// table and of a snapshot's incidence overlay. The overlay is counted
+// once some reader has built it; ComputeStats reports what the graph
+// holds, it does not build it.
 func ComputeStats(h *Hypergraph) Stats {
 	s := Stats{
 		NumVertices:   h.NumVertices(),
@@ -53,8 +55,16 @@ func ComputeStats(h *Hypergraph) Stats {
 	s.GraphBytes = 4*(len(h.labels)+len(h.edgeOff)+len(h.edgeVerts)+len(h.edgeLabels)+
 		len(h.incOff)+len(h.incEdges)+len(h.edgePart)+len(h.pendPart)+len(h.partEdges)+len(h.sigParts)+len(h.dead)) +
 		tableRowBytes*len(h.tables) + 16*len(h.labelledParts)
-	for _, l := range h.incOver {
-		s.GraphBytes += overlayEntryBytes + 4*len(l)
+	if h.online != nil {
+		s.SigTableBytes += h.online.sigs.tableBytes()
+		s.GraphBytes += 16 * len(h.online.parts)
+	}
+	if h.inc != nil {
+		if lists := h.inc.lists.Load(); lists != nil {
+			for _, l := range *lists {
+				s.GraphBytes += overlayEntryBytes + 4*len(l)
+			}
+		}
 	}
 	s.GraphBytes += sideEntryBytes * len(h.side)
 	for pi, p := range h.side {
