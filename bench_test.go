@@ -13,7 +13,6 @@ package hgmatch_test
 import (
 	"fmt"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"runtime"
 	"strconv"
@@ -492,46 +491,27 @@ func BenchmarkCompile(b *testing.B) {
 	}
 }
 
-// BenchmarkLoadFile measures loading a binary data graph from disk: v1
-// replays the full offline build (sort, dedup hashing, partitioning,
-// posting-list inversion), v2 assembles the persisted CSR index from flat
-// arrays with linear validation — the hgserve startup and graph-reload
-// path.
+// BenchmarkLoadFile measures loading a binary v2 data graph from disk: the
+// persisted CSR index is assembled from flat arrays with linear
+// validation — the hgserve startup and graph-reload path for HGB2 files.
 func BenchmarkLoadFile(b *testing.B) {
 	h, _ := kernelWorkload()
-	dir := b.TempDir()
-	v1 := filepath.Join(dir, "wl.v1.hgb")
-	v2 := filepath.Join(dir, "wl.v2.hgb")
-	f, err := os.Create(v1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := hgio.WriteBinaryV1(f, h); err != nil {
-		b.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		b.Fatal(err)
-	}
+	v2 := filepath.Join(b.TempDir(), "wl.v2.hgb")
 	if err := hgio.WriteBinaryFile(v2, h); err != nil {
 		b.Fatal(err)
 	}
-	for _, tc := range []struct {
-		name, path string
-	}{{"V1Rebuild", v1}, {"V2Assembled", v2}} {
-		tc := tc
-		b.Run(tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				g, err := hgmatch.LoadFile(tc.path)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if g.NumEdges() != h.NumEdges() || g.NumPartitions() != h.NumPartitions() {
-					b.Fatal("loaded graph differs from source")
-				}
+	b.Run("V2Assembled", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			g, err := hgmatch.LoadFile(v2)
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+			if g.NumEdges() != h.NumEdges() || g.NumPartitions() != h.NumPartitions() {
+				b.Fatal("loaded graph differs from source")
+			}
+		}
+	})
 }
 
 // BenchmarkMappedOpen measures the binary-v3 zero-copy open path against

@@ -37,7 +37,7 @@ func main() {
 		count    = flag.Int("count", 20, "number of queries to sample")
 		outdir   = flag.String("outdir", ".", "directory for sampled query files")
 		asBinary = flag.Bool("binary", false, "write the compact binary format instead of text")
-		asV3     = flag.Bool("v3", false, "with -binary, write mappable binary v3 (HGB3, for hgserve -mmap) instead of v2")
+		asV3     = flag.Bool("v3", false, "with -binary, write mappable binary v3 (HGB3, which hgserve serves off mmap(2)) instead of v2")
 	)
 	flag.Parse()
 	writeBinary = *asBinary

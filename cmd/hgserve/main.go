@@ -8,24 +8,22 @@
 //	hgserve -addr :8080 [-plan-cache 256] [-workers 0] [-timeout 1m]
 //	        [-compact-threshold 10000] [-admission] [-tenant-quota 1000000]
 //	        [-wal-dir /var/lib/hgserve/wal] [-wal-sync batch]
-//	        [-mmap] [-resident-bytes 0] [-mmap-verify] [-drain-timeout 10s]
+//	        [-resident-bytes 0] [-mmap-verify] [-drain-timeout 10s]
 //	        [-request-max-bytes 0] [-write-timeout 30s]
 //	        name=path.hg [name2=path2.hg ...]
 //
 // Each positional argument registers one data hypergraph (text or binary
-// .hg, sniffed) under the given name. Registered graphs are live: new
-// hyperedges stream in over POST /graphs/{name}/edges without a restart,
-// and the delta folds into a fresh index in the background once it reaches
-// -compact-threshold edges (see docs/OPERATIONS.md).
-//
-// With -mmap, graphs must be binary v3 (HGB3) files and are served
+// .hg, sniffed) under the given name, and the file picks how it is served.
+// Text and HGB2 graphs are read onto the heap. HGB3 graphs are served
 // zero-copy off mmap(2): startup only reads each file's header, the first
 // request maps the file, and -resident-bytes bounds how many file bytes
 // stay mapped at once (least-recently-used graphs are unmapped over
-// budget; 0 = unbounded). -mmap-verify checksums each file's payload on
-// every attach. The first ingest into a mapped graph promotes it to an
-// ordinary heap graph. Mutually exclusive with -wal-dir (an evicted
-// mapping cannot replay online writes); see docs/OPERATIONS.md for sizing.
+// budget; 0 = unbounded). -mmap-verify checksums each HGB3 file's payload
+// on every attach. Every graph is live: new hyperedges stream in over
+// POST /graphs/{name}/edges without a restart (the first ingest into a
+// mapped graph promotes it to the heap), and the delta folds into a fresh
+// index in the background once it reaches -compact-threshold edges (see
+// docs/OPERATIONS.md for both).
 //
 // With -wal-dir set, ingest is crash-safe: every acked batch is journaled
 // to a per-graph write-ahead log under that directory before its snapshot
@@ -34,8 +32,9 @@
 // fsync policy (always / batch[:N[,dur]] / none; see docs/OPERATIONS.md
 // for the latency/safety tradeoff). On -wal-dir graphs the name=path.hg
 // file is only the first-boot seed; later boots recover the journaled
-// state. A graph whose log fails its integrity checks comes up read-only
-// with the bad segment quarantined — serving continues, writes get 503.
+// state, recovered onto the heap whatever the file's format. A graph whose
+// log fails its integrity checks comes up read-only with the bad segment
+// quarantined — serving continues, writes get 503.
 //
 // All matches run on one shared worker pool of -workers goroutines under
 // weighted fair scheduling; a request's "workers" field caps its share,
@@ -103,12 +102,10 @@ func main() {
 			"root directory for per-graph write-ahead logs and checkpoints; empty disables durability (acked ingests live only in memory)")
 		walSync = flag.String("wal-sync", "batch",
 			"WAL fsync policy: always, batch[:N[,dur]] (group commit) or none")
-		useMmap = flag.Bool("mmap", false,
-			"serve graphs zero-copy off mmap(2); graph files must be binary v3 (HGB3). Incompatible with -wal-dir")
 		residentBytes = flag.Int64("resident-bytes", 0,
-			"with -mmap, bound the summed file bytes of concurrently mapped graphs; LRU graphs are unmapped over budget (0 = unbounded)")
+			"for HGB3 graphs, bound the summed file bytes of concurrently mapped graphs; LRU graphs are unmapped over budget (0 = unbounded)")
 		mmapVerify = flag.Bool("mmap-verify", false,
-			"with -mmap, verify each file's payload checksum on every attach (reads the whole file once)")
+			"for HGB3 graphs, verify each file's payload checksum on every attach (reads the whole file once)")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second,
 			"how long shutdown waits for in-flight requests to drain before forcing connections closed")
 		requestMaxBytes = flag.Int64("request-max-bytes", 0,
@@ -123,19 +120,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *useMmap && *walDir != "" {
-		log.Fatalf("hgserve: -mmap and -wal-dir are mutually exclusive (an unmapped graph cannot replay online writes)")
-	}
 	reg := server.NewRegistry()
-	if *useMmap {
-		reg.SetResidentBudget(*residentBytes)
-		reg.SetMapVerify(*mmapVerify)
-		if *residentBytes > 0 {
-			log.Printf("mmap on: resident budget %d bytes", *residentBytes)
-		} else {
-			log.Printf("mmap on: resident budget unbounded")
-		}
-	}
+	reg.SetResidentBudget(*residentBytes)
+	reg.SetMapVerify(*mmapVerify)
 	if *walDir != "" {
 		policy, err := hgio.ParseSyncPolicy(*walSync)
 		if err != nil {
@@ -184,24 +171,15 @@ func main() {
 			fatal(srv, "hgserve: bad graph argument %q (want name=path.hg)", arg)
 		}
 		start := time.Now()
-		if *useMmap {
-			// Registration only peeks at the header; the first request maps
-			// the file. Nothing graph-sized is read at boot.
-			if err := reg.RegisterMapped(name, path); err != nil {
-				fatal(srv, "hgserve: %v", err)
-			}
-			info, _ := reg.Info(name)
-			log.Printf("registered %q cold: %d vertices, %d edges, %d file bytes (%s)",
-				name, info.NumVertices, info.NumEdges, info.FileBytes,
-				time.Since(start).Round(time.Millisecond))
-			continue
-		}
 		if err := reg.LoadFile(name, path); err != nil {
 			fatal(srv, "hgserve: %v", err)
 		}
-		h, _ := reg.Get(name)
-		log.Printf("loaded %q: %v (%s)", name, h, time.Since(start).Round(time.Millisecond))
-		if info, ok := reg.Info(name); ok && info.ReadOnly {
+		// Info never activates: a cold HGB3 graph is described from its
+		// header, so nothing graph-sized is read here.
+		info, _ := reg.Info(name)
+		log.Printf("loaded %q (%s): %d vertices, %d edges (%s)",
+			name, info.Tier, info.NumVertices, info.NumEdges, time.Since(start).Round(time.Millisecond))
+		if info.ReadOnly {
 			log.Printf("WARNING: %q serving READ-ONLY: %s", name, info.ReadOnlyReason)
 		}
 	}

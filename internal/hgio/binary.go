@@ -9,21 +9,17 @@ import (
 	"slices"
 
 	"hgmatch/internal/hypergraph"
-	"hgmatch/internal/setops"
 )
 
-// Binary formats: compact varint encodings for large hypergraphs where the
-// text format's parse cost matters (the paper's AR stand-in is ~4M
-// hyperedges at full scale).
+// Binary format v2 ("HGB2"): a compact varint encoding for large
+// hypergraphs where the text format's parse cost matters (the paper's AR
+// stand-in is ~4M hyperedges at full scale). It persists the raw graph
+// and the built storage layer — the partitioned hyperedge tables and their
+// CSR inverted indexes — so loading assembles the flat arrays directly
+// (hypergraph.Assemble) instead of re-inverting postings. The graph
+// sections come first:
 //
-// Version 1 ("HGB1") stores only the raw graph; loading replays the full
-// offline build (sort, dedup, partition, invert). Version 2 ("HGB2")
-// additionally persists the built storage layer — the partitioned
-// hyperedge tables and their CSR inverted indexes — so loading assembles
-// the flat arrays directly (hypergraph.Assemble) instead of re-inverting
-// postings. Both versions share the header and edge sections:
-//
-//	magic "HGB1" / "HGB2"
+//	magic "HGB2"
 //	uvarint numVertices, numEdges, numDictEntries, flags
 //	dict entries: uvarint len + bytes (vertex label names, index = Label)
 //	vertex labels: uvarint per vertex
@@ -31,7 +27,7 @@ import (
 //	          then delta-encoded sorted vertex IDs (uvarint first,
 //	          uvarint gaps-1)
 //
-// Version 2 appends the index section:
+// followed by the index section:
 //
 //	uvarint numPartitions
 //	per partition (canonical order):
@@ -40,27 +36,15 @@ import (
 //	  uvarint numVerts + delta-encoded sorted CSR vertex dictionary
 //	  per vertex: uvarint postingLen + delta-encoded posting edge IDs
 //
-// Edge labels use +1 so NoEdgeLabel encodes as 0. WriteBinary emits v2;
-// v1 files continue to load (via rebuild), and WriteBinaryV1 still writes
-// them for compatibility.
+// Edge labels use +1 so NoEdgeLabel encodes as 0. The retired version 1
+// ("HGB1", the graph sections alone) is no longer read.
 //
-// Both writers are delta-aware: an online DeltaBuffer snapshot saves
-// without compacting first. Append-side partition segments are folded into
-// the persisted posting lists on the fly (base and delta blocks are both
-// sorted with every delta ID above every base ID, so folding is a linear
-// merge that allocates nothing per list), preserving hyperedge IDs
-// exactly. Snapshots carrying tombstoned edges cannot keep their ID gaps
-// in a dense-ID file format, so they are compacted before writing — the
-// file then equals a cold offline build of the live edge set, which is
-// also what a reload of the delta snapshot would have produced.
+// An online DeltaBuffer snapshot is compacted before writing, as for v3:
+// the file then equals a cold offline build of the live edge set, with
+// the same hyperedge IDs unless tombstones left gaps to close.
 //
-// docs/FORMAT.md is the normative byte-level specification of both
-// versions.
-const (
-	binaryMagicV1 = "HGB1"
-	binaryMagicV2 = "HGB2"
-	binaryMagic   = binaryMagicV1 // historical name; used for sniff length
-)
+// docs/FORMAT.md is the normative byte-level specification.
+const binaryMagicV2 = "HGB2"
 
 const flagEdgeLabels = 1
 
@@ -80,7 +64,7 @@ func preallocCap(n uint64) int {
 	return int(n)
 }
 
-// binWriter wraps the shared varint plumbing of both format versions.
+// binWriter wraps the varint encoding plumbing.
 type binWriter struct {
 	bw  *bufio.Writer
 	buf [binary.MaxVarintLen64]byte
@@ -116,10 +100,9 @@ func (w *binWriter) edgeLabel(el hypergraph.Label) error {
 	return w.uv(enc)
 }
 
-// writeCommon emits the header, dictionary, vertex-label and edge sections
-// shared by both versions.
-func (w *binWriter) writeCommon(magic string, h *hypergraph.Hypergraph) error {
-	if _, err := w.bw.WriteString(magic); err != nil {
+// writeCommon emits the header, dictionary, vertex-label and edge sections.
+func (w *binWriter) writeCommon(h *hypergraph.Hypergraph) error {
+	if _, err := w.bw.WriteString(binaryMagicV2); err != nil {
 		return err
 	}
 	flags := uint64(0)
@@ -169,19 +152,17 @@ func (w *binWriter) writeCommon(magic string, h *hypergraph.Hypergraph) error {
 	return nil
 }
 
-// WriteBinary serialises h in binary format v2, index included. Online
-// snapshots save without a prior Compact: delta segments fold into the
-// posting lists as they stream out, and only tombstone-carrying snapshots
-// pay a compaction (dense IDs are part of the format).
+// WriteBinary serialises h in binary format v2, index included. A
+// delta-carrying snapshot is compacted first.
 func WriteBinary(w io.Writer, h *hypergraph.Hypergraph) error {
-	if h.NumDeadEdges() > 0 {
+	if h.HasDelta() || h.NumDeadEdges() > 0 {
 		var err error
 		if h, err = h.Compacted(); err != nil {
 			return err
 		}
 	}
 	bw := &binWriter{bw: bufio.NewWriter(w)}
-	if err := bw.writeCommon(binaryMagicV2, h); err != nil {
+	if err := bw.writeCommon(h); err != nil {
 		return err
 	}
 	if err := bw.uv(uint64(h.NumPartitions())); err != nil {
@@ -207,71 +188,26 @@ func WriteBinary(w io.Writer, h *hypergraph.Hypergraph) error {
 	return bw.bw.Flush()
 }
 
-// writePostings emits one partition's CSR section: the merged vertex
-// dictionary followed by each vertex's full posting list, folding the
-// delta block into the base block as the bytes stream out; base-only
-// partitions take the plain fast path.
+// writePostings emits one partition's CSR section: the vertex dictionary
+// followed by each vertex's posting list.
 func (w *binWriter) writePostings(p *hypergraph.Partition) error {
-	bverts, dverts := p.PostingVertices(), p.DeltaPostingVertices()
-	if len(dverts) == 0 {
-		if err := w.uv(uint64(len(bverts))); err != nil {
-			return err
-		}
-		if err := w.deltaSet(bverts); err != nil {
-			return err
-		}
-		for i := range bverts {
-			l := p.PostingsAt(i)
-			if err := w.uv(uint64(len(l))); err != nil {
-				return err
-			}
-			if err := w.deltaSet(l); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	// Materialise the merged vertex dictionary (sorted-set union), then
-	// stream it and each vertex's full posting list through the one
-	// canonical deltaSet encoder. The full posting list of v is
-	// base ++ delta: both sorted, every delta ID above every base ID, so
-	// concatenation IS the merge. Save-path-only, so the scratch
-	// allocations are irrelevant.
-	merged := setops.Union(nil, bverts, dverts)
-	if err := w.uv(uint64(len(merged))); err != nil {
+	verts := p.PostingVertices()
+	if err := w.uv(uint64(len(verts))); err != nil {
 		return err
 	}
-	if err := w.deltaSet(merged); err != nil {
+	if err := w.deltaSet(verts); err != nil {
 		return err
 	}
-	var list []hypergraph.EdgeID
-	for _, v := range merged {
-		list = append(append(list[:0], p.Postings(v)...), p.DeltaPostings(v)...)
-		if err := w.uv(uint64(len(list))); err != nil {
+	for i := range verts {
+		l := p.PostingsAt(i)
+		if err := w.uv(uint64(len(l))); err != nil {
 			return err
 		}
-		if err := w.deltaSet(list); err != nil {
+		if err := w.deltaSet(l); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// WriteBinaryV1 serialises h in the legacy v1 format (no index section);
-// v1 files rebuild their index on load. Tombstone-carrying online
-// snapshots are compacted first, like WriteBinary.
-func WriteBinaryV1(w io.Writer, h *hypergraph.Hypergraph) error {
-	if h.NumDeadEdges() > 0 {
-		var err error
-		if h, err = h.Compacted(); err != nil {
-			return err
-		}
-	}
-	bw := &binWriter{bw: bufio.NewWriter(w)}
-	if err := bw.writeCommon(binaryMagicV1, h); err != nil {
-		return err
-	}
-	return bw.bw.Flush()
 }
 
 // binReader wraps the shared decoding plumbing.
@@ -327,8 +263,7 @@ func (r *binReader) edgeLabel() (hypergraph.Label, error) {
 	return hypergraph.Label(enc - 1), nil
 }
 
-// commonSections holds the decoded header, dictionary, labels and edges
-// shared by both versions.
+// commonSections holds the decoded header, dictionary, labels and edges.
 type commonSections struct {
 	nv, ne     uint64
 	hasEL      bool
@@ -434,14 +369,12 @@ func (r *binReader) readCommon() (*commonSections, error) {
 // ReadBinary parses any binary format version, dispatching on the magic.
 func ReadBinary(rd io.Reader) (*hypergraph.Hypergraph, error) {
 	br := bufio.NewReader(rd)
-	magic := make([]byte, len(binaryMagic))
+	magic := make([]byte, len(binaryMagicV2))
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, fmt.Errorf("hgio: reading magic: %w", err)
 	}
 	r := &binReader{br: br}
 	switch string(magic) {
-	case binaryMagicV1:
-		return readBinaryV1(r)
 	case binaryMagicV2:
 		return readBinaryV2(r)
 	case binaryMagicV3:
@@ -458,27 +391,6 @@ func ReadBinary(rd io.Reader) (*hypergraph.Hypergraph, error) {
 		return readBinaryV3(data)
 	}
 	return nil, fmt.Errorf("hgio: bad magic %q", magic)
-}
-
-// readBinaryV1 rebuilds the index from the raw graph via the Builder — the
-// full offline preprocessing replays on every load.
-func readBinaryV1(r *binReader) (*hypergraph.Hypergraph, error) {
-	c, err := r.readCommon()
-	if err != nil {
-		return nil, err
-	}
-	b := hypergraph.NewBuilder().WithDicts(c.dict, nil)
-	for _, l := range c.labels {
-		b.AddVertex(l)
-	}
-	for e := uint32(0); uint64(e) < c.ne; e++ {
-		if c.hasEL && c.edgeLabels[e] != hypergraph.NoEdgeLabel {
-			b.AddLabelledEdge(c.edgeLabels[e], c.edge(e)...)
-		} else {
-			b.AddEdge(c.edge(e)...)
-		}
-	}
-	return b.Build()
 }
 
 // readBinaryV2 decodes the persisted index section and assembles the
@@ -605,10 +517,10 @@ func ReadBinaryFile(path string) (*hypergraph.Hypergraph, error) {
 // ReadAuto reads either format, sniffing the magic bytes.
 func ReadAuto(r io.Reader) (*hypergraph.Hypergraph, error) {
 	br := bufio.NewReader(r)
-	head, err := br.Peek(len(binaryMagic))
+	head, err := br.Peek(len(binaryMagicV2))
 	if err == nil {
 		switch string(head) {
-		case binaryMagicV1, binaryMagicV2, binaryMagicV3:
+		case binaryMagicV2, binaryMagicV3:
 			return ReadBinary(br)
 		}
 	}

@@ -79,85 +79,30 @@ func TestBinaryV2RoundTripIndex(t *testing.T) {
 	}
 }
 
-// TestBinaryV1ToV2Migration: a v1 file loads via rebuild into the same
-// graph and index a v2 file carries, and re-encoding it as v2 is
-// deterministic.
-func TestBinaryV1ToV2Migration(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	h := hgtest.RandomHypergraph(rng, hgtest.RandomConfig{
-		NumVertices: 30, NumEdges: 60, NumLabels: 5, MaxArity: 6,
-	})
-	var v1, v2 bytes.Buffer
-	if err := hgio.WriteBinaryV1(&v1, h); err != nil {
-		t.Fatal(err)
-	}
-	if err := hgio.WriteBinary(&v2, h); err != nil {
-		t.Fatal(err)
-	}
-	fromV1, err := hgio.ReadBinary(bytes.NewReader(v1.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromV2, err := hgio.ReadBinary(bytes.NewReader(v2.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	graphsEqual(t, fromV1, fromV2)
-	indexEqual(t, fromV1, fromV2)
-	// Migrating the v1 load to v2 reproduces the direct v2 encoding.
-	var migrated bytes.Buffer
-	if err := hgio.WriteBinary(&migrated, fromV1); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(migrated.Bytes(), v2.Bytes()) {
-		t.Fatal("v1→v2 migration does not reproduce the direct v2 encoding")
-	}
-}
-
-// TestBinaryGoldens pins the on-disk encodings: the committed v1 and v2
-// files must load to the same graph as the in-code fixture, and the
-// fixture must re-encode byte-identically — so format changes that would
-// silently orphan existing files fail here first.
+// TestBinaryGoldens pins the on-disk encoding: the committed v2 file must
+// load to the same graph as the in-code fixture, and the fixture must
+// re-encode byte-identically — so format changes that would silently
+// orphan existing files fail here first.
 func TestBinaryGoldens(t *testing.T) {
 	h := hgtest.Fig1Data()
-	for _, g := range []struct {
-		path  string
-		write func(*bytes.Buffer) error
-	}{
-		{"testdata/fig1.v1.hgb", func(b *bytes.Buffer) error { return hgio.WriteBinaryV1(b, h) }},
-		{"testdata/fig1.v2.hgb", func(b *bytes.Buffer) error { return hgio.WriteBinary(b, h) }},
-	} {
-		want, err := os.ReadFile(g.path)
-		if err != nil {
-			t.Fatalf("missing golden %s: %v (regenerate with go generate-style helper in this test)", g.path, err)
-		}
-		var got bytes.Buffer
-		if err := g.write(&got); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got.Bytes(), want) {
-			t.Errorf("%s: encoding drifted from committed golden", g.path)
-		}
-		loaded, err := hgio.ReadBinary(bytes.NewReader(want))
-		if err != nil {
-			t.Fatalf("%s: %v", g.path, err)
-		}
-		graphsEqual(t, h, loaded)
-		indexEqual(t, h, loaded)
-	}
-	// The two goldens must load identically — hgserve serving either file
-	// must see the same graph (the /match equivalence test in
-	// internal/server builds on this).
-	v1g, err := hgio.ReadBinaryFile("testdata/fig1.v1.hgb")
+	const path = "testdata/fig1.v2.hgb"
+	want, err := os.ReadFile(path)
 	if err != nil {
+		t.Fatalf("missing golden %s: %v", path, err)
+	}
+	var got bytes.Buffer
+	if err := hgio.WriteBinary(&got, h); err != nil {
 		t.Fatal(err)
 	}
-	v2g, err := hgio.ReadBinaryFile("testdata/fig1.v2.hgb")
-	if err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("%s: encoding drifted from committed golden", path)
 	}
-	graphsEqual(t, v1g, v2g)
-	indexEqual(t, v1g, v2g)
+	loaded, err := hgio.ReadBinary(bytes.NewReader(want))
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	graphsEqual(t, h, loaded)
+	indexEqual(t, h, loaded)
 }
 
 func TestBinaryV2FileRoundTrip(t *testing.T) {

@@ -13,7 +13,7 @@ import (
 
 // Binary format version 3 ("HGB3"): the mmap(2)-servable layout.
 //
-// Where HGB1/HGB2 are varint streams that must be decoded byte by byte,
+// Where HGB2 is a varint stream that must be decoded byte by byte,
 // HGB3 stores every array of the built storage layer — vertex labels, edge
 // tables, incidence lists, the partitioned CSR inverted indexes and the
 // bitmap posting-container sidecars — as fixed-width little-endian sections,
@@ -50,8 +50,8 @@ import (
 //	  gaps zero-filled, all multi-byte values little-endian
 //
 // Tombstone- or delta-carrying online snapshots are compacted before
-// writing, exactly like WriteBinary's tombstone rule: dense IDs and
-// delta-free CSR blocks are part of the format.
+// writing, as WriteBinary does: dense IDs and delta-free CSR blocks are
+// part of the format.
 const binaryMagicV3 = "HGB3"
 
 const (

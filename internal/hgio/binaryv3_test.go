@@ -2,7 +2,9 @@ package hgio_test
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -257,33 +259,26 @@ func TestPeekFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Format != "HGB3" || !p.Mappable || p.NumVertices != h.NumVertices() ||
-		p.NumEdges != h.NumEdges() || p.Partitions != h.NumPartitions() ||
-		p.TotalArity != h.TotalArity() {
+	if p.NumVertices != h.NumVertices() || p.NumEdges != h.NumEdges() ||
+		p.Partitions != h.NumPartitions() || p.TotalArity != h.TotalArity() {
 		t.Fatalf("v3 peek wrong: %+v", p)
 	}
 
-	v2 := filepath.Join(dir, "g2")
+	// Every other format — including an empty file, too short for any
+	// magic — is reported as not mappable.
+	v2, txt, empty := filepath.Join(dir, "g2"), filepath.Join(dir, "g.txt"), filepath.Join(dir, "empty")
 	if err := hgio.WriteBinaryFile(v2, h); err != nil {
 		t.Fatal(err)
 	}
-	p, err = hgio.PeekFile(v2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Format != "HGB2" || p.Mappable || p.NumVertices != h.NumVertices() || p.NumEdges != h.NumEdges() {
-		t.Fatalf("v2 peek wrong: %+v", p)
-	}
-
-	txt := filepath.Join(dir, "g.txt")
 	if err := hgio.WriteFile(txt, h); err != nil {
 		t.Fatal(err)
 	}
-	p, err = hgio.PeekFile(txt)
-	if err != nil {
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if p.Format != "text" || p.Mappable {
-		t.Fatalf("text peek wrong: %+v", p)
+	for _, path := range []string{v2, txt, empty} {
+		if _, err := hgio.PeekFile(path); !errors.Is(err, hgio.ErrNotV3) {
+			t.Fatalf("PeekFile(%s) = %v, want ErrNotV3", filepath.Base(path), err)
+		}
 	}
 }

@@ -18,12 +18,10 @@ import (
 func TestBinaryReaderNeverPanics(t *testing.T) {
 	f := func(raw []byte, version uint8) bool {
 		input := raw
-		switch version % 4 {
+		switch version % 3 {
 		case 1:
-			input = append([]byte("HGB1"), raw...)
-		case 2:
 			input = append([]byte("HGB2"), raw...)
-		case 3:
+		case 2:
 			input = append([]byte("HGB3"), raw...)
 		}
 		h, err := hgio.ReadBinary(bytes.NewReader(input))
@@ -56,42 +54,34 @@ func TestBinaryV3AttachNeverPanicsOnSoup(t *testing.T) {
 	}
 }
 
-// TestBinaryBitFlips: single-byte corruptions of real v1 and v2 files must
-// never panic, and must either error out or decode to a structurally valid
-// graph. For v2 this is the malformed-CSR gate: flips land in the offset
-// tables and posting arrays as often as in the graph sections, and
-// Assemble must reject every inconsistent index.
+// TestBinaryBitFlips: single-byte corruptions of a real v2 file must never
+// panic, and must either error out or decode to a structurally valid
+// graph. This is the malformed-CSR gate: flips land in the offset tables
+// and posting arrays as often as in the graph sections, and Assemble must
+// reject every inconsistent index.
 func TestBinaryBitFlips(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	h := hgtest.RandomHypergraph(rng, hgtest.RandomConfig{
 		NumVertices: 30, NumEdges: 50, NumLabels: 4, MaxArity: 5,
 	})
-	var v1, v2 bytes.Buffer
-	if err := hgio.WriteBinaryV1(&v1, h); err != nil {
-		t.Fatal(err)
-	}
+	var v2 bytes.Buffer
 	if err := hgio.WriteBinary(&v2, h); err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range []struct {
-		name string
-		data []byte
-	}{{"v1", v1.Bytes()}, {"v2", v2.Bytes()}} {
-		t.Run(f.name, func(t *testing.T) {
-			for trial := 0; trial < 300; trial++ {
-				corrupted := append([]byte(nil), f.data...)
-				i := rng.Intn(len(corrupted))
-				corrupted[i] ^= byte(1 << rng.Intn(8))
-				got, err := hgio.ReadBinary(bytes.NewReader(corrupted))
-				if err != nil {
-					continue
-				}
-				if verr := got.Validate(); verr != nil {
-					t.Fatalf("trial %d (byte %d): decoded structurally invalid graph: %v", trial, i, verr)
-				}
+	t.Run("v2", func(t *testing.T) {
+		for trial := 0; trial < 300; trial++ {
+			corrupted := append([]byte(nil), v2.Bytes()...)
+			i := rng.Intn(len(corrupted))
+			corrupted[i] ^= byte(1 << rng.Intn(8))
+			got, err := hgio.ReadBinary(bytes.NewReader(corrupted))
+			if err != nil {
+				continue
 			}
-		})
-	}
+			if verr := got.Validate(); verr != nil {
+				t.Fatalf("trial %d (byte %d): decoded structurally invalid graph: %v", trial, i, verr)
+			}
+		}
+	})
 }
 
 // TestBinaryHeaderCountsDoNotPreallocate: a tiny file whose header claims
@@ -100,17 +90,14 @@ func TestBinaryBitFlips(t *testing.T) {
 // a recoverable error).
 func TestBinaryHeaderCountsDoNotPreallocate(t *testing.T) {
 	huge := make([]byte, 0, 32)
-	huge = append(huge, "HGB1"...)
+	huge = append(huge, "HGB2"...)
 	huge = binary.AppendUvarint(huge, 1)     // numVertices
 	huge = binary.AppendUvarint(huge, 1<<30) // numEdges: claims 2^30, no payload
 	huge = binary.AppendUvarint(huge, 0)     // dict
 	huge = binary.AppendUvarint(huge, 0)     // flags
 	huge = binary.AppendUvarint(huge, 0)     // the single vertex label
-	for _, magic := range []string{"HGB1", "HGB2"} {
-		in := append([]byte(magic), huge[4:]...)
-		if _, err := hgio.ReadBinary(bytes.NewReader(in)); err == nil {
-			t.Errorf("%s: inflated edge count accepted", magic)
-		}
+	if _, err := hgio.ReadBinary(bytes.NewReader(huge)); err == nil {
+		t.Error("inflated edge count accepted")
 	}
 }
 

@@ -1,33 +1,29 @@
 package hgio
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
 )
 
-// GraphPeek is what a file's header alone reveals about the graph inside:
-// enough for a registry to describe a cold (not yet activated) graph
-// without loading — or even mapping — it. v3 headers carry everything;
-// v1/v2 carry the counts their preamble encodes; text files only their
-// size.
+// GraphPeek is what a binary-v3 file's header alone reveals about the
+// graph inside: enough for a registry to describe a cold (not yet
+// activated) graph without loading — or even mapping — it.
 type GraphPeek struct {
-	Format      string // "HGB1", "HGB2", "HGB3" or "text"
 	FileBytes   int64
-	Mappable    bool // binary v3: servable via MapFile
 	NumVertices int
 	NumEdges    int
-	Partitions  int // v3 only
-	TotalArity  int // v3 only
-	MaxArity    int // v3 only
-	NumLabels   int // v3 only
+	Partitions  int
+	TotalArity  int
+	MaxArity    int
+	NumLabels   int
 }
 
-// PeekFile inspects a graph file's header without loading it. For v3 this
-// reads 96 bytes and validates nothing beyond the magic and basic count
-// sanity — callers wanting guarantees must map or load the file.
+// PeekFile reads a binary-v3 file's 96-byte header without loading the
+// graph, validating nothing beyond the magic and basic count sanity —
+// callers wanting guarantees must map or load the file. Every other
+// format returns an error wrapping ErrNotV3.
 func PeekFile(path string) (GraphPeek, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -38,45 +34,27 @@ func PeekFile(path string) (GraphPeek, error) {
 	if err != nil {
 		return GraphPeek{}, err
 	}
-	p := GraphPeek{FileBytes: st.Size()}
-	br := bufio.NewReader(f)
-	head, err := br.Peek(len(binaryMagic))
+	var hdr [v3HeaderSize]byte
+	n, err := io.ReadFull(f, hdr[:])
+	if n < len(binaryMagicV3) || string(hdr[:len(binaryMagicV3)]) != binaryMagicV3 {
+		return GraphPeek{}, fmt.Errorf("%w: %s", ErrNotV3, path)
+	}
 	if err != nil {
-		// Too short for any binary magic: only a (possibly empty) text
-		// graph can be this small.
-		p.Format = "text"
-		return p, nil
+		return GraphPeek{}, fmt.Errorf("hgio: v3 header truncated: %w", err)
 	}
-	switch string(head) {
-	case binaryMagicV3:
-		var hdr [v3HeaderSize]byte
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return GraphPeek{}, fmt.Errorf("hgio: v3 header truncated: %w", err)
-		}
-		le := binary.LittleEndian
-		nv, ne := le.Uint64(hdr[16:]), le.Uint64(hdr[24:])
-		np, ta := le.Uint64(hdr[32:]), le.Uint64(hdr[40:])
-		if nv > sizeSanity || ne > sizeSanity || np > sizeSanity || ta > sizeSanity {
-			return GraphPeek{}, fmt.Errorf("hgio: implausible v3 sizes in %s", path)
-		}
-		p.Format = "HGB3"
-		p.Mappable = true
-		p.NumVertices, p.NumEdges = int(nv), int(ne)
-		p.Partitions, p.TotalArity = int(np), int(ta)
-		p.MaxArity = int(le.Uint32(hdr[48:]))
-		p.NumLabels = int(le.Uint32(hdr[52:]))
-		return p, nil
-	case binaryMagicV1, binaryMagicV2:
-		p.Format = string(head)
-		br.Discard(len(binaryMagic))
-		nv, err1 := binary.ReadUvarint(br)
-		ne, err2 := binary.ReadUvarint(br)
-		if err1 != nil || err2 != nil || nv > sizeSanity || ne > sizeSanity {
-			return GraphPeek{}, fmt.Errorf("hgio: %s preamble malformed in %s", p.Format, path)
-		}
-		p.NumVertices, p.NumEdges = int(nv), int(ne)
-		return p, nil
+	le := binary.LittleEndian
+	nv, ne := le.Uint64(hdr[16:]), le.Uint64(hdr[24:])
+	np, ta := le.Uint64(hdr[32:]), le.Uint64(hdr[40:])
+	if nv > sizeSanity || ne > sizeSanity || np > sizeSanity || ta > sizeSanity {
+		return GraphPeek{}, fmt.Errorf("hgio: implausible v3 sizes in %s", path)
 	}
-	p.Format = "text"
-	return p, nil
+	return GraphPeek{
+		FileBytes:   st.Size(),
+		NumVertices: int(nv),
+		NumEdges:    int(ne),
+		Partitions:  int(np),
+		TotalArity:  int(ta),
+		MaxArity:    int(le.Uint32(hdr[48:])),
+		NumLabels:   int(le.Uint32(hdr[52:])),
+	}, nil
 }

@@ -327,7 +327,7 @@ type SchedulerStats struct {
 	// RequestMaxBytes mirrors -request-max-bytes (0 = unlimited).
 	RequestMaxBytes int64 `json:"request_max_bytes,omitempty"`
 
-	// Tiered-residency accounting (-mmap mode; zero otherwise).
+	// Tiered-residency accounting (zero without HGB3 graphs).
 	// GraphsResident counts graphs currently attached via mmap,
 	// GraphsCold those registered but not yet activated; heap graphs are
 	// Len() minus both. ResidentBytes sums the mapped file bytes of

@@ -29,7 +29,7 @@ func TestCappedMatchStream(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		live, _ := reg.Live("delta")
+		live := liveOf(t, reg, "delta")
 		if err := hgtest.ApplyDelta(live); err != nil {
 			t.Fatal(err)
 		}
@@ -40,7 +40,7 @@ func TestCappedMatchStream(t *testing.T) {
 		s := New(reg, Config{PlanCacheSize: -1, Workers: width, MaxWorkers: 4})
 		ts := httptest.NewServer(s.Handler())
 		for gi, g := range graphs {
-			snap, _ := reg.Get(g.Name)
+			snap := snapshotOf(t, reg, g.Name)
 			cases, err := hgtest.CappedCases(snap, int64(gi), 2000)
 			if err != nil {
 				t.Fatalf("%s: %v", g.Name, err)

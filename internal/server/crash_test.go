@@ -235,7 +235,7 @@ func TestWALRecoveryBasic(t *testing.T) {
 	if !ok || rep.LastSeq != acked || rep.Batches != len(fx.batches) {
 		t.Fatalf("recovery report %+v (ok=%v), want %d batches", rep, ok, len(fx.batches))
 	}
-	h2, _ := s2.Graphs().Get("g")
+	h2 := snapshotOf(t, s2.Graphs(), "g")
 	if got := canonicalGraphText(t, h2); got != want {
 		t.Fatalf("recovered state differs from uninterrupted run:\n%s\n-- vs --\n%s", got, want)
 	}
@@ -251,7 +251,7 @@ func TestWALRecoveryBasic(t *testing.T) {
 	if rr := post(s2.Handler(), "/graphs/g/edges", `{"op":"insert","vertices":[0,1,2,3,4,5,6,7]}`+"\n"); rr.Code != http.StatusOK {
 		t.Fatalf("post-compact ingest: %d %s", rr.Code, rr.Body.String())
 	}
-	h2b, _ := s2.Graphs().Get("g")
+	h2b := snapshotOf(t, s2.Graphs(), "g")
 	want2 := canonicalGraphText(t, h2b)
 	s2.Close()
 
@@ -261,7 +261,7 @@ func TestWALRecoveryBasic(t *testing.T) {
 	if rep3.Batches != 1 {
 		t.Fatalf("post-checkpoint recovery replayed %d batches, want 1 (the WAL was truncated)", rep3.Batches)
 	}
-	h3, _ := s3.Graphs().Get("g")
+	h3 := snapshotOf(t, s3.Graphs(), "g")
 	if got := canonicalGraphText(t, h3); got != want2 {
 		t.Fatalf("post-checkpoint recovery differs:\n%s\n-- vs --\n%s", got, want2)
 	}
@@ -335,7 +335,7 @@ func TestCrashRecoveryStress(t *testing.T) {
 					t.Fatalf("iter %d (killAt %d): clean crash recovered read-only: %s", iter, killAt, info.ReadOnlyReason)
 				}
 				rep, _ := s2.Graphs().Recovery("g")
-				got, _ := s2.Graphs().Get("g")
+				got := snapshotOf(t, s2.Graphs(), "g")
 				gotText := canonicalGraphText(t, got)
 				k := -1 // highest history prefix matching the recovered state
 				for i := len(refText) - 1; i >= 0; i-- {
@@ -432,7 +432,7 @@ func TestCrashRecoveryStressConcurrent(t *testing.T) {
 		if info, _ := s2.Graphs().Info("g"); info.ReadOnly {
 			t.Fatalf("iter %d: recovered read-only: %s", iter, info.ReadOnlyReason)
 		}
-		live, _ := s2.Graphs().Live("g")
+		live := liveOf(t, s2.Graphs(), "g")
 		for g := 0; g < clients; g++ {
 			for i := 0; i < ackedUpTo[g]; i++ {
 				// Membership probe: re-inserting an edge that survived
@@ -538,7 +538,7 @@ func TestIngestMalformedNDJSONTransactional(t *testing.T) {
 	before := canonicalGraphText(t, fx.reference(t, 0))
 
 	snapshot := func() (string, hgio.GraphInfo) {
-		g, _ := s.Graphs().Get("g")
+		g := snapshotOf(t, s.Graphs(), "g")
 		info, _ := s.Graphs().Info("g")
 		return canonicalGraphText(t, g), info
 	}
@@ -590,7 +590,7 @@ func TestIngestMalformedNDJSONTransactional(t *testing.T) {
 	s.Close()
 	s2 := newDurableServer(t, fs, fx, hgio.SyncPolicy{Mode: hgio.SyncAlways})
 	defer s2.Close()
-	g2, _ := s2.Graphs().Get("g")
+	g2 := snapshotOf(t, s2.Graphs(), "g")
 	if canonicalGraphText(t, g2) != got {
 		t.Fatal("journaled prefix did not survive restart")
 	}

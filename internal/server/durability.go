@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"maps"
 	"path"
 	"sort"
 	"strings"
@@ -100,46 +101,31 @@ func (r *Registry) ReadOnlyNames() []string {
 	return names
 }
 
-// Close flushes and closes every graph's WAL and drops the registry's
-// references to mapped graphs. It first marks the registry closed — new
-// Acquires fail with errRegistryClosed from that point on, which is what
-// makes the drain sound: an Acquire racing Close could otherwise Add to
-// the inflight WaitGroup after Wait saw zero (WaitGroup reuse panic) or
-// take a reference the teardown below would unmap anyway. It then drains
-// every outstanding Acquire reference: a handler holds one across its
-// whole engine run, so Close waits for in-flight runs before it releases
-// the mapped tier. Ingest must still be quiesced by the caller before
-// Close.
+// Close flushes and closes every graph's WAL and detaches every mapped
+// graph. It first marks the registry closed — new Acquires fail with
+// errRegistryClosed from that point on, which is what makes the drain
+// sound: an Acquire racing Close could otherwise Add to the inflight
+// WaitGroup after Wait saw zero (WaitGroup reuse panic) or take a
+// reference the teardown below would unmap anyway. It then drains every
+// outstanding Acquire reference: a handler holds one across its whole
+// engine run, so Close waits for in-flight runs before it releases the
+// mapped tier. Ingest must still be quiesced by the caller before Close.
 func (r *Registry) Close() error {
 	r.mu.Lock()
 	r.closed = true
 	r.mu.Unlock()
 	r.inflight.Wait()
 	r.mu.RLock()
-	entries := make([]*graphEntry, 0, len(r.graphs))
-	for _, e := range r.graphs {
-		entries = append(entries, e)
-	}
+	entries := maps.Clone(r.graphs)
 	r.mu.RUnlock()
 	var err error
-	for _, e := range entries {
+	for name, e := range entries {
 		if e.dur != nil && e.dur.wal != nil {
 			if cerr := e.dur.wal.Close(); err == nil {
 				err = cerr
 			}
 		}
-		if e.managed {
-			e.tierMu.Lock()
-			m := e.mapped.Load()
-			if m != nil {
-				e.mapped.Store(nil)
-				r.resident.Add(-int64(m.FileBytes()))
-			}
-			e.tierMu.Unlock()
-			if m != nil {
-				m.Release()
-			}
-		}
+		r.detach(name, e)
 	}
 	return err
 }

@@ -312,7 +312,7 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	_, before, _ := s.graphs.GetVersioned(name)
+	before := e.version(live.Snapshot())
 	// Counts come from the fold itself: reading them beforehand would
 	// race with a concurrent ingest and under-report.
 	nh, folded, dropped, err := s.compactGraph(name, e, live)

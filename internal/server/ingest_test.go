@@ -334,11 +334,11 @@ func TestAutoCompaction(t *testing.T) {
 		t.Fatalf("threshold crossed but no compaction scheduled: %+v", sum)
 	}
 	s.WaitCompactions()
-	live, _ := s.Graphs().Live("fig1")
+	live := liveOf(t, s.Graphs(), "fig1")
 	if live.PendingEdges() != 0 {
 		t.Fatalf("background compaction left %d pending edges", live.PendingEdges())
 	}
-	if h, _ := s.Graphs().Get("fig1"); h.HasDelta() || h.NumEdges() != 9 {
+	if h := snapshotOf(t, s.Graphs(), "fig1"); h.HasDelta() || h.NumEdges() != 9 {
 		t.Fatalf("compacted graph shape off: delta=%v edges=%d", h.HasDelta(), h.NumEdges())
 	}
 }
@@ -382,7 +382,7 @@ func TestConcurrentIngestAndMatchHTTP(t *testing.T) {
 	}
 	wg.Wait()
 	s.WaitCompactions()
-	if h, _ := s.Graphs().Get("fig1"); h.Validate() != nil {
+	if h := snapshotOf(t, s.Graphs(), "fig1"); h.Validate() != nil {
 		t.Fatalf("settled graph invalid: %v", h.Validate())
 	}
 }

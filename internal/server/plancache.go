@@ -63,7 +63,7 @@ func NewPlanCache(capacity int) *PlanCache {
 // data graph. The graph name is length-prefixed so (name, querykey) pairs
 // cannot collide across graphs whatever bytes the names contain; the
 // version keeps plans compiled against a replaced graph from ever being
-// served for its successor (see Registry.GetVersioned).
+// served for its successor (see Registry.Acquire).
 func Key(graph string, version uint64, queryKey string) string {
 	b := make([]byte, 0, 12+len(graph)+len(queryKey))
 	b = append(b, GraphPrefix(graph)...)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"log"
 	"sort"
@@ -12,43 +13,42 @@ import (
 )
 
 // Registry holds the named data hypergraphs a server instance matches
-// against. Graphs live in one of three residency tiers:
+// against. The file a graph is registered from picks its residency tier:
 //
-//	heap    fully decoded into Go memory, wrapped in a DeltaBuffer: the
-//	        classic tier — online-updatable, always resident. Add and
-//	        LoadFile register here.
-//	mapped  served zero-copy off an mmap(2)ed binary-v3 file
-//	        (RegisterMapped, after first use): near-zero heap, pages
-//	        faulted in by the kernel on demand and reclaimable under
-//	        memory pressure. Read-mostly; the first ingest promotes the
-//	        graph to the heap tier.
-//	cold    registered via RegisterMapped but not yet requested: nothing
-//	        attached, only the file header has been read.
+//	heap    fully decoded into Go memory, wrapped in a DeltaBuffer:
+//	        online-updatable, always resident. Add registers here, as does
+//	        LoadFile for text and HGB2 files and for every file once
+//	        durability is on (a durable graph is its checkpoint plus WAL).
+//	cold    an HGB3 file registered by LoadFile and not yet requested:
+//	        nothing attached, only the 96-byte header has been read.
+//	mapped  a cold graph after its first Acquire, served zero-copy off the
+//	        mmap(2)ed file: near-zero heap, pages faulted in on demand and
+//	        reclaimable under memory pressure. The first ingest promotes it
+//	        to the heap; a failed attach falls back to the heap.
 //
 // Mapped residency is budgeted: SetResidentBudget bounds the summed file
 // bytes of concurrently attached graphs, and crossing the budget evicts
-// the least-recently-used mapped graph (its mapping is released once
-// every in-flight request holding it completes — see Acquire). Heap
-// graphs are pinned: they may hold unreplayable online writes, so the
-// registry never drops them.
+// the least-recently-used mapped graph back to cold (its mapping is
+// released once every in-flight request holding it completes — see
+// Acquire). Heap graphs are pinned: they may hold unreplayable online
+// writes, so the registry never drops them.
 //
-// Matching always runs on an immutable snapshot obtained here together
-// with its version (the consistent pair plan-cache keys are built from).
-// The registry map itself is guarded for the (rare) case of graphs being
-// added while the server is live; snapshot reads inside an entry are
-// lock-free on the heap tier and take one per-entry mutex on the mapped
-// tier (to pin the mapping against concurrent eviction).
+// Matching always runs on an immutable snapshot obtained through Acquire
+// together with its version (the consistent pair plan-cache keys are built
+// from). Only Acquire, ensureLive (the write path), eviction, install and
+// Close move a graph between tiers. Snapshot reads are lock-free on the
+// heap tier and take one per-entry mutex on the mapped tier (to pin the
+// mapping against concurrent eviction).
 type Registry struct {
-	mu        sync.RWMutex
-	graphs    map[string]*graphEntry
-	onReplace func(name string)
-	// onEvict fires (outside all locks) when a mapped graph's attachment
-	// is dropped — eviction or ingest promotion — so the server can purge
-	// plans compiled against the now-dying mapping.
-	onEvict func(name string)
+	mu     sync.RWMutex
+	graphs map[string]*graphEntry
+	// onPurge fires (outside all locks) when a graph's cached plans must
+	// go: the graph was replaced, or its mapping was detached (eviction,
+	// promotion, Close), so nothing keeps referring into the old state.
+	onPurge func(name string)
 	// dur, when set (EnableDurability), gives every registered graph a
-	// checkpoint + WAL under dur.Dir and routes Add through recovery.
-	// Durability and mapped registration are mutually exclusive.
+	// checkpoint + WAL under dur.Dir and routes Add/LoadFile through
+	// recovery onto the heap.
 	dur *DurabilityConfig
 
 	// inflight counts Acquire references not yet released. Close drains it
@@ -79,9 +79,9 @@ type Registry struct {
 // while the graph is idle), and — with durability on — its WAL attachment
 // and degraded-mode state.
 type graphEntry struct {
-	// live is the heap-tier buffer; nil while a managed entry is cold or
-	// mapped. Atomic because ingest promotion installs it concurrently
-	// with lock-free reader loads.
+	// live is the heap-tier buffer; nil while the entry is cold or mapped.
+	// Atomic because promotion installs it concurrently with lock-free
+	// reader loads.
 	live atomic.Pointer[hgmatch.DeltaBuffer]
 	// gen is the replacement generation (1 for the first registration).
 	// Tier transitions — activation of a new mapping, promotion to heap —
@@ -90,10 +90,9 @@ type graphEntry struct {
 	// successor.
 	gen atomic.Uint64
 
-	// Managed (RegisterMapped) state. path/peek are immutable after
-	// registration; tierMu serialises tier transitions and pins the
-	// mapping while a reference is taken.
-	managed  bool
+	// HGB3 state. path/peek are immutable after registration (path is ""
+	// for an entry born on the heap); tierMu serialises tier transitions
+	// and pins the mapping while a reference is taken.
 	path     string
 	peek     hgio.GraphPeek
 	tierMu   sync.Mutex
@@ -177,10 +176,10 @@ func (r *Registry) track(release func()) (func(), error) {
 
 // Add registers a graph under name, replacing any previous graph of that
 // name (the replacement gets a new generation, invalidating cached plans
-// and firing the replacement hook). The graph becomes live: it accepts
-// online inserts/deletes through Live(name). With durability enabled, h is
-// only the seed: a graph with recoverable history comes back as its
-// checkpoint plus replayed WAL instead (see addDurable).
+// and firing the purge hook). The graph lives on the heap and accepts
+// online inserts/deletes. With durability enabled, h is only the seed: a
+// graph with recoverable history comes back as its checkpoint plus
+// replayed WAL instead (see addDurable).
 func (r *Registry) Add(name string, h *hgmatch.Hypergraph) error {
 	r.mu.RLock()
 	dur := r.dur
@@ -198,110 +197,80 @@ func (r *Registry) Add(name string, h *hgmatch.Hypergraph) error {
 	return nil
 }
 
-// RegisterMapped registers a binary-v3 file under name for tiered serving:
-// nothing is loaded now (only the 96-byte header is read); the first
-// request activates the graph by memory-mapping the file. Mutually
-// exclusive with durability — a mapped graph's online writes could not be
-// replayed after eviction. Non-v3 files are rejected; use LoadFile for
-// those.
-func (r *Registry) RegisterMapped(name, path string) error {
-	r.mu.RLock()
-	dur := r.dur
-	r.mu.RUnlock()
-	if dur != nil {
-		return fmt.Errorf("server: mapped graph %q: tiered residency and durability are mutually exclusive", name)
-	}
-	pk, err := hgio.PeekFile(path)
-	if err != nil {
-		return fmt.Errorf("server: registering mapped graph %q: %w", name, err)
-	}
-	if !pk.Mappable {
-		return fmt.Errorf("server: graph %q: %s is %s, not binary v3; rewrite it with hgmatch.SaveBinaryV3File (or hggen -binary -v3) or serve it without -mmap", name, path, pk.Format)
-	}
-	r.install(name, &graphEntry{managed: true, path: path, peek: pk})
-	return nil
-}
-
-// install publishes an entry under name, bumping the replacement
-// generation and firing the replacement hook when a previous registration
-// existed.
-func (r *Registry) install(name string, e *graphEntry) {
-	r.mu.Lock()
-	var prevGen uint64
-	var prevMapped *hgio.MappedGraph
-	if prev, ok := r.graphs[name]; ok {
-		prevGen = prev.gen.Load()
-		if prev.managed {
-			prev.tierMu.Lock()
-			if m := prev.mapped.Load(); m != nil {
-				prev.mapped.Store(nil)
-				r.resident.Add(-int64(m.FileBytes()))
-				prevMapped = m
-			}
-			prev.tierMu.Unlock()
-		}
-	}
-	e.gen.Store(prevGen + 1)
-	r.graphs[name] = e
-	hook := r.onReplace
-	r.mu.Unlock()
-	if prevGen > 0 && hook != nil {
-		hook(name)
-	}
-	if prevMapped != nil {
-		prevMapped.Release()
-	}
-}
-
-// setOnReplace installs a hook fired (outside the registry lock) whenever
-// an existing graph is replaced; the server uses it to purge the replaced
-// graph's plans so the old hypergraph becomes collectable.
-func (r *Registry) setOnReplace(fn func(name string)) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.onReplace = fn
-}
-
-// setOnEvict installs a hook fired (outside all locks) whenever a mapped
-// graph's attachment is dropped — LRU eviction or ingest promotion; the
-// server purges the graph's cached plans so nothing keeps referring into
-// the released mapping.
-func (r *Registry) setOnEvict(fn func(name string)) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.onEvict = fn
-}
-
-func (r *Registry) evictHook() func(string) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.onEvict
-}
-
-// LoadFile reads a hypergraph from path (text or any binary .hg version,
-// sniffed) onto the heap and registers it under name. With durability
-// enabled the file is only read when the graph has no checkpoint yet — a
-// recovered graph's state is its checkpoint + WAL, not the (possibly
-// stale) seed file.
+// LoadFile registers the graph stored at path under name; the file picks
+// the tier. With durability enabled the graph is recovered onto the heap
+// (the file is only read when the graph has no checkpoint yet — a
+// recovered graph's state is its checkpoint + WAL, not the possibly stale
+// seed file). Otherwise an HGB3 file registers cold, from its header
+// alone, and is mapped on first Acquire; any other format is read onto
+// the heap.
 func (r *Registry) LoadFile(name, path string) error {
 	r.mu.RLock()
 	dur := r.dur
 	r.mu.RUnlock()
-	load := func() (*hgmatch.Hypergraph, error) {
-		h, err := hgio.ReadAutoFile(path)
-		if err != nil {
-			return nil, fmt.Errorf("server: loading graph %q from %s: %w", name, path, err)
-		}
-		return h, nil
-	}
 	if dur != nil {
-		return r.addDurable(name, *dur, load)
+		return r.addDurable(name, *dur, func() (*hgmatch.Hypergraph, error) { return readGraph(name, path) })
 	}
-	h, err := load()
+	pk, err := hgio.PeekFile(path)
+	if err == nil {
+		r.install(name, &graphEntry{path: path, peek: pk})
+		return nil
+	}
+	if !errors.Is(err, hgio.ErrNotV3) {
+		return fmt.Errorf("server: registering graph %q: %w", name, err)
+	}
+	h, err := readGraph(name, path)
 	if err != nil {
 		return err
 	}
 	return r.Add(name, h)
+}
+
+// readGraph reads the file at path in any format ReadAutoFile sniffs.
+func readGraph(name, path string) (*hgmatch.Hypergraph, error) {
+	h, err := hgio.ReadAutoFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("server: loading graph %q from %s: %w", name, path, err)
+	}
+	return h, nil
+}
+
+// loadHeap reads the file at path into a fresh heap-tier buffer: the
+// fallback of a failed attach and the promotion of a mapped graph.
+func loadHeap(name, path string) (*hgmatch.DeltaBuffer, error) {
+	h, err := readGraph(name, path)
+	if err != nil {
+		return nil, err
+	}
+	return hgmatch.NewDeltaBuffer(h)
+}
+
+// install publishes an entry under name with the next replacement
+// generation. A previous registration is detached once the new entry is
+// visible: its mapping (if any) is released and its plans purged.
+func (r *Registry) install(name string, e *graphEntry) {
+	r.mu.Lock()
+	prev := r.graphs[name]
+	if prev != nil {
+		e.gen.Store(prev.gen.Load() + 1)
+	} else {
+		e.gen.Store(1)
+	}
+	r.graphs[name] = e
+	r.mu.Unlock()
+	if prev != nil {
+		r.detach(name, prev)
+	}
+}
+
+// setOnPurge installs the hook fired (outside every registry lock)
+// whenever a graph's cached plans must go: the server purges them so the
+// replaced graph becomes collectable and a released mapping is referred
+// to by nothing.
+func (r *Registry) setOnPurge(fn func(name string)) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.onPurge = fn
 }
 
 // entry returns the live entry registered under name.
@@ -317,57 +286,31 @@ func (r *Registry) entry(name string) (*graphEntry, bool) {
 // snapshot (on every path — the release pins a mapped graph's mapping
 // against eviction for the request's lifetime). Cold graphs activate on
 // the way: the file is mapped, the budget enforced. Heap-tier graphs
-// return a no-op release. Once Close has begun, Acquire fails with
-// errRegistryClosed instead of handing out references the drain would
-// never see.
+// take two registry read-locks and no tier mutex. Once Close has begun,
+// Acquire fails with errRegistryClosed instead of handing out references
+// the drain would never see.
 func (r *Registry) Acquire(name string) (*hgmatch.Hypergraph, uint64, func(), error) {
 	e, ok := r.entry(name)
 	if !ok {
 		return nil, 0, nil, errGraphNotFound
 	}
 	e.lastUsed.Store(r.clock.Add(1))
-	if live := e.live.Load(); live != nil {
-		rel, err := r.track(nil)
-		if err != nil {
-			return nil, 0, nil, err
-		}
-		h := live.Snapshot()
-		return h, e.version(h), rel, nil
-	}
-	// Managed entry, cold or mapped. The tier mutex both serialises
-	// activation and makes Retain safe: eviction swaps the pointer out
-	// under the same mutex, so a non-nil load here still holds the
-	// registry's reference.
-	e.tierMu.Lock()
-	if live := e.live.Load(); live != nil { // promoted while we waited
-		e.tierMu.Unlock()
-		rel, err := r.track(nil)
-		if err != nil {
-			return nil, 0, nil, err
-		}
-		h := live.Snapshot()
-		return h, e.version(h), rel, nil
-	}
-	m := e.mapped.Load()
-	if m == nil {
+	live := e.live.Load()
+	var m *hgio.MappedGraph
+	if live == nil {
 		var err error
-		if m, err = r.activateLocked(name, e); err != nil {
-			e.tierMu.Unlock()
+		if live, m, err = r.pin(name, e); err != nil {
 			return nil, 0, nil, err
 		}
-		if m == nil { // mmap unavailable: activateLocked fell back to heap
-			live := e.live.Load()
-			e.tierMu.Unlock()
-			rel, err := r.track(nil)
-			if err != nil {
-				return nil, 0, nil, err
-			}
-			h := live.Snapshot()
-			return h, e.version(h), rel, nil
-		}
 	}
-	m.Retain()
-	e.tierMu.Unlock()
+	if m == nil {
+		rel, err := r.track(nil)
+		if err != nil {
+			return nil, 0, nil, err
+		}
+		h := live.Snapshot()
+		return h, e.version(h), rel, nil
+	}
 	rel, err := r.track(func() { m.Release() })
 	if err != nil {
 		m.Release() // drop the request's retain; Close owns the registry's
@@ -378,40 +321,48 @@ func (r *Registry) Acquire(name string) (*hgmatch.Hypergraph, uint64, func(), er
 	return h, e.version(h), rel, nil
 }
 
-// activateLocked attaches the entry's file (tierMu held). On mmap/attach
-// failure it falls back to a pinned heap load — a graph that was serving
-// before must keep serving — and returns (nil, nil); the caller reads
-// e.live. Either way the generation advances: this instance's plans must
-// never collide with a previous attachment's.
-func (r *Registry) activateLocked(name string, e *graphEntry) (*hgio.MappedGraph, error) {
-	m, err := hgio.MapFile(e.path, hgio.MapOptions{Verify: r.mapVerify.Load()})
-	if err == nil {
+// pin resolves an entry that was off the heap at Acquire's lock-free
+// check. It returns the heap buffer if the graph was promoted meanwhile,
+// and otherwise the mapping — attached first if the graph is cold — with
+// one reference retained for the caller. tierMu serialises activation and
+// makes Retain safe: detach swaps the pointer out under the same mutex. A
+// failed attach falls back to a pinned heap load (a graph that was serving
+// before must keep serving). Either activation advances the generation:
+// this instance's plans must never collide with a previous attachment's.
+func (r *Registry) pin(name string, e *graphEntry) (*hgmatch.DeltaBuffer, *hgio.MappedGraph, error) {
+	e.tierMu.Lock()
+	defer e.tierMu.Unlock()
+	if live := e.live.Load(); live != nil {
+		return live, nil, nil
+	}
+	m := e.mapped.Load()
+	if m == nil {
+		var err error
+		if m, err = hgio.MapFile(e.path, hgio.MapOptions{Verify: r.mapVerify.Load()}); err != nil {
+			live, lerr := loadHeap(name, e.path)
+			if lerr != nil {
+				return nil, nil, fmt.Errorf("server: activating graph %q: %v (heap fallback: %w)", name, err, lerr)
+			}
+			log.Printf("server: graph %q: mmap attach failed (%v); serving from the heap", name, err)
+			e.gen.Add(1)
+			e.live.Store(live)
+			return live, nil, nil
+		}
 		e.gen.Add(1)
 		e.mapped.Store(m)
 		r.resident.Add(int64(m.FileBytes()))
 		r.activations.Add(1)
-		return m, nil
 	}
-	h, lerr := hgio.ReadAutoFile(e.path)
-	if lerr != nil {
-		return nil, fmt.Errorf("server: activating graph %q: %v (heap fallback: %w)", name, err, lerr)
-	}
-	live, lerr := hgmatch.NewDeltaBuffer(h)
-	if lerr != nil {
-		return nil, fmt.Errorf("server: activating graph %q: %w", name, lerr)
-	}
-	log.Printf("server: graph %q: mmap attach failed (%v); serving from the heap", name, err)
-	e.gen.Add(1)
-	e.live.Store(live)
-	return nil, nil
+	m.Retain()
+	return nil, m, nil
 }
 
-// ensureLive returns the entry's heap-tier buffer, promoting a managed
-// mapped/cold graph onto the heap first — the write path (ingest,
-// compaction) needs a DeltaBuffer over ordinary heap arrays, never over a
-// mapping that eviction could unmap under it. Promotion reloads the file,
-// drops the mapping (once in-flight readers drain), bumps the generation
-// and pins the graph in the heap tier for the rest of the process.
+// ensureLive returns the entry's heap-tier buffer, promoting a cold or
+// mapped graph onto the heap first — the write path (ingest, compaction)
+// needs a DeltaBuffer over ordinary heap arrays, never over a mapping that
+// eviction could unmap under it. Promotion reloads the file, bumps the
+// generation, pins the graph in the heap tier for the rest of the process
+// and then detaches the mapping (released once in-flight readers drain).
 func (r *Registry) ensureLive(name string, e *graphEntry) (*hgmatch.DeltaBuffer, error) {
 	if live := e.live.Load(); live != nil {
 		return live, nil
@@ -421,35 +372,45 @@ func (r *Registry) ensureLive(name string, e *graphEntry) (*hgmatch.DeltaBuffer,
 		e.tierMu.Unlock()
 		return live, nil
 	}
-	h, err := hgio.ReadAutoFile(e.path)
+	live, err := loadHeap(name, e.path)
 	if err != nil {
 		e.tierMu.Unlock()
 		return nil, fmt.Errorf("server: promoting graph %q to heap: %w", name, err)
-	}
-	live, err := hgmatch.NewDeltaBuffer(h)
-	if err != nil {
-		e.tierMu.Unlock()
-		return nil, fmt.Errorf("server: promoting graph %q to heap: %w", name, err)
-	}
-	m := e.mapped.Load()
-	if m != nil {
-		e.mapped.Store(nil)
-		r.resident.Add(-int64(m.FileBytes()))
 	}
 	e.gen.Add(1)
 	e.live.Store(live)
 	r.promotions.Add(1)
 	e.tierMu.Unlock()
-	if hook := r.evictHook(); hook != nil {
-		hook(name) // purge plans compiled against the mapping
+	r.detach(name, e)
+	return live, nil
+}
+
+// detach is the one way a mapping leaves an entry: the pointer swap under
+// tierMu stops new references, the resident bytes leave the budget, the
+// plan purge stops cached plans from reaching into the mapping, and the
+// registry's Release unmaps once in-flight requests drain theirs. It
+// purges even when nothing was attached (a replaced heap graph's plans go
+// too) and reports whether it released a mapping.
+func (r *Registry) detach(name string, e *graphEntry) bool {
+	e.tierMu.Lock()
+	m := e.mapped.Swap(nil)
+	if m != nil {
+		r.resident.Add(-int64(m.FileBytes()))
+	}
+	e.tierMu.Unlock()
+	r.mu.RLock()
+	purge := r.onPurge
+	r.mu.RUnlock()
+	if purge != nil {
+		purge(name)
 	}
 	if m != nil {
 		m.Release()
 	}
-	return live, nil
+	return m != nil
 }
 
-// maybeEvict drops least-recently-used mapped graphs until the resident
+// maybeEvict detaches least-recently-used mapped graphs until the resident
 // bytes fit the budget, never touching keep (the entry the caller just
 // activated — evicting it would thrash) or heap-tier graphs.
 func (r *Registry) maybeEvict(keep *graphEntry) {
@@ -462,7 +423,9 @@ func (r *Registry) maybeEvict(keep *graphEntry) {
 		if e == nil {
 			return
 		}
-		r.evictMapped(name, e)
+		if r.detach(name, e) {
+			r.evictions.Add(1)
+		}
 	}
 }
 
@@ -475,7 +438,7 @@ func (r *Registry) lruMapped(keep *graphEntry) (string, *graphEntry) {
 	var best *graphEntry
 	var bestUsed int64
 	for name, e := range r.graphs {
-		if e == keep || !e.managed || e.mapped.Load() == nil || e.live.Load() != nil {
+		if e == keep || e.mapped.Load() == nil || e.live.Load() != nil {
 			continue
 		}
 		if u := e.lastUsed.Load(); best == nil || u < bestUsed {
@@ -485,115 +448,57 @@ func (r *Registry) lruMapped(keep *graphEntry) (string, *graphEntry) {
 	return bestName, best
 }
 
-// evictMapped detaches one mapped graph: the pointer swap under tierMu
-// stops new references, the plan purge stops cached plans from reaching
-// into the mapping, and the final Release (registry's reference) unmaps
-// once in-flight requests drain theirs. Returns false if someone else
-// detached it first.
-func (r *Registry) evictMapped(name string, e *graphEntry) bool {
-	e.tierMu.Lock()
-	m := e.mapped.Load()
-	if m == nil {
-		e.tierMu.Unlock()
-		return false
-	}
-	e.mapped.Store(nil)
-	r.resident.Add(-int64(m.FileBytes()))
-	r.evictions.Add(1)
-	e.tierMu.Unlock()
-	if hook := r.evictHook(); hook != nil {
-		hook(name)
-	}
-	m.Release()
-	return true
-}
-
-// Get returns the current snapshot of the graph registered under name.
-// For managed (mapped-tier) graphs this PROMOTES the graph to the heap:
-// the caller gets no release handle, so only a heap snapshot — whose
-// lifetime the garbage collector manages — is safe to hand out. Request
-// paths use Acquire instead.
-func (r *Registry) Get(name string) (*hgmatch.Hypergraph, bool) {
-	h, _, ok := r.GetVersioned(name)
-	return h, ok
-}
-
-// GetVersioned returns the current snapshot of the named graph together
-// with its version — a single consistent pair: the version is derived from
-// the snapshot itself, so a concurrent ingest can never pair an old
-// snapshot with a new version (which would poison a plan cache). Promotes
-// managed graphs to the heap tier (see Get); request paths use Acquire.
-func (r *Registry) GetVersioned(name string) (*hgmatch.Hypergraph, uint64, bool) {
-	e, ok := r.entry(name)
-	if !ok {
-		return nil, 0, false
-	}
-	live, err := r.ensureLive(name, e)
-	if err != nil {
-		return nil, 0, false
-	}
-	h := live.Snapshot()
-	return h, e.version(h), true
-}
-
-// Live returns the named graph's online-update buffer, the write surface
-// behind POST /graphs/{name}/edges and /compact, promoting managed graphs
-// to the heap tier first.
-func (r *Registry) Live(name string) (*hgmatch.DeltaBuffer, bool) {
-	e, ok := r.entry(name)
-	if !ok {
-		return nil, false
-	}
-	live, err := r.ensureLive(name, e)
-	if err != nil {
-		return nil, false
-	}
-	return live, true
-}
-
-// Version returns the cache-key version of the named graph FOR the given
-// snapshot. Handlers that already hold a specific snapshot use this
-// instead of GetVersioned so the (snapshot, version) pair they report
-// stays consistent under concurrent ingest.
-func (r *Registry) Version(name string, h *hgmatch.Hypergraph) (uint64, bool) {
-	e, ok := r.entry(name)
-	if !ok {
-		return 0, false
-	}
-	return e.version(h), true
-}
-
 // Info returns the Table II statistics of the named graph, cached per
-// (generation, delta version), decorated with its residency tier. Cold
-// graphs are described from their file header alone — Info never activates
-// a graph.
+// (generation, delta version), decorated with its residency tier. Info
+// never changes a tier: a mapped graph's mapping is pinned while its
+// statistics are computed, and a cold graph is described from its file
+// header alone, without faulting a single payload page.
 func (r *Registry) Info(name string) (hgio.GraphInfo, bool) {
 	e, ok := r.entry(name)
 	if !ok {
 		return hgio.GraphInfo{}, false
 	}
-	if e.managed && e.live.Load() == nil {
-		return r.infoManaged(name, e), true
-	}
 	live := e.live.Load()
+	var m *hgio.MappedGraph
 	if live == nil {
-		return hgio.GraphInfo{}, false
+		e.tierMu.Lock()
+		if live = e.live.Load(); live == nil {
+			if m = e.mapped.Load(); m != nil {
+				m.Retain()
+				defer m.Release()
+			}
+		}
+		e.tierMu.Unlock()
 	}
-	h := live.Snapshot()
-	v := e.version(h)
-	e.infoMu.Lock()
-	if e.infoVersion != v {
-		e.info = hgio.GraphInfoFor(name, h)
-		e.infoVersion = v
-	}
-	info := e.info
-	e.infoMu.Unlock()
-	if e.managed {
-		info.FileBytes = e.peek.FileBytes
+	pk := e.peek
+	var info hgio.GraphInfo
+	switch {
+	case live != nil:
+		info = e.stats(name, live.Snapshot())
+		info.FileBytes = pk.FileBytes
+	case m != nil:
+		info = e.stats(name, m.Graph())
+		info.Tier = "mapped"
+		info.ResidentBytes = int64(m.HeapOverheadBytes())
+		info.FileBytes = int64(m.FileBytes())
+	default:
+		info = hgio.GraphInfo{
+			Name:        name,
+			NumVertices: pk.NumVertices,
+			NumEdges:    pk.NumEdges,
+			NumLabels:   pk.NumLabels,
+			MaxArity:    pk.MaxArity,
+			Partitions:  pk.Partitions,
+			Tier:        "cold",
+			FileBytes:   pk.FileBytes,
+		}
+		if pk.NumEdges > 0 {
+			info.AvgArity = float64(pk.TotalArity) / float64(pk.NumEdges)
+		}
 	}
 	// Durability state decorates a copy: it moves without a version bump
 	// (a WAL append or degradation changes no snapshot), so it must not be
-	// folded into the version-keyed cache above.
+	// folded into the version-keyed cache.
 	if reason, ro := e.readOnly(); ro {
 		info.ReadOnly = true
 		info.ReadOnlyReason = reason
@@ -607,47 +512,16 @@ func (r *Registry) Info(name string) (hgio.GraphInfo, bool) {
 	return info, true
 }
 
-// infoManaged describes a cold or mapped graph. The mapping (if any) is
-// pinned while its statistics are computed; a cold graph's row is
-// synthesised from the header peek without faulting a single payload page.
-func (r *Registry) infoManaged(name string, e *graphEntry) hgio.GraphInfo {
-	e.tierMu.Lock()
-	m := e.mapped.Load()
-	if m != nil {
-		m.Retain()
-	}
-	e.tierMu.Unlock()
-	if m == nil {
-		pk := e.peek
-		info := hgio.GraphInfo{
-			Name:        name,
-			NumVertices: pk.NumVertices,
-			NumEdges:    pk.NumEdges,
-			NumLabels:   pk.NumLabels,
-			MaxArity:    pk.MaxArity,
-			Partitions:  pk.Partitions,
-			Tier:        "cold",
-			FileBytes:   pk.FileBytes,
-		}
-		if pk.NumEdges > 0 {
-			info.AvgArity = float64(pk.TotalArity) / float64(pk.NumEdges)
-		}
-		return info
-	}
-	defer m.Release()
-	h := m.Graph()
+// stats returns h's statistics from the entry's version-keyed cache.
+func (e *graphEntry) stats(name string, h *hgmatch.Hypergraph) hgio.GraphInfo {
 	v := e.version(h)
 	e.infoMu.Lock()
+	defer e.infoMu.Unlock()
 	if e.infoVersion != v {
 		e.info = hgio.GraphInfoFor(name, h)
 		e.infoVersion = v
 	}
-	info := e.info
-	e.infoMu.Unlock()
-	info.Tier = "mapped"
-	info.ResidentBytes = int64(m.HeapOverheadBytes())
-	info.FileBytes = int64(m.FileBytes())
-	return info
+	return e.info
 }
 
 // TierStats summarises the registry's residency state for GET /stats.
@@ -673,7 +547,7 @@ func (r *Registry) TierStats() TierStats {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	for _, e := range r.graphs {
-		if !e.managed || e.live.Load() != nil {
+		if e.path == "" || e.live.Load() != nil {
 			continue
 		}
 		if e.mapped.Load() != nil {

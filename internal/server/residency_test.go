@@ -47,7 +47,7 @@ func TestResidencyActivationLifecycle(t *testing.T) {
 	path, fileBytes := writeV3Graph(t, dir, "g1", h)
 
 	reg := NewRegistry()
-	if err := reg.RegisterMapped("g1", path); err != nil {
+	if err := reg.LoadFile("g1", path); err != nil {
 		t.Fatal(err)
 	}
 
@@ -113,7 +113,7 @@ func TestResidencyEvictionUnderBudget(t *testing.T) {
 	reg := NewRegistry()
 	defer reg.Close()
 	for name, p := range map[string]string{"g1": p1, "g2": p2} {
-		if err := reg.RegisterMapped(name, p); err != nil {
+		if err := reg.LoadFile(name, p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -167,8 +167,8 @@ func TestResidencyEvictionSparesInFlightRequests(t *testing.T) {
 
 	reg := NewRegistry()
 	defer reg.Close()
-	reg.RegisterMapped("g1", p1)
-	reg.RegisterMapped("g2", p2)
+	reg.LoadFile("g1", p1)
+	reg.LoadFile("g2", p2)
 	reg.SetResidentBudget(b1) // one graph at a time
 
 	g1, _, rel1, err := reg.Acquire("g1")
@@ -203,7 +203,7 @@ func TestResidencyPromotionOnIngest(t *testing.T) {
 
 	reg := NewRegistry()
 	defer reg.Close()
-	if err := reg.RegisterMapped("g", path); err != nil {
+	if err := reg.LoadFile("g", path); err != nil {
 		t.Fatal(err)
 	}
 	s := New(reg, Config{})
@@ -266,8 +266,8 @@ func TestResidencyPlanPurgeOnEviction(t *testing.T) {
 	p2, _ := writeV3Graph(t, dir, "g2", randomGraph(t, 2))
 
 	reg := NewRegistry()
-	reg.RegisterMapped("g1", p1)
-	reg.RegisterMapped("g2", p2)
+	reg.LoadFile("g1", p1)
+	reg.LoadFile("g2", p2)
 	reg.SetResidentBudget(b1)
 	s := New(reg, Config{})
 	defer s.Close()
@@ -304,16 +304,16 @@ func TestResidencyPlanPurgeOnEviction(t *testing.T) {
 
 // TestResidencyConcurrentChurn hammers Acquire/Info/TierStats across three
 // mapped graphs under a budget that fits only one, so activation and
-// eviction race constantly. Run under -race in CI.
+// eviction race constantly, and promotes one graph to the heap mid-churn,
+// so a promotion's detach races the evictor's. Run under -race in CI.
 func TestResidencyConcurrentChurn(t *testing.T) {
 	dir := t.TempDir()
 	reg := NewRegistry()
-	defer reg.Close()
 	var maxBytes int64
 	names := []string{"g1", "g2", "g3"}
 	for i, name := range names {
 		p, b := writeV3Graph(t, dir, name, randomGraph(t, int64(i+1)))
-		if err := reg.RegisterMapped(name, p); err != nil {
+		if err := reg.LoadFile(name, p); err != nil {
 			t.Fatal(err)
 		}
 		if b > maxBytes {
@@ -345,6 +345,12 @@ func TestResidencyConcurrentChurn(t *testing.T) {
 					reg.Info(name)
 					reg.TierStats()
 				}
+				if w == 0 && i == 30 {
+					e, _ := reg.entry("g3")
+					if _, err := reg.ensureLive("g3", e); err != nil {
+						t.Errorf("promote g3: %v", err)
+					}
+				}
 			}
 		}(w)
 	}
@@ -364,29 +370,80 @@ func TestResidencyConcurrentChurn(t *testing.T) {
 	if ts.ResidentBytes > maxBytes {
 		t.Fatalf("resident %d exceeds budget %d after quiescence", ts.ResidentBytes, maxBytes)
 	}
+	if info, _ := reg.Info("g3"); info.Tier != "heap" || ts.Promotions != 1 {
+		t.Fatalf("g3 not promoted: tier %q, %+v", info.Tier, ts)
+	}
+	if err := reg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if ts := reg.TierStats(); ts.ResidentBytes != 0 || ts.Resident != 0 {
+		t.Fatalf("Close left mappings attached: %+v", ts)
+	}
 }
 
-func TestResidencyRegisterMappedRejections(t *testing.T) {
+// TestResidencyFileRouting pins LoadFile's routing: the file picks the
+// tier. Text and HGB2 files load onto the heap, an HGB3 file registers
+// cold, and with durability on an HGB3 file is recovered onto the heap —
+// including the online writes its WAL journaled before a restart.
+func TestResidencyFileRouting(t *testing.T) {
 	dir := t.TempDir()
 	h := hgtest.Fig1Data()
-	v2 := filepath.Join(dir, "g.hgb2")
+	txt, v2 := filepath.Join(dir, "g.hg"), filepath.Join(dir, "g.hgb2")
+	if err := hgio.WriteFile(txt, h); err != nil {
+		t.Fatal(err)
+	}
 	if err := hgio.WriteBinaryFile(v2, h); err != nil {
 		t.Fatal(err)
 	}
-	reg := NewRegistry()
-	if err := reg.RegisterMapped("g", v2); err == nil {
-		t.Fatal("RegisterMapped accepted a v2 file")
-	}
+	v3, _ := writeV3Graph(t, dir, "g", h)
 
-	durable := NewRegistry()
-	if err := durable.EnableDurability(DurabilityConfig{Dir: t.TempDir()}); err != nil {
-		t.Fatal(err)
+	reg := NewRegistry()
+	for name, path := range map[string]string{"text": txt, "v2": v2, "v3": v3} {
+		if err := reg.LoadFile(name, path); err != nil {
+			t.Fatal(err)
+		}
 	}
-	p3, _ := writeV3Graph(t, dir, "g3", h)
-	if err := durable.RegisterMapped("g", p3); err == nil {
-		t.Fatal("RegisterMapped accepted a durable registry")
+	for name, tier := range map[string]string{"text": "heap", "v2": "heap", "v3": "cold"} {
+		if info, _ := reg.Info(name); info.Tier != tier || info.NumEdges != h.NumEdges() {
+			t.Fatalf("%s registered as %q with %d edges, want %q with %d", name, info.Tier, info.NumEdges, tier, h.NumEdges())
+		}
 	}
-	durable.Close()
+	if ts := reg.TierStats(); ts.Cold != 1 || ts.Activations != 0 {
+		t.Fatalf("routing tier stats wrong: %+v", ts)
+	}
+	if err := reg.LoadFile("missing", filepath.Join(dir, "nope")); err == nil {
+		t.Fatal("LoadFile accepted a missing file")
+	}
+	reg.Close()
+
+	walDir := t.TempDir()
+	boot := func() *Server {
+		t.Helper()
+		reg := NewRegistry()
+		if err := reg.EnableDurability(DurabilityConfig{Dir: walDir}); err != nil {
+			t.Fatal(err)
+		}
+		if err := reg.LoadFile("g", v3); err != nil {
+			t.Fatal(err)
+		}
+		if info, _ := reg.Info("g"); info.Tier != "heap" || info.ReadOnly {
+			t.Fatalf("durable HGB3 graph registered as %+v, want a writable heap graph", info)
+		}
+		return New(reg, Config{})
+	}
+	s := boot()
+	if rr := post(s.Handler(), "/graphs/g/edges", `{"op":"insert","vertices":[0,3]}`+"\n"); rr.Code != http.StatusOK {
+		t.Fatalf("durable ingest: %d %s", rr.Code, rr.Body.String())
+	}
+	s.Close()
+	s = boot()
+	defer s.Close()
+	if rep, _ := s.Graphs().Recovery("g"); rep.Batches != 1 {
+		t.Fatalf("restart replayed %d wal batches, want 1", rep.Batches)
+	}
+	if g := snapshotOf(t, s.Graphs(), "g"); g.NumEdges() != h.NumEdges()+1 {
+		t.Fatalf("recovered graph has %d edges, want %d", g.NumEdges(), h.NumEdges()+1)
+	}
 }
 
 // sortedEmbeddings canonicalises a /match NDJSON body: the embedding
@@ -408,8 +465,10 @@ func sortedEmbeddings(t *testing.T, body []byte) []string {
 // TestResidencyGoldenEquivalence pins the zero-copy path to the heap
 // path: the same /match must produce byte-identical embedding sets
 // whether the graph was loaded from binary v2 onto the heap, from binary
-// v3 onto the heap, or served straight off the v3 mapping — and again
-// after an identical ingest (which promotes the mapped graph).
+// v3 onto the heap, served straight off the v3 mapping, or recovered from
+// v3 onto the heap by a durable registry — and again after an identical
+// ingest (which promotes the mapped graph). The two heap loads must also
+// report identical statistics: v2 and v3 persist the same index.
 func TestResidencyGoldenEquivalence(t *testing.T) {
 	h, err := hgmatch.Load(strings.NewReader(fig1DataText))
 	if err != nil {
@@ -424,9 +483,11 @@ func TestResidencyGoldenEquivalence(t *testing.T) {
 
 	type variant struct {
 		name string
+		tier string // after the first /match
+		reg  *Registry
 		srv  *httptest.Server
 	}
-	mk := func(register func(reg *Registry) error) *httptest.Server {
+	mk := func(name, tier string, register func(reg *Registry) error) variant {
 		reg := NewRegistry()
 		if err := register(reg); err != nil {
 			t.Fatal(err)
@@ -435,12 +496,24 @@ func TestResidencyGoldenEquivalence(t *testing.T) {
 		t.Cleanup(s.Close)
 		srv := httptest.NewServer(s.Handler())
 		t.Cleanup(srv.Close)
-		return srv
+		return variant{name, tier, reg, srv}
 	}
 	variants := []variant{
-		{"heap-v2", mk(func(r *Registry) error { return r.LoadFile("g", v2) })},
-		{"heap-v3", mk(func(r *Registry) error { return r.LoadFile("g", v3) })},
-		{"mmap-v3", mk(func(r *Registry) error { return r.RegisterMapped("g", v3) })},
+		mk("heap-v2", "heap", func(r *Registry) error { return r.LoadFile("g", v2) }),
+		mk("heap-v3", "heap", func(r *Registry) error {
+			h3, err := hgio.ReadAutoFile(v3)
+			if err != nil {
+				return err
+			}
+			return r.Add("g", h3)
+		}),
+		mk("mmap-v3", "mapped", func(r *Registry) error { return r.LoadFile("g", v3) }),
+		mk("durable-v3", "heap", func(r *Registry) error {
+			if err := r.EnableDurability(DurabilityConfig{Dir: t.TempDir()}); err != nil {
+				return err
+			}
+			return r.LoadFile("g", v3)
+		}),
 	}
 
 	match := func(srv *httptest.Server) []string {
@@ -469,6 +542,19 @@ func TestResidencyGoldenEquivalence(t *testing.T) {
 			t.Fatalf("%s diverges from heap-v2:\n%v\nwant:\n%v", v.name, got, golden)
 		}
 	}
+	for _, v := range variants {
+		if info, _ := v.reg.Info("g"); info.Tier != v.tier {
+			t.Fatalf("%s serves from tier %q, want %q", v.name, info.Tier, v.tier)
+		}
+	}
+	i2, _ := variants[0].reg.Info("g")
+	i3, _ := variants[1].reg.Info("g")
+	if i2 != i3 {
+		t.Fatalf("graph stats differ across formats: v2=%+v v3=%+v", i2, i3)
+	}
+	if i2.Signatures == 0 || i2.IndexBytes == 0 {
+		t.Fatalf("stats missing storage-layer fields: %+v", i2)
+	}
 
 	// Identical ingest into every variant (promoting the mapped one);
 	// results must stay byte-identical.
@@ -492,11 +578,11 @@ func TestResidencyGoldenEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardRegistryCloseDrainsInflight pins Close ordering: a handler holds
+// TestRegistryCloseDrainsInflight pins Close ordering: a handler holds
 // its Acquire reference for the whole engine run, so Close must block until
 // every reference is released before tearing down the registry's residency
 // state.
-func TestShardRegistryCloseDrainsInflight(t *testing.T) {
+func TestRegistryCloseDrainsInflight(t *testing.T) {
 	h, _ := hgmatch.Load(strings.NewReader(fig1DataText))
 	reg := NewRegistry()
 	reg.Add("fig1", h)
@@ -525,13 +611,13 @@ func TestShardRegistryCloseDrainsInflight(t *testing.T) {
 	release()
 }
 
-// TestShardRegistryCloseRejectsNewAcquires: once Close begins, new
+// TestRegistryCloseRejectsNewAcquires: once Close begins, new
 // Acquires must fail (the no-requests-after-Close contract is enforced, not
 // just documented) — otherwise an Acquire racing the drain could Add to the
 // inflight WaitGroup after Wait observed zero (WaitGroup reuse panic) or
 // take a mapped reference Close is about to release. The hammer loop runs
 // under -race in CI.
-func TestShardRegistryCloseRejectsNewAcquires(t *testing.T) {
+func TestRegistryCloseRejectsNewAcquires(t *testing.T) {
 	h, _ := hgmatch.Load(strings.NewReader(fig1DataText))
 	reg := NewRegistry()
 	reg.Add("fig1", h)

@@ -85,9 +85,6 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// MaxTimeout clamps request timeouts (default 10 minutes).
 	MaxTimeout time.Duration
-	// DefaultWorkers applies when a request carries no workers field
-	// (0 = GOMAXPROCS, the engine default).
-	DefaultWorkers int
 	// MaxWorkers clamps client-requested workers (default GOMAXPROCS);
 	// without it one request could demand millions of worker goroutines.
 	MaxWorkers int
@@ -191,13 +188,11 @@ func New(graphs *Registry, cfg Config) *Server {
 		pool:   hgmatch.NewPool(cfg.Workers),
 		adm:    newAdmission(cfg.Admission),
 	}
-	// Replacing a graph purges its cached plans; the version in the cache
-	// key already prevents stale serving, the purge frees the old graph.
-	graphs.setOnReplace(func(name string) { s.plans.DropPrefix(GraphPrefix(name)) })
-	// Evicting (or promoting) a mapped graph purges its plans too — they
-	// hold candidate structures built over the mapping being released, and
-	// the purge is what lets the registry's munmap actually free memory.
-	graphs.setOnEvict(func(name string) { s.plans.DropPrefix(GraphPrefix(name)) })
+	// Replacing a graph or detaching its mapping purges its cached plans.
+	// The version in the cache key already prevents stale serving; the
+	// purge frees the old graph, and lets the registry's munmap free
+	// memory that compiled plans' candidate structures still point into.
+	graphs.setOnPurge(func(name string) { s.plans.DropPrefix(GraphPrefix(name)) })
 	return s
 }
 
@@ -404,10 +399,7 @@ func (s *Server) options(ctx context.Context, req *hgio.MatchRequest) ([]hgmatch
 	if timeout > s.cfg.MaxTimeout {
 		timeout = s.cfg.MaxTimeout
 	}
-	workers := s.cfg.DefaultWorkers
-	if req.Workers > 0 {
-		workers = req.Workers
-	}
+	workers := req.Workers
 	if workers <= 0 {
 		// Resolve the engine's "0 = GOMAXPROCS" default here so the
 		// MaxWorkers clamp below also binds requests that omit the field.

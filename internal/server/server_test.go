@@ -56,6 +56,35 @@ func newTestServer(t testing.TB, cfg Config) *Server {
 	return New(reg, cfg)
 }
 
+// snapshotOf returns the named heap-tier graph's current snapshot. The
+// Acquire reference is released at once: a heap snapshot lives as long as
+// the collector keeps it, so it stays valid after the release (and an
+// unreleased reference would block the registry's Close).
+func snapshotOf(t testing.TB, reg *Registry, name string) *hgmatch.Hypergraph {
+	t.Helper()
+	h, _, release, err := reg.Acquire(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	release()
+	return h
+}
+
+// liveOf returns the named graph's write buffer, promoting it to the heap
+// exactly as the ingest handler does.
+func liveOf(t testing.TB, reg *Registry, name string) *hgmatch.DeltaBuffer {
+	t.Helper()
+	e, ok := reg.entry(name)
+	if !ok {
+		t.Fatalf("graph %q not registered", name)
+	}
+	live, err := reg.ensureLive(name, e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return live
+}
+
 func matchBody(t testing.TB, req hgio.MatchRequest) *bytes.Reader {
 	t.Helper()
 	b, err := json.Marshal(req)

@@ -128,19 +128,6 @@ func (b *Bitmap) And(o *Bitmap) {
 	b.card = -1
 }
 
-// AndNot removes o's elements from b word-parallel.
-func (b *Bitmap) AndNot(o *Bitmap) {
-	bw, ow := b.words, o.words
-	n := len(ow)
-	if n > len(bw) {
-		n = len(bw)
-	}
-	for i := 0; i < n; i++ {
-		bw[i] &^= ow[i]
-	}
-	b.card = -1
-}
-
 // CopyFrom makes b an exact copy of o, growing b's own storage as needed
 // (so a KScratch accumulator never aliases an input sidecar).
 func (b *Bitmap) CopyFrom(o *Bitmap) {

@@ -61,11 +61,6 @@ func TestBitmapWordOps(t *testing.T) {
 		if got, want := and.AppendTo(nil), Intersect(nil, a, b); !Equal(got, want) {
 			t.Fatalf("And: %v want %v", got, want)
 		}
-		andnot := FromSorted(a, span)
-		andnot.AndNot(bb)
-		if got, want := andnot.AppendTo(nil), Difference(nil, a, b); !Equal(got, want) {
-			t.Fatalf("AndNot: %v want %v", got, want)
-		}
 		if ba.Count() != len(a) || bb.Count() != len(b) {
 			t.Fatal("operands mutated")
 		}

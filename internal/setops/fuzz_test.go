@@ -99,12 +99,6 @@ func FuzzSetopsEquivalence(f *testing.F) {
 		if and.Count() != len(wantI) {
 			t.Fatalf("bitmap Count=%d want %d", and.Count(), len(wantI))
 		}
-		andnot := FromSorted(nil, span)
-		andnot.CopyFrom(ba)
-		andnot.AndNot(bb)
-		if got := andnot.AppendTo(nil); !Equal(got, wantD) {
-			t.Fatalf("bitmap AndNot=%v want %v", got, wantD)
-		}
 		for _, x := range a {
 			if !ba.Contains(x) {
 				t.Fatalf("bitmap Contains(%d)=false", x)
