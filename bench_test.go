@@ -491,27 +491,47 @@ func BenchmarkCompile(b *testing.B) {
 	}
 }
 
-// BenchmarkLoadFile measures loading a binary v2 data graph from disk: the
-// persisted CSR index is assembled from flat arrays with linear
-// validation — the hgserve startup and graph-reload path for HGB2 files.
+// BenchmarkLoadFile measures loading a binary data graph from disk onto
+// the heap: the persisted CSR index is assembled from flat arrays with
+// linear validation — the hgserve startup and graph-reload path for HGB2
+// files, WAL checkpoints and heap-read HGB3 files. V2Assembled is the
+// kernel workload graph; TC/* is the graph point_open serves (datagen TC,
+// scale 1.0, seed 3: 212k hyperedges in 118k tables) in both formats.
 func BenchmarkLoadFile(b *testing.B) {
 	h, _ := kernelWorkload()
-	v2 := filepath.Join(b.TempDir(), "wl.v2.hgb")
+	dir := b.TempDir()
+	v2 := filepath.Join(dir, "wl.v2.hgb")
 	if err := hgio.WriteBinaryFile(v2, h); err != nil {
 		b.Fatal(err)
 	}
-	b.Run("V2Assembled", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			g, err := hgmatch.LoadFile(v2)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if g.NumEdges() != h.NumEdges() || g.NumPartitions() != h.NumPartitions() {
-				b.Fatal("loaded graph differs from source")
+	load := func(path string, want *hgmatch.Hypergraph) func(b *testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				g, err := hgmatch.LoadFile(path)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if g.NumEdges() != want.NumEdges() || g.NumPartitions() != want.NumPartitions() {
+					b.Fatal("loaded graph differs from source")
+				}
 			}
 		}
-	})
+	}
+	b.Run("V2Assembled", load(v2, h))
+
+	p, _ := datagen.ProfileByName("TC")
+	tc := datagen.Generate(p, 3)
+	tcV2 := filepath.Join(dir, "tc.v2.hgb")
+	tcV3 := filepath.Join(dir, "tc.v3.hgb")
+	if err := hgio.WriteBinaryFile(tcV2, tc); err != nil {
+		b.Fatal(err)
+	}
+	if err := hgmatch.SaveBinaryV3File(tcV3, tc); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("TC/V2", load(tcV2, tc))
+	b.Run("TC/V3", load(tcV3, tc))
 }
 
 // BenchmarkMappedOpen measures the binary-v3 zero-copy open path against

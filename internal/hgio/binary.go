@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"slices"
 
 	"hgmatch/internal/hypergraph"
 )
@@ -49,20 +48,6 @@ const binaryMagicV2 = "HGB2"
 const flagEdgeLabels = 1
 
 const sizeSanity = 1 << 31
-
-// preallocEntries caps how many slice entries any reader preallocates from
-// an untrusted header count before payload actually arrives: a corrupt
-// count must produce a parse error, never a multi-GiB allocation (which
-// the runtime treats as fatal, not recoverable). Beyond the cap, append
-// grows slices only as bytes are really decoded.
-const preallocEntries = 1 << 16
-
-func preallocCap(n uint64) int {
-	if n > preallocEntries {
-		return preallocEntries
-	}
-	return int(n)
-}
 
 // binWriter wraps the varint encoding plumbing.
 type binWriter struct {
@@ -210,34 +195,85 @@ func (w *binWriter) writePostings(p *hypergraph.Partition) error {
 	return nil
 }
 
-// binReader wraps the shared decoding plumbing.
+// binReader decodes an HGB2 image from a byte-slice cursor. The whole
+// image is in memory, so every count can be checked against the bytes
+// left before anything is sized by it: every encoded entry costs at least
+// one byte, and truncation and overflow are errors, never panics.
 type binReader struct {
-	br *bufio.Reader
+	b   []byte
+	off int
 }
 
+func (r *binReader) left() uint64 { return uint64(len(r.b) - r.off) }
+
+// uv reads one uvarint; one-byte varints take the inline fast path.
 func (r *binReader) uv(what string) (uint64, error) {
-	x, err := binary.ReadUvarint(r.br)
-	if err != nil {
-		return 0, fmt.Errorf("hgio: reading %s: %w", what, err)
+	if r.off < len(r.b) && r.b[r.off] < 0x80 {
+		x := uint64(r.b[r.off])
+		r.off++
+		return x, nil
 	}
+	return r.uvSlow(what)
+}
+
+func (r *binReader) uvSlow(what string) (uint64, error) {
+	x, n := binary.Uvarint(r.b[r.off:])
+	if n == 0 {
+		return 0, fmt.Errorf("hgio: reading %s: %w", what, io.ErrUnexpectedEOF)
+	}
+	if n < 0 {
+		return 0, fmt.Errorf("hgio: reading %s: varint overflows 64 bits", what)
+	}
+	r.off += n
 	return x, nil
 }
 
-// deltaSet reads n strictly increasing uint32s below limit.
-func (r *binReader) deltaSet(n uint64, limit uint64, what string) ([]uint32, error) {
-	return r.deltaSetInto(make([]uint32, 0, preallocCap(n)), n, limit, what)
+// count reads a count of entries that must each still fit in the image.
+func (r *binReader) count(what string) (uint64, error) {
+	n, err := r.uv(what)
+	if err != nil {
+		return 0, err
+	}
+	if n > r.left() {
+		return 0, fmt.Errorf("hgio: %s %d exceeds the %d bytes left: %w", what, n, r.left(), io.ErrUnexpectedEOF)
+	}
+	return n, nil
 }
 
-// deltaSetInto appends n strictly increasing uint32s below limit to dst,
-// so batched decodes (CSR posting lists) reuse one backing array.
-func (r *binReader) deltaSetInto(dst []uint32, n uint64, limit uint64, what string) ([]uint32, error) {
+// deltaSet appends n strictly increasing uint32s below limit to dst, so
+// batched decodes (member lists, CSR posting lists) share one backing
+// array. Varints of up to three bytes — every gap of a graph under 2M
+// hyperedges — decode inline.
+func (r *binReader) deltaSet(dst []uint32, n, limit uint64, what string) ([]uint32, error) {
+	if n > r.left() {
+		return nil, fmt.Errorf("hgio: %d %ss exceed the %d bytes left: %w", n, what, r.left(), io.ErrUnexpectedEOF)
+	}
+	b, off := r.b, r.off
 	prev := uint64(0)
 	for i := uint64(0); i < n; i++ {
-		x, err := r.uv(what)
-		if err != nil {
-			return nil, err
+		var x uint64
+		switch {
+		case off < len(b) && b[off] < 0x80:
+			x = uint64(b[off])
+			off++
+		case off+1 < len(b) && b[off+1] < 0x80:
+			x = uint64(b[off]&0x7f) | uint64(b[off+1])<<7
+			off += 2
+		case off+2 < len(b) && b[off+2] < 0x80:
+			x = uint64(b[off]&0x7f) | uint64(b[off+1]&0x7f)<<7 | uint64(b[off+2])<<14
+			off += 3
+		default:
+			r.off = off
+			var err error
+			if x, err = r.uvSlow(what); err != nil {
+				return nil, err
+			}
+			off = r.off
 		}
 		if i > 0 {
+			if x >= limit {
+				return nil, fmt.Errorf("hgio: %s gap %d out of range %d", what, x, limit)
+			}
 			x += prev + 1
 		}
 		if x >= limit {
@@ -246,6 +282,7 @@ func (r *binReader) deltaSetInto(dst []uint32, n uint64, limit uint64, what stri
 		dst = append(dst, uint32(x))
 		prev = x
 	}
+	r.off = off
 	return dst, nil
 }
 
@@ -263,6 +300,71 @@ func (r *binReader) edgeLabel() (hypergraph.Label, error) {
 	return hypergraph.Label(enc - 1), nil
 }
 
+// v2Sizes holds the entry counts of the two arrays no header states: the
+// edges' vertex cells (Σ arity) and the tables' CSR vertex dictionaries.
+type v2Sizes struct{ cells, verts uint64 }
+
+// measure walks the edge and index sections without storing anything or
+// moving the cursor, and returns the sizes the decode then allocates
+// exactly once. It checks
+// only that every run it skips is present; the decode validates the
+// content. Each counted entry was skipped over, so both sizes are bounded
+// by the image's length, not by what its header claims.
+func (r *binReader) measure(ne uint64, hasEL bool) (v2Sizes, error) {
+	b, off, ok := r.b, r.off, true
+	// count reads a uvarint that must not exceed the bytes left after it.
+	count := func() uint64 {
+		x, n := uint64(0), 1
+		if off < len(b) && b[off] < 0x80 {
+			x = uint64(b[off])
+		} else {
+			x, n = binary.Uvarint(b[off:])
+		}
+		if n <= 0 || x > uint64(len(b)-off-n) {
+			ok, off = false, len(b)
+			return 0
+		}
+		off += n
+		return x
+	}
+	// skip advances past n uvarints: one per byte with the high bit clear.
+	skip := func(n uint64) {
+		for ; n > 0; off++ {
+			if off >= len(b) {
+				ok = false
+				return
+			}
+			n -= uint64(b[off]>>7 ^ 1)
+		}
+	}
+	label := uint64(0)
+	if hasEL {
+		label = 1
+	}
+	var sz v2Sizes
+	for e := uint64(0); e < ne && ok; e++ {
+		skip(label)
+		arity := count()
+		skip(arity)
+		sz.cells += arity
+	}
+	np := count()
+	for pi := uint64(0); pi < np && ok; pi++ {
+		skip(label)
+		skip(count()) // member edges
+		nverts := count()
+		skip(nverts) // vertex dictionary
+		for i := uint64(0); i < nverts && ok; i++ {
+			skip(count()) // one posting list
+		}
+		sz.verts += nverts
+	}
+	if !ok {
+		return sz, fmt.Errorf("hgio: reading edge and index sections: %w", io.ErrUnexpectedEOF)
+	}
+	return sz, nil
+}
+
 // commonSections holds the decoded header, dictionary, labels and edges.
 type commonSections struct {
 	nv, ne     uint64
@@ -272,6 +374,7 @@ type commonSections struct {
 	edgeLabels []hypergraph.Label // nil when !hasEL
 	edgeOff    []uint32           // edge e is edgeVerts[edgeOff[e]:edgeOff[e+1]]
 	edgeVerts  []uint32
+	sizes      v2Sizes
 }
 
 // edge returns the vertex set of edge e.
@@ -279,26 +382,16 @@ func (c *commonSections) edge(e uint32) []uint32 {
 	return c.edgeVerts[c.edgeOff[e]:c.edgeOff[e+1]]
 }
 
-// fit returns s without the spare capacity append-growth left behind when
-// that is more than a sixteenth of it: the arrays decoded here are the
-// graph's storage for as long as it is loaded.
-func fit(s []uint32) []uint32 {
-	if cap(s)-len(s) > len(s)/16 {
-		return slices.Clone(s)
-	}
-	return s
-}
-
 func (r *binReader) readCommon() (*commonSections, error) {
-	nv, err := r.uv("vertex count")
+	nv, err := r.count("vertex count")
 	if err != nil {
 		return nil, err
 	}
-	ne, err := r.uv("edge count")
+	ne, err := r.count("edge count")
 	if err != nil {
 		return nil, err
 	}
-	nd, err := r.uv("dict size")
+	nd, err := r.count("dict size")
 	if err != nil {
 		return nil, err
 	}
@@ -320,32 +413,40 @@ func (r *binReader) readCommon() (*commonSections, error) {
 			if l > 1<<20 {
 				return nil, fmt.Errorf("hgio: implausible label length %d", l)
 			}
-			name := make([]byte, l)
-			if _, err := io.ReadFull(r.br, name); err != nil {
-				return nil, fmt.Errorf("hgio: reading dict entry: %w", err)
+			if l > r.left() {
+				return nil, fmt.Errorf("hgio: reading dict entry: %w", io.ErrUnexpectedEOF)
 			}
-			c.dict.Intern(string(name))
+			c.dict.Intern(string(r.b[r.off : r.off+int(l)]))
+			r.off += int(l)
 		}
 	}
-	c.labels = make([]hypergraph.Label, 0, preallocCap(nv))
-	for v := uint64(0); v < nv; v++ {
+	if nv > r.left() {
+		return nil, fmt.Errorf("hgio: reading vertex labels: %w", io.ErrUnexpectedEOF)
+	}
+	c.labels = make([]hypergraph.Label, nv)
+	for v := range c.labels {
 		l, err := r.uv("vertex label")
 		if err != nil {
 			return nil, err
 		}
-		c.labels = append(c.labels, hypergraph.Label(l))
+		c.labels[v] = hypergraph.Label(l)
+	}
+	if c.sizes, err = r.measure(ne, c.hasEL); err != nil {
+		return nil, err
+	}
+	if c.sizes.cells >= 1<<32 {
+		return nil, fmt.Errorf("hgio: total arity exceeds 32-bit offsets")
 	}
 	if c.hasEL {
-		c.edgeLabels = make([]hypergraph.Label, 0, preallocCap(ne))
+		c.edgeLabels = make([]hypergraph.Label, ne)
 	}
-	c.edgeOff = append(make([]uint32, 0, preallocCap(ne+1)), 0)
+	c.edgeOff = make([]uint32, ne+1)
+	c.edgeVerts = make([]uint32, 0, c.sizes.cells)
 	for e := uint64(0); e < ne; e++ {
 		if c.hasEL {
-			el, err := r.edgeLabel()
-			if err != nil {
+			if c.edgeLabels[e], err = r.edgeLabel(); err != nil {
 				return nil, err
 			}
-			c.edgeLabels = append(c.edgeLabels, el)
 		}
 		arity, err := r.uv("arity")
 		if err != nil {
@@ -354,43 +455,39 @@ func (r *binReader) readCommon() (*commonSections, error) {
 		if arity > nv {
 			return nil, fmt.Errorf("hgio: edge %d arity %d exceeds vertex count", e, arity)
 		}
-		if c.edgeVerts, err = r.deltaSetInto(c.edgeVerts, arity, nv, "vertex id"); err != nil {
+		if c.edgeVerts, err = r.deltaSet(c.edgeVerts, arity, nv, "vertex id"); err != nil {
 			return nil, err
 		}
-		if uint64(len(c.edgeVerts)) >= 1<<32 {
-			return nil, fmt.Errorf("hgio: total arity exceeds 32-bit offsets")
-		}
-		c.edgeOff = append(c.edgeOff, uint32(len(c.edgeVerts)))
+		c.edgeOff[e+1] = uint32(len(c.edgeVerts))
 	}
-	c.edgeOff, c.edgeVerts = fit(c.edgeOff), fit(c.edgeVerts)
 	return c, nil
 }
 
 // ReadBinary parses any binary format version, dispatching on the magic.
+// It reads rd to its end and decodes the image in memory.
 func ReadBinary(rd io.Reader) (*hypergraph.Hypergraph, error) {
-	br := bufio.NewReader(rd)
-	magic := make([]byte, len(binaryMagicV2))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("hgio: reading magic: %w", err)
+	data, err := io.ReadAll(rd)
+	if err != nil {
+		return nil, fmt.Errorf("hgio: reading binary image: %w", err)
 	}
-	r := &binReader{br: br}
-	switch string(magic) {
+	return readBinaryImage(data)
+}
+
+// readBinaryImage decodes a complete binary image, magic included.
+func readBinaryImage(data []byte) (*hypergraph.Hypergraph, error) {
+	if len(data) < len(binaryMagicV2) {
+		return nil, fmt.Errorf("hgio: reading magic: %w", io.ErrUnexpectedEOF)
+	}
+	switch magic := string(data[:len(binaryMagicV2)]); magic {
 	case binaryMagicV2:
-		return readBinaryV2(r)
+		return readBinaryV2(&binReader{b: data, off: len(binaryMagicV2)})
 	case binaryMagicV3:
-		// v3 is a random-access sectioned layout, not a stream: slurp the
-		// remainder and decode the complete image (heap path, both
-		// checksums verified).
-		rest, err := io.ReadAll(br)
-		if err != nil {
-			return nil, fmt.Errorf("hgio: reading v3 image: %w", err)
-		}
-		data := make([]byte, 0, len(binaryMagicV3)+len(rest))
-		data = append(data, binaryMagicV3...)
-		data = append(data, rest...)
+		// v3 is a random-access sectioned layout: decode the complete
+		// image (heap path, both checksums verified).
 		return readBinaryV3(data)
+	default:
+		return nil, fmt.Errorf("hgio: bad magic %q", magic)
 	}
-	return nil, fmt.Errorf("hgio: bad magic %q", magic)
 }
 
 // readBinaryV2 decodes the persisted index section and assembles the
@@ -409,14 +506,16 @@ func readBinaryV2(r *binReader) (*hypergraph.Hypergraph, error) {
 		return nil, fmt.Errorf("hgio: %d partitions for %d edges", np, c.ne)
 	}
 	// The index decodes straight into the graph's shared table arrays; the
-	// directory rows record where each table's windows start. Posting
-	// arrays of a valid index hold exactly one entry per (vertex, member
-	// edge) incidence, and member lists one entry per edge, so both are
-	// sized by what the edge section actually contained.
+	// directory rows record where each table's windows start. Every array
+	// is allocated once at its final size: member lists hold one entry per
+	// edge, posting arrays one per (vertex, member edge) incidence, and
+	// measure counted the vertex dictionaries.
 	st := hypergraph.Storage{
 		Labels: c.labels, EdgeOff: c.edgeOff, EdgeVerts: c.edgeVerts, EdgeLabels: c.edgeLabels,
 		Tables:    make([]hypergraph.TableRow, 0, np+1),
 		PartEdges: make([]uint32, 0, c.ne),
+		PartVerts: make([]uint32, 0, c.sizes.verts),
+		PartOffs:  make([]uint32, 0, c.sizes.verts+np),
 		PartPosts: make([]uint32, 0, len(c.edgeVerts)),
 		Dict:      c.dict,
 	}
@@ -444,7 +543,7 @@ func readBinaryV2(r *binReader) (*hypergraph.Hypergraph, error) {
 		if npe == 0 || npe > c.ne {
 			return nil, fmt.Errorf("hgio: partition %d has implausible edge count %d", pi, npe)
 		}
-		if st.PartEdges, err = r.deltaSetInto(st.PartEdges, npe, c.ne, "partition edge id"); err != nil {
+		if st.PartEdges, err = r.deltaSet(st.PartEdges, npe, c.ne, "partition edge id"); err != nil {
 			return nil, err
 		}
 		occ := uint64(0)
@@ -462,7 +561,7 @@ func readBinaryV2(r *binReader) (*hypergraph.Hypergraph, error) {
 		if nverts == 0 || nverts > occ || nverts > c.nv {
 			return nil, fmt.Errorf("hgio: partition %d has implausible vertex count %d", pi, nverts)
 		}
-		if st.PartVerts, err = r.deltaSetInto(st.PartVerts, nverts, c.nv, "CSR vertex"); err != nil {
+		if st.PartVerts, err = r.deltaSet(st.PartVerts, nverts, c.nv, "CSR vertex"); err != nil {
 			return nil, err
 		}
 		st.PartOffs = append(st.PartOffs, 0)
@@ -474,7 +573,7 @@ func readBinaryV2(r *binReader) (*hypergraph.Hypergraph, error) {
 			if have := uint64(len(st.PartPosts)) - uint64(row.Posts); plen == 0 || have+plen > occ {
 				return nil, fmt.Errorf("hgio: partition %d posting lists overflow %d incidences", pi, occ)
 			}
-			if st.PartPosts, err = r.deltaSetInto(st.PartPosts, plen, c.ne, "posting edge id"); err != nil {
+			if st.PartPosts, err = r.deltaSet(st.PartPosts, plen, c.ne, "posting edge id"); err != nil {
 				return nil, err
 			}
 			st.PartOffs = append(st.PartOffs, uint32(len(st.PartPosts))-row.Posts)
@@ -483,7 +582,6 @@ func readBinaryV2(r *binReader) (*hypergraph.Hypergraph, error) {
 	st.Tables = append(st.Tables, hypergraph.TableRow{
 		Edges: uint32(len(st.PartEdges)), Verts: uint32(len(st.PartVerts)), Posts: uint32(len(st.PartPosts)),
 	})
-	st.PartVerts, st.PartOffs = fit(st.PartVerts), fit(st.PartOffs)
 	h, err := hypergraph.Assemble(st)
 	if err != nil {
 		return nil, fmt.Errorf("hgio: %w", err)
@@ -506,33 +604,42 @@ func WriteBinaryFile(path string, h *hypergraph.Hypergraph) error {
 
 // ReadBinaryFile reads the binary format from a path.
 func ReadBinaryFile(path string) (*hypergraph.Hypergraph, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return ReadBinary(f)
+	return readBinaryImage(data)
 }
 
 // ReadAuto reads either format, sniffing the magic bytes.
 func ReadAuto(r io.Reader) (*hypergraph.Hypergraph, error) {
 	br := bufio.NewReader(r)
-	head, err := br.Peek(len(binaryMagicV2))
-	if err == nil {
-		switch string(head) {
-		case binaryMagicV2, binaryMagicV3:
-			return ReadBinary(br)
-		}
+	if head, _ := br.Peek(len(binaryMagicV2)); isBinary(head) {
+		return ReadBinary(br)
 	}
 	return Read(br)
 }
 
-// ReadAutoFile reads either format from a path.
+// ReadAutoFile reads either format from a path. A binary file is taken
+// in one read sized by the file; a text file streams through the parser.
 func ReadAutoFile(path string) (*hypergraph.Hypergraph, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return ReadAuto(f)
+	br := bufio.NewReader(f)
+	if head, _ := br.Peek(len(binaryMagicV2)); !isBinary(head) {
+		return Read(br)
+	}
+	return ReadBinaryFile(path)
+}
+
+// isBinary reports whether head starts with a binary format's magic.
+func isBinary(head []byte) bool {
+	if len(head) < len(binaryMagicV2) {
+		return false
+	}
+	m := string(head[:len(binaryMagicV2)])
+	return m == binaryMagicV2 || m == binaryMagicV3
 }

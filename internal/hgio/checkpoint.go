@@ -95,10 +95,18 @@ func LoadCheckpoint(fs WALFS, dir string) (h *hypergraph.Hypergraph, seq uint64,
 		return nil, 0, false, err
 	}
 	defer f.Close()
-	var hdr [checkpointHdrLen]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return nil, 0, true, fmt.Errorf("hgio: checkpoint %s: header: %w", CheckpointFile, err)
+	size, err := f.Size()
+	if err != nil {
+		return nil, 0, true, fmt.Errorf("hgio: checkpoint %s: %w", CheckpointFile, err)
 	}
+	if size < checkpointHdrLen {
+		return nil, 0, true, fmt.Errorf("hgio: checkpoint %s: header: %w", CheckpointFile, io.ErrUnexpectedEOF)
+	}
+	data := make([]byte, size)
+	if _, err := io.ReadFull(f, data); err != nil {
+		return nil, 0, true, fmt.Errorf("hgio: checkpoint %s: %w", CheckpointFile, err)
+	}
+	hdr := data[:checkpointHdrLen]
 	if string(hdr[:4]) != checkpointMagic {
 		return nil, 0, true, fmt.Errorf("hgio: checkpoint %s: bad magic", CheckpointFile)
 	}
@@ -106,7 +114,7 @@ func LoadCheckpoint(fs WALFS, dir string) (h *hypergraph.Hypergraph, seq uint64,
 		return nil, 0, true, fmt.Errorf("hgio: checkpoint %s: unsupported version %d", CheckpointFile, v)
 	}
 	seq = binary.LittleEndian.Uint64(hdr[8:16])
-	h, err = ReadBinary(f)
+	h, err = readBinaryImage(data[checkpointHdrLen:])
 	if err != nil {
 		return nil, 0, true, fmt.Errorf("hgio: checkpoint %s: %w", CheckpointFile, err)
 	}

@@ -89,6 +89,14 @@ func TestBinaryBitFlips(t *testing.T) {
 // multi-GiB up-front allocation (which would be a fatal runtime OOM, not
 // a recoverable error).
 func TestBinaryHeaderCountsDoNotPreallocate(t *testing.T) {
+	if _, err := hgio.ReadBinary(bytes.NewReader(inflatedEdgeCountV2())); err == nil {
+		t.Error("inflated edge count accepted")
+	}
+}
+
+// inflatedEdgeCountV2 is an HGB2 header claiming 2^30 edges with no
+// payload behind it.
+func inflatedEdgeCountV2() []byte {
 	huge := make([]byte, 0, 32)
 	huge = append(huge, "HGB2"...)
 	huge = binary.AppendUvarint(huge, 1)     // numVertices
@@ -96,15 +104,21 @@ func TestBinaryHeaderCountsDoNotPreallocate(t *testing.T) {
 	huge = binary.AppendUvarint(huge, 0)     // dict
 	huge = binary.AppendUvarint(huge, 0)     // flags
 	huge = binary.AppendUvarint(huge, 0)     // the single vertex label
-	if _, err := hgio.ReadBinary(bytes.NewReader(huge)); err == nil {
-		t.Error("inflated edge count accepted")
-	}
+	return huge
 }
 
 // TestBinaryV2RejectsSharedPartitionEdges: a v2 index section in which two
 // partitions claim the same edge must error during decode — before the
 // duplicated claim can multiply posting-array preallocations.
 func TestBinaryV2RejectsSharedPartitionEdges(t *testing.T) {
+	if _, err := hgio.ReadBinary(bytes.NewReader(sharedPartitionEdgeV2())); err == nil {
+		t.Fatal("v2 file with an edge claimed by two partitions accepted")
+	}
+}
+
+// sharedPartitionEdgeV2 is an HGB2 file whose second partition claims
+// the first one's edge.
+func sharedPartitionEdgeV2() []byte {
 	b := []byte("HGB2")
 	for _, x := range []uint64{
 		2, 2, 0, 0, // nv=2, ne=2, dict=0, flags=0
@@ -119,9 +133,7 @@ func TestBinaryV2RejectsSharedPartitionEdges(t *testing.T) {
 	} {
 		b = binary.AppendUvarint(b, x)
 	}
-	if _, err := hgio.ReadBinary(bytes.NewReader(b)); err == nil {
-		t.Fatal("v2 file with an edge claimed by two partitions accepted")
-	}
+	return b
 }
 
 // TestBinaryV2TruncationsNeverPanic walks every prefix of a v2 file —

@@ -1,9 +1,13 @@
 package hypergraph
 
 import (
+	"cmp"
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"hgmatch/internal/setops"
 )
@@ -119,21 +123,30 @@ func newFromStorage(st *Storage) (*Hypergraph, error) {
 }
 
 // internTableSigs rebuilds the signature interner from the tables — one
-// signature per table, computed from its first member — stamps every
-// directory row with its SigID and derives the lookup tables.
-func (h *Hypergraph) internTableSigs() error {
+// signature per table, computed from its first member — and returns each
+// table's SigID. It reads the directory and writes only h.sigTab.
+func (h *Hypergraph) internTableSigs() []SigID {
 	cells := 0 // exact unless two edge labels share a signature
 	for pi := 0; pi < h.nParts; pi++ {
 		cells += h.Arity(h.partEdges[h.tables[pi].Edges])
 	}
 	h.sigTab = newU32Interner(h.nParts, cells)
+	ids := make([]SigID, h.nParts)
 	var sigBuf Signature
-	for pi := 0; pi < h.nParts; pi++ {
-		r := &h.tables[pi]
-		sigBuf = AppendSignature(sigBuf[:0], h.Edge(h.partEdges[r.Edges]), h.labels)
-		r.SigID, _ = h.sigTab.intern(0, sigBuf)
+	for pi := range ids {
+		sigBuf = AppendSignature(sigBuf[:0], h.Edge(h.partEdges[h.tables[pi].Edges]), h.labels)
+		ids[pi], _ = h.sigTab.intern(0, sigBuf)
 	}
 	h.sigTab.compact()
+	return ids
+}
+
+// stampTableSigs files each table's SigID in its directory row and derives
+// the lookup tables.
+func (h *Hypergraph) stampTableSigs(ids []SigID) error {
+	for pi, id := range ids {
+		h.tables[pi].SigID = id
+	}
 	return h.indexTables()
 }
 
@@ -145,15 +158,22 @@ func (h *Hypergraph) internTableSigs() error {
 // Assemble validates the input enough to guarantee the result satisfies
 // every Hypergraph invariant (Validate passes) without paying the
 // Builder's costs: the CSR arrays are required to be exactly the canonical
-// index the Builder produces, checked by a single linear sweep over the
-// incidence lists; malformed offset tables, out-of-range IDs, unsorted or
-// duplicate edges and inconsistent posting lists all return errors, never
-// panic. Slices are retained by reference; callers must not reuse them.
+// index the Builder produces; malformed offset tables, out-of-range IDs,
+// unsorted or duplicate edges and inconsistent posting lists all return
+// errors, never panic. Slices are retained by reference; callers must not
+// reuse them.
+//
+// Phases 0 and 1 — the edge shapes and the edge→table cover — run on the
+// calling goroutine: every later check indexes through what they prove.
+// The rest runs on GOMAXPROCS goroutines (see assembleConcurrent), and the
+// verdict does not depend on how many there were.
 func Assemble(st Storage) (*Hypergraph, error) {
 	h, err := newFromStorage(&st)
 	if err != nil {
 		return nil, err
 	}
+	// Phase 0: every edge is a non-empty, strictly sorted set of known
+	// vertices.
 	ne := h.NumEdges()
 	for e := 0; e < ne; e++ {
 		if h.edgeOff[e+1] <= h.edgeOff[e] {
@@ -199,40 +219,123 @@ func Assemble(st Storage) (*Hypergraph, error) {
 	}
 	// The member lists hold ne distinct in-range IDs, so every edge is covered.
 
-	// Phase 2: incidence lists (derived from the validated edges alone),
-	// then one linear sweep replaying the canonical CSR construction
-	// against the supplied arrays — any deviation (wrong vertex dictionary,
-	// offsets, posting order or content) is rejected without a single
-	// binary search.
-	h.buildIncidence()
-	if err := h.checkCanonicalCSR(); err != nil {
-		return nil, err
-	}
-
-	// Phase 3: per-partition signature coherence, exact-duplicate edges,
-	// interner, lookup tables and sidecars.
-	if err := h.internTableSigs(); err != nil {
-		return nil, err
-	}
-	var sigBuf Signature
-	for pi := 0; pi < h.nParts; pi++ {
-		r := h.tables[pi]
-		for _, e := range h.partEdges[r.Edges:h.tables[pi+1].Edges] {
-			if h.EdgeLabel(e) != r.EdgeLabel {
-				return nil, fmt.Errorf("hypergraph: edge %d label differs from partition %d's", e, pi)
-			}
-			sigBuf = AppendSignature(sigBuf[:0], h.Edge(e), h.labels)
-			if !h.Sig(r.SigID).Equal(sigBuf) {
-				return nil, fmt.Errorf("hypergraph: edge %d signature differs from partition %d's", e, pi)
-			}
-		}
-	}
-	if err := h.checkNoDuplicateEdges(); err != nil {
+	if err := h.assembleConcurrent(runtime.GOMAXPROCS(0)); err != nil {
 		return nil, err
 	}
 	h.buildSidecars() // derived: rebuilt on every heap load
-	h.countLabels()
 	return h, nil
+}
+
+// assembleConcurrent runs the checks and derivations that need only what
+// phases 0–1 proved, on up to workers goroutines:
+//
+//   - phase 2, the canonical-CSR replay, per table;
+//   - phase 3a, signature interning (one task) and the directory lookups
+//     built from it (after the join);
+//   - phase 3b, per-edge label and signature coherence, per table;
+//   - phase 3c, the exact-duplicate check, per table: two identical edges
+//     have one label and one signature, so once 3a and 3b hold they share
+//     a table;
+//   - the incidence lists and the label count.
+//
+// Per-table work is split into ranges of tables, and each range stops at
+// its first failing table. The error returned is the one a single
+// goroutine running the phases in order, table by table, would return
+// first, whatever the number of workers.
+func (h *Hypergraph) assembleConcurrent(workers int) error {
+	bounds := h.tableRanges(workers)
+	nr := len(bounds) - 1
+	csrErr := make([]error, nr)
+	cohErr := make([]error, nr)
+	dupErr := make([]error, nr)
+	var sigIDs []SigID
+	// The unsplittable tasks go first, so they start while the ranges
+	// spread over the other workers.
+	jobs := []func(*assembleScratch){
+		func(*assembleScratch) { sigIDs = h.internTableSigs() },
+		func(*assembleScratch) { h.buildIncidence(); h.countLabels() },
+	}
+	for i := 0; i < nr; i++ {
+		lo, hi := bounds[i], bounds[i+1]
+		jobs = append(jobs,
+			func(s *assembleScratch) { csrErr[i] = h.checkCanonicalCSR(lo, hi, s) },
+			func(s *assembleScratch) { cohErr[i] = h.checkCoherence(lo, hi, s) },
+			func(s *assembleScratch) { dupErr[i] = h.checkNoDuplicateEdges(lo, hi, s) },
+		)
+	}
+	runJobs(workers, jobs)
+	if err := firstError(csrErr); err != nil {
+		return err
+	}
+	if err := h.stampTableSigs(sigIDs); err != nil {
+		return err
+	}
+	if err := firstError(cohErr); err != nil {
+		return err
+	}
+	return firstError(dupErr)
+}
+
+// assembleScratch is one worker's reusable scratch.
+type assembleScratch struct {
+	cur []uint32 // posting cursor per dictionary entry
+	sig [2]Signature
+	ids []EdgeID
+}
+
+// runJobs runs every job once on up to workers goroutines, the calling
+// goroutine among them, each with its own scratch.
+func runJobs(workers int, jobs []func(*assembleScratch)) {
+	var next atomic.Int64
+	work := func() {
+		var s assembleScratch
+		for i := next.Add(1) - 1; i < int64(len(jobs)); i = next.Add(1) - 1 {
+			jobs[i](&s)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(workers, len(jobs)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+}
+
+// firstError returns the first non-nil error in range order.
+func firstError(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// tableRanges cuts the tables into about four ranges per worker of
+// similar incidence counts (one range for a single worker), returned as
+// boundaries: range i is tables [b[i], b[i+1]).
+func (h *Hypergraph) tableRanges(workers int) []int {
+	np := h.nParts
+	n := min(np, 4*workers)
+	if workers <= 1 || n <= 1 {
+		return []int{0, np}
+	}
+	total := uint64(h.tables[np].Posts) + uint64(h.tables[np].Edges)
+	bounds := []int{0}
+	for i := 1; i < n; i++ {
+		want := total * uint64(i) / uint64(n)
+		b := sort.Search(np, func(pi int) bool {
+			return uint64(h.tables[pi].Posts)+uint64(h.tables[pi].Edges) >= want
+		})
+		if b > bounds[len(bounds)-1] && b < np {
+			bounds = append(bounds, b)
+		}
+	}
+	return append(bounds, np)
 }
 
 // AdoptForeign builds a Hypergraph directly over foreign storage without
@@ -267,7 +370,7 @@ func AdoptForeign(st Storage) (*Hypergraph, error) {
 			return nil, fmt.Errorf("hypergraph: partition %d references unknown edge %d", pi, first)
 		}
 	}
-	if err := h.internTableSigs(); err != nil {
+	if err := h.stampTableSigs(h.internTableSigs()); err != nil {
 		return nil, err
 	}
 	for _, sc := range st.Sidecars {
@@ -281,102 +384,119 @@ func AdoptForeign(st Storage) (*Hypergraph, error) {
 	return h, nil
 }
 
-// checkCanonicalCSR replays buildCSR's sweep over the incidence lists in
-// compare mode: the supplied vertex dictionaries, offsets and posting
-// arrays must match the canonical construction entry for entry. Because
-// the canonical index is unique, equality both validates the arrays and
-// proves they ARE the inverted hyperedge index. O(Σ a(e)) total.
-func (h *Hypergraph) checkCanonicalCSR() error {
-	np := h.nParts
-	fill := make([]uint32, np)     // posting cursor per partition
-	vcur := make([]uint32, np)     // vertex-dictionary cursor per partition
-	lastSeen := make([]uint32, np) // vertex+1 last advanced per partition
-	var err error
-	h.sweepIncidence(func(v VertexID, e EdgeID, pi uint32) {
-		if err != nil {
-			return
+// checkCanonicalCSR verifies that tables [lo, hi) hold exactly the
+// canonical CSR index buildCSR would produce from their member edges:
+// each table's vertex dictionary is the sorted union of its members'
+// vertices, and each dictionary vertex's posting list is the members
+// containing it, ascending. Walking the members in ID order consumes every
+// posting list front to back, so equality is one pass over the table's
+// incidences, each ranked by a binary search in the table's own (small,
+// cache-resident) dictionary. Because the canonical index is unique,
+// equality both validates the arrays and proves they ARE the inverted
+// hyperedge index. It stops at the first table that diverges.
+func (h *Hypergraph) checkCanonicalCSR(lo, hi int, s *assembleScratch) error {
+	for pi := lo; pi < hi; pi++ {
+		if err := h.checkTableCSR(pi, s); err != nil {
+			return err
 		}
-		r, end := &h.tables[pi], &h.tables[pi+1]
-		if lastSeen[pi] != v+1 {
-			lastSeen[pi] = v + 1
-			i := r.Verts + vcur[pi]
-			if i >= end.Verts || h.partVerts[i] != v {
-				err = fmt.Errorf("hypergraph: partition %d vertex dictionary diverges at vertex %d", pi, v)
-				return
-			}
-			if h.partOffs[i+pi] != fill[pi] {
-				err = fmt.Errorf("hypergraph: partition %d offset of vertex %d diverges", pi, v)
-				return
-			}
-			vcur[pi]++
-		}
-		if i := r.Posts + fill[pi]; i >= end.Posts || h.partPosts[i] != e {
-			err = fmt.Errorf("hypergraph: partition %d posting array diverges at edge %d", pi, e)
-			return
-		}
-		fill[pi]++
-	})
-	if err != nil {
-		return err
 	}
-	for pi := 0; pi < np; pi++ {
-		r, end := &h.tables[pi], &h.tables[pi+1]
-		if extra := end.Verts - r.Verts - vcur[pi]; extra != 0 {
-			return fmt.Errorf("hypergraph: partition %d vertex dictionary has %d extra entries", pi, extra)
+	return nil
+}
+
+func (h *Hypergraph) checkTableCSR(pi int, s *assembleScratch) error {
+	r, end := h.tables[pi], h.tables[pi+1]
+	verts := h.partVerts[r.Verts:end.Verts]
+	offs := h.partOffs[int(r.Verts)+pi : int(end.Verts)+pi+1] // offs[0] == 0: phase 1
+	posts := h.partPosts[r.Posts:end.Posts]
+	for i, v := range verts {
+		if int(v) >= len(h.labels) || (i > 0 && v <= verts[i-1]) {
+			return fmt.Errorf("hypergraph: partition %d vertex dictionary diverges at entry %d", pi, i)
 		}
-		if extra := end.Posts - r.Posts - fill[pi]; extra != 0 {
-			return fmt.Errorf("hypergraph: partition %d posting array has %d extra entries", pi, extra)
+		if offs[i+1] <= offs[i] || int(offs[i+1]) > len(posts) {
+			return fmt.Errorf("hypergraph: partition %d offset of vertex %d diverges", pi, v)
 		}
-		if h.partOffs[int(end.Verts)+pi] != fill[pi] {
-			return fmt.Errorf("hypergraph: partition %d final offset diverges", pi)
+	}
+	if int(offs[len(verts)]) != len(posts) {
+		return fmt.Errorf("hypergraph: partition %d final offset diverges", pi)
+	}
+	s.cur = append(s.cur[:0], offs[:len(verts)]...)
+	for _, e := range h.partEdges[r.Edges:end.Edges] {
+		for _, v := range h.Edge(e) {
+			i := csrRank(verts, v)
+			if i < 0 {
+				return fmt.Errorf("hypergraph: partition %d vertex dictionary lacks vertex %d", pi, v)
+			}
+			if c := s.cur[i]; c >= offs[i+1] || posts[c] != e {
+				return fmt.Errorf("hypergraph: partition %d posting list of vertex %d diverges at edge %d", pi, v, e)
+			}
+			s.cur[i]++
+		}
+	}
+	for i, c := range s.cur {
+		if c != offs[i+1] {
+			return fmt.Errorf("hypergraph: partition %d posting list of vertex %d has %d extra entries", pi, verts[i], offs[i+1]-c)
+		}
+	}
+	return nil
+}
+
+// checkCoherence verifies that every member of tables [lo, hi) carries
+// its table's edge label and the signature of the table's first member —
+// the one the table is interned under.
+func (h *Hypergraph) checkCoherence(lo, hi int, s *assembleScratch) error {
+	for pi := lo; pi < hi; pi++ {
+		r := h.tables[pi]
+		members := h.partEdges[r.Edges:h.tables[pi+1].Edges]
+		for j, e := range members {
+			if h.EdgeLabel(e) != r.EdgeLabel {
+				return fmt.Errorf("hypergraph: edge %d label differs from partition %d's", e, pi)
+			}
+			if j == 0 {
+				continue
+			}
+			if j == 1 {
+				s.sig[0] = AppendSignature(s.sig[0][:0], h.Edge(members[0]), h.labels)
+			}
+			s.sig[1] = AppendSignature(s.sig[1][:0], h.Edge(e), h.labels)
+			if !s.sig[0].Equal(s.sig[1]) {
+				return fmt.Errorf("hypergraph: edge %d signature differs from partition %d's", e, pi)
+			}
 		}
 	}
 	return nil
 }
 
 // checkNoDuplicateEdges rejects exact duplicate hyperedges (same vertex
-// set and edge label) — the one Builder invariant the other checks don't
-// already imply. Edges sort by a 64-bit content fingerprint (cheap integer
-// compares); only fingerprint collisions compare full vertex sets.
-func (h *Hypergraph) checkNoDuplicateEdges() error {
-	ne := h.NumEdges()
-	if ne < 2 {
-		return nil
-	}
-	fps := make([]uint64, ne)
-	ids := make([]uint32, ne)
-	for e := range ids {
-		ids[e] = uint32(e)
-		fps[e] = hashU32s(h.EdgeLabel(EdgeID(e)), h.Edge(EdgeID(e)))
-	}
-	sort.Slice(ids, func(a, b int) bool { return fps[ids[a]] < fps[ids[b]] })
-	// Within each run of equal fingerprints, order by full content so
-	// identical edges become adjacent even among crafted collisions.
-	for lo := 0; lo < len(ids); {
-		hi := lo + 1
-		for hi < len(ids) && fps[ids[hi]] == fps[ids[lo]] {
-			hi++
+// set and edge label) among the members of tables [lo, hi) — the one
+// Builder invariant the other checks don't already imply. Each table's
+// members are sorted by (edge label, vertex tuple, ID), so duplicates
+// become adjacent and the lowest-ID pair of a run is reported.
+func (h *Hypergraph) checkNoDuplicateEdges(lo, hi int, s *assembleScratch) error {
+	for pi := lo; pi < hi; pi++ {
+		members := h.partEdges[h.tables[pi].Edges:h.tables[pi+1].Edges]
+		if len(members) < 2 {
+			continue
 		}
-		if hi-lo > 1 {
-			run := ids[lo:hi]
-			sort.Slice(run, func(a, b int) bool { return h.edgeContentLess(run[a], run[b]) })
-			for i := 1; i < len(run); i++ {
-				a, b := run[i-1], run[i]
-				if h.EdgeLabel(a) == h.EdgeLabel(b) && setops.Equal(h.Edge(a), h.Edge(b)) {
-					return fmt.Errorf("hypergraph: edges %d and %d are duplicates", a, b)
-				}
+		s.ids = append(s.ids[:0], members...)
+		slices.SortFunc(s.ids, func(a, b EdgeID) int {
+			if c := h.edgeContentCompare(a, b); c != 0 {
+				return c
+			}
+			return cmp.Compare(a, b)
+		})
+		for i := 1; i < len(s.ids); i++ {
+			if a, b := s.ids[i-1], s.ids[i]; h.edgeContentCompare(a, b) == 0 {
+				return fmt.Errorf("hypergraph: edges %d and %d are duplicates", a, b)
 			}
 		}
-		lo = hi
 	}
 	return nil
 }
 
-// edgeContentLess orders edges by (edge label, vertex tuple).
-func (h *Hypergraph) edgeContentLess(a, b uint32) bool {
-	la, lb := h.EdgeLabel(a), h.EdgeLabel(b)
-	if la != lb {
-		return la < lb
+// edgeContentCompare orders edges by (edge label, vertex tuple).
+func (h *Hypergraph) edgeContentCompare(a, b EdgeID) int {
+	if c := cmp.Compare(h.EdgeLabel(a), h.EdgeLabel(b)); c != 0 {
+		return c
 	}
-	return slices.Compare(h.Edge(a), h.Edge(b)) < 0
+	return slices.Compare(h.Edge(a), h.Edge(b))
 }

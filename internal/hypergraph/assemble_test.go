@@ -2,7 +2,9 @@ package hypergraph
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -142,14 +144,86 @@ func TestAssembleRejectsMalformed(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			st := storageOf(h)
-			tc.mutate(&st)
-			got, err := Assemble(st)
-			if err == nil {
-				// A mutation may coincidentally produce a valid graph; it
-				// must then satisfy every invariant.
-				if verr := got.Validate(); verr != nil {
-					t.Fatalf("Assemble accepted malformed input; Validate: %v", verr)
+			// The verdict must not depend on how many cores checked it.
+			var verdicts [2]string
+			for i, procs := range []int{1, 4} {
+				st := storageOf(h)
+				tc.mutate(&st)
+				got, err := assembleAt(procs, st)
+				if err == nil {
+					// A mutation may coincidentally produce a valid graph;
+					// it must then satisfy every invariant.
+					if verr := got.Validate(); verr != nil {
+						t.Fatalf("GOMAXPROCS=%d: Assemble accepted malformed input; Validate: %v", procs, verr)
+					}
+					continue
+				}
+				verdicts[i] = err.Error()
+			}
+			if verdicts[0] != verdicts[1] {
+				t.Fatalf("verdict depends on core count:\n  GOMAXPROCS=1: %q\n  GOMAXPROCS=4: %q", verdicts[0], verdicts[1])
+			}
+		})
+	}
+}
+
+// assembleAt runs Assemble with GOMAXPROCS set to procs.
+func assembleAt(procs int, st Storage) (*Hypergraph, error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	return Assemble(st)
+}
+
+// TestAssembleFirstErrorIndependentOfCores feeds Assemble inputs that
+// break two checks at once, in different tables. At one core and at four
+// the error must be the same: the first in the sequential phase order
+// (shape and cover, canonical CSR, interning, coherence, duplicates), and
+// within a phase the lowest table's.
+func TestAssembleFirstErrorIndependentOfCores(t *testing.T) {
+	// One label, so the tables are the arities 2, 3 and 4, in that order.
+	h := MustFromEdges(make([]Label, 12), [][]uint32{
+		{0, 1}, {0, 2}, {3, 4},
+		{0, 1, 2}, {0, 3, 4}, {5, 6, 7},
+		{0, 1, 2, 3}, {0, 1, 4, 5}, {8, 9, 10, 11},
+	})
+	// swapPostings reverses vertex 0's two-entry posting list in table pi:
+	// the table's CSR is no longer canonical.
+	swapPostings := func(st *Storage, pi int) {
+		r := st.Tables[pi]
+		i := int(r.Verts)
+		if st.PartVerts[i] != 0 || st.PartOffs[i+pi+1] != 2 {
+			t.Fatalf("table %d: vertex 0 does not lead with two postings", pi)
+		}
+		p := st.PartPosts[r.Posts:]
+		p[0], p[1] = p[1], p[0]
+	}
+	// relabel breaks coherence in every table holding vertex v.
+	relabel := func(st *Storage, v int) { st.Labels[v] = 1 }
+	cases := []struct {
+		name   string
+		mutate func(st *Storage)
+		want   string
+	}{
+		{"CSR beats an earlier table's coherence", func(st *Storage) {
+			relabel(st, 4) // edges {3,4}, {0,3,4}, {0,1,4,5}: tables 0, 1, 2
+			swapPostings(st, 2)
+		}, "hypergraph: partition 2 posting list of vertex 0 diverges"},
+		{"lowest table wins within CSR", func(st *Storage) {
+			swapPostings(st, 2)
+			swapPostings(st, 0)
+		}, "hypergraph: partition 0 posting list of vertex 0 diverges"},
+		{"lowest table wins within coherence", func(st *Storage) {
+			relabel(st, 7) // edge {5,6,7}: table 1
+			relabel(st, 9) // edge {8,9,10,11}: table 2
+		}, "hypergraph: edge 5 signature differs from partition 1's"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, procs := range []int{1, 4} {
+				st := storageOf(h)
+				tc.mutate(&st)
+				_, err := assembleAt(procs, st)
+				if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+					t.Fatalf("GOMAXPROCS=%d: got %v, want %q", procs, err, tc.want)
 				}
 			}
 		})

@@ -125,7 +125,7 @@ func (r *Registry) Close() error {
 				err = cerr
 			}
 		}
-		r.detach(name, e)
+		r.detach(name, e, true)
 	}
 	return err
 }

@@ -71,6 +71,10 @@ type Registry struct {
 	activations atomic.Uint64
 	evictions   atomic.Uint64
 	promotions  atomic.Uint64
+
+	// beforePin, when set by a test, runs in Acquire between loading the
+	// entry and pinning it.
+	beforePin func()
 }
 
 // graphEntry pairs a graph with its replacement generation, its residency
@@ -92,10 +96,14 @@ type graphEntry struct {
 
 	// HGB3 state. path/peek are immutable after registration (path is ""
 	// for an entry born on the heap); tierMu serialises tier transitions
-	// and pins the mapping while a reference is taken.
+	// and pins the mapping while a reference is taken. retired (guarded by
+	// tierMu) is set once install replaced the entry or Close tore it
+	// down: nothing would detach a mapping attached after that, so pin
+	// refuses to attach one.
 	path     string
 	peek     hgio.GraphPeek
 	tierMu   sync.Mutex
+	retired  bool
 	mapped   atomic.Pointer[hgio.MappedGraph]
 	lastUsed atomic.Int64
 
@@ -259,7 +267,7 @@ func (r *Registry) install(name string, e *graphEntry) {
 	r.graphs[name] = e
 	r.mu.Unlock()
 	if prev != nil {
-		r.detach(name, prev)
+		r.detach(name, prev, true)
 	}
 }
 
@@ -298,8 +306,13 @@ func (r *Registry) Acquire(name string) (*hgmatch.Hypergraph, uint64, func(), er
 	live := e.live.Load()
 	var m *hgio.MappedGraph
 	if live == nil {
+		if r.beforePin != nil {
+			r.beforePin()
+		}
 		var err error
-		if live, m, err = r.pin(name, e); err != nil {
+		if live, m, err = r.pin(name, e); errors.Is(err, errEntryRetired) {
+			return r.Acquire(name) // replaced since entry: use the current one
+		} else if err != nil {
 			return nil, 0, nil, err
 		}
 	}
@@ -321,6 +334,10 @@ func (r *Registry) Acquire(name string) (*hgmatch.Hypergraph, uint64, func(), er
 	return h, e.version(h), rel, nil
 }
 
+// errEntryRetired tells Acquire that the entry it loaded was replaced
+// before pin could attach it.
+var errEntryRetired = errors.New("server: graph entry retired")
+
 // pin resolves an entry that was off the heap at Acquire's lock-free
 // check. It returns the heap buffer if the graph was promoted meanwhile,
 // and otherwise the mapping — attached first if the graph is cold — with
@@ -334,6 +351,15 @@ func (r *Registry) pin(name string, e *graphEntry) (*hgmatch.DeltaBuffer, *hgio.
 	defer e.tierMu.Unlock()
 	if live := e.live.Load(); live != nil {
 		return live, nil, nil
+	}
+	if e.retired {
+		r.mu.RLock()
+		closed := r.closed
+		r.mu.RUnlock()
+		if closed {
+			return nil, nil, errRegistryClosed
+		}
+		return nil, nil, errEntryRetired
 	}
 	m := e.mapped.Load()
 	if m == nil {
@@ -381,7 +407,7 @@ func (r *Registry) ensureLive(name string, e *graphEntry) (*hgmatch.DeltaBuffer,
 	e.live.Store(live)
 	r.promotions.Add(1)
 	e.tierMu.Unlock()
-	r.detach(name, e)
+	r.detach(name, e, false)
 	return live, nil
 }
 
@@ -390,9 +416,13 @@ func (r *Registry) ensureLive(name string, e *graphEntry) (*hgmatch.DeltaBuffer,
 // plan purge stops cached plans from reaching into the mapping, and the
 // registry's Release unmaps once in-flight requests drain theirs. It
 // purges even when nothing was attached (a replaced heap graph's plans go
-// too) and reports whether it released a mapping.
-func (r *Registry) detach(name string, e *graphEntry) bool {
+// too) and reports whether it released a mapping. retire (install and
+// Close) also stops pin from ever attaching the entry again; eviction and
+// promotion leave it attachable — an evicted graph re-maps on its next
+// Acquire.
+func (r *Registry) detach(name string, e *graphEntry, retire bool) bool {
 	e.tierMu.Lock()
+	e.retired = e.retired || retire
 	m := e.mapped.Swap(nil)
 	if m != nil {
 		r.resident.Add(-int64(m.FileBytes()))
@@ -423,7 +453,7 @@ func (r *Registry) maybeEvict(keep *graphEntry) {
 		if e == nil {
 			return
 		}
-		if r.detach(name, e) {
+		if r.detach(name, e, false) {
 			r.evictions.Add(1)
 		}
 	}

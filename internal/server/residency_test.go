@@ -2,11 +2,13 @@ package server
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -375,6 +377,79 @@ func TestResidencyConcurrentChurn(t *testing.T) {
 	}
 	if err := reg.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if ts := reg.TierStats(); ts.ResidentBytes != 0 || ts.Resident != 0 {
+		t.Fatalf("Close left mappings attached: %+v", ts)
+	}
+}
+
+// TestResidencyRetiredEntryNeverMaps parks an Acquire between loading a
+// cold entry and pinning it, first across a replacement of the graph and
+// then across Close. Nothing detaches a mapping attached to an entry that
+// install or Close already tore down, so the parked Acquire must retry on
+// the replacement (and serve it) or fail as shut down — never map the
+// retired entry. ResidentBytes must equal the live entry's file bytes and
+// reach 0 after Close.
+func TestResidencyRetiredEntryNeverMaps(t *testing.T) {
+	dir := t.TempDir()
+	reg := NewRegistry()
+	p1, _ := writeV3Graph(t, dir, "old", randomGraph(t, 1))
+	want := randomGraph(t, 2)
+	p2, b2 := writeV3Graph(t, dir, "new", want)
+	if err := reg.LoadFile("g", p1); err != nil {
+		t.Fatal(err)
+	}
+	// parkAcquire starts an Acquire of g, runs between while it is parked
+	// before pin, and returns what the Acquire returned.
+	parkAcquire := func(between func()) (*hgmatch.Hypergraph, func(), error) {
+		parked, resume := make(chan struct{}), make(chan struct{})
+		var once sync.Once
+		reg.beforePin = func() { once.Do(func() { close(parked); <-resume }) }
+		defer func() { reg.beforePin = nil }()
+		type result struct {
+			g   *hgmatch.Hypergraph
+			rel func()
+			err error
+		}
+		done := make(chan result, 1)
+		go func() {
+			g, _, rel, err := reg.Acquire("g")
+			done <- result{g, rel, err}
+		}()
+		<-parked
+		between()
+		close(resume)
+		res := <-done
+		return res.g, res.rel, res.err
+	}
+
+	g, rel, err := parkAcquire(func() {
+		if err := reg.LoadFile("g", p2); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if err != nil {
+		t.Fatalf("Acquire across a replacement: %v", err)
+	}
+	if g.NumEdges() != want.NumEdges() {
+		t.Fatalf("Acquire across a replacement served %d edges, the replacement has %d", g.NumEdges(), want.NumEdges())
+	}
+	for e := 0; e < g.NumEdges(); e++ {
+		if !slices.Equal(g.Edge(hgmatch.EdgeID(e)), want.Edge(hgmatch.EdgeID(e))) {
+			t.Fatalf("edge %d: Acquire across a replacement served the replaced graph", e)
+		}
+	}
+	rel()
+	if ts := reg.TierStats(); ts.ResidentBytes != b2 || ts.Resident != 1 {
+		t.Fatalf("after the replacement: resident %d bytes in %d graphs, want %d in 1", ts.ResidentBytes, ts.Resident, b2)
+	}
+
+	if _, _, err := parkAcquire(func() {
+		if err := reg.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}); !errors.Is(err, errRegistryClosed) {
+		t.Fatalf("Acquire across Close: %v, want %v", err, errRegistryClosed)
 	}
 	if ts := reg.TierStats(); ts.ResidentBytes != 0 || ts.Resident != 0 {
 		t.Fatalf("Close left mappings attached: %+v", ts)
