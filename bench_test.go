@@ -1108,7 +1108,7 @@ func BenchmarkAblationPartitioning(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sig := p.StepSignature(0)
+	sig := hypergraph.SignatureOf(q.Edge(p.Order[0]), q.Labels())
 	b.Run("PartitionLookup", func(b *testing.B) {
 		var n int
 		for i := 0; i < b.N; i++ {

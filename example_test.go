@@ -119,16 +119,20 @@ func ExampleDeltaBuffer_Insert() {
 	// 1 2 2
 }
 
-// ExampleQueryKey shows the canonical query key the hgserve plan cache is
-// built on: edge declaration order does not change it.
+// ExampleQueryKey shows the query key the hgserve plan cache is built on:
+// a query declared alike shares it, while reordered edges or different
+// labels do not.
 func ExampleQueryKey() {
 	a, _ := hgmatch.FromEdges([]hgmatch.Label{0, 1, 0}, [][]uint32{{0, 1}, {1, 2}})
+	same, _ := hgmatch.FromEdges([]hgmatch.Label{0, 1, 0}, [][]uint32{{0, 1}, {1, 2}})
 	b, _ := hgmatch.FromEdges([]hgmatch.Label{0, 1, 0}, [][]uint32{{1, 2}, {0, 1}})
 	c, _ := hgmatch.FromEdges([]hgmatch.Label{0, 1, 1}, [][]uint32{{0, 1}, {1, 2}})
 
+	fmt.Println(hgmatch.QueryKey(a) == hgmatch.QueryKey(same))
 	fmt.Println(hgmatch.QueryKey(a) == hgmatch.QueryKey(b))
 	fmt.Println(hgmatch.QueryKey(a) == hgmatch.QueryKey(c))
 	// Output:
 	// true
+	// false
 	// false
 }

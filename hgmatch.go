@@ -467,13 +467,14 @@ func OneVertexMapping(query, data *Hypergraph, order, m []EdgeID) VertexMapping 
 }
 
 // QueryKey returns a deterministic cache key for a query hypergraph: two
-// queries built from the same vertex sequence and hyperedge set (in any
-// edge order) share a key. It is what a plan cache should key on — see
-// cmd/hgserve, which caches Compile output per (data graph, QueryKey). The
-// key is form-canonical, not isomorphism-canonical; when the query and
-// data were loaded from separate files, align the query's label IDs to the
-// data's dictionary first (as Match itself requires) so equal-looking
-// queries key equally.
+// queries built from the same vertex sequence and the same hyperedge
+// sequence share a key. Edge order is part of the key, because a plan's
+// matching order and rows are numbered in the query's own edge IDs. It is
+// what a plan cache should key on — see cmd/hgserve, which caches Compile
+// output per (data graph, QueryKey). The key is form-canonical, not
+// isomorphism-canonical; when the query and data were loaded from separate
+// files, align the query's label IDs to the data's dictionary first (as
+// Match itself requires) so equal-looking queries key equally.
 func QueryKey(query *Hypergraph) string { return hypergraph.CanonicalKey(query) }
 
 // AlignLabels rebuilds query so its numeric label IDs agree with data's,

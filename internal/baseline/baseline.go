@@ -15,7 +15,7 @@ package baseline
 
 import (
 	"encoding/binary"
-	"sort"
+	"slices"
 	"time"
 
 	"hgmatch/internal/hypergraph"
@@ -77,13 +77,40 @@ type Result struct {
 }
 
 // Match runs the extended match-by-vertex framework.
-func Match(q, h *hypergraph.Hypergraph, opts Options) (res Result) {
+func Match(q, h *hypergraph.Hypergraph, opts Options) Result {
+	res, _ := match(q, h, opts)
+	return res
+}
+
+// Tuples runs Match and also returns the distinct embeddings it found, each
+// a data-hyperedge tuple indexed by query hyperedge, in ascending tuple
+// order. It is the answer an independent oracle hands to a test.
+func Tuples(q, h *hypergraph.Hypergraph, opts Options) (Result, [][]hypergraph.EdgeID) {
+	res, st := match(q, h, opts)
+	if st == nil {
+		return res, nil
+	}
+	out := make([][]hypergraph.EdgeID, 0, len(st.tuples))
+	for key := range st.tuples {
+		m := make([]hypergraph.EdgeID, len(key)/4)
+		for i := range m {
+			m[i] = binary.BigEndian.Uint32([]byte(key[4*i : 4*i+4]))
+		}
+		out = append(out, m)
+	}
+	slices.SortFunc(out, slices.Compare)
+	return res, out
+}
+
+// match runs the framework and returns its search state, nil when the
+// search never started.
+func match(q, h *hypergraph.Hypergraph, opts Options) (res Result, st *btState) {
 	start := time.Now()
 	defer func() { res.Elapsed = time.Since(start) }()
 
 	n := q.NumVertices()
 	if n == 0 || q.NumEdges() == 0 {
-		return res
+		return res, nil
 	}
 
 	// Line 1 of Algorithm 1: candidate vertex sets via the IHS filter.
@@ -91,7 +118,7 @@ func Match(q, h *hypergraph.Hypergraph, opts Options) (res Result) {
 	for _, c := range cands {
 		res.CandidateSizes += len(c)
 		if len(c) == 0 {
-			return res
+			return res, nil
 		}
 	}
 
@@ -116,16 +143,18 @@ func Match(q, h *hypergraph.Hypergraph, opts Options) (res Result) {
 		completedAt[last] = append(completedAt[last], hypergraph.EdgeID(e))
 	}
 
-	st := &btState{
+	st = &btState{
 		q: q, h: h,
 		order:       order,
 		cands:       cands,
 		completedAt: completedAt,
 		f:           make([]uint32, n),
-		used:        make(map[uint32]bool, n),
+		used:        make([]bool, h.NumVertices()),
 		limit:       opts.Limit,
 		tuples:      make(map[string]struct{}),
 		imgBuf:      make([]uint32, 0, q.MaxArity()),
+		image:       make([]hypergraph.EdgeID, q.NumEdges()),
+		key:         make([]byte, 4*q.NumEdges()),
 	}
 	if opts.Timeout > 0 {
 		st.deadline = start.Add(opts.Timeout)
@@ -137,7 +166,7 @@ func Match(q, h *hypergraph.Hypergraph, opts Options) (res Result) {
 	res.Recursions = st.recursions
 	res.Embeddings = uint64(len(st.tuples))
 	res.TimedOut = st.stopped && st.hasDL
-	return res
+	return res, st
 }
 
 type btState struct {
@@ -146,7 +175,7 @@ type btState struct {
 	cands       [][]uint32
 	completedAt [][]hypergraph.EdgeID
 	f           []uint32 // query vertex -> data vertex
-	used        map[uint32]bool
+	used        []bool   // data vertex -> in the image of f
 
 	mappings   uint64
 	recursions uint64
@@ -157,6 +186,8 @@ type btState struct {
 
 	tuples map[string]struct{} // distinct data-edge tuples
 	imgBuf []uint32
+	image  []hypergraph.EdgeID // query edge -> the data edge it maps onto
+	key    []byte              // record's tuple key, reused across mappings
 }
 
 // enumerate is the recursive Enumerate procedure of Algorithm 1; the
@@ -193,21 +224,24 @@ candidates:
 		}
 		st.used[v] = true
 		st.enumerate(i + 1)
-		delete(st.used, v)
+		st.used[v] = false
 		if st.stopped {
 			return
 		}
 	}
 }
 
-// imageEdgeExists checks {f(u') : u' ∈ eq} ∈ E(H).
+// imageEdgeExists checks {f(u') : u' ∈ eq} ∈ E(H) and notes the image's
+// edge ID for record: it stays current while the search is below the
+// position that completed eq.
 func (st *btState) imageEdgeExists(qe hypergraph.EdgeID) bool {
 	st.imgBuf = st.imgBuf[:0]
 	for _, u := range st.q.Edge(qe) {
 		st.imgBuf = append(st.imgBuf, st.f[u])
 	}
-	sort.Slice(st.imgBuf, func(a, b int) bool { return st.imgBuf[a] < st.imgBuf[b] })
-	_, ok := st.h.FindEdge(st.imgBuf)
+	slices.Sort(st.imgBuf)
+	id, ok := st.h.FindEdge(st.imgBuf)
+	st.image[qe] = id
 	return ok
 }
 
@@ -219,20 +253,11 @@ func (st *btState) record() {
 	if st.limit > 0 && st.mappings >= st.limit {
 		st.stopped = true
 	}
-	key := make([]byte, 0, 4*st.q.NumEdges())
-	var tmp [4]byte
-	for e := 0; e < st.q.NumEdges(); e++ {
-		st.imgBuf = st.imgBuf[:0]
-		for _, u := range st.q.Edge(uint32(e)) {
-			st.imgBuf = append(st.imgBuf, st.f[u])
-		}
-		sort.Slice(st.imgBuf, func(a, b int) bool { return st.imgBuf[a] < st.imgBuf[b] })
-		id, ok := st.h.FindEdge(st.imgBuf)
-		if !ok {
-			return // cannot happen: every edge was verified
-		}
-		binary.BigEndian.PutUint32(tmp[:], id)
-		key = append(key, tmp[:]...)
+	for e, id := range st.image {
+		binary.BigEndian.PutUint32(st.key[4*e:], id)
 	}
-	st.tuples[string(key)] = struct{}{}
+	// The lookup converts without allocating; only a new tuple is copied.
+	if _, ok := st.tuples[string(st.key)]; !ok {
+		st.tuples[string(st.key)] = struct{}{}
+	}
 }

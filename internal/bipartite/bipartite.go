@@ -64,8 +64,8 @@ func Convert(h *hypergraph.Hypergraph) *Graph {
 	return g
 }
 
-// NumNodes returns the total node count (|V| + |E| of the hypergraph).
-func (g *Graph) NumNodes() int { return len(g.Labels) }
+// numNodes returns the total node count (|V| + |E| of the hypergraph).
+func (g *Graph) numNodes() int { return len(g.Labels) }
 
 // NumEdges returns the pairwise edge count (= Σ_e a(e) of the hypergraph).
 func (g *Graph) NumEdges() int {
@@ -102,14 +102,14 @@ func Match(qh *hypergraph.Hypergraph, qg, dg *Graph, opts Options) (res Result) 
 	start := time.Now()
 	defer func() { res.Elapsed = time.Since(start) }()
 
-	n := qg.NumNodes()
+	n := qg.numNodes()
 	if n == 0 {
 		return res
 	}
 	// Label-and-degree candidate filter (the standard LDF used by the
 	// RapidMatch study's preprocessing).
 	byLabel := make(map[uint32][]uint32)
-	for v := 0; v < dg.NumNodes(); v++ {
+	for v := 0; v < dg.numNodes(); v++ {
 		byLabel[dg.Labels[v]] = append(byLabel[dg.Labels[v]], uint32(v))
 	}
 	cands := make([][]uint32, n)
@@ -227,7 +227,7 @@ func (st *bpState) record() {
 	if st.limit > 0 && st.mappings >= st.limit {
 		st.stopped = true
 	}
-	nq := st.qg.NumNodes() - st.qg.NumVertexNodes
+	nq := st.qg.numNodes() - st.qg.NumVertexNodes
 	key := make([]byte, 0, 4*nq)
 	var tmp [4]byte
 	for e := 0; e < nq; e++ {
@@ -243,7 +243,7 @@ func (st *bpState) record() {
 // the globally rarest node — the common GQL-style ordering the RapidMatch
 // study uses for its left-deep join plans.
 func matchOrder(qg *Graph, cands [][]uint32) []uint32 {
-	n := qg.NumNodes()
+	n := qg.numNodes()
 	order := make([]uint32, 0, n)
 	inOrder := make([]bool, n)
 	frontier := make([]bool, n)

@@ -16,8 +16,8 @@ import (
 func TestConvertFig1(t *testing.T) {
 	h := hgtest.Fig1Data()
 	g := bipartite.Convert(h)
-	if g.NumVertexNodes != 7 || g.NumNodes() != 13 {
-		t.Fatalf("nodes = %d/%d, want 7 vertex nodes of 13", g.NumVertexNodes, g.NumNodes())
+	if g.NumVertexNodes != 7 || len(g.Labels) != 13 {
+		t.Fatalf("nodes = %d/%d, want 7 vertex nodes of 13", g.NumVertexNodes, len(g.Labels))
 	}
 	// Pairwise edge count = total arity = 2+2+3+3+4+4 = 18.
 	if g.NumEdges() != 18 {
@@ -88,8 +88,8 @@ func TestInflationShape(t *testing.T) {
 		NumVertices: 50, NumEdges: 80, NumLabels: 3, MaxArity: 12,
 	})
 	g := bipartite.Convert(h)
-	if g.NumNodes() != h.NumVertices()+h.NumEdges() {
-		t.Errorf("node inflation wrong: %d vs %d+%d", g.NumNodes(), h.NumVertices(), h.NumEdges())
+	if len(g.Labels) != h.NumVertices()+h.NumEdges() {
+		t.Errorf("node inflation wrong: %d vs %d+%d", len(g.Labels), h.NumVertices(), h.NumEdges())
 	}
 	if g.NumEdges() != h.TotalArity() {
 		t.Errorf("edge inflation: %d vs total arity %d", g.NumEdges(), h.TotalArity())

@@ -93,21 +93,6 @@ func (st *step) reuses(m []hypergraph.EdgeID, c hypergraph.EdgeID) bool {
 	return false
 }
 
-// CandidatesOnly runs Algorithm 4 without validation and returns the raw
-// candidate set (post intersection and duplicate-edge filter, before the
-// Observation V.5 / Algorithm 5 checks); used by tests and the ablation
-// benchmarks.
-func (p *Plan) CandidatesOnly(depth int, m []hypergraph.EdgeID) []hypergraph.EdgeID {
-	st := &p.steps[depth]
-	var out []hypergraph.EdgeID
-	for _, c := range p.candidates(st, depth, m, NewScratch()) {
-		if !st.reuses(m, c) {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // candidates is Algorithm 4: the data hyperedges of st's signature table
 // that are incident to the partial embedding m[:depth] the way ϕ[depth] is
 // incident to the matched query prefix. The result may still contain

@@ -26,10 +26,11 @@ func embeddingSet(p *core.Plan) map[string]bool {
 
 func TestMatchingOrderFig1(t *testing.T) {
 	q, h := hgtest.Fig1Query(), hgtest.Fig1Data()
-	order, err := core.ComputeMatchingOrder(q, h)
+	p, err := core.NewPlan(q, h)
 	if err != nil {
 		t.Fatal(err)
 	}
+	order := p.Order
 	// The paper's Example V.1 order: ({u2,u4}, {u0,u1,u2}, {u0,u1,u3,u4}),
 	// which are query edges 0, 1, 2 (all cardinalities are 2; ties break
 	// to smaller IDs).
@@ -70,10 +71,11 @@ func TestMatchingOrderStartsAtMinCardinality(t *testing.T) {
 	qb.AddEdge(b0, b1) // {B,B}: card 1
 	q := qb.MustBuild()
 
-	order, err := core.ComputeMatchingOrder(q, h)
+	p, err := core.NewPlan(q, h)
 	if err != nil {
 		t.Fatal(err)
 	}
+	order := p.Order
 	first := q.Edge(order[0])
 	sig := hypergraph.SignatureOf(first, q.Labels())
 	if h.Cardinality(sig) != 1 {
@@ -90,9 +92,6 @@ func TestDisconnectedQuery(t *testing.T) {
 	qb.AddEdge(2, 3)
 	q := qb.MustBuild()
 	h := hgtest.Fig1Data()
-	if _, err := core.ComputeMatchingOrder(q, h); err == nil {
-		t.Fatal("expected ErrDisconnectedQuery")
-	}
 	if _, err := core.NewPlan(q, h); err == nil {
 		t.Fatal("NewPlan should fail for a disconnected query")
 	}

@@ -79,21 +79,13 @@ func (qs *querySigs) cardinalities(h *hypergraph.Hypergraph) []int {
 	return card
 }
 
-// ComputeMatchingOrder implements Algorithm 3: it returns a permutation ϕ
-// of E(q) that starts at the query hyperedge of minimum cardinality in H
-// (Definition V.2) and greedily appends the connected hyperedge minimising
-// Card(e,H) / |Vϕ ∩ e|, i.e. preferring infrequent and highly connected
-// hyperedges early. Cardinality lookups are O(1) table-size fetches via
-// the interned signature table.
-//
-// Ties are broken by smaller edge ID so orders are deterministic.
-func ComputeMatchingOrder(q, h *hypergraph.Hypergraph) ([]hypergraph.EdgeID, error) {
-	qs := computeQuerySigs(q, h)
-	return orderFromCards(q, qs.cardinalities(h))
-}
-
-// orderFromCards runs Algorithm 3's greedy search over precomputed
-// cardinalities. The produced order is connected by construction.
+// orderFromCards implements Algorithm 3 over precomputed cardinalities: it
+// returns a permutation ϕ of E(q) that starts at the query hyperedge of
+// minimum cardinality in H (Definition V.2) and greedily appends the
+// connected hyperedge minimising Card(e,H) / |Vϕ ∩ e|, i.e. preferring
+// infrequent and highly connected hyperedges early. The produced order is
+// connected by construction; ties are broken by smaller edge ID so orders
+// are deterministic.
 func orderFromCards(q *hypergraph.Hypergraph, card []int) ([]hypergraph.EdgeID, error) {
 	n := q.NumEdges()
 	if n == 0 {

@@ -333,11 +333,6 @@ func (p *Plan) EstimateCost() uint64 {
 	return uint64(cost)
 }
 
-// StepSignature exposes S(ϕ[i]) for diagnostics.
-func (p *Plan) StepSignature(i int) hypergraph.Signature {
-	return p.steps[i].sig
-}
-
 // StepSigID exposes the interned data-side signature ID of ϕ[i]
 // (hypergraph.NoSigID when the data graph has no matching table).
 func (p *Plan) StepSigID(i int) hypergraph.SigID {

@@ -17,31 +17,6 @@ import (
 	"hgmatch/internal/hypergraph"
 )
 
-// TestPoolMatchesSolo: a single request on a long-lived shared pool must
-// produce exactly what Run's pool of one produces — embeddings, expansion counters,
-// groups — and leak no blocks.
-func TestPoolMatchesSolo(t *testing.T) {
-	p := morselWorkload(t, 21, 3)
-	solo := engine.Run(p, engine.Options{Workers: 2})
-
-	pool := engine.NewPool(2)
-	defer pool.Close()
-	res := pool.Submit(p, engine.Options{})
-	if res.Embeddings != solo.Embeddings {
-		t.Errorf("pool found %d, solo %d", res.Embeddings, solo.Embeddings)
-	}
-	if res.Counters != solo.Counters {
-		t.Errorf("pool counters %+v, solo %+v", res.Counters, solo.Counters)
-	}
-	if res.LeakedBlocks != 0 {
-		t.Errorf("pool leaked %d blocks", res.LeakedBlocks)
-	}
-	st := pool.Stats()
-	if st.Submitted != 1 || st.Completed != 1 || st.Active != 0 {
-		t.Errorf("pool stats after one request: %+v", st)
-	}
-}
-
 // TestPoolConcurrentMixedRequests is the concurrency battery's engine
 // half: many concurrent requests with mixed cheap/expensive plans on one
 // shared pool, every per-request result identical to its solo run, no
@@ -143,7 +118,9 @@ func TestPoolCancelIsolation(t *testing.T) {
 
 // TestPoolLimitAndAggregate: the dataflow extension operators keep their
 // semantics on the shared pool — an exact Limit with exactly Limit sharded
-// callback deliveries, and aggregation groups identical to solo.
+// callback deliveries, all on worker 0, a capped aggregation counting
+// exactly Limit rows, and aggregation groups identical to solo — and the
+// pool accounts every request as submitted and completed.
 func TestPoolLimitAndAggregate(t *testing.T) {
 	p := morselWorkload(t, 21, 3)
 	full := engine.Run(p, engine.Options{Workers: 2})
@@ -159,8 +136,8 @@ func TestPoolLimitAndAggregate(t *testing.T) {
 		res := pool.Submit(p, engine.Options{
 			Limit: limit,
 			OnEmbeddingWorker: func(worker int, m []hypergraph.EdgeID) {
-				if worker < 0 || worker >= pool.Workers() {
-					panic("worker index out of pool range")
+				if worker != 0 {
+					panic("a capped run called back on a worker other than 0")
 				}
 				delivered.Add(1)
 			},
@@ -179,6 +156,10 @@ func TestPoolLimitAndAggregate(t *testing.T) {
 		}
 		return "odd"
 	}
+	capped := pool.Submit(p, engine.Options{Limit: 257, Aggregate: key})
+	if capped.Groups["even"]+capped.Groups["odd"] != 257 || capped.Embeddings != 257 {
+		t.Errorf("capped aggregate: %d embeddings in groups %v, want 257", capped.Embeddings, capped.Groups)
+	}
 	want := engine.Run(p, engine.Options{Workers: 2, Aggregate: key}).Groups
 	got := pool.Submit(p, engine.Options{Aggregate: key}).Groups
 	if len(got) != len(want) {
@@ -188,6 +169,9 @@ func TestPoolLimitAndAggregate(t *testing.T) {
 		if got[k] != v {
 			t.Errorf("group %q: got %d want %d", k, got[k], v)
 		}
+	}
+	if st := pool.Stats(); st.Submitted != 5 || st.Completed != 5 || st.Active != 0 {
+		t.Errorf("pool stats after five requests: %+v", st)
 	}
 }
 

@@ -319,16 +319,6 @@ func (h *Hypergraph) setSide(pi uint32, p *Partition) {
 	h.side[pi] = p
 }
 
-// PartitionForLabelled returns the table for (edge label, signature) in an
-// edge-labelled hypergraph.
-func (h *Hypergraph) PartitionForLabelled(el Label, sig Signature) Partition {
-	id, ok := h.LookupSig(sig)
-	if !ok {
-		return Partition{}
-	}
-	return h.PartitionBySigLabelled(el, id)
-}
-
 func (h *Hypergraph) countLabels() {
 	seen := make(map[Label]bool)
 	for _, l := range h.labels {

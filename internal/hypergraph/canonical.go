@@ -1,59 +1,44 @@
 package hypergraph
 
-import (
-	"encoding/binary"
-	"sort"
-)
+import "encoding/binary"
 
 // CanonicalKey returns a deterministic byte-string encoding of h, usable as
 // a map key: two hypergraphs built from the same vertex sequence and the
-// same hyperedge set (in any insertion order) produce the same key.
+// same hyperedge sequence produce the same key.
 //
-// The encoding is form-canonical, not isomorphism-canonical: vertices are
-// identified by their declaration order, so queries that are isomorphic but
-// declare vertices differently get different keys. That is the right
-// trade-off for plan caching — computing a true canonical form is graph
-// canonisation, while this key costs O(Σ a(e) log |E|) and still collapses
-// every textually identical query (the overwhelmingly common repeat case)
-// onto one cache entry.
+// The encoding is form-canonical, not isomorphism-canonical: vertices and
+// hyperedges are identified by their declaration order, so queries that
+// are isomorphic but declared differently get different keys. That is the
+// right trade-off for plan caching — a plan's matching order and the rows
+// it produces are numbered in the query's own edge IDs, so only a query
+// declared exactly alike may reuse it — and the key costs O(Σ a(e)) while
+// still collapsing every textually identical query (the overwhelmingly
+// common repeat case) onto one cache entry.
 //
-// Hyperedges are sorted into a canonical order (by edge label, then by
-// vertex tuple) before encoding, so edge declaration order never splits
-// cache entries. Labels are compared numerically; callers caching plans
-// against a fixed data hypergraph should align the query's label IDs to the
-// data's dictionary first (hgio.AlignLabels), exactly as the matcher itself
+// Labels are compared numerically; callers caching plans against a fixed
+// data hypergraph should align the query's label IDs to the data's
+// dictionary first (hgio.AlignLabels), exactly as the matcher itself
 // requires.
 func CanonicalKey(h *Hypergraph) string {
-	// Encode each edge as (edge label, vertex tuple), then sort encodings.
-	// Vertex sets are already stored strictly sorted, and byte order of the
-	// big-endian encoding equals numeric order, so a plain string sort
-	// yields the canonical edge order.
-	enc := make([]string, h.NumEdges())
-	for e := range enc {
-		id := EdgeID(e)
-		vs := h.Edge(id)
-		b := make([]byte, 4+4*len(vs))
-		binary.BigEndian.PutUint32(b, h.EdgeLabel(id))
-		for i, v := range vs {
-			binary.BigEndian.PutUint32(b[4+4*i:], v)
-		}
-		enc[e] = string(b)
-	}
-	sort.Strings(enc)
-
 	n := 8 + 4*h.NumVertices()
-	for _, s := range enc {
-		n += 4 + len(s) // length prefix keeps edge boundaries unambiguous
+	for e := 0; e < h.NumEdges(); e++ {
+		n += 8 + 4*h.Arity(EdgeID(e))
 	}
 	out := make([]byte, 0, n)
 	out = binary.BigEndian.AppendUint32(out, uint32(h.NumVertices()))
 	for v := 0; v < h.NumVertices(); v++ {
 		out = binary.BigEndian.AppendUint32(out, h.Label(VertexID(v)))
 	}
-	out = binary.BigEndian.AppendUint32(out, uint32(len(enc)))
-	for _, s := range enc {
-		out = binary.BigEndian.AppendUint32(out, uint32(len(s)))
-		out = append(out, s...)
+	out = binary.BigEndian.AppendUint32(out, uint32(h.NumEdges()))
+	for e := 0; e < h.NumEdges(); e++ {
+		id := EdgeID(e)
+		vs := h.Edge(id)
+		// The arity prefix keeps edge boundaries unambiguous.
+		out = binary.BigEndian.AppendUint32(out, uint32(len(vs)))
+		out = binary.BigEndian.AppendUint32(out, h.EdgeLabel(id))
+		for _, v := range vs {
+			out = binary.BigEndian.AppendUint32(out, v)
+		}
 	}
 	return string(out)
 }

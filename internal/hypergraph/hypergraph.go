@@ -361,12 +361,12 @@ func (h *Hypergraph) CardinalityBySig(id SigID) int {
 	return p.Len()
 }
 
-// PartitionFor returns the hyperedge table whose signature equals sig, or
+// partitionFor returns the hyperedge table whose signature equals sig, or
 // the empty table when no data hyperedge has that signature. This
 // implements the O(1) cardinality fetch of Definition V.2: Card(e_q, H) is
-// the length of PartitionFor(S(e_q)). It is the Signature-value
+// the length of partitionFor(S(e_q)). It is the Signature-value
 // convenience over LookupSig + PartitionBySig.
-func (h *Hypergraph) PartitionFor(sig Signature) Partition {
+func (h *Hypergraph) partitionFor(sig Signature) Partition {
 	id, ok := h.LookupSig(sig)
 	if !ok {
 		return Partition{}
@@ -377,7 +377,7 @@ func (h *Hypergraph) PartitionFor(sig Signature) Partition {
 // Cardinality returns Card(sig, H) = number of data hyperedges with the
 // given signature (paper Definition V.2).
 func (h *Hypergraph) Cardinality(sig Signature) int {
-	p := h.PartitionFor(sig)
+	p := h.partitionFor(sig)
 	return p.Len()
 }
 

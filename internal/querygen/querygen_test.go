@@ -51,7 +51,7 @@ func TestSampleProperties(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Connected (plan computation requires it).
-			if _, err := core.ComputeMatchingOrder(q, h); err != nil {
+			if _, err := core.NewPlan(q, h); err != nil {
 				t.Errorf("%s: sampled query not usable: %v", s.Name, err)
 			}
 		}

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -142,7 +141,7 @@ func TestRetryAfterJitter(t *testing.T) {
 // the Retry-After header and the structured JSON retry fields, while a
 // different tenant's identical query is admitted.
 func TestAdmission429(t *testing.T) {
-	s := heavyServer(t, 30)
+	s := cliqueServer(t, 30, Config{})
 	s.cfg.Admission = AdmissionConfig{Enabled: true, CheapThreshold: 2, RetryAfter: 3 * time.Second}
 	s.adm = newAdmission(s.cfg.Admission)
 	defer s.Close()
@@ -194,13 +193,16 @@ func TestAdmission429(t *testing.T) {
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("other tenant status = %d, want 200", resp2.StatusCode)
 	}
+	if n := s.adm.admitted.Load(); n != 2 {
+		t.Errorf("admitted=%d, want 2 (the booking and bob's request; alice's was refused)", n)
+	}
 }
 
 // TestAdmissionReleasesOnCancelAndTimeout: tokens must return to the
 // quota when the run ends for ANY reason — engine timeout, client
 // disconnect — not just clean completion.
 func TestAdmissionReleasesOnCancelAndTimeout(t *testing.T) {
-	s := heavyServer(t, 60)
+	s := cliqueServer(t, 60, Config{})
 	s.cfg.Admission = AdmissionConfig{Enabled: true, CheapThreshold: 2}
 	s.adm = newAdmission(s.cfg.Admission)
 	defer s.Close()
@@ -209,15 +211,7 @@ func TestAdmissionReleasesOnCancelAndTimeout(t *testing.T) {
 
 	// Timeout path: the run trips its 1ms deadline, the handler returns,
 	// the deferred release must have drained the tenant's tokens.
-	resp, err := http.Post(srv.URL+"/count", "application/json", matchBody(t,
-		hgio.MatchRequest{Graph: "clique", Query: pathQueryText, TimeoutMs: 1}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("timed-out run status = %d", resp.StatusCode)
-	}
+	postCount(t, srv.URL, hgio.MatchRequest{Graph: "clique", Query: pathQueryText, TimeoutMs: 1})
 	if n := s.adm.activeTenants(); n != 0 {
 		t.Fatalf("tokens held after engine timeout: %d tenants", n)
 	}
@@ -240,64 +234,6 @@ func TestAdmissionReleasesOnCancelAndTimeout(t *testing.T) {
 	}
 }
 
-// normalisedStream decodes a /match NDJSON body into a deterministic
-// form: embedding records sorted (worker interleaving makes stream order
-// nondeterministic; the SET of results is the contract) and the summary
-// with its wall-clock field cleared.
-func normalisedStream(t *testing.T, body []byte) ([]string, hgio.MatchSummary) {
-	t.Helper()
-	records, summary := decodeStream(t, body)
-	lines := make([]string, len(records))
-	for i, r := range records {
-		lines[i] = fmt.Sprint(r.Embedding)
-	}
-	sort.Strings(lines)
-	summary.ElapsedUs = 0
-	return lines, summary
-}
-
-// TestAdmissionGoldenOnVsOff: for admitted queries, admission must be
-// invisible — the /match body with admission on is identical to the body
-// with admission off (modulo stream interleaving and wall clock).
-func TestAdmissionGoldenOnVsOff(t *testing.T) {
-	post := func(s *Server) ([]string, hgio.MatchSummary) {
-		t.Helper()
-		srv := httptest.NewServer(s.Handler())
-		defer srv.Close()
-		resp, err := http.Post(srv.URL+"/match", "application/json",
-			matchBody(t, hgio.MatchRequest{Graph: "fig1", Query: fig1QueryText}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status = %d", resp.StatusCode)
-		}
-		var buf bytes.Buffer
-		buf.ReadFrom(resp.Body)
-		return normalisedStream(t, buf.Bytes())
-	}
-
-	off := newTestServer(t, Config{})
-	defer off.Close()
-	// CheapThreshold 1 makes even Fig. 1's two-embedding query take the
-	// full acquire/release path rather than the bypass.
-	on := newTestServer(t, Config{Admission: AdmissionConfig{Enabled: true, CheapThreshold: 1}})
-	defer on.Close()
-
-	offLines, offSummary := post(off)
-	onLines, onSummary := post(on)
-	if !reflect.DeepEqual(offLines, onLines) {
-		t.Errorf("admission changed the streamed results:\noff=%v\non=%v", offLines, onLines)
-	}
-	if !reflect.DeepEqual(offSummary, onSummary) {
-		t.Errorf("admission changed the summary:\noff=%+v\non=%+v", offSummary, onSummary)
-	}
-	if on.adm.admitted.Load() != 1 {
-		t.Errorf("admitted=%d, want 1 (the golden request itself)", on.adm.admitted.Load())
-	}
-}
-
 // TestConcurrentMatchMixed is the server half of the concurrency battery:
 // cheap and expensive queries hammer one server (one shared pool)
 // concurrently, every response must equal its solo baseline, and a
@@ -308,20 +244,9 @@ func TestConcurrentMatchMixed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	labels := make([]uint32, 8)
-	var edges [][]uint32
-	for i := 0; i < 8; i++ {
-		for j := i + 1; j < 8; j++ {
-			edges = append(edges, []uint32{uint32(i), uint32(j)})
-		}
-	}
-	clique, err := hgmatch.FromEdges(labels, edges)
-	if err != nil {
-		t.Fatal(err)
-	}
 	reg := NewRegistry()
 	reg.Add("fig1", h)
-	reg.Add("clique", clique)
+	reg.Add("clique", clique(t, 8))
 	s := New(reg, Config{Workers: 4})
 	defer s.Close()
 	srv := httptest.NewServer(s.Handler())
@@ -415,21 +340,7 @@ func TestStatsEndpoint(t *testing.T) {
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
-	getStats := func() hgio.SchedulerStats {
-		t.Helper()
-		resp, err := http.Get(srv.URL + "/stats")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var st hgio.SchedulerStats
-		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-			t.Fatal(err)
-		}
-		return st
-	}
-
-	st := getStats()
+	st := getStats(t, srv.URL)
 	if st.PoolWorkers != 2 || !st.AdmissionEnabled || st.CheapThreshold != 7 || st.TenantQuota != 42 {
 		t.Fatalf("stats = %+v, want pool_workers=2 and the admission config echoed", st)
 	}
@@ -437,14 +348,9 @@ func TestStatsEndpoint(t *testing.T) {
 		t.Fatalf("fresh server submitted = %d", st.Submitted)
 	}
 
-	resp, err := http.Post(srv.URL+"/count", "application/json",
-		matchBody(t, hgio.MatchRequest{Graph: "fig1", Query: fig1QueryText}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	postCount(t, srv.URL, hgio.MatchRequest{Graph: "fig1", Query: fig1QueryText})
 
-	st = getStats()
+	st = getStats(t, srv.URL)
 	if st.Submitted != 1 || st.Completed != 1 {
 		t.Fatalf("after one match: %+v, want submitted=completed=1", st)
 	}

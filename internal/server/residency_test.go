@@ -1,15 +1,12 @@
 package server
 
 import (
-	"bytes"
 	"errors"
-	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -200,8 +197,7 @@ func TestResidencyEvictionSparesInFlightRequests(t *testing.T) {
 
 func TestResidencyPromotionOnIngest(t *testing.T) {
 	dir := t.TempDir()
-	h := randomGraph(t, 3)
-	path, _ := writeV3Graph(t, dir, "g", h)
+	path, _ := writeV3Graph(t, dir, "g", randomGraph(t, 3))
 
 	reg := NewRegistry()
 	defer reg.Close()
@@ -214,24 +210,13 @@ func TestResidencyPromotionOnIngest(t *testing.T) {
 	defer srv.Close()
 
 	// Serve once from the mapping.
-	resp, err := http.Post(srv.URL+"/count", "application/json",
-		strings.NewReader(`{"graph":"g","query":"v 0\nv 1\ne 0 1"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	postCount(t, srv.URL, hgio.MatchRequest{Graph: "g", Query: "v 0\nv 1\ne 0 1"})
 	if info, _ := reg.Info("g"); info.Tier != "mapped" {
 		t.Fatalf("expected mapped tier before ingest, got %q", info.Tier)
 	}
 
 	// Ingest promotes to the heap tier.
-	resp, err = http.Post(srv.URL+"/graphs/g/edges", "application/x-ndjson",
-		strings.NewReader(`{"op":"insert","vertices":[0,1]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
+	if resp, _ := postJSON(t, srv, "/graphs/g/edges", `{"op":"insert","vertices":[0,1]}`); resp.StatusCode != http.StatusOK {
 		t.Fatalf("ingest into mapped graph: status %d", resp.StatusCode)
 	}
 	info, _ := reg.Info("g")
@@ -243,20 +228,14 @@ func TestResidencyPromotionOnIngest(t *testing.T) {
 		t.Fatalf("promotion stats wrong: %+v", ts)
 	}
 
-	// The promoted graph serves the ingested edge and is pinned: a budget
-	// of one byte must not evict it.
+	// The promoted graph is pinned: a budget of one byte must not evict
+	// it. (What it answers is TestAnswerMatrix's promoted-v3 cell.)
 	reg.SetResidentBudget(1)
-	g, _, rel, err := reg.Acquire("g")
+	_, _, rel, err := reg.Acquire("g")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rel()
-	if _, ok := g.FindEdge([]uint32{0, 1}); !ok {
-		t.Fatal("ingested edge missing after promotion")
-	}
-	if g.NumEdges() != h.NumEdges()+1 {
-		t.Fatalf("promoted graph has %d edges, want %d", g.NumEdges(), h.NumEdges()+1)
-	}
 	if ts := reg.TierStats(); ts.Evictions != 0 {
 		t.Fatalf("promoted graph was evicted: %+v", ts)
 	}
@@ -276,18 +255,10 @@ func TestResidencyPlanPurgeOnEviction(t *testing.T) {
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
-	count := func(graph string) *http.Response {
+	count := func(graph string) string {
 		t.Helper()
-		resp, err := http.Post(srv.URL+"/count", "application/json",
-			strings.NewReader(fmt.Sprintf(`{"graph":%q,"query":"v 0\nv 1\ne 0 1"}`, graph)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("/count %s: status %d", graph, resp.StatusCode)
-		}
-		return resp
+		_, cache := postCount(t, srv.URL, hgio.MatchRequest{Graph: graph, Query: "v 0\nv 1\ne 0 1"})
+		return cache
 	}
 
 	count("g1")
@@ -299,7 +270,7 @@ func TestResidencyPlanPurgeOnEviction(t *testing.T) {
 		t.Fatalf("eviction did not purge the evicted graph's plans: cache holds %d", size)
 	}
 	// Back to g1: fresh activation, fresh compile — and a correct answer.
-	if resp := count("g1"); resp.Header.Get("X-Plan-Cache") != "miss" {
+	if count("g1") != "miss" {
 		t.Fatal("plan for a re-activated graph must be recompiled")
 	}
 }
@@ -457,9 +428,10 @@ func TestResidencyRetiredEntryNeverMaps(t *testing.T) {
 }
 
 // TestResidencyFileRouting pins LoadFile's routing: the file picks the
-// tier. Text and HGB2 files load onto the heap, an HGB3 file registers
-// cold, and with durability on an HGB3 file is recovered onto the heap —
-// including the online writes its WAL journaled before a restart.
+// tier. Text and HGB2 files load onto the heap and an HGB3 file registers
+// cold. (With durability on, an HGB3 file is recovered onto the heap with
+// the writes its WAL journaled before a restart: TestAnswerMatrix's
+// durable-v3 cell.)
 func TestResidencyFileRouting(t *testing.T) {
 	dir := t.TempDir()
 	h := hgtest.Fig1Data()
@@ -490,167 +462,6 @@ func TestResidencyFileRouting(t *testing.T) {
 		t.Fatal("LoadFile accepted a missing file")
 	}
 	reg.Close()
-
-	walDir := t.TempDir()
-	boot := func() *Server {
-		t.Helper()
-		reg := NewRegistry()
-		if err := reg.EnableDurability(DurabilityConfig{Dir: walDir}); err != nil {
-			t.Fatal(err)
-		}
-		if err := reg.LoadFile("g", v3); err != nil {
-			t.Fatal(err)
-		}
-		if info, _ := reg.Info("g"); info.Tier != "heap" || info.ReadOnly {
-			t.Fatalf("durable HGB3 graph registered as %+v, want a writable heap graph", info)
-		}
-		return New(reg, Config{})
-	}
-	s := boot()
-	if rr := post(s.Handler(), "/graphs/g/edges", `{"op":"insert","vertices":[0,3]}`+"\n"); rr.Code != http.StatusOK {
-		t.Fatalf("durable ingest: %d %s", rr.Code, rr.Body.String())
-	}
-	s.Close()
-	s = boot()
-	defer s.Close()
-	if rep, _ := s.Graphs().Recovery("g"); rep.Batches != 1 {
-		t.Fatalf("restart replayed %d wal batches, want 1", rep.Batches)
-	}
-	if g := snapshotOf(t, s.Graphs(), "g"); g.NumEdges() != h.NumEdges()+1 {
-		t.Fatalf("recovered graph has %d edges, want %d", g.NumEdges(), h.NumEdges()+1)
-	}
-}
-
-// sortedEmbeddings canonicalises a /match NDJSON body: the embedding
-// lines sorted bytewise (worker interleaving is nondeterministic), with
-// the summary line dropped (it carries timings).
-func sortedEmbeddings(t *testing.T, body []byte) []string {
-	t.Helper()
-	var lines []string
-	for _, line := range bytes.Split(bytes.TrimSpace(body), []byte("\n")) {
-		if bytes.Contains(line, []byte(`"done":true`)) {
-			continue
-		}
-		lines = append(lines, string(line))
-	}
-	sort.Strings(lines)
-	return lines
-}
-
-// TestResidencyGoldenEquivalence pins the zero-copy path to the heap
-// path: the same /match must produce byte-identical embedding sets
-// whether the graph was loaded from binary v2 onto the heap, from binary
-// v3 onto the heap, served straight off the v3 mapping, or recovered from
-// v3 onto the heap by a durable registry — and again after an identical
-// ingest (which promotes the mapped graph). The two heap loads must also
-// report identical statistics: v2 and v3 persist the same index.
-func TestResidencyGoldenEquivalence(t *testing.T) {
-	h, err := hgmatch.Load(strings.NewReader(fig1DataText))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	v2 := filepath.Join(dir, "g.hgb2")
-	if err := hgio.WriteBinaryFile(v2, h); err != nil {
-		t.Fatal(err)
-	}
-	v3, _ := writeV3Graph(t, dir, "g", h)
-
-	type variant struct {
-		name string
-		tier string // after the first /match
-		reg  *Registry
-		srv  *httptest.Server
-	}
-	mk := func(name, tier string, register func(reg *Registry) error) variant {
-		reg := NewRegistry()
-		if err := register(reg); err != nil {
-			t.Fatal(err)
-		}
-		s := New(reg, Config{})
-		t.Cleanup(s.Close)
-		srv := httptest.NewServer(s.Handler())
-		t.Cleanup(srv.Close)
-		return variant{name, tier, reg, srv}
-	}
-	variants := []variant{
-		mk("heap-v2", "heap", func(r *Registry) error { return r.LoadFile("g", v2) }),
-		mk("heap-v3", "heap", func(r *Registry) error {
-			h3, err := hgio.ReadAutoFile(v3)
-			if err != nil {
-				return err
-			}
-			return r.Add("g", h3)
-		}),
-		mk("mmap-v3", "mapped", func(r *Registry) error { return r.LoadFile("g", v3) }),
-		mk("durable-v3", "heap", func(r *Registry) error {
-			if err := r.EnableDurability(DurabilityConfig{Dir: t.TempDir()}); err != nil {
-				return err
-			}
-			return r.LoadFile("g", v3)
-		}),
-	}
-
-	match := func(srv *httptest.Server) []string {
-		t.Helper()
-		req := hgio.MatchRequest{Graph: "g", Query: fig1QueryText}
-		resp, err := http.Post(srv.URL+"/match", "application/json", matchBody(t, req))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("/match: status %d", resp.StatusCode)
-		}
-		var buf bytes.Buffer
-		buf.ReadFrom(resp.Body)
-		return sortedEmbeddings(t, buf.Bytes())
-	}
-
-	golden := match(variants[0].srv)
-	if len(golden) == 0 {
-		t.Fatal("golden run produced no embeddings; the equivalence check would be vacuous")
-	}
-	for _, v := range variants[1:] {
-		got := match(v.srv)
-		if strings.Join(got, "\n") != strings.Join(golden, "\n") {
-			t.Fatalf("%s diverges from heap-v2:\n%v\nwant:\n%v", v.name, got, golden)
-		}
-	}
-	for _, v := range variants {
-		if info, _ := v.reg.Info("g"); info.Tier != v.tier {
-			t.Fatalf("%s serves from tier %q, want %q", v.name, info.Tier, v.tier)
-		}
-	}
-	i2, _ := variants[0].reg.Info("g")
-	i3, _ := variants[1].reg.Info("g")
-	if i2 != i3 {
-		t.Fatalf("graph stats differ across formats: v2=%+v v3=%+v", i2, i3)
-	}
-	if i2.Signatures == 0 || i2.IndexBytes == 0 {
-		t.Fatalf("stats missing storage-layer fields: %+v", i2)
-	}
-
-	// Identical ingest into every variant (promoting the mapped one);
-	// results must stay byte-identical.
-	for _, v := range variants {
-		resp, err := http.Post(v.srv.URL+"/graphs/g/edges", "application/x-ndjson",
-			strings.NewReader(`{"op":"insert","vertices":[0,3]}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s ingest: status %d", v.name, resp.StatusCode)
-		}
-	}
-	golden = match(variants[0].srv)
-	for _, v := range variants[1:] {
-		got := match(v.srv)
-		if strings.Join(got, "\n") != strings.Join(golden, "\n") {
-			t.Fatalf("%s diverges from heap-v2 after ingest:\n%v\nwant:\n%v", v.name, got, golden)
-		}
-	}
 }
 
 // TestRegistryCloseDrainsInflight pins Close ordering: a handler holds

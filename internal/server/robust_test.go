@@ -28,18 +28,25 @@ func chaosRounds(full, smoke int) int {
 	return smoke
 }
 
-// getStats fetches GET /stats.
-func getStats(t testing.TB, base string) hgio.SchedulerStats {
+// getJSON decodes the body of GET url into v, when v is non-nil, and
+// returns the status.
+func getJSON(t testing.TB, url string, v any) int {
 	t.Helper()
-	resp, err := http.Get(base + "/stats")
+	resp, err := http.Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st hgio.SchedulerStats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	if err := json.NewDecoder(resp.Body).Decode(v); v != nil && err != nil {
 		t.Fatal(err)
 	}
+	return resp.StatusCode
+}
+
+// getStats fetches GET /stats.
+func getStats(t testing.TB, base string) (st hgio.SchedulerStats) {
+	t.Helper()
+	getJSON(t, base+"/stats", &st)
 	return st
 }
 
@@ -58,6 +65,22 @@ func postMatch(t testing.TB, base string, req hgio.MatchRequest) (int, []hgio.Em
 	}
 	recs, sum := decodeStream(t, buf.Bytes())
 	return resp.StatusCode, recs, sum
+}
+
+// postCount posts one /count request and returns its summary and its
+// X-Plan-Cache header; any status but 200 fails the test.
+func postCount(t testing.TB, base string, req hgio.MatchRequest) (hgio.MatchSummary, string) {
+	t.Helper()
+	resp, err := http.Post(base+"/count", "application/json", matchBody(t, req))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var sum hgio.MatchSummary
+	if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&sum) != nil {
+		t.Fatalf("/count on %q: status %d", req.Graph, resp.StatusCode)
+	}
+	return sum, resp.Header.Get("X-Plan-Cache")
 }
 
 // TestChaosServerPanicBattery drives randomized panic injection through
@@ -190,9 +213,10 @@ func TestBudgetEndToEnd(t *testing.T) {
 	}
 }
 
-// cliqueServer registers a single-label complete graph K_n (as
-// heavyServer) under a caller-chosen Config.
-func cliqueServer(t testing.TB, n int, cfg Config) *Server {
+// clique builds a single-label complete graph K_n: a 3-edge path query
+// then has Θ(n⁴) embeddings, enough work that millisecond timeouts
+// reliably trip mid-run.
+func clique(t testing.TB, n int) *hgmatch.Hypergraph {
 	t.Helper()
 	labels := make([]uint32, n)
 	var edges [][]uint32
@@ -205,8 +229,15 @@ func cliqueServer(t testing.TB, n int, cfg Config) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return h
+}
+
+// cliqueServer registers clique(n) as "clique" under a caller-chosen
+// Config.
+func cliqueServer(t testing.TB, n int, cfg Config) *Server {
+	t.Helper()
 	reg := NewRegistry()
-	if err := reg.Add("clique", h); err != nil {
+	if err := reg.Add("clique", clique(t, n)); err != nil {
 		t.Fatal(err)
 	}
 	return New(reg, cfg)

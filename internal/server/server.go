@@ -243,11 +243,6 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// WaitCompactions blocks until background compactions triggered by ingest
-// requests have finished; shutdown paths and tests call it so a compaction
-// never runs past process teardown.
-func (s *Server) WaitCompactions() { s.compactWG.Wait() }
-
 // writeError sends a JSON error body with the given status.
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeErrorCode(w, status, "", format, args...)

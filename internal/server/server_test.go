@@ -174,9 +174,9 @@ func TestMatchPlanCacheHit(t *testing.T) {
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
-	post := func() (hgio.MatchSummary, string) {
+	post := func(query string) (hgio.MatchSummary, string) {
 		resp, err := http.Post(srv.URL+"/match", "application/json",
-			matchBody(t, hgio.MatchRequest{Graph: "fig1", Query: fig1QueryText}))
+			matchBody(t, hgio.MatchRequest{Graph: "fig1", Query: query}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,11 +187,11 @@ func TestMatchPlanCacheHit(t *testing.T) {
 		return summary, resp.Header.Get("X-Plan-Cache")
 	}
 
-	first, hdr1 := post()
+	first, hdr1 := post(fig1QueryText)
 	if first.PlanCached || hdr1 != "miss" {
 		t.Fatalf("first request: plan_cached=%v header=%q, want cold miss", first.PlanCached, hdr1)
 	}
-	second, hdr2 := post()
+	second, hdr2 := post(fig1QueryText)
 	if !second.PlanCached || hdr2 != "hit" {
 		t.Fatalf("second request: plan_cached=%v header=%q, want cache hit", second.PlanCached, hdr2)
 	}
@@ -202,8 +202,8 @@ func TestMatchPlanCacheHit(t *testing.T) {
 		t.Fatalf("cache stats = (size %d, hits %d, misses %d), want (1, 1, 1)", size, hits, misses)
 	}
 
-	// Same query with edges declared in a different order must also hit:
-	// the cache keys on the canonical query form, not the request text.
+	// The same query with its edges declared in another order must miss:
+	// a plan's order and rows are numbered in its own query's edge IDs.
 	reordered := `v A
 v C
 v A
@@ -213,14 +213,8 @@ e 0 1 3 4
 e 0 1 2
 e 2 4
 `
-	resp, err := http.Post(srv.URL+"/match", "application/json",
-		matchBody(t, hgio.MatchRequest{Graph: "fig1", Query: reordered}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if got := resp.Header.Get("X-Plan-Cache"); got != "hit" {
-		t.Fatalf("reordered query: X-Plan-Cache = %q, want hit", got)
+	if _, got := post(reordered); got != "miss" {
+		t.Fatalf("reordered query: X-Plan-Cache = %q, want miss", got)
 	}
 }
 
@@ -228,19 +222,7 @@ func TestCountEndpoint(t *testing.T) {
 	srv := httptest.NewServer(newTestServer(t, Config{}).Handler())
 	defer srv.Close()
 
-	resp, err := http.Post(srv.URL+"/count", "application/json",
-		matchBody(t, hgio.MatchRequest{Graph: "fig1", Query: fig1QueryText, Workers: 2}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	var summary hgio.MatchSummary
-	if err := json.NewDecoder(resp.Body).Decode(&summary); err != nil {
-		t.Fatal(err)
-	}
+	summary, _ := postCount(t, srv.URL, hgio.MatchRequest{Graph: "fig1", Query: fig1QueryText, Workers: 2})
 	if summary.Embeddings != 2 || !summary.Done {
 		t.Fatalf("count summary = %+v, want 2 embeddings", summary)
 	}
@@ -250,15 +232,7 @@ func TestMatchLimit(t *testing.T) {
 	srv := httptest.NewServer(newTestServer(t, Config{}).Handler())
 	defer srv.Close()
 
-	resp, err := http.Post(srv.URL+"/match", "application/json",
-		matchBody(t, hgio.MatchRequest{Graph: "fig1", Query: fig1QueryText, Limit: 1}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	buf.ReadFrom(resp.Body)
-	records, summary := decodeStream(t, buf.Bytes())
+	_, records, summary := postMatch(t, srv.URL, hgio.MatchRequest{Graph: "fig1", Query: fig1QueryText, Limit: 1})
 	if summary.Embeddings != 1 || len(records) != 1 {
 		t.Fatalf("limit=1: summary=%d streamed=%d", summary.Embeddings, len(records))
 	}
@@ -385,27 +359,6 @@ func TestMatchGuardedWriteCount(t *testing.T) {
 	}
 }
 
-// heavyServer registers a single-label complete graph K_n: a 3-edge path
-// query then has Θ(n⁴) embeddings, enough work that millisecond timeouts
-// reliably trip mid-run.
-func heavyServer(t testing.TB, n int) *Server {
-	t.Helper()
-	labels := make([]uint32, n)
-	var edges [][]uint32
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			edges = append(edges, []uint32{uint32(i), uint32(j)})
-		}
-	}
-	h, err := hgmatch.FromEdges(labels, edges)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := NewRegistry()
-	reg.Add("clique", h)
-	return New(reg, Config{})
-}
-
 // pathQueryText is a 3-edge path query over one label; label "A" interns to
 // 0, matching the unlabelled clique's single numeric label.
 const pathQueryText = `v A
@@ -418,19 +371,10 @@ e 2 3
 `
 
 func TestMatchTimeout(t *testing.T) {
-	srv := httptest.NewServer(heavyServer(t, 80).Handler())
+	srv := httptest.NewServer(cliqueServer(t, 80, Config{}).Handler())
 	defer srv.Close()
 
-	resp, err := http.Post(srv.URL+"/match", "application/json",
-		matchBody(t, hgio.MatchRequest{Graph: "clique", Query: pathQueryText, TimeoutMs: 1}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	buf.ReadFrom(resp.Body)
-	_, summary := decodeStream(t, buf.Bytes())
-	if !summary.TimedOut {
+	if _, _, summary := postMatch(t, srv.URL, hgio.MatchRequest{Graph: "clique", Query: pathQueryText, TimeoutMs: 1}); !summary.TimedOut {
 		t.Fatalf("1ms run over K_80 completed: %+v", summary)
 	}
 }
@@ -439,7 +383,7 @@ func TestMatchTimeout(t *testing.T) {
 // client that walks away mid-stream stops enumeration server-side well
 // before the engine's own timeout.
 func TestClientDisconnectCancelsRun(t *testing.T) {
-	s := heavyServer(t, 60)
+	s := cliqueServer(t, 60, Config{})
 	done := make(chan hgio.MatchSummary, 1)
 	mux := s.Handler()
 	// Wrap the handler to observe the run finishing after the client left.
@@ -473,22 +417,14 @@ func TestClientDisconnectCancelsRun(t *testing.T) {
 // converting to time.Duration overflows negative — which the engine would
 // treat as "no deadline", bypassing MaxTimeout entirely.
 func TestTimeoutOverflowClamped(t *testing.T) {
-	s := heavyServer(t, 80)
+	s := cliqueServer(t, 80, Config{})
 	s.cfg.MaxTimeout = 50 * time.Millisecond
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
 	start := time.Now()
-	resp, err := http.Post(srv.URL+"/match", "application/json",
-		matchBody(t, hgio.MatchRequest{Graph: "clique", Query: pathQueryText, TimeoutMs: 9_300_000_000_000_000}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	buf.ReadFrom(resp.Body)
+	_, _, summary := postMatch(t, srv.URL, hgio.MatchRequest{Graph: "clique", Query: pathQueryText, TimeoutMs: 9_300_000_000_000_000})
 	elapsed := time.Since(start)
-	_, summary := decodeStream(t, buf.Bytes())
 	if !summary.TimedOut {
 		t.Fatalf("overflowing timeout_ms must clamp to MaxTimeout and trip: %+v", summary)
 	}
@@ -506,17 +442,7 @@ func TestWorkersClamped(t *testing.T) {
 	defer srv.Close()
 
 	before := runtime.NumGoroutine()
-	resp, err := http.Post(srv.URL+"/count", "application/json",
-		matchBody(t, hgio.MatchRequest{Graph: "fig1", Query: fig1QueryText, Workers: 10_000_000}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var summary hgio.MatchSummary
-	if err := json.NewDecoder(resp.Body).Decode(&summary); err != nil {
-		t.Fatal(err)
-	}
-	if summary.Embeddings != 2 {
+	if summary, _ := postCount(t, srv.URL, hgio.MatchRequest{Graph: "fig1", Query: fig1QueryText, Workers: 10_000_000}); summary.Embeddings != 2 {
 		t.Fatalf("clamped run returned %d embeddings, want 2", summary.Embeddings)
 	}
 	if after := runtime.NumGoroutine(); after > before+50 {
@@ -551,17 +477,7 @@ func TestGraphReplacementInvalidatesPlans(t *testing.T) {
 	defer srv.Close()
 
 	count := func() (hgio.MatchSummary, string) {
-		resp, err := http.Post(srv.URL+"/count", "application/json",
-			matchBody(t, hgio.MatchRequest{Graph: "fig1", Query: fig1QueryText}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var summary hgio.MatchSummary
-		if err := json.NewDecoder(resp.Body).Decode(&summary); err != nil {
-			t.Fatal(err)
-		}
-		return summary, resp.Header.Get("X-Plan-Cache")
+		return postCount(t, srv.URL, hgio.MatchRequest{Graph: "fig1", Query: fig1QueryText})
 	}
 
 	first, _ := count()
@@ -601,39 +517,18 @@ func TestGraphEndpoints(t *testing.T) {
 	srv := httptest.NewServer(newTestServer(t, Config{}).Handler())
 	defer srv.Close()
 
-	resp, err := http.Get(srv.URL + "/graphs")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var infos []hgio.GraphInfo
-	if err := json.NewDecoder(resp.Body).Decode(&infos); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if len(infos) != 1 || infos[0].Name != "fig1" {
+	if getJSON(t, srv.URL+"/graphs", &infos); len(infos) != 1 || infos[0].Name != "fig1" {
 		t.Fatalf("graphs = %+v", infos)
 	}
 
-	resp, err = http.Get(srv.URL + "/graphs/fig1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var info hgio.GraphInfo
-	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if info.NumVertices != 7 || info.NumEdges != 6 || info.NumLabels != 3 || info.MaxArity != 4 {
+	if getJSON(t, srv.URL+"/graphs/fig1/stats", &info); info.NumVertices != 7 || info.NumEdges != 6 || info.NumLabels != 3 || info.MaxArity != 4 {
 		t.Fatalf("fig1 stats = %+v, want Table II values |V|=7 |E|=6 |Σ|=3 amax=4", info)
 	}
 
-	resp, err = http.Get(srv.URL + "/graphs/missing/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("missing graph stats status = %d", resp.StatusCode)
+	if code := getJSON(t, srv.URL+"/graphs/missing/stats", nil); code != http.StatusNotFound {
+		t.Fatalf("missing graph stats status = %d", code)
 	}
 }
 
@@ -641,16 +536,8 @@ func TestHealthz(t *testing.T) {
 	srv := httptest.NewServer(newTestServer(t, Config{}).Handler())
 	defer srv.Close()
 
-	resp, err := http.Get(srv.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
 	var hr hgio.HealthResponse
-	if err := json.NewDecoder(resp.Body).Decode(&hr); err != nil {
-		t.Fatal(err)
-	}
-	if hr.Status != "ok" || hr.Graphs != 1 || hr.Version != hgmatch.Version {
+	if getJSON(t, srv.URL+"/healthz", &hr); hr.Status != "ok" || hr.Graphs != 1 || hr.Version != hgmatch.Version {
 		t.Fatalf("healthz = %+v", hr)
 	}
 }
@@ -683,7 +570,7 @@ func BenchmarkMatchColdCompile(b *testing.B) {
 }
 
 func benchmarkMatch(b *testing.B, resetCache bool) {
-	s := heavyServer(b, 40)
+	s := cliqueServer(b, 40, Config{})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 

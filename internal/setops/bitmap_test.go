@@ -156,21 +156,21 @@ func TestUnionManyAliasPanics(t *testing.T) {
 	b := []uint32{1, 2, 3}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("UnionMany(a[:0], a, b) did not panic")
+			t.Fatal("unionMany(a[:0], a, b) did not panic")
 		}
 	}()
 	// Regression: before the contract was enforced this silently corrupted
 	// a (the union stream writes position 0 before a[0] is read).
-	UnionMany(a[:0], a, b)
+	unionMany(a[:0], a, b)
 }
 
 func TestUnionManySeparateDstStaysCorrect(t *testing.T) {
 	a := []uint32{5, 9}
 	b := []uint32{1, 2, 3}
 	dst := make([]uint32, 0, 8)
-	got := UnionMany(dst, a, b)
+	got := unionMany(dst, a, b)
 	if !Equal(got, []uint32{1, 2, 3, 5, 9}) {
-		t.Fatalf("UnionMany = %v", got)
+		t.Fatalf("unionMany = %v", got)
 	}
 	if !Equal(a, []uint32{5, 9}) || !Equal(b, []uint32{1, 2, 3}) {
 		t.Fatal("inputs mutated")

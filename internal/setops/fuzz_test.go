@@ -131,20 +131,20 @@ func FuzzSetopsEquivalence(f *testing.F) {
 			}
 		}
 
-		// The enforced UnionMany contract: aliasing dst panics, separate
+		// The enforced unionMany contract: aliasing dst panics, separate
 		// dst agrees with the oracle.
 		if len(a) > 0 {
 			func() {
 				defer func() {
 					if recover() == nil {
-						t.Fatal("UnionMany alias did not panic")
+						t.Fatal("unionMany alias did not panic")
 					}
 				}()
-				UnionMany(a[:0], a, b)
+				unionMany(a[:0], a, b)
 			}()
 		}
-		if got := UnionMany(nil, a, b, wantI); !Equal(got, wantU) {
-			t.Fatalf("UnionMany=%v want %v", got, wantU)
+		if got := unionMany(nil, a, b, wantI); !Equal(got, wantU) {
+			t.Fatalf("unionMany=%v want %v", got, wantU)
 		}
 	})
 }

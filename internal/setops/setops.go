@@ -161,20 +161,20 @@ func Union(dst, a, b []uint32) []uint32 {
 	return dst
 }
 
-// UnionMany returns the sorted union of several sorted sets, appending to
+// unionMany returns the sorted union of several sorted sets, appending to
 // dst.
 //
 // dst must not alias any of the input lists: union output can run ahead of
 // an input's read cursor (the merged stream grows faster than either
 // input), so writing through an aliased dst silently corrupts the inputs
-// mid-merge — e.g. UnionMany(lists[0][:0], lists...) overwrites lists[0]
+// mid-merge — e.g. unionMany(lists[0][:0], lists...) overwrites lists[0]
 // while it is still being read. The common misuse (dst sharing a backing
 // array with an input) is detected and panics; pass a separate scratch
 // buffer instead.
-func UnionMany(dst []uint32, lists ...[]uint32) []uint32 {
+func unionMany(dst []uint32, lists ...[]uint32) []uint32 {
 	for _, l := range lists {
 		if sameBacking(dst, l) {
-			panic("setops: UnionMany dst aliases an input list")
+			panic("setops: unionMany dst aliases an input list")
 		}
 	}
 	switch len(lists) {

@@ -146,7 +146,7 @@ func TestUnionMatchesNaive(t *testing.T) {
 func TestUnionMany(t *testing.T) {
 	f := func(xs, ys, zs, ws []uint32) bool {
 		a, b, c, d := mkset(xs), mkset(ys), mkset(zs), mkset(ws)
-		got := UnionMany(nil, a, b, c, d)
+		got := unionMany(nil, a, b, c, d)
 		want := naiveUnion(naiveUnion(a, b), naiveUnion(c, d))
 		if len(got) != len(want) {
 			return false
@@ -161,11 +161,11 @@ func TestUnionMany(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
-	if got := UnionMany(nil); len(got) != 0 {
-		t.Errorf("UnionMany() = %v, want empty", got)
+	if got := unionMany(nil); len(got) != 0 {
+		t.Errorf("unionMany() = %v, want empty", got)
 	}
-	if got := UnionMany(nil, []uint32{1, 2}); !Equal(got, []uint32{1, 2}) {
-		t.Errorf("UnionMany(one) = %v", got)
+	if got := unionMany(nil, []uint32{1, 2}); !Equal(got, []uint32{1, 2}) {
+		t.Errorf("unionMany(one) = %v", got)
 	}
 }
 
@@ -211,7 +211,7 @@ func TestSetAlgebra(t *testing.T) {
 			return false
 		}
 		// A∪B = (A\B) ∪ (B\A) ∪ (A∩B)
-		recon2 := UnionMany(nil, diffAB, diffBA, inter)
+		recon2 := unionMany(nil, diffAB, diffBA, inter)
 		return Equal(recon2, uni)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
