@@ -327,6 +327,13 @@ type SchedulerStats struct {
 	// RequestMaxBytes mirrors -request-max-bytes (0 = unlimited).
 	RequestMaxBytes int64 `json:"request_max_bytes,omitempty"`
 
+	// StreamWrites counts the guarded writes /match responses made since
+	// startup (row frames, tail frames and summary lines alike) and
+	// StreamBytes the bytes they carried; StreamBytes/StreamWrites is the
+	// mean frame size (see docs/OPERATIONS.md).
+	StreamWrites uint64 `json:"stream_writes"`
+	StreamBytes  uint64 `json:"stream_bytes"`
+
 	// Tiered-residency accounting (zero without HGB3 graphs).
 	// GraphsResident counts graphs currently attached via mmap,
 	// GraphsCold those registered but not yet activated; heap graphs are

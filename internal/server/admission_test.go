@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -356,5 +357,23 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	if st.Bypassed+st.Admitted != 1 {
 		t.Fatalf("admission saw %d requests, want 1", st.Bypassed+st.Admitted)
+	}
+	if st.StreamWrites != 0 || st.StreamBytes != 0 {
+		t.Fatalf("/count moved the stream counters: writes=%d bytes=%d", st.StreamWrites, st.StreamBytes)
+	}
+
+	// Fig. 1's two rows and summary are one frame: the counters move by
+	// one write carrying the whole body.
+	resp, err := http.Post(srv.URL+"/match", "application/json", matchBody(t, hgio.MatchRequest{Graph: "fig1", Query: fig1QueryText}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st = getStats(t, srv.URL); st.StreamWrites != 1 || st.StreamBytes != uint64(len(body)) {
+		t.Fatalf("after one /match of %d bytes: stream_writes=%d stream_bytes=%d, want 1 and %d", len(body), st.StreamWrites, st.StreamBytes, len(body))
 	}
 }

@@ -61,11 +61,44 @@ import (
 	"hgmatch/internal/hgio"
 )
 
-// shardFlushBytes bounds how much NDJSON one worker shard buffers before
-// draining to the response under the writer lock. Each engine worker
-// encodes into its own buffer; the writer lock is taken once per drained
-// buffer, so its cost amortises over hundreds of lines on fast producers.
-const shardFlushBytes = 16 << 10
+// shardFlushBytes is how much NDJSON a worker shard buffers before its first
+// drain to the response under the writer lock. Each engine worker encodes
+// into its own buffer; the writer lock is taken once per drained buffer, so
+// its cost amortises over hundreds of lines on fast producers. Each later
+// drain doubles the shard's threshold up to shardFrameBytes: the first row
+// leaves as early as a 16 KiB frame allows, and a long stream goes out in
+// 64 KiB frames, a quarter of the writes (each of which net/http's chunked
+// writer turns into three write(2) calls).
+const (
+	shardFlushBytes = 16 << 10
+	shardFrameBytes = 64 << 10
+)
+
+// frameSlack is the room a frame keeps past shardFrameBytes: a shard drains
+// after the line that crosses its threshold, so a frame holding one more
+// line of up to frameSlack bytes never reallocates.
+const frameSlack = 4 << 10
+
+// framePool recycles the shard and tail buffers of /match responses, so a
+// steady stream of requests allocates no frame-sized buffers. It holds
+// *[]byte so that a Put does not allocate.
+var framePool = sync.Pool{New: func() any {
+	b := make([]byte, 0, shardFrameBytes+frameSlack)
+	return &b
+}}
+
+// getFrame takes an empty frame from framePool.
+func getFrame() *[]byte { return framePool.Get().(*[]byte) }
+
+// putFrame returns a frame holding b to framePool. A frame that a line
+// longer than frameSlack grew past its capacity is left to the collector,
+// so the pool only ever holds frame-sized buffers.
+func putFrame(f *[]byte, b []byte) {
+	if cap(b) <= shardFrameBytes+frameSlack {
+		*f = b[:0]
+		framePool.Put(f)
+	}
+}
 
 // shardFlushInterval is the periodic drain for slow producers: a ticker
 // flushes every shard this often so trickling enumerations still stream
@@ -170,6 +203,7 @@ type Server struct {
 	budgetAborts     atomic.Uint64 // runs aborted over RequestMaxBytes
 	slowClientAborts atomic.Uint64 // runs cancelled on a missed write deadline
 	leakedBlocks     atomic.Int64  // cumulative engine block-accounting drift (0 = invariant holds)
+	stream           streamStats   // /match frames written and their bytes
 
 	// Readiness (GET /readyz): notReady carries the reason the server is
 	// not ready to take traffic ("" = ready). Boot sets "loading graphs"
@@ -514,6 +548,14 @@ func summarise(res hgmatch.Result, plan *hgmatch.Plan, cached bool) hgio.MatchSu
 	return sum
 }
 
+// streamStats counts the guarded writes /match responses made and the bytes
+// they carried (GET /stats stream_writes and stream_bytes): one atomic add
+// each per frame, nothing per row.
+type streamStats struct {
+	writes atomic.Uint64
+	bytes  atomic.Uint64
+}
+
 // guardedWriter is the slow-client guard on an NDJSON response: every
 // write (whole lines only) runs under a deadline, and the first failed or
 // timed-out write marks the connection broken, cancels the run's context —
@@ -526,16 +568,18 @@ type guardedWriter struct {
 	timeout time.Duration
 	cancel  context.CancelFunc
 	onStall func(err error)
+	stats   *streamStats
 	broken  atomic.Bool
 }
 
-func newGuardedWriter(w http.ResponseWriter, timeout time.Duration, cancel context.CancelFunc, onStall func(error)) *guardedWriter {
+func newGuardedWriter(w http.ResponseWriter, timeout time.Duration, cancel context.CancelFunc, onStall func(error), stats *streamStats) *guardedWriter {
 	return &guardedWriter{
 		w:       w,
 		rc:      http.NewResponseController(w),
 		timeout: timeout,
 		cancel:  cancel,
 		onStall: onStall,
+		stats:   stats,
 	}
 }
 
@@ -554,6 +598,8 @@ func (g *guardedWriter) write(p []byte) bool {
 	}
 	_, err := g.w.Write(p)
 	if err == nil {
+		g.stats.writes.Add(1)
+		g.stats.bytes.Add(uint64(len(p)))
 		if ferr := g.rc.Flush(); ferr != nil && !errors.Is(ferr, http.ErrNotSupported) {
 			err = ferr
 		}
@@ -571,15 +617,19 @@ func (g *guardedWriter) write(p []byte) bool {
 }
 
 // matchShard is one engine worker's share of a streaming /match response:
-// whole NDJSON lines waiting for the next drain. buf stays nil until the
-// worker's first row; pre is the encoded prefix of the group being appended.
-// All shards of a request sit in one slice and each is written on every row,
-// so the pad keeps two workers' shards off one cache line.
+// whole NDJSON lines waiting for the next drain. frame stays nil until the
+// worker's first row takes one from framePool, and buf is its contents;
+// limit is the size that drains buf next, shardFlushBytes doubling per
+// drain up to shardFrameBytes. pre is the encoded prefix of the group being
+// appended. All shards of a request sit in one slice and each is written on
+// every row, so the pad keeps two workers' shards off one cache line.
 type matchShard struct {
-	mu  sync.Mutex
-	buf []byte
-	pre []byte
-	_   [72]byte // 56 B of fields padded to 128
+	mu    sync.Mutex
+	frame *[]byte
+	buf   []byte
+	pre   []byte
+	limit int
+	_     [56]byte // 72 B of fields padded to 128
 }
 
 // handleMatch streams every embedding as one NDJSON line, closing with a
@@ -588,11 +638,15 @@ type matchShard struct {
 // (WithGroupCallback): the worker that found it takes its own shard's mutex
 // once, encodes `{"embedding":[p0,p1,…,` once, and per candidate copies that
 // prefix and appends one number and `]}` — hgio's append encoder, no
-// reflection, no per-row lock. A shard that reaches shardFlushBytes drains
-// to the response at once under the writer lock; the 5Hz background flusher
-// drains partial ones so slow enumerations still stream interactively;
-// whatever is left rides with the summary in one tail write, so a response
-// under shardFlushBytes is a single guarded write. Lines from different
+// reflection, no per-row lock. A shard that reaches its threshold drains to
+// the response at once under the writer lock, the first time at
+// shardFlushBytes and then at double the last threshold, up to
+// shardFrameBytes; the 5Hz background flusher drains partial ones so slow
+// enumerations still stream interactively. At the end, a shard holding at
+// least shardFlushBytes goes out as its own frame, and the smaller leftovers
+// ride with the summary in one tail frame, so a response under
+// shardFlushBytes is a single guarded write. Every buffer is a recycled
+// framePool frame. Lines from different
 // workers interleave, but each worker's rows keep their order and every
 // drained buffer holds whole lines, so the NDJSON framing is preserved. A
 // request with a limit reaches the same callback as groups of one, all on
@@ -627,7 +681,7 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	gw := newGuardedWriter(w, s.cfg.WriteTimeout, cancel, func(err error) {
 		s.slowClientAborts.Add(1)
 		log.Printf("server: slow client: graph=%q write failed (%v); run cancelled, output dropped", req.Graph, err)
-	})
+	}, &s.stream)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Plan-Cache", cacheHeader(cached))
 
@@ -636,16 +690,17 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	// worker indexes range over [0, pool.Workers()).
 	shards := make([]matchShard, s.pool.Workers())
 	var wmu sync.Mutex // serialises shard drains into the response
-	// drain moves a shard's buffered lines to the response; the caller
-	// holds sh.mu (lock order: sh.mu, then wmu). The buffer is reset even
-	// when the connection is broken — the guard has already cancelled the
-	// run, and resetting is what keeps per-connection encode memory
-	// bounded on workers that haven't observed the stop yet.
+	// drain moves a shard's buffered lines to the response and ramps its
+	// threshold; the caller holds sh.mu (lock order: sh.mu, then wmu). The
+	// buffer is reset even when the connection is broken — the guard has
+	// already cancelled the run, and resetting is what keeps per-connection
+	// encode memory bounded on workers that haven't observed the stop yet.
 	drain := func(sh *matchShard) {
 		wmu.Lock()
 		gw.write(sh.buf)
 		wmu.Unlock()
 		sh.buf = sh.buf[:0]
+		sh.limit = min(2*sh.limit, shardFrameBytes)
 	}
 	stopFlush := make(chan struct{})
 	flushDone := make(chan struct{})
@@ -679,6 +734,10 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		}
 		sh := &shards[wid]
 		sh.mu.Lock()
+		if sh.frame == nil {
+			sh.frame = getFrame()
+			sh.buf, sh.limit = *sh.frame, shardFlushBytes
+		}
 		// The group's first line is encoded in place; the rest copy its
 		// prefix, which pre keeps across a mid-group drain.
 		start := len(sh.buf)
@@ -691,7 +750,7 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 				sh.buf = append(sh.buf, sh.pre...)
 			}
 			sh.buf = hgio.AppendEmbeddingLast(sh.buf, c)
-			if len(sh.buf) >= shardFlushBytes {
+			if len(sh.buf) >= sh.limit {
 				drain(sh)
 			}
 		}
@@ -702,13 +761,31 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	close(stopFlush)
 	<-flushDone
 	// The run and the flusher are over: no writers are in flight, so the
-	// remaining shard tails and the summary (or error-trailer) line can
-	// assemble without locking and ship as one guarded write.
-	tail := shards[0].buf
-	for i := 1; i < len(shards); i++ {
-		tail = append(tail, shards[i].buf...)
+	// shards' leftovers and the summary (or error-trailer) line need no
+	// locking. A leftover of a full first frame or more goes out alone;
+	// smaller ones gather in one tail frame, which is written early only if
+	// the next would overflow it, so it never grows past a frame.
+	tf := getFrame()
+	tail := *tf
+	for i := range shards {
+		sh := &shards[i]
+		if sh.frame == nil {
+			continue
+		}
+		switch {
+		case len(sh.buf) >= shardFlushBytes:
+			gw.write(sh.buf)
+		case len(tail)+len(sh.buf) > cap(tail):
+			gw.write(tail)
+			tail = append(tail[:0], sh.buf...)
+		default:
+			tail = append(tail, sh.buf...)
+		}
+		putFrame(sh.frame, sh.buf)
 	}
-	gw.write(appendSummary(tail, summarise(res, plan, cached)))
+	tail = appendSummary(tail, summarise(res, plan, cached))
+	gw.write(tail)
+	putFrame(tf, tail)
 }
 
 // appendSummary appends the closing MatchSummary (or error-trailer) line of
@@ -801,6 +878,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		SlowClientAborts: s.slowClientAborts.Load(),
 		LeakedBlocks:     s.leakedBlocks.Load(),
 		RequestMaxBytes:  s.cfg.RequestMaxBytes,
+		StreamWrites:     s.stream.writes.Load(),
+		StreamBytes:      s.stream.bytes.Load(),
 	}
 	ts := s.graphs.TierStats()
 	out.GraphsResident = ts.Resident

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"hgmatch"
 	"hgmatch/internal/engine"
@@ -298,29 +299,36 @@ func TestBadInputs(t *testing.T) {
 	}
 }
 
-// countingWriter counts the Write calls that reach the ResponseWriter: the
-// guarded writer passes each of its writes straight through, so this is the
-// number of guarded writes a response cost.
+// countingWriter counts the Write calls that reach the ResponseWriter and
+// keeps the first one's size: the guarded writer passes each of its writes
+// straight through, so this is the number of guarded writes a response cost.
 type countingWriter struct {
 	*httptest.ResponseRecorder
-	writes int
+	writes, first int
 }
 
 func (c *countingWriter) Write(p []byte) (int, error) {
-	c.writes++
+	if c.writes++; c.writes == 1 {
+		c.first = len(p)
+	}
 	return c.ResponseRecorder.Write(p)
 }
 
 // TestMatchGuardedWriteCount pins the flush policy from the socket's side. A
 // response under shardFlushBytes — here /match limit 100 — is one write
-// carrying rows and summary together. An unlimited stream drains a shard only
-// once it holds shardFlushBytes, so it costs at most bytes/shardFlushBytes
-// writes plus the tail (plus what the 200 ms flusher drained, if the run was
-// slow enough for it to tick).
+// carrying rows and summary together. On an unlimited stream the first write
+// is a shard's first drain, at most shardFlushBytes plus the line that
+// crossed it, so the first row leaves as early as before frames grew. After
+// that each shard's threshold ramps 16 → 32 → 64 KiB, so the stream costs at
+// most bytes/shardFrameBytes writes, plus two ramp drains and one leftover
+// frame per shard, plus the tail, plus what the 200 ms flusher drained if the
+// run was slow enough for it to tick.
 func TestMatchGuardedWriteCount(t *testing.T) {
-	s := cliqueServer(t, 14, Config{})
+	s := cliqueServer(t, 20, Config{Workers: 2})
 	defer s.Close()
-	serve := func(req hgio.MatchRequest) (*countingWriter, hgio.MatchSummary, time.Duration) {
+	// serve returns the response, its row count, its longest row line
+	// (newline included) and how long it took.
+	serve := func(req hgio.MatchRequest) (*countingWriter, int, int, time.Duration) {
 		t.Helper()
 		w := &countingWriter{ResponseRecorder: httptest.NewRecorder()}
 		start := time.Now()
@@ -336,26 +344,94 @@ func TestMatchGuardedWriteCount(t *testing.T) {
 		// The rows on the wire are encoding/json's bytes, whatever mix of
 		// whole groups, groups of one and mid-group drains produced them.
 		var rows []byte
+		longest := 0
 		for _, rec := range recs {
 			line, _ := json.Marshal(rec)
 			rows = append(append(rows, line...), '\n')
+			longest = max(longest, len(line)+1)
 		}
 		if !bytes.HasPrefix(w.Body.Bytes(), rows) {
 			t.Fatal("embedding lines are not json.Marshal(EmbeddingRecord) byte for byte")
 		}
-		return w, sum, elapsed
+		return w, len(recs), longest, elapsed
 	}
 
-	w, sum, _ := serve(hgio.MatchRequest{Graph: "clique", Query: pathQueryText, Limit: 100})
-	if sum.Embeddings != 100 || w.Body.Len() >= shardFlushBytes || w.writes != 1 {
-		t.Fatalf("limit 100: %d embeddings, %d bytes, %d writes; want one write", sum.Embeddings, w.Body.Len(), w.writes)
+	w, n, _, _ := serve(hgio.MatchRequest{Graph: "clique", Query: pathQueryText, Limit: 100})
+	if n != 100 || w.Body.Len() >= shardFlushBytes || w.writes != 1 {
+		t.Fatalf("limit 100: %d embeddings, %d bytes, %d writes; want one write", n, w.Body.Len(), w.writes)
 	}
 
-	w, sum, elapsed := serve(hgio.MatchRequest{Graph: "clique", Query: pathQueryText})
+	w, _, line, elapsed := serve(hgio.MatchRequest{Graph: "clique", Query: pathQueryText})
+	if w.Body.Len() < 1<<20 || w.first > shardFlushBytes+line {
+		t.Fatalf("unlimited: %d bytes, first write %d bytes; want ≥ 1 MiB and a first write of at most %d+%d", w.Body.Len(), w.first, shardFlushBytes, line)
+	}
+	workers := s.Pool().Workers()
 	ticks := int(elapsed / shardFlushInterval) // 0 unless the box is very slow
-	most := w.Body.Len()/shardFlushBytes + 1 + ticks*s.Pool().Workers()
-	if w.Body.Len() < 8*shardFlushBytes || w.writes > most {
-		t.Fatalf("unlimited: %d embeddings, %d bytes in %d writes over %v; want at most %d", sum.Embeddings, w.Body.Len(), w.writes, elapsed, most)
+	most := w.Body.Len()/shardFrameBytes + 3*workers + 1 + ticks*workers
+	if w.writes > most {
+		t.Fatalf("unlimited: %d bytes in %d writes over %v; want at most %d", w.Body.Len(), w.writes, elapsed, most)
+	}
+}
+
+// discardWriter is a ResponseWriter that keeps only a byte count, so the
+// allocations measured around a request are the handler's own.
+type discardWriter struct {
+	header http.Header
+	n      int
+}
+
+func (d *discardWriter) Header() http.Header         { return d.header }
+func (d *discardWriter) WriteHeader(int)             {}
+func (d *discardWriter) Write(p []byte) (int, error) { d.n += len(p); return len(p), nil }
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// TestMatchFramesRecycled pins that /match shard and tail buffers come from
+// the frame pool: after one warm-up, a run of unlimited multi-megabyte
+// streams allocates, per request, less than one shardFrameBytes frame in
+// all. A handler that grew fresh shard buffers per request would allocate
+// several frames' worth each time. Under the race detector the streams still
+// run, so a frame touched after its request returned it shows as a race, but
+// the bound is not checked: there sync.Pool drops a random quarter of Puts.
+func TestMatchFramesRecycled(t *testing.T) {
+	s := cliqueServer(t, 20, Config{Workers: 2})
+	defer s.Close()
+	h := s.Handler()
+	body, err := json.Marshal(hgio.MatchRequest{Graph: "clique", Query: pathQueryText})
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve := func() int {
+		w := &discardWriter{header: http.Header{}}
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/match", bytes.NewReader(body)))
+		return w.n
+	}
+	serve() // compiles and caches the plan, fills the frame pool
+
+	const requests = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < requests; i++ {
+		if n := serve(); n < 1<<20 {
+			t.Fatalf("request %d streamed %d bytes, want ≥ 1 MiB", i, n)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if raceEnabled {
+		return
+	}
+	if per := (after.TotalAlloc - before.TotalAlloc) / requests; per >= shardFrameBytes {
+		t.Fatalf("each /match allocated %d bytes, want < %d (frames are not recycled)", per, shardFrameBytes)
+	}
+}
+
+// TestMatchShardLayout guards the pad in matchShard: one request's shards
+// sit side by side, each written by its own worker on every row, so a shard
+// must fill exactly two 64-byte cache lines.
+func TestMatchShardLayout(t *testing.T) {
+	if size := unsafe.Sizeof(matchShard{}); size != 128 {
+		t.Fatalf("unsafe.Sizeof(matchShard{}) = %d, want 128", size)
 	}
 }
 
