@@ -20,10 +20,10 @@
 // stay mapped at once (least-recently-used graphs are unmapped over
 // budget; 0 = unbounded). -mmap-verify checksums each HGB3 file's payload
 // on every attach. Every graph is live: new hyperedges stream in over
-// POST /graphs/{name}/edges without a restart (the first ingest into a
-// mapped graph promotes it to the heap), and the delta folds into a fresh
-// index in the background once it reaches -compact-threshold edges (see
-// docs/OPERATIONS.md for both).
+// POST /graphs/{name}/edges without a restart (a mapped graph takes its
+// delta over the mapping and is never evicted once written), and the delta
+// folds into a fresh heap index in the background once it reaches
+// -compact-threshold edges (see docs/OPERATIONS.md for both).
 //
 // With -wal-dir set, ingest is crash-safe: every acked batch is journaled
 // to a per-graph write-ahead log under that directory before its snapshot

@@ -2,6 +2,7 @@ package hgio_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"slices"
@@ -57,6 +58,55 @@ func FuzzReadBinary(f *testing.F) {
 		}
 		if err := storageDiff(h.Storage(), h2.Storage()); err != nil {
 			t.Fatalf("WriteBinary → ReadBinary changed the storage: %v", err)
+		}
+	})
+}
+
+// FuzzMapBytes feeds arbitrary bytes to the zero-copy attach, the only
+// gate between an HGB3 file and the server. It must never panic; any input
+// it accepts must pass Validate and carry exactly the storage ReadBinary
+// decodes from the same bytes. The header checksum is re-sealed before the
+// attach, so mutations of the header and section directory reach the
+// structural checks behind it; the payload stays under its checksum
+// (verification on), which is what the attach trusts content to. Seeds:
+// the v3 twin of the Fig. 1 golden, the hgtest serving graphs as HGB3, and
+// the Fig. 1 image with a misaligned section offset.
+func FuzzMapBytes(f *testing.F) {
+	var fig1 bytes.Buffer
+	if err := hgio.WriteBinaryV3(&fig1, hgtest.Fig1Data()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(fig1.Bytes())
+	for _, g := range hgtest.ServingGraphs() {
+		var v3 bytes.Buffer
+		if err := hgio.WriteBinaryV3(&v3, g.Graph); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(v3.Bytes())
+	}
+	misaligned := slices.Clone(fig1.Bytes())
+	off := misaligned[96+24+8:] // second directory entry's offset
+	binary.LittleEndian.PutUint64(off, binary.LittleEndian.Uint64(off)+4)
+	fixV3HeaderCRC(misaligned)
+	f.Add(misaligned)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) >= 96 {
+			fixV3HeaderCRC(data)
+		}
+		m, err := hgio.MapBytes(data, hgio.MapOptions{Verify: true})
+		if err != nil {
+			return
+		}
+		defer m.Release()
+		if err := m.Graph().Validate(); err != nil {
+			t.Fatalf("accepted input attaches an invalid graph: %v", err)
+		}
+		h, err := hgio.ReadBinary(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("attach accepted what the heap reader rejects: %v", err)
+		}
+		if err := storageDiff(m.Graph().Storage(), h.Storage()); err != nil {
+			t.Fatalf("attach and heap decode differ: %v", err)
 		}
 	})
 }

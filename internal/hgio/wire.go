@@ -340,8 +340,9 @@ type SchedulerStats struct {
 	// Len() minus both. ResidentBytes sums the mapped file bytes of
 	// resident graphs against ResidentBudget (-resident-bytes, 0 =
 	// unbounded). GraphActivations/GraphEvictions count mmap attaches and
-	// LRU unmaps; GraphPromotions counts mapped graphs promoted to the
-	// heap tier by ingestion (see docs/OPERATIONS.md).
+	// LRU unmaps; GraphPromotions counts file-backed graphs written for
+	// the first time (ingest or /compact), which stay mapped but are never
+	// evicted again (see docs/OPERATIONS.md).
 	GraphsResident   int    `json:"graphs_resident,omitempty"`
 	GraphsCold       int    `json:"graphs_cold,omitempty"`
 	ResidentBytes    int64  `json:"resident_bytes,omitempty"`

@@ -101,23 +101,16 @@ func (r *Registry) ReadOnlyNames() []string {
 	return names
 }
 
-// Close flushes and closes every graph's WAL and detaches every mapped
-// graph. It first marks the registry closed — new Acquires fail with
-// errRegistryClosed from that point on, which is what makes the drain
-// sound: an Acquire racing Close could otherwise Add to the inflight
-// WaitGroup after Wait saw zero (WaitGroup reuse panic) or take a
-// reference the teardown below would unmap anyway. It then drains every
-// outstanding Acquire reference: a handler holds one across its whole
-// engine run, so Close waits for in-flight runs before it releases the
-// mapped tier. Ingest must still be quiesced by the caller before Close.
+// Close flushes and closes every graph's WAL and retires every entry,
+// detaching its mapping. New Acquires fail with errRegistryClosed from
+// its first step on. Close does not wait for in-flight requests: a
+// mapping one still holds is unmapped when that request releases it.
+// Ingest must still be quiesced by the caller before Close.
 func (r *Registry) Close() error {
 	r.mu.Lock()
 	r.closed = true
-	r.mu.Unlock()
-	r.inflight.Wait()
-	r.mu.RLock()
 	entries := maps.Clone(r.graphs)
-	r.mu.RUnlock()
+	r.mu.Unlock()
 	var err error
 	for name, e := range entries {
 		if e.dur != nil && e.dur.wal != nil {
@@ -125,7 +118,7 @@ func (r *Registry) Close() error {
 				err = cerr
 			}
 		}
-		r.detach(name, e, true)
+		r.detach(name, e, detachRetire)
 	}
 	return err
 }

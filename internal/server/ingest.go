@@ -41,11 +41,12 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown graph %q", name)
 		return
 	}
-	live, err := s.graphs.ensureLive(name, e)
+	live, release, err := s.graphs.ensureLive(name, e)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
+	defer release()
 	start := time.Now()
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	dec.DisallowUnknownFields()
@@ -252,6 +253,12 @@ func (s *Server) publishIngest(name string, e *graphEntry, live *hgmatch.DeltaBu
 		go func() {
 			defer s.compactWG.Done()
 			defer s.compacting.Delete(name)
+			// The fold holds its own reference; the request's ends with it.
+			_, release, err := s.graphs.ensureLive(name, e)
+			if err != nil {
+				return // replaced or closed since the ingest: nothing to fold
+			}
+			defer release()
 			nh, _, _, err := s.compactGraph(name, e, live)
 			if err != nil {
 				// A failing compaction must not be silent: the delta would
@@ -278,7 +285,8 @@ func (e errGraphReadOnly) Error() string { return "graph is read-only: " + strin
 // durability on — checkpoints it and truncates the WAL, all under the
 // ingest lock so no concurrent batch lands between the fold and the
 // truncation (it would be dropped from the log while missing from the
-// checkpoint).
+// checkpoint). A fold off a mapped base detaches the mapping; an idle one
+// keeps it. The caller holds live's reference (ensureLive).
 func (s *Server) compactGraph(name string, e *graphEntry, live *hgmatch.DeltaBuffer) (nh *hgmatch.Hypergraph, folded, dropped int, err error) {
 	e.ingestMu.Lock()
 	defer e.ingestMu.Unlock()
@@ -288,6 +296,9 @@ func (s *Server) compactGraph(name string, e *graphEntry, live *hgmatch.DeltaBuf
 	nh, folded, dropped, err = live.CompactCounted()
 	if err != nil {
 		return nil, 0, 0, err
+	}
+	if m := e.mapped.Load(); m != nil && nh != m.Graph() {
+		s.graphs.detach(name, e, detachFold)
 	}
 	e.checkpoint(name, nh)
 	return nh, folded, dropped, nil
@@ -307,11 +318,12 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	live, err := s.graphs.ensureLive(name, e)
+	live, release, err := s.graphs.ensureLive(name, e)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
+	defer release()
 	before := e.version(live.Snapshot())
 	// Counts come from the fold itself: reading them beforehand would
 	// race with a concurrent ingest and under-report.

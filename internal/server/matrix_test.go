@@ -138,7 +138,7 @@ func matrixCells(t *testing.T, width int) ([]matrixCell, []*Server) {
 			{"delta", "live-delta", "heap", plain, g.Graph, "", all},
 			{"delta", "chain", "heap", plain, g.Graph, "", delta},
 			{"delta", "compacted", "heap", plain, g.Graph, "", all},
-			{"delta", "promoted-v3", "heap", plain, nil, v3, all},
+			{"delta", "promoted-v3", "mapped", plain, nil, v3, all},
 			{"delta", "durable-v3", "heap", durable, nil, v3, all},
 		} {
 			c := matrixCell{g.Name, spec.set, spec.name, spec.tier, g.Name + "-" + spec.name, spec.srv}

@@ -3,7 +3,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"log"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -15,53 +14,39 @@ import (
 // Registry holds the named data hypergraphs a server instance matches
 // against. The file a graph is registered from picks its residency tier:
 //
-//	heap    fully decoded into Go memory, wrapped in a DeltaBuffer:
-//	        online-updatable, always resident. Add registers here, as does
-//	        LoadFile for text and HGB2 files and for every file once
-//	        durability is on (a durable graph is its checkpoint plus WAL).
+//	heap    decoded into Go memory. Add registers here, as does LoadFile
+//	        for text and HGB2 files and for every file once durability is
+//	        on (a durable graph is its checkpoint plus WAL).
 //	cold    an HGB3 file registered by LoadFile and not yet requested:
-//	        nothing attached, only the 96-byte header has been read.
+//	        only its 96-byte header has been read.
 //	mapped  a cold graph after its first Acquire, served zero-copy off the
-//	        mmap(2)ed file: near-zero heap, pages faulted in on demand and
-//	        reclaimable under memory pressure. The first ingest promotes it
-//	        to the heap; a failed attach falls back to the heap.
+//	        mmap(2)ed file, pages faulted in on demand.
 //
-// Mapped residency is budgeted: SetResidentBudget bounds the summed file
-// bytes of concurrently attached graphs, and crossing the budget evicts
-// the least-recently-used mapped graph back to cold (its mapping is
-// released once every in-flight request holding it completes — see
-// Acquire). Heap graphs are pinned: they may hold unreplayable online
-// writes, so the registry never drops them.
+// Every attached graph is a DeltaBuffer over its base, so every graph
+// takes writes; a written mapped graph stays mapped until a compaction
+// folds its delta onto the heap. SetResidentBudget bounds the summed file
+// bytes of mapped graphs: crossing it evicts the least-recently-used
+// unwritten one back to cold (a written one holds unreplayable writes).
+// A mapping lives by its reference count alone: the registry holds one
+// while the graph is attached, each request another (see Acquire).
 //
-// Matching always runs on an immutable snapshot obtained through Acquire
-// together with its version (the consistent pair plan-cache keys are built
-// from). Only Acquire, ensureLive (the write path), eviction, install and
-// Close move a graph between tiers. Snapshot reads are lock-free on the
-// heap tier and take one per-entry mutex on the mapped tier (to pin the
-// mapping against concurrent eviction).
+// Matching runs on an immutable snapshot obtained through Acquire together
+// with its version (the consistent pair plan-cache keys are built from).
 type Registry struct {
 	mu     sync.RWMutex
 	graphs map[string]*graphEntry
 	// onPurge fires (outside all locks) when a graph's cached plans must
 	// go: the graph was replaced, or its mapping was detached (eviction,
-	// promotion, Close), so nothing keeps referring into the old state.
+	// a fold off the mapping, Close), so nothing keeps referring into the
+	// old state.
 	onPurge func(name string)
 	// dur, when set (EnableDurability), gives every registered graph a
 	// checkpoint + WAL under dur.Dir and routes Add/LoadFile through
 	// recovery onto the heap.
 	dur *DurabilityConfig
 
-	// inflight counts Acquire references not yet released. Close drains it
-	// before dropping the registry's mapped-tier references: a handler
-	// holds its reference for the whole engine run, not just for planning,
-	// so Close must not pull mappings out from under a run still reading
-	// them.
-	// closed (guarded by mu) fails new Acquires once Close begins, so the
-	// drain can never race a fresh inflight.Add against inflight.Wait
-	// (WaitGroup reuse panic) or hand out a mapping Close is about to
-	// release.
-	inflight sync.WaitGroup
-	closed   bool
+	// closed (guarded by mu) fails new Acquires once Close begins.
+	closed bool
 
 	budget    atomic.Int64 // resident-bytes budget for mapped graphs; 0 = unbounded
 	resident  atomic.Int64 // mapped file bytes currently attached
@@ -83,27 +68,24 @@ type Registry struct {
 // while the graph is idle), and — with durability on — its WAL attachment
 // and degraded-mode state.
 type graphEntry struct {
-	// live is the heap-tier buffer; nil while the entry is cold or mapped.
-	// Atomic because promotion installs it concurrently with lock-free
-	// reader loads.
+	// live is the graph's buffer: set once for an entry born on the heap;
+	// for a file-backed one, nil while cold.
 	live atomic.Pointer[hgmatch.DeltaBuffer]
-	// gen is the replacement generation (1 for the first registration).
-	// Tier transitions — activation of a new mapping, promotion to heap —
-	// also bump it: each bump moves every plan-cache key forward, so a
-	// plan compiled against one mapping can never be served against its
-	// successor.
+	// gen is the replacement generation (1 for the first registration),
+	// bumped by each activation too, so no plan outlives its mapping.
 	gen atomic.Uint64
 
-	// HGB3 state. path/peek are immutable after registration (path is ""
-	// for an entry born on the heap); tierMu serialises tier transitions
-	// and pins the mapping while a reference is taken. retired (guarded by
-	// tierMu) is set once install replaced the entry or Close tore it
-	// down: nothing would detach a mapping attached after that, so pin
-	// refuses to attach one.
+	// HGB3 state. path/peek are immutable (path is "" for an entry born on
+	// the heap); tierMu serialises tier transitions and pins the mapping
+	// while a reference is taken. mapped is live's base until a fold moves
+	// it onto the heap. written marks a graph that took a write (never
+	// evicted). retired is set once install or Close tore the entry down:
+	// pin never attaches it again.
 	path     string
 	peek     hgio.GraphPeek
 	tierMu   sync.Mutex
 	retired  bool
+	written  atomic.Bool
 	mapped   atomic.Pointer[hgio.MappedGraph]
 	lastUsed atomic.Int64
 
@@ -125,8 +107,8 @@ type graphEntry struct {
 
 // version combines the replacement generation with the snapshot's delta
 // publication counter: replacing a graph under a live name, publishing new
-// online writes, or re-attaching a mapped graph all move every plan-cache
-// key forward.
+// online writes, or re-attaching an evicted graph all move every
+// plan-cache key forward.
 func (e *graphEntry) version(h *hgmatch.Hypergraph) uint64 {
 	return e.gen.Load()<<32 | h.DeltaVersion()
 }
@@ -147,40 +129,12 @@ func (r *Registry) SetResidentBudget(n int64) { r.budget.Store(n) }
 // (reading the whole file once) before serving from it.
 func (r *Registry) SetMapVerify(v bool) { r.mapVerify.Store(v) }
 
-// errRegistryClosed rejects Acquire once Close has begun draining; the
-// server maps it to 503 (shutting down), not 404. It wraps the serving
-// stack's single shutdown sentinel, hgio.ErrShuttingDown — the same one a
-// closed engine pool reports — so handlers classify both with one
-// errors.Is and clients see one shutting_down error code for either.
+// errRegistryClosed rejects Acquire once Close has begun; the server maps
+// it to 503 (shutting down), not 404. It wraps the serving stack's single
+// shutdown sentinel, hgio.ErrShuttingDown — the same one a closed engine
+// pool reports — so handlers classify both with one errors.Is and clients
+// see one shutting_down error code for either.
 var errRegistryClosed = fmt.Errorf("server: registry closed: %w", hgio.ErrShuttingDown)
-
-// track registers one in-flight snapshot reference and wraps its release:
-// idempotent (handlers release on every path, sometimes twice under
-// defer+explicit), and counted so Close can drain in-flight runs before
-// tearing down the mapped tier. The Add happens under the registry lock
-// with the closed flag checked: Close flips the flag under the write lock
-// before it calls inflight.Wait, so every Add either strictly precedes the
-// drain or is refused — a reference can never slip in behind it.
-// track does NOT call release on failure; the caller still owns whatever
-// the reference pins.
-func (r *Registry) track(release func()) (func(), error) {
-	r.mu.RLock()
-	if r.closed {
-		r.mu.RUnlock()
-		return nil, errRegistryClosed
-	}
-	r.inflight.Add(1)
-	r.mu.RUnlock()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			if release != nil {
-				release()
-			}
-			r.inflight.Done()
-		})
-	}, nil
-}
 
 // Add registers a graph under name, replacing any previous graph of that
 // name (the replacement gets a new generation, invalidating cached plans
@@ -243,16 +197,6 @@ func readGraph(name, path string) (*hgmatch.Hypergraph, error) {
 	return h, nil
 }
 
-// loadHeap reads the file at path into a fresh heap-tier buffer: the
-// fallback of a failed attach and the promotion of a mapped graph.
-func loadHeap(name, path string) (*hgmatch.DeltaBuffer, error) {
-	h, err := readGraph(name, path)
-	if err != nil {
-		return nil, err
-	}
-	return hgmatch.NewDeltaBuffer(h)
-}
-
 // install publishes an entry under name with the next replacement
 // generation. A previous registration is detached once the new entry is
 // visible: its mapping (if any) is released and its plans purged.
@@ -267,7 +211,7 @@ func (r *Registry) install(name string, e *graphEntry) {
 	r.graphs[name] = e
 	r.mu.Unlock()
 	if prev != nil {
-		r.detach(name, prev, true)
+		r.detach(name, prev, detachRetire)
 	}
 }
 
@@ -289,143 +233,134 @@ func (r *Registry) entry(name string) (*graphEntry, bool) {
 	return e, ok
 }
 
+// noRelease is the release of a graph registered on the heap, which the
+// collector alone keeps alive.
+var noRelease = func() {}
+
 // Acquire returns a consistent (snapshot, version) pair for the named
-// graph plus a release the caller must invoke once it stops using the
-// snapshot (on every path — the release pins a mapped graph's mapping
-// against eviction for the request's lifetime). Cold graphs activate on
-// the way: the file is mapped, the budget enforced. Heap-tier graphs
-// take two registry read-locks and no tier mutex. Once Close has begun,
-// Acquire fails with errRegistryClosed instead of handing out references
-// the drain would never see.
+// graph plus a release the caller must invoke exactly once, on every path,
+// when it stops using the snapshot: for a file-backed graph it drops the
+// request's reference to the mapping. A cold graph is mapped on the way.
+// A graph registered on the heap takes no tier mutex and allocates
+// nothing. Once Close has begun, Acquire fails with errRegistryClosed.
 func (r *Registry) Acquire(name string) (*hgmatch.Hypergraph, uint64, func(), error) {
-	e, ok := r.entry(name)
-	if !ok {
+	r.mu.RLock()
+	e, ok := r.graphs[name]
+	closed := r.closed
+	r.mu.RUnlock()
+	switch {
+	case closed:
+		return nil, 0, nil, errRegistryClosed
+	case !ok:
 		return nil, 0, nil, errGraphNotFound
 	}
-	e.lastUsed.Store(r.clock.Add(1))
-	live := e.live.Load()
-	var m *hgio.MappedGraph
-	if live == nil {
-		if r.beforePin != nil {
-			r.beforePin()
-		}
-		var err error
-		if live, m, err = r.pin(name, e); errors.Is(err, errEntryRetired) {
-			return r.Acquire(name) // replaced since entry: use the current one
-		} else if err != nil {
-			return nil, 0, nil, err
-		}
-	}
-	if m == nil {
-		rel, err := r.track(nil)
-		if err != nil {
-			return nil, 0, nil, err
-		}
-		h := live.Snapshot()
-		return h, e.version(h), rel, nil
-	}
-	rel, err := r.track(func() { m.Release() })
-	if err != nil {
-		m.Release() // drop the request's retain; Close owns the registry's
+	live, release, err := r.hold(name, e, false)
+	if errors.Is(err, errEntryRetired) {
+		return r.Acquire(name) // replaced or closed since the lookup
+	} else if err != nil {
 		return nil, 0, nil, err
 	}
-	r.maybeEvict(e)
-	h := m.Graph()
-	return h, e.version(h), rel, nil
+	h := live.Snapshot()
+	return h, e.version(h), release, nil
 }
 
-// errEntryRetired tells Acquire that the entry it loaded was replaced
-// before pin could attach it.
+// ensureLive returns the entry's write buffer plus a release, like
+// Acquire, and marks a file-backed graph written (counted in promotions):
+// its delta grows over the mapping, which is never evicted from then on.
+func (r *Registry) ensureLive(name string, e *graphEntry) (*hgmatch.DeltaBuffer, func(), error) {
+	return r.hold(name, e, true)
+}
+
+// hold pins the entry's buffer for Acquire and ensureLive, then enforces
+// the budget around it.
+func (r *Registry) hold(name string, e *graphEntry, write bool) (*hgmatch.DeltaBuffer, func(), error) {
+	if e.path == "" {
+		return e.live.Load(), noRelease, nil
+	}
+	e.lastUsed.Store(r.clock.Add(1))
+	if r.beforePin != nil {
+		r.beforePin()
+	}
+	live, m, err := r.pin(name, e, write)
+	if err != nil {
+		return nil, nil, err
+	}
+	r.maybeEvict(e)
+	if m == nil {
+		return live, noRelease, nil // a fold moved the base onto the heap
+	}
+	return live, func() { m.Release() }, nil
+}
+
+// errEntryRetired tells Acquire that the entry it loaded was replaced (or
+// closed) before pin could attach it: the retry finds which.
 var errEntryRetired = errors.New("server: graph entry retired")
 
-// pin resolves an entry that was off the heap at Acquire's lock-free
-// check. It returns the heap buffer if the graph was promoted meanwhile,
-// and otherwise the mapping — attached first if the graph is cold — with
-// one reference retained for the caller. tierMu serialises activation and
-// makes Retain safe: detach swaps the pointer out under the same mutex. A
-// failed attach falls back to a pinned heap load (a graph that was serving
-// before must keep serving). Either activation advances the generation:
-// this instance's plans must never collide with a previous attachment's.
-func (r *Registry) pin(name string, e *graphEntry) (*hgmatch.DeltaBuffer, *hgio.MappedGraph, error) {
+// pin returns a file-backed entry's buffer and, while its base is the
+// mapping, the mapping with a reference retained for the caller. A cold
+// entry attaches first, under a new generation; a failed attach leaves it
+// cold, so the next call retries. tierMu serialises activation and makes
+// Retain safe: detach swaps the pointer out under the same mutex.
+func (r *Registry) pin(name string, e *graphEntry, write bool) (*hgmatch.DeltaBuffer, *hgio.MappedGraph, error) {
 	e.tierMu.Lock()
 	defer e.tierMu.Unlock()
-	if live := e.live.Load(); live != nil {
-		return live, nil, nil
-	}
 	if e.retired {
-		r.mu.RLock()
-		closed := r.closed
-		r.mu.RUnlock()
-		if closed {
-			return nil, nil, errRegistryClosed
-		}
 		return nil, nil, errEntryRetired
 	}
-	m := e.mapped.Load()
-	if m == nil {
+	live, m := e.live.Load(), e.mapped.Load()
+	if live == nil {
 		var err error
 		if m, err = hgio.MapFile(e.path, hgio.MapOptions{Verify: r.mapVerify.Load()}); err != nil {
-			live, lerr := loadHeap(name, e.path)
-			if lerr != nil {
-				return nil, nil, fmt.Errorf("server: activating graph %q: %v (heap fallback: %w)", name, err, lerr)
-			}
-			log.Printf("server: graph %q: mmap attach failed (%v); serving from the heap", name, err)
-			e.gen.Add(1)
-			e.live.Store(live)
-			return live, nil, nil
+			return nil, nil, fmt.Errorf("server: activating graph %q: %w", name, err)
+		}
+		if live, err = hgmatch.NewDeltaBuffer(m.Graph()); err != nil {
+			m.Release()
+			return nil, nil, fmt.Errorf("server: activating graph %q: %w", name, err)
 		}
 		e.gen.Add(1)
 		e.mapped.Store(m)
+		e.live.Store(live)
 		r.resident.Add(int64(m.FileBytes()))
 		r.activations.Add(1)
 	}
-	m.Retain()
-	return nil, m, nil
+	if write && !e.written.Swap(true) {
+		r.promotions.Add(1)
+	}
+	if m != nil {
+		m.Retain()
+	}
+	return live, m, nil
 }
 
-// ensureLive returns the entry's heap-tier buffer, promoting a cold or
-// mapped graph onto the heap first — the write path (ingest, compaction)
-// needs a DeltaBuffer over ordinary heap arrays, never over a mapping that
-// eviction could unmap under it. Promotion reloads the file, bumps the
-// generation, pins the graph in the heap tier for the rest of the process
-// and then detaches the mapping (released once in-flight readers drain).
-func (r *Registry) ensureLive(name string, e *graphEntry) (*hgmatch.DeltaBuffer, error) {
-	if live := e.live.Load(); live != nil {
-		return live, nil
-	}
-	e.tierMu.Lock()
-	if live := e.live.Load(); live != nil {
-		e.tierMu.Unlock()
-		return live, nil
-	}
-	live, err := loadHeap(name, e.path)
-	if err != nil {
-		e.tierMu.Unlock()
-		return nil, fmt.Errorf("server: promoting graph %q to heap: %w", name, err)
-	}
-	e.gen.Add(1)
-	e.live.Store(live)
-	r.promotions.Add(1)
-	e.tierMu.Unlock()
-	r.detach(name, e, false)
-	return live, nil
-}
+// detachCause says why a mapping leaves its entry.
+type detachCause uint8
 
-// detach is the one way a mapping leaves an entry: the pointer swap under
-// tierMu stops new references, the resident bytes leave the budget, the
-// plan purge stops cached plans from reaching into the mapping, and the
-// registry's Release unmaps once in-flight requests drain theirs. It
-// purges even when nothing was attached (a replaced heap graph's plans go
-// too) and reports whether it released a mapping. retire (install and
-// Close) also stops pin from ever attaching the entry again; eviction and
-// promotion leave it attachable — an evicted graph re-maps on its next
-// Acquire.
-func (r *Registry) detach(name string, e *graphEntry, retire bool) bool {
+const (
+	detachEvict  detachCause = iota // budget pressure: an unwritten graph returns to cold
+	detachRetire                    // install replaced the entry, or Close tore it down
+	detachFold                      // a compaction moved a written graph's base onto the heap
+)
+
+// detach is the one way a mapping leaves an entry: the swap under tierMu
+// stops new references, the bytes leave the budget, the plan purge stops
+// cached plans from reaching into the mapping, and the registry drops its
+// reference. It purges even when nothing was attached (a replaced heap
+// graph's plans go too) and reports whether it released a mapping.
+// Eviction refuses a graph written since lruMapped picked it; a fold
+// keeps the buffer, whose base is on the heap now.
+func (r *Registry) detach(name string, e *graphEntry, cause detachCause) bool {
 	e.tierMu.Lock()
-	e.retired = e.retired || retire
+	if cause == detachEvict && e.written.Load() {
+		e.tierMu.Unlock()
+		return false
+	}
+	e.retired = e.retired || cause == detachRetire
 	m := e.mapped.Swap(nil)
 	if m != nil {
 		r.resident.Add(-int64(m.FileBytes()))
+		if cause != detachFold {
+			e.live.Store(nil)
+		}
 	}
 	e.tierMu.Unlock()
 	r.mu.RLock()
@@ -440,9 +375,9 @@ func (r *Registry) detach(name string, e *graphEntry, retire bool) bool {
 	return m != nil
 }
 
-// maybeEvict detaches least-recently-used mapped graphs until the resident
-// bytes fit the budget, never touching keep (the entry the caller just
-// activated — evicting it would thrash) or heap-tier graphs.
+// maybeEvict detaches least-recently-used unwritten mapped graphs until
+// the resident bytes fit the budget, never touching keep (the entry the
+// caller just pinned — evicting it would thrash).
 func (r *Registry) maybeEvict(keep *graphEntry) {
 	budget := r.budget.Load()
 	if budget <= 0 {
@@ -453,14 +388,14 @@ func (r *Registry) maybeEvict(keep *graphEntry) {
 		if e == nil {
 			return
 		}
-		if r.detach(name, e, false) {
+		if r.detach(name, e, detachEvict) {
 			r.evictions.Add(1)
 		}
 	}
 }
 
-// lruMapped picks the mapped-tier entry with the oldest last use, skipping
-// keep.
+// lruMapped picks the unwritten mapped entry with the oldest last use,
+// skipping keep.
 func (r *Registry) lruMapped(keep *graphEntry) (string, *graphEntry) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -468,7 +403,7 @@ func (r *Registry) lruMapped(keep *graphEntry) (string, *graphEntry) {
 	var best *graphEntry
 	var bestUsed int64
 	for name, e := range r.graphs {
-		if e == keep || e.mapped.Load() == nil || e.live.Load() != nil {
+		if e == keep || e.mapped.Load() == nil || e.written.Load() {
 			continue
 		}
 		if u := e.lastUsed.Load(); best == nil || u < bestUsed {
@@ -490,27 +425,25 @@ func (r *Registry) Info(name string) (hgio.GraphInfo, bool) {
 	}
 	live := e.live.Load()
 	var m *hgio.MappedGraph
-	if live == nil {
+	if e.path != "" {
 		e.tierMu.Lock()
-		if live = e.live.Load(); live == nil {
-			if m = e.mapped.Load(); m != nil {
-				m.Retain()
-				defer m.Release()
-			}
+		if live, m = e.live.Load(), e.mapped.Load(); m != nil {
+			m.Retain()
+			defer m.Release()
 		}
 		e.tierMu.Unlock()
 	}
 	pk := e.peek
 	var info hgio.GraphInfo
 	switch {
-	case live != nil:
-		info = e.stats(name, live.Snapshot())
-		info.FileBytes = pk.FileBytes
 	case m != nil:
-		info = e.stats(name, m.Graph())
+		info = e.stats(name, live.Snapshot())
 		info.Tier = "mapped"
 		info.ResidentBytes = int64(m.HeapOverheadBytes())
 		info.FileBytes = int64(m.FileBytes())
+	case live != nil:
+		info = e.stats(name, live.Snapshot())
+		info.FileBytes = pk.FileBytes
 	default:
 		info = hgio.GraphInfo{
 			Name:        name,
@@ -556,13 +489,13 @@ func (e *graphEntry) stats(name string, h *hgmatch.Hypergraph) hgio.GraphInfo {
 
 // TierStats summarises the registry's residency state for GET /stats.
 type TierStats struct {
-	Resident      int // mapped-tier graphs currently attached
+	Resident      int // mapped-tier graphs currently attached, written or not
 	Cold          int // registered, never (or no longer) attached
 	ResidentBytes int64
 	Budget        int64
 	Activations   uint64
 	Evictions     uint64
-	Promotions    uint64
+	Promotions    uint64 // file-backed graphs written for the first time
 }
 
 // TierStats returns a snapshot of the residency counters.
@@ -577,12 +510,11 @@ func (r *Registry) TierStats() TierStats {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	for _, e := range r.graphs {
-		if e.path == "" || e.live.Load() != nil {
-			continue
-		}
-		if e.mapped.Load() != nil {
+		switch {
+		case e.path == "": // born on the heap
+		case e.mapped.Load() != nil:
 			ts.Resident++
-		} else {
+		case e.live.Load() == nil:
 			ts.Cold++
 		}
 	}

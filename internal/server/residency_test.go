@@ -1,10 +1,12 @@
 package server
 
 import (
+	"encoding/json"
 	"errors"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -97,6 +99,48 @@ func TestResidencyActivationLifecycle(t *testing.T) {
 	}
 	if ts := reg.TierStats(); ts.Activations != 1 {
 		t.Fatalf("re-acquire re-activated: %+v", ts)
+	}
+
+	// A failed attach is an error, not a fallback: the graph stays cold,
+	// nothing is counted, and the next Acquire retries the file.
+	badPath, _ := writeV3Graph(t, dir, "bad", h)
+	image, err := os.ReadFile(badPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.LoadFile("bad", badPath); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(badPath, int64(len(image)/2)); err != nil {
+		t.Fatal(err)
+	}
+	before := reg.TierStats()
+	if _, _, _, err := reg.Acquire("bad"); err == nil {
+		t.Fatal("Acquire attached a truncated file")
+	}
+	s := New(reg, Config{})
+	defer s.Close()
+	rr := post(s.Handler(), "/count", `{"graph":"bad","query":"v 0\nv 1\ne 0 1"}`)
+	var body hgio.ErrorResponse
+	if rr.Code < 500 || json.Unmarshal(rr.Body.Bytes(), &body) != nil || body.Error == "" {
+		t.Fatalf("/count on a truncated file: %d %s, want a 5xx with a JSON error", rr.Code, rr.Body)
+	}
+	if info, _ := reg.Info("bad"); info.Tier != "cold" {
+		t.Fatalf("a failed attach left the graph %q, want cold", info.Tier)
+	}
+	if ts := reg.TierStats(); ts.Activations != before.Activations || ts.ResidentBytes != before.ResidentBytes {
+		t.Fatalf("a failed attach moved the counters: %+v, before %+v", ts, before)
+	}
+	if err := os.WriteFile(badPath, image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, rel, err := reg.Acquire("bad")
+	if err != nil {
+		t.Fatalf("Acquire after the file was restored: %v", err)
+	}
+	rel()
+	if info, _ := reg.Info("bad"); info.Tier != "mapped" {
+		t.Fatalf("restored file attached as %q, want mapped", info.Tier)
 	}
 
 	if err := reg.Close(); err != nil {
@@ -197,7 +241,8 @@ func TestResidencyEvictionSparesInFlightRequests(t *testing.T) {
 
 func TestResidencyPromotionOnIngest(t *testing.T) {
 	dir := t.TempDir()
-	path, _ := writeV3Graph(t, dir, "g", randomGraph(t, 3))
+	h := randomGraph(t, 3)
+	path, fileBytes := writeV3Graph(t, dir, "g", h)
 
 	reg := NewRegistry()
 	defer reg.Close()
@@ -215,29 +260,69 @@ func TestResidencyPromotionOnIngest(t *testing.T) {
 		t.Fatalf("expected mapped tier before ingest, got %q", info.Tier)
 	}
 
-	// Ingest promotes to the heap tier.
+	// Ingest writes a delta over the mapping: the graph stays mapped.
 	if resp, _ := postJSON(t, srv, "/graphs/g/edges", `{"op":"insert","vertices":[0,1]}`); resp.StatusCode != http.StatusOK {
 		t.Fatalf("ingest into mapped graph: status %d", resp.StatusCode)
 	}
 	info, _ := reg.Info("g")
-	if info.Tier != "heap" {
-		t.Fatalf("expected heap tier after ingest, got %q", info.Tier)
+	if info.Tier != "mapped" {
+		t.Fatalf("expected mapped tier after ingest, got %q", info.Tier)
 	}
 	ts := reg.TierStats()
-	if ts.Promotions != 1 || ts.Resident != 0 || ts.ResidentBytes != 0 {
+	if ts.Promotions != 1 || ts.Resident != 1 || ts.ResidentBytes != fileBytes {
 		t.Fatalf("promotion stats wrong: %+v", ts)
 	}
 
-	// The promoted graph is pinned: a budget of one byte must not evict
-	// it. (What it answers is TestAnswerMatrix's promoted-v3 cell.)
+	// The written graph is pinned: a budget of one byte must not evict
+	// it, not even to make room for another graph, which goes instead at
+	// g's next Acquire. (What g answers is TestAnswerMatrix's promoted-v3
+	// cell.)
 	reg.SetResidentBudget(1)
-	_, _, rel, err := reg.Acquire("g")
+	g, _, rel, err := reg.Acquire("g")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rel()
+	if err := reg.LoadFile("other", path); err != nil {
+		t.Fatal(err)
+	}
+	snapshotOf(t, reg, "other")
 	if ts := reg.TierStats(); ts.Evictions != 0 {
-		t.Fatalf("promoted graph was evicted: %+v", ts)
+		t.Fatalf("written graph was evicted: %+v", ts)
+	}
+	snapshotOf(t, reg, "g")
+	if ts := reg.TierStats(); ts.Evictions != 1 || ts.Resident != 1 || ts.ResidentBytes != fileBytes {
+		t.Fatalf("the unwritten graph was not evicted for the written one: %+v", ts)
+	}
+
+	// A compaction carrying a delta folds it into a heap base and drops
+	// the mapping, while the snapshot acquired before it still walks
+	// every edge through the mapped arrays.
+	if resp, body := postJSON(t, srv, "/graphs/g/compact", ""); resp.StatusCode != http.StatusOK {
+		t.Fatalf("compact: status %d %s", resp.StatusCode, body)
+	}
+	if info, _ := reg.Info("g"); info.Tier != "heap" {
+		t.Fatalf("expected heap tier after a folding compaction, got %q", info.Tier)
+	}
+	if ts := reg.TierStats(); ts.Resident != 0 || ts.ResidentBytes != 0 {
+		t.Fatalf("a folding compaction left the mapping attached: %+v", ts)
+	}
+	total := 0
+	for e := 0; e < g.NumEdges(); e++ {
+		total += len(g.Edge(hgmatch.EdgeID(e)))
+	}
+	// The insert added one pair, unless the random graph already held it.
+	if want := h.TotalArity() + 2*(g.NumEdges()-h.NumEdges()); total != want {
+		t.Fatalf("held snapshot walked %d vertex refs, want %d", total, want)
+	}
+
+	// An idle compaction keeps the mapped base, and with it the mapping.
+	snapshotOf(t, reg, "other")
+	if resp, body := postJSON(t, srv, "/graphs/other/compact", ""); resp.StatusCode != http.StatusOK {
+		t.Fatalf("idle compact: status %d %s", resp.StatusCode, body)
+	}
+	if info, _ := reg.Info("other"); info.Tier != "mapped" {
+		t.Fatalf("expected mapped tier after an idle compaction, got %q", info.Tier)
 	}
 }
 
@@ -277,12 +362,12 @@ func TestResidencyPlanPurgeOnEviction(t *testing.T) {
 
 // TestResidencyConcurrentChurn hammers Acquire/Info/TierStats across three
 // mapped graphs under a budget that fits only one, so activation and
-// eviction race constantly, and promotes one graph to the heap mid-churn,
-// so a promotion's detach races the evictor's. Run under -race in CI.
+// eviction race constantly, and opens one graph for writing mid-churn, so
+// marking it written races the evictor. Run under -race in CI.
 func TestResidencyConcurrentChurn(t *testing.T) {
 	dir := t.TempDir()
 	reg := NewRegistry()
-	var maxBytes int64
+	var maxBytes, g3Bytes int64
 	names := []string{"g1", "g2", "g3"}
 	for i, name := range names {
 		p, b := writeV3Graph(t, dir, name, randomGraph(t, int64(i+1)))
@@ -292,6 +377,7 @@ func TestResidencyConcurrentChurn(t *testing.T) {
 		if b > maxBytes {
 			maxBytes = b
 		}
+		g3Bytes = b
 	}
 	reg.SetResidentBudget(maxBytes)
 
@@ -320,8 +406,10 @@ func TestResidencyConcurrentChurn(t *testing.T) {
 				}
 				if w == 0 && i == 30 {
 					e, _ := reg.entry("g3")
-					if _, err := reg.ensureLive("g3", e); err != nil {
+					if _, rel, err := reg.ensureLive("g3", e); err != nil {
 						t.Errorf("promote g3: %v", err)
+					} else {
+						rel()
 					}
 				}
 			}
@@ -340,10 +428,12 @@ func TestResidencyConcurrentChurn(t *testing.T) {
 	if ts.ResidentBytes != attached {
 		t.Fatalf("resident accounting drifted: counter %d, attached %d", ts.ResidentBytes, attached)
 	}
-	if ts.ResidentBytes > maxBytes {
-		t.Fatalf("resident %d exceeds budget %d after quiescence", ts.ResidentBytes, maxBytes)
+	// The written g3 is never evicted, so only the others answer to the
+	// budget.
+	if ts.ResidentBytes-g3Bytes > maxBytes {
+		t.Fatalf("resident %d (g3 %d) exceeds budget %d after quiescence", ts.ResidentBytes, g3Bytes, maxBytes)
 	}
-	if info, _ := reg.Info("g3"); info.Tier != "heap" || ts.Promotions != 1 {
+	if info, _ := reg.Info("g3"); info.Tier != "mapped" || ts.Promotions != 1 {
 		t.Fatalf("g3 not promoted: tier %q, %+v", info.Tier, ts)
 	}
 	if err := reg.Close(); err != nil {
@@ -359,12 +449,14 @@ func TestResidencyConcurrentChurn(t *testing.T) {
 // then across Close. Nothing detaches a mapping attached to an entry that
 // install or Close already tore down, so the parked Acquire must retry on
 // the replacement (and serve it) or fail as shut down — never map the
-// retired entry. ResidentBytes must equal the live entry's file bytes and
-// reach 0 after Close.
+// retired entry. A writer holding the replaced entry's buffer keeps the
+// old mapping until its own release. ResidentBytes must equal the live
+// entry's file bytes and reach 0 after Close.
 func TestResidencyRetiredEntryNeverMaps(t *testing.T) {
 	dir := t.TempDir()
 	reg := NewRegistry()
-	p1, _ := writeV3Graph(t, dir, "old", randomGraph(t, 1))
+	old := randomGraph(t, 1)
+	p1, _ := writeV3Graph(t, dir, "old", old)
 	want := randomGraph(t, 2)
 	p2, b2 := writeV3Graph(t, dir, "new", want)
 	if err := reg.LoadFile("g", p1); err != nil {
@@ -394,6 +486,13 @@ func TestResidencyRetiredEntryNeverMaps(t *testing.T) {
 		return res.g, res.rel, res.err
 	}
 
+	// A writer holds the old entry's buffer, whose base is the old mapping.
+	e, _ := reg.entry("g")
+	writer, release, err := reg.ensureLive("g", e)
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	g, rel, err := parkAcquire(func() {
 		if err := reg.LoadFile("g", p2); err != nil {
 			t.Fatal(err)
@@ -411,6 +510,22 @@ func TestResidencyRetiredEntryNeverMaps(t *testing.T) {
 		}
 	}
 	rel()
+
+	// The replacement retired the writer's entry, but the writer's
+	// reference keeps the old mapping: its buffer still takes a write and
+	// publishes a snapshot that walks through the mapped arrays.
+	if _, _, err := writer.Insert(0, 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	snap := writer.Publish()
+	total := 0
+	for e := 0; e < snap.NumEdges(); e++ {
+		total += len(snap.Edge(hgmatch.EdgeID(e)))
+	}
+	if want := old.TotalArity() + 3*(snap.NumEdges()-old.NumEdges()); total != want {
+		t.Fatalf("writer's snapshot walked %d vertex refs, want %d", total, want)
+	}
+	release()
 	if ts := reg.TierStats(); ts.ResidentBytes != b2 || ts.Resident != 1 {
 		t.Fatalf("after the replacement: resident %d bytes in %d graphs, want %d in 1", ts.ResidentBytes, ts.Resident, b2)
 	}
@@ -464,45 +579,65 @@ func TestResidencyFileRouting(t *testing.T) {
 	reg.Close()
 }
 
-// TestRegistryCloseDrainsInflight pins Close ordering: a handler holds
-// its Acquire reference for the whole engine run, so Close must block until
-// every reference is released before tearing down the registry's residency
-// state.
-func TestRegistryCloseDrainsInflight(t *testing.T) {
-	h, _ := hgmatch.Load(strings.NewReader(fig1DataText))
+// TestRegistryCloseUnmapsOnLastRelease pins Close ordering: Close does not
+// wait for in-flight requests. A handler holds its Acquire reference for
+// the whole engine run, so a mapping it holds must stay valid after Close
+// returns and go only with the handler's release.
+func TestRegistryCloseUnmapsOnLastRelease(t *testing.T) {
+	h := randomGraph(t, 1)
+	path, _ := writeV3Graph(t, t.TempDir(), "g", h)
 	reg := NewRegistry()
-	reg.Add("fig1", h)
-	_, _, release, err := reg.Acquire("fig1")
+	if err := reg.LoadFile("g", path); err != nil {
+		t.Fatal(err)
+	}
+	g, _, release, err := reg.Acquire("g")
 	if err != nil {
 		t.Fatal(err)
 	}
-	closed := make(chan struct{})
-	go func() {
-		reg.Close()
-		close(closed)
-	}()
+	closed := make(chan error, 1)
+	go func() { closed <- reg.Close() }()
 	select {
-	case <-closed:
-		t.Fatal("Close returned while an Acquire reference was outstanding")
-	case <-time.After(30 * time.Millisecond):
-	}
-	release()
-	select {
-	case <-closed:
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("Close still blocked after the last reference was released")
+		t.Fatal("Close blocked on an outstanding Acquire reference")
 	}
-	// Releases are idempotent: a handler's defer after an explicit release
-	// must not panic or double-count.
+	total := 0
+	for e := 0; e < g.NumEdges(); e++ {
+		total += len(g.Edge(hgmatch.EdgeID(e)))
+	}
+	if total != h.TotalArity() {
+		t.Fatalf("held mapping corrupted after Close: walked %d vertex refs, want %d", total, h.TotalArity())
+	}
 	release()
+	if ts := reg.TierStats(); ts.ResidentBytes != 0 || ts.Resident != 0 {
+		t.Fatalf("Close left mappings attached: %+v", ts)
+	}
+}
+
+// TestRegistryAcquireAllocatesNothing pins the path every request
+// crosses: an Acquire and release of a graph registered on the heap take
+// no tier mutex and allocate nothing.
+func TestRegistryAcquireAllocatesNothing(t *testing.T) {
+	h, _ := hgmatch.Load(strings.NewReader(fig1DataText))
+	reg := NewRegistry()
+	reg.Add("fig1", h)
+	if n := testing.AllocsPerRun(100, func() {
+		_, _, release, err := reg.Acquire("fig1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		release()
+	}); n != 0 {
+		t.Fatalf("Acquire + release of a heap graph: %v allocs, want 0", n)
+	}
 }
 
 // TestRegistryCloseRejectsNewAcquires: once Close begins, new
 // Acquires must fail (the no-requests-after-Close contract is enforced, not
-// just documented) — otherwise an Acquire racing the drain could Add to the
-// inflight WaitGroup after Wait observed zero (WaitGroup reuse panic) or
-// take a mapped reference Close is about to release. The hammer loop runs
-// under -race in CI.
+// just documented). The hammer loop runs under -race in CI.
 func TestRegistryCloseRejectsNewAcquires(t *testing.T) {
 	h, _ := hgmatch.Load(strings.NewReader(fig1DataText))
 	reg := NewRegistry()

@@ -57,10 +57,10 @@ func newTestServer(t testing.TB, cfg Config) *Server {
 	return New(reg, cfg)
 }
 
-// snapshotOf returns the named heap-tier graph's current snapshot. The
-// Acquire reference is released at once: a heap snapshot lives as long as
-// the collector keeps it, so it stays valid after the release (and an
-// unreleased reference would block the registry's Close).
+// snapshotOf returns the named graph's current snapshot. The Acquire
+// reference is released at once: a heap snapshot lives as long as the
+// collector keeps it, so it stays valid after the release; a mapped one
+// stays valid while the registry keeps the graph attached.
 func snapshotOf(t testing.TB, reg *Registry, name string) *hgmatch.Hypergraph {
 	t.Helper()
 	h, _, release, err := reg.Acquire(name)
@@ -71,18 +71,19 @@ func snapshotOf(t testing.TB, reg *Registry, name string) *hgmatch.Hypergraph {
 	return h
 }
 
-// liveOf returns the named graph's write buffer, promoting it to the heap
-// exactly as the ingest handler does.
+// liveOf returns the named graph's write buffer exactly as the ingest
+// handler obtains it, holding its reference until the test ends.
 func liveOf(t testing.TB, reg *Registry, name string) *hgmatch.DeltaBuffer {
 	t.Helper()
 	e, ok := reg.entry(name)
 	if !ok {
 		t.Fatalf("graph %q not registered", name)
 	}
-	live, err := reg.ensureLive(name, e)
+	live, release, err := reg.ensureLive(name, e)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(release)
 	return live
 }
 
