@@ -29,8 +29,8 @@
 // to a per-graph write-ahead log under that directory before its snapshot
 // publishes, compaction doubles as an atomic checkpoint, and a restart
 // replays checkpoint + WAL so no acked write is lost. -wal-sync picks the
-// fsync policy (always / batch[:N[,dur]] / none; see docs/OPERATIONS.md
-// for the latency/safety tradeoff). On -wal-dir graphs the name=path.hg
+// fsync policy (batch: one fsync per acked batch / none; see
+// docs/OPERATIONS.md for the latency/safety tradeoff). On -wal-dir graphs the name=path.hg
 // file is only the first-boot seed; later boots recover the journaled
 // state, recovered onto the heap whatever the file's format. A graph whose
 // log fails its integrity checks comes up read-only with the bad segment
@@ -101,7 +101,7 @@ func main() {
 		walDir = flag.String("wal-dir", "",
 			"root directory for per-graph write-ahead logs and checkpoints; empty disables durability (acked ingests live only in memory)")
 		walSync = flag.String("wal-sync", "batch",
-			"WAL fsync policy: always, batch[:N[,dur]] (group commit) or none")
+			"WAL fsync policy: batch (fsync every batch before its ack) or none")
 		residentBytes = flag.Int64("resident-bytes", 0,
 			"for HGB3 graphs, bound the summed file bytes of concurrently mapped graphs; LRU graphs are unmapped over budget (0 = unbounded)")
 		mmapVerify = flag.Bool("mmap-verify", false,

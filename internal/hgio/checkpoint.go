@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path"
@@ -29,14 +30,19 @@ import (
 // After a failed checkpoint the old checkpoint plus the full WAL still
 // replay to the current state, so checkpoint failure is benign and
 // compaction simply retries later.
+//
+// Version 2 ends in a CRC32C of everything before it, so a flipped bit in
+// the coverage mark or the graph reads as an unreadable checkpoint instead
+// of a wrong base. Version 1 (no trailer) is still read.
 
 // CheckpointFile is the checkpoint's name inside a graph's WAL directory.
 const CheckpointFile = "checkpoint.hgb"
 
 const (
 	checkpointMagic   = "HGCP"
-	checkpointVersion = 1
+	checkpointVersion = 2
 	checkpointHdrLen  = 16 // magic | version u32 | covered seq u64
+	checkpointCRCLen  = 4  // version 2: CRC32C of header + graph
 )
 
 // SaveCheckpoint atomically replaces dir's checkpoint with h, recording
@@ -59,10 +65,15 @@ func SaveCheckpoint(fs WALFS, dir string, h *hypergraph.Hypergraph, seq uint64) 
 	copy(hdr[:4], checkpointMagic)
 	binary.LittleEndian.PutUint32(hdr[4:8], checkpointVersion)
 	binary.LittleEndian.PutUint64(hdr[8:16], seq)
-	if _, err := f.Write(hdr[:]); err != nil {
+	crc := crc32.New(castagnoli)
+	w := io.MultiWriter(f, crc)
+	if _, err := w.Write(hdr[:]); err != nil {
 		return fail(err)
 	}
-	if err := WriteBinary(f, h); err != nil {
+	if err := WriteBinary(w, h); err != nil {
+		return fail(err)
+	}
+	if _, err := f.Write(binary.LittleEndian.AppendUint32(nil, crc.Sum32())); err != nil {
 		return fail(err)
 	}
 	if err := f.Sync(); err != nil {
@@ -110,11 +121,23 @@ func LoadCheckpoint(fs WALFS, dir string) (h *hypergraph.Hypergraph, seq uint64,
 	if string(hdr[:4]) != checkpointMagic {
 		return nil, 0, true, fmt.Errorf("hgio: checkpoint %s: bad magic", CheckpointFile)
 	}
-	if v := binary.LittleEndian.Uint32(hdr[4:8]); v != checkpointVersion {
+	body := data[checkpointHdrLen:]
+	switch v := binary.LittleEndian.Uint32(hdr[4:8]); v {
+	case 1: // no trailer
+	case checkpointVersion:
+		if len(body) < checkpointCRCLen {
+			return nil, 0, true, fmt.Errorf("hgio: checkpoint %s: trailer: %w", CheckpointFile, io.ErrUnexpectedEOF)
+		}
+		end := len(data) - checkpointCRCLen
+		if crc32.Checksum(data[:end], castagnoli) != binary.LittleEndian.Uint32(data[end:]) {
+			return nil, 0, true, fmt.Errorf("hgio: checkpoint %s: checksum mismatch", CheckpointFile)
+		}
+		body = data[checkpointHdrLen:end]
+	default:
 		return nil, 0, true, fmt.Errorf("hgio: checkpoint %s: unsupported version %d", CheckpointFile, v)
 	}
 	seq = binary.LittleEndian.Uint64(hdr[8:16])
-	h, err = readBinaryImage(data[checkpointHdrLen:])
+	h, err = readBinaryImage(body)
 	if err != nil {
 		return nil, 0, true, fmt.Errorf("hgio: checkpoint %s: %w", CheckpointFile, err)
 	}

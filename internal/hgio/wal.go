@@ -43,12 +43,13 @@
 // ErrWALCorrupt so the serving layer can come up read-only instead of
 // serving silently wrong data.
 //
-// Durability policy (SyncPolicy): "always" fsyncs every append before it
-// returns; "batch" (the default) group-commits — appenders block until a
-// shared fsync covers their record, so concurrent writers amortise one
-// fsync while a lone writer still gets synchronous durability; "none"
-// never fsyncs on append (the OS decides; rotation and Close still sync).
-// Sealed segments are always fsynced at rotation regardless of policy, so
+// Durability policy (SyncPolicy): "batch" (the default) fsyncs each
+// appended batch before Append returns, so an ack means the batch is on
+// disk; "none" never fsyncs on append (the OS decides; rotation and Close
+// still sync). There is no group commit to share an fsync between
+// batches: a graph's only writer holds its ingest lock from apply to
+// publish, so no second batch arrives while the first is synced. Sealed
+// segments are always fsynced at rotation regardless of policy, so
 // un-fsynced bytes are confined to the active segment's tail.
 package hgio
 
@@ -65,7 +66,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 )
 
 // ErrWALCorrupt marks recovery failures that quarantined a segment (or hit
@@ -91,85 +91,32 @@ const (
 	DefaultWALSegmentBytes = 4 << 20
 )
 
-// SyncMode selects the WAL durability policy.
-type SyncMode int
+// SyncPolicy selects when appended records are fsynced.
+type SyncPolicy int
 
 const (
-	// SyncBatch group-commits: appends block until a shared fsync covers
-	// them. The zero value, and the recommended default.
-	SyncBatch SyncMode = iota
-	// SyncAlways fsyncs inline on every append.
-	SyncAlways
+	// SyncBatch fsyncs every append before it returns. The zero value, and
+	// the recommended default.
+	SyncBatch SyncPolicy = iota
 	// SyncNone never fsyncs on append; acked writes may be lost in a crash.
 	SyncNone
 )
 
-// SyncPolicy tunes when appended records are fsynced.
-type SyncPolicy struct {
-	Mode SyncMode
-	// MaxDelay (batch mode) is an optional coalescing window: the syncer
-	// waits this long after waking before fsyncing, trading ack latency
-	// for fewer fsyncs under concurrent writers. 0 = fsync immediately.
-	MaxDelay time.Duration
-	// MaxPending (batch mode) forces an inline fsync once this many
-	// batches await durability, bounding the group size. 0 = unbounded.
-	MaxPending int
-}
-
-// ParseSyncPolicy parses the -wal-sync flag forms: "always", "none",
-// "batch", "batch:N", "batch:5ms", "batch:N,5ms" (parenthesised variants
-// like "batch(64,5ms)" are accepted too).
+// ParseSyncPolicy parses the -wal-sync flag: "batch" or "none".
 func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	switch s {
-	case "always":
-		return SyncPolicy{Mode: SyncAlways}, nil
-	case "none":
-		return SyncPolicy{Mode: SyncNone}, nil
 	case "batch":
-		return SyncPolicy{Mode: SyncBatch}, nil
+		return SyncBatch, nil
+	case "none":
+		return SyncNone, nil
 	}
-	rest, ok := strings.CutPrefix(s, "batch")
-	if !ok {
-		return SyncPolicy{}, fmt.Errorf("hgio: unknown sync policy %q (want always, batch[:N[,dur]] or none)", s)
-	}
-	rest = strings.TrimSuffix(strings.TrimPrefix(strings.TrimPrefix(rest, ":"), "("), ")")
-	p := SyncPolicy{Mode: SyncBatch}
-	for _, part := range strings.Split(rest, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		if n, err := strconv.Atoi(part); err == nil {
-			if n < 0 {
-				return SyncPolicy{}, fmt.Errorf("hgio: sync policy %q: negative batch size", s)
-			}
-			p.MaxPending = n
-			continue
-		}
-		d, err := time.ParseDuration(part)
-		if err != nil || d < 0 {
-			return SyncPolicy{}, fmt.Errorf("hgio: sync policy %q: bad batch parameter %q", s, part)
-		}
-		p.MaxDelay = d
-	}
-	return p, nil
+	return 0, fmt.Errorf("hgio: unknown sync policy %q (want batch or none)", s)
 }
 
 // String renders the policy in ParseSyncPolicy's input syntax.
 func (p SyncPolicy) String() string {
-	switch p.Mode {
-	case SyncAlways:
-		return "always"
-	case SyncNone:
+	if p == SyncNone {
 		return "none"
-	}
-	switch {
-	case p.MaxPending > 0 && p.MaxDelay > 0:
-		return fmt.Sprintf("batch:%d,%s", p.MaxPending, p.MaxDelay)
-	case p.MaxPending > 0:
-		return fmt.Sprintf("batch:%d", p.MaxPending)
-	case p.MaxDelay > 0:
-		return "batch:" + p.MaxDelay.String()
 	}
 	return "batch"
 }
@@ -308,8 +255,9 @@ type WALStats struct {
 }
 
 // WAL is an open, writable write-ahead log. Append is safe for concurrent
-// use; Reset must be externally serialised against Append (the serving
-// layer holds its per-graph ingest lock for both).
+// use (appends serialise on the log's mutex, fsync included); Reset must be
+// externally serialised against Append (the serving layer holds its
+// per-graph ingest lock for both).
 type WAL struct {
 	dir  string
 	fs   WALFS
@@ -317,7 +265,6 @@ type WAL struct {
 	segB int64
 
 	mu        sync.Mutex
-	cond      *sync.Cond
 	f         WALFile
 	segno     uint64
 	segBytes  int64
@@ -325,16 +272,11 @@ type WAL struct {
 	liveBytes int64
 	chain     uint32
 	lastSeq   uint64
-	syncedSeq uint64
 	err       error // latched: any write/fsync failure poisons the log
 	closed    bool
 	appends   uint64
 	syncs     uint64
 	frame     []byte // append scratch, guarded by mu
-
-	kick chan struct{}
-	stop chan struct{}
-	done chan struct{}
 }
 
 func segName(segno uint64) string { return fmt.Sprintf("wal-%016d.seg", segno) }
@@ -444,7 +386,6 @@ func OpenWAL(dir string, opts WALOptions, apply func(*WALBatch) error) (*WAL, Re
 	}
 
 	w := &WAL{dir: dir, fs: fs, sync: opts.Sync, segB: opts.SegmentBytes, segno: 1}
-	w.cond = sync.NewCond(&w.mu)
 	chainSeeded, seqSeeded := false, false
 
 	quarantine := func(s seg, format string, args ...any) (*WAL, RecoveryReport, error) {
@@ -475,29 +416,31 @@ func OpenWAL(dir string, opts WALOptions, apply func(*WALBatch) error) (*WAL, Re
 			return nil, rep, err
 		}
 
-		if len(data) < walHeaderLen {
+		le := binary.LittleEndian
+		badHeader := ""
+		switch {
+		case len(data) < walHeaderLen:
+			badHeader = "truncated header"
+		case string(data[:4]) != walMagic:
+			badHeader = "bad magic"
+		case crc32.Checksum(data[:28], castagnoli) != le.Uint32(data[28:32]):
+			badHeader = "header checksum mismatch"
+		}
+		if badHeader != "" {
 			f.Close()
-			if !last {
-				return quarantine(s, "truncated header in sealed segment")
+			if !last || len(data) > walHeaderLen {
+				return quarantine(s, "%s", badHeader)
 			}
-			// Torn segment creation: the process died between creating the
-			// file and making its header durable. Nothing was journaled in
-			// it; drop it and reuse its number.
+			// Torn segment creation: the process died before the new
+			// header was durable, leaving it short or garbled. Appends
+			// follow the header's fsync, so nothing was journaled in it;
+			// drop it and reuse its number.
 			if err := fs.Remove(p); err != nil {
 				return nil, rep, err
 			}
 			rep.TruncatedBytes += int64(len(data))
 			w.segno = s.no
 			continue
-		}
-		le := binary.LittleEndian
-		if string(data[:4]) != walMagic {
-			f.Close()
-			return quarantine(s, "bad magic")
-		}
-		if crc32.Checksum(data[:28], castagnoli) != le.Uint32(data[28:32]) {
-			f.Close()
-			return quarantine(s, "header checksum mismatch")
 		}
 		if v := le.Uint32(data[4:8]); v != walVersion {
 			f.Close()
@@ -636,12 +579,6 @@ func OpenWAL(dir string, opts WALOptions, apply func(*WALBatch) error) (*WAL, Re
 	if err != nil {
 		return nil, rep, err
 	}
-	if w.sync.Mode == SyncBatch {
-		w.kick = make(chan struct{}, 1)
-		w.stop = make(chan struct{})
-		w.done = make(chan struct{})
-		go w.syncLoop()
-	}
 	return w, rep, nil
 }
 
@@ -687,8 +624,6 @@ func (w *WAL) rotateLocked() error {
 		return err
 	}
 	w.syncs++
-	w.syncedSeq = w.lastSeq
-	w.cond.Broadcast()
 	if err := w.f.Close(); err != nil {
 		return err
 	}
@@ -697,9 +632,9 @@ func (w *WAL) rotateLocked() error {
 }
 
 // Append journals one batch, assigning b.Seq, and returns once the record
-// is durable per the sync policy ("none" returns after the OS write). Any
-// error poisons the WAL: the caller must stop acking writes (read-only
-// mode) because durability can no longer be promised.
+// is fsynced ("none" returns after the OS write). Any error poisons the
+// WAL: the caller must stop acking writes (read-only mode) because
+// durability can no longer be promised.
 func (w *WAL) Append(b *WALBatch) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -731,44 +666,19 @@ func (w *WAL) Append(b *WALBatch) error {
 	w.appends++
 
 	if w.segBytes >= w.segB {
+		// The seal's fsync covers this record too.
 		if err := w.rotateLocked(); err != nil {
 			return w.fail(err)
 		}
-		return nil // rotation made everything durable
-	}
-	switch w.sync.Mode {
-	case SyncNone:
-		return nil
-	case SyncAlways:
-		return w.syncLocked()
-	}
-	// Group commit: force an inline fsync when the pending group is full,
-	// otherwise wake the syncer and wait for it to cover this record.
-	if w.sync.MaxPending > 0 && w.lastSeq-w.syncedSeq >= uint64(w.sync.MaxPending) {
-		return w.syncLocked()
-	}
-	select {
-	case w.kick <- struct{}{}:
-	default:
-	}
-	for w.syncedSeq < b.Seq && w.err == nil {
-		w.cond.Wait()
-	}
-	if w.syncedSeq >= b.Seq {
 		return nil
 	}
-	return w.err
-}
-
-// syncLocked fsyncs the active segment, marking everything appended so far
-// durable.
-func (w *WAL) syncLocked() error {
+	if w.sync == SyncNone {
+		return nil
+	}
 	if err := w.f.Sync(); err != nil {
 		return w.fail(err)
 	}
 	w.syncs++
-	w.syncedSeq = w.lastSeq
-	w.cond.Broadcast()
 	return nil
 }
 
@@ -776,46 +686,7 @@ func (w *WAL) fail(err error) error {
 	if w.err == nil {
 		w.err = err
 	}
-	w.cond.Broadcast()
 	return w.err
-}
-
-// Sync forces everything appended so far durable regardless of policy.
-func (w *WAL) Sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.err != nil {
-		return w.err
-	}
-	if w.closed || w.syncedSeq == w.lastSeq {
-		return nil
-	}
-	return w.syncLocked()
-}
-
-func (w *WAL) syncLoop() {
-	defer close(w.done)
-	for {
-		select {
-		case <-w.stop:
-			return
-		case <-w.kick:
-		}
-		if d := w.sync.MaxDelay; d > 0 {
-			time.Sleep(d) // coalescing window: let more appends pile on
-		}
-		w.mu.Lock()
-		if w.err == nil && !w.closed && w.syncedSeq < w.lastSeq {
-			if err := w.f.Sync(); err != nil {
-				w.err = err
-			} else {
-				w.syncs++
-				w.syncedSeq = w.lastSeq
-			}
-		}
-		w.cond.Broadcast()
-		w.mu.Unlock()
-	}
 }
 
 // Reset truncates the log after a checkpoint: every segment is deleted
@@ -856,16 +727,14 @@ func (w *WAL) Reset() error {
 	if err := w.openSegmentLocked(); err != nil {
 		return w.fail(err)
 	}
-	w.syncedSeq = w.lastSeq
-	w.cond.Broadcast()
 	return nil
 }
 
 // Close flushes and closes the log. Safe to call on a poisoned WAL.
 func (w *WAL) Close() error {
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.closed {
-		w.mu.Unlock()
 		return nil
 	}
 	w.closed = true
@@ -877,13 +746,6 @@ func (w *WAL) Close() error {
 		if cerr := w.f.Close(); err == nil {
 			err = cerr
 		}
-	}
-	w.cond.Broadcast()
-	stop := w.stop
-	w.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-w.done
 	}
 	return err
 }

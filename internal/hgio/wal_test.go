@@ -6,6 +6,8 @@ package hgio_test
 // internal/server's crash tests; this file pins the log's own contract).
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -15,7 +17,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"hgmatch/internal/hgio"
 	"hgmatch/internal/hgtest"
@@ -50,17 +51,15 @@ func TestParseSyncPolicy(t *testing.T) {
 		want hgio.SyncPolicy
 		ok   bool
 	}{
-		{"always", hgio.SyncPolicy{Mode: hgio.SyncAlways}, true},
-		{"none", hgio.SyncPolicy{Mode: hgio.SyncNone}, true},
-		{"batch", hgio.SyncPolicy{Mode: hgio.SyncBatch}, true},
-		{"batch:64", hgio.SyncPolicy{Mode: hgio.SyncBatch, MaxPending: 64}, true},
-		{"batch:5ms", hgio.SyncPolicy{Mode: hgio.SyncBatch, MaxDelay: 5 * time.Millisecond}, true},
-		{"batch:64,5ms", hgio.SyncPolicy{Mode: hgio.SyncBatch, MaxPending: 64, MaxDelay: 5 * time.Millisecond}, true},
-		{"batch(64,5ms)", hgio.SyncPolicy{Mode: hgio.SyncBatch, MaxPending: 64, MaxDelay: 5 * time.Millisecond}, true},
-		{"", hgio.SyncPolicy{}, false},
-		{"fsync", hgio.SyncPolicy{}, false},
-		{"batch:-1", hgio.SyncPolicy{}, false},
-		{"batch:oops", hgio.SyncPolicy{}, false},
+		{"none", hgio.SyncNone, true},
+		{"batch", hgio.SyncBatch, true},
+		{"", 0, false},
+		{"fsync", 0, false},
+		{"always", 0, false},
+		{"batch:64", 0, false},
+		{"batch:5ms", 0, false},
+		{"batch:-1", 0, false},
+		{"batch:oops", 0, false},
 	}
 	for _, c := range cases {
 		got, err := hgio.ParseSyncPolicy(c.in)
@@ -69,13 +68,13 @@ func TestParseSyncPolicy(t *testing.T) {
 			continue
 		}
 		if c.ok && got != c.want {
-			t.Errorf("ParseSyncPolicy(%q) = %+v, want %+v", c.in, got, c.want)
+			t.Errorf("ParseSyncPolicy(%q) = %v, want %v", c.in, got, c.want)
 		}
 		if c.ok {
 			// String() must round-trip through the parser.
 			back, err := hgio.ParseSyncPolicy(got.String())
 			if err != nil || back != got {
-				t.Errorf("round-trip %q -> %q -> %+v (%v)", c.in, got.String(), back, err)
+				t.Errorf("round-trip %q -> %q -> %v (%v)", c.in, got.String(), back, err)
 			}
 		}
 	}
@@ -85,7 +84,7 @@ func TestParseSyncPolicy(t *testing.T) {
 // batch replays in order with continuous sequencing.
 func TestWALRoundTrip(t *testing.T) {
 	fs := hgtest.NewFaultFS()
-	opts := hgio.WALOptions{FS: fs, Sync: hgio.SyncPolicy{Mode: hgio.SyncAlways}}
+	opts := hgio.WALOptions{FS: fs, Sync: hgio.SyncBatch}
 	w, rep := mustOpen(t, "wal", opts, nil)
 	if rep.Batches != 0 || rep.LastSeq != 0 {
 		t.Fatalf("fresh log reported recovery %+v", rep)
@@ -129,7 +128,7 @@ func TestWALRoundTrip(t *testing.T) {
 // removed early segments.
 func TestWALRotationChain(t *testing.T) {
 	fs := hgtest.NewFaultFS()
-	opts := hgio.WALOptions{FS: fs, Sync: hgio.SyncPolicy{Mode: hgio.SyncAlways}, SegmentBytes: 128}
+	opts := hgio.WALOptions{FS: fs, Sync: hgio.SyncBatch, SegmentBytes: 128}
 	w, _ := mustOpen(t, "wal", opts, nil)
 	for i := 0; i < 20; i++ {
 		if err := w.Append(&hgio.WALBatch{Records: []hgio.IngestRecord{insRec(uint32(i), uint32(i+1))}}); err != nil {
@@ -158,7 +157,7 @@ func TestWALRotationChain(t *testing.T) {
 // sequence numbering continues, and a reopen sees only post-reset batches.
 func TestWALReset(t *testing.T) {
 	fs := hgtest.NewFaultFS()
-	opts := hgio.WALOptions{FS: fs, Sync: hgio.SyncPolicy{Mode: hgio.SyncAlways}, SegmentBytes: 128}
+	opts := hgio.WALOptions{FS: fs, Sync: hgio.SyncBatch, SegmentBytes: 128}
 	w, _ := mustOpen(t, "wal", opts, nil)
 	for i := 0; i < 10; i++ {
 		if err := w.Append(&hgio.WALBatch{Records: []hgio.IngestRecord{insRec(uint32(i), uint32(i+1))}}); err != nil {
@@ -203,7 +202,7 @@ func walFiles(fs *hgtest.FaultFS) []string {
 // truncates the tear, keeps everything before it, and stays writable.
 func TestWALTornTail(t *testing.T) {
 	fs := hgtest.NewFaultFS()
-	opts := hgio.WALOptions{FS: fs, Sync: hgio.SyncPolicy{Mode: hgio.SyncAlways}}
+	opts := hgio.WALOptions{FS: fs, Sync: hgio.SyncBatch}
 	w, _ := mustOpen(t, "wal", opts, nil)
 	for i := 0; i < 4; i++ {
 		if err := w.Append(&hgio.WALBatch{Records: []hgio.IngestRecord{insRec(uint32(i), uint32(i+1))}}); err != nil {
@@ -251,13 +250,80 @@ func TestWALTornTail(t *testing.T) {
 	w3.Close()
 }
 
+// TestWALTornSegmentHeader pins the crash between creating a segment and
+// fsyncing its header: a header-only active segment whose header is cut
+// short or garbled held no batch, so recovery drops it and stays
+// writable. The same damage in front of a journaled frame is corruption.
+func TestWALTornSegmentHeader(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		frames  int // appended to the second segment
+		damage  func(fs *hgtest.FaultFS, seg string) error
+		corrupt bool
+	}{
+		{"cut", 0, func(fs *hgtest.FaultFS, seg string) error {
+			f, err := fs.OpenFile(seg, os.O_RDWR, 0)
+			if err != nil {
+				return err
+			}
+			defer f.Close()
+			return f.Truncate(20)
+		}, false},
+		{"garbled", 0, func(fs *hgtest.FaultFS, seg string) error { return fs.Corrupt(seg, 30, 0x5a) }, false},
+		{"garbled before a frame", 1, func(fs *hgtest.FaultFS, seg string) error { return fs.Corrupt(seg, 30, 0x5a) }, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := hgtest.NewFaultFS()
+			opts := hgio.WALOptions{FS: fs, Sync: hgio.SyncBatch}
+			w, _ := mustOpen(t, "wal", opts, nil)
+			for i := 0; i < 3; i++ {
+				if err := w.Append(&hgio.WALBatch{Records: []hgio.IngestRecord{insRec(uint32(i), uint32(i+1))}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			w.Close()
+			w, _ = mustOpen(t, "wal", opts, nil) // recovery opens segment 2
+			for i := 0; i < tc.frames; i++ {
+				if err := w.Append(&hgio.WALBatch{Records: []hgio.IngestRecord{insRec(7, 8)}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			w.Close()
+			segs := walFiles(fs)
+			if len(segs) != 2 {
+				t.Fatalf("segments = %v", segs)
+			}
+			if err := tc.damage(fs, segs[1]); err != nil {
+				t.Fatal(err)
+			}
+
+			var got []hgio.WALBatch
+			w2, rep, err := hgio.OpenWAL("wal", opts, collect(&got))
+			if tc.corrupt {
+				if !errors.Is(err, hgio.ErrWALCorrupt) || len(rep.Quarantined) != 1 {
+					t.Fatalf("damaged header before a frame: err %v, report %+v; want one quarantined segment", err, rep)
+				}
+				return
+			}
+			if err != nil || len(got) != 3 || rep.LastSeq != 3 || rep.TruncatedBytes == 0 || len(rep.Quarantined) != 0 {
+				t.Fatalf("torn header recovered %d batches, report %+v, err %v; want 3 and the segment dropped", len(got), rep, err)
+			}
+			b := hgio.WALBatch{Records: []hgio.IngestRecord{insRec(9, 10)}}
+			if err := w2.Append(&b); err != nil || b.Seq != 4 {
+				t.Fatalf("append after repair: seq %d, err %v; want 4", b.Seq, err)
+			}
+			w2.Close()
+		})
+	}
+}
+
 // TestWALQuarantine covers the corruption cases that must quarantine and
 // refuse writes rather than truncate: a bit flip in a sealed segment, and
 // a bit flip mid-segment with intact frames after it.
 func TestWALQuarantine(t *testing.T) {
 	build := func(t *testing.T, segBytes int64) (*hgtest.FaultFS, hgio.WALOptions) {
 		fs := hgtest.NewFaultFS()
-		opts := hgio.WALOptions{FS: fs, Sync: hgio.SyncPolicy{Mode: hgio.SyncAlways}, SegmentBytes: segBytes}
+		opts := hgio.WALOptions{FS: fs, Sync: hgio.SyncBatch, SegmentBytes: segBytes}
 		w, _ := mustOpen(t, "wal", opts, nil)
 		for i := 0; i < 12; i++ {
 			if err := w.Append(&hgio.WALBatch{Records: []hgio.IngestRecord{insRec(uint32(i), uint32(i+1))}}); err != nil {
@@ -333,7 +399,7 @@ func TestWALQuarantine(t *testing.T) {
 // serving layer relies on this to stop acking.
 func TestWALSyncFailureLatches(t *testing.T) {
 	fs := hgtest.NewFaultFS()
-	opts := hgio.WALOptions{FS: fs, Sync: hgio.SyncPolicy{Mode: hgio.SyncAlways}}
+	opts := hgio.WALOptions{FS: fs, Sync: hgio.SyncBatch}
 	w, _ := mustOpen(t, "wal", opts, nil)
 	if err := w.Append(&hgio.WALBatch{Records: []hgio.IngestRecord{insRec(1, 2)}}); err != nil {
 		t.Fatal(err)
@@ -351,64 +417,82 @@ func TestWALSyncFailureLatches(t *testing.T) {
 	w.Close()
 }
 
-// TestWALConcurrentBatchAppend hammers group commit: concurrent appenders
-// must all come back durable with unique contiguous sequences.
+// TestWALConcurrentBatchAppend hammers Append from concurrent writers:
+// all must come back with unique contiguous sequences. Under "batch" every
+// ack costs exactly one fsync (a rotating append's seal fsync is its
+// ack's); under "none" the only fsyncs are the seals.
 func TestWALConcurrentBatchAppend(t *testing.T) {
-	fs := hgtest.NewFaultFS()
-	opts := hgio.WALOptions{FS: fs, Sync: hgio.SyncPolicy{Mode: hgio.SyncBatch, MaxDelay: 200 * time.Microsecond}}
-	w, _ := mustOpen(t, "wal", opts, nil)
-	const (
-		writers = 8
-		each    = 25
-	)
-	var wg sync.WaitGroup
-	seqs := make([][]uint64, writers)
-	for g := 0; g < writers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < each; i++ {
-				b := hgio.WALBatch{Records: []hgio.IngestRecord{insRec(uint32(g), uint32(1000+i))}}
-				if err := w.Append(&b); err != nil {
-					t.Errorf("writer %d append %d: %v", g, i, err)
-					return
+	for _, policy := range []hgio.SyncPolicy{hgio.SyncBatch, hgio.SyncNone} {
+		t.Run(policy.String(), func(t *testing.T) {
+			fs := hgtest.NewFaultFS()
+			opts := hgio.WALOptions{FS: fs, Sync: policy, SegmentBytes: 1024}
+			w, _ := mustOpen(t, "wal", opts, nil)
+			const (
+				writers = 8
+				each    = 25
+			)
+			var wg sync.WaitGroup
+			seqs := make([][]uint64, writers)
+			for g := 0; g < writers; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := 0; i < each; i++ {
+						b := hgio.WALBatch{Records: []hgio.IngestRecord{insRec(uint32(g), uint32(1000+i))}}
+						if err := w.Append(&b); err != nil {
+							t.Errorf("writer %d append %d: %v", g, i, err)
+							return
+						}
+						seqs[g] = append(seqs[g], b.Seq)
+					}
+				}(g)
+			}
+			wg.Wait()
+			if t.Failed() {
+				return
+			}
+			seen := make(map[uint64]bool)
+			for _, s := range seqs {
+				for _, q := range s {
+					if seen[q] {
+						t.Fatalf("sequence %d assigned twice", q)
+					}
+					seen[q] = true
 				}
-				seqs[g] = append(seqs[g], b.Seq)
 			}
-		}(g)
-	}
-	wg.Wait()
-	if t.Failed() {
-		return
-	}
-	seen := make(map[uint64]bool)
-	for _, s := range seqs {
-		for _, q := range s {
-			if seen[q] {
-				t.Fatalf("sequence %d assigned twice", q)
+			for q := uint64(1); q <= writers*each; q++ {
+				if !seen[q] {
+					t.Fatalf("sequence %d missing", q)
+				}
 			}
-			seen[q] = true
-		}
+			st := w.Stats()
+			rotations := uint64(st.Segments - 1)
+			if rotations == 0 {
+				t.Fatalf("no rotation in %d bytes; the seal case is not exercised", st.Bytes)
+			}
+			want := st.Appends
+			if policy == hgio.SyncNone {
+				want = rotations
+			}
+			if st.Appends != writers*each || st.Syncs != want {
+				t.Fatalf("stats %+v: %d syncs, want %d (%d rotations)", st, st.Syncs, want, rotations)
+			}
+			w.Close()
+			var got []hgio.WALBatch
+			w2, rep := mustOpen(t, "wal", opts, collect(&got))
+			if rep.Batches != writers*each {
+				t.Fatalf("recovered %d batches, want %d", rep.Batches, writers*each)
+			}
+			w2.Close()
+		})
 	}
-	for q := uint64(1); q <= writers*each; q++ {
-		if !seen[q] {
-			t.Fatalf("sequence %d missing", q)
-		}
-	}
-	w.Close()
-	var got []hgio.WALBatch
-	w2, rep := mustOpen(t, "wal", opts, collect(&got))
-	if rep.Batches != writers*each {
-		t.Fatalf("recovered %d batches, want %d", rep.Batches, writers*each)
-	}
-	w2.Close()
 }
 
 // TestWALCrashImageRecovery drives the full fault loop at the hgio level:
 // append under each sync policy, crash-image the filesystem, recover, and
 // check the durable prefix property the serving layer builds on.
 func TestWALCrashImageRecovery(t *testing.T) {
-	for _, mode := range []hgio.SyncPolicy{{Mode: hgio.SyncAlways}, {Mode: hgio.SyncBatch}, {Mode: hgio.SyncNone}} {
+	for _, mode := range []hgio.SyncPolicy{hgio.SyncBatch, hgio.SyncNone} {
 		t.Run(mode.String(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(42))
 			for iter := 0; iter < 40; iter++ {
@@ -439,7 +523,7 @@ func TestWALCrashImageRecovery(t *testing.T) {
 					}
 				}
 				// ...and with fsync on the ack path, cover every acked seq.
-				if mode.Mode != hgio.SyncNone && rep.LastSeq < acked {
+				if mode != hgio.SyncNone && rep.LastSeq < acked {
 					t.Fatalf("iter %d (killAt %d): acked through seq %d but recovered only %d", iter, killAt, acked, rep.LastSeq)
 				}
 				w2.Close()
@@ -469,7 +553,7 @@ func TestWALStartAfter(t *testing.T) {
 
 	// All six batches in ONE segment: a checkpoint covering through 4 whose
 	// truncation never ran must skip 1..4 in place and replay only 5, 6.
-	opts := hgio.WALOptions{FS: fs, Sync: hgio.SyncPolicy{Mode: hgio.SyncAlways}}
+	opts := hgio.WALOptions{FS: fs, Sync: hgio.SyncBatch}
 	fill("d", opts)
 	after := opts
 	after.StartAfter = 4
@@ -486,7 +570,7 @@ func TestWALStartAfter(t *testing.T) {
 	// One batch per segment: the same mark must remove the fully-covered
 	// leading segments (finishing the interrupted truncation) and still
 	// replay the tail.
-	small := hgio.WALOptions{FS: fs, Sync: hgio.SyncPolicy{Mode: hgio.SyncAlways}, SegmentBytes: 128}
+	small := hgio.WALOptions{FS: fs, Sync: hgio.SyncBatch, SegmentBytes: 128}
 	fill("d2", small)
 	segsBefore := len(walFiles(fs)) // d's + d2's segments
 	smallAfter := small
@@ -552,11 +636,61 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCheckpointVersions pins the checkpoint's trailer: a version 2 file
+// whose coverage mark or trailer is damaged is unreadable, and a version 1
+// file (no trailer) written before the trailer existed still loads.
+func TestCheckpointVersions(t *testing.T) {
+	fs := hgtest.NewFaultFS()
+	if err := fs.MkdirAll("g", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	cp := path.Join("g", hgio.CheckpointFile)
+	h := hgtest.Fig1Data()
+	if err := hgio.SaveCheckpoint(fs, "g", h, 7); err != nil {
+		t.Fatal(err)
+	}
+	v2, err := fs.ReadFileData(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Corrupt(cp, 8, 0x01); err != nil { // covered seq 7 -> 6
+		t.Fatal(err)
+	}
+	if _, seq, found, err := hgio.LoadCheckpoint(fs, "g"); !found || err == nil {
+		t.Fatalf("flipped coverage mark loaded as seq %d (found=%v err=%v)", seq, found, err)
+	}
+
+	write := func(data []byte) {
+		t.Helper()
+		f, err := fs.OpenFile(cp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(data); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+	}
+	write(v2[:len(v2)-2])
+	if _, _, found, err := hgio.LoadCheckpoint(fs, "g"); !found || err == nil {
+		t.Fatalf("torn trailer: found=%v err=%v, want found+error", found, err)
+	}
+
+	// Version 1: the same header with version 1 and no trailer.
+	v1 := bytes.Clone(v2[:len(v2)-4])
+	binary.LittleEndian.PutUint32(v1[4:8], 1)
+	write(v1)
+	got, seq, found, err := hgio.LoadCheckpoint(fs, "g")
+	if err != nil || !found || seq != 7 || got.NumEdges() != h.NumEdges() {
+		t.Fatalf("version 1 checkpoint: seq=%d found=%v err=%v", seq, found, err)
+	}
+}
+
 // TestWALOnOSFilesystem smoke-tests the default OSFS path end to end in a
 // temp dir: everything else in this file runs on the in-memory fault FS.
 func TestWALOnOSFilesystem(t *testing.T) {
 	dir := path.Join(t.TempDir(), "wal")
-	opts := hgio.WALOptions{Sync: hgio.SyncPolicy{Mode: hgio.SyncAlways}, SegmentBytes: 256}
+	opts := hgio.WALOptions{Sync: hgio.SyncBatch, SegmentBytes: 256}
 	w, _ := mustOpen(t, dir, opts, nil)
 	for i := 0; i < 10; i++ {
 		if err := w.Append(&hgio.WALBatch{Records: []hgio.IngestRecord{insRec(uint32(i), uint32(i+1))}}); err != nil {

@@ -220,7 +220,7 @@ func serveBatches(t testing.TB, s *Server, fx *crashFixture, withCompact bool) (
 func TestWALRecoveryBasic(t *testing.T) {
 	fx := makeCrashFixture(t, 7, 12, 4)
 	fs := hgtest.NewFaultFS()
-	sync := hgio.SyncPolicy{Mode: hgio.SyncAlways}
+	sync := hgio.SyncBatch
 
 	s := newDurableServer(t, fs, fx, sync)
 	acked := serveBatches(t, s, fx, false)
@@ -267,27 +267,31 @@ func TestWALRecoveryBasic(t *testing.T) {
 	}
 }
 
-// TestCrashRecoveryStress is the acceptance kill-point sweep: across the
-// three sync policies it kills the serving process at 510+ distinct
-// operation points (3 policies x 170 sweep positions across the measured
-// op range, plus jitter), restarts on the crash image of the disk, and
-// asserts the full contract. With fsync on the ack path (always/batch)
-// every acked batch must survive; under "none" acks are explicitly
-// best-effort, but recovery must still yield a clean prefix of the
-// journaled history — never corruption, never read-only, never a panic.
+// TestCrashRecoveryStress is the acceptance kill-point sweep: it kills
+// the serving process at 510+ distinct operation points (3 sweeps x 170
+// positions across the measured op range, plus jitter), restarts on the
+// crash image of the disk, and asserts the full contract. "batch" sweeps
+// twice under different seeds; with fsync on the ack path every acked
+// batch must survive. Under "none" acks are explicitly best-effort, but
+// recovery must still yield a clean prefix of the journaled history —
+// never corruption, never read-only, never a panic.
 func TestCrashRecoveryStress(t *testing.T) {
 	const iters = 170
 	fx := makeCrashFixture(t, 11, 40, 4)
-	policies := []hgio.SyncPolicy{
-		{Mode: hgio.SyncAlways},
-		{Mode: hgio.SyncBatch},
-		{Mode: hgio.SyncNone},
+	sweeps := []struct {
+		name string
+		sync hgio.SyncPolicy
+		seed int64
+	}{
+		{"batch", hgio.SyncBatch, 0xC0FFEE ^ 0},
+		{"batch-reseeded", hgio.SyncBatch, 0xC0FFEE ^ 1},
+		{"none", hgio.SyncNone, 0xC0FFEE ^ 2},
 	}
-	for _, sync := range policies {
-		sync := sync
-		t.Run(sync.String(), func(t *testing.T) {
+	for _, sw := range sweeps {
+		sync := sw.sync
+		t.Run(sw.name, func(t *testing.T) {
 			t.Parallel()
-			rng := rand.New(rand.NewSource(0xC0FFEE ^ int64(sync.Mode)))
+			rng := rand.New(rand.NewSource(sw.seed))
 
 			// Dry run: measure the serving phase's mutating-op count, so
 			// kill points sweep the whole window evenly instead of
@@ -347,7 +351,7 @@ func TestCrashRecoveryStress(t *testing.T) {
 				if k < 0 {
 					t.Fatalf("iter %d (killAt %d): recovered state matches NO prefix of the batch history:\n%s", iter, killAt, gotText)
 				}
-				if sync.Mode != hgio.SyncNone && uint64(k) < acked {
+				if sync != hgio.SyncNone && uint64(k) < acked {
 					t.Fatalf("iter %d (killAt %d): acked through batch %d, recovered state only covers %d — acked data lost", iter, killAt, acked, k)
 				}
 				if iter%4 == 0 {
@@ -378,7 +382,7 @@ func TestCrashRecoveryStress(t *testing.T) {
 // compare).
 func TestCrashRecoveryStressConcurrent(t *testing.T) {
 	fx := makeCrashFixture(t, 13, 1, 1) // only the base graph is used
-	sync := hgio.SyncPolicy{Mode: hgio.SyncBatch}
+	sync := hgio.SyncBatch
 	rng := rand.New(rand.NewSource(99))
 	const (
 		clients = 2
@@ -458,7 +462,7 @@ func TestCrashRecoveryStressConcurrent(t *testing.T) {
 func TestQuarantineReadOnlyServing(t *testing.T) {
 	fx := makeCrashFixture(t, 17, 40, 4)
 	fs := hgtest.NewFaultFS()
-	sync := hgio.SyncPolicy{Mode: hgio.SyncAlways}
+	sync := hgio.SyncBatch
 	s := newDurableServer(t, fs, fx, sync)
 	serveBatches(t, s, fx, false)
 	s.Close()
@@ -524,6 +528,77 @@ func TestQuarantineReadOnlyServing(t *testing.T) {
 	}
 }
 
+// TestCheckpointBitFlipQuarantines flips one bit of a checkpoint at rest,
+// once in its WAL coverage mark and once in the graph bytes, and checks
+// that recovery treats the checkpoint as unreadable: it is quarantined,
+// the graph serves its seed read-only and ingest answers 503. Trusting a
+// flipped mark would skip acked batches as already checkpointed and keep
+// acking on top; the graph's own encoding rejects most flips, but not
+// all of them.
+func TestCheckpointBitFlipQuarantines(t *testing.T) {
+	fx := makeCrashFixture(t, 7, 12, 4)
+	cp := "wal/g/" + hgio.CheckpointFile
+	for _, tc := range []struct {
+		name   string
+		offset func(t *testing.T, data []byte) (int64, byte)
+	}{
+		// Bytes 8–16 hold the covered sequence: 0 becomes 64.
+		{"coverage mark", func(*testing.T, []byte) (int64, byte) { return 8, 0x40 }},
+		// The first graph bit whose flip the HGB2 decoder alone accepts.
+		// The checkpoint holds the seed, whose HGB2 bytes follow the header.
+		{"graph payload", func(t *testing.T, data []byte) (int64, byte) {
+			if !bytes.HasPrefix(data[16:], fx.seed) {
+				t.Fatal("the checkpoint does not hold the seed's HGB2 bytes")
+			}
+			for off := range fx.seed {
+				for bit := 0; bit < 8; bit++ {
+					flipped := bytes.Clone(fx.seed)
+					flipped[off] ^= 1 << bit
+					if _, err := hgio.ReadBinary(bytes.NewReader(flipped)); err == nil {
+						return int64(16 + off), 1 << bit
+					}
+				}
+			}
+			t.Fatal("the HGB2 decoder rejects every single-bit flip of the graph")
+			return 0, 0
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := hgtest.NewFaultFS()
+			s := newDurableServer(t, fs, fx, hgio.SyncBatch)
+			if acked := serveBatches(t, s, fx, false); acked != uint64(len(fx.batches)) {
+				t.Fatalf("acked %d of %d batches", acked, len(fx.batches))
+			}
+			s.Close()
+			data, err := fs.ReadFileData(cp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			off, xor := tc.offset(t, data)
+			if err := fs.Corrupt(cp, off, xor); err != nil {
+				t.Fatal(err)
+			}
+
+			s2 := newDurableServer(t, fs, fx, hgio.SyncBatch)
+			defer s2.Close()
+			info, _ := s2.Graphs().Info("g")
+			if !info.ReadOnly || !strings.Contains(info.ReadOnlyReason, "checkpoint unreadable") {
+				t.Fatalf("flipped checkpoint recovered as %+v, want read-only with an unreadable checkpoint", info)
+			}
+			rep, _ := s2.Graphs().Recovery("g")
+			if len(rep.Quarantined) != 1 || rep.Quarantined[0] != hgio.CheckpointFile+".quarantined" || fs.FileSize(cp+".quarantined") < 0 {
+				t.Fatalf("checkpoint not quarantined: report %+v, files %v", rep, fs.FileNames())
+			}
+			if got, want := canonicalGraphText(t, snapshotOf(t, s2.Graphs(), "g")), canonicalGraphText(t, fx.baseGraph(t)); got != want {
+				t.Fatal("read-only graph does not serve its seed")
+			}
+			if rr := post(s2.Handler(), "/graphs/g/edges", `{"op":"insert","vertices":[0,1]}`+"\n"); rr.Code != http.StatusServiceUnavailable {
+				t.Fatalf("ingest after a flipped checkpoint: %d %s, want 503", rr.Code, rr.Body.String())
+			}
+		})
+	}
+}
+
 // TestIngestMalformedNDJSONTransactional pins the framing contract: a
 // malformed line anywhere in the body rejects the WHOLE batch — nothing
 // applied, nothing journaled, nothing published — while a semantic error
@@ -532,7 +607,7 @@ func TestQuarantineReadOnlyServing(t *testing.T) {
 func TestIngestMalformedNDJSONTransactional(t *testing.T) {
 	fx := makeCrashFixture(t, 23, 0, 0)
 	fs := hgtest.NewFaultFS()
-	s := newDurableServer(t, fs, fx, hgio.SyncPolicy{Mode: hgio.SyncAlways})
+	s := newDurableServer(t, fs, fx, hgio.SyncBatch)
 	defer s.Close()
 	h := s.Handler()
 	before := canonicalGraphText(t, fx.reference(t, 0))
@@ -588,7 +663,7 @@ func TestIngestMalformedNDJSONTransactional(t *testing.T) {
 	}
 	// The journaled prefix must replay: restart and compare.
 	s.Close()
-	s2 := newDurableServer(t, fs, fx, hgio.SyncPolicy{Mode: hgio.SyncAlways})
+	s2 := newDurableServer(t, fs, fx, hgio.SyncBatch)
 	defer s2.Close()
 	g2 := snapshotOf(t, s2.Graphs(), "g")
 	if canonicalGraphText(t, g2) != got {

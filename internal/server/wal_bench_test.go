@@ -23,7 +23,6 @@ func BenchmarkWALIngest(b *testing.B) {
 		name, sync string
 	}{
 		{"nowal", ""},
-		{"always", "always"},
 		{"batch", "batch"},
 		{"none", "none"},
 	} {
