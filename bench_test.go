@@ -28,6 +28,7 @@ import (
 	"hgmatch/internal/engine"
 	"hgmatch/internal/experiments"
 	"hgmatch/internal/hgio"
+	"hgmatch/internal/hgtest"
 	"hgmatch/internal/hypergraph"
 	"hgmatch/internal/querygen"
 	"hgmatch/internal/setops"
@@ -210,7 +211,7 @@ func BenchmarkKernelQ4Count(b *testing.B) {
 // request at a time on a pool of 4 workers — comparable against
 // BenchmarkKernelQ3/t=4's per-request engine to bound the pool's overhead.
 // "shared8" runs 8 concurrent requests on that same 4-worker pool under
-// weighted fair scheduling; "perreq8" runs the same 8 requests the
+// fair scheduling; "perreq8" runs the same 8 requests the
 // pre-pool way, each spawning its own 4-worker engine (8x oversubscribed
 // goroutines contending for the same cores). One op completes all 8
 // requests, so the shared8-vs-perreq8 ns/op ratio is the aggregate
@@ -1025,11 +1026,11 @@ func BenchmarkAblationValidation(b *testing.B) {
 	b.Run("PlusBacktrackVerify", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			engine.Run(p, engine.Options{Workers: 1, Limit: 20_000,
-				OnEmbedding: func(m []hypergraph.EdgeID) {
+				OnGroup: hgtest.SerialRowsOf(func(m []hypergraph.EdgeID) {
 					if !core.VerifyEmbedding(q, h, p.Order, m) {
 						b.Fatal("invalid embedding")
 					}
-				}})
+				})})
 		}
 	})
 }

@@ -37,8 +37,8 @@
 // quarantined — serving continues, writes get 503.
 //
 // All matches run on one shared worker pool of -workers goroutines under
-// weighted fair scheduling; a request's "workers" field caps its share,
-// it no longer spawns threads. A /match with a "limit" streams the first
+// fair scheduling; a request's "workers" field caps its share, it no
+// longer spawns threads. A /match with a "limit" streams the first
 // limit rows of the sequential match order — the same rows on every run
 // and core count — from one worker at a time. With -admission, expensive
 // queries (planner cost estimate at or above -cheap-threshold) must fit

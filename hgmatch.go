@@ -35,10 +35,10 @@ package hgmatch
 import (
 	"context"
 	"io"
+	"sync"
 	"time"
 
 	"hgmatch/internal/core"
-	"hgmatch/internal/dataflow"
 	"hgmatch/internal/engine"
 	"hgmatch/internal/hgio"
 	"hgmatch/internal/hypergraph"
@@ -197,7 +197,7 @@ func (p *Plan) Order() []EdgeID { return p.core.Order }
 
 // Explain renders the plan's dataflow graph, e.g.
 // "SCAN({u2,u4}) -> EXPAND({u0,u1,u2}) -> SINK".
-func (p *Plan) Explain() string { return dataflow.FromPlan(p.core).Explain() }
+func (p *Plan) Explain() string { return p.core.Explain() }
 
 // Empty reports whether the plan is provably result-free (some query
 // hyperedge signature has no data partition).
@@ -234,7 +234,8 @@ type Result struct {
 	PeakTasks     int64
 	PeakTaskBytes int64
 	// Elapsed is the wall-clock run time; TimedOut reports whether the
-	// run hit the configured timeout (counts are lower bounds then).
+	// run hit the configured timeout or its WithContext context was
+	// cancelled (counts are lower bounds then).
 	Elapsed  time.Duration
 	TimedOut bool
 	// Groups holds per-key counts when WithGroupBy was used.
@@ -260,60 +261,53 @@ type Option func(*engine.Options)
 // WithWorkers sets the thread-pool size p (default GOMAXPROCS).
 func WithWorkers(n int) Option { return func(o *engine.Options) { o.Workers = n } }
 
-// WithWeight sets the request's fair-share weight on a shared Pool: a
-// weight-2 request receives twice the morsel slots of a weight-1 request
-// while both are runnable. Values below 1 mean 1. Plan.Run ignores it.
-func WithWeight(n int) Option { return func(o *engine.Options) { o.Weight = n } }
-
 // WithLimit stops the run after n embeddings. A capped run that delivers
-// rows (WithCallback, WithWorkerCallback, WithGroupCallback or WithGroupBy)
-// keeps the first n rows of the sequential depth-first order — the n
-// lexicographically smallest tuples in matching order — and streams them in
-// that order on one worker at a time, so callbacks see worker index 0. The
-// answer is the same on every path and core count. A capped count stays
-// parallel.
+// rows (WithCallback, WithGroupCallback or WithGroupBy) keeps the first n
+// rows of the sequential depth-first order — the n lexicographically
+// smallest tuples in matching order — and streams them in that order on
+// one worker at a time, so callbacks see worker index 0. The answer is the
+// same on every path and core count. A capped count stays parallel.
 func WithLimit(n uint64) Option { return func(o *engine.Options) { o.Limit = n } }
 
 // WithTimeout aborts the run after d.
 func WithTimeout(d time.Duration) Option { return func(o *engine.Options) { o.Timeout = d } }
 
 // WithContext aborts the run when ctx is cancelled; cancelled runs report
-// TimedOut with lower-bound counts.
+// TimedOut with lower-bound counts, as timed-out ones do.
 func WithContext(ctx context.Context) Option {
 	return func(o *engine.Options) { o.Context = ctx }
 }
 
 // WithCallback streams every embedding to fn. The tuple holds the data
 // hyperedge matched to each query hyperedge in matching order; it is
-// reused between calls — copy it to retain. Calls are serialised, which
-// puts a global lock on the sink path; throughput-sensitive consumers
-// should use WithWorkerCallback instead.
+// reused between calls — copy it to retain. Calls are serialised, so fn
+// needs no locking. It is a WithGroupCallback adapter that takes one lock
+// per group, and the two options share one slot: the last one set wins.
 func WithCallback(fn func(m []EdgeID)) Option {
-	return func(o *engine.Options) { o.OnEmbedding = fn }
-}
-
-// WithWorkerCallback streams every embedding to fn on the worker that found
-// it, tagged with the worker index in [0, workers). Unlike WithCallback,
-// calls are NOT serialised across workers — two workers may call fn
-// concurrently (always with distinct worker indexes), so fn must shard its
-// state by worker or synchronise internally. In exchange the engine takes
-// no per-embedding lock. The tuple is reused between calls — copy it to
-// retain.
-func WithWorkerCallback(fn func(worker int, m []EdgeID)) Option {
-	return func(o *engine.Options) { o.OnEmbeddingWorker = fn }
+	var mu sync.Mutex
+	var m []EdgeID
+	return WithGroupCallback(func(_ int, prefix, last []EdgeID) {
+		mu.Lock()
+		defer mu.Unlock()
+		d := len(prefix)
+		m = append(append(m[:0], prefix...), 0)
+		for _, c := range last {
+			m[d] = c
+			fn(m)
+		}
+	})
 }
 
 // WithGroupCallback streams every embedding to fn the way match-by-hyperedge
 // finds them: one call stands for the len(last) embeddings prefix+[c], c
 // ranging over last in order — a partial embedding in matching order and the
-// data hyperedges that validly complete it. A run with no WithLimit,
-// WithFilter, WithGroupBy, WithFaultHook or per-embedding callback hands over
-// each parent row's whole candidate run, which lets a consumer pay per-row
-// costs (a lock, an encoded prefix) once per group; every other run delivers
-// the same embeddings in the same per-worker order as groups of one.
-// Concurrency is WithWorkerCallback's: fn must shard its state by worker or
-// synchronise internally. Both slices are reused between calls and must not
-// be modified — copy to retain.
+// data hyperedges that validly complete it and pass WithFilter and
+// WithLimit. A consumer pays per-row costs (a lock, an encoded prefix) once
+// per group. Calls from different workers overlap, always with distinct
+// worker indexes, so fn must shard its state by worker or synchronise
+// internally. Both slices are reused between calls and must not be
+// modified — copy to retain. The last of WithGroupCallback and WithCallback
+// set wins.
 func WithGroupCallback(fn func(worker int, prefix, last []EdgeID)) Option {
 	return func(o *engine.Options) { o.OnGroup = fn }
 }
@@ -379,11 +373,10 @@ func wrapResult(r engine.Result) Result {
 // Pool is a process-wide worker set shared by all requests submitted to
 // it: the multi-tenant form of the parallel engine. Plan.Run is a pool of
 // one request, started and closed per call; a Pool keeps its workers
-// resident and divides morsel slots across concurrent Run calls by
-// weighted fair scheduling, so one pathological query cannot starve the
-// rest. Within a request execution is identical to Plan.Run — same
-// results, same operators — and worker scratch memory is reused across
-// requests. A serving layer should create one Pool per process (see
+// resident and divides morsel slots across concurrent Run calls by fair
+// scheduling, so one pathological query cannot starve the rest. Within a
+// request execution is identical to Plan.Run — same results, same
+// operators — and worker scratch memory is reused across requests. A serving layer should create one Pool per process (see
 // cmd/hgserve's -workers flag).
 type Pool struct {
 	p *engine.Pool
@@ -400,9 +393,8 @@ func NewPool(workers int) *Pool {
 
 // Run executes the plan on the shared pool, blocking until the result is
 // complete. WithWorkers caps how many pool workers serve this request at
-// once; WithWeight sets its fair-share weight. Worker indexes seen by
-// WithWorkerCallback and WithGroupCallback range over [0, Workers()) — the
-// pool's size, not the request's cap.
+// once. Worker indexes seen by WithGroupCallback range over [0, Workers())
+// — the pool's size, not the request's cap.
 func (pl *Pool) Run(p *Plan, opts ...Option) Result {
 	var eo engine.Options
 	for _, o := range opts {

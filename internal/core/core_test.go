@@ -24,6 +24,21 @@ func embeddingSet(p *core.Plan) map[string]bool {
 	return out
 }
 
+// TestExplainMatchesFig5a checks the rendering against the paper's Fig. 5a
+// dataflow graph: SCAN({u2,u4}) -> EXPAND({u0,u1,u2}) ->
+// EXPAND({u0,u1,u3,u4}) -> SINK.
+func TestExplainMatchesFig5a(t *testing.T) {
+	p, err := core.NewPlan(hgtest.Fig1Query(), hgtest.Fig1Data())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := p.Explain()
+	want := "SCAN({u2,u4}) -> EXPAND({u0,u1,u2}) -> EXPAND({u0,u1,u3,u4}) -> SINK"
+	if got != want {
+		t.Errorf("Explain:\n got %q\nwant %q", got, want)
+	}
+}
+
 func TestMatchingOrderFig1(t *testing.T) {
 	q, h := hgtest.Fig1Query(), hgtest.Fig1Data()
 	p, err := core.NewPlan(q, h)

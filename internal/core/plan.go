@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"hgmatch/internal/hypergraph"
 	"hgmatch/internal/setops"
@@ -271,6 +272,31 @@ func compilePlan(q, h *hypergraph.Hypergraph, order []hypergraph.EdgeID, qs *que
 
 // NumSteps returns |E(q)|: the number of matching-order positions.
 func (p *Plan) NumSteps() int { return len(p.Order) }
+
+// Explain renders the plan as the paper's dataflow graph (§VI-A, Fig. 5a):
+// SCAN of the first query hyperedge in matching order, one EXPAND per
+// later one, then SINK, e.g.
+//
+//	SCAN({u2,u4}) -> EXPAND({u0,u1,u2}) -> EXPAND({u0,u1,u3,u4}) -> SINK
+func (p *Plan) Explain() string {
+	var b strings.Builder
+	for i, e := range p.Order {
+		if i == 0 {
+			b.WriteString("SCAN({")
+		} else {
+			b.WriteString(" -> EXPAND({")
+		}
+		for j, v := range p.Query.Edge(e) {
+			if j > 0 {
+				b.WriteByte(',')
+			}
+			fmt.Fprintf(&b, "u%d", v)
+		}
+		b.WriteString("})")
+	}
+	b.WriteString(" -> SINK")
+	return b.String()
+}
 
 // InitialCandidates returns the matches of the first query hyperedge:
 // every edge of the start partition (Algorithm 2 lines 2-3), including any

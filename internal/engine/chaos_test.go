@@ -31,13 +31,10 @@ func chaosScale(full, smoke int) int {
 // sorted form, so two runs can be compared byte-for-byte regardless of
 // worker interleaving.
 func sortedEmbeddings(run func(opts engine.Options) engine.Result, base engine.Options) ([]string, engine.Result) {
-	var mu sync.Mutex
 	var out []string
-	base.OnEmbedding = func(m []hypergraph.EdgeID) {
-		mu.Lock()
+	base.OnGroup = hgtest.SerialRowsOf(func(m []hypergraph.EdgeID) {
 		out = append(out, fmt.Sprint(m))
-		mu.Unlock()
-	}
+	})
 	res := run(base)
 	sort.Strings(out)
 	return out, res
@@ -167,10 +164,10 @@ func TestChaosPoolIsolation(t *testing.T) {
 		go func() {
 			defer close(bdone)
 			got, bres = sortedEmbeddings(func(o engine.Options) engine.Result {
-				row := o.OnEmbedding
-				o.OnEmbedding = func(m []hypergraph.EdgeID) {
+				group := o.OnGroup
+				o.OnGroup = func(w int, prefix, last []hypergraph.EdgeID) {
 					park.Do(func() { close(parked); <-gate })
-					row(m)
+					group(w, prefix, last)
 				}
 				return pool.Submit(bystander, o)
 			}, engine.Options{Workers: 2})
@@ -227,11 +224,11 @@ func TestChaosSinkCallbackPanic(t *testing.T) {
 	n := 0
 	res := engine.Run(p, engine.Options{
 		Workers: 4,
-		OnEmbedding: func(m []hypergraph.EdgeID) {
+		OnGroup: hgtest.SerialRowsOf(func(m []hypergraph.EdgeID) {
 			if n++; n == 100 {
 				panic("callback exploded")
 			}
-		},
+		}),
 	})
 	if !errors.Is(res.Err, engine.ErrRequestPoisoned) {
 		t.Fatalf("err=%v", res.Err)

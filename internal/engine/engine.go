@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"hgmatch/internal/core"
-	"hgmatch/internal/dataflow"
 	"hgmatch/internal/hypergraph"
 )
 
@@ -82,44 +81,28 @@ type Options struct {
 	// static initial split of first-hyperedge matches across workers —
 	// the "HGMatch-NOSTL" configuration of Exp-6 (paper Fig. 12).
 	DisableStealing bool
-	// OnEmbedding, when non-nil, receives every embedding (the tuple is
-	// aligned with plan.Order and reused; copy to retain). Calls are
-	// serialised by the engine, so the callback needs no locking — at the
-	// cost of a global lock on the sink path; high-throughput consumers
-	// should prefer OnEmbeddingWorker.
-	OnEmbedding func(m []hypergraph.EdgeID)
-	// OnEmbeddingWorker, when non-nil, receives every embedding on the
-	// worker that found it, tagged with the worker index in [0, Workers).
-	// Calls are NOT serialised across workers — two workers may call
-	// concurrently (always with distinct worker indexes), so fn must
-	// shard its state by worker or synchronise internally. The tuple is
-	// reused; copy to retain. This is the per-worker sink path: no global
-	// lock is taken per embedding.
-	OnEmbeddingWorker func(worker int, m []hypergraph.EdgeID)
 	// OnGroup, when non-nil, receives every embedding on the worker that
 	// found it, in the shape match-by-hyperedge produces them: one call
 	// stands for the len(last) embeddings prefix+[c], c ranging over last in
 	// order, where prefix is a partial embedding aligned with the plan's
 	// matching order and last holds the valid data hyperedges of the final
-	// EXPAND (paper Algorithms 3-5; a one-hyperedge query has an empty
-	// prefix and a SCAN range as last). A run nothing inspects row by row —
-	// no Limit, Filter, Aggregate, FaultHook, OnEmbedding or
-	// OnEmbeddingWorker — hands over each parent row's whole candidate run;
-	// any other run delivers the same embeddings in the same per-worker
-	// order as groups of one. Concurrency is OnEmbeddingWorker's: calls from
-	// different workers overlap, always with distinct worker indexes. Both
-	// slices are the engine's own storage, reused between calls: read only,
-	// copy to retain.
+	// EXPAND that Filter and Limit kept (paper Algorithms 3-5; a
+	// one-hyperedge query has an empty prefix and a SCAN range as last).
+	// It is the run's only consumer of rows. Calls from different workers
+	// overlap, always with distinct worker indexes in [0, Workers), so fn
+	// must shard its state by worker or synchronise internally. Both slices
+	// are the engine's own storage, reused between calls: read only, copy
+	// to retain.
 	OnGroup func(worker int, prefix, last []hypergraph.EdgeID)
 	// Limit stops the run after this many embeddings (0 = unlimited). A
-	// capped run that delivers rows — OnEmbedding, OnEmbeddingWorker,
-	// OnGroup or Aggregate set — keeps the first Limit rows of the
-	// sequential depth-first order (core.Plan.EnumerateSequential), which
-	// are the Limit lexicographically smallest tuples in plan order. It
-	// runs on one worker at a time, streams those rows in that order with
-	// no buffering, and every callback sees worker index 0. A capped run
-	// that only counts keeps the parallel path: its count does not depend
-	// on which rows are kept.
+	// capped run that delivers rows — OnGroup or Aggregate set — keeps the
+	// first Limit rows of the sequential depth-first order
+	// (core.Plan.EnumerateSequential), which are the Limit
+	// lexicographically smallest tuples in plan order. It runs on one
+	// worker at a time, streams those rows in that order with no
+	// buffering, and every callback sees worker index 0. A capped run that
+	// only counts keeps the parallel path: its count does not depend on
+	// which rows are kept.
 	Limit uint64
 	// Timeout aborts the run after this duration (0 = none). Aborted runs
 	// report TimedOut = true and a lower-bound embedding count.
@@ -128,18 +111,16 @@ type Options struct {
 	// task granularity and every cancelCheckRows embeddings within a
 	// block). Cancelled runs report TimedOut = true.
 	Context context.Context
-	// Filter drops complete embeddings failing the predicate before they
-	// reach the sink (dataflow FILTER operator).
-	Filter dataflow.Predicate
-	// Aggregate, when non-nil, groups embeddings by key and counts per
-	// group (dataflow AGGREGATE operator). Groups are accumulated in
-	// per-worker maps merged at run end and returned in Result.Groups.
-	Aggregate dataflow.KeyFunc
-	// Weight is the request's fair-share weight on a shared Pool: a
-	// request of weight 2 receives twice the morsel slots of a weight-1
-	// request while both are runnable. 0 means 1. Run, a pool of one
-	// request, has nobody to share with and ignores it.
-	Weight int
+	// Filter, when non-nil, drops complete embeddings (tuples aligned with
+	// the plan's matching order) failing the predicate before they are
+	// counted — the FILTER extension operator of the paper's dataflow
+	// (§VI-A). It is called concurrently and must not retain m.
+	Filter func(m []hypergraph.EdgeID) bool
+	// Aggregate, when non-nil, maps every kept embedding to a key and
+	// counts per key — the AGGREGATE extension operator. Keys accumulate
+	// in per-worker maps merged at run end into Result.Groups. It is
+	// called concurrently and must not retain m.
+	Aggregate func(m []hypergraph.EdgeID) string
 	// Scan, when non-nil, replaces the plan's full start partition as the
 	// run's SCAN seed set: only these first-hyperedge candidates are
 	// expanded. A caller that splits InitialCandidates() into disjoint
@@ -158,7 +139,8 @@ type Options struct {
 	MaxMemory int64
 	// FaultHook, when non-nil, is called at the engine's instrumented
 	// execution points with the point's label: "task" once per scheduled
-	// task, "expand" once per block expansion, "sink" once per embedding.
+	// task, "expand" once per block expansion, "sink" once per group the
+	// final EXPAND hands to the sink (before Filter and Limit narrow it).
 	// It exists for the chaos harness (internal/hgtest): a hook that
 	// panics exercises the panic containment at exactly that boundary.
 	// Serving paths leave it nil; a nil-check per point is the only cost
@@ -169,7 +151,7 @@ type Options struct {
 // ordered reports whether the run's answer is the first Limit rows of the
 // sequential order (see Limit): a cap on a run that delivers rows.
 func (o *Options) ordered() bool {
-	return o.Limit > 0 && (o.OnEmbedding != nil || o.OnEmbeddingWorker != nil || o.OnGroup != nil || o.Aggregate != nil)
+	return o.Limit > 0 && (o.OnGroup != nil || o.Aggregate != nil)
 }
 
 // seedCandidates resolves a run's SCAN seed set: the Scan override when
@@ -300,21 +282,15 @@ type runState struct {
 	deadline  time.Time
 	hasDL     bool
 	hasCancel bool // deadline or context present
-	watch     bool // any stop condition can fire mid-run (limit/deadline/ctx)
-	// byGroup: nothing looks at single embeddings (no per-row callback,
-	// filter, aggregate, limit or fault hook), so the last matching-order
-	// step sinks a parent row's whole candidate run at once. countOnly is
-	// byGroup with no OnGroup either: nothing consumes the embeddings at
-	// all, and the last step counts its valid candidates without
-	// materialising the run.
-	byGroup   bool
+	// countOnly: nothing inspects the embeddings (no OnGroup, Filter,
+	// Aggregate or FaultHook), so the last matching-order step counts its
+	// valid candidates without materialising the run.
 	countOnly bool
 	// serial: the run is ordered (Options.ordered), so it has one deque
 	// that whichever attached worker serves, depth first and without
 	// publishing or stealing.
 	serial bool
 
-	sinkMu sync.Mutex // serialises the legacy OnEmbedding callback
 	groups map[string]uint64
 
 	mergeMu        sync.Mutex // guards end-of-run merges (counters, groups)
@@ -349,10 +325,12 @@ type workerState struct {
 	emitBuf []hypergraph.EdgeID
 	free    []*block // recycled blocks; the allocation-free steady state
 	// run collects the final EXPAND's valid candidates for one parent row,
-	// so they sink as one (row, run) group instead of one call each.
-	run []hypergraph.EdgeID
+	// so they sink as one (row, run) group instead of one call each; kept
+	// is the part of a run that passes Filter (see sinkRun).
+	run  []hypergraph.EdgeID
+	kept []hypergraph.EdgeID
 
-	localCount uint64            // embeddings sunk (no-limit path); flushed at detach
+	localCount uint64            // embeddings sunk (uncapped runs); flushed at detach
 	stats      WorkerStats       // this attachment's share of st.stats[id]; flushed at detach
 	groups     map[string]uint64 // per-worker AGGREGATE map; merged at detach
 
@@ -405,7 +383,7 @@ func (w *workerState) attach(st *runState) {
 
 // detach flushes the worker's request-scoped accumulators into the request
 // and drops the references: the batched embedding count (one atomic add
-// per attachment on the no-limit path), the worker's stats, expansion
+// per attachment in an uncapped run), the worker's stats, expansion
 // counters and the per-worker aggregation map. It runs on every way out of
 // an attachment, recovered panics included. Merges are skipped when empty so
 // a late drive-by attachment (a pool worker visiting an already-finished
@@ -550,10 +528,7 @@ func newRunState(p *core.Plan, opts Options, slots int) *runState {
 		st.hasDL = true
 	}
 	st.hasCancel = st.hasDL || opts.Context != nil
-	st.watch = st.hasCancel || opts.Limit > 0
-	st.byGroup = opts.OnEmbedding == nil && opts.OnEmbeddingWorker == nil && opts.Filter == nil &&
-		opts.Aggregate == nil && opts.Limit == 0 && opts.FaultHook == nil
-	st.countOnly = st.byGroup && opts.OnGroup == nil
+	st.countOnly = opts.OnGroup == nil && opts.Filter == nil && opts.Aggregate == nil && opts.FaultHook == nil
 	if opts.MaxMemory > 0 {
 		// Budget in block units; a budget below one block still admits the
 		// run but trips on the first acquisition (maxLive 0), which is the
@@ -760,9 +735,9 @@ func (w *workerState) expandBlock(b *block, from int) (requeued bool) {
 			if w.shouldStop() {
 				return w.yieldRest(b, i)
 			}
-			n := st.plan.CountValid(depth, b.row(i), sc, &w.ct)
-			w.localCount += n
-			w.stats.SinkCount += n
+			if n := st.plan.CountValid(depth, b.row(i), sc, &w.ct); n > 0 {
+				w.stats.SinkCount += w.take(n)
+			}
 		}
 		return false
 	}
@@ -811,19 +786,14 @@ func (w *workerState) expandBlock(b *block, from int) (requeued bool) {
 // run stopped (limit, deadline, context, poison, budget) or the worker
 // yields its slot (preempted). Its common path is one load of st.ctl, a
 // request-local word that changes only on a stop or an arrival, compared
-// with the value the worker attached with. The stop bit is checked before
-// the watch gate: poison and budget aborts can fire on any run (watch only
-// predicts limit/deadline/ctx), and a poisoned run must stop expanding
-// promptly. The deadline and context are polled every cancelCheckRows rows,
-// bounding cancellation latency inside long blocks without a clock read
-// per row; preempted rate-limits its slice clock the same way.
+// with the value the worker attached with. The deadline and context are
+// polled every cancelCheckRows rows, bounding cancellation latency inside
+// long blocks without a clock read per row; preempted rate-limits its
+// slice clock the same way.
 func (w *workerState) shouldStop() bool {
 	st := w.st
 	if c := st.ctl.Load(); c != w.ctl0 && (c&ctlStop != 0 || w.preempted()) {
 		return true
-	}
-	if !st.watch {
-		return false
 	}
 	if st.hasCancel {
 		if w.rowsToCancelCheck--; w.rowsToCancelCheck <= 0 {
@@ -934,80 +904,74 @@ func (st *runState) notePeak(cur int64) {
 	}
 }
 
-// sinkRun consumes the embeddings prefix+[c], c in run — one parent row's
-// share of the final EXPAND. A byGroup run counts them and hands them on
-// whole; every other run loops them through the per-row sink.
+// sinkRun is TSINK (paper §VI-A) fused with the final EXPAND, and the
+// engine's only emitting leaf: it consumes the embeddings prefix+[c], c in
+// run — one parent row's valid last hyperedges — as one group. In order it
+// fires the "sink" fault point, narrows the run with Filter, reserves the
+// survivors against Limit (take), counts each kept row into Aggregate and
+// hands the kept rows to OnGroup whole. A capped run reserves once per
+// group, so the count and the deliveries stay exactly Limit.
 func (w *workerState) sinkRun(prefix, run []hypergraph.EdgeID) {
 	st := w.st
-	if !st.byGroup {
-		d := len(prefix)
-		copy(w.emitBuf, prefix)
-		for _, c := range run {
-			w.emitBuf[d] = c
-			st.sink(w.emitBuf[:d+1], w)
-		}
-		return
-	}
 	if len(run) == 0 || st.isStopped() {
-		return
-	}
-	w.localCount += uint64(len(run))
-	w.stats.SinkCount += uint64(len(run))
-	if st.opts.OnGroup != nil {
-		st.opts.OnGroup(w.slot, prefix, run)
-	}
-}
-
-// sink consumes one complete embedding: TSINK (paper §VI-A), plus the
-// FILTER and AGGREGATE extension operators. The path is sharded per worker:
-// without a Limit the count is worker-local (flushed at exit), aggregation
-// goes to a worker-local map, and OnEmbeddingWorker runs without any lock.
-// With a Limit the global atomic acts as a cooperative budget — each worker
-// reserves a slot and the racing over-reservation is trimmed back — keeping
-// the reported count and callback deliveries exactly Limit.
-func (st *runState) sink(m []hypergraph.EdgeID, w *workerState) {
-	if st.isStopped() {
 		return
 	}
 	if hook := st.opts.FaultHook; hook != nil {
 		hook("sink")
 	}
-	if st.opts.Filter != nil && !st.opts.Filter(m) {
+	// m is the full tuple Filter and Aggregate see, its last slot varying.
+	d := len(prefix)
+	m := w.emitBuf[:d+1]
+	copy(m, prefix)
+	if keep := st.opts.Filter; keep != nil {
+		// Never narrow run in place: a one-hyperedge query's run is the
+		// plan's start partition.
+		w.kept = w.kept[:0]
+		for _, c := range run {
+			if m[d] = c; keep(m) {
+				w.kept = append(w.kept, c)
+			}
+		}
+		run = w.kept
+	}
+	if len(run) == 0 {
 		return
 	}
-	if st.opts.Limit > 0 {
-		n := st.count.Add(1)
-		if n > st.opts.Limit {
-			// A concurrent sink raced past the limit; undo and drop so
-			// the reported count never exceeds it.
-			st.count.Add(^uint64(0))
-			st.stop()
-			return
-		}
-		if n == st.opts.Limit {
-			st.stop()
-		}
-	} else {
-		w.localCount++
-	}
-	w.stats.SinkCount++
-	if st.opts.Aggregate != nil {
+	run = run[:w.take(uint64(len(run)))]
+	w.stats.SinkCount += uint64(len(run))
+	if key := st.opts.Aggregate; key != nil {
 		if w.groups == nil {
 			w.groups = make(map[string]uint64, 16)
 		}
-		w.groups[st.opts.Aggregate(m)]++
+		for _, c := range run {
+			m[d] = c
+			w.groups[key(m)]++
+		}
 	}
-	if st.opts.OnEmbeddingWorker != nil {
-		st.opts.OnEmbeddingWorker(w.slot, m)
+	if len(run) > 0 && st.opts.OnGroup != nil {
+		st.opts.OnGroup(w.slot, prefix, run)
 	}
-	if st.opts.OnGroup != nil {
-		st.opts.OnGroup(w.slot, m[:len(m)-1], m[len(m)-1:])
+}
+
+// take reserves n embeddings for the run and returns how many it may keep.
+// An uncapped run counts them worker-locally (flushed at detach). A capped
+// run reserves them with one atomic add on the shared count: a reservation
+// that reaches Limit stops the run, and one that crosses it keeps the rows
+// below Limit and gives the rest back, so the reported count never exceeds
+// it however the workers race.
+func (w *workerState) take(n uint64) uint64 {
+	st := w.st
+	limit := st.opts.Limit
+	if limit == 0 {
+		w.localCount += n
+		return n
 	}
-	if st.opts.OnEmbedding != nil {
-		// Deferred unlock so a panicking callback cannot wedge the sink
-		// mutex for the workers still draining this (now poisoned) run.
-		st.sinkMu.Lock()
-		defer st.sinkMu.Unlock()
-		st.opts.OnEmbedding(m)
+	if end := st.count.Add(n); end >= limit {
+		st.stop()
+		if over := min(end-limit, n); over > 0 {
+			st.count.Add(-over)
+			n -= over
+		}
 	}
+	return n
 }

@@ -88,9 +88,9 @@ func TestCollectedEmbeddingsIdentical(t *testing.T) {
 		var out []string
 		engine.Run(p, engine.Options{
 			Workers: workers,
-			OnEmbedding: func(m []hypergraph.EdgeID) {
+			OnGroup: hgtest.SerialRowsOf(func(m []hypergraph.EdgeID) {
 				out = append(out, fmt.Sprint(m))
-			},
+			}),
 		})
 		sort.Strings(out)
 		return out
@@ -108,11 +108,11 @@ func TestCollectedEmbeddingsIdentical(t *testing.T) {
 		}
 	}
 	// Soundness of collected results.
-	engine.Run(p, engine.Options{Workers: 3, OnEmbedding: func(m []hypergraph.EdgeID) {
+	engine.Run(p, engine.Options{Workers: 3, OnGroup: hgtest.SerialRowsOf(func(m []hypergraph.EdgeID) {
 		if !core.VerifyEmbedding(q, h, p.Order, m) {
 			t.Fatalf("engine emitted invalid embedding %v", m)
 		}
-	}})
+	})})
 }
 
 func TestLimit(t *testing.T) {

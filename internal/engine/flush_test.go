@@ -68,7 +68,7 @@ func TestCounterFlush(t *testing.T) {
 		// The count-only leaf is an optimisation of the sink, not a
 		// different answer: a run that sinks every embedding into a no-op
 		// callback reports the same count and the same kernel counters.
-		sunk := r.run(engine.Options{OnEmbeddingWorker: func(int, []hypergraph.EdgeID) {}})
+		sunk := r.run(engine.Options{OnGroup: hgtest.RowsOf(func(int, []hypergraph.EdgeID) {})})
 		checkFlushed(t, r.name+"/callback", sunk)
 		if sunk.Embeddings != full.Embeddings || sunk.Counters != full.Counters {
 			t.Errorf("%s: count-only run found %d %+v, callback run %d %+v",
@@ -90,7 +90,9 @@ func TestCounterFlush(t *testing.T) {
 				r.name, sunk.Elapsed/8, sunk.Elapsed, cancelled.TimedOut, cancelled.Embeddings, full.Embeddings)
 		}
 
-		inj := &hgtest.PanicInjector{Target: int64(full.Embeddings / 2)}
+		var sinks hgtest.FaultCounter
+		r.run(engine.Options{FaultHook: sinks.Hook})
+		inj := &hgtest.PanicInjector{Target: sinks.Count("sink") / 2}
 		poisoned := r.run(engine.Options{FaultHook: func(point string) {
 			if point == "sink" {
 				inj.Hook(point)
@@ -146,12 +148,13 @@ func (g *groupTrace) total() (rows []string, groups, widest int) {
 	return rows, groups, widest
 }
 
-// TestGroupCallbackEquivalence: OnGroup is OnEmbeddingWorker with the last
-// EXPAND's candidate set left whole. On random querygen queries of 1-4
-// hyperedges, solo and pooled, it must deliver the same multiset, the same
-// kernel counters and — where one worker makes delivery order a fact — the
-// same sequence; and every option that needs to see single rows must still
-// see them, with the group callback fed one row at a time.
+// TestGroupCallbackEquivalence: OnGroup hands over the last EXPAND's
+// candidate set whole, and a row consumer (hgtest.RowsOf) sees it row by
+// row. On random querygen queries of 1-4 hyperedges, solo and pooled, both
+// must deliver the same multiset, the same kernel counters and — where one
+// worker makes delivery order a fact — the same sequence; and every option
+// that looks at single rows must hand the group callback exactly the rows
+// it keeps.
 func TestGroupCallbackEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	h := hgtest.RandomHypergraph(rng, hgtest.RandomConfig{
@@ -187,18 +190,18 @@ func TestGroupCallbackEquivalence(t *testing.T) {
 			cases++
 			for _, r := range runners {
 				name := fmt.Sprintf("nq%d/q%d/%s", nq, i, r.name)
-				byRow, byGroup := newGroupTrace(r.workers), newGroupTrace(r.workers)
-				want := r.run(p, engine.Options{OnEmbeddingWorker: byRow.onRow})
-				got := r.run(p, engine.Options{OnGroup: byGroup.onGroup})
+				byRow, byRun := newGroupTrace(r.workers), newGroupTrace(r.workers)
+				want := r.run(p, engine.Options{OnGroup: hgtest.RowsOf(byRow.onRow)})
+				got := r.run(p, engine.Options{OnGroup: byRun.onGroup})
 				checkFlushed(t, name, got)
 				if got.Embeddings != want.Embeddings || got.Counters != want.Counters || got.Err != nil {
 					t.Fatalf("%s: group run %d %+v err=%v, row run %d %+v", name, got.Embeddings, got.Counters, got.Err, want.Embeddings, want.Counters)
 				}
-				if r.workers == 1 && !slices.Equal(byGroup.rows[0], byRow.rows[0]) {
+				if r.workers == 1 && !slices.Equal(byRun.rows[0], byRow.rows[0]) {
 					t.Fatalf("%s: one worker delivered the rows in a different order by group", name)
 				}
 				wantRows, _, _ := byRow.total()
-				gotRows, groups, widest := byGroup.total()
+				gotRows, groups, widest := byRun.total()
 				if !slices.Equal(gotRows, wantRows) || uint64(len(gotRows)) != got.Embeddings {
 					t.Fatalf("%s: group run delivered %d rows for %d embeddings, row run %d", name, len(gotRows), got.Embeddings, len(wantRows))
 				}
@@ -208,32 +211,46 @@ func TestGroupCallbackEquivalence(t *testing.T) {
 					t.Fatalf("%s: %d groups for %d embeddings", name, groups, got.Embeddings)
 				}
 
-				// Options that look at single rows take the per-row loop;
-				// OnGroup then sees every kept row as a group of one.
-				singles := func(what string, o engine.Options) (engine.Result, []string) {
+				// Options that look at single rows narrow each group to the
+				// rows they keep; OnGroup sees exactly those rows.
+				singles := func(what string, o engine.Options) (engine.Result, []string, *groupTrace) {
 					tr := newGroupTrace(r.workers)
 					o.OnGroup = tr.onGroup
 					res := r.run(p, o)
 					checkFlushed(t, name+"/"+what, res)
-					rows, groups, widest := tr.total()
-					if widest > 1 || uint64(groups) != res.Embeddings || len(rows) != groups {
-						t.Fatalf("%s/%s: %d groups (widest %d, %d rows) for %d embeddings: not the per-row loop",
-							name, what, groups, widest, len(rows), res.Embeddings)
+					rows, groups, _ := tr.total()
+					if uint64(len(rows)) != res.Embeddings || uint64(groups) > res.Embeddings {
+						t.Fatalf("%s/%s: %d groups delivered %d rows for %d embeddings",
+							name, what, groups, len(rows), res.Embeddings)
 					}
-					return res, rows
+					return res, rows, tr
 				}
 				limit := want.Embeddings/2 + 1
-				if res, _ := singles("limit", engine.Options{Limit: limit}); res.Embeddings != limit {
+				if res, _, _ := singles("limit", engine.Options{Limit: limit}); res.Embeddings != limit {
 					t.Fatalf("%s: limit %d kept %d", name, limit, res.Embeddings)
 				}
 				odd := func(m []hypergraph.EdgeID) bool { return m[len(m)-1]%2 == 1 }
 				oddByRow := newGroupTrace(r.workers)
-				r.run(p, engine.Options{Filter: odd, OnEmbeddingWorker: oddByRow.onRow})
+				r.run(p, engine.Options{Filter: odd, OnGroup: hgtest.RowsOf(oddByRow.onRow)})
 				wantOdd, _, _ := oddByRow.total()
-				if _, rows := singles("filter", engine.Options{Filter: odd}); !slices.Equal(rows, wantOdd) {
+				if _, rows, _ := singles("filter", engine.Options{Filter: odd}); !slices.Equal(rows, wantOdd) {
 					t.Fatalf("%s: filter kept %d rows, want %d", name, len(rows), len(wantOdd))
 				}
-				res, rows := singles("aggregate", engine.Options{Aggregate: func(m []hypergraph.EdgeID) string { return fmt.Sprint(m[0] % 3) }})
+				// A capped filtered run keeps the first n passing rows of the
+				// sequential order, in that order, on worker 0.
+				var seqOdd []string
+				p.EnumerateSequential(func(m []hypergraph.EdgeID) {
+					if odd(m) {
+						seqOdd = append(seqOdd, fmt.Sprint(m))
+					}
+				})
+				n := len(seqOdd)/2 + 1
+				res, _, tr := singles("filter+limit", engine.Options{Filter: odd, Limit: uint64(n)})
+				if n = min(n, len(seqOdd)); res.Embeddings != uint64(n) || !slices.Equal(tr.rows[0], seqOdd[:n]) {
+					t.Fatalf("%s: filter+limit kept %d rows (%d delivered on worker 0), want the first %d passing rows",
+						name, res.Embeddings, len(tr.rows[0]), n)
+				}
+				res, rows, _ := singles("aggregate", engine.Options{Aggregate: func(m []hypergraph.EdgeID) string { return fmt.Sprint(m[0] % 3) }})
 				var grouped uint64
 				for _, n := range res.Groups {
 					grouped += n
@@ -242,8 +259,9 @@ func TestGroupCallbackEquivalence(t *testing.T) {
 					t.Fatalf("%s: aggregate counted %d of %d embeddings", name, grouped, want.Embeddings)
 				}
 				var hooks hgtest.FaultCounter
-				if res, _ := singles("faulthook", engine.Options{FaultHook: hooks.Hook}); uint64(hooks.Count("sink")) != res.Embeddings {
-					t.Fatalf("%s: sink hook fired %d times for %d embeddings", name, hooks.Count("sink"), res.Embeddings)
+				_, _, tr = singles("faulthook", engine.Options{FaultHook: hooks.Hook})
+				if _, groups, _ := tr.total(); hooks.Count("sink") != int64(groups) {
+					t.Fatalf("%s: sink hook fired %d times for %d groups", name, hooks.Count("sink"), groups)
 				}
 			}
 		}

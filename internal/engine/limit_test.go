@@ -37,9 +37,9 @@ func TestLimitNeverExceeded(t *testing.T) {
 			res := engine.Run(p, engine.Options{
 				Workers: workers,
 				Limit:   limit,
-				OnEmbedding: func([]hypergraph.EdgeID) {
+				OnGroup: hgtest.SerialRowsOf(func([]hypergraph.EdgeID) {
 					delivered.Add(1)
-				},
+				}),
 			})
 			if res.Embeddings != limit {
 				t.Errorf("limit=%d workers=%d: counted %d", limit, workers, res.Embeddings)

@@ -50,9 +50,9 @@ func TestLimitExactMidBlock(t *testing.T) {
 			res := engine.Run(p, engine.Options{
 				Workers: workers,
 				Limit:   limit,
-				OnEmbeddingWorker: func(worker int, m []hypergraph.EdgeID) {
+				OnGroup: hgtest.RowsOf(func(worker int, m []hypergraph.EdgeID) {
 					delivered.Add(1)
-				},
+				}),
 			})
 			if res.Embeddings != limit {
 				t.Errorf("limit=%d workers=%d: counted %d", limit, workers, res.Embeddings)
@@ -66,19 +66,19 @@ func TestLimitExactMidBlock(t *testing.T) {
 
 // TestWorkerCallbackSharded checks the sharded sink contract: worker
 // indexes stay in range, per-worker delivery counts match the per-worker
-// SinkCount stats, and the total matches the serialised baseline.
+// SinkCount stats, and the total matches the run's count.
 func TestWorkerCallbackSharded(t *testing.T) {
 	p := morselWorkload(t, 7, 3)
 	const workers = 4
 	perWorker := make([]uint64, workers)
 	res := engine.Run(p, engine.Options{
 		Workers: workers,
-		OnEmbeddingWorker: func(worker int, m []hypergraph.EdgeID) {
+		OnGroup: hgtest.RowsOf(func(worker int, m []hypergraph.EdgeID) {
 			if worker < 0 || worker >= workers {
 				panic("worker index out of range")
 			}
 			perWorker[worker]++ // safe: each index is only touched by its worker
-		},
+		}),
 	})
 	var total uint64
 	for i, n := range perWorker {
@@ -89,18 +89,6 @@ func TestWorkerCallbackSharded(t *testing.T) {
 	}
 	if total != res.Embeddings {
 		t.Errorf("sharded deliveries %d != embeddings %d", total, res.Embeddings)
-	}
-
-	// Both callback flavours together: serialised OnEmbedding still sees
-	// every embedding exactly once.
-	var serialised uint64
-	res2 := engine.Run(p, engine.Options{
-		Workers:           workers,
-		OnEmbedding:       func(m []hypergraph.EdgeID) { serialised++ },
-		OnEmbeddingWorker: func(worker int, m []hypergraph.EdgeID) {},
-	})
-	if serialised != res2.Embeddings || res2.Embeddings != res.Embeddings {
-		t.Errorf("serialised %d, embeddings %d (want %d)", serialised, res2.Embeddings, res.Embeddings)
 	}
 }
 
@@ -114,9 +102,9 @@ func TestCancelMidBlock(t *testing.T) {
 	res := engine.Run(p, engine.Options{
 		Workers: 4,
 		Context: ctx,
-		OnEmbeddingWorker: func(worker int, m []hypergraph.EdgeID) {
+		OnGroup: hgtest.RowsOf(func(worker int, m []hypergraph.EdgeID) {
 			fired.Do(cancel) // cancel as soon as the first embedding lands
-		},
+		}),
 	})
 	if res.Embeddings == 0 {
 		t.Skip("workload produced nothing before cancellation")

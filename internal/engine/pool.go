@@ -10,7 +10,7 @@ import (
 )
 
 // fairQuantum is how many tasks a pool worker executes for one request
-// before re-ranking the active requests by virtual time, large enough to
+// before re-ranking the active requests by slots consumed, large enough to
 // amortise the attach/detach and ranking cost over several morsels. It does
 // not bound how long a newcomer waits: one block task can inline-expand a
 // whole subtree. A worker ends its quantum early once a request registered
@@ -20,16 +20,11 @@ import (
 // their row order and static split are defined by whole quanta.
 const fairQuantum = 8
 
-// maxWeight caps a request's fair-share weight so the integer
-// cross-multiplication in fairPick cannot overflow for any realistic
-// slot count.
-const maxWeight = 1 << 20
-
 // Pool is a morsel worker set shared by all in-flight requests, and the
 // engine's only execution path (Run is a pool of one request). Each Submit
 // registers the request's task queues with the pool; the persistent
-// workers divide their morsel slots across active requests by weighted
-// fair scheduling (lowest virtual time first, vt = slots/weight), while
+// workers divide their morsel slots across active requests by fair
+// scheduling (the request that has consumed the fewest slots first), while
 // within a request they run the paper's scheduler — per-worker LIFO
 // deques, dynamic stealing, depth-first inline expansion. Per-worker block
 // free lists and scratch areas persist across requests, so the
@@ -54,10 +49,9 @@ type Pool struct {
 // poolReq is one request registered with the pool.
 type poolReq struct {
 	st     *runState
-	weight uint64 // fair-share weight (>= 1)
-	maxPar int32  // max workers attached at once (request's Workers cap)
+	maxPar int32 // max workers attached at once (request's Workers cap)
 
-	slots    atomic.Uint64 // morsel slots consumed; vt = slots/weight
+	slots    atomic.Uint64 // morsel slots consumed (see fairPick)
 	attached atomic.Int32  // workers currently attached
 	finished atomic.Bool   // set once by the worker that retires the last task
 	doneOnce sync.Once
@@ -97,7 +91,7 @@ func NewPool(workers int) *Pool {
 }
 
 // Workers returns the pool's worker count — the number of distinct worker
-// indexes a per-worker sink (Options.OnEmbeddingWorker) can observe.
+// indexes Options.OnGroup can observe.
 func (p *Pool) Workers() int { return p.workers }
 
 // Stats returns a snapshot of the pool's scheduler counters.
@@ -133,10 +127,9 @@ func (p *Pool) Close() {
 // Submit runs one request on the shared pool and blocks until its result
 // is complete. Options are honoured with pool semantics: Workers caps how
 // many pool workers may serve the request at once (0 or oversize means all
-// of them), Weight sets the fair-share weight. Under DisableStealing each
-// worker serves only its own deque slot of the static split. A capped run
-// that delivers rows is served by one worker at a time (see
-// Options.Limit). Submit on a closed pool refuses the request with
+// of them). Under DisableStealing each worker serves only its own deque
+// slot of the static split. A capped run that delivers rows is served by
+// one worker at a time (see Options.Limit). Submit on a closed pool refuses the request with
 // Result.Err = ErrPoolClosed (which wraps hgio.ErrShuttingDown) — the same
 // shutdown sentinel the registry reports, so callers classify both alike.
 func (p *Pool) Submit(plan *core.Plan, opts Options) Result {
@@ -153,15 +146,7 @@ func (p *Pool) Submit(plan *core.Plan, opts Options) Result {
 	if plan.Empty || len(seedCandidates(plan, &opts)) == 0 {
 		return Result{Elapsed: time.Since(start)}
 	}
-	weight := uint64(1)
-	if opts.Weight > 1 {
-		weight = uint64(opts.Weight)
-		if weight > maxWeight {
-			weight = maxWeight
-		}
-	}
 	r := &poolReq{
-		weight:  weight,
 		maxPar:  int32(opts.Workers),
 		drained: make(chan struct{}),
 	}
@@ -177,21 +162,22 @@ func (p *Pool) Submit(plan *core.Plan, opts Options) Result {
 	st := newRunState(plan, opts, p.workers)
 	st.onPanic = func() { p.panics.Add(1) }
 	r.st = st
-	// Virtual-time normalisation: a new request starts at the minimum vt
-	// among active requests, not at zero — otherwise a newcomer would
-	// monopolise the pool until it caught up with long-running requests.
-	if len(p.reqs) > 0 {
-		m := p.reqs[minVT(p.reqs)]
-		r.slots.Store(m.slots.Load() / m.weight * weight)
-	}
-	// Tell every registered request about the newcomer: their workers
-	// yield once past their slice (workerState.preempted). Ordered and
-	// NOSTL runs are not told; they keep whole quanta.
-	for _, q := range p.reqs {
+	// A new request starts at the fewest slots among active requests, not
+	// at zero — otherwise a newcomer would monopolise the pool until it
+	// caught up with long-running requests. Every registered request also
+	// hears of the newcomer: its workers yield once past their slice
+	// (workerState.preempted). Ordered and NOSTL runs are not told; they
+	// keep whole quanta.
+	var least uint64
+	for i, q := range p.reqs {
+		if s := q.slots.Load(); i == 0 || s < least {
+			least = s
+		}
 		if !q.st.opts.DisableStealing {
 			q.st.ctl.Add(ctlArrival)
 		}
 	}
+	r.slots.Store(least)
 	p.reqs = append(p.reqs, r)
 	p.mu.Unlock()
 
@@ -204,27 +190,14 @@ func (p *Pool) Submit(plan *core.Plan, opts Options) Result {
 	return res
 }
 
-// minVT returns the index of the request with the lowest virtual time.
-// Callers hold p.mu.
-func minVT(reqs []*poolReq) int {
-	best := 0
-	for i := 1; i < len(reqs); i++ {
-		if reqs[i].slots.Load()*reqs[best].weight < reqs[best].slots.Load()*reqs[i].weight {
-			best = i
-		}
-	}
-	return best
-}
-
-// fairPick returns the index of the request with the minimum virtual time
-// slots[i]/weights[i], compared by cross-multiplication so the arithmetic
-// stays in integers; ties resolve to the lowest index (registration
-// order). It is a pure function of its arguments, which makes the fair
-// scheduler testable with counted slots instead of wall clock.
-func fairPick(slots, weights []uint64) int {
+// fairPick returns the index of the request that has consumed the fewest
+// slots; ties resolve to the lowest index (registration order). It is a
+// pure function of its argument, which makes the fair scheduler testable
+// with counted slots instead of wall clock.
+func fairPick(slots []uint64) int {
 	best := 0
 	for i := 1; i < len(slots); i++ {
-		if slots[i]*weights[best] < slots[best]*weights[i] {
+		if slots[i] < slots[best] {
 			best = i
 		}
 	}
@@ -232,7 +205,7 @@ func fairPick(slots, weights []uint64) int {
 }
 
 // workerLoop is one persistent pool worker: snapshot the active requests,
-// serve them in virtual-time order one quantum at a time, back off when no
+// serve them fewest slots first one quantum at a time, back off when no
 // request has runnable work, exit when the pool is closed and drained. An
 // exiting worker hands its scratch areas back to core's pool before Close
 // returns, so the per-call pools of Run keep reusing warm ones.
@@ -250,9 +223,8 @@ func (p *Pool) workerLoop(id int) {
 	// ~10 µs that Run's per-call pool would pay per worker per call.
 	rng := rand.New(rand.NewPCG(uint64(id), 0x9E3779B97F4A7C15))
 	var (
-		cands   []*poolReq
-		slots   []uint64
-		weights []uint64
+		cands []*poolReq
+		slots []uint64
 	)
 	idleRounds := 0
 	for {
@@ -265,23 +237,20 @@ func (p *Pool) workerLoop(id int) {
 			continue
 		}
 		slots = slots[:0]
-		weights = weights[:0]
 		for _, r := range cands {
 			slots = append(slots, r.slots.Load())
-			weights = append(weights, r.weight)
 		}
 		did := false
 		for len(cands) > 0 {
-			i := fairPick(slots, weights)
+			i := fairPick(slots)
 			if p.runQuantum(w, cands[i], rng) {
 				did = true
-				break // re-snapshot so vt ordering reflects the new slots
+				break // re-snapshot so the pick reflects the new slots
 			}
 			last := len(cands) - 1
 			cands[i], cands[last] = cands[last], cands[i]
 			slots[i], slots[last] = slots[last], slots[i]
-			weights[i], weights[last] = weights[last], weights[i]
-			cands, slots, weights = cands[:last], slots[:last], weights[:last]
+			cands, slots = cands[:last], slots[:last]
 		}
 		if did {
 			idleRounds = 0

@@ -14,6 +14,7 @@ import (
 	"hgmatch/internal/core"
 	"hgmatch/internal/engine"
 	"hgmatch/internal/hgio"
+	"hgmatch/internal/hgtest"
 	"hgmatch/internal/hypergraph"
 )
 
@@ -47,7 +48,7 @@ func TestPoolConcurrentMixedRequests(t *testing.T) {
 			wg.Add(1)
 			go func(r, i int, w workload) {
 				defer wg.Done()
-				opts := engine.Options{Weight: 1 + i%3, Workers: 1 + (r+i)%4}
+				opts := engine.Options{Workers: 1 + (r+i)%4}
 				res := pool.Submit(w.plan, opts)
 				if res.Embeddings != w.want {
 					errs <- fmt.Errorf("round %d workload %d: got %d want %d", r, i, res.Embeddings, w.want)
@@ -88,9 +89,9 @@ func TestPoolCancelIsolation(t *testing.T) {
 	go func() {
 		done <- pool.Submit(expensive, engine.Options{
 			Context: ctx,
-			OnEmbeddingWorker: func(worker int, m []hypergraph.EdgeID) {
+			OnGroup: hgtest.RowsOf(func(worker int, m []hypergraph.EdgeID) {
 				fired.Do(cancel)
-			},
+			}),
 		})
 	}()
 
@@ -135,12 +136,12 @@ func TestPoolLimitAndAggregate(t *testing.T) {
 		var delivered atomic.Uint64
 		res := pool.Submit(p, engine.Options{
 			Limit: limit,
-			OnEmbeddingWorker: func(worker int, m []hypergraph.EdgeID) {
+			OnGroup: hgtest.RowsOf(func(worker int, m []hypergraph.EdgeID) {
 				if worker != 0 {
 					panic("a capped run called back on a worker other than 0")
 				}
 				delivered.Add(1)
-			},
+			}),
 		})
 		if res.Embeddings != limit || delivered.Load() != limit {
 			t.Errorf("limit=%d: counted %d delivered %d", limit, res.Embeddings, delivered.Load())
@@ -319,11 +320,11 @@ func TestLeakDetectorRandomizedCancel(t *testing.T) {
 		opts := engine.Options{
 			Workers: 1 + i%4,
 			Context: ctx,
-			OnEmbeddingWorker: func(worker int, m []hypergraph.EdgeID) {
+			OnGroup: hgtest.RowsOf(func(worker int, m []hypergraph.EdgeID) {
 				if seen.Add(1) == cancelAt {
 					cancel()
 				}
-			},
+			}),
 		}
 		var res engine.Result
 		if i%2 == 0 {

@@ -32,9 +32,9 @@ func TestShardScanSubsetUnion(t *testing.T) {
 			t.Fatal(err)
 		}
 		var want []string
-		full := engine.Run(p, engine.Options{Workers: 3, OnEmbedding: func(m []hypergraph.EdgeID) {
+		full := engine.Run(p, engine.Options{Workers: 3, OnGroup: hgtest.SerialRowsOf(func(m []hypergraph.EdgeID) {
 			want = append(want, fmt.Sprint(m))
-		}})
+		})})
 		sort.Strings(want)
 		scan := p.InitialCandidates()
 		for _, parts := range []int{2, 3, 5} {
@@ -45,9 +45,9 @@ func TestShardScanSubsetUnion(t *testing.T) {
 				sub := engine.Run(p, engine.Options{
 					Workers: 3,
 					Scan:    scan[lo:hi],
-					OnEmbedding: func(m []hypergraph.EdgeID) {
+					OnGroup: hgtest.SerialRowsOf(func(m []hypergraph.EdgeID) {
 						got = append(got, fmt.Sprint(m))
-					},
+					}),
 				})
 				sum.Embeddings += sub.Embeddings
 				sum.Counters.Add(sub.Counters)

@@ -10,6 +10,7 @@ import (
 
 	"hgmatch/internal/core"
 	"hgmatch/internal/engine"
+	"hgmatch/internal/hgtest"
 	"hgmatch/internal/hypergraph"
 )
 
@@ -36,12 +37,12 @@ func parkThenSubmit(t *testing.T, pool *engine.Pool, a, b *core.Plan, onA func(w
 	gate := make(chan struct{})
 	resA := make(chan engine.Result, 1)
 	go func() {
-		resA <- pool.Submit(a, engine.Options{OnEmbeddingWorker: func(w int, m []hypergraph.EdgeID) {
+		resA <- pool.Submit(a, engine.Options{OnGroup: hgtest.RowsOf(func(w int, m []hypergraph.EdgeID) {
 			park[w].Do(func() { parked.Done(); <-gate })
 			if onA != nil {
 				onA(w, m)
 			}
-		}})
+		})})
 	}()
 	parked.Wait()
 	resB := make(chan engine.Result, 1)
@@ -58,20 +59,24 @@ func parkThenSubmit(t *testing.T, pool *engine.Pool, a, b *core.Plan, onA func(w
 // a 2-worker pool are parked inside a long uncapped request A when B
 // registers; released past their slice, each may finish the leaf row it was
 // in and must then detach, publishing the rest instead of expanding it. B
-// carries so much weight that a yielding worker's re-pick goes to B, so a
-// worker's A rows before its first B row are exactly the rows it expanded
-// after B arrived: they must all extend one partial embedding. The pool
-// counts exactly two yields, one per parked worker of A (nothing arrives
-// after B). Both answers must equal their lone runs — a re-queued block
+// is a one-hyperedge NOSTL query of at most one scan chunk per worker, and
+// B starts at A's slot count, so each worker's yield raises A's slots past
+// B's and its re-pick goes to B. A worker's A rows before its first B row
+// are exactly the rows it expanded after B arrived: they must all extend
+// one partial embedding. The pool counts exactly two yields, one per
+// parked worker of A (nothing arrives after B). Both answers must equal their lone runs — a re-queued block
 // resumes where it stopped, expanding no row twice and skipping none.
 func TestYieldBoundedInRows(t *testing.T) {
 	pa := morselWorkload(t, 11, 4)
-	pb := morselWorkload(t, 5, 3)
+	pb := morselWorkload(t, 10, 1)
 	loneA := engine.Run(pa, engine.Options{Workers: 2})
 	if loneA.Embeddings < 100_000 {
 		t.Skipf("workload too small: %d", loneA.Embeddings)
 	}
-	wantB, loneB := sortedEmbeddings(func(o engine.Options) engine.Result { return engine.Run(pb, o) }, engine.Options{Workers: 2})
+	if n := len(pb.InitialCandidates()); n > 2*64 {
+		t.Fatalf("B has %d seeds, more than one scan chunk per worker", n)
+	}
+	wantB, loneB := sortedEmbeddings(func(o engine.Options) engine.Result { return engine.Run(pb, o) }, engine.Options{Workers: 2, DisableStealing: true})
 
 	pool := engine.NewPool(2)
 	defer pool.Close()
@@ -85,12 +90,12 @@ func TestYieldBoundedInRows(t *testing.T) {
 		if !sawB[w] {
 			aRows[w] = append(aRows[w], [3]hypergraph.EdgeID(m[:3]))
 		}
-	}, engine.Options{Weight: 1000, OnEmbeddingWorker: func(w int, m []hypergraph.EdgeID) {
+	}, engine.Options{DisableStealing: true, OnGroup: hgtest.RowsOf(func(w int, m []hypergraph.EdgeID) {
 		sawB[w] = true
 		mu.Lock()
 		gotB = append(gotB, fmt.Sprint(m))
 		mu.Unlock()
-	}})
+	})})
 
 	for w := range aRows {
 		if !sawB[w] {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"hgmatch/internal/core"
 	"hgmatch/internal/datagen"
@@ -38,12 +39,15 @@ func (s *Suite) Fig13() (CaseStudyResult, string) {
 		if err != nil {
 			return 0, nil
 		}
+		var mu sync.Mutex
 		var rendered []string
 		r := engine.Run(p, engine.Options{
 			Workers: s.Cfg.Workers,
-			OnEmbedding: func(m []hypergraph.EdgeID) {
-				if len(rendered) < samples {
-					rendered = append(rendered, renderFacts(kb, m))
+			OnGroup: func(_ int, prefix, last []hypergraph.EdgeID) {
+				mu.Lock()
+				defer mu.Unlock()
+				for _, c := range last[:min(len(last), samples-len(rendered))] {
+					rendered = append(rendered, renderFacts(kb, append(prefix[:len(prefix):len(prefix)], c)))
 				}
 			},
 		})

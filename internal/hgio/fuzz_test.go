@@ -115,6 +115,65 @@ func FuzzMapBytes(f *testing.F) {
 	})
 }
 
+// fig1Text is the paper's Fig. 1 data hypergraph in the text format, with
+// the comment and labelled-edge records the reader also accepts.
+const fig1Text = `# Fig. 1 data hypergraph
+v A
+v C
+v A
+v A
+v B
+v C
+v A
+e 2 4
+e 4 6 # trailing comment
+e 0 1 2
+e 3 5 6
+e 0 1 4 6
+el rel 2 3 4 5
+`
+
+// FuzzReadText feeds arbitrary bytes to the text reader, which parses every
+// query the server receives. It must never panic; any input it accepts
+// must decode to a graph that passes Validate, and Write → Read must give
+// back its vertex labels and its edge lists with their edge labels, which
+// is what Write renders, so the two renderings must be byte-equal. Seeds:
+// the Fig. 1 text and the hgtest serving graphs written with Write.
+func FuzzReadText(f *testing.F) {
+	f.Add([]byte(fig1Text))
+	for _, g := range hgtest.ServingGraphs() {
+		var b bytes.Buffer
+		if err := hgio.Write(&b, g.Graph); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h, err := hgio.Read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if err := h.Validate(); err != nil {
+			t.Fatalf("accepted input decodes to an invalid graph: %v", err)
+		}
+		var text bytes.Buffer
+		if err := hgio.Write(&text, h); err != nil {
+			t.Fatalf("writing an accepted graph: %v", err)
+		}
+		h2, err := hgio.Read(bytes.NewReader(text.Bytes()))
+		if err != nil {
+			t.Fatalf("re-reading a written graph: %v", err)
+		}
+		var again bytes.Buffer
+		if err := hgio.Write(&again, h2); err != nil {
+			t.Fatalf("writing the re-read graph: %v", err)
+		}
+		if !bytes.Equal(again.Bytes(), text.Bytes()) {
+			t.Fatalf("Write → Read changed the graph:\n%s\nbecame\n%s", text.Bytes(), again.Bytes())
+		}
+	})
+}
+
 // storageDiff compares two graphs' storage array by array (nil and empty
 // alike) and dictionary by dictionary name. HGB2 carries no edge-label
 // dictionary, so EdgeDict is not compared.

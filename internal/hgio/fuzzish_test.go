@@ -6,53 +6,10 @@ import (
 	"hash/crc32"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"hgmatch/internal/hgio"
 	"hgmatch/internal/hgtest"
 )
-
-// TestBinaryReaderNeverPanics feeds random byte soup (with and without a
-// valid magic prefix, both format versions) to the binary reader: it must
-// return an error or a valid graph, never panic or hang.
-func TestBinaryReaderNeverPanics(t *testing.T) {
-	f := func(raw []byte, version uint8) bool {
-		input := raw
-		switch version % 3 {
-		case 1:
-			input = append([]byte("HGB2"), raw...)
-		case 2:
-			input = append([]byte("HGB3"), raw...)
-		}
-		h, err := hgio.ReadBinary(bytes.NewReader(input))
-		if err != nil {
-			return true
-		}
-		return h.Validate() == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 750}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestBinaryV3AttachNeverPanicsOnSoup: random byte soup through the
-// zero-copy attach path (checksum verification on — the configuration
-// untrusted bytes must use) errors cleanly, never panics.
-func TestBinaryV3AttachNeverPanicsOnSoup(t *testing.T) {
-	f := func(raw []byte) bool {
-		input := append([]byte("HGB3"), raw...)
-		m, err := hgio.MapBytes(input, hgio.MapOptions{Verify: true})
-		if err != nil {
-			return true
-		}
-		ok := m.Graph().Validate() == nil
-		m.Release()
-		return ok
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 750}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // TestBinaryBitFlips: single-byte corruptions of a real v2 file must never
 // panic, and must either error out or decode to a structurally valid
@@ -298,19 +255,5 @@ func TestBinaryV3TruncationsNeverPanic(t *testing.T) {
 			m.Release()
 			t.Fatalf("attach accepted truncation at %d", cut)
 		}
-	}
-}
-
-// TestTextReaderNeverPanics does the same for the text reader.
-func TestTextReaderNeverPanics(t *testing.T) {
-	f := func(raw []byte) bool {
-		h, err := hgio.Read(bytes.NewReader(raw))
-		if err != nil {
-			return true
-		}
-		return h.Validate() == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -272,8 +272,7 @@ type ErrorResponse struct {
 // scheduler counters and the admission controller's accounting.
 type SchedulerStats struct {
 	// PoolWorkers is the process-wide worker count (-workers); every
-	// in-flight request shares these workers under weighted fair
-	// scheduling.
+	// in-flight request shares these workers under fair scheduling.
 	PoolWorkers int `json:"pool_workers"`
 	// ActiveRequests counts requests currently registered with the pool.
 	ActiveRequests int `json:"active_requests"`

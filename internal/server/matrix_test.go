@@ -328,7 +328,7 @@ func checkCell(t *testing.T, width int, c matrixCell, set *matrixSet, pool bool)
 				}
 				check("Run "+kind, limit, res.Embeddings, p.Order, counters(res.Counters), got)
 			}
-			run("rows", engine.Options{OnEmbedding: func(m []hgmatch.EdgeID) { got = hgio.AppendEmbeddingRecord(got, m) }})
+			run("rows", engine.Options{OnGroup: hgtest.SerialRowsOf(func(m []hgmatch.EdgeID) { got = hgio.AppendEmbeddingRecord(got, m) })})
 			if got = nil; limit == 0 {
 				run("count", engine.Options{})
 				run("group", engine.Options{OnGroup: func(_ int, prefix, last []hgmatch.EdgeID) {

@@ -35,9 +35,9 @@
 // is the first rows of the sequential order), and
 // every run is wired to the request context through hgmatch.WithContext so
 // a client disconnect stops enumeration mid-run. All matches execute on
-// one process-wide hgmatch.Pool (Config.Workers) under weighted fair
-// scheduling — concurrent requests share the worker set instead of
-// oversubscribing cores — and an optional cost-based admission controller
+// one process-wide hgmatch.Pool (Config.Workers) under fair scheduling —
+// concurrent requests share the worker set instead of oversubscribing
+// cores — and an optional cost-based admission controller
 // (Config.Admission) prices each request by its planner estimate against
 // a per-tenant quota, answering 429 with a structured retry-after when a
 // tenant would overdraw.
@@ -649,9 +649,9 @@ type matchShard struct {
 // framePool frame. Lines from different
 // workers interleave, but each worker's rows keep their order and every
 // drained buffer holds whole lines, so the NDJSON framing is preserved. A
-// request with a limit reaches the same callback as groups of one, all on
-// worker 0: its shard holds the first limit rows of the sequential order,
-// in that order.
+// request with a limit reaches the same callback, all on worker 0, with
+// each group cut to the rows under the limit: its shard holds the first
+// limit rows of the sequential order, in that order.
 func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	req, ok := s.decodeRequest(w, r)
 	if !ok {

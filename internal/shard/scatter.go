@@ -37,7 +37,7 @@ var emptyScan = []hypergraph.EdgeID{}
 //     many units as ran at once — an upper bound on the concurrent
 //     high-water mark.
 //
-// A run with a Limit or a row callback is submitted whole instead: the
+// A run with a Limit or a group callback is submitted whole instead: the
 // engine defines its answer (a capped run keeps the first Limit rows of
 // the sequential order) and the split would add nothing.
 //
@@ -45,7 +45,7 @@ var emptyScan = []hypergraph.EdgeID{}
 // per-sub-run timeout would restart the clock on every unit); no unit
 // starts once it has passed.
 func Scatter(pool *engine.Pool, g *Graph, p *core.Plan, opts engine.Options) engine.Result {
-	if opts.Limit > 0 || opts.OnEmbedding != nil || opts.OnEmbeddingWorker != nil || opts.OnGroup != nil {
+	if opts.Limit > 0 || opts.OnGroup != nil {
 		return pool.Submit(p, opts)
 	}
 	start := time.Now()

@@ -102,7 +102,7 @@ func TestShardScatterMatchesSolo(t *testing.T) {
 
 // TestShardScatterStreamDeterministic pins a capped scatter's stream: for
 // every shard count it is the first n rows of the sequential order, in that
-// order, to OnEmbedding and OnGroup alike (groups of one).
+// order.
 func TestShardScatterStreamDeterministic(t *testing.T) {
 	pool := engine.NewPool(4)
 	defer pool.Close()
@@ -115,21 +115,16 @@ func TestShardScatterStreamDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var rows, grouped []string
+			var rows []string
 			shard.Scatter(pool, g, p, engine.Options{
 				Workers: 4,
 				Limit:   limit,
-				OnEmbedding: func(m []hypergraph.EdgeID) {
+				OnGroup: hgtest.SerialRowsOf(func(m []hypergraph.EdgeID) {
 					rows = append(rows, fmt.Sprint(m))
-				},
-				OnGroup: func(_ int, prefix, last []hypergraph.EdgeID) {
-					for _, c := range last {
-						grouped = append(grouped, fmt.Sprint(append(prefix[:len(prefix):len(prefix)], c)))
-					}
-				},
+				}),
 			})
-			if !slices.Equal(rows, sequential[:limit]) || !slices.Equal(grouped, rows) {
-				t.Fatalf("limit=%d n=%d: streamed %d rows (%d grouped), not the sequential prefix", limit, n, len(rows), len(grouped))
+			if !slices.Equal(rows, sequential[:limit]) {
+				t.Fatalf("limit=%d n=%d: streamed %d rows, not the sequential prefix", limit, n, len(rows))
 			}
 		}
 	}
