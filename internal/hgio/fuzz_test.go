@@ -326,3 +326,62 @@ func FuzzOpenWAL(f *testing.F) {
 		}
 	})
 }
+
+// FuzzLoadCheckpoint feeds arbitrary bytes to the checkpoint loader, which
+// recovery trusts as a durable graph's base. It must never panic, and an
+// image it accepts must decode to a graph that passes Validate. With
+// reseal set, a version 2 image's CRC32C trailer is recomputed over the
+// mutated bytes, so mutations reach the header and the decoder behind it.
+// Seeds: version 2 images of Fig. 1 and the hgtest serving graphs, and
+// TestCheckpointVersions' version 1 image (no trailer).
+func FuzzLoadCheckpoint(f *testing.F) {
+	image := func(h *hypergraph.Hypergraph) []byte {
+		fs := hgtest.NewFaultFS()
+		if err := fs.MkdirAll("g", 0o755); err != nil {
+			f.Fatal(err)
+		}
+		if err := hgio.SaveCheckpoint(fs, "g", h, 7); err != nil {
+			f.Fatal(err)
+		}
+		data, err := fs.ReadFileData(path.Join("g", hgio.CheckpointFile))
+		if err != nil {
+			f.Fatal(err)
+		}
+		return data
+	}
+	fig1 := image(hgtest.Fig1Data())
+	v1 := bytes.Clone(fig1[:len(fig1)-4])
+	binary.LittleEndian.PutUint32(v1[4:8], 1)
+	f.Add(false, fig1)
+	f.Add(false, v1)
+	for _, g := range hgtest.ServingGraphs() {
+		f.Add(false, image(g.Graph))
+	}
+	f.Fuzz(func(t *testing.T, reseal bool, data []byte) {
+		if end := len(data) - 4; reseal && end >= 0 {
+			data = bytes.Clone(data)
+			binary.LittleEndian.PutUint32(data[end:], crc32.Checksum(data[:end], crc32.MakeTable(crc32.Castagnoli)))
+		}
+		fs := hgtest.NewFaultFS()
+		if err := fs.MkdirAll("g", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		cf, err := fs.OpenFile(path.Join("g", hgio.CheckpointFile), os.O_CREATE|os.O_WRONLY, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cf.Write(data); err != nil {
+			t.Fatal(err)
+		}
+		cf.Close()
+		h, _, found, err := hgio.LoadCheckpoint(fs, "g")
+		if !found {
+			t.Fatal("the checkpoint file was not found")
+		}
+		if err == nil {
+			if err := h.Validate(); err != nil {
+				t.Fatalf("accepted checkpoint decodes to an invalid graph: %v", err)
+			}
+		}
+	})
+}

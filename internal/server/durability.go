@@ -102,10 +102,11 @@ func (r *Registry) ReadOnlyNames() []string {
 }
 
 // Close flushes and closes every graph's WAL and retires every entry,
-// detaching its mapping. New Acquires fail with errRegistryClosed from
-// its first step on. Close does not wait for in-flight requests: a
-// mapping one still holds is unmapped when that request releases it.
-// Ingest must still be quiesced by the caller before Close.
+// detaching its mapping. New Acquires, ingests and compactions fail with
+// errRegistryClosed from its first step on. Close does not wait for
+// in-flight requests: a mapping one still holds is unmapped when that
+// request releases it. An ingest already past its lookup must still be
+// quiesced by the caller before Close.
 func (r *Registry) Close() error {
 	r.mu.Lock()
 	r.closed = true

@@ -36,14 +36,9 @@ import (
 // they started with.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	e, ok := s.graphs.entry(name)
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown graph %q", name)
-		return
-	}
-	live, release, err := s.graphs.ensureLive(name, e)
+	e, live, release, err := s.graphs.lookup(name, true)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		writePlanError(w, name, err)
 		return
 	}
 	defer release()
@@ -286,7 +281,7 @@ func (e errGraphReadOnly) Error() string { return "graph is read-only: " + strin
 // ingest lock so no concurrent batch lands between the fold and the
 // truncation (it would be dropped from the log while missing from the
 // checkpoint). A fold off a mapped base detaches the mapping; an idle one
-// keeps it. The caller holds live's reference (ensureLive).
+// keeps it. The caller holds live's reference (lookup or ensureLive).
 func (s *Server) compactGraph(name string, e *graphEntry, live *hgmatch.DeltaBuffer) (nh *hgmatch.Hypergraph, folded, dropped int, err error) {
 	e.ingestMu.Lock()
 	defer e.ingestMu.Unlock()
@@ -312,15 +307,10 @@ func (s *Server) compactGraph(name string, e *graphEntry, live *hgmatch.DeltaBuf
 // new base.
 func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	e, ok := s.graphs.entry(name)
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown graph %q", name)
-		return
-	}
 	start := time.Now()
-	live, release, err := s.graphs.ensureLive(name, e)
+	e, live, release, err := s.graphs.lookup(name, true)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		writePlanError(w, name, err)
 		return
 	}
 	defer release()

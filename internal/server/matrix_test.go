@@ -101,7 +101,7 @@ func TestAnswerMatrix(t *testing.T) {
 // after its predecessor took the durable cells' writes.
 func matrixCells(t *testing.T, width int) ([]matrixCell, []*Server) {
 	dir := t.TempDir()
-	cfg := Config{Workers: width, MaxWorkers: 4, Admission: AdmissionConfig{Enabled: true, CheapThreshold: 1}}
+	cfg := Config{Workers: width, Admission: AdmissionConfig{Enabled: true, CheapThreshold: 1}}
 	boot := func() *Server {
 		reg := NewRegistry()
 		if err := reg.EnableDurability(DurabilityConfig{Dir: filepath.Join(dir, "wal")}); err != nil {

@@ -57,7 +57,7 @@ type Registry struct {
 	evictions   atomic.Uint64
 	promotions  atomic.Uint64
 
-	// beforePin, when set by a test, runs in Acquire between loading the
+	// beforePin, when set by a test, runs in lookup between loading the
 	// entry and pinning it.
 	beforePin func()
 }
@@ -244,34 +244,49 @@ var noRelease = func() {}
 // A graph registered on the heap takes no tier mutex and allocates
 // nothing. Once Close has begun, Acquire fails with errRegistryClosed.
 func (r *Registry) Acquire(name string) (*hgmatch.Hypergraph, uint64, func(), error) {
-	r.mu.RLock()
-	e, ok := r.graphs[name]
-	closed := r.closed
-	r.mu.RUnlock()
-	switch {
-	case closed:
-		return nil, 0, nil, errRegistryClosed
-	case !ok:
-		return nil, 0, nil, errGraphNotFound
-	}
-	live, release, err := r.hold(name, e, false)
-	if errors.Is(err, errEntryRetired) {
-		return r.Acquire(name) // replaced or closed since the lookup
-	} else if err != nil {
+	e, live, release, err := r.lookup(name, false)
+	if err != nil {
 		return nil, 0, nil, err
 	}
 	h := live.Snapshot()
 	return h, e.version(h), release, nil
 }
 
-// ensureLive returns the entry's write buffer plus a release, like
-// Acquire, and marks a file-backed graph written (counted in promotions):
-// its delta grows over the mapping, which is never evicted from then on.
+// lookup finds the entry registered under name and holds its buffer, as
+// Acquire does for a read and the ingest and compact handlers for a write:
+// it fails with errRegistryClosed once Close has begun and with
+// errGraphNotFound for an unknown name, and an entry replaced since the
+// lookup is retried on its replacement. A write marks a file-backed graph
+// written (see ensureLive).
+func (r *Registry) lookup(name string, write bool) (*graphEntry, *hgmatch.DeltaBuffer, func(), error) {
+	for {
+		r.mu.RLock()
+		e, ok := r.graphs[name]
+		closed := r.closed
+		r.mu.RUnlock()
+		switch {
+		case closed:
+			return nil, nil, nil, errRegistryClosed
+		case !ok:
+			return nil, nil, nil, errGraphNotFound
+		}
+		live, release, err := r.hold(name, e, write)
+		if !errors.Is(err, errEntryRetired) { // else replaced or closed since the lookup
+			return e, live, release, err
+		}
+	}
+}
+
+// ensureLive holds a given entry's write buffer, as lookup does, and
+// marks a file-backed graph written (counted in promotions): its delta
+// grows over the mapping, which is never evicted from then on. The
+// background fold uses it to fold the entry it was scheduled for, never a
+// replacement.
 func (r *Registry) ensureLive(name string, e *graphEntry) (*hgmatch.DeltaBuffer, func(), error) {
 	return r.hold(name, e, true)
 }
 
-// hold pins the entry's buffer for Acquire and ensureLive, then enforces
+// hold pins the entry's buffer for lookup and ensureLive, then enforces
 // the budget around it.
 func (r *Registry) hold(name string, e *graphEntry, write bool) (*hgmatch.DeltaBuffer, func(), error) {
 	if e.path == "" {
@@ -292,7 +307,7 @@ func (r *Registry) hold(name string, e *graphEntry, write bool) (*hgmatch.DeltaB
 	return live, func() { m.Release() }, nil
 }
 
-// errEntryRetired tells Acquire that the entry it loaded was replaced (or
+// errEntryRetired tells lookup that the entry it loaded was replaced (or
 // closed) before pin could attach it: the retry finds which.
 var errEntryRetired = errors.New("server: graph entry retired")
 

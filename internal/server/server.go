@@ -118,9 +118,6 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// MaxTimeout clamps request timeouts (default 10 minutes).
 	MaxTimeout time.Duration
-	// MaxWorkers clamps client-requested workers (default GOMAXPROCS);
-	// without it one request could demand millions of worker goroutines.
-	MaxWorkers int
 	// MaxBodyBytes bounds request bodies (default 16 MiB).
 	MaxBodyBytes int64
 	// CompactThreshold triggers background compaction of a live graph once
@@ -169,9 +166,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.MaxBodyBytes == 0 {
 		c.MaxBodyBytes = 16 << 20
-	}
-	if c.MaxWorkers == 0 {
-		c.MaxWorkers = runtime.GOMAXPROCS(0)
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
@@ -373,14 +367,14 @@ type badRequestError struct{ err error }
 func (e badRequestError) Error() string { return e.err.Error() }
 func (e badRequestError) Unwrap() error { return e.err }
 
-// writePlanError maps plan() failures to HTTP statuses. Shutdown is
-// classified by the shared sentinel, so a closed registry and a closed
-// pool surface the same 503/shutting_down.
-func writePlanError(w http.ResponseWriter, req *hgio.MatchRequest, err error) {
+// writePlanError maps plan() and Registry.lookup failures on graph to HTTP
+// statuses. Shutdown is classified by the shared sentinel, so a closed
+// registry and a closed pool surface the same 503/shutting_down.
+func writePlanError(w http.ResponseWriter, graph string, err error) {
 	var bad badRequestError
 	switch {
 	case errors.Is(err, errGraphNotFound):
-		writeError(w, http.StatusNotFound, "unknown graph %q", req.Graph)
+		writeError(w, http.StatusNotFound, "unknown graph %q", graph)
 	case errors.Is(err, hgio.ErrShuttingDown):
 		writeErrorCode(w, http.StatusServiceUnavailable, hgio.CodeShuttingDown, "server shutting down")
 	case errors.As(err, &bad):
@@ -410,9 +404,9 @@ func runErrStatus(err error) (status int, code string, ok bool) {
 // options maps request fields onto engine options, always wiring in ctx —
 // derived from the request context, so client disconnects cancel the run,
 // and cancellable by the handler itself (the slow-client guard) — plus the
-// configured per-request memory budget. It also returns the resolved
-// worker count so handlers can size per-worker state.
-func (s *Server) options(ctx context.Context, req *hgio.MatchRequest) ([]hgmatch.Option, int) {
+// configured per-request memory budget. The request's workers pass
+// through: the shared pool clamps them to its width.
+func (s *Server) options(ctx context.Context, req *hgio.MatchRequest) []hgmatch.Option {
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutMs > 0 {
 		// Clamp in milliseconds BEFORE converting: a huge timeout_ms would
@@ -428,19 +422,10 @@ func (s *Server) options(ctx context.Context, req *hgio.MatchRequest) ([]hgmatch
 	if timeout > s.cfg.MaxTimeout {
 		timeout = s.cfg.MaxTimeout
 	}
-	workers := req.Workers
-	if workers <= 0 {
-		// Resolve the engine's "0 = GOMAXPROCS" default here so the
-		// MaxWorkers clamp below also binds requests that omit the field.
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > s.cfg.MaxWorkers {
-		workers = s.cfg.MaxWorkers
-	}
 	o := []hgmatch.Option{
 		hgmatch.WithContext(ctx),
 		hgmatch.WithTimeout(timeout),
-		hgmatch.WithWorkers(workers),
+		hgmatch.WithWorkers(req.Workers),
 		hgmatch.WithLimit(req.Limit),
 	}
 	if s.cfg.RequestMaxBytes > 0 {
@@ -449,7 +434,7 @@ func (s *Server) options(ctx context.Context, req *hgio.MatchRequest) ([]hgmatch
 	if s.cfg.FaultHook != nil {
 		o = append(o, hgmatch.WithFaultHook(s.cfg.FaultHook))
 	}
-	return o, workers
+	return o
 }
 
 // admitBudget refuses a request whose plan cannot fit even one embedding
@@ -659,7 +644,7 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	}
 	plan, cached, unpin, err := s.plan(req)
 	if err != nil {
-		writePlanError(w, req, err)
+		writePlanError(w, req.Graph, err)
 		return
 	}
 	defer unpin() // keeps a mapped graph attached for the whole run
@@ -677,7 +662,7 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	// the defers above) releases admission cost and the graph pin.
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
-	opts, _ := s.options(ctx, req)
+	opts := s.options(ctx, req)
 	gw := newGuardedWriter(w, s.cfg.WriteTimeout, cancel, func(err error) {
 		s.slowClientAborts.Add(1)
 		log.Printf("server: slow client: graph=%q write failed (%v); run cancelled, output dropped", req.Graph, err)
@@ -804,7 +789,7 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 	}
 	plan, cached, unpin, err := s.plan(req)
 	if err != nil {
-		writePlanError(w, req, err)
+		writePlanError(w, req.Graph, err)
 		return
 	}
 	defer unpin() // keeps a mapped graph attached for the whole run
@@ -816,7 +801,7 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 	if !s.admitBudget(w, req, plan) {
 		return
 	}
-	opts, _ := s.options(r.Context(), req)
+	opts := s.options(r.Context(), req)
 	res := s.recordRun(req.Graph, s.pool.Run(plan, opts...))
 	if status, code, ok := runErrStatus(res.Err); ok {
 		// /count has not written its body yet, so failures keep a proper

@@ -14,7 +14,6 @@ import (
 	"unsafe"
 
 	"hgmatch"
-	"hgmatch/internal/engine"
 	"hgmatch/internal/hgio"
 )
 
@@ -75,11 +74,7 @@ func snapshotOf(t testing.TB, reg *Registry, name string) *hgmatch.Hypergraph {
 // handler obtains it, holding its reference until the test ends.
 func liveOf(t testing.TB, reg *Registry, name string) *hgmatch.DeltaBuffer {
 	t.Helper()
-	e, ok := reg.entry(name)
-	if !ok {
-		t.Fatalf("graph %q not registered", name)
-	}
-	live, release, err := reg.ensureLive(name, e)
+	_, live, release, err := reg.lookup(name, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,11 +505,11 @@ func TestTimeoutOverflowClamped(t *testing.T) {
 	}
 }
 
-// TestWorkersClamped guards the MaxWorkers clamp: a request demanding
-// millions of workers must be served with the server's cap, not spawn
-// millions of goroutines.
+// TestWorkersClamped guards the pool-width clamp: a request demanding
+// millions of workers must be served by the shared pool's workers, not
+// spawn millions of goroutines.
 func TestWorkersClamped(t *testing.T) {
-	s := newTestServer(t, Config{MaxWorkers: 2})
+	s := newTestServer(t, Config{Workers: 2})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
@@ -524,24 +519,6 @@ func TestWorkersClamped(t *testing.T) {
 	}
 	if after := runtime.NumGoroutine(); after > before+50 {
 		t.Fatalf("goroutines grew %d -> %d; workers clamp not applied", before, after)
-	}
-}
-
-// TestDefaultWorkersClamped guards the clamp on the omitted-workers path:
-// "0 = GOMAXPROCS" must be resolved before MaxWorkers binds, or the cap
-// only applies to requests that ask explicitly.
-func TestDefaultWorkersClamped(t *testing.T) {
-	s := New(NewRegistry(), Config{MaxWorkers: 1})
-	r := httptest.NewRequest(http.MethodPost, "/match", nil)
-	var eo engine.Options
-	opts, workers := s.options(r.Context(), &hgio.MatchRequest{})
-	for _, o := range opts {
-		o(&eo)
-	}
-	// Omitted workers resolves to GOMAXPROCS (>= 1) and must then clamp
-	// to MaxWorkers; 0 reaching the engine would sidestep the cap.
-	if eo.Workers != 1 || workers != 1 {
-		t.Fatalf("omitted workers resolved to %d (returned %d), want clamp to MaxWorkers=1", eo.Workers, workers)
 	}
 }
 
