@@ -296,8 +296,9 @@ func BenchmarkSharedPoolQ3(b *testing.B) {
 // delta into a fresh fully-indexed base — the background job the
 // compaction threshold schedules. "match-on-delta" and
 // "match-on-tombstoned" rerun the q3 kernel against those two snapshots,
-// pinning the read-side price of merge-on-read postings and of subtracting
-// dead lists.
+// pinning the read-side price of delta tails and of subtracting dead
+// lists; "match-on-compacted" runs the match-on-delta plan's query on the
+// same snapshot compacted, so the delta's read tax is the ratio of the two.
 func BenchmarkOnlineIngest(b *testing.B) {
 	h, q := kernelWorkload()
 	const batch = 100
@@ -430,7 +431,7 @@ func BenchmarkOnlineIngest(b *testing.B) {
 			}
 		}
 	})
-	b.Run("match-on-delta", func(b *testing.B) {
+	deltaPlan := func(b *testing.B) (*hypergraph.Hypergraph, *core.Plan) {
 		d, err := hypergraph.NewDeltaBuffer(h)
 		if err != nil {
 			b.Fatal(err)
@@ -443,6 +444,17 @@ func BenchmarkOnlineIngest(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		for i := 1; ; i++ {
+			if i == p.NumSteps() {
+				b.Fatal("no plan step reads a sidecar table carrying a delta")
+			}
+			if t := s.PartitionBySig(p.StepSigID(i)); t.HasBitmaps() && t.HasDelta() {
+				break
+			}
+		}
+		return s, p
+	}
+	matchOn := func(b *testing.B, p *core.Plan, what string) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		var emb uint64
@@ -450,25 +462,32 @@ func BenchmarkOnlineIngest(b *testing.B) {
 			emb = engine.Run(p, engine.Options{Workers: 4}).Embeddings
 		}
 		if emb == 0 {
-			b.Fatal("kernel workload found nothing on the delta snapshot")
+			b.Fatalf("kernel workload found nothing on the %s snapshot", what)
 		}
 		b.ReportMetric(float64(emb), "embeddings")
+	}
+	b.Run("match-on-delta", func(b *testing.B) {
+		_, p := deltaPlan(b)
+		matchOn(b, p, "delta")
+	})
+	b.Run("match-on-compacted", func(b *testing.B) {
+		s, p := deltaPlan(b)
+		c, err := s.Compacted()
+		if err != nil {
+			b.Fatal(err)
+		}
+		cp, err := core.NewPlanWithOrder(q, c, p.Order)
+		if err != nil {
+			b.Fatal(err)
+		}
+		matchOn(b, cp, "compacted")
 	})
 	b.Run("match-on-tombstoned", func(b *testing.B) {
 		p, err := core.NewPlan(q, deleteBatch(b))
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		var emb uint64
-		for i := 0; i < b.N; i++ {
-			emb = engine.Run(p, engine.Options{Workers: 4}).Embeddings
-		}
-		if emb == 0 {
-			b.Fatal("kernel workload found nothing on the tombstoned snapshot")
-		}
-		b.ReportMetric(float64(emb), "embeddings")
+		matchOn(b, p, "tombstoned")
 	})
 }
 

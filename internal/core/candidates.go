@@ -121,12 +121,11 @@ func (p *Plan) candidates(st *step, depth int, m []hypergraph.EdgeID, sc *Scratc
 		sc.nonAdj, sc.acc = sc.acc, sc.nonAdj
 	}
 
-	// Hybrid container plumbing: on a sidecar-carrying, delta-free table
-	// the posting views may be word-parallel bitmaps in the table's rank
-	// space, and the per-set union outputs land in reusable bitmap windows
-	// when dense. A delta-carrying table runs array-only until compaction
-	// (delta postings live above the base rank span; they are small and
-	// short-lived by design).
+	// Hybrid container plumbing: on a sidecar-carrying table the base
+	// posting views may be word-parallel bitmaps in the table's rank space,
+	// and the per-set union outputs land in reusable bitmap windows when
+	// dense. A delta segment keeps them: its postings never enter the rank
+	// space but form each set's sorted array tail (see below).
 	dense := st.useBitmaps
 	var rank setops.RankTable
 	var unrank []uint32
@@ -137,8 +136,13 @@ func (p *Plan) candidates(st *step, depth int, m []hypergraph.EdgeID, sc *Scratc
 	}
 
 	// Build C': one candidate hyperedge set per (adjacent edge, shared
-	// vertex) pair (Algorithm 4 lines 3-6).
-	sc.sets = sc.sets[:0]
+	// vertex) pair (Algorithm 4 lines 3-6). On an online snapshot each set
+	// is a base half over the base postings and a tail over the delta
+	// postings. Every delta ID sorts above every base ID, so ⋂(Bᵢ ∪ Tᵢ) is
+	// ⋂Bᵢ followed by ⋂Tᵢ: each half is built and intersected on its own,
+	// and stops being built at the first set where it is empty.
+	baseLive, tailLive := true, st.part.HasDelta()
+	sc.sets, sc.tails = sc.sets[:0], sc.tails[:0]
 	nset := 0
 	for gi := range st.adjGroups {
 		g := &st.adjGroups[gi]
@@ -146,7 +150,7 @@ func (p *Plan) candidates(st *step, depth int, m []hypergraph.EdgeID, sc *Scratc
 		for _, u := range g.us {
 			// V_incdt: vertices of f(e) that may be matched to u
 			// (Observations V.2-V.4).
-			sc.views = sc.views[:0]
+			sc.views, sc.tviews = sc.views[:0], sc.tviews[:0]
 			for _, v := range fe {
 				if data.Label(v) != u.label {
 					continue
@@ -158,52 +162,49 @@ func (p *Plan) candidates(st *step, depth int, m []hypergraph.EdgeID, sc *Scratc
 					continue
 				}
 				// he(v, S(eq)) is the base view plus, on an online
-				// snapshot, the append-side delta view: both sorted, with
-				// every delta ID above every base ID, so the downstream
-				// unions treat them as two more ready-sorted inputs — no
-				// merge, no allocation, and a single predictable branch on
-				// compacted graphs.
-				if dense {
-					if vw := st.part.PostingsView(v); !vw.IsEmpty() {
-						sc.views = append(sc.views, vw)
+				// snapshot, the delta view: both sorted zero-copy views
+				// into the index.
+				if baseLive {
+					if dense {
+						if vw := st.part.PostingsView(v); !vw.IsEmpty() {
+							sc.views = append(sc.views, vw)
+						}
+					} else if pl := st.part.Postings(v); len(pl) > 0 {
+						sc.views = append(sc.views, setops.View{Arr: pl})
 					}
-				} else if pl := st.part.Postings(v); len(pl) > 0 {
-					sc.views = append(sc.views, setops.View{Arr: pl})
 				}
-				if pl := st.part.DeltaPostings(v); len(pl) > 0 {
-					sc.views = append(sc.views, setops.View{Arr: pl})
+				if tailLive {
+					if pl := st.part.DeltaPostings(v); len(pl) > 0 {
+						sc.tviews = append(sc.tviews, setops.View{Arr: pl})
+					}
 				}
 			}
-			if len(sc.views) == 0 {
+			baseLive = baseLive && len(sc.views) > 0
+			tailLive = tailLive && len(sc.tviews) > 0
+			if !baseLive && !tailLive {
 				return nil // some required vertex has no incident candidates
 			}
-			// Union the posting views into the per-set slot
+			// Union each half's views into the set's own slots
 			// (⋃_{v∈V_incdt} he(v, S(eq))): k-way, one pass, adaptive
-			// array/bitmap output. Single-view sets stay zero-copy.
+			// array/bitmap output for the base half, arrays for the tail.
 			for len(sc.setBufs) <= nset {
 				sc.setBufs = append(sc.setBufs, nil)
+				sc.tailBufs = append(sc.tailBufs, nil)
 			}
-			var set setops.View
-			if len(sc.views) == 1 {
-				// Zero-copy: the set IS the posting view. setBufs[nset]
-				// must keep its own backing — storing the view here would
-				// make a later call union INTO the index's memory.
-				set = sc.views[0]
-			} else {
+			if baseLive {
 				var bm *setops.Bitmap
 				if dense {
 					bm = &sc.bmSets[nset]
 				}
-				set = setops.UnionK(sc.setBufs[nset][:0], bm, st.nBits, rank, sc.views, &sc.ks)
-				if set.Arr != nil {
-					sc.setBufs[nset] = set.Arr // reclaim the grown buffer
-				}
+				sc.sets = append(sc.sets, unionInto(&sc.setBufs[nset], bm, st.nBits, rank, sc.views, &sc.ks))
 			}
-			sc.sets = append(sc.sets, set)
+			if tailLive {
+				sc.tails = append(sc.tails, unionInto(&sc.tailBufs[nset], nil, 0, setops.RankTable{}, sc.tviews, &sc.ks))
+			}
 			nset++
 		}
 	}
-	if len(sc.sets) == 0 {
+	if nset == 0 {
 		// Cannot happen for a validated connected order at depth ≥ 1,
 		// but keep the invariant locally obvious.
 		return nil
@@ -211,8 +212,18 @@ func (p *Plan) candidates(st *step, depth int, m []hypergraph.EdgeID, sc *Scratc
 
 	// Intersect all candidate sets, smallest first (Algorithm 4 line 7):
 	// word-parallel AND folds across bitmap sets, gallop/merge across
-	// array sets, decoded back to global hyperedge IDs.
-	cand := setops.IntersectK(sc.inter[:0], sc.sets, rank, unrank, &sc.ks)
+	// array sets, decoded back to global hyperedge IDs. The tail result
+	// is appended after the base result. IntersectK leaves its result out
+	// of ks's scratch, so the three buffers never alias.
+	cand := sc.inter[:0]
+	if baseLive {
+		cand = setops.IntersectK(cand, sc.sets, rank, unrank, &sc.ks)
+	}
+	if tailLive {
+		tail := setops.IntersectK(sc.tinter[:0], sc.tails, setops.RankTable{}, nil, &sc.ks)
+		sc.tinter = tail[:0]
+		cand = append(cand, tail...)
+	}
 	sc.inter = cand[:0] // retain whichever backing the result landed in
 
 	// A masked table's base postings still list its tombstoned members
@@ -225,4 +236,19 @@ func (p *Plan) candidates(st *step, depth int, m []hypergraph.EdgeID, sc *Scratc
 		sc.live = cand[:0]
 	}
 	return cand
+}
+
+// unionInto unions views into the per-set slot *buf and reclaims the
+// grown buffer. A single view is the set itself, zero-copy, and *buf keeps
+// its own backing: storing the view there would make a later call union
+// INTO the index's memory.
+func unionInto(buf *[]uint32, bm *setops.Bitmap, nbits int, rank setops.RankTable, views []setops.View, ks *setops.KScratch) setops.View {
+	if len(views) == 1 {
+		return views[0]
+	}
+	set := setops.UnionK((*buf)[:0], bm, nbits, rank, views, ks)
+	if set.Arr != nil {
+		*buf = set.Arr
+	}
+	return set
 }

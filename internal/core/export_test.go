@@ -23,3 +23,9 @@ func (p *Plan) CandidatesOnly(depth int, m []hypergraph.EdgeID) []hypergraph.Edg
 func (p *Plan) StepSignature(i int) hypergraph.Signature {
 	return p.steps[i].sig
 }
+
+// StepWordParallel reports whether step i runs the word-parallel kernels
+// on its table's bitmap sidecar.
+func (p *Plan) StepWordParallel(i int) bool {
+	return p.steps[i].useBitmaps
+}

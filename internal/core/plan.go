@@ -73,11 +73,11 @@ type step struct {
 	wantLanes uint64
 
 	// Hybrid-container shape of the step's table, precompiled so Expand
-	// branches once: useBitmaps enables the word-parallel kernels (the
-	// table carries a bitmap sidecar and no delta segment — delta
-	// postings live above the base rank span and run array-only until
-	// compaction), nBits is the table's rank span, and nSets bounds the
-	// candidate sets one expansion can build (sizes the per-set bitmap
+	// branches once: useBitmaps enables the word-parallel kernels on the
+	// base postings (the table carries a bitmap sidecar; a delta segment's
+	// postings live above the base rank span and form each candidate
+	// set's array tail), nBits is the table's rank span, and nSets bounds
+	// the candidate sets one expansion can build (sizes the per-set bitmap
 	// windows).
 	useBitmaps bool
 	nBits      int
@@ -236,7 +236,7 @@ func compilePlan(q, h *hypergraph.Hypergraph, order []hypergraph.EdgeID, qs *que
 		for gi := range st.adjGroups {
 			st.nSets += len(st.adjGroups[gi].us)
 		}
-		if st.part.HasBitmaps() && !st.part.HasDelta() {
+		if st.part.HasBitmaps() {
 			st.useBitmaps = true
 			st.nBits = st.part.NumBaseEdges()
 		}

@@ -46,17 +46,21 @@ type Scratch struct {
 	useMap    bool              // current mode, decided per resetVcnt
 	forceMap  bool              // test/bench hook: always use the map
 
-	nonAdj  []uint32        // V_n_incdt, sorted
-	views   []setops.View   // posting views queued for one k-way union
-	sets    []setops.View   // the candidate sets C' of Algorithm 4
-	setBufs [][]uint32      // array backing for sparse sets, reused across calls
-	bmArena []uint64        // word backing for dense sets, reused across calls
-	bmSets  []setops.Bitmap // per-set bitmap headers over bmArena windows
-	ks      setops.KScratch // k-way kernel scratch (loser tree, AND fold)
-	acc     []uint32        // union accumulator (V_n_incdt construction)
-	inter   []uint32        // intersection result buffer
-	live    []uint32        // intersection minus a masked table's tombstones
-	profs   []profile       // data-side profile buffer for validation
+	nonAdj   []uint32        // V_n_incdt, sorted
+	views    []setops.View   // base posting views queued for one k-way union
+	tviews   []setops.View   // delta posting views queued for one k-way union
+	sets     []setops.View   // the base halves of the candidate sets C' of Algorithm 4
+	tails    []setops.View   // their delta tails
+	setBufs  [][]uint32      // array backing for sparse base halves, reused across calls
+	tailBufs [][]uint32      // array backing for tails, reused across calls
+	bmArena  []uint64        // word backing for dense sets, reused across calls
+	bmSets   []setops.Bitmap // per-set bitmap headers over bmArena windows
+	ks       setops.KScratch // k-way kernel scratch (loser tree, AND fold)
+	acc      []uint32        // union accumulator (V_n_incdt construction)
+	inter    []uint32        // intersection result buffer
+	tinter   []uint32        // tail intersection result buffer
+	live     []uint32        // intersection minus a masked table's tombstones
+	profs    []profile       // data-side profile buffer for validation
 }
 
 // NewScratch returns an empty scratch area.

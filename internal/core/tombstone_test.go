@@ -7,6 +7,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"hgmatch/internal/core"
 	"hgmatch/internal/hgtest"
 	"hgmatch/internal/hypergraph"
 )
@@ -133,8 +134,12 @@ func TestTombstonedSnapshotEquivalence(t *testing.T) {
 // resurrection) and left alone again. After each publication every table
 // no write touched must be the very view of the previous snapshot, T must
 // stay a delta over a mask, and the snapshot must validate and aggregate
-// like its compacted twin.
+// like its compacted twin. A two-edge query matching an edge adjacent to
+// one of T's delta members, then that member, reads T at depth 1: the step
+// must run word-parallel whenever T carries a sidecar, and count and
+// Counters must equal those on the sidecar-free and the compacted twins.
 func TestIncrementalPublishEquivalence(t *testing.T) {
+	sawSidecar := false
 	for gi, g := range hgtest.ServingGraphs()[:2] {
 		rng := rand.New(rand.NewSource(int64(700 + gi)))
 		buf, err := hypergraph.NewDeltaBuffer(g.Graph)
@@ -264,8 +269,81 @@ func TestIncrementalPublishEquivalence(t *testing.T) {
 				t.Fatalf("%s: no untouched table to compare", what)
 			}
 			checkTombstonedSnapshot(t, what, snap)
+			checkDeltaStep(t, what, snap, tp)
+			sawSidecar = sawSidecar || tp.HasBitmaps()
 			prev = snap
 		}
+	}
+	if !sawSidecar {
+		t.Fatal("T never carried a bitmap sidecar: the fixture misses the word-parallel case")
+	}
+}
+
+// checkDeltaStep matches, on snap, the query {y, x} in the order y, x: x
+// is the first delta member of the table tp and y an edge adjacent to it,
+// so the plan reads tp at depth 1 and x is one of its answers.
+func checkDeltaStep(t *testing.T, what string, snap *hypergraph.Hypergraph, tp hypergraph.Partition) {
+	t.Helper()
+	x := tp.DeltaEdges()[0]
+	y := x
+	for _, e := range snap.Incident(snap.Edge(x)[0]) {
+		if e != x {
+			y = e
+			break
+		}
+	}
+	if y == x {
+		t.Fatalf("%s: delta member %d has no adjacent edge", what, x)
+	}
+	remap := map[uint32]uint32{}
+	b := hypergraph.NewBuilder()
+	var xs []uint32
+	for _, e := range []hypergraph.EdgeID{y, x} {
+		xs = xs[:0]
+		for _, v := range snap.Edge(e) {
+			if _, ok := remap[v]; !ok {
+				remap[v] = b.AddVertex(snap.Label(v))
+			}
+			xs = append(xs, remap[v])
+		}
+		b.AddEdge(xs...)
+	}
+	q := b.MustBuild()
+	slices.Sort(xs)
+	order := []hypergraph.EdgeID{0, 1}
+	if !slices.Equal(q.Edge(1), xs) {
+		order = []hypergraph.EdgeID{1, 0}
+	}
+	count := func(h *hypergraph.Hypergraph) (*core.Plan, uint64, core.Counters) {
+		t.Helper()
+		p, err := core.NewPlanWithOrder(q, h, order)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		n, ct := p.CountSequential()
+		return p, n, ct
+	}
+	p, n, ct := count(snap)
+	if p.StepSigID(1) != tp.SigID {
+		t.Fatalf("%s: step 1 reads signature %d, not T's %d", what, p.StepSigID(1), tp.SigID)
+	}
+	if p.StepWordParallel(1) != tp.HasBitmaps() {
+		t.Fatalf("%s: step 1 word-parallel %v on a table with a sidecar %v", what, p.StepWordParallel(1), tp.HasBitmaps())
+	}
+	comp, err := snap.Compacted()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, twin := range []struct {
+		name string
+		h    *hypergraph.Hypergraph
+	}{{"sidecar-free", snap.WithoutBitmapSidecars()}, {"compacted", comp}} {
+		if _, tn, tct := count(twin.h); tn != n || tct != ct {
+			t.Fatalf("%s: %d embeddings, counters %+v; the %s twin: %d, %+v", what, n, ct, twin.name, tn, tct)
+		}
+	}
+	if n == 0 {
+		t.Fatalf("%s: the query matched nothing", what)
 	}
 }
 

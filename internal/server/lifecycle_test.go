@@ -121,9 +121,10 @@ func TestRegistryLifecycle(t *testing.T) {
 		s.Close()
 	}
 	// Writers load-v2/-v3, ingest, compact-idle/-delta, budget-0/-1/-file,
-	// park-count/-ingest, close; readers walk, hold, info, tierstats, count.
-	if t.Logf("op counts: %v", seen); len(seen) != 16 {
-		t.Errorf("%d op kinds ran, want 16", len(seen))
+	// park-count/-ingest, park-swap, close; readers walk, hold, info,
+	// tierstats, count.
+	if t.Logf("op counts: %v", seen); len(seen) != 17 {
+		t.Errorf("%d op kinds ran, want 17", len(seen))
 	}
 }
 
@@ -144,7 +145,7 @@ func (r *lcRun) run() {
 	r.check()
 	for r.round = 1; !r.closed; r.round++ {
 		n := r.names[r.rng.Intn(len(r.names))]
-		writer := []string{"load", "load", "ingest", "ingest", "ingest", "compact", "compact", "budget", "park"}[r.rng.Intn(9)]
+		writer := []string{"load", "load", "ingest", "ingest", "ingest", "compact", "compact", "budget", "park", "swap"}[r.rng.Intn(10)]
 		r.logf("writer %s %s", writer, n.name)
 		r.raced = false
 		if r.round > lcRounds {
@@ -156,7 +157,7 @@ func (r *lcRun) run() {
 			r.parked = r.parkOn(n, r.rng.Intn(2) == 0)
 		}
 		var wg sync.WaitGroup
-		for i := 1 + r.rng.Intn(3); writer != "park" && i > 0; i-- {
+		for i := 1 + r.rng.Intn(3); writer != "park" && writer != "swap" && i > 0; i-- {
 			op, rn := []string{"walk", "hold", "info", "tierstats", "count"}[r.rng.Intn(5)], r.names[r.rng.Intn(len(r.names))]
 			r.logf("reader %s %s", op, rn.name)
 			r.seen[op]++
@@ -236,6 +237,8 @@ func (r *lcRun) write(op string, n *lcName) {
 		r.reg.SetResidentBudget(r.budget)
 	case "park":
 		op = r.park(n)
+	case "swap":
+		op = r.swap(n)
 	case "close":
 		if err := r.reg.Close(); err != nil {
 			r.fatalf("close: %v", err)
@@ -279,6 +282,42 @@ func (r *lcRun) park(n *lcName) string {
 	return map[bool]string{true: "park-ingest", false: "park-count"}[ingest]
 }
 
+// swap parks the replacement of n's fresh cold HGB3 entry by an HGB2 graph
+// between the swap and the detach, and meanwhile activates the old entry
+// as a reader that loaded it before the swap would. The old entry's
+// version must differ from its replacement's, or its plans would be
+// cached under the replacement's key.
+func (r *lcRun) swap(n *lcName) string {
+	r.replace(n, r.files[0])
+	old, f := n.entries[len(n.entries)-1], r.files[1]
+	parked, cont, done := make(chan struct{}), make(chan struct{}), make(chan error, 1)
+	r.reg.afterSwap = func() { close(parked); <-cont }
+	go func() { done <- r.reg.LoadFile(n.name, f.path) }()
+	<-parked
+	live, m, err := r.reg.pin(n.name, old, false)
+	if err != nil || m == nil {
+		r.fatalf("activating the replaced %s: mapping %v, %v", n.name, m != nil, err)
+	}
+	oldVersion := old.version(live.Snapshot())
+	m.Release()
+	close(cont)
+	if err := <-done; err != nil {
+		r.fatalf("load %s: %v", n.name, err)
+	}
+	r.reg.afterSwap = nil
+	n.mapped = true // the activation's mapping, which the retirement tears down
+	r.replaced(n, f)
+	_, v, rel, err := r.reg.Acquire(n.name)
+	if err != nil {
+		r.fatalf("acquire %s: %v", n.name, err)
+	}
+	rel()
+	if v == oldVersion {
+		r.fatalf("the replaced %s, activated before its retirement, shares its replacement's version %x", n.name, v)
+	}
+	return "park-swap"
+}
+
 // parkOn starts a /count or an lcInsert ingest of n and parks it (and
 // every other pin behind it) in beforePin until resume. The caller clears
 // beforePin once no goroutine can reach it.
@@ -303,10 +342,15 @@ var lcInsert = []hgio.IngestRecord{{Op: "insert", Vertices: []uint32{0, 1, 2, 3}
 
 // replace registers f under n, retiring n's previous entry.
 func (r *lcRun) replace(n *lcName, f lcFile) {
-	r.logf("load %s %s", n.name, filepath.Base(f.path))
 	if err := r.reg.LoadFile(n.name, f.path); err != nil {
 		r.fatalf("load %s: %v", n.name, err)
 	}
+	r.replaced(n, f)
+}
+
+// replaced moves n's model to f, registered under n's name.
+func (r *lcRun) replaced(n *lcName, f lcFile) {
+	r.logf("load %s %s", n.name, filepath.Base(f.path))
 	r.retire(n) // a no-op before the first registration
 	e, _ := r.reg.entry(n.name)
 	n.entries = append(n.entries, e)

@@ -48,21 +48,23 @@ type Registry struct {
 	// closed (guarded by mu) fails new Acquires once Close begins.
 	closed bool
 
-	budget    atomic.Int64 // resident-bytes budget for mapped graphs; 0 = unbounded
-	resident  atomic.Int64 // mapped file bytes currently attached
-	clock     atomic.Int64 // LRU clock, ticked per Acquire
-	mapVerify atomic.Bool  // verify payload checksums on attach
+	budget    atomic.Int64  // resident-bytes budget for mapped graphs; 0 = unbounded
+	resident  atomic.Int64  // mapped file bytes currently attached
+	clock     atomic.Int64  // LRU clock, ticked per Acquire
+	gens      atomic.Uint64 // last generation drawn, by an install or an activation
+	mapVerify atomic.Bool   // verify payload checksums on attach
 
 	activations atomic.Uint64
 	evictions   atomic.Uint64
 	promotions  atomic.Uint64
 
 	// beforePin, when set by a test, runs in lookup between loading the
-	// entry and pinning it.
-	beforePin func()
+	// entry and pinning it; afterSwap runs in install between publishing
+	// the new entry and detaching the one it replaced.
+	beforePin, afterSwap func()
 }
 
-// graphEntry pairs a graph with its replacement generation, its residency
+// graphEntry pairs a graph with its generation, its residency
 // state, a per-version cache of its Table II statistics (ComputeStats
 // walks every edge, so /graphs polling must not recompute it per request
 // while the graph is idle), and — with durability on — its WAL attachment
@@ -71,8 +73,10 @@ type graphEntry struct {
 	// live is the graph's buffer: set once for an entry born on the heap;
 	// for a file-backed one, nil while cold.
 	live atomic.Pointer[hgmatch.DeltaBuffer]
-	// gen is the replacement generation (1 for the first registration),
-	// bumped by each activation too, so no plan outlives its mapping.
+	// gen is the generation the registry drew for this entry at install
+	// and draws again at each activation, so no plan outlives its mapping
+	// and no two entries ever share one, even a retired entry activated
+	// by a reader that loaded it before its replacement landed.
 	gen atomic.Uint64
 
 	// HGB3 state. path/peek are immutable (path is "" for an entry born on
@@ -105,7 +109,7 @@ type graphEntry struct {
 	dur *durableState // nil when durability is off
 }
 
-// version combines the replacement generation with the snapshot's delta
+// version combines the entry's generation with the snapshot's delta
 // publication counter: replacing a graph under a live name, publishing new
 // online writes, or re-attaching an evicted graph all move every
 // plan-cache key forward.
@@ -197,19 +201,18 @@ func readGraph(name, path string) (*hgmatch.Hypergraph, error) {
 	return h, nil
 }
 
-// install publishes an entry under name with the next replacement
-// generation. A previous registration is detached once the new entry is
-// visible: its mapping (if any) is released and its plans purged.
+// install publishes an entry under name with a new generation. A
+// previous registration is detached once the new entry is visible: its
+// mapping (if any) is released and its plans purged.
 func (r *Registry) install(name string, e *graphEntry) {
+	e.gen.Store(r.gens.Add(1))
 	r.mu.Lock()
 	prev := r.graphs[name]
-	if prev != nil {
-		e.gen.Store(prev.gen.Load() + 1)
-	} else {
-		e.gen.Store(1)
-	}
 	r.graphs[name] = e
 	r.mu.Unlock()
+	if r.afterSwap != nil {
+		r.afterSwap()
+	}
 	if prev != nil {
 		r.detach(name, prev, detachRetire)
 	}
@@ -332,7 +335,7 @@ func (r *Registry) pin(name string, e *graphEntry, write bool) (*hgmatch.DeltaBu
 			m.Release()
 			return nil, nil, fmt.Errorf("server: activating graph %q: %w", name, err)
 		}
-		e.gen.Add(1)
+		e.gen.Store(r.gens.Add(1))
 		e.mapped.Store(m)
 		e.live.Store(live)
 		r.resident.Add(int64(m.FileBytes()))

@@ -131,6 +131,45 @@ func FuzzSetopsEquivalence(f *testing.F) {
 			}
 		}
 
+		// The split shape of a delta-carrying table: cut every set at a
+		// pivot into a base half below it, in rank space in every
+		// array/bitmap mixture, and an array tail from it up. Each half
+		// intersects and unions on its own, the tail result appended,
+		// with one KScratch and separate output buffers.
+		pivot := uint32(span / 2)
+		if len(data) > 2 {
+			pivot = uint32(int(data[2]) % (span + 1))
+		}
+		bases, tails := make([][]uint32, len(sets)), make([]View, len(sets))
+		for i, s := range sets {
+			cut := 0
+			for cut < len(s) && s[cut] < pivot {
+				cut++
+			}
+			bases[i], tails[i] = s[:cut], View{Arr: s[cut:]}
+		}
+		for mask := uint(0); mask < 1<<len(sets); mask++ {
+			views, rank, unrank := buildViews(bases, mask)
+			var bm Bitmap
+			bm.Reuse(make([]uint64, WordsFor(len(unrank))), len(unrank))
+			u := UnionK(nil, &bm, len(unrank), rank, views, &ks)
+			var dec []uint32
+			if u.Bits != nil {
+				dec = u.Bits.AppendUnranked(nil, unrank)
+			} else {
+				dec = append(dec, u.Arr...)
+			}
+			dec = append(dec, UnionK(nil, nil, 0, RankTable{}, tails, &ks).Arr...)
+			if !Equal(dec, wantUK) && len(dec)+len(wantUK) > 0 {
+				t.Fatalf("split UnionK pivot=%d mask=%b: %v want %v", pivot, mask, dec, wantUK)
+			}
+			got := IntersectK(dirty[:0], views, rank, unrank, &ks)
+			got = append(got, IntersectK(nil, tails, RankTable{}, nil, &ks)...)
+			if !Equal(got, wantIK) && len(got)+len(wantIK) > 0 {
+				t.Fatalf("split IntersectK pivot=%d mask=%b: %v want %v", pivot, mask, got, wantIK)
+			}
+		}
+
 		// The enforced unionMany contract: aliasing dst panics, separate
 		// dst agrees with the oracle.
 		if len(a) > 0 {
