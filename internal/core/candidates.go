@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"hgmatch/internal/hypergraph"
 	"hgmatch/internal/setops"
 )
@@ -40,7 +42,7 @@ func (p *Plan) Expand(depth int, m []hypergraph.EdgeID, sc *Scratch, ct *Counter
 		return
 	}
 	data := p.Data
-	lanes := st.lanes && !sc.useMap
+	lanes := st.lanes
 	if lanes {
 		sc.tagLanes(st, data, m, depth)
 	}
@@ -106,12 +108,7 @@ func (p *Plan) candidates(st *step, depth int, m []hypergraph.EdgeID, sc *Scratc
 
 	// Incidence mask (and through its popcount, d_Hm(v)) for every vertex
 	// of the partial embedding; sc.vlen() is |V(Hm)|.
-	sc.resetVcnt(data.NumVertices(), len(p.Order))
-	for k := 0; k < depth; k++ {
-		for _, v := range data.Edge(m[k]) {
-			sc.vinc(v, k)
-		}
-	}
+	sc.fillVcnt(data, m[:depth])
 
 	// V_n_incdt: vertices matched by non-adjacent query hyperedges
 	// (Algorithm 4 line 1).
@@ -155,7 +152,7 @@ func (p *Plan) candidates(st *step, depth int, m []hypergraph.EdgeID, sc *Scratc
 				if data.Label(v) != u.label {
 					continue
 				}
-				if sc.vdegOf(v) != u.prefDeg {
+				if bits.OnesCount64(sc.vmaskOf(v)) != int(u.prefDeg) { // d_Hm(v)
 					continue
 				}
 				if len(sc.nonAdj) > 0 && setops.Contains(sc.nonAdj, v) {

@@ -263,7 +263,7 @@ func compilePlan(q, h *hypergraph.Hypergraph, order []hypergraph.EdgeID, qs *que
 		}
 		st.wantProf = profBacking[profStart:len(profBacking):len(profBacking)]
 		insertionSortProfiles(st.wantProf)
-		st.compileLanes(i, h.NumVertices(), len(order))
+		st.compileLanes(i)
 
 		p.steps[i] = st
 	}

@@ -35,11 +35,10 @@ const (
 
 // compileLanes derives step i's lane encoding from its sorted profile
 // multiset. It leaves st.lanes false — validateStep then serves the step —
-// when the shape does not fit: more seen classes than lanes, an arity that
-// could overflow a counter, or a data graph whose Scratch runs on the map
-// fallback (the tag lives in the dense table's stamp word).
-func (st *step) compileLanes(i, dataVertices, steps int) {
-	if st.arity > maxLaneArity || dataVertices*steps > denseVcntBudget {
+// when the shape does not fit: more seen classes than lanes, or an arity
+// that could overflow a counter.
+func (st *step) compileLanes(i int) {
+	if st.arity > maxLaneArity {
 		return
 	}
 	dbit := uint64(1) << uint(i)
@@ -66,8 +65,15 @@ func (st *step) compileLanes(i, dataVertices, steps int) {
 
 // tagLanes writes the lane of every vertex of the partial embedding
 // m[:depth] into its stamp. Must follow the vinc pass of the same Expand
-// (masks are final) on the dense table.
+// (masks are final).
 func (sc *Scratch) tagLanes(st *step, data *hypergraph.Hypergraph, m []hypergraph.EdgeID, depth int) {
+	if sc.compact {
+		for _, i := range sc.used {
+			s := &sc.slots[i]
+			s.key |= uint64(st.laneOf(s.mask, data, uint32(s.key>>32)))
+		}
+		return
+	}
 	for k := 0; k < depth; k++ {
 		below := uint64(1)<<uint(k) - 1
 		for _, v := range data.Edge(m[k]) {
@@ -75,16 +81,21 @@ func (sc *Scratch) tagLanes(st *step, data *hypergraph.Hypergraph, m []hypergrap
 			if mask&below != 0 {
 				continue // tagged at its first matched hyperedge
 			}
-			lane := uint32(badLane)
-			for j := 0; j < st.nClasses; j++ {
-				if c := &st.laneProf[j]; c.mask == mask && c.label == data.Label(v) {
-					lane = uint32(j + 1)
-					break
-				}
-			}
-			sc.vstamp[v] = sc.vepoch | lane
+			sc.vstamp[v] = sc.vepoch | st.laneOf(mask, data, v)
 		}
 	}
+}
+
+// laneOf returns the lane of seen vertex v with incidence mask mask: its
+// class's, or badLane when ϕ[i] wants no such vertex. v's label is loaded
+// only once a class's mask matches.
+func (st *step) laneOf(mask uint64, data *hypergraph.Hypergraph, v uint32) uint32 {
+	for j := 0; j < st.nClasses; j++ {
+		if c := &st.laneProf[j]; c.mask == mask && c.label == data.Label(v) {
+			return uint32(j + 1)
+		}
+	}
+	return badLane
 }
 
 // laneWord sums the lanes of a candidate's vertices: a stale stamp is an
@@ -94,6 +105,9 @@ func (sc *Scratch) tagLanes(st *step, data *hypergraph.Hypergraph, m []hypergrap
 //
 //go:noinline
 func (sc *Scratch) laneWord(vs []uint32) uint64 {
+	if sc.compact {
+		return sc.laneWordCompact(vs)
+	}
 	stamps, epoch := sc.vstamp, sc.vepoch
 	var acc uint64
 	for _, v := range vs {
@@ -102,6 +116,30 @@ func (sc *Scratch) laneWord(vs []uint32) uint64 {
 			tag = 0
 		}
 		acc += 1 << (tag * laneBits & 63)
+	}
+	return acc
+}
+
+// laneWordCompact is laneWord over the compact table, where an unseen
+// vertex is one without a live slot. The probe is slot's, inlined by hand
+// so the table's header stays in registers across the candidate, and a
+// miss is a conditional move, not a branch.
+func (sc *Scratch) laneWordCompact(vs []uint32) uint64 {
+	slots, epoch, shift := sc.slots, uint64(sc.vepoch), sc.shift
+	last := uint32(len(slots) - 1)
+	var acc uint64
+	for _, v := range vs {
+		want := uint64(v)<<32 | epoch
+		i := v * hashMul >> (shift & 31)
+		d := slots[i].key ^ want
+		for collides(d) {
+			i = (i + 1) & last
+			d = slots[i].key ^ want
+		}
+		if d > badLane {
+			d = 0 // no live slot: an unseen vertex, lane 0
+		}
+		acc += 1 << (d * laneBits & 63)
 	}
 	return acc
 }

@@ -23,9 +23,9 @@ func referencePlan(p *Plan) *Plan {
 }
 
 // validatorDiff walks one plan's embedding tree and checks, at every node it
-// visits, that the three validators agree: the compiled lane kernel (p on a
-// dense Scratch), the retained validateStep (ref, and p on a map-fallback
-// Scratch) and, at the last step, VerifyEmbedding.
+// visits, that the validators agree: the compiled lane kernel (p on the
+// Scratch table the graph's size picks, and p on a forced compact table),
+// the retained validateStep (ref) and, at the last step, VerifyEmbedding.
 type validatorDiff struct {
 	t      *testing.T
 	q, h   *hypergraph.Hypergraph
@@ -34,12 +34,12 @@ type validatorDiff struct {
 	// Per depth: the Scratches of the three Expand runs plus one for the
 	// per-candidate pass (recursion happens between Expand calls, never
 	// inside one, but each depth still needs state of its own).
-	lane, sorted, mapped, probe []*Scratch
+	lane, sorted, compact, probe []*Scratch
 
 	nodes    int // Expand calls left to visit
 	verifies int // VerifyEmbedding calls left; 0 from the start when q makes it backtrack too long
 
-	total    [3]Counters // lane, sorted, mapped: summed over visited nodes
+	total    [3]Counters // lane, sorted, compact: summed over visited nodes
 	verified int         // VerifyEmbedding calls made
 }
 
@@ -73,7 +73,7 @@ func newValidatorDiff(t *testing.T, q, h *hypergraph.Hypergraph, p *Plan) *valid
 	for range p.steps {
 		d.lane = append(d.lane, NewScratch())
 		d.sorted = append(d.sorted, NewScratch())
-		d.mapped = append(d.mapped, &Scratch{forceMap: true})
+		d.compact = append(d.compact, &Scratch{denseMax: -1})
 		d.probe = append(d.probe, NewScratch())
 	}
 	return d
@@ -101,11 +101,11 @@ func (d *validatorDiff) visit(depth int, m []hypergraph.EdgeID) {
 	for i, run := range []struct {
 		plan *Plan
 		sc   *Scratch
-	}{{p, d.lane[depth]}, {ref, d.sorted[depth]}, {p, d.mapped[depth]}} {
+	}{{p, d.lane[depth]}, {ref, d.sorted[depth]}, {p, d.compact[depth]}} {
 		run.plan.Expand(depth, m, run.sc, &ct[i], func(c hypergraph.EdgeID) { got[i] = append(got[i], c) })
 		d.total[i].Add(ct[i])
 	}
-	for i, name := range []string{"lane", "sorted", "map-fallback"} {
+	for i, name := range []string{"lane", "sorted", "compact-table"} {
 		if !slices.Equal(got[i], got[0]) || ct[i] != ct[0] {
 			t.Fatalf("depth %d m=%v: %s run emitted %v with %+v; lane run emitted %v with %+v",
 				depth, m[:depth], name, got[i], ct[i], got[0], ct[0])
@@ -115,8 +115,9 @@ func (d *validatorDiff) visit(depth int, m []hypergraph.EdgeID) {
 		t.Fatalf("depth %d m=%v: CountValid = %d, Expand emitted %d", depth, m[:depth], n, len(got[0]))
 	}
 
-	// Per candidate. d.lane[depth] still describes m[:depth], lane tags
-	// included, and d.sorted[depth] holds the same masks untagged.
+	// Per candidate. d.lane[depth] and d.compact[depth] still describe
+	// m[:depth], lane tags included, and d.sorted[depth] holds the same
+	// masks untagged.
 	cands := p.candidates(st, depth, m, d.probe[depth])
 	hmVerts := d.probe[depth].vlen()
 	for _, c := range cands {
@@ -128,6 +129,10 @@ func (d *validatorDiff) visit(depth int, m []hypergraph.EdgeID) {
 		wantV5 := rct.Filtered == 1
 		if st.lanes {
 			acc := d.lane[depth].laneWord(d.h.Edge(c))
+			if cacc := d.compact[depth].laneWord(d.h.Edge(c)); cacc != acc {
+				t.Fatalf("depth %d m=%v candidate %d: compact table's lane word %#x, %s table's %#x",
+					depth, m[:depth], c, cacc, tableName(d.lane[depth]), acc)
+			}
 			gotV5 := hmVerts+int(acc&laneMask) == st.qVerts
 			gotOK := gotV5 && acc == st.wantLanes
 			if gotV5 != wantV5 || gotOK != wantOK {
@@ -330,19 +335,54 @@ func TestValidatorFallbackShapes(t *testing.T) {
 	}
 }
 
-// TestDenseBudgetFallsBack: a data graph too large for the dense Scratch
-// table compiles every step to validateStep, because the lane tag lives in
-// that table.
-func TestDenseBudgetFallsBack(t *testing.T) {
-	var st step
-	st.arity = 2
-	st.wantProf = []profile{{label: 0, mask: 0b11}, {label: 0, mask: 0b10}}
-	st.compileLanes(1, denseVcntBudget/2+1, 2)
-	if st.lanes {
-		t.Fatal("step compiled to lanes on a graph over the dense-table budget")
+// tableName names the vertex table sc ran its last Expand on.
+func tableName(sc *Scratch) string {
+	if sc.compact {
+		return "compact"
 	}
-	st.compileLanes(1, denseVcntBudget/2, 2)
-	if !st.lanes || st.nClasses != 1 || st.wantLanes != 1|1<<laneBits {
-		t.Fatalf("step within budget: lanes=%v classes=%d want=%#x", st.lanes, st.nClasses, st.wantLanes)
+	return "dense"
+}
+
+// TestLanesCompileAboveDenseMax: on a data graph past denseVcntMax vertices
+// the Scratch runs its compact table, and every step still compiles to the
+// lane kernel, which the compact table tags like the dense one. The graph is
+// maskShape's (six classes, every lane in use) padded with isolated
+// vertices; the validators agree and the counts are the unpadded graph's.
+func TestLanesCompileAboveDenseMax(t *testing.T) {
+	q, h, order := maskShape(false)
+	b := hypergraph.NewBuilder()
+	for v := 0; v < h.NumVertices(); v++ {
+		b.AddVertex(h.Label(uint32(v)))
+	}
+	for b.NumVertices() <= denseVcntMax {
+		b.AddVertex(0)
+	}
+	for e := 0; e < h.NumEdges(); e++ {
+		b.AddEdge(h.Edge(hypergraph.EdgeID(e))...)
+	}
+	big := b.MustBuild()
+	small, err := NewPlanWithOrder(q, h, order)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewPlanWithOrder(q, big, order)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < len(p.steps); i++ {
+		if !p.steps[i].lanes {
+			t.Fatalf("step %d of a plan over %d vertices kept validateStep", i, big.NumVertices())
+		}
+	}
+	d := newValidatorDiff(t, q, big, p)
+	d.run()
+	if sc := d.lane[len(order)-1]; !sc.compact {
+		t.Fatalf("a Scratch over %d vertices ran its %s table", big.NumVertices(), tableName(sc))
+	}
+	n, ct := p.CountSequential()
+	sn, sct := small.CountSequential()
+	rn, rct := referencePlan(p).CountSequential()
+	if n == 0 || n != sn || ct != sct || n != rn || ct != rct {
+		t.Fatalf("padded count %d %+v, unpadded %d %+v, reference %d %+v", n, ct, sn, sct, rn, rct)
 	}
 }

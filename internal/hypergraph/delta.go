@@ -201,6 +201,13 @@ func (d *DeltaBuffer) Snapshot() *Hypergraph {
 	return d.snap.Load()
 }
 
+// Published returns the latest published view and never publishes: pending
+// writes stay invisible until a writer's Publish (or a Compact). A serving
+// layer that journals a batch before acking it reads through Published, so
+// a read can never expose a batch that is not yet durable, or one whose
+// journal append failed.
+func (d *DeltaBuffer) Published() *Hypergraph { return d.snap.Load() }
+
 // Publish is the writer-side Snapshot: it blocks until pending writes are
 // published and returns the resulting view. Ingest paths that must report
 // "your writes are now live" call this; read paths use Snapshot.

@@ -670,3 +670,33 @@ func TestIngestMalformedNDJSONTransactional(t *testing.T) {
 		t.Fatal("journaled prefix did not survive restart")
 	}
 }
+
+// TestWALRefusedBatchStaysInvisible pins durability before visibility on
+// the read side: a batch whose fsync fails is answered 503 and must never
+// be served, neither by the next read (Acquire) nor by a stats call.
+// Reads return the latest published snapshot and leave publishing to the
+// writer, which publishes only after the journal. (Whether the refused
+// frame survives a restart is unspecified: it was never acked, and either
+// outcome replays a prefix of the journal.)
+func TestWALRefusedBatchStaysInvisible(t *testing.T) {
+	fx := makeCrashFixture(t, 17, 4, 4)
+	fs := hgtest.NewFaultFS()
+	s := newDurableServer(t, fs, fx, hgio.SyncBatch)
+	defer s.Close()
+	reg := s.Graphs()
+	before := snapshotOf(t, reg, "g")
+	want := canonicalGraphText(t, before)
+
+	fs.FailSync(1)
+	body := `{"op":"insert","vertices":[0,1,2,3,4,5,6,7]}` + "\n" + `{"op":"insert","vertices":[8,9,10,11,12,13]}` + "\n"
+	if rr := post(s.Handler(), "/graphs/g/edges", body); rr.Code != http.StatusServiceUnavailable ||
+		!strings.Contains(rr.Body.String(), "wal append failed") {
+		t.Fatalf("ingest with a failing fsync: %d %s, want 503 wal append failed", rr.Code, rr.Body.String())
+	}
+	if info, _ := reg.Info("g"); info.NumEdges != before.NumLiveEdges() {
+		t.Fatalf("Info reports %d edges after a refused batch, want %d", info.NumEdges, before.NumLiveEdges())
+	}
+	if h := snapshotOf(t, reg, "g"); canonicalGraphText(t, h) != want {
+		t.Fatalf("Acquire serves the refused batch: %d live edges, want %d", h.NumLiveEdges(), before.NumLiveEdges())
+	}
+}

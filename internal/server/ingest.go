@@ -314,7 +314,7 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	before := e.version(live.Snapshot())
+	before := e.version(live.Published())
 	// Counts come from the fold itself: reading them beforehand would
 	// race with a concurrent ingest and under-report.
 	nh, folded, dropped, err := s.compactGraph(name, e, live)

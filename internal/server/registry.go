@@ -246,12 +246,14 @@ var noRelease = func() {}
 // request's reference to the mapping. A cold graph is mapped on the way.
 // A graph registered on the heap takes no tier mutex and allocates
 // nothing. Once Close has begun, Acquire fails with errRegistryClosed.
+// It reads the latest published snapshot and never publishes: a batch
+// becomes visible at its writer's publication, after its journal append.
 func (r *Registry) Acquire(name string) (*hgmatch.Hypergraph, uint64, func(), error) {
 	e, live, release, err := r.lookup(name, false)
 	if err != nil {
 		return nil, 0, nil, err
 	}
-	h := live.Snapshot()
+	h := live.Published()
 	return h, e.version(h), release, nil
 }
 
@@ -455,12 +457,12 @@ func (r *Registry) Info(name string) (hgio.GraphInfo, bool) {
 	var info hgio.GraphInfo
 	switch {
 	case m != nil:
-		info = e.stats(name, live.Snapshot())
+		info = e.stats(name, live.Published())
 		info.Tier = "mapped"
 		info.ResidentBytes = int64(m.HeapOverheadBytes())
 		info.FileBytes = int64(m.FileBytes())
 	case live != nil:
-		info = e.stats(name, live.Snapshot())
+		info = e.stats(name, live.Published())
 		info.FileBytes = pk.FileBytes
 	default:
 		info = hgio.GraphInfo{
