@@ -137,9 +137,12 @@ func (p *Plan) candidates(st *step, depth int, m []hypergraph.EdgeID, sc *Scratc
 	// is a base half over the base postings and a tail over the delta
 	// postings. Every delta ID sorts above every base ID, so ⋂(Bᵢ ∪ Tᵢ) is
 	// ⋂Bᵢ followed by ⋂Tᵢ: each half is built and intersected on its own,
-	// and stops being built at the first set where it is empty.
+	// and stops being built at the first set where it is empty. A base
+	// without an index (a table of a few edges) records each set's V_incdt
+	// instead, and its members are scanned against them below.
 	baseLive, tailLive := true, st.part.HasDelta()
 	sc.sets, sc.tails = sc.sets[:0], sc.tails[:0]
+	sc.incdt, sc.incdtEnd = sc.incdt[:0], sc.incdtEnd[:0]
 	nset := 0
 	for gi := range st.adjGroups {
 		g := &st.adjGroups[gi]
@@ -148,6 +151,7 @@ func (p *Plan) candidates(st *step, depth int, m []hypergraph.EdgeID, sc *Scratc
 			// V_incdt: vertices of f(e) that may be matched to u
 			// (Observations V.2-V.4).
 			sc.views, sc.tviews = sc.views[:0], sc.tviews[:0]
+			start := len(sc.incdt)
 			for _, v := range fe {
 				if data.Label(v) != u.label {
 					continue
@@ -162,7 +166,9 @@ func (p *Plan) candidates(st *step, depth int, m []hypergraph.EdgeID, sc *Scratc
 				// snapshot, the delta view: both sorted zero-copy views
 				// into the index.
 				if baseLive {
-					if dense {
+					if st.scanBase {
+						sc.incdt = append(sc.incdt, v)
+					} else if dense {
 						if vw := st.part.PostingsView(v); !vw.IsEmpty() {
 							sc.views = append(sc.views, vw)
 						}
@@ -176,7 +182,12 @@ func (p *Plan) candidates(st *step, depth int, m []hypergraph.EdgeID, sc *Scratc
 					}
 				}
 			}
-			baseLive = baseLive && len(sc.views) > 0
+			if st.scanBase {
+				baseLive = baseLive && len(sc.incdt) > start
+				sc.incdtEnd = append(sc.incdtEnd, len(sc.incdt))
+			} else {
+				baseLive = baseLive && len(sc.views) > 0
+			}
 			tailLive = tailLive && len(sc.tviews) > 0
 			if !baseLive && !tailLive {
 				return nil // some required vertex has no incident candidates
@@ -188,7 +199,7 @@ func (p *Plan) candidates(st *step, depth int, m []hypergraph.EdgeID, sc *Scratc
 				sc.setBufs = append(sc.setBufs, nil)
 				sc.tailBufs = append(sc.tailBufs, nil)
 			}
-			if baseLive {
+			if baseLive && !st.scanBase {
 				var bm *setops.Bitmap
 				if dense {
 					bm = &sc.bmSets[nset]
@@ -213,7 +224,9 @@ func (p *Plan) candidates(st *step, depth int, m []hypergraph.EdgeID, sc *Scratc
 	// is appended after the base result. IntersectK leaves its result out
 	// of ks's scratch, so the three buffers never alias.
 	cand := sc.inter[:0]
-	if baseLive {
+	if baseLive && st.scanBase {
+		cand = sc.scanBase(p.Data, st.part.BaseEdges(), cand)
+	} else if baseLive {
 		cand = setops.IntersectK(cand, sc.sets, rank, unrank, &sc.ks)
 	}
 	if tailLive {
@@ -233,6 +246,24 @@ func (p *Plan) candidates(st *step, depth int, m []hypergraph.EdgeID, sc *Scratc
 		sc.live = cand[:0]
 	}
 	return cand
+}
+
+// scanBase appends to dst, in member order, the members that hold a vertex
+// of every set of sc.incdt: the containment test the postings encode, so
+// the result is the ⋂ᵢ ⋃_{v∈V_incdt,i} he(v, S) an index would give.
+func (sc *Scratch) scanBase(data *hypergraph.Hypergraph, members []hypergraph.EdgeID, dst []uint32) []uint32 {
+next:
+	for _, e := range members {
+		ev, lo := data.Edge(e), 0
+		for _, hi := range sc.incdtEnd {
+			if !setops.ContainsAny(ev, sc.incdt[lo:hi]) {
+				continue next
+			}
+			lo = hi
+		}
+		dst = append(dst, e)
+	}
+	return dst
 }
 
 // unionInto unions views into the per-set slot *buf and reclaims the

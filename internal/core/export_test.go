@@ -9,14 +9,7 @@ import "hgmatch/internal/hypergraph"
 // candidate set (post intersection and duplicate-edge filter, before the
 // Observation V.5 / Algorithm 5 checks).
 func (p *Plan) CandidatesOnly(depth int, m []hypergraph.EdgeID) []hypergraph.EdgeID {
-	st := &p.steps[depth]
-	var out []hypergraph.EdgeID
-	for _, c := range p.candidates(st, depth, m, NewScratch()) {
-		if !st.reuses(m, c) {
-			out = append(out, c)
-		}
-	}
-	return out
+	return p.CandidatesInto(nil, depth, m, NewScratch())
 }
 
 // StepSignature exposes S(ϕ[i]) for diagnostics.
@@ -28,4 +21,21 @@ func (p *Plan) StepSignature(i int) hypergraph.Signature {
 // on its table's bitmap sidecar.
 func (p *Plan) StepWordParallel(i int) bool {
 	return p.steps[i].useBitmaps
+}
+
+// CandidatesInto is CandidatesOnly appending to dst, computed in sc.
+func (p *Plan) CandidatesInto(dst []hypergraph.EdgeID, depth int, m []hypergraph.EdgeID, sc *Scratch) []hypergraph.EdgeID {
+	st := &p.steps[depth]
+	for _, c := range p.candidates(st, depth, m, sc) {
+		if !st.reuses(m, c) {
+			dst = append(dst, c)
+		}
+	}
+	return dst
+}
+
+// StepScansBase reports whether step i scans its table's base members
+// (the table carries no index).
+func (p *Plan) StepScansBase(i int) bool {
+	return p.steps[i].scanBase
 }

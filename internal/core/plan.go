@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"hgmatch/internal/hypergraph"
@@ -82,6 +83,15 @@ type step struct {
 	useBitmaps bool
 	nBits      int
 	nSets      int
+
+	// scanBase marks a table whose base carries no inverted index (at
+	// most a few members): candidates scans its base members instead of
+	// uniting postings. baseVerts is the number of distinct vertices of
+	// the base members, which EstimateCost spreads the table's postings
+	// over — the index's dictionary size, or the same count taken from the
+	// members when there is no index.
+	scanBase  bool
+	baseVerts int
 }
 
 // Plan is a compiled, immutable execution plan for one (query, data) pair:
@@ -240,6 +250,16 @@ func compilePlan(q, h *hypergraph.Hypergraph, order []hypergraph.EdgeID, qs *que
 			st.useBitmaps = true
 			st.nBits = st.part.NumBaseEdges()
 		}
+		st.baseVerts = st.part.NumPostingVertices()
+		if !st.part.HasBaseIndex() && st.part.NumBaseEdges() > 0 {
+			st.scanBase = true
+			sharedBuf = sharedBuf[:0]
+			for _, e := range st.part.BaseEdges() {
+				sharedBuf = append(sharedBuf, h.Edge(e)...)
+			}
+			slices.Sort(sharedBuf)
+			st.baseVerts = len(setops.Dedup(sharedBuf))
+		}
 
 		// Update prefix state to INCLUDE position i, then compile the
 		// validation tables: |V(q')| and the query-side profile multiset
@@ -343,7 +363,7 @@ func (p *Plan) EstimateCost() uint64 {
 			return 0
 		}
 		b := 1.0
-		if nv := st.part.NumPostingVertices(); nv > 0 {
+		if nv := st.baseVerts; nv > 0 {
 			b = float64(st.part.Len()) * float64(st.arity) / float64(nv)
 		}
 		if b < 1 {

@@ -78,6 +78,8 @@ type Scratch struct {
 	inter    []uint32        // intersection result buffer
 	tinter   []uint32        // tail intersection result buffer
 	live     []uint32        // intersection minus a masked table's tombstones
+	incdt    []uint32        // an unindexed base's V_incdt sets, back to back
+	incdtEnd []int           // their ends in incdt
 	profs    []profile       // data-side profile buffer for validation
 }
 

@@ -35,6 +35,9 @@ import (
 //	  uvarint numVerts + delta-encoded sorted CSR vertex dictionary
 //	  per vertex: uvarint postingLen + delta-encoded posting edge IDs
 //
+// A table of at most a few edges (hypergraph's small-table cutoff) carries
+// no index: numVerts is 0. Files written before that carry the full index
+// on such tables too; the reader accepts it and drops it.
 // Edge labels use +1 so NoEdgeLabel encodes as 0. The retired version 1
 // ("HGB1", the graph sections alone) is no longer read.
 //
@@ -300,9 +303,10 @@ func (r *binReader) edgeLabel() (hypergraph.Label, error) {
 	return hypergraph.Label(enc - 1), nil
 }
 
-// v2Sizes holds the entry counts of the two arrays no header states: the
-// edges' vertex cells (Σ arity) and the tables' CSR vertex dictionaries.
-type v2Sizes struct{ cells, verts uint64 }
+// v2Sizes holds the entry counts of the arrays no header states: the
+// edges' vertex cells (Σ arity), and the tables' CSR vertex dictionaries
+// and posting lists.
+type v2Sizes struct{ cells, verts, posts uint64 }
 
 // measure walks the edge and index sections without storing anything or
 // moving the cursor, and returns the sizes the decode then allocates
@@ -355,7 +359,9 @@ func (r *binReader) measure(ne uint64, hasEL bool) (v2Sizes, error) {
 		nverts := count()
 		skip(nverts) // vertex dictionary
 		for i := uint64(0); i < nverts && ok; i++ {
-			skip(count()) // one posting list
+			plen := count()
+			skip(plen) // one posting list
+			sz.posts += plen
 		}
 		sz.verts += nverts
 	}
@@ -508,15 +514,16 @@ func readBinaryV2(r *binReader) (*hypergraph.Hypergraph, error) {
 	// The index decodes straight into the graph's shared table arrays; the
 	// directory rows record where each table's windows start. Every array
 	// is allocated once at its final size: member lists hold one entry per
-	// edge, posting arrays one per (vertex, member edge) incidence, and
-	// measure counted the vertex dictionaries.
+	// edge, and measure counted the vertex dictionaries and the postings.
+	// A small table's dictionary is empty; a file written before small
+	// tables dropped their index still fills it, and Assemble drops it.
 	st := hypergraph.Storage{
 		Labels: c.labels, EdgeOff: c.edgeOff, EdgeVerts: c.edgeVerts, EdgeLabels: c.edgeLabels,
 		Tables:    make([]hypergraph.TableRow, 0, np+1),
 		PartEdges: make([]uint32, 0, c.ne),
 		PartVerts: make([]uint32, 0, c.sizes.verts),
 		PartOffs:  make([]uint32, 0, c.sizes.verts+np),
-		PartPosts: make([]uint32, 0, len(c.edgeVerts)),
+		PartPosts: make([]uint32, 0, c.sizes.posts),
 		Dict:      c.dict,
 	}
 	// Partitions must claim disjoint edges (re-checked structurally by
@@ -558,7 +565,7 @@ func readBinaryV2(r *binReader) (*hypergraph.Hypergraph, error) {
 		if err != nil {
 			return nil, err
 		}
-		if nverts == 0 || nverts > occ || nverts > c.nv {
+		if nverts > occ || nverts > c.nv {
 			return nil, fmt.Errorf("hgio: partition %d has implausible vertex count %d", pi, nverts)
 		}
 		if st.PartVerts, err = r.deltaSet(st.PartVerts, nverts, c.nv, "CSR vertex"); err != nil {

@@ -105,6 +105,45 @@ func TestBinaryGoldens(t *testing.T) {
 	indexEqual(t, h, loaded)
 }
 
+// fullIndexFixture is the Fig. 1 graph as HGB2 wrote it before small
+// tables dropped their index: every table carries its dictionary and
+// posting lists. Readers must keep accepting such files.
+const fullIndexFixture = "testdata/fig1.v2-full-index.hgb"
+
+// TestBinaryReadsFullIndexFixture: the older encoding loads to the same
+// graph as the current one — the small tables' index dropped — and
+// re-encodes to the current golden.
+func TestBinaryReadsFullIndexFixture(t *testing.T) {
+	old, err := os.ReadFile(fullIndexFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := hgio.ReadBinary(bytes.NewReader(old))
+	if err != nil {
+		t.Fatalf("%s: %v", fullIndexFixture, err)
+	}
+	if err := loaded.Validate(); err != nil {
+		t.Fatalf("%s loads to an invalid graph: %v", fullIndexFixture, err)
+	}
+	h := hgtest.Fig1Data()
+	graphsEqual(t, h, loaded)
+	indexEqual(t, h, loaded)
+	if st := hypergraph.ComputeStats(loaded); st.IndexBytes != hypergraph.ComputeStats(h).IndexBytes {
+		t.Fatalf("%s keeps %d index bytes, a fresh build holds %d", fullIndexFixture, st.IndexBytes, hypergraph.ComputeStats(h).IndexBytes)
+	}
+	var again bytes.Buffer
+	if err := hgio.WriteBinary(&again, loaded); err != nil {
+		t.Fatal(err)
+	}
+	golden, err := os.ReadFile("testdata/fig1.v2.hgb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), golden) {
+		t.Fatalf("%s re-encodes to %d bytes, not the %d-byte golden", fullIndexFixture, again.Len(), len(golden))
+	}
+}
+
 func TestBinaryV2FileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "g.hgb")

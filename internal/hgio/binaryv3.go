@@ -653,10 +653,13 @@ func parseV3(data []byte) (*v3File, error) {
 	if f.flags&v3FlagEdgeDict != 0 && (f.sec[secEdgeDict] == nil || f.edgeDictLen == 0) {
 		return nil, fmt.Errorf("hgio: v3 edge-dict flag set without dictionary")
 	}
+	// PartOffs holds at least one entry per table; PartVerts and PartPosts
+	// are empty when no table carries an index (tableRows checks their
+	// lengths).
+	if (np > 0) != (f.sec[secPartOffs] != nil) {
+		return nil, fmt.Errorf("hgio: v3 section %d presence inconsistent with %d partitions", secPartOffs, np)
+	}
 	for _, id := range []int{secPartVerts, secPartOffs, secPartPosts} {
-		if (np > 0) != (f.sec[id] != nil) {
-			return nil, fmt.Errorf("hgio: v3 section %d presence inconsistent with %d partitions", id, np)
-		}
 		if len(f.sec[id])%4 != 0 {
 			return nil, fmt.Errorf("hgio: v3 section %d not a whole number of elements", id)
 		}
@@ -703,10 +706,12 @@ func decodeDictBlob(blob []byte, n int) (*hypergraph.Dict, error) {
 }
 
 // tableRows decodes the PartMeta section into partition-directory rows
-// (plus the closing sentinel), validating it: windows must be non-empty,
+// (plus the closing sentinel), validating it: member windows must be
+// non-empty, index windows both empty or both not (a small table carries
+// no index; hypergraph requires one on every larger table), and all
 // contiguous, in order and exactly covering their sections, with the
 // member counts summing to the header's edge count and the posting counts
-// to the total arity. O(np), one allocation.
+// at most the total arity. O(np), one allocation.
 func (f *v3File) tableRows() ([]hypergraph.TableRow, error) {
 	le := binary.LittleEndian
 	meta := f.sec[secPartMeta]
@@ -722,8 +727,11 @@ func (f *v3File) tableRows() ([]hypergraph.TableRow, error) {
 		if !f.hasEdgeLabels() && edgeLabel != hypergraph.NoEdgeLabel {
 			return nil, fmt.Errorf("hgio: partition %d carries an edge label in an unlabelled v3 file", pi)
 		}
-		if edgesLen == 0 || vertsLen == 0 || postsLen == 0 {
+		if edgesLen == 0 {
 			return nil, fmt.Errorf("hgio: partition %d is empty", pi)
+		}
+		if (vertsLen == 0) != (postsLen == 0) {
+			return nil, fmt.Errorf("hgio: partition %d index windows malformed", pi)
 		}
 		if edgesOff != eo || vertsOff != vo || offsOff != vo+uint64(pi) || postsOff != po {
 			return nil, fmt.Errorf("hgio: partition %d windows not contiguous", pi)
@@ -739,8 +747,8 @@ func (f *v3File) tableRows() ([]hypergraph.TableRow, error) {
 	if eo != uint64(f.ne) {
 		return nil, fmt.Errorf("hgio: partitions claim %d member edges, file has %d", eo, f.ne)
 	}
-	if po != uint64(f.ta) || po*4 != uint64(len(f.sec[secPartPosts])) {
-		return nil, fmt.Errorf("hgio: partitions claim %d postings, file has %d incidences", po, f.ta)
+	if po*4 != uint64(len(f.sec[secPartPosts])) {
+		return nil, fmt.Errorf("hgio: partitions claim %d postings, the section holds %d", po, len(f.sec[secPartPosts])/4)
 	}
 	if vo*4 != uint64(len(f.sec[secPartVerts])) || (vo+uint64(f.np))*4 != uint64(len(f.sec[secPartOffs])) {
 		return nil, fmt.Errorf("hgio: partition windows do not cover their sections")

@@ -83,6 +83,43 @@ func TestBinaryV3MappedRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBinaryV3ReadsFullIndex: an HGB3 file written before small tables
+// dropped their index loads on the heap with that index dropped and
+// attaches with it ignored: both serve the views of a fresh build and
+// pass Validate, and the heap load holds the fresh build's index bytes.
+func TestBinaryV3ReadsFullIndex(t *testing.T) {
+	for seed := int64(0); seed < 5; seed++ {
+		build := func() *hypergraph.Hypergraph {
+			return hgtest.RandomHypergraph(rand.New(rand.NewSource(seed)), hgtest.RandomConfig{
+				NumVertices: 60, NumEdges: 300, NumLabels: 3, MaxArity: 5,
+			})
+		}
+		h := build()
+		old := fullIndexV3(t, build)
+		heap, err := hgio.ReadBinary(bytes.NewReader(old))
+		if err != nil {
+			t.Fatalf("seed %d: heap load: %v", seed, err)
+		}
+		mappedEqual(t, h, heap)
+		if got, want := hypergraph.ComputeStats(heap).IndexBytes, hypergraph.ComputeStats(h).IndexBytes; got != want {
+			t.Fatalf("seed %d: heap load keeps %d index bytes, a fresh build %d", seed, got, want)
+		}
+		m, err := hgio.MapBytes(old, hgio.MapOptions{Verify: true})
+		if err != nil {
+			t.Fatalf("seed %d: attach: %v", seed, err)
+		}
+		mappedEqual(t, h, m.Graph())
+		for pi := 0; pi < h.NumPartitions(); pi++ {
+			if a, b := h.Partition(pi), m.Graph().Partition(pi); a.HasBaseIndex() != b.HasBaseIndex() {
+				t.Fatalf("seed %d: table %d of %d edges: index %v built, %v attached", seed, pi, a.Len(), a.HasBaseIndex(), b.HasBaseIndex())
+			}
+		}
+		if err := m.Release(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestBinaryV3DictsAndEdgeLabels(t *testing.T) {
 	d := hypergraph.NewDict()
 	ed := hypergraph.NewDict()

@@ -20,8 +20,9 @@ import (
 // FuzzReadBinary feeds arbitrary bytes to the binary reader. It must never
 // panic; any input it accepts must decode to a graph that passes Validate
 // and survives WriteBinary → ReadBinary with the same storage. Seeds: the
-// committed Fig. 1 golden and its v3 twin, the hgtest serving graphs and
-// the crafted headers of the allocation tests. The serving graphs go in
+// committed Fig. 1 golden, its older full-index encoding and its v3 twin,
+// the hgtest serving graphs and the crafted headers of the allocation
+// tests. The serving graphs go in
 // as HGB2 only: an HGB3 image pads its sections to 4 KiB, and every large
 // seed slows the fuzzer's minimisation.
 func FuzzReadBinary(f *testing.F) {
@@ -30,6 +31,11 @@ func FuzzReadBinary(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(golden)
+	old, err := os.ReadFile(fullIndexFixture)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(old)
 	var v3 bytes.Buffer
 	if err := hgio.WriteBinaryV3(&v3, hgtest.Fig1Data()); err != nil {
 		f.Fatal(err)
@@ -60,7 +66,7 @@ func FuzzReadBinary(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-reading a written graph: %v", err)
 		}
-		if err := storageDiff(h.Storage(), h2.Storage()); err != nil {
+		if err := storageDiff(h, h2); err != nil {
 			t.Fatalf("WriteBinary → ReadBinary changed the storage: %v", err)
 		}
 	})
@@ -73,14 +79,17 @@ func FuzzReadBinary(f *testing.F) {
 // attach, so mutations of the header and section directory reach the
 // structural checks behind it; the payload stays under its checksum
 // (verification on), which is what the attach trusts content to. Seeds:
-// the v3 twin of the Fig. 1 golden, the hgtest serving graphs as HGB3, and
-// the Fig. 1 image with a misaligned section offset.
+// the v3 twin of the Fig. 1 golden, the v3 twin of its older full-index
+// encoding (every table indexed, as files written before small tables
+// dropped their index), the hgtest serving graphs as HGB3, and the Fig. 1
+// image with a misaligned section offset.
 func FuzzMapBytes(f *testing.F) {
 	var fig1 bytes.Buffer
 	if err := hgio.WriteBinaryV3(&fig1, hgtest.Fig1Data()); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(fig1.Bytes())
+	f.Add(fullIndexV3(f, hgtest.Fig1Data))
 	for _, g := range hgtest.ServingGraphs() {
 		var v3 bytes.Buffer
 		if err := hgio.WriteBinaryV3(&v3, g.Graph); err != nil {
@@ -109,10 +118,22 @@ func FuzzMapBytes(f *testing.F) {
 		if err != nil {
 			t.Fatalf("attach accepted what the heap reader rejects: %v", err)
 		}
-		if err := storageDiff(m.Graph().Storage(), h.Storage()); err != nil {
+		if err := storageDiff(m.Graph(), h); err != nil {
 			t.Fatalf("attach and heap decode differ: %v", err)
 		}
 	})
+}
+
+// fullIndexV3 returns build's graph as HGB3 in the layout files had before
+// small tables dropped their index: every table indexed.
+func fullIndexV3(tb testing.TB, build func() *hypergraph.Hypergraph) []byte {
+	tb.Helper()
+	defer hypergraph.ForceScanMax(0)()
+	var buf bytes.Buffer
+	if err := hgio.WriteBinaryV3(&buf, build()); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // fig1Text is the paper's Fig. 1 data hypergraph in the text format, with
@@ -175,9 +196,13 @@ func FuzzReadText(f *testing.F) {
 }
 
 // storageDiff compares two graphs' storage array by array (nil and empty
-// alike) and dictionary by dictionary name. HGB2 carries no edge-label
-// dictionary, so EdgeDict is not compared.
-func storageDiff(a, b hypergraph.Storage) error {
+// alike), table by table and dictionary by dictionary name. Tables are
+// compared by their views, not by the shared index arrays: a mapped file
+// written before small tables dropped their index still holds those
+// windows, which the views leave out and a heap load drops. HGB2 carries
+// no edge-label dictionary, so EdgeDict is not compared.
+func storageDiff(ga, gb *hypergraph.Hypergraph) error {
+	a, b := ga.Storage(), gb.Storage()
 	for _, c := range []struct {
 		name string
 		x, y []uint32
@@ -187,9 +212,6 @@ func storageDiff(a, b hypergraph.Storage) error {
 		{"edge vertices", a.EdgeVerts, b.EdgeVerts},
 		{"edge labels", a.EdgeLabels, b.EdgeLabels},
 		{"table members", a.PartEdges, b.PartEdges},
-		{"table vertices", a.PartVerts, b.PartVerts},
-		{"table offsets", a.PartOffs, b.PartOffs},
-		{"table postings", a.PartPosts, b.PartPosts},
 		{"incidence offsets", a.IncOff, b.IncOff},
 		{"incidence edges", a.IncEdges, b.IncEdges},
 		{"edge tables", a.EdgePart, b.EdgePart},
@@ -201,8 +223,20 @@ func storageDiff(a, b hypergraph.Storage) error {
 	if (a.EdgeLabels == nil) != (b.EdgeLabels == nil) {
 		return fmt.Errorf("edge-labelled %v vs %v", a.EdgeLabels != nil, b.EdgeLabels != nil)
 	}
-	if !slices.Equal(a.Tables, b.Tables) {
-		return fmt.Errorf("table directories differ")
+	if ga.NumPartitions() != gb.NumPartitions() {
+		return fmt.Errorf("%d vs %d tables", ga.NumPartitions(), gb.NumPartitions())
+	}
+	for pi := 0; pi < ga.NumPartitions(); pi++ {
+		pa, pb := ga.Partition(pi), gb.Partition(pi)
+		if pa.SigID != pb.SigID || pa.EdgeLabel != pb.EdgeLabel || !slices.Equal(pa.Edges, pb.Edges) ||
+			!slices.Equal(pa.PostingVertices(), pb.PostingVertices()) {
+			return fmt.Errorf("table %d differs", pi)
+		}
+		for i := range pa.PostingVertices() {
+			if !slices.Equal(pa.PostingsAt(i), pb.PostingsAt(i)) {
+				return fmt.Errorf("table %d postings differ", pi)
+			}
+		}
 	}
 	if a.NumLabels != b.NumLabels || a.MaxArity != b.MaxArity {
 		return fmt.Errorf("label count or max arity differ")

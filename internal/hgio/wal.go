@@ -617,13 +617,10 @@ func (w *WAL) openSegmentLocked() error {
 	return nil
 }
 
-// rotateLocked seals the active segment (fsync, so policy "none" never
-// leaves un-fsynced bytes behind a seal) and opens the next one.
+// rotateLocked closes the active segment, which its last append's fsync
+// sealed (so policy "none" never leaves un-fsynced bytes behind a seal),
+// and opens the next one.
 func (w *WAL) rotateLocked() error {
-	if err := w.f.Sync(); err != nil {
-		return err
-	}
-	w.syncs++
 	if err := w.f.Close(); err != nil {
 		return err
 	}
@@ -634,7 +631,13 @@ func (w *WAL) rotateLocked() error {
 // Append journals one batch, assigning b.Seq, and returns once the record
 // is fsynced ("none" returns after the OS write). Any error poisons the
 // WAL: the caller must stop acking writes (read-only mode) because
-// durability can no longer be promised.
+// durability can no longer be promised. A batch whose fsync fails — its
+// own, or the seal of the segment it fills — is refused: its frame is
+// truncated back out of the segment, so a restart never replays a batch
+// its caller was told failed. Should that rollback fail as well, the
+// error says the batch may reappear after a restart. A batch that is
+// durable but leaves the next segment unopened is accepted, and the log
+// is poisoned for the batches after it.
 func (w *WAL) Append(b *WALBatch) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -659,27 +662,40 @@ func (w *WAL) Append(b *WALBatch) error {
 	if _, err := w.f.Write(w.frame); err != nil {
 		return w.fail(err)
 	}
+	// A frame that fills the segment is fsynced under either policy: that
+	// fsync is the segment's seal.
+	full := w.segBytes+int64(len(w.frame)) >= w.segB
+	if full || w.sync != SyncNone {
+		if err := w.f.Sync(); err != nil {
+			return w.refuseLocked(err)
+		}
+		w.syncs++
+	}
 	w.lastSeq = b.Seq
 	w.chain = crc32.Update(w.chain, castagnoli, payload)
 	w.segBytes += int64(len(w.frame))
 	w.liveBytes += int64(len(w.frame))
 	w.appends++
-
-	if w.segBytes >= w.segB {
-		// The seal's fsync covers this record too.
+	if full {
 		if err := w.rotateLocked(); err != nil {
-			return w.fail(err)
+			w.fail(err)
 		}
-		return nil
 	}
-	if w.sync == SyncNone {
-		return nil
-	}
-	if err := w.f.Sync(); err != nil {
-		return w.fail(err)
-	}
-	w.syncs++
 	return nil
+}
+
+// refuseLocked truncates the active segment back to its size before the
+// frame just written, fsyncs it, and latches err, which it returns; a
+// failed rollback is named in the latched error.
+func (w *WAL) refuseLocked(err error) error {
+	rerr := w.f.Truncate(w.segBytes)
+	if rerr == nil {
+		rerr = w.f.Sync()
+	}
+	if rerr != nil {
+		err = fmt.Errorf("%w; rolling its frame back failed too (%v), so the batch may reappear after a restart", err, rerr)
+	}
+	return w.fail(err)
 }
 
 func (w *WAL) fail(err error) error {

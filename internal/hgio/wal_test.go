@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"path"
@@ -415,6 +416,72 @@ func TestWALSyncFailureLatches(t *testing.T) {
 		t.Fatal("Err() = nil on poisoned log")
 	}
 	w.Close()
+}
+
+// TestWALRefusedFrameRollsBack: a batch refused because its fsync failed
+// leaves no frame behind — the segment is back at its size before the
+// append and a reopen replays only the batch before it — and when the
+// rollback fails as well, the error says the batch may come back.
+func TestWALRefusedFrameRollsBack(t *testing.T) {
+	fs := hgtest.NewFaultFS()
+	opts := hgio.WALOptions{FS: fs, Sync: hgio.SyncBatch}
+	w, _ := mustOpen(t, "wal", opts, nil)
+	if err := w.Append(&hgio.WALBatch{Records: []hgio.IngestRecord{insRec(1, 2)}}); err != nil {
+		t.Fatal(err)
+	}
+	sizes := func() map[string]int64 {
+		m := map[string]int64{}
+		for _, n := range fs.FileNames() {
+			m[n] = fs.FileSize(n)
+		}
+		return m
+	}
+	want := sizes()
+	fs.FailSync(1)
+	err := w.Append(&hgio.WALBatch{Records: []hgio.IngestRecord{insRec(2, 3)}})
+	if !errors.Is(err, hgtest.ErrInjectedSyncFailure) || strings.Contains(err.Error(), "reappear") {
+		t.Fatalf("append with failing fsync: %v, want the injected failure, rolled back", err)
+	}
+	if got := sizes(); !maps.Equal(got, want) {
+		t.Fatalf("files after the refused append: %v, want %v", got, want)
+	}
+	w.Close()
+	var replayed int
+	w2, rep := mustOpen(t, "wal", opts, func(*hgio.WALBatch) error { replayed++; return nil })
+	if replayed != 1 || rep.LastSeq != 1 {
+		t.Fatalf("reopen replayed %d batches up to seq %d, want the one acked batch", replayed, rep.LastSeq)
+	}
+
+	fs.CrashAfter(1) // the frame's write lands; its fsync and the rollback fail
+	if err := w2.Append(&hgio.WALBatch{Records: []hgio.IngestRecord{insRec(3, 4)}}); err == nil ||
+		!strings.Contains(err.Error(), "may reappear after a restart") {
+		t.Fatalf("append whose rollback fails: %v, want it to say the batch may reappear", err)
+	}
+	w2.Close()
+}
+
+// TestWALSealedBatchSurvivesRotationFailure: a batch whose frame fills
+// its segment is durable once the seal's fsync returns, so a failure to
+// open the next segment accepts it, poisons the log for the batches
+// after it, and a reopen replays it.
+func TestWALSealedBatchSurvivesRotationFailure(t *testing.T) {
+	fs := hgtest.NewFaultFS()
+	opts := hgio.WALOptions{FS: fs, Sync: hgio.SyncBatch, SegmentBytes: 64}
+	w, _ := mustOpen(t, "wal", opts, nil)
+	fs.FailSync(2) // the seal's fsync succeeds; the next segment's header sync fails
+	if err := w.Append(&hgio.WALBatch{Records: []hgio.IngestRecord{insRec(1, 2)}}); err != nil {
+		t.Fatalf("sealed append: %v, want it accepted", err)
+	}
+	if err := w.Append(&hgio.WALBatch{Records: []hgio.IngestRecord{insRec(2, 3)}}); !errors.Is(err, hgtest.ErrInjectedSyncFailure) {
+		t.Fatalf("append after the failed rotation: %v, want the latched failure", err)
+	}
+	w.Close()
+	var replayed int
+	w2, _ := mustOpen(t, "wal", opts, func(*hgio.WALBatch) error { replayed++; return nil })
+	defer w2.Close()
+	if replayed != 1 {
+		t.Fatalf("reopen replayed %d batches, want the sealed one", replayed)
+	}
 }
 
 // TestWALConcurrentBatchAppend hammers Append from concurrent writers:

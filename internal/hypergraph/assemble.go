@@ -104,7 +104,11 @@ func newFromStorage(st *Storage) (*Hypergraph, error) {
 		if end.Edges <= r.Edges {
 			return nil, fmt.Errorf("hypergraph: partition %d is empty", pi)
 		}
-		if end.Verts <= r.Verts || end.Posts < r.Posts {
+		// A table of more than scanMax edges carries its index; a smaller
+		// one may carry an older file's full index or none at all.
+		noIndex := end.Verts == r.Verts
+		if end.Verts < r.Verts || end.Posts < r.Posts || noIndex != (end.Posts == r.Posts) ||
+			(noIndex && int(end.Edges-r.Edges) > scanMax) {
 			return nil, fmt.Errorf("hypergraph: partition %d CSR header malformed", pi)
 		}
 	}
@@ -157,11 +161,14 @@ func (h *Hypergraph) stampTableSigs(ids []SigID) error {
 //
 // Assemble validates the input enough to guarantee the result satisfies
 // every Hypergraph invariant (Validate passes) without paying the
-// Builder's costs: the CSR arrays are required to be exactly the canonical
-// index the Builder produces; malformed offset tables, out-of-range IDs,
-// unsorted or duplicate edges and inconsistent posting lists all return
-// errors, never panic. Slices are retained by reference; callers must not
-// reuse them.
+// Builder's costs: the CSR arrays are required to be exactly the index
+// the Builder produces, which gives a table of at most scanMax edges
+// none; malformed offset tables, out-of-range IDs, unsorted or duplicate
+// edges and inconsistent posting lists all return errors, never panic.
+// Files written before small tables dropped their index carry the
+// canonical index on those tables too: it is checked like any other, then
+// dropped (dropSmallIndexes). Slices are retained by reference; callers
+// must not reuse them.
 //
 // Phases 0 and 1 — the edge shapes and the edge→table cover — run on the
 // calling goroutine: every later check indexes through what they prove.
@@ -222,8 +229,45 @@ func Assemble(st Storage) (*Hypergraph, error) {
 	if err := h.assembleConcurrent(runtime.GOMAXPROCS(0)); err != nil {
 		return nil, err
 	}
+	h.dropSmallIndexes()
 	h.buildSidecars() // derived: rebuilt on every heap load
 	return h, nil
+}
+
+// dropSmallIndexes takes the index windows of every table of at most
+// scanMax edges out of the shared arrays, which an older file still fills,
+// into fresh arrays and a fresh directory (the input's may be shared). A
+// graph without such windows is left as it is.
+func (h *Hypergraph) dropSmallIndexes() {
+	np := h.nParts
+	var nv, npost int
+	for pi := 0; pi < np; pi++ {
+		if h.rowLen(uint32(pi)) > scanMax {
+			nv += int(h.tables[pi+1].Verts - h.tables[pi].Verts)
+			npost += int(h.tables[pi+1].Posts - h.tables[pi].Posts)
+		}
+	}
+	if nv == len(h.partVerts) {
+		return
+	}
+	tables := make([]TableRow, np+1)
+	verts := make([]VertexID, 0, nv)
+	offs := make([]uint32, 0, nv+np)
+	posts := make([]EdgeID, 0, npost)
+	for pi := 0; pi < np; pi++ {
+		r, end := h.tables[pi], h.tables[pi+1]
+		tables[pi] = TableRow{SigID: r.SigID, EdgeLabel: r.EdgeLabel, Edges: r.Edges,
+			Verts: uint32(len(verts)), Posts: uint32(len(posts))}
+		if h.rowLen(uint32(pi)) <= scanMax {
+			offs = append(offs, 0)
+			continue
+		}
+		verts = append(verts, h.partVerts[r.Verts:end.Verts]...)
+		offs = append(offs, h.partOffs[int(r.Verts)+pi:int(end.Verts)+pi+1]...)
+		posts = append(posts, h.partPosts[r.Posts:end.Posts]...)
+	}
+	tables[np] = TableRow{Edges: h.tables[np].Edges, Verts: uint32(len(verts)), Posts: uint32(len(posts))}
+	h.tables, h.partVerts, h.partOffs, h.partPosts = tables, verts, offs, posts
 }
 
 // assembleConcurrent runs the checks and derivations that need only what
@@ -385,7 +429,8 @@ func AdoptForeign(st Storage) (*Hypergraph, error) {
 }
 
 // checkCanonicalCSR verifies that tables [lo, hi) hold exactly the
-// canonical CSR index buildCSR would produce from their member edges:
+// canonical CSR index buildCSR would produce from their member edges
+// (on a table of at most scanMax edges, that or none):
 // each table's vertex dictionary is the sorted union of its members'
 // vertices, and each dictionary vertex's posting list is the members
 // containing it, ascending. Walking the members in ID order consumes every
@@ -405,6 +450,9 @@ func (h *Hypergraph) checkCanonicalCSR(lo, hi int, s *assembleScratch) error {
 
 func (h *Hypergraph) checkTableCSR(pi int, s *assembleScratch) error {
 	r, end := h.tables[pi], h.tables[pi+1]
+	if end.Verts == r.Verts && h.rowLen(uint32(pi)) <= scanMax {
+		return nil // a small table without an index
+	}
 	verts := h.partVerts[r.Verts:end.Verts]
 	offs := h.partOffs[int(r.Verts)+pi : int(end.Verts)+pi+1] // offs[0] == 0: phase 1
 	posts := h.partPosts[r.Posts:end.Posts]

@@ -86,8 +86,16 @@ func TestAssembleRoundTrip(t *testing.T) {
 	}
 }
 
+// indexedEverywhere builds edges with every table indexed: the storage a
+// file written before small tables dropped their index holds. Assemble
+// checks such an index like any other before it drops it.
+func indexedEverywhere(labels []Label, edges [][]uint32) *Hypergraph {
+	defer ForceScanMax(0)()
+	return MustFromEdges(labels, edges)
+}
+
 func TestAssembleRejectsMalformed(t *testing.T) {
-	h := MustFromEdges(
+	h := indexedEverywhere(
 		[]Label{0, 1, 0, 1},
 		[][]uint32{{0, 1}, {2, 3}, {0, 1, 2}},
 	)
@@ -180,7 +188,7 @@ func assembleAt(procs int, st Storage) (*Hypergraph, error) {
 // within a phase the lowest table's.
 func TestAssembleFirstErrorIndependentOfCores(t *testing.T) {
 	// One label, so the tables are the arities 2, 3 and 4, in that order.
-	h := MustFromEdges(make([]Label, 12), [][]uint32{
+	h := indexedEverywhere(make([]Label, 12), [][]uint32{
 		{0, 1}, {0, 2}, {3, 4},
 		{0, 1, 2}, {0, 3, 4}, {5, 6, 7},
 		{0, 1, 2, 3}, {0, 1, 4, 5}, {8, 9, 10, 11},

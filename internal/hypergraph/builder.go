@@ -12,7 +12,8 @@ import (
 // indexed Hypergraph. Building performs the paper's offline preprocessing
 // (§IV, §VII-A): repeated vertices within a hyperedge and repeated
 // hyperedges are removed, then the hyperedge tables are partitioned by
-// signature and the inverted hyperedge index is constructed per table.
+// signature and the inverted hyperedge index is constructed per table of
+// more than SmallTableMax edges.
 type Builder struct {
 	labels     []Label
 	edgeOff    []uint32 // raw edge i is edgeVerts[edgeOff[i]:edgeOff[i+1]]
@@ -212,18 +213,22 @@ func (h *Hypergraph) buildTables() {
 	h.buildSidecars()
 }
 
-// buildCSR constructs every table's CSR inverted index in one linear sweep
-// over the incidence lists: iterating vertices ascending and each vertex's
-// (already sorted) incident edges yields the per-table vertex dictionaries
-// and posting lists in exactly CSR order — no maps, no per-list sorts,
-// three flat arrays shared by all tables. It fills the Verts and Posts
-// columns of the directory.
+// buildCSR constructs the CSR inverted index of every table of more than
+// scanMax edges in one linear sweep over the incidence lists: iterating
+// vertices ascending and each vertex's (already sorted) incident edges
+// yields the per-table vertex dictionaries and posting lists in exactly
+// CSR order — no maps, no per-list sorts, three flat arrays shared by all
+// tables. It fills the Verts and Posts columns of the directory; a
+// smaller table's windows stay empty.
 func (h *Hypergraph) buildCSR() {
 	np := h.nParts
 	postCount := make([]uint32, np)
 	vertCount := make([]uint32, np)
 	lastSeen := make([]uint32, np) // vertex+1 last counted per table
 	h.sweepIncidence(func(v VertexID, _ EdgeID, pi uint32) {
+		if h.rowLen(pi) <= scanMax {
+			return
+		}
 		postCount[pi]++
 		if lastSeen[pi] != v+1 {
 			lastSeen[pi] = v + 1
@@ -246,6 +251,9 @@ func (h *Hypergraph) buildCSR() {
 	clear(postCount)
 	clear(lastSeen)
 	h.sweepIncidence(func(v VertexID, e EdgeID, pi uint32) {
+		if h.rowLen(pi) <= scanMax {
+			return
+		}
 		r := &h.tables[pi]
 		if lastSeen[pi] != v+1 {
 			lastSeen[pi] = v + 1

@@ -324,7 +324,8 @@ func (d *DeltaBuffer) sigOf(vs []uint32) SigID {
 // findBase returns the base edge with exactly (el, vs), whose base
 // signature ID is id, if there is one. It scans the shortest of vs's
 // posting lists in that one table — not the graph-wide incidence lists —
-// so online dedup reads a few table-local entries per vertex.
+// so online dedup reads a few table-local entries per vertex; a table
+// without an index is scanned whole, at most scanMax members.
 func (d *DeltaBuffer) findBase(el Label, id SigID, vs []uint32) (EdgeID, bool) {
 	pi := -1
 	if id != NoSigID {
@@ -334,10 +335,12 @@ func (d *DeltaBuffer) findBase(el Label, id SigID, vs []uint32) (EdgeID, bool) {
 		return 0, false
 	}
 	p := d.base.Partition(pi)
-	var best []EdgeID
-	for i, v := range vs {
-		if l := p.Postings(v); i == 0 || len(l) < len(best) {
-			best = l
+	best := p.Edges
+	if p.HasBaseIndex() {
+		for i, v := range vs {
+			if l := p.Postings(v); i == 0 || len(l) < len(best) {
+				best = l
+			}
 		}
 	}
 	for _, e := range best {

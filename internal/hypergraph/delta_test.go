@@ -110,8 +110,9 @@ func TestDeltaInsertPublish(t *testing.T) {
 	if got := p.DeltaPostings(2); !setops.Equal(got, []uint32{id2}) {
 		t.Fatalf("DeltaPostings(2) = %v", got)
 	}
-	if got := p.Postings(5); !setops.Equal(got, []uint32{3}) {
-		t.Fatalf("base Postings(5) = %v", got)
+	// A one-edge base table carries no index: its base half is scanned.
+	if p.HasBaseIndex() || !setops.Equal(p.BaseEdges(), []uint32{3}) {
+		t.Fatalf("base half: index %v, members %v; want no index over [3]", p.HasBaseIndex(), p.BaseEdges())
 	}
 }
 

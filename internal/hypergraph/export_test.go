@@ -15,3 +15,6 @@ func (h *Hypergraph) PartitionForLabelled(el Label, sig Signature) Partition {
 	}
 	return h.PartitionBySigLabelled(el, id)
 }
+
+// ScanMax returns the small-table cutoff in force.
+func ScanMax() int { return scanMax }

@@ -36,7 +36,8 @@ type Label = uint32
 const NoEdgeLabel Label = ^Label(0)
 
 // Hypergraph is an undirected, vertex-labelled simple hypergraph together
-// with its partitioned hyperedge tables and inverted hyperedge indexes.
+// with its partitioned hyperedge tables and inverted hyperedge indexes
+// (one per table of more than SmallTableMax edges).
 //
 // Storage is flat and pointer-free: hyperedges and incidence lists are CSR
 // pairs (offsets + cells), and the hyperedge tables are rows of a partition
@@ -252,21 +253,27 @@ func (h *Hypergraph) EdgeDict() *Dict { return h.edgeDict }
 // next compaction.
 func (h *Hypergraph) NumPartitions() int { return h.nParts }
 
-// Partition returns a view of the i-th hyperedge table.
+// Partition returns a view of the i-th hyperedge table. A table of at
+// most scanMax edges has no index windows; a mapped file written before
+// small tables dropped theirs still holds them, and the view leaves them
+// out.
 func (h *Hypergraph) Partition(i int) Partition {
 	if p := h.side[uint32(i)]; p != nil {
 		return *p
 	}
 	r, end := &h.tables[i], &h.tables[i+1]
-	return Partition{
+	p := Partition{
 		Sig:       h.Sig(r.SigID),
 		SigID:     r.SigID,
 		EdgeLabel: r.EdgeLabel,
 		Edges:     h.partEdges[r.Edges:end.Edges:end.Edges],
-		verts:     h.partVerts[r.Verts:end.Verts:end.Verts],
-		offsets:   h.partOffs[int(r.Verts)+i : int(end.Verts)+i+1],
-		posts:     h.partPosts[r.Posts:end.Posts:end.Posts],
 	}
+	if int(end.Edges-r.Edges) > scanMax {
+		p.verts = h.partVerts[r.Verts:end.Verts:end.Verts]
+		p.offsets = h.partOffs[int(r.Verts)+i : int(end.Verts)+i+1]
+		p.posts = h.partPosts[r.Posts:end.Posts:end.Posts]
+	}
+	return p
 }
 
 // rowLen returns the member count of directory row pi.

@@ -34,8 +34,16 @@ func TestFig1BasicStats(t *testing.T) {
 }
 
 // TestFig1Partitions reproduces the data layout of the paper's Table I:
-// three partitions with signatures {A,B}, {A,A,C}, {A,A,B,C}.
+// three partitions with signatures {A,B}, {A,A,C}, {A,A,B,C}, each with its
+// inverted index. Under the default small-table cutoff these two-edge
+// tables carry none, so the index is checked with every table indexed.
 func TestFig1Partitions(t *testing.T) {
+	for pi, p := range partitionsOf(hgtest.Fig1Data()) {
+		if p.HasBaseIndex() {
+			t.Errorf("two-edge table %d carries an index under the default cutoff", pi)
+		}
+	}
+	defer hypergraph.ForceScanMax(0)()
 	h := hgtest.Fig1Data()
 	if h.NumPartitions() != 3 {
 		t.Fatalf("NumPartitions = %d, want 3", h.NumPartitions())
@@ -370,4 +378,13 @@ func TestDeterministicPartitionOrder(t *testing.T) {
 			t.Fatal("partition keys not sorted")
 		}
 	}
+}
+
+// partitionsOf returns a view of every table of h.
+func partitionsOf(h *hypergraph.Hypergraph) []hypergraph.Partition {
+	ps := make([]hypergraph.Partition, h.NumPartitions())
+	for pi := range ps {
+		ps[pi] = h.Partition(pi)
+	}
+	return ps
 }

@@ -15,7 +15,8 @@ import (
 // recomputation from h's own live edge list: the incidence lists, each
 // table's member list, and per (table, vertex) the base postings, the delta
 // postings and the decoded hybrid view. A masked table's base postings may
-// also list its own tombstones, and nothing else may list one. It is
+// also list its own tombstones, and nothing else may list one. A table of
+// at most ScanMax base members has no base postings at all. It is
 // self-contained — nothing but Edge, EdgeLabel and IsDeadEdge is trusted —
 // so it can run on any snapshot from any goroutine.
 func checkViews(h *hypergraph.Hypergraph) error {
@@ -67,6 +68,11 @@ func checkViews(h *hypergraph.Hypergraph) error {
 		indexed := slices.Sorted(slices.Values(append(slices.Clone(want[:nLiveBase]), p.DeadEdges()...)))
 		if !slices.Equal(p.BaseEdges(), indexed) {
 			return fmt.Errorf("table %d (%v) base members = %v, want %v", pi, p.Sig, p.BaseEdges(), indexed)
+		}
+		if scanned := len(indexed) <= hypergraph.ScanMax(); p.HasBaseIndex() == scanned {
+			return fmt.Errorf("table %d (%v) of %d base members has a base index: %v", pi, p.Sig, len(indexed), p.HasBaseIndex())
+		} else if scanned {
+			indexed = nil
 		}
 		for v := hypergraph.VertexID(0); int(v) < h.NumVertices(); v++ {
 			var base, delta []hypergraph.EdgeID

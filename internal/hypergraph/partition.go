@@ -9,7 +9,9 @@ import (
 // Partition is a view of one hyperedge table (paper §IV-B, Table I): all
 // data hyperedges sharing one hyperedge signature, plus the table's
 // inverted hyperedge index (paper §IV-C) mapping each member vertex to the
-// sorted posting list of its incident hyperedges *within this table*.
+// sorted posting list of its incident hyperedges *within this table* — on
+// a table of more than SmallTableMax base edges; a smaller one is read by
+// scanning its members.
 //
 // A Hypergraph does not store Partition values for its tables: a table is
 // a fixed-size row of the partition directory locating its windows in four
@@ -62,7 +64,9 @@ type Partition struct {
 	// CSR inverted hyperedge index (Table I's I): verts is the strictly
 	// sorted set of vertices occurring in the table, offsets has
 	// len(verts)+1 entries, and posts[offsets[i]:offsets[i+1]] is the
-	// sorted posting list of verts[i]. It covers BaseEdges().
+	// sorted posting list of verts[i]. It covers BaseEdges(), and all
+	// three are empty on a table of at most scanMax base edges, whose
+	// index would only repeat its members' vertex lists.
 	verts   []VertexID
 	offsets []uint32
 	posts   []EdgeID
@@ -97,6 +101,35 @@ type Partition struct {
 	bms   []setops.Bitmap
 }
 
+// SmallTableMax is the largest base-member count of a table that carries
+// no inverted index: Algorithm 4 builds such a table's base candidates by
+// scanning its members with the containment test the postings encode (a
+// member is a candidate iff it holds a V_incdt vertex of every candidate
+// set), which yields the same sorted set. On power-law data most tables
+// hold one edge — TC has 103 244 one-edge tables of 118 558 — and their
+// index repeats each edge's vertex list at about three times its size.
+// BenchmarkSmallTableScan (internal/core) times the two candidate paths
+// on tables of 1…16 members; its medians, quoted in its doc comment,
+// overlap up to six members and part from eight, and 4 stays short of
+// that.
+const SmallTableMax = 4
+
+// scanMax is the cutoff in force: SmallTableMax, unless a test or
+// benchmark forces another with ForceScanMax.
+var scanMax = SmallTableMax
+
+// ForceScanMax makes k the small-table cutoff until the returned function
+// restores the previous one. It exists for tests and benchmarks that
+// compare the scan with the index on the same tables (k = 0 gives every
+// table an index). The builder, the loaders and the table views all read
+// the cutoff, and a graph must be read under the one it was built or
+// loaded with, so call it only while no graph is in use.
+func ForceScanMax(k int) (restore func()) {
+	prev := scanMax
+	scanMax = k
+	return func() { scanMax = prev }
+}
+
 // Bitmap sidecar build thresholds (see docs/ARCHITECTURE.md,
 // "Set-operation kernels"). Tables below bitmapMinEdges stay array-only:
 // their posting lists are too short for word-parallelism to matter. The
@@ -119,7 +152,8 @@ func (p *Partition) Len() int {
 // Postings returns he(v, Sig) over the table's base segment: the sorted
 // posting list of base hyperedges incident to v, as a zero-copy view into
 // the CSR arrays. Callers must not mutate it. A vertex not occurring in
-// the segment yields nil. On a delta-carrying partition the full posting
+// the segment yields nil, and so does every vertex of a table whose base
+// carries no index (HasBaseIndex): read its BaseEdges instead. On a delta-carrying partition the full posting
 // list of v is Postings(v) followed by DeltaPostings(v) — both sorted, and
 // every delta ID greater than every base ID. On a masked table it may list
 // members of DeadEdges().
@@ -155,6 +189,11 @@ func (p *Partition) PostingsView(v VertexID) setops.View {
 	}
 	return setops.View{Arr: p.posts[p.offsets[i]:p.offsets[i+1]]}
 }
+
+// HasBaseIndex reports whether the base segment carries an inverted
+// index: every table of more than scanMax base edges does, and a smaller
+// one (or one first seen online, with no base at all) does not.
+func (p *Partition) HasBaseIndex() bool { return len(p.verts) > 0 }
 
 // HasBitmaps reports whether the table carries a bitmap sidecar (at least
 // one dense vertex posting container).
@@ -263,7 +302,8 @@ func csrPostings(verts []VertexID, offsets []uint32, posts []EdgeID, v VertexID)
 }
 
 // PostingVertices returns the sorted set of vertices occurring in the
-// table's base segment. Callers must not mutate it.
+// table's base segment; empty when the base carries no index. Callers
+// must not mutate it.
 func (p *Partition) PostingVertices() []VertexID {
 	return p.verts
 }
@@ -274,8 +314,9 @@ func (p *Partition) PostingsAt(i int) []EdgeID {
 	return p.posts[p.offsets[i]:p.offsets[i+1]]
 }
 
-// NumPostingVertices returns how many distinct vertices appear in the
-// table's base segment.
+// NumPostingVertices returns how many distinct vertices the base index
+// lists: those of the table's base segment, or 0 when the base carries no
+// index.
 func (p *Partition) NumPostingVertices() int {
 	return len(p.verts)
 }
@@ -380,9 +421,14 @@ func (p *Partition) validate(h *Hypergraph) error {
 			return fmt.Errorf("bitmap index references %d of %d containers", seenBm, len(p.bms))
 		}
 	}
-	// Every member edge must appear in the posting list of each member
+	// A table of at most scanMax base edges carries no base index; every
+	// other member edge must appear in the posting list of each member
 	// vertex, on the segment it belongs to.
-	if err := checkPosted(h, p.BaseEdges(), p.Postings); err != nil {
+	if n := p.NumBaseEdges(); n <= scanMax {
+		if p.HasBaseIndex() {
+			return fmt.Errorf("table of %d base edges carries an index", n)
+		}
+	} else if err := checkPosted(h, p.BaseEdges(), p.Postings); err != nil {
 		return err
 	}
 	return checkPosted(h, p.DeltaEdges(), p.DeltaPostings)

@@ -675,9 +675,8 @@ func TestIngestMalformedNDJSONTransactional(t *testing.T) {
 // the read side: a batch whose fsync fails is answered 503 and must never
 // be served, neither by the next read (Acquire) nor by a stats call.
 // Reads return the latest published snapshot and leave publishing to the
-// writer, which publishes only after the journal. (Whether the refused
-// frame survives a restart is unspecified: it was never acked, and either
-// outcome replays a prefix of the journal.)
+// writer, which publishes only after the journal. A restart does not bring
+// the batch back either (TestWALRefusedBatchNeverReplays).
 func TestWALRefusedBatchStaysInvisible(t *testing.T) {
 	fx := makeCrashFixture(t, 17, 4, 4)
 	fs := hgtest.NewFaultFS()
@@ -698,5 +697,32 @@ func TestWALRefusedBatchStaysInvisible(t *testing.T) {
 	}
 	if h := snapshotOf(t, reg, "g"); canonicalGraphText(t, h) != want {
 		t.Fatalf("Acquire serves the refused batch: %d live edges, want %d", h.NumLiveEdges(), before.NumLiveEdges())
+	}
+}
+
+// TestWALRefusedBatchNeverReplays pins durability's other half: a batch
+// answered 503 because its fsync failed must not come back at the next
+// boot. The journal takes the refused frame back out of its segment, so
+// recovery over the same files replays nothing of it.
+func TestWALRefusedBatchNeverReplays(t *testing.T) {
+	fx := makeCrashFixture(t, 17, 4, 4)
+	fs := hgtest.NewFaultFS()
+	s := newDurableServer(t, fs, fx, hgio.SyncBatch)
+	before := snapshotOf(t, s.Graphs(), "g")
+	want := canonicalGraphText(t, before)
+
+	fs.FailSync(1)
+	body := `{"op":"insert","vertices":[0,1,2,3,4,5,6,7]}` + "\n" + `{"op":"insert","vertices":[8,9,10,11,12,13]}` + "\n"
+	if rr := post(s.Handler(), "/graphs/g/edges", body); rr.Code != http.StatusServiceUnavailable ||
+		!strings.Contains(rr.Body.String(), "wal append failed") || strings.Contains(rr.Body.String(), "reappear") {
+		t.Fatalf("ingest with a failing fsync: %d %s, want 503 wal append failed, rolled back", rr.Code, rr.Body.String())
+	}
+	s.Close()
+
+	s2 := newDurableServer(t, fs, fx, hgio.SyncBatch)
+	defer s2.Close()
+	after := snapshotOf(t, s2.Graphs(), "g")
+	if got := canonicalGraphText(t, after); got != want {
+		t.Fatalf("the refused batch came back at boot: %d live edges, want %d", after.NumLiveEdges(), before.NumLiveEdges())
 	}
 }
