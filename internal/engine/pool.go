@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/rand/v2"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,8 +17,11 @@ import (
 // whole subtree. A worker ends its quantum early once a request registered
 // after it attached and it has held the slot for yieldSlice (see
 // workerState.preempted), so a newcomer waits about one slice plus
-// sliceCheckRows rows. Ordered (capped-row) and NOSTL runs never yield:
-// their row order and static split are defined by whole quanta.
+// sliceCheckRows rows to start. Once it has drained, its submitter resumes
+// at once: the worker that closes the drained channel yields its processor
+// (lastOut) rather than go on into another request's tasks first. Ordered
+// (capped-row) and NOSTL runs never yield to a newcomer: their row order and
+// static split are defined by whole quanta.
 const fairQuantum = 8
 
 // Pool is a morsel worker set shared by all in-flight requests, and the
@@ -364,10 +368,18 @@ func (p *Pool) runQuantum(w *workerState, r *poolReq, rng *rand.Rand) (did bool)
 }
 
 // lastOut decrements the request's attach count and, when this was the
-// last worker out of a finished request, closes the drained channel.
+// last worker out of a finished request, closes the drained channel and
+// yields the processor. The close readies the submitter on this worker's P,
+// and a worker that goes on into another request's tasks never blocks: the
+// submitter would wait there until Go preempts the worker, 10–20 ms later.
+// The yield runs it now.
 func (p *Pool) lastOut(r *poolReq) {
 	if r.attached.Add(-1) == 0 && r.finished.Load() {
-		r.doneOnce.Do(func() { close(r.drained) })
+		closed := false
+		r.doneOnce.Do(func() { close(r.drained); closed = true })
+		if closed {
+			runtime.Gosched()
+		}
 	}
 }
 

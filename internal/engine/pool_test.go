@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -276,42 +277,21 @@ func TestLeakDetectorRandomizedCancel(t *testing.T) {
 		maxCancel = n
 	}
 
-	// A neighbour request keeps arriving beside the pool-path runs, so
-	// yields fire both ways: the neighbour yields to each arriving run, and
-	// a run past its slice yields to the neighbour's next arrival. Half the
-	// neighbour's runs carry a short timeout, so some stop with re-queued
-	// blocks in their deques.
-	np := morselWorkload(t, 5, 3)
-	nfull := engine.Run(np, engine.Options{Workers: 2}).Embeddings
-	stop := make(chan struct{})
-	neighbour := make(chan error, 1)
-	go func() {
-		nrng := rand.New(rand.NewSource(7))
-		for {
-			select {
-			case <-stop:
-				neighbour <- nil
-				return
-			default:
-			}
-			var opts engine.Options
-			if nrng.Intn(2) == 0 {
-				opts.Timeout = time.Duration(1 + nrng.Int63n(int64(4*time.Millisecond)))
-			}
-			res := pool.Submit(np, opts)
-			if res.LeakedBlocks != 0 || (!res.TimedOut && res.Embeddings != nfull) {
-				neighbour <- fmt.Errorf("neighbour (timeout %v): %d embeddings, timed out %v, leaked %d blocks",
-					opts.Timeout, res.Embeddings, res.TimedOut, res.LeakedBlocks)
-				return
-			}
-		}
-	}()
-	defer func() {
-		close(stop)
-		if err := <-neighbour; err != nil {
-			t.Error(err)
-		}
-	}()
+	// Two neighbour requests keep arriving beside the pool-path runs, so
+	// yields fire both ways: a neighbour yields to each arriving run, and a
+	// run past its slice yields to a neighbour's next arrival. Half the
+	// neighbours' runs carry a short timeout, so some stop with re-queued
+	// blocks in their deques. The light neighbour is a second plan sharing
+	// the pool; the heavy one is the cancelled runs' own plan, whose block
+	// tasks expand long enough that a worker is still attached to it when a
+	// run arrives. At GOMAXPROCS 1 the light one alone never yields: a
+	// submitter runs as soon as its request drains, so runs arrive only
+	// while its workers sit between quanta.
+	light := morselWorkload(t, 5, 3)
+	stopLight := startNeighbour(t, pool, light, engine.Run(light, engine.Options{Workers: 2}).Embeddings, 7)
+	defer stopLight()
+	stopHeavy := startNeighbour(t, pool, p, full.Embeddings, 8)
+	defer stopHeavy()
 
 	for i := 0; i < runs; i++ {
 		cancelAt := 1 + uint64(rng.Int63n(maxCancel))
@@ -338,6 +318,112 @@ func TestLeakDetectorRandomizedCancel(t *testing.T) {
 		}
 	}
 	if pool.Stats().Yields == 0 {
-		t.Error("no yield fired beside the neighbour")
+		t.Error("no yield fired beside the neighbours")
 	}
 }
+
+// startNeighbour submits plan to pool in a loop until the returned stop
+// is called, half the runs with a timeout of up to 4 ms, and fails t if a
+// run leaks a block or a run without a timeout misses any of full's
+// embeddings.
+func startNeighbour(t *testing.T, pool *engine.Pool, plan *core.Plan, full uint64, seed int64) (stop func()) {
+	done := make(chan struct{})
+	neighbour := make(chan error, 1)
+	go func() {
+		nrng := rand.New(rand.NewSource(seed))
+		for {
+			select {
+			case <-done:
+				neighbour <- nil
+				return
+			default:
+			}
+			var opts engine.Options
+			if nrng.Intn(2) == 0 {
+				opts.Timeout = time.Duration(1 + nrng.Int63n(int64(4*time.Millisecond)))
+			}
+			res := pool.Submit(plan, opts)
+			if res.LeakedBlocks != 0 || (!res.TimedOut && res.Embeddings != full) {
+				neighbour <- fmt.Errorf("neighbour (timeout %v): %d embeddings, timed out %v, leaked %d blocks",
+					opts.Timeout, res.Embeddings, res.TimedOut, res.LeakedBlocks)
+				return
+			}
+		}
+	}()
+	return func() {
+		close(done)
+		if err := <-neighbour; err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// TestPoolWakesSubmitter: a request that finishes beside a long one hands
+// its submitter the processor at once. A pool of 2 at GOMAXPROCS 2 keeps a
+// CPU-bound request running while sub-millisecond requests are submitted
+// one after another; the median Submit of those must stay under 12 ms. Without
+// a yield after the drained channel closes, the readied submitter waits on
+// the closing worker's processor, which goes on into the long request's
+// tasks, until Go preempts it: ~20 ms a request. With the yield the median
+// reads ~0.1 ms alone and 3–4 ms beside the rest of the suite on two cores.
+// The bound sits well above a loaded run and well below the preemption
+// stall, so scheduling noise on a busy machine does not fail it. It is
+// checked only without -race, whose instrumentation slows the light
+// requests themselves.
+func TestPoolWakesSubmitter(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	// ~900 seeds and ~16M embeddings, ~350 ms at two workers: both
+	// workers stay busy in its tasks and never go idle.
+	rng := rand.New(rand.NewSource(11))
+	h := hgtest.RandomHypergraph(rng, hgtest.RandomConfig{NumVertices: 100, NumEdges: 2000, NumLabels: 1, MaxArity: 3})
+	heavy, err := core.NewPlan(hgtest.ConnectedQueryFromWalk(rng, h, 4), h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	light, err := core.NewPlan(hgtest.Fig1Query(), hgtest.Fig1Data())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := engine.NewPool(2)
+	defer pool.Close()
+
+	stop := make(chan struct{})
+	heavyDone := make(chan struct{})
+	go func() {
+		defer close(heavyDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				pool.Submit(heavy, engine.Options{})
+			}
+		}
+	}()
+	for pool.Stats().Active == 0 {
+		time.Sleep(50 * time.Microsecond)
+	}
+	time.Sleep(20 * time.Millisecond) // well into the heavy run
+
+	const n = 31
+	walls := make([]time.Duration, n)
+	for i := range walls {
+		start := time.Now()
+		if res := pool.Submit(light, engine.Options{}); res.Embeddings != 2 || res.Err != nil {
+			t.Fatalf("light request %d: %d embeddings, err %v; want 2", i, res.Embeddings, res.Err)
+		}
+		walls[i] = time.Since(start)
+	}
+	close(stop)
+	<-heavyDone
+
+	slices.Sort(walls)
+	median := walls[n/2]
+	t.Logf("light Submit beside a running request: median %v, min %v, max %v", median, walls[0], walls[n-1])
+	if !raceEnabled && median > 12*time.Millisecond {
+		t.Errorf("light Submit median %v beside a running request, want under 12ms (walls %v)", median, walls)
+	}
+}
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool

@@ -1,8 +1,9 @@
 package hgio
 
 import (
+	"encoding/binary"
 	"fmt"
-	"strconv"
+	"slices"
 	"strings"
 
 	"hgmatch/internal/hypergraph"
@@ -85,17 +86,78 @@ func AppendEmbeddingRecord(dst []byte, m []uint32) []byte {
 func AppendEmbeddingPrefix(dst []byte, prefix []uint32) []byte {
 	dst = append(dst, `{"embedding":[`...)
 	for _, e := range prefix {
-		dst = strconv.AppendUint(dst, uint64(e), 10)
-		dst = append(dst, ',')
+		var b [numberRoom + 1]byte
+		w := putUint32(b[:], e)
+		b[w] = ','
+		dst = append(dst, b[:w+1]...)
 	}
 	return dst
 }
 
 // AppendEmbeddingLast completes a line begun by AppendEmbeddingPrefix with
-// the embedding's last hyperedge ID and the closing `]}` and newline.
+// the embedding's last hyperedge ID and the closing `]}` and newline. It is
+// the per-row step, so the digits are stored straight into dst's spare
+// capacity; the `]}\n` after them covers what the number's first 4-byte
+// store left past its digits, so nothing past the returned length changes.
 func AppendEmbeddingLast(dst []byte, last uint32) []byte {
-	dst = strconv.AppendUint(dst, uint64(last), 10)
-	return append(dst, "]}\n"...)
+	n := len(dst)
+	if cap(dst)-n < numberRoom+3 {
+		dst = slices.Grow(dst, numberRoom+3)
+	}
+	w := putUint32(dst[n:cap(dst)], last)
+	return append(dst[:n+w], "]}\n"...)
+}
+
+// numberRoom is the most bytes putUint32 touches: a 10-digit ID is a lead
+// group of at most 2 digits and two full groups.
+const numberRoom = 10
+
+// digits4 holds the four ASCII digits of every n < 10000, zero-padded and
+// packed little-endian (the thousands digit in the low byte), so one table
+// read and one 4-byte store write a group of four digits. It is 40 KB,
+// shared by every graph and request.
+var digits4 = func() (t [10000]uint32) {
+	for n := range t {
+		t[n] = uint32('0'+n/1000) | uint32('0'+n/100%10)<<8 | uint32('0'+n/10%10)<<16 | uint32('0'+n%10)<<24
+	}
+	return t
+}()
+
+// putUint32 writes v's decimal digits at the start of b with 4-byte stores
+// and returns how many there are: the one number formatter of the embedding
+// encoder. It touches up to numberRoom bytes, so b needs that much room. Only
+// the first store can reach past the digits, by at most 3 bytes: a leading
+// group of fewer than 4 digits still takes a whole store, and every later
+// store is a full group.
+func putUint32(b []byte, v uint32) int {
+	if v < 10000 {
+		return putLead(b, v)
+	}
+	if v < 100000000 {
+		w := putLead(b, v/10000)
+		binary.LittleEndian.PutUint32(b[w:], digits4[v%10000])
+		return w + 4
+	}
+	w := putLead(b, v/100000000)
+	binary.LittleEndian.PutUint32(b[w:], digits4[v/10000%10000])
+	binary.LittleEndian.PutUint32(b[w+4:], digits4[v%10000])
+	return w + 8
+}
+
+// putLead writes v < 10000 without leading zeros as one 4-byte store of its
+// digit group shifted down past the zeros, and returns its width.
+func putLead(b []byte, v uint32) int {
+	w := 4
+	switch {
+	case v < 10:
+		w = 1
+	case v < 100:
+		w = 2
+	case v < 1000:
+		w = 3
+	}
+	binary.LittleEndian.PutUint32(b, digits4[v]>>(8*(4-w)))
+	return w
 }
 
 // MatchSummary is the final NDJSON line of POST /match and the whole body

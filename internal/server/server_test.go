@@ -369,6 +369,101 @@ func TestMatchGuardedWriteCount(t *testing.T) {
 	}
 }
 
+// frameRecorder records where each guarded write of a response ends.
+type frameRecorder struct {
+	*httptest.ResponseRecorder
+	ends []int
+}
+
+func (f *frameRecorder) Write(p []byte) (int, error) {
+	n, err := f.ResponseRecorder.Write(p)
+	f.ends = append(f.ends, f.Body.Len())
+	return n, err
+}
+
+// TestMatchWideIDsOnTheWire streams rows whose hyperedge IDs are all five
+// digits (no other server fixture has an edge ID of 10 000 or more): K_150
+// on label 1 takes IDs 0–11 174, and the query, a 3-edge path on label 0,
+// matches only a K_12 on label 0 added after it. At pool widths 1 and 2 the
+// body must be json.Marshal's lines byte for byte, hold every one of the
+// 12·11·10·9 embeddings once, and split some group across two writes: a
+// mid-group drain, after which the group's later lines copy its kept prefix.
+func TestMatchWideIDsOnTheWire(t *testing.T) {
+	const big, small = 150, 12
+	labels := make([]uint32, big+small)
+	var edges [][]uint32
+	for _, k := range []struct{ lo, n, label int }{{0, big, 1}, {big, small, 0}} {
+		for i := k.lo; i < k.lo+k.n; i++ {
+			labels[i] = uint32(k.label)
+			for j := i + 1; j < k.lo+k.n; j++ {
+				edges = append(edges, []uint32{uint32(i), uint32(j)})
+			}
+		}
+	}
+	h, err := hgmatch.FromEdges(labels, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const firstWide = big * (big - 1) / 2 // the K_12's first edge ID
+	if firstWide < 10000 {
+		t.Fatalf("padding ends at edge %d, want ≥ 10000", firstWide)
+	}
+	for _, workers := range []int{1, 2} {
+		reg := NewRegistry()
+		if err := reg.Add("wide", h); err != nil {
+			t.Fatal(err)
+		}
+		s := New(reg, Config{Workers: workers})
+		w := &frameRecorder{ResponseRecorder: httptest.NewRecorder()}
+		s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/match", matchBody(t, hgio.MatchRequest{Graph: "wide", Query: pathQueryText})))
+		s.Close()
+		if w.Code != http.StatusOK {
+			t.Fatalf("workers %d: status %d: %s", workers, w.Code, w.Body)
+		}
+		body := w.Body.Bytes()
+		recs, sum := decodeStream(t, body)
+		if want := small * (small - 1) * (small - 2) * (small - 3); len(recs) != want || sum.Embeddings != uint64(want) {
+			t.Fatalf("workers %d: %d rows, summary %d embeddings; want %d", workers, len(recs), sum.Embeddings, want)
+		}
+		var rows []byte
+		seen := map[[3]uint32]bool{}
+		writesOf := map[[2]uint32]map[int]bool{} // prefix → writes holding its lines
+		write := 0
+		for _, rec := range recs {
+			m := rec.Embedding
+			if len(m) != 3 || m[0] < firstWide || m[1] < firstWide || m[2] < firstWide {
+				t.Fatalf("workers %d: row %v, want three IDs ≥ %d", workers, m, firstWide)
+			}
+			if seen[[3]uint32(m)] {
+				t.Fatalf("workers %d: row %v streamed twice", workers, m)
+			}
+			seen[[3]uint32(m)] = true
+			line, _ := json.Marshal(rec)
+			rows = append(append(rows, line...), '\n')
+			for len(rows) > w.ends[write] {
+				write++
+			}
+			p := [2]uint32(m[:2])
+			if writesOf[p] == nil {
+				writesOf[p] = map[int]bool{}
+			}
+			writesOf[p][write] = true
+		}
+		if !bytes.HasPrefix(body, rows) {
+			t.Fatalf("workers %d: embedding lines are not json.Marshal(EmbeddingRecord) byte for byte", workers)
+		}
+		split := 0
+		for _, ws := range writesOf {
+			if len(ws) > 1 {
+				split++
+			}
+		}
+		if split == 0 {
+			t.Fatalf("workers %d: no group spans two of the %d writes; want a mid-group drain", workers, len(w.ends))
+		}
+	}
+}
+
 // discardWriter is a ResponseWriter that keeps only a byte count, so the
 // allocations measured around a request are the handler's own.
 type discardWriter struct {
