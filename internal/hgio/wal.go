@@ -41,7 +41,9 @@
 // segment is renamed *.quarantined (never deleted; operators can inspect
 // it, see docs/OPERATIONS.md), replay stops, and OpenWAL returns
 // ErrWALCorrupt so the serving layer can come up read-only instead of
-// serving silently wrong data.
+// serving silently wrong data. A segment quarantined at an earlier boot
+// stops replay the same way, before it, until an operator clears it:
+// replaying the segments after it would skip its batches.
 //
 // Durability policy (SyncPolicy): "batch" (the default) fsyncs each
 // appended batch before Append returns, so an ack means the batch is on
@@ -62,6 +64,7 @@ import (
 	"io"
 	"os"
 	"path"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -356,12 +359,18 @@ func OpenWAL(dir string, opts WALOptions, apply func(*WALBatch) error) (*WAL, Re
 		name string
 	}
 	var segs []seg
+	var held *seg // the lowest-numbered segment an earlier boot quarantined
 	for _, n := range names {
 		if no, ok := parseSegName(n); ok {
 			segs = append(segs, seg{no, n})
+		} else if no, ok := parseSegName(strings.TrimSuffix(n, ".quarantined")); ok && (held == nil || no < held.no) {
+			held = &seg{no, n}
 		}
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i].no < segs[j].no })
+	if held != nil {
+		segs = slices.DeleteFunc(segs, func(s seg) bool { return s.no > held.no })
+	}
 
 	// A segment is fully covered by the checkpoint when a later segment
 	// already starts at or before StartAfter+1: everything in it replays to
@@ -399,7 +408,7 @@ func OpenWAL(dir string, opts WALOptions, apply func(*WALBatch) error) (*WAL, Re
 	}
 
 	for i, s := range segs {
-		last := i == len(segs)-1
+		last := i == len(segs)-1 && held == nil
 		p := path.Join(dir, s.name)
 		f, err := fs.OpenFile(p, os.O_RDWR, 0)
 		if err != nil {
@@ -560,6 +569,12 @@ func OpenWAL(dir string, opts WALOptions, apply func(*WALBatch) error) (*WAL, Re
 		w.liveSegs++
 		w.liveBytes += int64(len(data))
 		w.segno = s.no + 1
+	}
+	if held != nil {
+		rep.Quarantined = []string{held.name}
+		rep.Reason = fmt.Sprintf("segment %s was quarantined at an earlier boot", held.name)
+		rep.LastSeq = w.lastSeq
+		return nil, rep, fmt.Errorf("%s: %w", rep.Reason, ErrWALCorrupt)
 	}
 	// The append sequence must clear the checkpoint's coverage even when
 	// the log holds less (a torn tail inside covered territory, or an empty

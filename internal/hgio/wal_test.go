@@ -356,6 +356,11 @@ func TestWALQuarantine(t *testing.T) {
 		if !found {
 			t.Fatalf("no *.quarantined file on disk: %v", fs.FileNames())
 		}
+		// A later boot stops before the quarantined segment too.
+		var again []hgio.WALBatch
+		if _, _, err := hgio.OpenWAL("wal", opts, collect(&again)); !errors.Is(err, hgio.ErrWALCorrupt) || len(again) > len(got) {
+			t.Fatalf("reopen after quarantine: %v, replaying %d batches, the first boot %d", err, len(again), len(got))
+		}
 	}
 
 	t.Run("sealed segment bit flip", func(t *testing.T) {
@@ -458,6 +463,34 @@ func TestWALRefusedFrameRollsBack(t *testing.T) {
 		t.Fatalf("append whose rollback fails: %v, want it to say the batch may reappear", err)
 	}
 	w2.Close()
+}
+
+// TestWALShortWritePoisons: a batch whose frame write is cut short (a full
+// disk) poisons the log, and a reopen over the same files drops the torn
+// frame: it replays only the batch before it and comes back writable.
+func TestWALShortWritePoisons(t *testing.T) {
+	for _, sync := range []hgio.SyncPolicy{hgio.SyncBatch, hgio.SyncNone} {
+		fs := hgtest.NewFaultFS()
+		opts := hgio.WALOptions{FS: fs, Sync: sync}
+		w, _ := mustOpen(t, "wal", opts, nil)
+		if err := w.Append(&hgio.WALBatch{Records: []hgio.IngestRecord{insRec(1, 2)}}); err != nil {
+			t.Fatal(err)
+		}
+		fs.FailWrite(1)
+		if err := w.Append(&hgio.WALBatch{Records: []hgio.IngestRecord{insRec(2, 3)}}); !errors.Is(err, hgtest.ErrInjectedWriteFailure) {
+			t.Fatalf("%s: append with a short write: %v, want the injected failure", sync, err)
+		}
+		if err := w.Append(&hgio.WALBatch{Records: []hgio.IngestRecord{insRec(3, 4)}}); err == nil || w.Err() == nil {
+			t.Fatalf("%s: append after a short write: %v; the log must stay poisoned", sync, err)
+		}
+		w.Close()
+		var got []hgio.WALBatch
+		w2, rep := mustOpen(t, "wal", opts, collect(&got))
+		if len(got) != 1 || got[0].Seq != 1 || rep.LastSeq != 1 {
+			t.Fatalf("%s: reopen replayed %+v up to seq %d, want the one batch before the short write", sync, got, rep.LastSeq)
+		}
+		w2.Close()
+	}
 }
 
 // TestWALSealedBatchSurvivesRotationFailure: a batch whose frame fills

@@ -16,9 +16,10 @@ import (
 // FaultFS is an in-memory hgio.WALFS for crash-recovery testing: it tracks
 // per-file fsync watermarks, can stop the world after an arbitrary number
 // of mutating operations (simulating a process kill at that instant), can
-// fail individual fsyncs, and can produce a "what the disk would hold"
-// image after the crash — the fsynced prefix of every file plus a
-// randomly torn, possibly bit-garbled prefix of its unsynced suffix.
+// fail individual fsyncs, can cut individual writes short, and can produce
+// a "what the disk would hold" image after the crash — the fsynced prefix
+// of every file plus a randomly torn, possibly bit-garbled prefix of its
+// unsynced suffix.
 //
 // Durability model: file DATA is durable only up to the last Sync (or
 // Truncate, which clamps the watermark); bytes past the watermark may be
@@ -40,6 +41,9 @@ var ErrCrashed = errors.New("hgtest: simulated crash")
 // ErrInjectedSyncFailure is returned by a Sync selected via FailSync.
 var ErrInjectedSyncFailure = errors.New("hgtest: injected fsync failure")
 
+// ErrInjectedWriteFailure is returned by a Write selected via FailWrite.
+var ErrInjectedWriteFailure = errors.New("hgtest: injected short write")
+
 type memFile struct {
 	data   []byte
 	synced int // durable watermark: data[:synced] survives any crash
@@ -54,6 +58,8 @@ type FaultFS struct {
 	crashAt int64 // -1 = disarmed; ops beyond this fail with ErrCrashed
 	failAt  int64 // fail the Nth Sync/SyncDir call; 0 = disabled
 	syncs   int64
+	failW   int64 // cut the Nth Write short; 0 = disabled
+	writes  int64
 }
 
 // NewFaultFS returns an empty fault-injection filesystem.
@@ -82,11 +88,28 @@ func (fs *FaultFS) Ops() int64 {
 }
 
 // FailSync makes the nth (1-based, counted from now) Sync or SyncDir call
-// return ErrInjectedSyncFailure. Only that one call fails.
+// return ErrInjectedSyncFailure. Only that one call fails; n <= 0 disarms.
 func (fs *FaultFS) FailSync(n int64) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	fs.failAt = fs.syncs + n
+	fs.failAt = 0
+	if n > 0 {
+		fs.failAt = fs.syncs + n
+	}
+}
+
+// FailWrite makes the nth (1-based, counted from now) Write cut short, as
+// a full disk does: it persists a strict prefix of its bytes, possibly
+// none, and returns ErrInjectedWriteFailure. The prefix length is the
+// operation counter modulo the write's length, so it varies from write to
+// write. Only that one call fails; n <= 0 disarms.
+func (fs *FaultFS) FailWrite(n int64) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	fs.failW = 0
+	if n > 0 {
+		fs.failW = fs.writes + n
+	}
 }
 
 func (fs *FaultFS) crashedLocked() bool {
@@ -331,6 +354,10 @@ func (ff *faultFile) Write(p []byte) (int, error) {
 	if err := ff.fs.mutateLocked(); err != nil {
 		return 0, err
 	}
+	var err error
+	if ff.fs.writes++; ff.fs.failW != 0 && ff.fs.writes == ff.fs.failW && len(p) > 0 {
+		p, err = p[:ff.fs.ops%int64(len(p))], ErrInjectedWriteFailure
+	}
 	end := ff.pos + int64(len(p))
 	if end > int64(len(ff.f.data)) {
 		ff.f.data = append(ff.f.data, make([]byte, end-int64(len(ff.f.data)))...)
@@ -341,7 +368,7 @@ func (ff *faultFile) Write(p []byte) (int, error) {
 		ff.f.synced = int(ff.pos)
 	}
 	ff.pos = end
-	return len(p), nil
+	return len(p), err
 }
 
 func (ff *faultFile) Sync() error {

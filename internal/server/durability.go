@@ -40,10 +40,9 @@ type DurabilityConfig struct {
 // non-nil durableState means durability was requested but could not be
 // established — the entry is read-only.
 type durableState struct {
-	dir      string
-	fs       hgio.WALFS
-	wal      *hgio.WAL
-	recovery hgio.RecoveryReport
+	dir string
+	fs  hgio.WALFS
+	wal *hgio.WAL
 }
 
 // EnableDurability turns on WAL-backed registration for every graph added
@@ -69,16 +68,6 @@ func (r *Registry) Durable() bool {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.dur != nil
-}
-
-// Recovery returns the WAL recovery report of the named graph's boot, if
-// the graph is durably registered.
-func (r *Registry) Recovery(name string) (hgio.RecoveryReport, bool) {
-	e, ok := r.entry(name)
-	if !ok || e.dur == nil {
-		return hgio.RecoveryReport{}, false
-	}
-	return e.dur.recovery, true
 }
 
 // ReadOnlyCount counts graphs currently serving read-only.
@@ -178,11 +167,9 @@ func (r *Registry) addDurable(name string, cfg DurabilityConfig, seed func() (*h
 		// The checkpoint exists but cannot be read. The WAL's batches
 		// assume its base, so replaying them onto a fresh seed would build
 		// a wrong graph: quarantine the checkpoint, serve the seed
-		// read-only, and leave the log for the operator.
-		if rerr := fs.Rename(path.Join(dir, hgio.CheckpointFile), path.Join(dir, hgio.CheckpointFile+".quarantined")); rerr == nil {
-			e.dur.recovery.Quarantined = append(e.dur.recovery.Quarantined, hgio.CheckpointFile+".quarantined")
-		}
-		e.dur.recovery.Reason = err.Error()
+		// read-only, and leave the log for the operator. The graph is
+		// read-only whether or not the rename lands.
+		_ = fs.Rename(path.Join(dir, hgio.CheckpointFile), path.Join(dir, hgio.CheckpointFile+".quarantined"))
 		e.markReadOnly(fmt.Sprintf("checkpoint unreadable (quarantined): %v", err))
 		if base, err = seed(); err != nil {
 			return fmt.Errorf("server: seeding %q: %w", name, err)
@@ -194,8 +181,7 @@ func (r *Registry) addDurable(name string, cfg DurabilityConfig, seed func() (*h
 			// WAL segments without the checkpoint they replay onto: the
 			// checkpoint was lost out-of-band. Nothing trustworthy to
 			// recover; serve the seed read-only.
-			e.dur.recovery.Reason = "wal segments present without a checkpoint"
-			e.markReadOnly(e.dur.recovery.Reason)
+			e.markReadOnly("wal segments present without a checkpoint")
 			if base, err = seed(); err != nil {
 				return fmt.Errorf("server: seeding %q: %w", name, err)
 			}
@@ -229,7 +215,6 @@ func (r *Registry) addDurable(name string, cfg DurabilityConfig, seed func() (*h
 			SegmentBytes: cfg.SegmentBytes,
 			StartAfter:   cpSeq,
 		}, func(b *hgio.WALBatch) error { return replayBatch(live, b) })
-		e.dur.recovery = rep
 		if err != nil {
 			// Quarantine already happened inside OpenWAL; the replayed
 			// prefix is in the buffer and is the best state we can serve.

@@ -6,11 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -23,14 +25,18 @@ import (
 	"hgmatch/internal/hypergraph"
 )
 
-// The default run is lcSeeds seeds of lcRounds rounds and a Close. A round
-// that hangs (an evictor spinning on a graph it may not detach, say)
-// panics after lcRoundTimeout with its seed and op log. Checks send
-// lcQuery; readers send its edges reordered, which plan under another key.
+// A run is lcSeeds seeds of lcRounds rounds and a Close, or per sync policy
+// lcDurableSeeds of lcDurableRounds with WAL segments of lcSegmentBytes and
+// crashes within lcCrashSpan mutating file operations. A round that hangs
+// (an evictor spinning on a graph it may not detach, say) panics after
+// lcRoundTimeout with its seed and op log. Checks send lcQuery; readers
+// send its edges reordered, which plan under another key.
 const (
-	lcSeeds, lcRounds     = 12, 30
-	lcRoundTimeout        = 20 * time.Second
-	lcQuery, lcCountQuery = "v 0\nv 1\nv 2\ne 0 1\ne 1 2", "v 0\nv 1\nv 2\ne 1 2\ne 0 1"
+	lcSeeds, lcRounds               = 12, 30
+	lcDurableSeeds, lcDurableRounds = 8, 90
+	lcSegmentBytes, lcCrashSpan     = 1 << 10, 16
+	lcRoundTimeout                  = 20 * time.Second
+	lcQuery, lcCountQuery           = "v 0\nv 1\nv 2\ne 0 1\ne 1 2", "v 0\nv 1\nv 2\ne 1 2\ne 0 1"
 )
 
 // lcFile is base graph base in HGB3 (registered cold) or HGB2 (heap).
@@ -55,6 +61,32 @@ type lcName struct {
 	entries []*graphEntry
 	oracle  *hgtest.OracleSet // on edges; nil once they change
 	version uint64            // served at the last check
+	base    int               // the base whose vertices and labels it serves
+	// Durable runs: the acked states since the seed, the last one current;
+	// those a batch in flight at a crash may leave; why the name serves
+	// read-only ("refused" until its next boot, "quarantined" by a damaged
+	// segment, "seed" by a damaged checkpoint); what a flip damaged.
+	hist, maybe []lcState
+	ro, flip    string
+}
+
+// lcState is an acked edge set and the WAL sequence that acked it.
+type lcState struct {
+	seq   uint64
+	edges map[string][]uint32
+}
+
+// lcIngest is an ingest body, the records of it the server applies (all
+// of a plain body, those before a semantic body's bad op, none of a
+// malformed body or one with an unknown field) and the lines it reports.
+type lcIngest struct {
+	variant, body string
+	recs          []hgio.IngestRecord
+	lines         int
+}
+
+func plain(recs []hgio.IngestRecord) lcIngest {
+	return lcIngest{"plain", ndjson(recs), recs, len(recs)}
 }
 
 // lcHeld is a held snapshot and its walk when acquired.
@@ -71,6 +103,7 @@ type lcRun struct {
 	rng    *rand.Rand
 	reg    *Registry
 	s      *Server
+	h      http.Handler // s's
 	q      *hgmatch.Hypergraph
 	bases  []*hgmatch.Hypergraph
 	files  []lcFile
@@ -82,6 +115,15 @@ type lcRun struct {
 	closed bool
 	raced  bool                              // a reader of this round acquired a graph
 	parked func() *httptest.ResponseRecorder // resumes the op parked across Close
+	// A durable run's policy and disk; the reboot a writer op leaves for
+	// its round's end; the arity-4 edges handed out, and those refused.
+	durable       bool
+	sync          hgio.SyncPolicy
+	fs            *hgtest.FaultFS
+	rounds        int
+	writers       []string
+	after         func()
+	used, refused map[string]bool
 	// Counts of first writes to HGB3 entries, of mappings folded off, and
 	// of those retirements certainly or (raced by a reader) maybe tore down.
 	promos, folds, retired, unsure int64
@@ -98,6 +140,8 @@ type lcRun struct {
 // some serial order allows. After each round it checks tiers, resident
 // bytes, tier counters, held snapshots, the fixed query's rows against
 // baseline.Tuples on the model's edge set, the plan cache and the budget.
+// The durable runs journal to an hgtest.FaultFS, add crashes, failed
+// writes and fsyncs, and bit flips at rest, and check each boot (recover).
 func TestRegistryLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(37))
@@ -114,18 +158,40 @@ func TestRegistryLifecycle(t *testing.T) {
 		files = append(files, lcFile{v3, true, b, i}, lcFile{v2, false, 0, i})
 	}
 	q := hypergraph.MustFromEdges([]hypergraph.Label{0, 1, 2}, [][]uint32{{0, 1}, {1, 2}})
-	seen := map[string]int{}
-	for seed := int64(1); seed <= lcSeeds; seed++ {
-		s := New(NewRegistry(), Config{})
-		(&lcRun{t: t, seed: seed, rng: rand.New(rand.NewSource(seed)), reg: s.Graphs(), s: s, q: q, bases: bases, files: files, seen: seen}).run()
-		s.Close()
+	// A run draws writer ops from writers and must run every kind in ops.
+	lifecycle := func(t *testing.T, seeds int64, sync *hgio.SyncPolicy, writers, ops string) {
+		t.Parallel()
+		seen := map[string]int{}
+		for seed := int64(1); seed <= seeds; seed++ {
+			r := &lcRun{t: t, seed: seed, rng: rand.New(rand.NewSource(seed)), q: q, bases: bases, files: files, seen: seen,
+				rounds: lcRounds, writers: strings.Fields(writers), used: map[string]bool{"[0 1 2 3]": true}, refused: map[string]bool{}}
+			var fs *hgtest.FaultFS
+			if sync != nil {
+				r.durable, r.sync, r.rounds, fs = true, *sync, lcDurableRounds, hgtest.NewFaultFS()
+			}
+			r.reboot(fs, false)
+			r.run()
+			r.s.Close()
+		}
+		t.Logf("op counts: %v", seen)
+		for _, op := range strings.Fields(ops + " walk hold info tierstats count") {
+			if seen[op] == 0 {
+				t.Errorf("op %s never ran", op)
+			}
+		}
 	}
-	// Writers load-v2/-v3, ingest, compact-idle/-delta, budget-0/-1/-file,
-	// park-count/-ingest, park-swap, close; readers walk, hold, info,
-	// tierstats, count.
-	if t.Logf("op counts: %v", seen); len(seen) != 17 {
-		t.Errorf("%d op kinds ran, want 17", len(seen))
-	}
+	t.Run("plain", func(t *testing.T) {
+		lifecycle(t, lcSeeds, nil, "load load ingest ingest ingest compact compact budget park swap",
+			"load-v2 load-v3 ingest compact-idle compact-delta budget-0 budget-1 budget-file park-count park-ingest park-swap close")
+	})
+	t.Run("durable", func(t *testing.T) {
+		for _, sync := range []hgio.SyncPolicy{hgio.SyncBatch, hgio.SyncNone} {
+			t.Run(sync.String(), func(t *testing.T) {
+				lifecycle(t, lcDurableSeeds, &sync, "load ingest ingest compact crash crash crash crash crash fail-sync fail-write flip",
+					"load load-reset ingest-plain ingest-semantic ingest-malformed ingest-unknown-field compact crash crash-mid-op fail-sync fail-write flip-segment flip-mark flip-payload close")
+			})
+		}
+	})
 }
 
 func (r *lcRun) fatalf(format string, args ...any) {
@@ -145,16 +211,18 @@ func (r *lcRun) run() {
 	r.check()
 	for r.round = 1; !r.closed; r.round++ {
 		n := r.names[r.rng.Intn(len(r.names))]
-		writer := []string{"load", "load", "ingest", "ingest", "ingest", "compact", "compact", "budget", "park", "swap"}[r.rng.Intn(10)]
+		writer := r.writers[r.rng.Intn(len(r.writers))]
 		r.logf("writer %s %s", writer, n.name)
 		r.raced = false
-		if r.round > lcRounds {
+		if r.round > r.rounds {
 			// Close parks an op before the readers start, so that their
 			// pins of HGB3 entries wait behind it for Close too.
-			if writer = "close"; !n.file.v3 {
-				r.replace(n, r.files[0])
+			if writer = "close"; !r.durable {
+				if !n.file.v3 {
+					r.replace(n, r.files[0])
+				}
+				r.parked = r.parkOn(n, r.rng.Intn(2) == 0)
 			}
-			r.parked = r.parkOn(n, r.rng.Intn(2) == 0)
 		}
 		var wg sync.WaitGroup
 		for i := 1 + r.rng.Intn(3); writer != "park" && writer != "swap" && i > 0; i-- {
@@ -176,8 +244,40 @@ func (r *lcRun) run() {
 		if r.t.Failed() {
 			r.fatalf("a reader failed")
 		}
+		if r.after != nil {
+			r.s.Close()
+			r.after()
+			r.after = nil
+		}
 		r.check()
 		timer.Stop()
+	}
+	if r.durable { // the next boot finds all that Close flushed
+		r.s.Close()
+		r.closed = false
+		r.reboot(r.fs, false)
+		r.check()
+	}
+}
+
+// reboot starts a registry and server, journaling to fs in a durable run,
+// and boots the names on it as a restarted process would, checking each
+// against the model; image says fs is what a crash left.
+func (r *lcRun) reboot(fs *hgtest.FaultFS, image bool) {
+	r.logf("boot (crash image: %v)", image)
+	r.fs, r.reg = fs, NewRegistry()
+	if r.durable {
+		if err := r.reg.EnableDurability(DurabilityConfig{Dir: "wal", FS: fs, Sync: r.sync, SegmentBytes: lcSegmentBytes}); err != nil {
+			r.fatalf("%v", err)
+		}
+	}
+	r.s = New(r.reg, Config{})
+	r.h = r.s.Handler()
+	for _, n := range r.names {
+		if err := r.reg.LoadFile(n.name, n.file.path); err != nil {
+			r.fatalf("boot %s: %v", n.name, err)
+		}
+		r.recover(n, image)
 	}
 }
 
@@ -201,11 +301,11 @@ func (r *lcRun) read(op string, n *lcName) {
 	case "tierstats":
 		r.reg.TierStats()
 	case "count":
-		if rr := post(r.s.Handler(), "/count", lcBody(n.name, lcCountQuery)); rr.Code != http.StatusOK {
+		if rr := post(r.h, "/count", lcBody(n.name, lcCountQuery)); rr.Code != http.StatusOK {
 			err = fmt.Errorf("%d %s", rr.Code, rr.Body)
 		}
 	}
-	if err != nil && (r.parked == nil || !errors.Is(err, errRegistryClosed) && !strings.Contains(err.Error(), hgio.CodeShuttingDown)) {
+	if err != nil && (r.round <= r.rounds || !errors.Is(err, errRegistryClosed) && !strings.Contains(err.Error(), hgio.CodeShuttingDown)) {
 		r.t.Errorf("seed %d round %d: %s %s: %v", r.seed, r.round, op, n.name, err)
 	}
 }
@@ -215,22 +315,49 @@ func (r *lcRun) write(op string, n *lcName) {
 	switch op {
 	case "load":
 		f := r.files[r.rng.Intn(len(r.files))]
+		if r.durable {
+			op = r.load(n, f)
+			break
+		}
 		r.replace(n, f)
 		op = map[bool]string{true: "load-v3", false: "load-v2"}[f.v3]
 	case "ingest":
-		recs := r.batch(n.edges)
-		r.ingest(n, recs, post(r.s.Handler(), "/graphs/"+n.name+"/edges", ndjson(recs)))
+		variant := "plain"
+		if r.durable {
+			variant = []string{"plain", "semantic", "malformed", "unknown-field"}[r.rng.Intn(4)]
+			op += "-" + variant
+		}
+		in := r.ingestBody(n, variant)
+		r.settle(n, in, post(r.h, "/graphs/"+n.name+"/edges", in.body))
 	case "compact":
-		rr := post(r.s.Handler(), "/graphs/"+n.name+"/compact", "")
+		rr := post(r.h, "/graphs/"+n.name+"/compact", "")
+		if n.ro != "" {
+			r.readOnly(n, "compact", rr)
+			break
+		}
 		var sum hgio.CompactSummary
 		if rr.Code != http.StatusOK || json.Unmarshal(rr.Body.Bytes(), &sum) != nil || sum.Edges != len(n.edges) {
 			r.fatalf("compact %s: %d %s, want %d edges", n.name, rr.Code, rr.Body, len(n.edges))
+		}
+		if r.durable {
+			// The checkpoint truncates the WAL to a fresh segment's header.
+			if info, _ := r.reg.Info(n.name); info.WalSegments != 1 || info.WalBytes != 32 || info.WalLastSeq != n.seq() {
+				r.fatalf("compact %s: WAL of %d segments, %d bytes, at seq %d; want it truncated at seq %d",
+					n.name, info.WalSegments, info.WalBytes, info.WalLastSeq, n.seq())
+			}
+			break
 		}
 		if r.wrote(n); n.delta && n.tiers == "mapped" {
 			n.tiers = "heap"
 			r.folds++
 		}
 		op, n.delta = map[bool]string{true: "compact-delta", false: "compact-idle"}[n.delta], false
+	case "crash":
+		r.crash(n)
+	case "fail-sync", "fail-write":
+		r.fail(op, n)
+	case "flip":
+		op = r.flip(n)
 	case "budget":
 		op = []string{"budget-0", "budget-file", "budget-1"}[r.rng.Intn(3)]
 		r.budget = map[string]int64{"budget-0": 0, "budget-file": r.files[0].bytes, "budget-1": 1}[op]
@@ -246,7 +373,7 @@ func (r *lcRun) write(op string, n *lcName) {
 		for _, n := range r.names {
 			r.retire(n)
 		}
-		if r.closed = true; !r.shutDown(r.parked()) {
+		if r.closed = true; r.parked != nil && !r.shutDown(r.parked()) {
 			r.fatalf("the op parked across Close did not fail as shutting down")
 		}
 	}
@@ -270,7 +397,7 @@ func (r *lcRun) park(n *lcName) string {
 	r.replace(n, r.files[r.rng.Intn(len(r.files))])
 	var sum hgio.MatchSummary
 	if rr := resume(); ingest {
-		r.ingest(n, lcInsert, rr)
+		r.settle(n, plain(lcInsert), rr)
 	} else if rr.Code != http.StatusOK || json.Unmarshal(rr.Body.Bytes(), &sum) != nil || int(sum.Embeddings) != len(r.oracleOf(n).Queries[0].Tuples) {
 		r.fatalf("parked /count of %s: %d %s, want the replacement's %d embeddings", n.name, rr.Code, rr.Body, len(r.oracleOf(n).Queries[0].Tuples))
 	}
@@ -329,7 +456,7 @@ func (r *lcRun) parkOn(n *lcName, ingest bool) (resume func() *httptest.Response
 	parked, cont, done := make(chan struct{}), make(chan struct{}), make(chan *httptest.ResponseRecorder, 1)
 	var once sync.Once
 	r.reg.beforePin = func() { once.Do(func() { close(parked); <-cont }) }
-	go func() { done <- post(r.s.Handler(), path, body) }()
+	go func() { done <- post(r.h, path, body) }()
 	<-parked
 	return func() *httptest.ResponseRecorder {
 		close(cont)
@@ -354,12 +481,19 @@ func (r *lcRun) replaced(n *lcName, f lcFile) {
 	r.retire(n) // a no-op before the first registration
 	e, _ := r.reg.entry(n.name)
 	n.entries = append(n.entries, e)
-	n.file, n.tiers, n.delta, n.mapped = f, map[bool]string{true: "cold mapped", false: "heap"}[f.v3], false, false
-	n.edges, n.oracle = map[string][]uint32{}, nil
-	for e := range hgmatch.EdgeID(r.bases[f.base].NumEdges()) {
-		vs := r.bases[f.base].Edge(e)
-		n.edges[fmt.Sprint(vs)] = vs
+	n.file, n.tiers, n.delta, n.mapped = f, map[bool]string{true: "cold mapped", false: "heap"}[f.v3 && !r.durable], false, false
+	n.edges, n.oracle, n.base, n.ro = r.baseEdges(f.base), nil, f.base, ""
+	n.hist = []lcState{{0, n.edges}}
+}
+
+// baseEdges returns the edge set of base i.
+func (r *lcRun) baseEdges(i int) map[string][]uint32 {
+	edges := map[string][]uint32{}
+	for e := range hgmatch.EdgeID(r.bases[i].NumEdges()) {
+		vs := r.bases[i].Edge(e)
+		edges[fmt.Sprint(vs)] = vs
 	}
+	return edges
 }
 
 // retire counts the mapping, if any, that retiring n's live entry tears
@@ -402,39 +536,282 @@ func (r *lcRun) batch(edges map[string][]uint32) []hgio.IngestRecord {
 	return recs
 }
 
-// ingest applies recs to n's model and checks the response rr against it.
-func (r *lcRun) ingest(n *lcName, recs []hgio.IngestRecord, rr *httptest.ResponseRecorder) {
-	var want [4]int // inserted, duplicates, deleted, missing
+// ingestBody returns an ingest body of the variant for n.
+func (r *lcRun) ingestBody(n *lcName, variant string) lcIngest {
+	in := plain(r.batch(n.edges))
+	switch in.variant = variant; variant {
+	case "semantic":
+		in.body, in.lines = in.body+`{"op":"frobnicate"}`+"\n"+ndjson(r.batch(n.edges)), in.lines+1
+	case "malformed":
+		in.body, in.recs = in.body+`{"op":"insert","vertices":[`+"\n"+in.body, nil
+	case "unknown-field":
+		in.body, in.recs, in.lines = `{"op":"insert","vertices":[0,1],"bogus":1}`+"\n"+in.body, nil, 0
+	}
+	return in
+}
+
+// applied returns edges after recs, and the inserted, duplicate, deleted
+// and missing counts the server reports for them.
+func applied(edges map[string][]uint32, recs []hgio.IngestRecord) (map[string][]uint32, [4]int) {
+	edges = maps.Clone(edges)
+	var want [4]int
 	for _, rec := range recs {
 		k := fmt.Sprint(rec.Vertices)
-		switch _, live := n.edges[k]; {
+		switch _, live := edges[k]; {
 		case rec.Op == "insert" && !live:
-			n.edges[k] = rec.Vertices
+			edges[k] = rec.Vertices
 			want[0]++
 		case rec.Op == "insert":
 			want[1]++
 		case live:
-			delete(n.edges, k)
+			delete(edges, k)
 			want[2]++
 		default:
 			want[3]++
 		}
 	}
+	return edges, want
+}
+
+// settle checks the response rr to in against n's model and applies what
+// the server acked: nothing of a malformed body, nothing else on a
+// read-only name. A durable name acks at the sequence after its last.
+func (r *lcRun) settle(n *lcName, in lcIngest, rr *httptest.ResponseRecorder) {
+	if n.ro != "" && in.recs != nil {
+		r.readOnly(n, "ingest", rr)
+		return
+	}
+	edges, want := applied(n.edges, in.recs)
 	var got hgio.IngestSummary
-	if rr.Code != http.StatusOK || json.Unmarshal(rr.Body.Bytes(), &got) != nil || !got.Done ||
-		[4]int{got.Inserted, got.Duplicates, got.Deleted, got.Missing} != want {
-		r.fatalf("ingest %s: %d %s, want %v inserted, duplicate, deleted, missing", n.name, rr.Code, rr.Body, want)
+	var seq uint64
+	if r.durable && in.recs != nil {
+		seq = n.seq() + 1
 	}
-	r.wrote(n)
-	if want[0]+want[2] > 0 {
-		n.delta, n.oracle = true, nil
+	if rr.Code != map[bool]int{true: http.StatusOK, false: http.StatusBadRequest}[in.variant == "plain"] || json.Unmarshal(rr.Body.Bytes(), &got) != nil ||
+		got.Done != (in.variant == "plain") || got.Lines != in.lines || [4]int{got.Inserted, got.Duplicates, got.Deleted, got.Missing} != want ||
+		got.Durable != (seq > 0) || got.WalSeq != seq || in.recs == nil && !strings.Contains(got.Error, "batch rejected") {
+		r.fatalf("%s ingest %s: %d %s, want %d lines, %v inserted, duplicate, deleted, missing at seq %d", in.variant, n.name, rr.Code, rr.Body, in.lines, want, seq)
 	}
+	if in.recs == nil {
+		return
+	}
+	if r.wrote(n); want[0]+want[2] > 0 {
+		n.edges, n.delta, n.oracle = edges, true, nil
+	}
+	n.hist = append(n.hist, lcState{seq, n.edges})
+}
+
+// seq is the WAL sequence of n's last acked batch.
+func (n *lcName) seq() uint64 { return n.hist[len(n.hist)-1].seq }
+
+// readOnly checks that rr refused a write to n as read-only.
+func (r *lcRun) readOnly(n *lcName, what string, rr *httptest.ResponseRecorder) {
+	if rr.Code != http.StatusServiceUnavailable || !strings.Contains(rr.Body.String(), "read-only") {
+		r.fatalf("%s %s, read-only (%s): %d %s, want 503 read-only", what, n.name, n.ro, rr.Code, rr.Body)
+	}
+}
+
+// fresh returns an arity-4 edge no batch of the run has held: the bases
+// and batch hold pairs and triples.
+func (r *lcRun) fresh() []uint32 {
+	for {
+		p := r.rng.Perm(r.bases[0].NumVertices())[:4]
+		slices.Sort(p)
+		if vs := []uint32{uint32(p[0]), uint32(p[1]), uint32(p[2]), uint32(p[3])}; !r.used[fmt.Sprint(vs)] {
+			r.used[fmt.Sprint(vs)] = true
+			return vs
+		}
+	}
+}
+
+// load re-registers n on a durable registry: the name recovers its own
+// checkpoint and WAL, and f seeds it only if it has neither. A name
+// damaged at rest first gets the quarantine runbook's clean slate: its WAL
+// directory goes, and f seeds it afresh.
+func (r *lcRun) load(n *lcName, f lcFile) string {
+	if n.ro == "quarantined" || n.ro == "seed" {
+		for _, p := range r.onDisk(n) {
+			if err := r.fs.Remove(p); err != nil {
+				r.fatalf("clearing %s: %v", n.name, err)
+			}
+		}
+		r.replace(n, f)
+		return "load-reset"
+	}
+	if err := r.reg.LoadFile(n.name, f.path); err != nil {
+		r.fatalf("load %s: %v", n.name, err)
+	}
+	n.file = f
+	r.recover(n, false)
+	return "load"
+}
+
+// crash arms a kill within the next lcCrashSpan mutating file operations
+// and sends n ingests of every variant and compactions until it fires,
+// beside a concurrent ingest of a fresh edge into a random name, n
+// perhaps. The round's end boots off the crash image. Answers after the
+// kill are a dead process's: a batch answered 503 may have reached the
+// disk or not.
+func (r *lcRun) crash(n *lcName) {
+	type answer struct {
+		n  *lcName
+		in lcIngest // "compact" for a compaction
+		rr *httptest.ResponseRecorder
+	}
+	var ins []lcIngest
+	for range 8 {
+		in := lcIngest{variant: "compact"}
+		if r.rng.Intn(3) > 0 {
+			in = r.ingestBody(n, []string{"plain", "plain", "semantic", "malformed"}[r.rng.Intn(4)])
+		}
+		ins = append(ins, in)
+	}
+	m, fresh := r.names[r.rng.Intn(len(r.names))], plain([]hgio.IngestRecord{{Op: "insert", Vertices: r.fresh()}})
+	kill := r.fs.Ops() + r.rng.Int63n(lcCrashSpan)
+	r.fs.CrashAfter(kill - r.fs.Ops())
+	other := make(chan answer)
+	go func() { other <- answer{m, fresh, post(r.h, "/graphs/"+m.name+"/edges", fresh.body)} }()
+	var answers []answer
+	for _, in := range ins {
+		if r.fs.Ops() >= kill {
+			break
+		}
+		path := "/graphs/" + n.name + map[bool]string{true: "/compact", false: "/edges"}[in.variant == "compact"]
+		answers = append(answers, answer{n, in, post(r.h, path, in.body)})
+	}
+	if answers = append(answers, <-other); r.fs.Ops() >= kill {
+		r.seen["crash-mid-op"]++ // else the kill falls after the last op
+	}
+	img := r.fs.CrashImage(r.rng)
+	// Settle the acked batches in journal order, then those in flight.
+	seq := func(a answer) uint64 {
+		var sum hgio.IngestSummary
+		if a.rr.Code == http.StatusServiceUnavailable || json.Unmarshal(a.rr.Body.Bytes(), &sum) != nil {
+			return math.MaxUint64
+		}
+		return sum.WalSeq
+	}
+	sort.SliceStable(answers, func(i, j int) bool { return seq(answers[i]) < seq(answers[j]) })
+	for _, a := range answers {
+		switch {
+		case a.in.variant == "compact":
+			if a.rr.Code != http.StatusOK && a.rr.Code != http.StatusServiceUnavailable {
+				r.fatalf("compact %s at a crash: %d %s", a.n.name, a.rr.Code, a.rr.Body)
+			}
+		case a.rr.Code == http.StatusServiceUnavailable && a.n.ro == "" && a.in.recs != nil:
+			edges, _ := applied(a.n.edges, a.in.recs)
+			a.n.maybe = append(a.n.maybe, lcState{a.n.seq() + 1, edges})
+		default:
+			r.settle(a.n, a.in, a.rr)
+		}
+	}
+	r.after = func() { r.reboot(img, true) }
+}
+
+// fail sends n a batch holding a fresh edge while the next write or fsync
+// fails: the batch is refused and the name read-only until its next boot.
+// Under sync none, an append that fills no segment syncs nothing and is
+// acked.
+func (r *lcRun) fail(op string, n *lcName) {
+	in := plain(append(r.batch(n.edges), hgio.IngestRecord{Op: "insert", Vertices: r.fresh()}))
+	arm := map[string]func(int64){"fail-sync": r.fs.FailSync, "fail-write": r.fs.FailWrite}[op]
+	arm(1)
+	rr := post(r.h, "/graphs/"+n.name+"/edges", in.body)
+	arm(0)
+	switch body := rr.Body.String(); {
+	case n.ro != "" || rr.Code == http.StatusOK && op == "fail-sync" && r.sync == hgio.SyncNone:
+		r.settle(n, in, rr)
+	case rr.Code != http.StatusServiceUnavailable || !strings.Contains(body, "wal append failed") || strings.Contains(body, "reappear"):
+		r.fatalf("%s ingest %s: %d %s, want 503 wal append failed, rolled back", op, n.name, rr.Code, body)
+	default:
+		n.ro, r.refused[fmt.Sprint(in.recs[len(in.recs)-1].Vertices)] = "refused", true
+	}
+}
+
+// flip leaves for the round's end a flip of one bit at rest in n's files
+// (a sealed WAL segment, the checkpoint's coverage mark or its payload)
+// and a reboot, or only the reboot if n has no such file.
+func (r *lcRun) flip(n *lcName) string {
+	cp, segs := "wal/"+n.name+"/"+hgio.CheckpointFile, slices.DeleteFunc(r.onDisk(n), func(p string) bool { return !strings.HasSuffix(p, ".seg") })
+	kind, file, off := []string{"flip-segment", "flip-mark", "flip-payload"}[r.rng.Intn(3)], cp, 8+r.rng.Int63n(8) // the mark is bytes 8–16
+	switch n.flip = "checkpoint"; {
+	case kind == "flip-segment" && len(segs) > 1:
+		file, n.flip = segs[r.rng.Intn(len(segs)-1)], "segment"
+		off = r.rng.Int63n(r.fs.FileSize(file))
+	case kind == "flip-segment" || r.fs.FileSize(cp) < 0:
+		kind, n.flip = "reboot", ""
+	case kind == "flip-payload":
+		off = 16 + r.rng.Int63n(r.fs.FileSize(cp)-20)
+	}
+	bit := byte(1) << r.rng.Intn(8)
+	r.after = func() {
+		if n.flip != "" {
+			if err := r.fs.Corrupt(file, off, bit); err != nil {
+				r.fatalf("flip: %v", err)
+			}
+		}
+		r.reboot(r.fs, false)
+	}
+	return kind
+}
+
+// onDisk lists n's files on the disk, sorted.
+func (r *lcRun) onDisk(n *lcName) []string {
+	return slices.DeleteFunc(r.fs.FileNames(), func(p string) bool { return !strings.HasPrefix(p, "wal/"+n.name+"/") })
+}
+
+// recover checks what n serves after a boot and moves the model there. A
+// boot after a clean close serves the last acked state; one off a crash
+// image may add a batch in flight and, under sync none, may serve any
+// earlier acked state. A damaged segment quarantines the name, which then
+// serves an earlier state read-only (unless a checkpoint held the damaged
+// batches); a damaged checkpoint quarantines it too, serving its boot's
+// seed. Only a quarantined name has a *.quarantined file, no boot serves a
+// refused batch, and a writable name's WAL sequence is its state's.
+func (r *lcRun) recover(n *lcName, image bool) {
+	h := snapshotOf(r.t, r.reg, n.name)
+	info, _ := r.reg.Info(n.name)
+	served := map[string][]uint32{}
+	for e := range hgmatch.EdgeID(h.NumEdges()) {
+		if k := fmt.Sprint(h.Edge(e)); !h.IsDeadEdge(e) {
+			if served[k] = nil; r.refused[k] {
+				r.fatalf("%s serves the refused edge %s after a boot", n.name, k)
+			}
+		}
+	}
+	reason, lo := "", len(n.hist)-1
+	switch {
+	case n.flip == "checkpoint" || n.ro == "seed":
+		n.ro, n.base, reason, n.hist, lo = "seed", n.file.base, "checkpoint", []lcState{{0, r.baseEdges(n.file.base)}}, 0
+	case n.ro == "quarantined" || n.flip == "segment" && info.ReadOnly:
+		n.ro, reason, lo = "quarantined", "wal recovery", 0
+	case image && r.sync == hgio.SyncNone:
+		n.ro, lo = "", 0
+	default:
+		n.ro = ""
+	}
+	states := n.hist
+	if n.ro == "" {
+		states = append(slices.Clip(states), n.maybe...)
+	}
+	k := slices.IndexFunc(states[lo:], func(s lcState) bool {
+		return maps.EqualFunc(s.edges, served, func([]uint32, []uint32) bool { return true }) && (n.ro != "" || s.seq == info.WalLastSeq)
+	})
+	quarantined := slices.ContainsFunc(r.onDisk(n), func(p string) bool { return strings.HasSuffix(p, ".quarantined") })
+	if k < 0 || info.ReadOnly != (n.ro != "") || !strings.Contains(info.ReadOnlyReason, reason) || quarantined != (n.ro != "") {
+		r.fatalf("boot of %s (flipped %q, crash image %v): %d edges at seq %d, read-only %q, quarantined file %v; model: %q, %d states from seq %d",
+			n.name, n.flip, image, len(served), info.WalLastSeq, info.ReadOnlyReason, quarantined, n.ro, len(states)-lo, states[lo].seq)
+	}
+	n.hist = states[:lo+k+1]
+	n.edges, n.oracle, n.maybe, n.flip, n.version = n.hist[lo+k].edges, nil, nil, "", 0
+	e, _ := r.reg.entry(n.name)
+	n.entries = append(n.entries, e)
 }
 
 // oracleOf returns the fixed query's oracle answer on n's model edge set.
 func (r *lcRun) oracleOf(n *lcName) *hgtest.OracleSet {
 	if n.oracle == nil {
-		cold := hypergraph.MustFromEdges(r.bases[n.file.base].Labels(), slices.Collect(maps.Values(n.edges)))
+		cold := hypergraph.MustFromEdges(r.bases[n.base].Labels(), slices.Collect(maps.Values(n.edges)))
 		_, tuples := baseline.Tuples(r.q, cold, baseline.Options{})
 		n.oracle = &hgtest.OracleSet{Cold: cold, Queries: []hgtest.OracleQuery{{Query: r.q, Tuples: tuples}}}
 	}
@@ -467,6 +844,8 @@ func (r *lcRun) check() {
 			info.Tier == "cold" && (info.NumEdges != len(n.edges) || info.NumVertices != r.bases[n.file.base].NumVertices() || info.ResidentBytes != 0),
 			info.Tier == "mapped" && (info.ResidentBytes <= 0 || info.ResidentBytes >= info.FileBytes):
 			r.fatalf("%s: %+v; model: %s on %q", n.name, info, filepath.Base(n.file.path), n.tiers)
+		case r.durable && (info.NumEdges != len(n.edges) || info.ReadOnly != (n.ro != "") || n.ro == "" && info.WalLastSeq != n.seq()):
+			r.fatalf("%s: %+v; model: %d edges at seq %d, read-only %q", n.name, info, len(n.edges), n.seq(), n.ro)
 		}
 		switch info.Tier {
 		case "mapped":
@@ -487,15 +866,26 @@ func (r *lcRun) check() {
 		r.fatalf("tier stats %+v: want %d resident bytes in %d graphs, %d cold, %d promotions, %d folds and %d-%d mappings retired",
 			ts, resident, mapped, cold, r.promos, r.folds, r.retired, r.retired+r.unsure)
 	}
+	ro := 0
 	for _, n := range r.names {
 		if !r.closed {
-			r.matchFixed(n)
+			if r.matchFixed(n); n.ro != "" {
+				r.servesReadOnly(n)
+				ro++
+			}
 			continue
 		}
 		for _, path := range []string{"/graphs/" + n.name + "/edges", "/graphs/" + n.name + "/compact", "/count"} {
-			if rr := post(r.s.Handler(), path, lcBody(n.name, lcCountQuery)); !r.shutDown(rr) {
+			if rr := post(r.h, path, lcBody(n.name, lcCountQuery)); !r.shutDown(rr) {
 				r.fatalf("%s after Close: %d %s", path, rr.Code, rr.Body)
 			}
+		}
+	}
+	if st := (hgio.SchedulerStats{}); r.durable && !r.closed {
+		rr := httptest.NewRecorder()
+		r.h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/stats", nil))
+		if json.Unmarshal(rr.Body.Bytes(), &st) != nil || !st.WALEnabled || st.ReadOnlyGraphs != ro {
+			r.fatalf("/stats: %s, want wal_enabled and %d read-only graphs", rr.Body, ro)
 		}
 	}
 	// Each name was just activated by its query, so one cold again was
@@ -527,7 +917,7 @@ func (r *lcRun) matchFixed(n *lcName) {
 	if err != nil {
 		r.fatalf("%s serves another edge set than the model's: %v", n.name, err)
 	}
-	rr := post(r.s.Handler(), "/match", lcBody(n.name, lcQuery))
+	rr := post(r.h, "/match", lcBody(n.name, lcQuery))
 	b := rr.Body.Bytes()
 	cut := bytes.LastIndexByte(b[:max(len(b)-1, 0)], '\n') + 1
 	var sum hgio.MatchSummary
@@ -549,6 +939,17 @@ func (r *lcRun) matchFixed(n *lcName) {
 				r.fatalf("after %s: %d resident bytes, budget %d, unwritten %s mapped", n.name, r.reg.resident.Load(), r.budget, o.name)
 			}
 		}
+	}
+}
+
+// servesReadOnly checks that read-only n answers /count and refuses writes.
+func (r *lcRun) servesReadOnly(n *lcName) {
+	r.readOnly(n, "ingest", post(r.h, "/graphs/"+n.name+"/edges", ndjson(lcInsert)))
+	r.readOnly(n, "compact", post(r.h, "/graphs/"+n.name+"/compact", ""))
+	var sum hgio.MatchSummary
+	if rr := post(r.h, "/count", lcBody(n.name, lcQuery)); rr.Code != http.StatusOK || json.Unmarshal(rr.Body.Bytes(), &sum) != nil ||
+		int(sum.Embeddings) != len(r.oracleOf(n).Queries[0].Tuples) {
+		r.fatalf("count %s, read-only (%s): %d %s, want %d embeddings", n.name, n.ro, rr.Code, rr.Body, len(r.oracleOf(n).Queries[0].Tuples))
 	}
 }
 

@@ -183,8 +183,8 @@ func matrixCells(t *testing.T, width int) ([]matrixCell, []*Server) {
 			if err := restarted.Graphs().LoadFile(c.graph, filepath.Join(dir, c.base+".hgb3")); err != nil {
 				t.Fatal(err)
 			}
-			if rep, _ := restarted.Graphs().Recovery(c.graph); rep.Batches != 1 {
-				t.Fatalf("%s: recovery replayed %+v, want the one batch ingested", c.graph, rep)
+			if info, _ := restarted.Graphs().Info(c.graph); info.ReadOnly || info.WalLastSeq != 1 {
+				t.Fatalf("%s: recovered %+v, want the one batch ingested", c.graph, info)
 			}
 		}
 	}
