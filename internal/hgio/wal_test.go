@@ -356,10 +356,20 @@ func TestWALQuarantine(t *testing.T) {
 		if !found {
 			t.Fatalf("no *.quarantined file on disk: %v", fs.FileNames())
 		}
-		// A later boot stops before the quarantined segment too.
+		// A later boot stops at the quarantined segment too: it replays
+		// what the first boot replayed and names the held segment.
 		var again []hgio.WALBatch
-		if _, _, err := hgio.OpenWAL("wal", opts, collect(&again)); !errors.Is(err, hgio.ErrWALCorrupt) || len(again) > len(got) {
-			t.Fatalf("reopen after quarantine: %v, replaying %d batches, the first boot %d", err, len(again), len(got))
+		_, rep2, err := hgio.OpenWAL("wal", opts, collect(&again))
+		if !errors.Is(err, hgio.ErrWALCorrupt) || len(again) != len(got) || rep2.LastSeq != rep.LastSeq {
+			t.Fatalf("reopen after quarantine: %v, replaying %d batches to seq %d; the first boot %d to seq %d", err, len(again), rep2.LastSeq, len(got), rep.LastSeq)
+		}
+		for i := range again {
+			if again[i].Seq != got[i].Seq {
+				t.Fatalf("reopen replayed seq %d at %d, the first boot seq %d", again[i].Seq, i, got[i].Seq)
+			}
+		}
+		if len(rep2.Quarantined) != 1 || rep2.Quarantined[0] != rep.Quarantined[0] || fs.FileSize("wal/"+rep2.Quarantined[0]) < 0 || rep2.Reason == "" {
+			t.Fatalf("reopen report %+v, want the held segment %s", rep2, rep.Quarantined[0])
 		}
 	}
 

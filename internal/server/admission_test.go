@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -363,7 +364,15 @@ func TestStatsEndpoint(t *testing.T) {
 
 	// Fig. 1's two rows and summary are one frame: the counters move by
 	// one write carrying the whole body.
-	body := post(s.Handler(), "/match", lcBody("fig1", fig1QueryText)).Body.Bytes()
+	resp, err := http.Post(srv.URL+"/match", "application/json", matchBody(t, hgio.MatchRequest{Graph: "fig1", Query: fig1QueryText}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if st = getStats(t, srv.URL); st.StreamWrites != 1 || st.StreamBytes != uint64(len(body)) {
 		t.Fatalf("after one /match of %d bytes: stream_writes=%d stream_bytes=%d, want 1 and %d", len(body), st.StreamWrites, st.StreamBytes, len(body))
 	}

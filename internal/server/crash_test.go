@@ -9,7 +9,10 @@ package server
 // matches, and the recovered server keeps accepting durable writes.
 // Injected corruption (bit flips in sealed segments) must instead
 // quarantine and degrade to read-only serving — never panic, never lose
-// data silently.
+// data silently. TestRegistryLifecycle/durable checks the same contract
+// as a model over random op sequences; each test here pins one guarantee
+// on a fixed script, with recovery observed from outside the process
+// (Info, the served graph, the files on the FaultFS).
 
 import (
 	"bytes"
@@ -178,15 +181,6 @@ func newDurableServer(t testing.TB, fs *hgtest.FaultFS, fx *crashFixture, sync h
 	return New(reg, Config{Workers: 2, PlanCacheSize: 8})
 }
 
-// post drives the handler directly (no TCP: the stress runs hundreds of
-// server lifecycles).
-func post(h http.Handler, path, body string) *httptest.ResponseRecorder {
-	req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
-	rr := httptest.NewRecorder()
-	h.ServeHTTP(rr, req)
-	return rr
-}
-
 // serveBatches drives every fixture batch through the handler, optionally
 // interleaving synchronous /compact checkpoints, and returns the highest
 // WAL sequence the server ACKED (summary durable:true on a 2xx).
@@ -231,10 +225,6 @@ func TestWALRecoveryBasic(t *testing.T) {
 	s.Close()
 
 	s2 := newDurableServer(t, fs, fx, sync)
-	rep, ok := s2.Graphs().Recovery("g")
-	if !ok || rep.LastSeq != acked || rep.Batches != len(fx.batches) {
-		t.Fatalf("recovery report %+v (ok=%v), want %d batches", rep, ok, len(fx.batches))
-	}
 	h2 := snapshotOf(t, s2.Graphs(), "g")
 	if got := canonicalGraphText(t, h2); got != want {
 		t.Fatalf("recovered state differs from uninterrupted run:\n%s\n-- vs --\n%s", got, want)
@@ -248,6 +238,10 @@ func TestWALRecoveryBasic(t *testing.T) {
 	if rr := post(s2.Handler(), "/graphs/g/compact", ""); rr.Code != http.StatusOK {
 		t.Fatalf("compact: %d %s", rr.Code, rr.Body.String())
 	}
+	if info, _ := s2.Graphs().Info("g"); info.WalSegments != 1 || info.WalBytes != 32 || info.WalLastSeq != acked {
+		t.Fatalf("compacted WAL: %d segments, %d bytes at seq %d; want one header-only segment at seq %d",
+			info.WalSegments, info.WalBytes, info.WalLastSeq, acked)
+	}
 	if rr := post(s2.Handler(), "/graphs/g/edges", `{"op":"insert","vertices":[0,1,2,3,4,5,6,7]}`+"\n"); rr.Code != http.StatusOK {
 		t.Fatalf("post-compact ingest: %d %s", rr.Code, rr.Body.String())
 	}
@@ -257,9 +251,8 @@ func TestWALRecoveryBasic(t *testing.T) {
 
 	s3 := newDurableServer(t, fs, fx, sync)
 	defer s3.Close()
-	rep3, _ := s3.Graphs().Recovery("g")
-	if rep3.Batches != 1 {
-		t.Fatalf("post-checkpoint recovery replayed %d batches, want 1 (the WAL was truncated)", rep3.Batches)
+	if info, _ := s3.Graphs().Info("g"); info.ReadOnly || info.WalLastSeq != acked+1 {
+		t.Fatalf("post-checkpoint recovery info %+v, want the one batch after the checkpoint at seq %d", info, acked+1)
 	}
 	h3 := snapshotOf(t, s3.Graphs(), "g")
 	if got := canonicalGraphText(t, h3); got != want2 {
@@ -272,9 +265,9 @@ func TestWALRecoveryBasic(t *testing.T) {
 // positions across the measured op range, plus jitter), restarts on the
 // crash image of the disk, and asserts the full contract. "batch" sweeps
 // twice under different seeds; with fsync on the ack path every acked
-// batch must survive. Under "none" acks are explicitly best-effort, but
-// recovery must still yield a clean prefix of the journaled history —
-// never corruption, never read-only, never a panic.
+// batch must survive. The "none" policy, whose boots must still yield a
+// clean prefix of the journaled history, is swept by
+// TestRegistryLifecycle/durable/none.
 func TestCrashRecoveryStress(t *testing.T) {
 	const iters = 170
 	fx := makeCrashFixture(t, 11, 40, 4)
@@ -285,7 +278,6 @@ func TestCrashRecoveryStress(t *testing.T) {
 	}{
 		{"batch", hgio.SyncBatch, 0xC0FFEE ^ 0},
 		{"batch-reseeded", hgio.SyncBatch, 0xC0FFEE ^ 1},
-		{"none", hgio.SyncNone, 0xC0FFEE ^ 2},
 	}
 	for _, sw := range sweeps {
 		sync := sw.sync
@@ -335,10 +327,10 @@ func TestCrashRecoveryStress(t *testing.T) {
 
 				img := fs.CrashImage(rng)
 				s2 := newDurableServer(t, img, fx, sync)
-				if info, _ := s2.Graphs().Info("g"); info.ReadOnly {
+				info, _ := s2.Graphs().Info("g")
+				if info.ReadOnly {
 					t.Fatalf("iter %d (killAt %d): clean crash recovered read-only: %s", iter, killAt, info.ReadOnlyReason)
 				}
-				rep, _ := s2.Graphs().Recovery("g")
 				got := snapshotOf(t, s2.Graphs(), "g")
 				gotText := canonicalGraphText(t, got)
 				k := -1 // highest history prefix matching the recovered state
@@ -351,7 +343,7 @@ func TestCrashRecoveryStress(t *testing.T) {
 				if k < 0 {
 					t.Fatalf("iter %d (killAt %d): recovered state matches NO prefix of the batch history:\n%s", iter, killAt, gotText)
 				}
-				if sync != hgio.SyncNone && uint64(k) < acked {
+				if uint64(k) < acked {
 					t.Fatalf("iter %d (killAt %d): acked through batch %d, recovered state only covers %d — acked data lost", iter, killAt, acked, k)
 				}
 				if iter%4 == 0 {
@@ -366,8 +358,8 @@ func TestCrashRecoveryStress(t *testing.T) {
 					t.Fatalf("iter %d: post-recovery ingest: %d %s", iter, rr.Code, rr.Body.String())
 				}
 				var sum hgio.IngestSummary
-				if err := json.Unmarshal(rr.Body.Bytes(), &sum); err != nil || !sum.Durable || sum.WalSeq != rep.LastSeq+1 {
-					t.Fatalf("iter %d: post-recovery summary %+v (err %v), want durable seq %d", iter, sum, err, rep.LastSeq+1)
+				if err := json.Unmarshal(rr.Body.Bytes(), &sum); err != nil || !sum.Durable || sum.WalSeq != info.WalLastSeq+1 {
+					t.Fatalf("iter %d: post-recovery summary %+v (err %v), want durable seq %d", iter, sum, err, info.WalLastSeq+1)
 				}
 				s2.Close()
 			}
@@ -488,10 +480,6 @@ func TestQuarantineReadOnlyServing(t *testing.T) {
 	if !info.ReadOnly || info.ReadOnlyReason == "" {
 		t.Fatalf("corrupted log did not degrade to read-only: %+v", info)
 	}
-	rep, _ := s2.Graphs().Recovery("g")
-	if len(rep.Quarantined) == 0 {
-		t.Fatalf("no quarantined segment in report %+v", rep)
-	}
 	quarantined := false
 	for _, n := range fs.FileNames() {
 		quarantined = quarantined || strings.HasSuffix(n, ".quarantined")
@@ -585,9 +573,8 @@ func TestCheckpointBitFlipQuarantines(t *testing.T) {
 			if !info.ReadOnly || !strings.Contains(info.ReadOnlyReason, "checkpoint unreadable") {
 				t.Fatalf("flipped checkpoint recovered as %+v, want read-only with an unreadable checkpoint", info)
 			}
-			rep, _ := s2.Graphs().Recovery("g")
-			if len(rep.Quarantined) != 1 || rep.Quarantined[0] != hgio.CheckpointFile+".quarantined" || fs.FileSize(cp+".quarantined") < 0 {
-				t.Fatalf("checkpoint not quarantined: report %+v, files %v", rep, fs.FileNames())
+			if fs.FileSize(cp) >= 0 || fs.FileSize(cp+".quarantined") < 0 {
+				t.Fatalf("checkpoint not quarantined: files %v", fs.FileNames())
 			}
 			if got, want := canonicalGraphText(t, snapshotOf(t, s2.Graphs(), "g")), canonicalGraphText(t, fx.baseGraph(t)); got != want {
 				t.Fatal("read-only graph does not serve its seed")

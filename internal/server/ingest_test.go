@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -17,21 +16,24 @@ import (
 	"hgmatch/internal/hgio"
 )
 
-// postFor posts body to path on h, wants the status code want, and
-// decodes the answer into v unless it is nil.
-func postFor(t testing.TB, h http.Handler, path, body string, want int, v any) {
+func postJSON(t testing.TB, ts *httptest.Server, path, body string) (*http.Response, []byte) {
 	t.Helper()
-	rr := post(h, path, body)
-	if rr.Code != want {
-		t.Fatalf("%s: status %d, want %d: %s", path, rr.Code, want, rr.Body)
+	resp, err := http.Post(ts.URL+path, "application/x-ndjson", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := json.Unmarshal(rr.Body.Bytes(), v); v != nil && err != nil {
-		t.Fatalf("%s: %v: %s", path, err, rr.Body)
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
 	}
+	return resp, buf.Bytes()
 }
 
 func TestIngestEndpoint(t *testing.T) {
-	h := newTestServer(t, Config{}).Handler()
+	s := newTestServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
 
 	// fig1 has 6 edges and 7 vertices; {0,3} is new, {2,4} is a duplicate
 	// of edge 0, and one delete removes edge 1 ({4,6}).
@@ -40,8 +42,15 @@ func TestIngestEndpoint(t *testing.T) {
 {"op":"delete","vertices":[4,6]}
 {"op":"add_vertex","label_name":"B"}
 `
+	resp, raw := postJSON(t, ts, "/graphs/fig1/edges", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest status %d: %s", resp.StatusCode, raw)
+	}
 	var sum hgio.IngestSummary
-	if postFor(t, h, "/graphs/fig1/edges", body, http.StatusOK, &sum); !sum.Done || sum.Lines != 4 || sum.Inserted != 1 || sum.Duplicates != 1 ||
+	if err := json.Unmarshal(raw, &sum); err != nil {
+		t.Fatal(err)
+	}
+	if !sum.Done || sum.Lines != 4 || sum.Inserted != 1 || sum.Duplicates != 1 ||
 		sum.Deleted != 1 || sum.VerticesAdded != 1 {
 		t.Fatalf("ingest summary off: %+v", sum)
 	}
@@ -50,34 +59,64 @@ func TestIngestEndpoint(t *testing.T) {
 	}
 
 	// Stats reflect the published snapshot.
+	resp, raw = postJSON(t, ts, "/graphs/fig1/compact", "")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("compact status %d: %s", resp.StatusCode, raw)
+	}
 	var cs hgio.CompactSummary
-	if postFor(t, h, "/graphs/fig1/compact", "", http.StatusOK, &cs); !cs.Done || cs.Edges != 6 || cs.FoldedEdges != 1 || cs.Dropped != 1 || cs.Version <= sum.Version {
+	if err := json.Unmarshal(raw, &cs); err != nil {
+		t.Fatal(err)
+	}
+	if !cs.Done || cs.Edges != 6 || cs.FoldedEdges != 1 || cs.Dropped != 1 || cs.Version <= sum.Version {
 		t.Fatalf("compact summary off: %+v (ingest version %d)", cs, sum.Version)
 	}
 
 	// Unknown graph and malformed records are client errors.
-	postFor(t, h, "/graphs/nope/edges", `{"vertices":[0,1]}`, http.StatusNotFound, nil)
+	resp, _ = postJSON(t, ts, "/graphs/nope/edges", `{"vertices":[0,1]}`)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("unknown graph: status %d", resp.StatusCode)
+	}
 	// A mid-batch failure returns 400 carrying the partial summary: the
 	// valid line before the bad op was applied and published.
+	resp, raw = postJSON(t, ts, "/graphs/fig1/edges", `{"vertices":[3,6]}
+{"op":"frobnicate"}`)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("bad op: status %d: %s", resp.StatusCode, raw)
+	}
 	var partial hgio.IngestSummary
-	postFor(t, h, "/graphs/fig1/edges", `{"vertices":[3,6]}
-{"op":"frobnicate"}`, http.StatusBadRequest, &partial)
+	if err := json.Unmarshal(raw, &partial); err != nil {
+		t.Fatal(err)
+	}
 	if partial.Done || partial.Error == "" || partial.Inserted != 1 {
 		t.Fatalf("partial-failure summary off: %+v", partial)
 	}
-	postFor(t, h, "/graphs/fig1/edges", `{"op":"insert","vertices":[99]}`, http.StatusBadRequest, nil)
+	resp, raw = postJSON(t, ts, "/graphs/fig1/edges", `{"op":"insert","vertices":[99]}`)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("unknown vertex: status %d: %s", resp.StatusCode, raw)
+	}
 }
 
 // TestIngestPublishesOnce: a bulk request publishes exactly one snapshot,
 // including when records resolve dictionary label names.
 func TestIngestPublishesOnce(t *testing.T) {
+	s := newTestServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
 	body := `{"op":"add_vertex","label_name":"A"}
 {"op":"add_vertex","label_name":"B"}
 {"op":"add_vertex","label_name":"C"}
 {"op":"insert","vertices":[0,7]}
 `
+	resp, raw := postJSON(t, ts, "/graphs/fig1/edges", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest status %d: %s", resp.StatusCode, raw)
+	}
 	var sum hgio.IngestSummary
-	if postFor(t, newTestServer(t, Config{}).Handler(), "/graphs/fig1/edges", body, http.StatusOK, &sum); sum.VerticesAdded != 3 || sum.Inserted != 1 {
+	if err := json.Unmarshal(raw, &sum); err != nil {
+		t.Fatal(err)
+	}
+	if sum.VerticesAdded != 3 || sum.Inserted != 1 {
 		t.Fatalf("summary off: %+v", sum)
 	}
 	if delta := sum.Version & 0xffffffff; delta != 1 {
@@ -85,15 +124,15 @@ func TestIngestPublishesOnce(t *testing.T) {
 	}
 }
 
-// sortedMatchLines runs POST /match on h and returns its normalised stream.
-func sortedMatchLines(t testing.TB, h http.Handler, req hgio.MatchRequest) ([]string, hgio.MatchSummary) {
+// sortedMatchLines runs POST /match and returns its normalised stream.
+func sortedMatchLines(t testing.TB, ts *httptest.Server, req hgio.MatchRequest) ([]string, hgio.MatchSummary) {
 	t.Helper()
 	body, _ := json.Marshal(req)
-	rr := post(h, "/match", string(body))
-	if rr.Code != http.StatusOK {
-		t.Fatalf("/match status %d: %s", rr.Code, rr.Body)
+	resp, raw := postJSON(t, ts, "/match", string(body))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/match status %d", resp.StatusCode)
 	}
-	return normalisedStream(t, rr.Body.Bytes())
+	return normalisedStream(t, raw)
 }
 
 // normalisedStream decodes a /match NDJSON body into a deterministic
@@ -125,21 +164,26 @@ func graphText(t testing.TB, h *hgmatch.Hypergraph) string {
 // TestIngestInvalidatesPlanCache: after an ingest, a repeated query misses
 // the plan cache (version moved) and sees the new edge.
 func TestIngestInvalidatesPlanCache(t *testing.T) {
-	h := newTestServer(t, Config{}).Handler()
+	s := newTestServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
 
 	// "v A / v A / e 0 1" matches pairs of A-labelled vertices sharing an
 	// edge; fig1 has none of signature (A,A) initially.
 	q := "v A\nv A\ne 0 1"
-	lines, sum := sortedMatchLines(t, h, hgio.MatchRequest{Graph: "fig1", Query: q})
+	lines, sum := sortedMatchLines(t, ts, hgio.MatchRequest{Graph: "fig1", Query: q})
 	if len(lines) != 0 || sum.Embeddings != 0 {
 		t.Fatalf("expected no (A,A) edges before ingest: %v", lines)
 	}
 	// Warm the cache, then ingest an (A,A) edge: vertices 0 and 2 are A.
-	if _, sum2 := sortedMatchLines(t, h, hgio.MatchRequest{Graph: "fig1", Query: q}); !sum2.PlanCached {
+	if _, sum2 := sortedMatchLines(t, ts, hgio.MatchRequest{Graph: "fig1", Query: q}); !sum2.PlanCached {
 		t.Fatal("second identical query should hit the plan cache")
 	}
-	postFor(t, h, "/graphs/fig1/edges", `{"vertices":[0,2]}`, http.StatusOK, nil)
-	lines, sum = sortedMatchLines(t, h, hgio.MatchRequest{Graph: "fig1", Query: q})
+	resp, raw := postJSON(t, ts, "/graphs/fig1/edges", `{"vertices":[0,2]}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest status %d: %s", resp.StatusCode, raw)
+	}
+	lines, sum = sortedMatchLines(t, ts, hgio.MatchRequest{Graph: "fig1", Query: q})
 	if sum.PlanCached {
 		t.Fatal("post-ingest query served a stale cached plan")
 	}
@@ -152,12 +196,22 @@ func TestIngestInvalidatesPlanCache(t *testing.T) {
 // background compaction that empties the delta.
 func TestAutoCompaction(t *testing.T) {
 	s := newTestServer(t, Config{CompactThreshold: 2})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
 	body := `{"vertices":[0,3]}
 {"vertices":[0,6]}
 {"vertices":[1,3]}
 `
+	resp, raw := postJSON(t, ts, "/graphs/fig1/edges", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest status %d: %s", resp.StatusCode, raw)
+	}
 	var sum hgio.IngestSummary
-	if postFor(t, s.Handler(), "/graphs/fig1/edges", body, http.StatusOK, &sum); !sum.Compacting {
+	if err := json.Unmarshal(raw, &sum); err != nil {
+		t.Fatal(err)
+	}
+	if !sum.Compacting {
 		t.Fatalf("threshold crossed but no compaction scheduled: %+v", sum)
 	}
 	s.compactWG.Wait()
@@ -199,14 +253,8 @@ func TestConcurrentIngestAndMatchHTTP(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				resp, err := http.Post(ts.URL+"/match", "application/json", matchBody(t, hgio.MatchRequest{Graph: "fig1", Query: fig1QueryText}))
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				raw, _ := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if _, sum := normalisedStream(t, raw); !sum.Done {
+				_, sum := sortedMatchLines(t, ts, hgio.MatchRequest{Graph: "fig1", Query: fig1QueryText})
+				if !sum.Done {
 					t.Error("match stream missing summary")
 					return
 				}

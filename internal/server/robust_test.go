@@ -185,11 +185,18 @@ func TestBudgetEndToEnd(t *testing.T) {
 	defer s.Close()
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
+	req := hgio.MatchRequest{Graph: "fig1", Query: fig1QueryText}
+
 	for _, ep := range []string{"/match", "/count"} {
-		rr := post(s.Handler(), ep, lcBody("fig1", fig1QueryText))
+		resp, err := http.Post(srv.URL+ep, "application/json", matchBody(t, req))
+		if err != nil {
+			t.Fatal(err)
+		}
 		var er hgio.ErrorResponse
-		if err := json.Unmarshal(rr.Body.Bytes(), &er); rr.Code != http.StatusRequestEntityTooLarge || err != nil || er.Code != hgio.CodeBudgetExceeded {
-			t.Fatalf("%s with 16-byte budget: status=%d code=%q", ep, rr.Code, er.Code)
+		err = json.NewDecoder(resp.Body).Decode(&er)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || err != nil || er.Code != hgio.CodeBudgetExceeded {
+			t.Fatalf("%s with 16-byte budget: status=%d code=%q", ep, resp.StatusCode, er.Code)
 		}
 	}
 	if st := getStats(t, srv.URL); st.BudgetAborts != 2 || st.RequestMaxBytes != 16 {
@@ -199,9 +206,10 @@ func TestBudgetEndToEnd(t *testing.T) {
 	// Control: same request, budget off.
 	open := newTestServer(t, Config{})
 	defer open.Close()
-	rr := post(open.Handler(), "/match", lcBody("fig1", fig1QueryText))
-	if recs, _ := decodeStream(t, rr.Body.Bytes()); rr.Code != http.StatusOK || len(recs) != 2 {
-		t.Fatalf("unbudgeted control: status=%d records=%d", rr.Code, len(recs))
+	osrv := httptest.NewServer(open.Handler())
+	defer osrv.Close()
+	if code, recs, _ := postMatch(t, osrv.URL, req); code != 200 || len(recs) != 2 {
+		t.Fatalf("unbudgeted control: status=%d records=%d", code, len(recs))
 	}
 }
 

@@ -70,7 +70,8 @@ func snapshotOf(t testing.TB, reg *Registry, name string) *hgmatch.Hypergraph {
 	return h
 }
 
-// post drives the handler directly, without TCP.
+// post drives the handler directly (no TCP: the crash tests and the
+// lifecycle model run hundreds of server lifecycles).
 func post(h http.Handler, path, body string) *httptest.ResponseRecorder {
 	req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
 	rr := httptest.NewRecorder()
@@ -103,39 +104,60 @@ func matchBody(t testing.TB, req hgio.MatchRequest) *bytes.Reader {
 // closing summary.
 func decodeStream(t testing.TB, body []byte) ([]hgio.EmbeddingRecord, hgio.MatchSummary) {
 	t.Helper()
-	var records []hgio.EmbeddingRecord
-	var summary hgio.MatchSummary
+	var (
+		records []hgio.EmbeddingRecord
+		summary hgio.MatchSummary
+		gotDone bool
+	)
 	sc := bufio.NewScanner(bytes.NewReader(body))
 	for sc.Scan() {
-		if summary.Done {
+		if gotDone {
 			t.Fatalf("data after summary line: %q", sc.Text())
 		}
-		var line struct { // a row or the summary: their fields are disjoint
-			hgio.EmbeddingRecord
-			hgio.MatchSummary
+		var probe struct {
+			Done bool `json:"done"`
 		}
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
+		if err := json.Unmarshal(sc.Bytes(), &probe); err != nil {
 			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
 		}
-		if summary = line.MatchSummary; !summary.Done {
-			records = append(records, line.EmbeddingRecord)
+		if probe.Done {
+			if err := json.Unmarshal(sc.Bytes(), &summary); err != nil {
+				t.Fatal(err)
+			}
+			gotDone = true
+			continue
 		}
+		var rec hgio.EmbeddingRecord
+		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+			t.Fatal(err)
+		}
+		records = append(records, rec)
 	}
-	if !summary.Done {
+	if !gotDone {
 		t.Fatalf("stream ended without a summary line: %s", body)
 	}
 	return records, summary
 }
 
 func TestMatchRoundTrip(t *testing.T) {
-	rr := post(newTestServer(t, Config{}).Handler(), "/match", lcBody("fig1", fig1QueryText))
-	if rr.Code != http.StatusOK {
-		t.Fatalf("status = %d", rr.Code)
+	srv := httptest.NewServer(newTestServer(t, Config{}).Handler())
+	defer srv.Close()
+
+	resp, err := http.Post(srv.URL+"/match", "application/json",
+		matchBody(t, hgio.MatchRequest{Graph: "fig1", Query: fig1QueryText}))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ct := rr.Header().Get("Content-Type"); ct != "application/x-ndjson" {
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d", resp.StatusCode)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
 		t.Fatalf("Content-Type = %q", ct)
 	}
-	records, summary := decodeStream(t, rr.Body.Bytes())
+	var buf bytes.Buffer
+	buf.ReadFrom(resp.Body)
+	records, summary := decodeStream(t, buf.Bytes())
 
 	if summary.Embeddings != 2 || len(records) != 2 {
 		t.Fatalf("want 2 embeddings, got summary=%d streamed=%d", summary.Embeddings, len(records))
@@ -155,17 +177,27 @@ func TestMatchRoundTrip(t *testing.T) {
 
 func TestMatchPlanCacheHit(t *testing.T) {
 	s := newTestServer(t, Config{})
-	match := func(query string) (hgio.MatchSummary, string) {
-		rr := post(s.Handler(), "/match", lcBody("fig1", query))
-		_, summary := decodeStream(t, rr.Body.Bytes())
-		return summary, rr.Header().Get("X-Plan-Cache")
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	post := func(query string) (hgio.MatchSummary, string) {
+		resp, err := http.Post(srv.URL+"/match", "application/json",
+			matchBody(t, hgio.MatchRequest{Graph: "fig1", Query: query}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		buf.ReadFrom(resp.Body)
+		_, summary := decodeStream(t, buf.Bytes())
+		return summary, resp.Header.Get("X-Plan-Cache")
 	}
 
-	first, hdr1 := match(fig1QueryText)
+	first, hdr1 := post(fig1QueryText)
 	if first.PlanCached || hdr1 != "miss" {
 		t.Fatalf("first request: plan_cached=%v header=%q, want cold miss", first.PlanCached, hdr1)
 	}
-	second, hdr2 := match(fig1QueryText)
+	second, hdr2 := post(fig1QueryText)
 	if !second.PlanCached || hdr2 != "hit" {
 		t.Fatalf("second request: plan_cached=%v header=%q, want cache hit", second.PlanCached, hdr2)
 	}
@@ -187,7 +219,7 @@ e 0 1 3 4
 e 0 1 2
 e 2 4
 `
-	if _, got := match(reordered); got != "miss" {
+	if _, got := post(reordered); got != "miss" {
 		t.Fatalf("reordered query: X-Plan-Cache = %q, want miss", got)
 	}
 }
@@ -213,7 +245,8 @@ func TestMatchLimit(t *testing.T) {
 }
 
 func TestBadInputs(t *testing.T) {
-	h := newTestServer(t, Config{}).Handler()
+	srv := httptest.NewServer(newTestServer(t, Config{}).Handler())
+	defer srv.Close()
 
 	cases := []struct {
 		name string
@@ -232,27 +265,42 @@ func TestBadInputs(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rr := post(h, "/match", tc.body)
-			if rr.Code != tc.want {
-				t.Fatalf("status = %d, want %d", rr.Code, tc.want)
+			resp, err := http.Post(srv.URL+"/match", "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != tc.want {
+				t.Fatalf("status = %d, want %d", resp.StatusCode, tc.want)
 			}
 			var er hgio.ErrorResponse
-			if err := json.Unmarshal(rr.Body.Bytes(), &er); err != nil || er.Error == "" {
+			if err := json.NewDecoder(resp.Body).Decode(&er); err != nil || er.Error == "" {
 				t.Fatalf("error body not decodable: %v", err)
 			}
 		})
 	}
 
 	// Oversized body → 413, not a generic 400.
-	small := newTestServer(t, Config{MaxBodyBytes: 64}).Handler()
-	if rr := post(small, "/match", lcBody("fig1", fig1QueryText)); rr.Code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized body status = %d, want 413", rr.Code)
+	small := httptest.NewServer(newTestServer(t, Config{MaxBodyBytes: 64}).Handler())
+	defer small.Close()
+	resp2, err := http.Post(small.URL+"/match", "application/json",
+		matchBody(t, hgio.MatchRequest{Graph: "fig1", Query: fig1QueryText}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp2.Body.Close()
+	if resp2.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body status = %d, want 413", resp2.StatusCode)
 	}
 
 	// Wrong method on a POST route.
-	rr := httptest.NewRecorder()
-	if h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/match", nil)); rr.Code != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /match status = %d, want 405", rr.Code)
+	resp, err := http.Get(srv.URL + "/match")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("GET /match status = %d, want 405", resp.StatusCode)
 	}
 }
 
@@ -596,7 +644,19 @@ func TestGraphReplacementInvalidatesPlans(t *testing.T) {
 	}
 	// Replace "fig1" with a graph that has no matches for the query (the
 	// first data edge dropped kills both embeddings).
-	smaller, err := hgmatch.Load(strings.NewReader(strings.Replace(fig1DataText, "e 2 4\n", "", 1)))
+	smaller, err := hgmatch.Load(strings.NewReader(`v A
+v C
+v A
+v A
+v B
+v C
+v A
+e 4 6
+e 0 1 2
+e 3 5 6
+e 0 1 4 6
+e 2 3 4 5
+`))
 	if err != nil {
 		t.Fatal(err)
 	}
