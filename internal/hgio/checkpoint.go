@@ -33,7 +33,8 @@ import (
 //
 // Version 2 ends in a CRC32C of everything before it, so a flipped bit in
 // the coverage mark or the graph reads as an unreadable checkpoint instead
-// of a wrong base. Version 1 (no trailer) is still read.
+// of a wrong base. Version 1, which had no trailer, is unreadable too: a
+// coverage mark without a checksum is what the trailer exists to reject.
 
 // CheckpointFile is the checkpoint's name inside a graph's WAL directory.
 const CheckpointFile = "checkpoint.hgb"
@@ -42,7 +43,7 @@ const (
 	checkpointMagic   = "HGCP"
 	checkpointVersion = 2
 	checkpointHdrLen  = 16 // magic | version u32 | covered seq u64
-	checkpointCRCLen  = 4  // version 2: CRC32C of header + graph
+	checkpointCRCLen  = 4  // CRC32C of header + graph
 )
 
 // SaveCheckpoint atomically replaces dir's checkpoint with h, recording
@@ -121,21 +122,17 @@ func LoadCheckpoint(fs WALFS, dir string) (h *hypergraph.Hypergraph, seq uint64,
 	if string(hdr[:4]) != checkpointMagic {
 		return nil, 0, true, fmt.Errorf("hgio: checkpoint %s: bad magic", CheckpointFile)
 	}
-	body := data[checkpointHdrLen:]
-	switch v := binary.LittleEndian.Uint32(hdr[4:8]); v {
-	case 1: // no trailer
-	case checkpointVersion:
-		if len(body) < checkpointCRCLen {
-			return nil, 0, true, fmt.Errorf("hgio: checkpoint %s: trailer: %w", CheckpointFile, io.ErrUnexpectedEOF)
-		}
-		end := len(data) - checkpointCRCLen
-		if crc32.Checksum(data[:end], castagnoli) != binary.LittleEndian.Uint32(data[end:]) {
-			return nil, 0, true, fmt.Errorf("hgio: checkpoint %s: checksum mismatch", CheckpointFile)
-		}
-		body = data[checkpointHdrLen:end]
-	default:
+	if v := binary.LittleEndian.Uint32(hdr[4:8]); v != checkpointVersion {
 		return nil, 0, true, fmt.Errorf("hgio: checkpoint %s: unsupported version %d", CheckpointFile, v)
 	}
+	if len(data) < checkpointHdrLen+checkpointCRCLen {
+		return nil, 0, true, fmt.Errorf("hgio: checkpoint %s: trailer: %w", CheckpointFile, io.ErrUnexpectedEOF)
+	}
+	end := len(data) - checkpointCRCLen
+	if crc32.Checksum(data[:end], castagnoli) != binary.LittleEndian.Uint32(data[end:]) {
+		return nil, 0, true, fmt.Errorf("hgio: checkpoint %s: checksum mismatch", CheckpointFile)
+	}
+	body := data[checkpointHdrLen:end]
 	seq = binary.LittleEndian.Uint64(hdr[8:16])
 	h, err = readBinaryImage(body)
 	if err != nil {

@@ -367,7 +367,8 @@ func FuzzOpenWAL(f *testing.F) {
 // reseal set, a version 2 image's CRC32C trailer is recomputed over the
 // mutated bytes, so mutations reach the header and the decoder behind it.
 // Seeds: version 2 images of Fig. 1 and the hgtest serving graphs, and
-// TestCheckpointVersions' version 1 image (no trailer).
+// TestCheckpointVersions' version 1 image (no trailer, an unsupported
+// version).
 func FuzzLoadCheckpoint(f *testing.F) {
 	image := func(h *hypergraph.Hypergraph) []byte {
 		fs := hgtest.NewFaultFS()

@@ -162,34 +162,11 @@ func graphText(t testing.TB, h *hgmatch.Hypergraph) string {
 }
 
 // TestIngestInvalidatesPlanCache: after an ingest, a repeated query misses
-// the plan cache (version moved) and sees the new edge.
+// the plan cache (version moved) and sees the new edges. A plain run of
+// the lifecycle model that only ingests: matchFixed wants a miss at each
+// new version, a hit otherwise, and the oracle's rows.
 func TestIngestInvalidatesPlanCache(t *testing.T) {
-	s := newTestServer(t, Config{})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	// "v A / v A / e 0 1" matches pairs of A-labelled vertices sharing an
-	// edge; fig1 has none of signature (A,A) initially.
-	q := "v A\nv A\ne 0 1"
-	lines, sum := sortedMatchLines(t, ts, hgio.MatchRequest{Graph: "fig1", Query: q})
-	if len(lines) != 0 || sum.Embeddings != 0 {
-		t.Fatalf("expected no (A,A) edges before ingest: %v", lines)
-	}
-	// Warm the cache, then ingest an (A,A) edge: vertices 0 and 2 are A.
-	if _, sum2 := sortedMatchLines(t, ts, hgio.MatchRequest{Graph: "fig1", Query: q}); !sum2.PlanCached {
-		t.Fatal("second identical query should hit the plan cache")
-	}
-	resp, raw := postJSON(t, ts, "/graphs/fig1/edges", `{"vertices":[0,2]}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("ingest status %d: %s", resp.StatusCode, raw)
-	}
-	lines, sum = sortedMatchLines(t, ts, hgio.MatchRequest{Graph: "fig1", Query: q})
-	if sum.PlanCached {
-		t.Fatal("post-ingest query served a stale cached plan")
-	}
-	if len(lines) != 1 || sum.Embeddings != 1 {
-		t.Fatalf("ingested edge invisible to /match: %v (%+v)", lines, sum)
-	}
+	lifecycle(t, lcPlan{from: 1, to: 2, writers: "ingest", ops: "ingest"})
 }
 
 // TestAutoCompaction: with a threshold configured, ingest triggers a

@@ -64,8 +64,9 @@ type lcName struct {
 	base    int               // the base whose vertices and labels it serves
 	// Durable runs: the acked states since the seed, the last one current;
 	// those a batch in flight at a crash may leave; why the name serves
-	// read-only ("refused" until its next boot, "quarantined" by a damaged
-	// segment, "seed" by a damaged checkpoint); what a flip damaged.
+	// read-only ("refused" or "truncation" until its next boot,
+	// "quarantined" by a damaged segment, "seed" by a damaged checkpoint,
+	// "lost" by a lost one); what a flip damaged, or "lost".
 	hist, maybe []lcState
 	ro, flip    string
 }
@@ -89,11 +90,13 @@ func plain(recs []hgio.IngestRecord) lcIngest {
 	return lcIngest{"plain", ndjson(recs), recs, len(recs)}
 }
 
-// lcHeld is a held snapshot and its walk when acquired.
+// lcHeld is a held snapshot, its name, version and walk when acquired.
 type lcHeld struct {
 	h    *hgmatch.Hypergraph
 	rel  func()
 	walk int
+	name string
+	v    uint64
 }
 
 // lcRun is one seed's registry and server beside its reference model.
@@ -141,8 +144,39 @@ type lcRun struct {
 // bytes, tier counters, held snapshots, the fixed query's rows against
 // baseline.Tuples on the model's edge set, the plan cache and the budget.
 // The durable runs journal to an hgtest.FaultFS, add crashes, failed
-// writes and fsyncs, and bit flips at rest, and check each boot (recover).
+// writes and fsyncs, failed checkpoints, bit flips at rest and a lost
+// checkpoint, and check each boot (recover).
 func TestRegistryLifecycle(t *testing.T) {
+	t.Run("plain", func(t *testing.T) {
+		lifecycle(t, lcPlan{from: 1, to: lcSeeds, writers: "load load ingest ingest ingest compact compact budget park swap",
+			ops: "load-v2 load-v3 ingest compact-idle compact-delta budget-0 budget-1 budget-file park-count park-ingest park-swap"})
+	})
+	t.Run("durable", func(t *testing.T) {
+		for _, sync := range []string{"batch", "none"} {
+			t.Run(sync, func(t *testing.T) {
+				lifecycle(t, lcPlan{sync: sync, from: 1, to: lcDurableSeeds,
+					writers: "load ingest ingest compact crash crash crash crash crash fail-sync fail-write fail-compact flip lose-checkpoint",
+					ops: "load load-reset ingest-plain ingest-semantic ingest-malformed ingest-unknown-field compact crash crash-mid-op " +
+						"fail-sync fail-write fail-checkpoint fail-truncation flip-segment flip-mark flip-payload lose-checkpoint match-tcp"})
+			})
+		}
+	})
+}
+
+// lcPlan is one run of the model: seeds from through to of a plain
+// registry, or of a durable one journaling under the sync policy, drawing
+// writer ops from writers. Every kind in ops, the readers' and Close must
+// run.
+type lcPlan struct {
+	sync         string
+	from, to     int64
+	writers, ops string
+}
+
+// lifecycle runs p on three random base graphs, each written as HGB3 and
+// HGB2, in parallel with the package's other runs.
+func lifecycle(t *testing.T, p lcPlan) {
+	t.Parallel()
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(37))
 	var bases []*hgmatch.Hypergraph
@@ -158,40 +192,28 @@ func TestRegistryLifecycle(t *testing.T) {
 		files = append(files, lcFile{v3, true, b, i}, lcFile{v2, false, 0, i})
 	}
 	q := hypergraph.MustFromEdges([]hypergraph.Label{0, 1, 2}, [][]uint32{{0, 1}, {1, 2}})
-	// A run draws writer ops from writers and must run every kind in ops.
-	lifecycle := func(t *testing.T, seeds int64, sync *hgio.SyncPolicy, writers, ops string) {
-		t.Parallel()
-		seen := map[string]int{}
-		for seed := int64(1); seed <= seeds; seed++ {
-			r := &lcRun{t: t, seed: seed, rng: rand.New(rand.NewSource(seed)), q: q, bases: bases, files: files, seen: seen,
-				rounds: lcRounds, writers: strings.Fields(writers), used: map[string]bool{"[0 1 2 3]": true}, refused: map[string]bool{}}
-			var fs *hgtest.FaultFS
-			if sync != nil {
-				r.durable, r.sync, r.rounds, fs = true, *sync, lcDurableRounds, hgtest.NewFaultFS()
+	seen := map[string]int{}
+	for seed := p.from; seed <= p.to; seed++ {
+		r := &lcRun{t: t, seed: seed, rng: rand.New(rand.NewSource(seed)), q: q, bases: bases, files: files, seen: seen,
+			rounds: lcRounds, writers: strings.Fields(p.writers), used: map[string]bool{"[0 1 2 3]": true}, refused: map[string]bool{}}
+		var fs *hgtest.FaultFS
+		if p.sync != "" {
+			sync, err := hgio.ParseSyncPolicy(p.sync)
+			if err != nil {
+				t.Fatal(err)
 			}
-			r.reboot(fs, false)
-			r.run()
-			r.s.Close()
+			r.durable, r.sync, r.rounds, fs = true, sync, lcDurableRounds, hgtest.NewFaultFS()
 		}
-		t.Logf("op counts: %v", seen)
-		for _, op := range strings.Fields(ops + " walk hold info tierstats count") {
-			if seen[op] == 0 {
-				t.Errorf("op %s never ran", op)
-			}
+		r.reboot(fs, false)
+		r.run()
+		r.s.Close()
+	}
+	t.Logf("op counts: %v", seen)
+	for _, op := range strings.Fields(p.ops + " walk hold info tierstats count close") {
+		if seen[op] == 0 {
+			t.Errorf("op %s never ran", op)
 		}
 	}
-	t.Run("plain", func(t *testing.T) {
-		lifecycle(t, lcSeeds, nil, "load load ingest ingest ingest compact compact budget park swap",
-			"load-v2 load-v3 ingest compact-idle compact-delta budget-0 budget-1 budget-file park-count park-ingest park-swap close")
-	})
-	t.Run("durable", func(t *testing.T) {
-		for _, sync := range []hgio.SyncPolicy{hgio.SyncBatch, hgio.SyncNone} {
-			t.Run(sync.String(), func(t *testing.T) {
-				lifecycle(t, lcDurableSeeds, &sync, "load ingest ingest compact crash crash crash crash crash fail-sync fail-write flip",
-					"load load-reset ingest-plain ingest-semantic ingest-malformed ingest-unknown-field compact crash crash-mid-op fail-sync fail-write flip-segment flip-mark flip-payload close")
-			})
-		}
-	})
 }
 
 func (r *lcRun) fatalf(format string, args ...any) {
@@ -257,6 +279,23 @@ func (r *lcRun) run() {
 		r.closed = false
 		r.reboot(r.fs, false)
 		r.check()
+		r.matchOverTCP()
+	}
+}
+
+// matchOverTCP sends the fixed query as /match to each read-only name over
+// a real TCP server: it must answer the oracle's rows.
+func (r *lcRun) matchOverTCP() {
+	ts := httptest.NewServer(r.h)
+	defer ts.Close()
+	for _, n := range r.names {
+		if n.ro != "" {
+			lines, sum := sortedMatchLines(r.t, ts, hgio.MatchRequest{Graph: n.name, Query: lcQuery})
+			if want := len(r.oracleOf(n).Queries[0].Tuples); !sum.Done || len(lines) != want {
+				r.fatalf("read-only /match of %s over TCP: %d rows (%+v), want %d", n.name, len(lines), sum, want)
+			}
+			r.seen["match-tcp"]++
+		}
 	}
 }
 
@@ -286,8 +325,8 @@ func (r *lcRun) read(op string, n *lcName) {
 	var err error
 	switch op {
 	case "walk", "hold":
-		var hd lcHeld
-		if hd.h, _, hd.rel, err = r.reg.Acquire(n.name); err == nil && op == "walk" {
+		hd := lcHeld{name: n.name}
+		if hd.h, hd.v, hd.rel, err = r.reg.Acquire(n.name); err == nil && op == "walk" {
 			walk(hd.h)
 			hd.rel()
 		} else if err == nil {
@@ -356,8 +395,10 @@ func (r *lcRun) write(op string, n *lcName) {
 		r.crash(n)
 	case "fail-sync", "fail-write":
 		r.fail(op, n)
-	case "flip":
-		op = r.flip(n)
+	case "fail-compact":
+		op = r.failCompact(n)
+	case "flip", "flip-segment", "flip-mark", "flip-payload", "lose-checkpoint":
+		op = r.damage(n, op)
 	case "budget":
 		op = []string{"budget-0", "budget-file", "budget-1"}[r.rng.Intn(3)]
 		r.budget = map[string]int64{"budget-0": 0, "budget-file": r.files[0].bytes, "budget-1": 1}[op]
@@ -629,7 +670,7 @@ func (r *lcRun) fresh() []uint32 {
 // damaged at rest first gets the quarantine runbook's clean slate: its WAL
 // directory goes, and f seeds it afresh.
 func (r *lcRun) load(n *lcName, f lcFile) string {
-	if n.ro == "quarantined" || n.ro == "seed" {
+	if n.ro == "quarantined" || n.ro == "seed" || n.ro == "lost" {
 		for _, p := range r.onDisk(n) {
 			if err := r.fs.Remove(p); err != nil {
 				r.fatalf("clearing %s: %v", n.name, err)
@@ -728,31 +769,103 @@ func (r *lcRun) fail(op string, n *lcName) {
 	}
 }
 
-// flip leaves for the round's end a flip of one bit at rest in n's files
-// (a sealed WAL segment, the checkpoint's coverage mark or its payload)
-// and a reboot, or only the reboot if n has no such file.
-func (r *lcRun) flip(n *lcName) string {
+// failCompact compacts n while one of the compaction's fsyncs or writes
+// fails: the checkpoint's two fsyncs and its header, graph and trailer
+// writes, then the WAL truncation's three fsyncs and its fresh segment's
+// header. A failed checkpoint leaves n writable and its WAL as it was; a
+// failed truncation leaves n read-only until its next boot.
+func (r *lcRun) failCompact(n *lcName) string {
+	var graph lcWrites
+	if err := hgio.WriteBinary(&graph, snapshotOf(r.t, r.reg, n.name)); err != nil {
+		r.fatalf("%v", err)
+	}
+	arm, k, cp := r.fs.FailSync, 1+r.rng.Int63n(5), int64(2)
+	if r.rng.Intn(2) == 0 {
+		arm, k, cp = r.fs.FailWrite, 1+r.rng.Int63n(int64(graph)+3), int64(graph)+2
+	}
+	before, _ := r.reg.Info(n.name)
+	arm(k)
+	rr := post(r.h, "/graphs/"+n.name+"/compact", "")
+	arm(0)
+	switch info, _ := r.reg.Info(n.name); {
+	case n.ro != "":
+		r.readOnly(n, "compact", rr)
+		return "fail-compact"
+	case rr.Code != http.StatusOK:
+		r.fatalf("compact %s failing at %d of %d: %d %s", n.name, k, cp, rr.Code, rr.Body)
+	case k <= cp && (info.ReadOnly || info.WalSegments != before.WalSegments || info.WalBytes != before.WalBytes || info.WalLastSeq != n.seq()):
+		r.fatalf("compact %s, its checkpoint failing at %d of %d: %+v, want it writable with its WAL as it was: %+v", n.name, k, cp, info, before)
+	case k <= cp:
+		return "fail-checkpoint"
+	case !info.ReadOnly || !strings.Contains(info.ReadOnlyReason, "wal truncation after checkpoint"):
+		r.fatalf("compact %s, its truncation failing at %d past %d: %+v, want it read-only", n.name, k, cp, info)
+	}
+	n.ro = "truncation"
+	return "fail-truncation"
+}
+
+// lcWrites counts the writes made to it.
+type lcWrites int
+
+func (w *lcWrites) Write(p []byte) (int, error) {
+	*w++
+	return len(p), nil
+}
+
+// damage leaves for the round's end damage at rest to n's files and a
+// reboot, or only the reboot if n has no such file. kind is flip-segment,
+// flip-mark or flip-payload, a bit flipped in a sealed WAL segment or in
+// the checkpoint's coverage mark or graph, "flip" to draw one of those, or
+// lose-checkpoint, the checkpoint's loss beside WAL segments, none of them
+// quarantined.
+func (r *lcRun) damage(n *lcName, kind string) string {
 	cp, segs := "wal/"+n.name+"/"+hgio.CheckpointFile, slices.DeleteFunc(r.onDisk(n), func(p string) bool { return !strings.HasSuffix(p, ".seg") })
-	kind, file, off := []string{"flip-segment", "flip-mark", "flip-payload"}[r.rng.Intn(3)], cp, 8+r.rng.Int63n(8) // the mark is bytes 8–16
+	if kind == "flip" {
+		kind = []string{"flip-segment", "flip-mark", "flip-payload"}[r.rng.Intn(3)]
+	}
+	file, off, bit := cp, 8+r.rng.Int63n(8), byte(1)<<r.rng.Intn(8) // the mark is bytes 8–16
 	switch n.flip = "checkpoint"; {
 	case kind == "flip-segment" && len(segs) > 1:
 		file, n.flip = segs[r.rng.Intn(len(segs)-1)], "segment"
 		off = r.rng.Int63n(r.fs.FileSize(file))
-	case kind == "flip-segment" || r.fs.FileSize(cp) < 0:
+	case kind == "lose-checkpoint" && r.fs.FileSize(cp) >= 0 && len(segs) > 0 && n.ro != "quarantined":
+		n.flip = "lost"
+	case kind == "flip-segment" || kind == "lose-checkpoint" || r.fs.FileSize(cp) < 0:
 		kind, n.flip = "reboot", ""
 	case kind == "flip-payload":
-		off = 16 + r.rng.Int63n(r.fs.FileSize(cp)-20)
+		off, bit = r.payloadFlip(cp)
 	}
-	bit := byte(1) << r.rng.Intn(8)
 	r.after = func() {
-		if n.flip != "" {
-			if err := r.fs.Corrupt(file, off, bit); err != nil {
-				r.fatalf("flip: %v", err)
-			}
+		var err error
+		if n.flip == "lost" {
+			err = r.fs.Remove(cp)
+		} else if n.flip != "" {
+			err = r.fs.Corrupt(file, off, bit)
+		}
+		if err != nil {
+			r.fatalf("%s: %v", kind, err)
 		}
 		r.reboot(r.fs, false)
 	}
 	return kind
+}
+
+// payloadFlip returns a bit of checkpoint cp's graph, the first from a
+// random one on, whose flip the HGB2 decoder alone accepts: only the
+// checkpoint's checksum tells that damage.
+func (r *lcRun) payloadFlip(cp string) (int64, byte) {
+	data, _ := r.fs.ReadFileData(cp) // damage saw cp on the disk
+	graph := data[16 : len(data)-4]
+	for i, start := 0, r.rng.Intn(8*len(graph)); i < 8*len(graph); i++ {
+		k := (start + i) % (8 * len(graph))
+		flipped := bytes.Clone(graph)
+		flipped[k/8] ^= 1 << (k % 8)
+		if _, err := hgio.ReadBinary(bytes.NewReader(flipped)); err == nil {
+			return int64(16 + k/8), 1 << (k % 8)
+		}
+	}
+	r.fatalf("the HGB2 decoder rejects every single-bit flip of %s's graph", cp)
+	return 0, 0
 }
 
 // onDisk lists n's files on the disk, sorted.
@@ -766,7 +879,8 @@ func (r *lcRun) onDisk(n *lcName) []string {
 // earlier acked state. A damaged segment quarantines the name, which then
 // serves an earlier state read-only (unless a checkpoint held the damaged
 // batches); a damaged checkpoint quarantines it too, serving its boot's
-// seed. Only a quarantined name has a *.quarantined file, no boot serves a
+// seed, and a lost one serves that seed read-only as well. Only a name
+// quarantined by a damaged file has a *.quarantined file, no boot serves a
 // refused batch, and a writable name's WAL sequence is its state's.
 func (r *lcRun) recover(n *lcName, image bool) {
 	h := snapshotOf(r.t, r.reg, n.name)
@@ -779,10 +893,14 @@ func (r *lcRun) recover(n *lcName, image bool) {
 			}
 		}
 	}
+	if ro, ok := map[string]string{"checkpoint": "seed", "lost": "lost"}[n.flip]; ok {
+		n.ro = ro
+	}
 	reason, lo := "", len(n.hist)-1
 	switch {
-	case n.flip == "checkpoint" || n.ro == "seed":
-		n.ro, n.base, reason, n.hist, lo = "seed", n.file.base, "checkpoint", []lcState{{0, r.baseEdges(n.file.base)}}, 0
+	case n.ro == "seed" || n.ro == "lost":
+		reason = map[string]string{"seed": "checkpoint", "lost": "wal segments present without a checkpoint"}[n.ro]
+		n.base, n.hist, lo = n.file.base, []lcState{{0, r.baseEdges(n.file.base)}}, 0
 	case n.ro == "quarantined" || n.flip == "segment" && info.ReadOnly:
 		n.ro, reason, lo = "quarantined", "wal recovery", 0
 	case image && r.sync == hgio.SyncNone:
@@ -798,7 +916,7 @@ func (r *lcRun) recover(n *lcName, image bool) {
 		return maps.EqualFunc(s.edges, served, func([]uint32, []uint32) bool { return true }) && (n.ro != "" || s.seq == info.WalLastSeq)
 	})
 	quarantined := slices.ContainsFunc(r.onDisk(n), func(p string) bool { return strings.HasSuffix(p, ".quarantined") })
-	if k < 0 || info.ReadOnly != (n.ro != "") || !strings.Contains(info.ReadOnlyReason, reason) || quarantined != (n.ro != "") {
+	if k < 0 || info.ReadOnly != (n.ro != "") || !strings.Contains(info.ReadOnlyReason, reason) || quarantined != (n.ro != "" && n.ro != "lost") {
 		r.fatalf("boot of %s (flipped %q, crash image %v): %d edges at seq %d, read-only %q, quarantined file %v; model: %q, %d states from seq %d",
 			n.name, n.flip, image, len(served), info.WalLastSeq, info.ReadOnlyReason, quarantined, n.ro, len(states)-lo, states[lo].seq)
 	}
@@ -826,6 +944,13 @@ func (r *lcRun) check() {
 	for _, hd := range r.held {
 		if got := walk(hd.h); got != hd.walk {
 			r.fatalf("held snapshot walked %d vertex references, %d when acquired", got, hd.walk)
+		}
+		// A request that acquired hd before its name's version moved plans
+		// the fixed query late, past the purge: the plan is cached under
+		// hd's version (a failed compile caches nothing), and the next
+		// match of the name must not use it.
+		if e, ok := r.reg.entry(hd.name); ok && !r.closed && e.live.Load() != nil && e.version(e.live.Load().Published()) != hd.v {
+			r.s.plans.GetOrCompute(Key(hd.name, hd.v, hgmatch.QueryKey(r.q)), func() (*hgmatch.Plan, error) { return hgmatch.Compile(r.q, hd.h) })
 		}
 		if r.closed || r.rng.Intn(3) == 0 {
 			hd.rel()
@@ -928,7 +1053,7 @@ func (r *lcRun) matchFixed(n *lcName) {
 		r.fatalf("match %s: %d rows, not the oracle's %d", n.name, sum.Embeddings, len(want))
 	}
 	// A new version compiles fresh.
-	if cache := rr.Header().Get("X-Plan-Cache"); cache != map[bool]string{true: "hit", false: "miss"}[v == n.version] {
+	if cache := rr.Result().Header.Get("X-Plan-Cache"); cache != map[bool]string{true: "hit", false: "miss"}[v == n.version] {
 		r.fatalf("match %s: plan cache %s at version %x, the last check's %x", n.name, cache, v, n.version)
 	}
 	n.version = v

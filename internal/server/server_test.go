@@ -70,8 +70,8 @@ func snapshotOf(t testing.TB, reg *Registry, name string) *hgmatch.Hypergraph {
 	return h
 }
 
-// post drives the handler directly (no TCP: the crash tests and the
-// lifecycle model run hundreds of server lifecycles).
+// post drives the handler directly (no TCP: the lifecycle model and its
+// focused runs boot hundreds of servers).
 func post(h http.Handler, path, body string) *httptest.ResponseRecorder {
 	req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
 	rr := httptest.NewRecorder()
@@ -628,47 +628,11 @@ func TestWorkersClamped(t *testing.T) {
 
 // TestGraphReplacementInvalidatesPlans guards against serving plans
 // compiled against a replaced graph's predecessor: plan-cache keys carry
-// the registry version.
+// the registry version. A plain run of the lifecycle model that only
+// loads: matchFixed wants a miss after each replacement and the oracle's
+// rows of the new graph.
 func TestGraphReplacementInvalidatesPlans(t *testing.T) {
-	s := newTestServer(t, Config{})
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-
-	count := func() (hgio.MatchSummary, string) {
-		return postCount(t, srv.URL, hgio.MatchRequest{Graph: "fig1", Query: fig1QueryText})
-	}
-
-	first, _ := count()
-	if first.Embeddings != 2 {
-		t.Fatalf("fig1 embeddings = %d, want 2", first.Embeddings)
-	}
-	// Replace "fig1" with a graph that has no matches for the query (the
-	// first data edge dropped kills both embeddings).
-	smaller, err := hgmatch.Load(strings.NewReader(`v A
-v C
-v A
-v A
-v B
-v C
-v A
-e 4 6
-e 0 1 2
-e 3 5 6
-e 0 1 4 6
-e 2 3 4 5
-`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Graphs().Add("fig1", smaller)
-
-	after, hdr := count()
-	if hdr != "miss" {
-		t.Fatalf("replaced graph served a cached plan (X-Plan-Cache=%q)", hdr)
-	}
-	if after.Embeddings == first.Embeddings {
-		t.Fatalf("results did not change after graph replacement: %d", after.Embeddings)
-	}
+	lifecycle(t, lcPlan{from: 1, to: 2, writers: "load", ops: "load-v2 load-v3"})
 }
 
 func TestGraphEndpoints(t *testing.T) {
