@@ -559,11 +559,16 @@ func OpenWAL(dir string, opts WALOptions, apply func(*WALBatch) error) (*WAL, Re
 				f.Close()
 				return nil, rep, err
 			}
+			data = data[:truncAt]
+		}
+		// The last segment is sealed here, and a fresh one opens after it
+		// below: make it durable first, torn tail or not, since a failed
+		// fsync before this boot may have left it in the page cache only.
+		if last {
 			if err := f.Sync(); err != nil {
 				f.Close()
 				return nil, rep, err
 			}
-			data = data[:truncAt]
 		}
 		f.Close()
 		w.liveSegs++

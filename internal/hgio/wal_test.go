@@ -15,6 +15,7 @@ import (
 	"os"
 	"path"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -186,6 +187,36 @@ func TestWALReset(t *testing.T) {
 		t.Fatalf("post-reset recovery got %+v (report %+v)", got, rep)
 	}
 	w2.Close()
+}
+
+// TestWALBootSyncsActiveSegment: a Reset whose fresh segment's fsync
+// fails leaves that header in the page cache only. The next boot reads it
+// and opens a segment behind it; it must make the segment it seals durable
+// first, or a later crash tears the header of a segment that is no longer
+// the last, and the boot after that quarantines the log.
+func TestWALBootSyncsActiveSegment(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		fs := hgtest.NewFaultFS()
+		opts := hgio.WALOptions{FS: fs, Sync: hgio.SyncBatch}
+		w, _ := mustOpen(t, "wal", opts, nil)
+		if err := w.Append(&hgio.WALBatch{Records: []hgio.IngestRecord{insRec(1, 2)}}); err != nil {
+			t.Fatal(err)
+		}
+		fs.FailSync(2) // Reset syncs the directory, then the fresh header
+		if err := w.Reset(); !errors.Is(err, hgtest.ErrInjectedSyncFailure) {
+			t.Fatalf("reset with a failing header fsync: %v", err)
+		}
+		w.Close()
+		w, _ = mustOpen(t, "wal", opts, nil)
+		if err := w.Append(&hgio.WALBatch{Records: []hgio.IngestRecord{insRec(2, 3)}}); err != nil {
+			t.Fatal(err)
+		}
+		var got []hgio.WALBatch
+		opts.FS = fs.CrashImage(rand.New(rand.NewSource(seed)))
+		if _, rep, err := hgio.OpenWAL("wal", opts, collect(&got)); err != nil || len(got) != 1 || got[0].Seq != 2 {
+			t.Fatalf("seed %d: boot after a crash: %v, replayed %+v (report %+v)", seed, err, got, rep)
+		}
+	}
 }
 
 // walFiles lists the wal segment files currently in the fault FS.
@@ -749,7 +780,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 // TestCheckpointVersions pins the checkpoint's trailer: a version 2 file
 // whose coverage mark or trailer is damaged is unreadable, and so is a
 // version 1 file, which had no trailer: found, with an error, as recovery
-// needs to quarantine it.
+// needs to quarantine it. Its graph stays readable by hand.
 func TestCheckpointVersions(t *testing.T) {
 	fs := hgtest.NewFaultFS()
 	if err := fs.MkdirAll("g", 0o755); err != nil {
@@ -793,6 +824,10 @@ func TestCheckpointVersions(t *testing.T) {
 	write(v1)
 	if _, _, found, err := hgio.LoadCheckpoint(fs, "g"); !found || err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
 		t.Fatalf("version 1 checkpoint: found=%v err=%v, want found+unsupported version", found, err)
+	}
+	// The runbook's rescue: the file after its header is an HGB2 graph.
+	if got, err := hgio.ReadBinary(bytes.NewReader(v1[16:])); err != nil || got.NumEdges() != h.NumEdges() || !slices.Equal(got.Labels(), h.Labels()) {
+		t.Fatalf("version 1 checkpoint's graph: %v", err)
 	}
 }
 

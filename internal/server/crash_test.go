@@ -10,7 +10,8 @@ package server
 import "testing"
 
 // TestWALRecoveryBasic is the clean (crash-free) durability round trip:
-// ingest, shut down, restart, identical state — including across a
+// ingest, shut down, restart, identical state (edges, vertices and their
+// labels, added ones included) — including across a
 // checkpoint (/compact) and with further writes after recovery. A load
 // re-registers a name on its own disk, recovering its checkpoint and WAL,
 // and each seed ends with a Close and a boot.
@@ -56,14 +57,15 @@ func TestQuarantineReadOnlyServing(t *testing.T) {
 // TestCheckpointBitFlipQuarantines flips one bit of a checkpoint at rest,
 // once in its WAL coverage mark and once in the graph bytes, and checks
 // that recovery treats the checkpoint as unreadable: it is quarantined,
-// the graph serves its seed read-only and ingest answers 503. Trusting a
+// the graph serves its seed read-only and ingest answers 503, at that boot
+// and every later one, with WAL segments beside it or none. Trusting a
 // flipped mark would skip acked batches as already checkpointed and keep
 // acking on top; the graph's own encoding rejects most flips, but not
 // all of them.
 func TestCheckpointBitFlipQuarantines(t *testing.T) {
 	for _, tc := range []struct{ name, flip string }{{"coverage mark", "flip-mark"}, {"graph payload", "flip-payload"}} {
 		t.Run(tc.name, func(t *testing.T) {
-			lifecycle(t, lcPlan{sync: "batch", from: 501, to: 501, writers: "ingest compact " + tc.flip, ops: tc.flip})
+			lifecycle(t, lcPlan{sync: "batch", from: 501, to: 501, writers: "ingest compact load " + tc.flip, ops: tc.flip + " flip-bare load-reset"})
 		})
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"log"
 	"maps"
 	"path"
+	"slices"
 	"sort"
 	"strings"
 
@@ -162,6 +163,7 @@ func (r *Registry) addDurable(name string, cfg DurabilityConfig, seed func() (*h
 	e := &graphEntry{dur: &durableState{dir: dir, fs: fs}}
 
 	base, cpSeq, found, err := hgio.LoadCheckpoint(fs, dir)
+	names, _ := fs.ReadDir(dir)
 	switch {
 	case err != nil && found:
 		// The checkpoint exists but cannot be read. The WAL's batches
@@ -171,25 +173,25 @@ func (r *Registry) addDurable(name string, cfg DurabilityConfig, seed func() (*h
 		// read-only whether or not the rename lands.
 		_ = fs.Rename(path.Join(dir, hgio.CheckpointFile), path.Join(dir, hgio.CheckpointFile+".quarantined"))
 		e.markReadOnly(fmt.Sprintf("checkpoint unreadable (quarantined): %v", err))
-		if base, err = seed(); err != nil {
-			return fmt.Errorf("server: seeding %q: %w", name, err)
-		}
 	case err != nil:
 		return fmt.Errorf("server: reading checkpoint for %q: %w", name, err)
-	case !found:
-		if segs, _ := fs.ReadDir(dir); hasWALSegments(segs) {
-			// WAL segments without the checkpoint they replay onto: the
-			// checkpoint was lost out-of-band. Nothing trustworthy to
-			// recover; serve the seed read-only.
-			e.markReadOnly("wal segments present without a checkpoint")
-			if base, err = seed(); err != nil {
-				return fmt.Errorf("server: seeding %q: %w", name, err)
-			}
-			break
-		}
+	case slices.Contains(names, hgio.CheckpointFile+".quarantined"):
+		// An earlier boot quarantined the checkpoint, and the state it held
+		// is still only there: stay read-only on the seed until the
+		// operator clears the quarantine, WAL segments or not.
+		e.markReadOnly("checkpoint unreadable (quarantined) at an earlier boot")
+	case !found && hasWALSegments(names):
+		// WAL segments without the checkpoint they replay onto: the
+		// checkpoint was lost out-of-band. Nothing trustworthy to
+		// recover; serve the seed read-only.
+		e.markReadOnly("wal segments present without a checkpoint")
+	}
+	if _, ro := e.readOnly(); ro || !found {
 		if base, err = seed(); err != nil {
 			return fmt.Errorf("server: seeding %q: %w", name, err)
 		}
+	}
+	if _, ro := e.readOnly(); !ro && !found {
 		if err := hgio.SaveCheckpoint(fs, dir, base, 0); err != nil {
 			// No durable base means no durable anything; serve, refuse
 			// writes, let the operator fix the volume.

@@ -58,10 +58,10 @@ type lcName struct {
 	delta   bool // a write since the load or the last fold
 	mapped  bool // the live entry held a mapping after the last check
 	edges   map[string][]uint32
+	labels  []hgmatch.Label // of its vertices, the added ones last
 	entries []*graphEntry
-	oracle  *hgtest.OracleSet // on edges; nil once they change
+	oracle  *hgtest.OracleSet // on edges and labels; nil once they change
 	version uint64            // served at the last check
-	base    int               // the base whose vertices and labels it serves
 	// Durable runs: the acked states since the seed, the last one current;
 	// those a batch in flight at a crash may leave; why the name serves
 	// read-only ("refused" or "truncation" until its next boot,
@@ -71,10 +71,12 @@ type lcName struct {
 	ro, flip    string
 }
 
-// lcState is an acked edge set and the WAL sequence that acked it.
+// lcState is an acked edge set and vertex labelling, and the WAL sequence
+// that acked it.
 type lcState struct {
-	seq   uint64
-	edges map[string][]uint32
+	seq    uint64
+	edges  map[string][]uint32
+	labels []hgmatch.Label
 }
 
 // lcIngest is an ingest body, the records of it the server applies (all
@@ -155,9 +157,9 @@ func TestRegistryLifecycle(t *testing.T) {
 		for _, sync := range []string{"batch", "none"} {
 			t.Run(sync, func(t *testing.T) {
 				lifecycle(t, lcPlan{sync: sync, from: 1, to: lcDurableSeeds,
-					writers: "load ingest ingest compact crash crash crash crash crash fail-sync fail-write fail-compact flip lose-checkpoint",
+					writers: "load ingest ingest compact crash crash crash crash crash fail-sync fail-write fail-compact fail-compact flip lose-checkpoint",
 					ops: "load load-reset ingest-plain ingest-semantic ingest-malformed ingest-unknown-field compact crash crash-mid-op " +
-						"fail-sync fail-write fail-checkpoint fail-truncation flip-segment flip-mark flip-payload lose-checkpoint match-tcp"})
+						"fail-sync fail-write fail-checkpoint fail-truncation flip-segment flip-mark flip-payload flip-bare lose-checkpoint match-tcp"})
 			})
 		}
 	})
@@ -523,18 +525,18 @@ func (r *lcRun) replaced(n *lcName, f lcFile) {
 	e, _ := r.reg.entry(n.name)
 	n.entries = append(n.entries, e)
 	n.file, n.tiers, n.delta, n.mapped = f, map[bool]string{true: "cold mapped", false: "heap"}[f.v3 && !r.durable], false, false
-	n.edges, n.oracle, n.base, n.ro = r.baseEdges(f.base), nil, f.base, ""
-	n.hist = []lcState{{0, n.edges}}
+	n.hist, n.ro = []lcState{r.baseState(f.base)}, ""
+	n.edges, n.labels, n.oracle = n.hist[0].edges, n.hist[0].labels, nil
 }
 
-// baseEdges returns the edge set of base i.
-func (r *lcRun) baseEdges(i int) map[string][]uint32 {
+// baseState returns the edge set and labels of base i, at sequence 0.
+func (r *lcRun) baseState(i int) lcState {
 	edges := map[string][]uint32{}
 	for e := range hgmatch.EdgeID(r.bases[i].NumEdges()) {
 		vs := r.bases[i].Edge(e)
 		edges[fmt.Sprint(vs)] = vs
 	}
-	return edges
+	return lcState{0, edges, slices.Clip(r.bases[i].Labels())}
 }
 
 // retire counts the mapping, if any, that retiring n's live entry tears
@@ -557,17 +559,21 @@ func (r *lcRun) wrote(n *lcName) {
 	}
 }
 
-// batch returns one to six deletes of edges and inserts and deletes of
-// random pairs and triples.
-func (r *lcRun) batch(edges map[string][]uint32) []hgio.IngestRecord {
-	keys := slices.Sorted(maps.Keys(edges))
+// batch returns one to six deletes of n's edges, inserts and deletes of
+// random pairs and triples of its vertices, and labelled add_vertex ops.
+func (r *lcRun) batch(n *lcName) []hgio.IngestRecord {
+	keys := slices.Sorted(maps.Keys(n.edges))
 	recs := make([]hgio.IngestRecord, 1+r.rng.Intn(6))
 	for i := range recs {
-		if k := r.rng.Intn(10); k < 4 && len(keys) > 0 {
-			recs[i] = hgio.IngestRecord{Op: "delete", Vertices: edges[keys[r.rng.Intn(len(keys))]]}
-		} else {
+		switch k := r.rng.Intn(10); {
+		case k < 4 && len(keys) > 0:
+			recs[i] = hgio.IngestRecord{Op: "delete", Vertices: n.edges[keys[r.rng.Intn(len(keys))]]}
+		case k == 9:
+			recs[i] = hgio.IngestRecord{Op: "add_vertex", Label: new(uint32)}
+			*recs[i].Label = uint32(r.rng.Intn(3))
+		default:
 			var vs []uint32
-			for _, v := range r.rng.Perm(r.bases[0].NumVertices())[:2+r.rng.Intn(2)] {
+			for _, v := range r.rng.Perm(len(n.labels))[:2+r.rng.Intn(2)] {
 				vs = append(vs, uint32(v))
 			}
 			slices.Sort(vs)
@@ -579,10 +585,10 @@ func (r *lcRun) batch(edges map[string][]uint32) []hgio.IngestRecord {
 
 // ingestBody returns an ingest body of the variant for n.
 func (r *lcRun) ingestBody(n *lcName, variant string) lcIngest {
-	in := plain(r.batch(n.edges))
+	in := plain(r.batch(n))
 	switch in.variant = variant; variant {
 	case "semantic":
-		in.body, in.lines = in.body+`{"op":"frobnicate"}`+"\n"+ndjson(r.batch(n.edges)), in.lines+1
+		in.body, in.lines = in.body+`{"op":"frobnicate"}`+"\n"+ndjson(r.batch(n)), in.lines+1
 	case "malformed":
 		in.body, in.recs = in.body+`{"op":"insert","vertices":[`+"\n"+in.body, nil
 	case "unknown-field":
@@ -591,14 +597,18 @@ func (r *lcRun) ingestBody(n *lcName, variant string) lcIngest {
 	return in
 }
 
-// applied returns edges after recs, and the inserted, duplicate, deleted
-// and missing counts the server reports for them.
-func applied(edges map[string][]uint32, recs []hgio.IngestRecord) (map[string][]uint32, [4]int) {
-	edges = maps.Clone(edges)
-	var want [4]int
+// applied returns n's edges and labels after recs, and the inserted,
+// duplicate, deleted, missing and added-vertex counts the server reports
+// for them.
+func applied(n *lcName, recs []hgio.IngestRecord) (lcState, [5]int) {
+	edges, labels := maps.Clone(n.edges), slices.Clip(n.labels)
+	var want [5]int
 	for _, rec := range recs {
 		k := fmt.Sprint(rec.Vertices)
 		switch _, live := edges[k]; {
+		case rec.Op == "add_vertex":
+			labels = append(labels, *rec.Label)
+			want[4]++
 		case rec.Op == "insert" && !live:
 			edges[k] = rec.Vertices
 			want[0]++
@@ -611,7 +621,7 @@ func applied(edges map[string][]uint32, recs []hgio.IngestRecord) (map[string][]
 			want[3]++
 		}
 	}
-	return edges, want
+	return lcState{n.seq(), edges, labels}, want
 }
 
 // settle checks the response rr to in against n's model and applies what
@@ -622,24 +632,24 @@ func (r *lcRun) settle(n *lcName, in lcIngest, rr *httptest.ResponseRecorder) {
 		r.readOnly(n, "ingest", rr)
 		return
 	}
-	edges, want := applied(n.edges, in.recs)
+	st, want := applied(n, in.recs)
 	var got hgio.IngestSummary
 	var seq uint64
 	if r.durable && in.recs != nil {
 		seq = n.seq() + 1
 	}
 	if rr.Code != map[bool]int{true: http.StatusOK, false: http.StatusBadRequest}[in.variant == "plain"] || json.Unmarshal(rr.Body.Bytes(), &got) != nil ||
-		got.Done != (in.variant == "plain") || got.Lines != in.lines || [4]int{got.Inserted, got.Duplicates, got.Deleted, got.Missing} != want ||
+		got.Done != (in.variant == "plain") || got.Lines != in.lines || [5]int{got.Inserted, got.Duplicates, got.Deleted, got.Missing, got.VerticesAdded} != want ||
 		got.Durable != (seq > 0) || got.WalSeq != seq || in.recs == nil && !strings.Contains(got.Error, "batch rejected") {
-		r.fatalf("%s ingest %s: %d %s, want %d lines, %v inserted, duplicate, deleted, missing at seq %d", in.variant, n.name, rr.Code, rr.Body, in.lines, want, seq)
+		r.fatalf("%s ingest %s: %d %s, want %d lines, %v inserted, duplicate, deleted, missing, vertices added at seq %d", in.variant, n.name, rr.Code, rr.Body, in.lines, want, seq)
 	}
 	if in.recs == nil {
 		return
 	}
-	if r.wrote(n); want[0]+want[2] > 0 {
-		n.edges, n.delta, n.oracle = edges, true, nil
+	if r.wrote(n); want[0]+want[2]+want[4] > 0 {
+		n.edges, n.labels, n.delta, n.oracle = st.edges, st.labels, true, nil
 	}
-	n.hist = append(n.hist, lcState{seq, n.edges})
+	n.hist = append(n.hist, lcState{seq, n.edges, n.labels})
 }
 
 // seq is the WAL sequence of n's last acked batch.
@@ -740,8 +750,9 @@ func (r *lcRun) crash(n *lcName) {
 				r.fatalf("compact %s at a crash: %d %s", a.n.name, a.rr.Code, a.rr.Body)
 			}
 		case a.rr.Code == http.StatusServiceUnavailable && a.n.ro == "" && a.in.recs != nil:
-			edges, _ := applied(a.n.edges, a.in.recs)
-			a.n.maybe = append(a.n.maybe, lcState{a.n.seq() + 1, edges})
+			st, _ := applied(a.n, a.in.recs)
+			st.seq++
+			a.n.maybe = append(a.n.maybe, st)
 		default:
 			r.settle(a.n, a.in, a.rr)
 		}
@@ -754,7 +765,7 @@ func (r *lcRun) crash(n *lcName) {
 // Under sync none, an append that fills no segment syncs nothing and is
 // acked.
 func (r *lcRun) fail(op string, n *lcName) {
-	in := plain(append(r.batch(n.edges), hgio.IngestRecord{Op: "insert", Vertices: r.fresh()}))
+	in := plain(append(r.batch(n), hgio.IngestRecord{Op: "insert", Vertices: r.fresh()}))
 	arm := map[string]func(int64){"fail-sync": r.fs.FailSync, "fail-write": r.fs.FailWrite}[op]
 	arm(1)
 	rr := post(r.h, "/graphs/"+n.name+"/edges", in.body)
@@ -779,9 +790,13 @@ func (r *lcRun) failCompact(n *lcName) string {
 	if err := hgio.WriteBinary(&graph, snapshotOf(r.t, r.reg, n.name)); err != nil {
 		r.fatalf("%v", err)
 	}
-	arm, k, cp := r.fs.FailSync, 1+r.rng.Int63n(5), int64(2)
+	arm, all, cp := r.fs.FailSync, int64(5), int64(2)
 	if r.rng.Intn(2) == 0 {
-		arm, k, cp = r.fs.FailWrite, 1+r.rng.Int63n(int64(graph)+3), int64(graph)+2
+		arm, all, cp = r.fs.FailWrite, int64(graph)+3, int64(graph)+2
+	}
+	k := 1 + r.rng.Int63n(cp) // the checkpoint's or, half the time, the truncation's
+	if r.rng.Intn(2) == 0 {
+		k = cp + 1 + r.rng.Int63n(all-cp)
 	}
 	before, _ := r.reg.Info(n.name)
 	arm(k)
@@ -817,7 +832,9 @@ func (w *lcWrites) Write(p []byte) (int, error) {
 // flip-mark or flip-payload, a bit flipped in a sealed WAL segment or in
 // the checkpoint's coverage mark or graph, "flip" to draw one of those, or
 // lose-checkpoint, the checkpoint's loss beside WAL segments, none of them
-// quarantined.
+// quarantined. Half the checkpoint flips also remove the WAL segments, as
+// a crash inside the WAL's truncation leaves them (logged flip-bare): the
+// checkpoint's quarantine must hold at later boots without a segment.
 func (r *lcRun) damage(n *lcName, kind string) string {
 	cp, segs := "wal/"+n.name+"/"+hgio.CheckpointFile, slices.DeleteFunc(r.onDisk(n), func(p string) bool { return !strings.HasSuffix(p, ".seg") })
 	if kind == "flip" {
@@ -835,12 +852,20 @@ func (r *lcRun) damage(n *lcName, kind string) string {
 	case kind == "flip-payload":
 		off, bit = r.payloadFlip(cp)
 	}
+	if n.flip != "checkpoint" || r.rng.Intn(2) == 0 {
+		segs = nil
+	} else {
+		r.seen["flip-bare"]++
+	}
 	r.after = func() {
 		var err error
 		if n.flip == "lost" {
 			err = r.fs.Remove(cp)
 		} else if n.flip != "" {
 			err = r.fs.Corrupt(file, off, bit)
+		}
+		for _, p := range segs {
+			err = errors.Join(err, r.fs.Remove(p))
 		}
 		if err != nil {
 			r.fatalf("%s: %v", kind, err)
@@ -899,8 +924,8 @@ func (r *lcRun) recover(n *lcName, image bool) {
 	reason, lo := "", len(n.hist)-1
 	switch {
 	case n.ro == "seed" || n.ro == "lost":
-		reason = map[string]string{"seed": "checkpoint", "lost": "wal segments present without a checkpoint"}[n.ro]
-		n.base, n.hist, lo = n.file.base, []lcState{{0, r.baseEdges(n.file.base)}}, 0
+		reason = map[string]string{"seed": "checkpoint unreadable (quarantined)", "lost": "wal segments present without a checkpoint"}[n.ro]
+		n.hist, lo = []lcState{r.baseState(n.file.base)}, 0
 	case n.ro == "quarantined" || n.flip == "segment" && info.ReadOnly:
 		n.ro, reason, lo = "quarantined", "wal recovery", 0
 	case image && r.sync == hgio.SyncNone:
@@ -913,15 +938,16 @@ func (r *lcRun) recover(n *lcName, image bool) {
 		states = append(slices.Clip(states), n.maybe...)
 	}
 	k := slices.IndexFunc(states[lo:], func(s lcState) bool {
-		return maps.EqualFunc(s.edges, served, func([]uint32, []uint32) bool { return true }) && (n.ro != "" || s.seq == info.WalLastSeq)
+		return maps.EqualFunc(s.edges, served, func([]uint32, []uint32) bool { return true }) && slices.Equal(s.labels, h.Labels()) &&
+			(n.ro != "" || s.seq == info.WalLastSeq)
 	})
 	quarantined := slices.ContainsFunc(r.onDisk(n), func(p string) bool { return strings.HasSuffix(p, ".quarantined") })
 	if k < 0 || info.ReadOnly != (n.ro != "") || !strings.Contains(info.ReadOnlyReason, reason) || quarantined != (n.ro != "" && n.ro != "lost") {
-		r.fatalf("boot of %s (flipped %q, crash image %v): %d edges at seq %d, read-only %q, quarantined file %v; model: %q, %d states from seq %d",
-			n.name, n.flip, image, len(served), info.WalLastSeq, info.ReadOnlyReason, quarantined, n.ro, len(states)-lo, states[lo].seq)
+		r.fatalf("boot of %s (flipped %q, crash image %v): %d edges and %d vertices at seq %d, read-only %q, quarantined file %v; model: %q, %d states from seq %d",
+			n.name, n.flip, image, len(served), h.NumVertices(), info.WalLastSeq, info.ReadOnlyReason, quarantined, n.ro, len(states)-lo, states[lo].seq)
 	}
 	n.hist = states[:lo+k+1]
-	n.edges, n.oracle, n.maybe, n.flip, n.version = n.hist[lo+k].edges, nil, nil, "", 0
+	n.edges, n.labels, n.oracle, n.maybe, n.flip, n.version = n.hist[lo+k].edges, n.hist[lo+k].labels, nil, nil, "", 0
 	e, _ := r.reg.entry(n.name)
 	n.entries = append(n.entries, e)
 }
@@ -929,7 +955,7 @@ func (r *lcRun) recover(n *lcName, image bool) {
 // oracleOf returns the fixed query's oracle answer on n's model edge set.
 func (r *lcRun) oracleOf(n *lcName) *hgtest.OracleSet {
 	if n.oracle == nil {
-		cold := hypergraph.MustFromEdges(r.bases[n.base].Labels(), slices.Collect(maps.Values(n.edges)))
+		cold := hypergraph.MustFromEdges(n.labels, slices.Collect(maps.Values(n.edges)))
 		_, tuples := baseline.Tuples(r.q, cold, baseline.Options{})
 		n.oracle = &hgtest.OracleSet{Cold: cold, Queries: []hgtest.OracleQuery{{Query: r.q, Tuples: tuples}}}
 	}
@@ -966,7 +992,8 @@ func (r *lcRun) check() {
 		switch {
 		case r.closed:
 		case !strings.Contains(n.tiers, info.Tier) || info.Tier != "heap" && info.FileBytes != n.file.bytes,
-			info.Tier == "cold" && (info.NumEdges != len(n.edges) || info.NumVertices != r.bases[n.file.base].NumVertices() || info.ResidentBytes != 0),
+			info.NumVertices != len(n.labels),
+			info.Tier == "cold" && (info.NumEdges != len(n.edges) || info.ResidentBytes != 0),
 			info.Tier == "mapped" && (info.ResidentBytes <= 0 || info.ResidentBytes >= info.FileBytes):
 			r.fatalf("%s: %+v; model: %s on %q", n.name, info, filepath.Base(n.file.path), n.tiers)
 		case r.durable && (info.NumEdges != len(n.edges) || info.ReadOnly != (n.ro != "") || n.ro == "" && info.WalLastSeq != n.seq()):
