@@ -1,12 +1,10 @@
 package engine_test
 
 import (
-	"math/rand"
 	"testing"
 
 	"hgmatch/internal/core"
 	"hgmatch/internal/engine"
-	"hgmatch/internal/hgtest"
 	"hgmatch/internal/hypergraph"
 )
 
@@ -14,43 +12,12 @@ import (
 // task scheduler: with LIFO scheduling, live tasks never exceed
 // O(|E(q)| × |E(H)|) per worker — each of the |E(q)| dataflow operators can
 // have at most |C(e_q)| ≤ |E(H)| tasks outstanding per queue — so peak
-// bytes stay within O(a_q × |E(q)|² × |E(H)|) overall. A BFS materialiser
-// deliberately violates this (it holds whole levels), which Exp-5
-// demonstrates (internal/experiments).
+// bytes stay within O(a_q × |E(q)|² × |E(H)|) overall. The pool model checks
+// the block-unit form of the bound on every request, at every width and on
+// every way out of a run. A BFS materialiser deliberately violates this (it
+// holds whole levels), which Exp-5 demonstrates (internal/experiments).
 func TestTheoremVI1MemoryBound(t *testing.T) {
-	for seed := int64(0); seed < 12; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		h := hgtest.RandomHypergraph(rng, hgtest.RandomConfig{
-			NumVertices: 20, NumEdges: 120, NumLabels: 1, MaxArity: 3,
-		})
-		q := hgtest.ConnectedQueryFromWalk(rng, h, 3)
-		if q == nil {
-			continue
-		}
-		p, err := core.NewPlan(q, h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{1, 4} {
-			res := engine.Run(p, engine.Options{Workers: workers})
-			// Bound on live blocks: a worker's inline depth-first recursion
-			// holds at most two blocks per matching-order level (the input
-			// and the child block being filled), plus what it published to
-			// its deque — at most one block per level before the LIFO pop
-			// drains it, doubled for steal-transfer slack.
-			bound := int64(workers * (p.NumSteps() + 1) * 4)
-			if res.PeakTasks > bound {
-				t.Errorf("seed %d workers %d: peak %d blocks exceeds Theorem VI.1 block bound %d",
-					seed, workers, res.PeakTasks, bound)
-			}
-			// And the byte accounting is the block count times the block
-			// size (morselRows × |E(q)| edge IDs plus header).
-			if res.PeakTaskBytes != res.PeakTasks*int64(engine.TaskBlockBytes(p)) {
-				t.Errorf("byte accounting inconsistent: %d != %d × %d",
-					res.PeakTaskBytes, res.PeakTasks, engine.TaskBlockBytes(p))
-			}
-		}
-	}
+	poolModel(t, pmPlan{from: 3701, to: 3704, rounds: 15, ops: "workers nostl solo rows", must: "complete nq4"})
 }
 
 // TestEdgeLabelledMatching exercises the footnote-2 extension end to end:

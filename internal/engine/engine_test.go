@@ -1,29 +1,22 @@
 package engine_test
 
 import (
-	"fmt"
-	"math/rand"
-	"sort"
 	"testing"
-	"time"
 
 	"hgmatch/internal/core"
 	"hgmatch/internal/engine"
 	"hgmatch/internal/hgtest"
-	"hgmatch/internal/hypergraph"
 )
 
-func fig1Plan(t *testing.T) *core.Plan {
-	t.Helper()
+// The tests below that call poolModel are focused runs of the pool
+// lifecycle model (TestPoolLifecycle): each draws only the settings its
+// guarantee needs and must see the events that exercise it.
+
+func TestFig1Parallel(t *testing.T) {
 	p, err := core.NewPlan(hgtest.Fig1Query(), hgtest.Fig1Data())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p
-}
-
-func TestFig1Parallel(t *testing.T) {
-	p := fig1Plan(t)
 	for _, workers := range []int{1, 2, 4, 8} {
 		res := engine.Run(p, engine.Options{Workers: workers})
 		if res.Embeddings != 2 {
@@ -35,231 +28,72 @@ func TestFig1Parallel(t *testing.T) {
 	}
 }
 
+// TestParallelMatchesSequential: at every width, with and without
+// stealing, solo and pooled, a run counts the oracle's answer and
+// reproduces the sequential enumeration's kernel counters.
 func TestParallelMatchesSequential(t *testing.T) {
-	for seed := int64(0); seed < 25; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		h := hgtest.RandomHypergraph(rng, hgtest.RandomConfig{
-			NumVertices: 25, NumEdges: 60, NumLabels: 2, MaxArity: 4,
-		})
-		nq := 2 + int(seed%3)
-		q := hgtest.ConnectedQueryFromWalk(rng, h, nq)
-		if q == nil {
-			continue
-		}
-		p, err := core.NewPlan(q, h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, wantCt := p.CountSequential()
-		for _, workers := range []int{1, 3, 7} {
-			res := engine.Run(p, engine.Options{Workers: workers})
-			if res.Embeddings != want {
-				t.Fatalf("seed %d workers %d: got %d want %d", seed, workers, res.Embeddings, want)
-			}
-			// Instrumentation counters are deterministic too: the same
-			// expansions happen regardless of scheduling.
-			if res.Counters.Candidates != wantCt.Candidates ||
-				res.Counters.Filtered != wantCt.Filtered ||
-				res.Counters.Valid != wantCt.Valid {
-				t.Fatalf("seed %d workers %d: counters %+v want %+v", seed, workers, res.Counters, wantCt)
-			}
-			nost := engine.Run(p, engine.Options{Workers: workers, DisableStealing: true})
-			if nost.Embeddings != want {
-				t.Fatalf("seed %d workers %d NOSTL: got %d want %d", seed, workers, nost.Embeddings, want)
-			}
-		}
-	}
+	poolModel(t, pmPlan{from: 101, to: 104, rounds: 20, ops: "solo workers nostl", must: "solo pool wide nostl complete nq1 nq2 nq3 nq4 nq5"})
 }
 
+// TestCollectedEmbeddingsIdentical: the rows a run delivers are the
+// oracle's, each once, at every width.
 func TestCollectedEmbeddingsIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	h := hgtest.RandomHypergraph(rng, hgtest.RandomConfig{
-		NumVertices: 20, NumEdges: 50, NumLabels: 2, MaxArity: 4,
-	})
-	q := hgtest.ConnectedQueryFromWalk(rng, h, 3)
-	if q == nil {
-		t.Skip("no query")
-	}
-	p, err := core.NewPlan(q, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	collect := func(workers int) []string {
-		var out []string
-		engine.Run(p, engine.Options{
-			Workers: workers,
-			OnGroup: hgtest.SerialRowsOf(func(m []hypergraph.EdgeID) {
-				out = append(out, fmt.Sprint(m))
-			}),
-		})
-		sort.Strings(out)
-		return out
-	}
-	want := collect(1)
-	for _, workers := range []int{2, 5} {
-		got := collect(workers)
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d embeddings, want %d", workers, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: embedding sets differ at %d", workers, i)
-			}
-		}
-	}
-	// Soundness of collected results.
-	engine.Run(p, engine.Options{Workers: 3, OnGroup: hgtest.SerialRowsOf(func(m []hypergraph.EdgeID) {
-		if !core.VerifyEmbedding(q, h, p.Order, m) {
-			t.Fatalf("engine emitted invalid embedding %v", m)
-		}
-	})})
+	poolModel(t, pmPlan{from: 201, to: 204, rounds: 15, ops: "rows solo workers", must: "rows complete"})
 }
 
+// TestLimit: a capped run counts exactly min(Limit, answer).
 func TestLimit(t *testing.T) {
-	p := fig1Plan(t)
-	res := engine.Run(p, engine.Options{Workers: 2, Limit: 1})
-	if res.Embeddings != 1 {
-		t.Errorf("limit run found %d embeddings, want exactly 1", res.Embeddings)
-	}
+	poolModel(t, pmPlan{from: 301, to: 302, rounds: 20, ops: "limit", must: "limit-count"})
 }
 
+// TestTimeoutReported: a run whose deadline passes stops early and says
+// so; one whose deadline passed before it started serves nothing.
 func TestTimeoutReported(t *testing.T) {
-	// A large self-join style workload with an immediate deadline must
-	// stop early and say so.
-	rng := rand.New(rand.NewSource(11))
-	h := hgtest.RandomHypergraph(rng, hgtest.RandomConfig{
-		NumVertices: 60, NumEdges: 500, NumLabels: 1, MaxArity: 3,
-	})
-	q := hgtest.ConnectedQueryFromWalk(rng, h, 4)
-	if q == nil {
-		t.Skip("no query")
-	}
-	p, err := core.NewPlan(q, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := engine.Run(p, engine.Options{Workers: 2, Timeout: time.Nanosecond})
-	if !res.TimedOut {
-		// The workload may legitimately finish if tiny; only fail when it
-		// also claims full completion with a huge count.
-		full := engine.Run(p, engine.Options{Workers: 2})
-		if full.Embeddings > 100000 {
-			t.Errorf("run with 1ns timeout did not report TimedOut (full count %d)", full.Embeddings)
-		}
-	}
+	poolModel(t, pmPlan{from: 401, to: 402, rounds: 20, ops: "timeout rows", must: "timeout-expired"})
 }
 
+// TestFilterOperator: Filter keeps exactly the oracle rows passing it.
 func TestFilterOperator(t *testing.T) {
-	p := fig1Plan(t)
-	// Keep only embeddings containing data edge e3 (ID 2).
-	res := engine.Run(p, engine.Options{
-		Workers: 2,
-		Filter: func(m []hypergraph.EdgeID) bool {
-			for _, e := range m {
-				if e == 2 {
-					return true
-				}
-			}
-			return false
-		},
-	})
-	if res.Embeddings != 1 {
-		t.Errorf("filtered embeddings = %d, want 1", res.Embeddings)
-	}
+	poolModel(t, pmPlan{from: 501, to: 502, rounds: 15, ops: "filter rows", must: "filter"})
 }
 
+// TestAggregateOperator: Aggregate's groups count the oracle rows per key.
 func TestAggregateOperator(t *testing.T) {
-	p := fig1Plan(t)
-	res := engine.Run(p, engine.Options{
-		Workers: 2,
-		Aggregate: func(m []hypergraph.EdgeID) string {
-			if m[0]%2 == 0 {
-				return "even-first"
-			}
-			return "odd-first"
-		},
-	})
-	if res.Groups == nil {
-		t.Fatal("no groups")
-	}
-	total := uint64(0)
-	for _, c := range res.Groups {
-		total += c
-	}
-	if total != res.Embeddings || res.Embeddings != 2 {
-		t.Errorf("groups %v, embeddings %d", res.Groups, res.Embeddings)
-	}
+	poolModel(t, pmPlan{from: 601, to: 602, rounds: 15, ops: "aggregate filter", must: "aggregate"})
 }
 
+// TestWorkerStatsConservation: every task executed was an initial scan
+// task or spawned by another, and every embedding was sunk by one worker.
 func TestWorkerStatsConservation(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	h := hgtest.RandomHypergraph(rng, hgtest.RandomConfig{
-		NumVertices: 30, NumEdges: 120, NumLabels: 2, MaxArity: 4,
-	})
-	q := hgtest.ConnectedQueryFromWalk(rng, h, 3)
-	if q == nil {
-		t.Skip("no query")
-	}
-	p, err := core.NewPlan(q, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := engine.Run(p, engine.Options{Workers: 4})
-	var tasks, spawned uint64
-	for _, ws := range res.Workers {
-		tasks += ws.Tasks
-		spawned += ws.Spawned
-	}
-	// Task conservation: every task executed was either an initial scan
-	// task or spawned by another; no task executes twice and none is lost.
-	initial := uint64(0)
-	n := len(p.InitialCandidates())
-	w := 4
-	for i := 0; i < w; i++ {
-		lo := i * n / w
-		hi := (i + 1) * n / w
-		if lo < hi {
-			initial++
-		}
-	}
-	if tasks != spawned+initial {
-		t.Errorf("task conservation violated: executed %d, spawned %d + initial %d", tasks, spawned, initial)
-	}
-	if res.PeakTasks <= 0 || res.PeakTaskBytes < res.PeakTasks {
-		t.Errorf("peak accounting wrong: %d tasks, %d bytes", res.PeakTasks, res.PeakTaskBytes)
-	}
+	poolModel(t, pmPlan{from: 701, to: 704, rounds: 10, ops: "solo workers", must: "complete"})
 }
 
+// TestEmptyPlanRun: a query whose signature no table carries finds nothing.
 func TestEmptyPlanRun(t *testing.T) {
-	qb := hypergraph.NewBuilder()
-	v0 := qb.AddVertex(77)
-	v1 := qb.AddVertex(77)
-	qb.AddEdge(v0, v1)
-	q := qb.MustBuild()
-	p, err := core.NewPlan(q, hgtest.Fig1Data())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := engine.Run(p, engine.Options{Workers: 4})
-	if res.Embeddings != 0 {
-		t.Errorf("empty plan found %d embeddings", res.Embeddings)
-	}
+	poolModel(t, pmPlan{from: 801, to: 802, rounds: 15, ops: "solo", must: "empty"})
 }
 
+// TestSingleEdgeQueryParallel: a one-hyperedge query is answered by SCAN
+// alone, at every width.
 func TestSingleEdgeQueryParallel(t *testing.T) {
-	h := hgtest.Fig1Data()
-	qb := hypergraph.NewBuilder()
-	a := qb.AddVertex(hgtest.A)
-	c := qb.AddVertex(hgtest.C)
-	a2 := qb.AddVertex(hgtest.A)
-	qb.AddEdge(a, c, a2)
-	q := qb.MustBuild()
-	p, err := core.NewPlan(q, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := engine.Run(p, engine.Options{Workers: 3})
-	if res.Embeddings != 2 { // e3, e4 have signature {A,A,C}
-		t.Errorf("%d embeddings, want 2", res.Embeddings)
-	}
+	poolModel(t, pmPlan{from: 901, to: 904, rounds: 10, ops: "solo workers", must: "nq1"})
+}
+
+// TestContextCancellation: a pre-cancelled Context stops the run before it
+// serves anything, and a live one lets it complete.
+func TestContextCancellation(t *testing.T) {
+	poolModel(t, pmPlan{from: 1001, to: 1002, rounds: 20, ops: "cancel", must: "pre-cancelled complete"})
+}
+
+// TestShardScanSubsetUnion: a run over a subset of the SCAN seed set
+// answers exactly the oracle rows rooted at those seeds, so disjoint
+// subsets partition the answer.
+func TestShardScanSubsetUnion(t *testing.T) {
+	poolModel(t, pmPlan{from: 1101, to: 1102, rounds: 20, ops: "scan rows solo", must: "scan"})
+}
+
+// TestShardScanEmptyShortCircuit: a non-nil empty Scan completes with a
+// zero result without registering with the pool.
+func TestShardScanEmptyShortCircuit(t *testing.T) {
+	poolModel(t, pmPlan{from: 1201, to: 1202, rounds: 15, ops: "scan solo", must: "scan-empty"})
 }

@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 	"strings"
 	"sync"
@@ -13,6 +14,37 @@ import (
 	"hgmatch/internal/hgtest"
 	"hgmatch/internal/hypergraph"
 )
+
+// morselWorkload builds a dense single-label workload whose result count
+// far exceeds one block, so that a yield lands in the middle of a block.
+func morselWorkload(t *testing.T, seed int64, nq int) *core.Plan {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	h := hgtest.RandomHypergraph(rng, hgtest.RandomConfig{
+		NumVertices: 30, NumEdges: 300, NumLabels: 1, MaxArity: 3,
+	})
+	q := hgtest.ConnectedQueryFromWalk(rng, h, nq)
+	if q == nil {
+		t.Skip("no query")
+	}
+	p, err := core.NewPlan(q, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// sortedEmbeddings collects every embedding of a run in a canonical sorted
+// form, whatever the worker interleaving.
+func sortedEmbeddings(run func(opts engine.Options) engine.Result, base engine.Options) ([]string, engine.Result) {
+	var out []string
+	base.OnGroup = hgtest.SerialRowsOf(func(m []hypergraph.EdgeID) {
+		out = append(out, fmt.Sprint(m))
+	})
+	res := run(base)
+	sort.Strings(out)
+	return out, res
+}
 
 // pastSlice is how long the yield tests keep a request's workers parked
 // after a newer request registered: longer than the engine's 250 µs slice,
@@ -125,81 +157,23 @@ func TestYieldBoundedInRows(t *testing.T) {
 	}
 }
 
-// TestYieldNeverAlone: a Submit with nothing else registered never yields,
-// however long it runs — nothing arrives beside it.
+// TestYieldNeverAlone: a request with nothing registered after it never
+// yields, however long it runs; one whose only worker wakes past its slice
+// in its first group, a newcomer registered meanwhile, yields to it at once
+// (the model's newcomer check, on a pool of one).
 func TestYieldNeverAlone(t *testing.T) {
-	p := morselWorkload(t, 11, 4)
-	pool := engine.NewPool(2)
-	defer pool.Close()
-	pool.Submit(p, engine.Options{})
-	pool.Submit(p, engine.Options{})
-	if got := pool.Stats().Yields; got != 0 {
-		t.Errorf("pool counted %d yields with one request at a time", got)
-	}
+	poolModel(t, pmPlan{from: 3401, to: 3401, rounds: 60, ops: "block rows", must: "alone newcomer"})
 }
 
-// TestWorkerStatsConservationUnderYield is TestWorkerStatsConservation on a
-// contended pool where yields fire: a re-queued block is a spawned task, so
-// every task executed is still an initial scan task or spawned by another.
+// TestWorkerStatsConservationUnderYield: where yields fire, a re-queued
+// block is a spawned task, so every task executed is still an initial scan
+// task or spawned by another.
 func TestWorkerStatsConservationUnderYield(t *testing.T) {
-	pa := morselWorkload(t, 11, 4)
-	pb := morselWorkload(t, 21, 3)
-	pool := engine.NewPool(2)
-	defer pool.Close()
-	a, _ := parkThenSubmit(t, pool, pa, pb, nil, engine.Options{})
-	if pool.Stats().Yields == 0 {
-		t.Fatal("no yield fired")
-	}
-	var tasks, spawned uint64
-	for _, ws := range a.Workers {
-		tasks += ws.Tasks
-		spawned += ws.Spawned
-	}
-	initial := uint64(0)
-	n := len(pa.InitialCandidates())
-	for i := 0; i < 2; i++ {
-		if i*n/2 < (i+1)*n/2 {
-			initial++
-		}
-	}
-	if tasks != spawned+initial {
-		t.Errorf("task conservation violated: executed %d, spawned %d + initial %d", tasks, spawned, initial)
-	}
+	poolModel(t, pmPlan{from: 3501, to: 3504, rounds: 25, ops: "block rows workers", must: "yield complete"})
 }
 
 // TestYieldSkipsOrderedAndNoStealing: capped-row and NOSTL runs keep whole
-// quanta — a newcomer does not make them yield — and keep their answers.
+// quanta: a newcomer makes none of them yield, and they keep their answers.
 func TestYieldSkipsOrderedAndNoStealing(t *testing.T) {
-	p := morselWorkload(t, 11, 4)
-	want, _ := p.CountSequential()
-	pool := engine.NewPool(2)
-	defer pool.Close()
-	for name, opts := range map[string]engine.Options{
-		"NOSTL":  {DisableStealing: true},
-		"capped": {Limit: want / 2, OnGroup: func(int, []hypergraph.EdgeID, []hypergraph.EdgeID) {}},
-	} {
-		var res engine.Result
-		var wg sync.WaitGroup
-		before, yields := pool.Stats().Submitted, pool.Stats().Yields
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			res = pool.Submit(p, opts)
-		}()
-		for pool.Stats().Submitted == before {
-			time.Sleep(20 * time.Microsecond)
-		}
-		pool.Submit(p, engine.Options{}) // arrives beside it; nothing arrives after it
-		wg.Wait()
-		if y := pool.Stats().Yields - yields; y != 0 {
-			t.Errorf("%s run: %d yields", name, y)
-		}
-		n := want
-		if opts.Limit > 0 {
-			n = opts.Limit
-		}
-		if res.Embeddings != n {
-			t.Errorf("%s run: %d embeddings, want %d", name, res.Embeddings, n)
-		}
-	}
+	poolModel(t, pmPlan{from: 3601, to: 3604, rounds: 20, ops: "limit nostl rows block", must: "quanta-kept"})
 }

@@ -279,7 +279,7 @@ func FuzzOpenWAL(f *testing.F) {
 		f.Fatal(err)
 	}
 	for i := 0; w.Stats().Segments < 2 || i < 6; i++ {
-		if err := w.Append(&hgio.WALBatch{VertsAfter: i, Records: []hgio.IngestRecord{insRec(uint32(i), uint32(i+1))}}); err != nil {
+		if err := w.Append(&hgio.WALBatch{Records: []hgio.IngestRecord{insRec(uint32(i), uint32(i+1))}}); err != nil {
 			f.Fatal(err)
 		}
 	}

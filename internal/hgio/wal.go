@@ -204,14 +204,11 @@ func (osFS) SyncDir(dir string) error {
 
 // WALBatch is the unit of journaling: one applied ingest batch. Records
 // reuse the HTTP ingest wire type verbatim (add_vertex records are
-// normalised to numeric labels before journaling). VertsAfter snapshots the
-// graph's vertex count after the batch applied, which is what makes
-// replaying add_vertex records onto a checkpoint that already contains them
-// idempotent (edge inserts and deletes are idempotent by themselves).
+// normalised to numeric labels before journaling). Logs written before may
+// carry a "verts_after" field, which decoding ignores.
 type WALBatch struct {
-	Seq        uint64         `json:"seq"`
-	VertsAfter int            `json:"verts_after,omitempty"`
-	Records    []IngestRecord `json:"records"`
+	Seq     uint64         `json:"seq"`
+	Records []IngestRecord `json:"records"`
 }
 
 // WALOptions tunes OpenWAL.

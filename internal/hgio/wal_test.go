@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"maps"
 	"math/rand"
 	"os"
@@ -93,7 +94,7 @@ func TestWALRoundTrip(t *testing.T) {
 	}
 	var want []hgio.WALBatch
 	for i := 0; i < 5; i++ {
-		b := hgio.WALBatch{VertsAfter: 7, Records: []hgio.IngestRecord{insRec(uint32(i), uint32(i+1))}}
+		b := hgio.WALBatch{Records: []hgio.IngestRecord{insRec(uint32(i), uint32(i+1))}}
 		if err := w.Append(&b); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
@@ -105,13 +106,27 @@ func TestWALRoundTrip(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
+	// A frame as logs written before carry it, with "verts_after": it
+	// replays like any other, the field ignored.
+	seg := walFiles(fs)[0]
+	data, _ := fs.ReadFileData(seg)
+	payload := []byte(`{"seq":6,"verts_after":5,"records":[{"op":"insert","vertices":[5,6]}]}`)
+	data = binary.LittleEndian.AppendUint32(data, uint32(len(payload)))
+	data = binary.LittleEndian.AppendUint32(data, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	sf, err := fs.OpenFile(seg, os.O_TRUNC|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sf.Write(append(data, payload...))
+	sf.Close()
+	want = append(want, hgio.WALBatch{Seq: 6, Records: []hgio.IngestRecord{insRec(5, 6)}})
 
 	var got []hgio.WALBatch
 	w2, rep2 := mustOpen(t, "wal", opts, collect(&got))
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("replayed %+v, want %+v", got, want)
 	}
-	if rep2.Batches != 5 || rep2.LastSeq != 5 || rep2.TruncatedBytes != 0 {
+	if rep2.Batches != 6 || rep2.LastSeq != 6 || rep2.TruncatedBytes != 0 {
 		t.Fatalf("recovery report %+v", rep2)
 	}
 	// Appends continue the sequence after recovery.
@@ -119,8 +134,8 @@ func TestWALRoundTrip(t *testing.T) {
 	if err := w2.Append(&b); err != nil {
 		t.Fatal(err)
 	}
-	if b.Seq != 6 {
-		t.Fatalf("post-recovery append got seq %d, want 6", b.Seq)
+	if b.Seq != 7 {
+		t.Fatalf("post-recovery append got seq %d, want 7", b.Seq)
 	}
 	w2.Close()
 }

@@ -209,8 +209,8 @@ func (r *Registry) addDurable(name string, cfg DurabilityConfig, seed func() (*h
 		// StartAfter hands recovery the checkpoint's coverage mark: batches
 		// the checkpoint already folded in are validated but not re-applied
 		// (a crash between the checkpoint rename and the WAL truncation
-		// leaves them in the log, and replay is only idempotent for batches
-		// PAST the base's coverage).
+		// leaves them in the log, and re-applying one onto a base that
+		// holds it is not a no-op).
 		wal, rep, err := hgio.OpenWAL(dir, hgio.WALOptions{
 			FS:           fs,
 			Sync:         cfg.Sync,
@@ -244,20 +244,14 @@ func hasWALSegments(names []string) bool {
 	return false
 }
 
-// replayBatch re-applies one journaled batch during recovery. Replay is
-// idempotent on any state that already contains a prefix of the log's
-// effects: re-inserting an existing edge is a duplicate, re-deleting a
-// missing one is a no-op, and add_vertex records are gated by the batch's
-// recorded vertex count so a checkpoint that already contains them does
-// not grow twice.
+// replayBatch re-applies one journaled batch during recovery, onto the
+// checkpoint's base and the batches replayed before it. Each batch is
+// applied once: OpenWAL skips every batch the checkpoint's coverage mark
+// says the base already holds, so no record is ever re-applied.
 func replayBatch(live *hgmatch.DeltaBuffer, b *hgio.WALBatch) error {
 	var sum hgio.IngestSummary
 	for i := range b.Records {
-		rec := &b.Records[i]
-		if rec.Op == "add_vertex" && live.NumVertices() >= b.VertsAfter {
-			continue
-		}
-		if err := applyRecord(live, rec, &sum); err != nil {
+		if err := applyRecord(live, &b.Records[i], &sum); err != nil {
 			return fmt.Errorf("record %d: %w", i, err)
 		}
 	}
@@ -267,11 +261,11 @@ func replayBatch(live *hgmatch.DeltaBuffer, b *hgio.WALBatch) error {
 // journal appends the batch's applied records to the entry's WAL and
 // blocks until they are durable per the sync policy. durable reports
 // whether a WAL backs this entry at all.
-func (e *graphEntry) journal(recs []hgio.IngestRecord, live *hgmatch.DeltaBuffer) (seq uint64, durable bool, err error) {
+func (e *graphEntry) journal(recs []hgio.IngestRecord) (seq uint64, durable bool, err error) {
 	if e.dur == nil || e.dur.wal == nil {
 		return 0, false, nil
 	}
-	b := hgio.WALBatch{VertsAfter: live.NumVertices(), Records: recs}
+	b := hgio.WALBatch{Records: recs}
 	if err := e.dur.wal.Append(&b); err != nil {
 		return 0, true, err
 	}

@@ -96,7 +96,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 
 	// Phase 3: durability before visibility, visibility before the ack.
 	if applied > 0 {
-		seq, durable, err := e.journal(recs[:applied], live)
+		seq, durable, err := e.journal(recs[:applied])
 		if err != nil {
 			// The applied records sit unjournaled in the buffer: they are
 			// not acked and must not be promised to anyone. Degrade before
