@@ -336,6 +336,18 @@ func WithMaxMemory(n int64) Option {
 	return func(o *engine.Options) { o.MaxMemory = n }
 }
 
+// WithParkSwitch hands fn the run's park switch, once, before any worker
+// serves the run. park(true) parks the run: its workers finish their rows,
+// re-queue the rest and detach, and the pool serves other requests until
+// park(false) makes the run runnable again. A streaming consumer whose
+// output queue is full parks its own run instead of blocking a worker; see
+// cmd/hgserve's /match. The switch may be called from any goroutine,
+// callbacks included. A parked run's timeout and context are not observed
+// until it is unparked, so whoever parks a run must unpark it.
+func WithParkSwitch(fn func(park func(parked bool))) Option {
+	return func(o *engine.Options) { o.ParkSwitch = fn }
+}
+
 // WithFaultHook installs a callback invoked at the engine's instrumented
 // execution points ("task", "expand", "sink") — the fault injection
 // surface of the chaos harness, which passes hooks that panic to exercise

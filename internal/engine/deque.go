@@ -8,6 +8,7 @@
 package engine
 
 import (
+	"slices"
 	"sync"
 )
 
@@ -82,6 +83,14 @@ func (d *deque) stealHalf() []task {
 	d.buf = d.buf[:m]
 	d.mu.Unlock()
 	return stolen
+}
+
+// reverseFrom reverses the order of the tasks from index i (counted from the
+// tail) to the head.
+func (d *deque) reverseFrom(i int) {
+	d.mu.Lock()
+	slices.Reverse(d.buf[i:])
+	d.mu.Unlock()
 }
 
 // size returns the current length (approximate under concurrency; used for

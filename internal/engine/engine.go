@@ -50,12 +50,19 @@ const yieldSlice = 250 * time.Microsecond
 // yields at once. Rows before any arrival never read the clock.
 const sliceCheckRows = 32
 
-// runState.ctl layout: bit 0 is the stop flag, the bits above it count the
-// requests registered with the pool after this one.
+// runState.ctl layout: bit 0 is the stop flag, bit 1 the park flag (see
+// Options.ParkSwitch), and the bits above them count the requests
+// registered with the pool after this one.
 const (
 	ctlStop    = 1
-	ctlArrival = 2
+	ctlPark    = 2
+	ctlArrival = 4
 )
+
+// ctlUnwinding is the ctl0 of a worker that has decided to give its slot
+// back: no ctl word equals it, so every later row's load differs and goes on
+// to the latched decision, even after the park flag that caused it clears.
+const ctlUnwinding = ^uint64(0)
 
 // maxFreeBlocks caps a worker's block free list; beyond it drained blocks
 // are dropped for the GC (only reachable under pathological steal churn).
@@ -137,6 +144,17 @@ type Options struct {
 	// lower-bound counts; because the check sits at block acquisition the
 	// instantaneous overshoot is bounded by one block per attached worker.
 	MaxMemory int64
+	// ParkSwitch, when non-nil, is called once with the run's park switch
+	// before any worker serves the run. park(true) parks the run: each
+	// attached worker finishes its row, re-queues the rest of its blocks and
+	// detaches, the way a yield does, and no worker picks the run again
+	// until park(false), which also wakes idle workers. A parked run that
+	// has stopped (limit, poison, budget) is still served, to drain; its
+	// Timeout and Context are not polled while it is parked. It lets a
+	// consumer that cannot take more rows, such as a socket writer whose
+	// queue is full, free the workers without blocking one. The switch may
+	// be called from any goroutine, OnGroup included.
+	ParkSwitch func(park func(parked bool))
 	// FaultHook, when non-nil, is called at the engine's instrumented
 	// execution points with the point's label: "task" once per scheduled
 	// task, "expand" once per block expansion, "sink" once per group the
@@ -261,8 +279,9 @@ type runState struct {
 	peak       atomic.Int64  // high-water mark of liveBlocks
 	count      atomic.Uint64
 	// ctl is the one word the per-row predicate (shouldStop) loads: the
-	// stop flag (limit, deadline, context, poison, budget) in ctlStop and,
-	// above it, a count of later arrivals that Pool.Submit bumps. The pad
+	// stop flag (limit, deadline, context, poison, budget) in ctlStop, the
+	// park flag in ctlPark and, above them, a count of later arrivals that
+	// Pool.Submit bumps. The pad
 	// keeps it off the cache line of the counters above, which workers
 	// write per block.
 	_   [64]byte
@@ -344,14 +363,17 @@ type workerState struct {
 
 	rowsToCancelCheck int
 
-	// Preemption (see preempted): ctl0 is st.ctl at attach without the stop
-	// bit, so a later arrival shows as a changed word in the per-row load;
-	// attachedAt starts the worker's slice, read every sliceCheckRows rows
-	// after an arrival; yielding latches the decision.
+	// Preemption and parking (see unwinding): ctl0 is st.ctl at attach
+	// without the stop and park bits, so a later arrival or a park shows as
+	// a changed word in the per-row load; attachedAt starts the worker's
+	// slice, read every sliceCheckRows rows after an arrival; yielding
+	// latches the decision to give the slot back, and parked records that
+	// a park caused it.
 	ctl0             uint64
 	attachedAt       time.Time
 	rowsToSliceCheck int
 	yielding         bool
+	parked           bool
 
 	busyStart time.Time
 	busyOpen  bool
@@ -375,10 +397,10 @@ func (w *workerState) attach(st *runState) {
 	}
 	w.emitBuf = w.emitBuf[:st.nq]
 	w.rowsToCancelCheck = 0
-	w.ctl0 = st.ctl.Load() &^ ctlStop
+	w.ctl0 = st.ctl.Load() &^ (ctlStop | ctlPark)
 	w.attachedAt = time.Now()
 	w.rowsToSliceCheck = 0
-	w.yielding = false
+	w.yielding, w.parked = false, false
 }
 
 // detach flushes the worker's request-scoped accumulators into the request
@@ -578,6 +600,12 @@ func (st *runState) stop() { st.ctl.Or(ctlStop) }
 // isStopped reports whether the run's stop flag is set.
 func (st *runState) isStopped() bool { return st.ctl.Load()&ctlStop != 0 }
 
+// isParked reports whether the run is parked and not stopped: a stopped run
+// is served even while parked, so that it drains.
+func (st *runState) isParked() bool { return isParked(st.ctl.Load()) }
+
+func isParked(c uint64) bool { return c&(ctlStop|ctlPark) == ctlPark }
+
 func (st *runState) hitDeadline() bool {
 	if st.hasDL && !time.Now().Before(st.deadline) {
 		return true
@@ -764,35 +792,44 @@ func (w *workerState) expandBlock(b *block, from int) (requeued bool) {
 			out = w.acquire(depth + 1)
 		}
 	}
+	rest := b.n
 	for i := from; i < b.n; i++ {
 		if w.shouldStop() {
-			// Re-queue the unexpanded rows before publishing the children,
-			// so the children sit on top of the LIFO deque.
-			requeued = w.yieldRest(b, i)
+			rest = i
 			break
 		}
 		cur = b.row(i)
 		st.plan.Expand(depth, cur, sc, &w.ct, emit)
+	}
+	// A stealing run re-queues the unexpanded rows before publishing the
+	// children, so the children sit on top of the LIFO deque. A serial run
+	// re-queues in the sequential order, children first, and runQuantum
+	// reverses what one task re-queued (see unwindSerial).
+	if rest < b.n && !st.serial {
+		requeued = w.yieldRest(b, rest)
 	}
 	if out.n > 0 {
 		w.dispatch(out)
 	} else {
 		w.release(out)
 	}
+	if rest < b.n && st.serial {
+		requeued = w.yieldRest(b, rest)
+	}
 	return requeued
 }
 
 // shouldStop is the one per-row predicate of block expansion: true when the
 // run stopped (limit, deadline, context, poison, budget) or the worker
-// yields its slot (preempted). Its common path is one load of st.ctl, a
-// request-local word that changes only on a stop or an arrival, compared
-// with the value the worker attached with. The deadline and context are
-// polled every cancelCheckRows rows, bounding cancellation latency inside
-// long blocks without a clock read per row; preempted rate-limits its
-// slice clock the same way.
+// gives its slot back (unwinding). Its common path is one load of st.ctl, a
+// request-local word that changes only on a stop, a park or an arrival,
+// compared with the value the worker attached with. The deadline and
+// context are polled every cancelCheckRows rows, bounding cancellation
+// latency inside long blocks without a clock read per row; preempted
+// rate-limits its slice clock the same way.
 func (w *workerState) shouldStop() bool {
 	st := w.st
-	if c := st.ctl.Load(); c != w.ctl0 && (c&ctlStop != 0 || w.preempted()) {
+	if c := st.ctl.Load(); c != w.ctl0 && (c&ctlStop != 0 || w.unwinding(c)) {
 		return true
 	}
 	if st.hasCancel {
@@ -807,31 +844,54 @@ func (w *workerState) shouldStop() bool {
 	return false
 }
 
-// preempted reports whether the worker should give its slot back: a
-// request registered with the pool after the worker attached (Pool.Submit
-// bumped st.ctl) and the worker has held the slot for yieldSlice. The slice
-// clock is read on the first call after the arrival and then every
-// sliceCheckRows calls, so a request that finishes inside its slice pays a
-// clock read per sliceCheckRows rows, not per row. The answer latches until
-// the next attach. A yielding worker stops inlining — dispatch publishes
-// every full block — and each frame of its inline stack finishes its
-// current row, then re-queues the rest (yieldRest), so the worker detaches
-// within one row per matching-order level of its first slice-clock read
-// past the slice.
-func (w *workerState) preempted() bool {
-	if w.yielding || w.st.ctl.Load()&^ctlStop == w.ctl0 {
-		return w.yielding
+// givesUp reports, between tasks, whether the worker ends its quantum to
+// give its slot back (see unwinding). A stopped run is drained instead.
+func (w *workerState) givesUp() bool {
+	c := w.st.ctl.Load()
+	return c != w.ctl0 && c&ctlStop == 0 && w.unwinding(c)
+}
+
+// unwinding reports, for the run's ctl word c, whether the worker should
+// give its slot back: its request is parked (Options.ParkSwitch) or a newer
+// request preempted it. The answer latches until the next attach, also when
+// the park that caused it is lifted mid-unwind, so that every frame of the
+// inline stack re-queues its rest: a serial run's rows keep their order
+// only if no frame resumes below one that re-queued. An unwinding worker
+// stops inlining — dispatch publishes every full block — and each frame of
+// its inline stack finishes its current row, then re-queues the rest
+// (yieldRest), so the worker detaches within one row per matching-order
+// level.
+func (w *workerState) unwinding(c uint64) bool {
+	switch {
+	case w.yielding:
+	case isParked(c):
+		w.parked = true
+	case !w.preempted(c):
+		return false
+	}
+	w.yielding, w.ctl0 = true, ctlUnwinding
+	return true
+}
+
+// preempted reports whether a request registered with the pool after the
+// worker attached (Pool.Submit bumped st.ctl) and the worker has held the
+// slot for yieldSlice. The slice clock is read on the first call after the
+// arrival and then every sliceCheckRows calls, so a request that finishes
+// inside its slice pays a clock read per sliceCheckRows rows, not per row.
+func (w *workerState) preempted(c uint64) bool {
+	if c&^(ctlStop|ctlPark) == w.ctl0 {
+		return false
 	}
 	if w.rowsToSliceCheck--; w.rowsToSliceCheck > 0 {
 		return false
 	}
 	w.rowsToSliceCheck = sliceCheckRows
-	w.yielding = time.Since(w.attachedAt) >= yieldSlice
-	return w.yielding
+	return time.Since(w.attachedAt) >= yieldSlice
 }
 
 // yieldRest re-queues rows [i, b.n) of b as a task when the worker stopped
-// to yield rather than because the run stopped, and reports whether it did.
+// to yield or park rather than because the run stopped, and reports whether
+// it did.
 // The block stays as it is — the task records the row to resume from — so a
 // yield copies no rows and acquires no block.
 func (w *workerState) yieldRest(b *block, i int) bool {

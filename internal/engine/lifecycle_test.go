@@ -51,7 +51,7 @@ type pmPlan struct {
 
 // pmAll is every setting the model draws but stop, which makes most
 // requests stopped ones.
-const pmAll = "solo workers big scan filter aggregate nostl budget panic rows cancel timeout callback-panic block limit burst"
+const pmAll = "solo workers big scan filter aggregate nostl budget panic rows cancel timeout callback-panic block limit park burst"
 
 // pmQuery is an oracle query planned on its datagen graph. rows is the
 // match-by-vertex oracle's answer aligned with the plan's matching order,
@@ -152,16 +152,31 @@ type pmOp struct {
 	desc  string
 	// OnGroup cancels the Context at group cancelAt (0: cancelled before
 	// Submit) and panics at group panicAt, and each worker's first group
-	// sleeps for block; the first such sleep closes parked.
+	// sleeps for block; the first such sleep closes asleep.
 	cancel            context.CancelFunc
 	cancelAt, panicAt int64
 	block             time.Duration
 	inj               *hgtest.PanicInjector
-	parked, done      chan struct{}
-	park              sync.Once
+	asleep, done      chan struct{}
+	sleepOnce         sync.Once
+	doneAt            time.Time
+
+	// With the park setting, OnGroup parks the request at group parkAt
+	// through its park switch, setPark, and another goroutine unparks it
+	// once every neighbour has finished and spell has passed, then closes
+	// unparked. parkedAt and unparkedAt bracket the park; late counts the
+	// groups that began inside it.
+	parkAt               int64
+	spell                time.Duration
+	setPark              func(parked bool)
+	neighbours           []*pmOp
+	parkedAt, unparkedAt time.Time
+	inPark               atomic.Bool
+	late                 atomic.Int64
+	unparked             chan struct{}
 
 	// In a traced round (see pmRun.newcomers) the request's fault points
-	// append to trace; woke is when its parked worker woke and wakeAt the
+	// append to trace; woke is when its sleeping worker woke and wakeAt the
 	// trace's length then; submitAt and regAt bracket its registration.
 	trace           *[]pmEvent
 	woke            time.Time
@@ -185,9 +200,12 @@ type pmEvent struct {
 // them. Calls overlap only with distinct indexes, which own their slots.
 func (op *pmOp) onGroup(w int, prefix, last []hypergraph.EdgeID) {
 	g := op.groups.Add(1)
+	if op.inPark.Load() {
+		op.late.Add(1)
+	}
 	if op.block > 0 && !op.blocked[w] {
 		op.blocked[w] = true
-		op.park.Do(func() { close(op.parked) })
+		op.sleepOnce.Do(func() { close(op.asleep) })
 		time.Sleep(op.block)
 		if op.trace != nil {
 			op.woke, op.wakeAt = time.Now(), len(*op.trace)
@@ -208,6 +226,9 @@ func (op *pmOp) onGroup(w int, prefix, last []hypergraph.EdgeID) {
 		}
 		op.got[w] = append(op.got[w], int32(i))
 	}
+	if g == op.parkAt {
+		op.park()
+	}
 	if g == op.cancelAt {
 		op.cancel()
 	}
@@ -217,6 +238,26 @@ func (op *pmOp) onGroup(w int, prefix, last []hypergraph.EdgeID) {
 	}
 }
 
+// park parks the request, and starts the goroutine that unparks it once
+// every neighbour has finished and the spell has passed: a parked request
+// must hold no worker its neighbours need. A round whose neighbours cannot
+// finish beside the park hangs, and its timer panics.
+func (op *pmOp) park() {
+	op.parkedAt = time.Now()
+	op.setPark(true)
+	op.inPark.Store(true)
+	go func() {
+		for _, nb := range op.neighbours {
+			<-nb.done
+		}
+		time.Sleep(op.spell)
+		op.inPark.Store(false)
+		op.unparkedAt = time.Now()
+		op.setPark(false)
+		close(op.unparked)
+	}()
+}
+
 // clean reports whether nothing can stop the request early: then each of
 // its tasks crosses the task fault point, where a stopped run's are
 // discarded unseen.
@@ -224,9 +265,9 @@ func (op *pmOp) clean() bool {
 	return op.inj == nil && op.panicAt == 0 && op.cancel == nil && op.opts.Timeout == 0 && op.opts.MaxMemory == 0 && op.opts.Limit == 0
 }
 
-// parks reports whether the request is a clean, stealing pool request whose
-// first group blocks: one that must yield to a newcomer.
-func (op *pmOp) parks() bool {
+// mustYield reports whether the request is a clean, stealing pool request
+// whose first group blocks: one that must yield to a newcomer.
+func (op *pmOp) mustYield() bool {
 	return !op.solo && op.block > 0 && op.clean() && !op.opts.DisableStealing
 }
 
@@ -279,7 +320,7 @@ func TestPoolLifecycle(t *testing.T) {
 	poolModel(t, pmPlan{from: 1, to: 8, rounds: 25, ops: pmAll,
 		must: "solo pool wide empty nq1 nq2 nq3 nq4 nq5 big scan scan-empty filter aggregate nostl budget-abort budget-pass panic-fired panic-clean " +
 			"callback-panic ordered limit-count pre-cancelled cancelled stopped-partial timeout-expired block yield alone quanta-kept concurrent burst " +
-			"beside-fault yield-beside-panic yield-beside-cancel complete closed"})
+			"beside-fault yield-beside-panic yield-beside-cancel park park-beside complete closed"})
 }
 
 func poolModel(t *testing.T, p pmPlan) {
@@ -425,13 +466,21 @@ func (r *pmRun) draw() *pmOp {
 	}
 	if on("block", 4) {
 		op.block = 300*time.Microsecond + time.Duration(rng.Int63n(int64(time.Millisecond)))
-		op.parked = make(chan struct{})
+		op.asleep = make(chan struct{})
 		deliver = true
 		add("block %v", op.block)
 	}
 	if on("limit", 3) {
 		op.opts.Limit = 1 + uint64(rng.Intn(len(rows)+len(rows)/4+1))
 		add("limit %d", op.opts.Limit)
+	}
+	if on("park", 4) {
+		op.parkAt = 1 + rng.Int63n(int64(2+len(rows)/64))
+		op.spell = 200*time.Microsecond + time.Duration(rng.Int63n(int64(time.Millisecond)))
+		op.opts.ParkSwitch = func(set func(bool)) { op.setPark = set }
+		op.unparked = make(chan struct{})
+		deliver = true
+		add("park@%d %v", op.parkAt, op.spell)
 	}
 	if deliver {
 		op.opts.OnGroup = op.onGroup
@@ -443,8 +492,8 @@ func (r *pmRun) draw() *pmOp {
 }
 
 // play runs one round: its requests are submitted one by one, each after
-// the one before registered with the pool (and, if it blocks, parked a
-// worker in its first group or finished), so that only a request registered
+// the one before registered with the pool (and, if it blocks, put a worker
+// to sleep in its first group or finished), so that only a request registered
 // before another can yield to it; or, in a burst, all at once, so that their
 // registrations race.
 func (r *pmRun) play() {
@@ -455,12 +504,18 @@ func (r *pmRun) play() {
 	}
 	for i := range ops {
 		ops[i] = r.draw()
+		ops[i].done = make(chan struct{})
 		r.log = append(r.log, fmt.Sprintf("round %d: %s", r.round, ops[i].desc))
+	}
+	for _, op := range ops {
+		if op.parkAt > 0 {
+			op.neighbours = slices.DeleteFunc(slices.Clone(ops), func(nb *pmOp) bool { return nb.parkAt > 0 })
+		}
 	}
 	// On a pool of one worker every pool request's fault points cross that
 	// worker in turn, so a trace of them is the worker's schedule.
 	var trace []pmEvent
-	if r.width == 1 && !burst && slices.ContainsFunc(ops, (*pmOp).parks) {
+	if r.width == 1 && !burst && slices.ContainsFunc(ops, (*pmOp).mustYield) {
 		for _, op := range ops {
 			if hook := op.opts.FaultHook; !op.solo {
 				op.trace = &trace
@@ -487,7 +542,6 @@ func (r *pmRun) play() {
 			op.cancel()
 		}
 		n := r.pool.Stats().Submitted
-		op.done = make(chan struct{})
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -499,15 +553,16 @@ func (r *pmRun) play() {
 			} else {
 				op.res = r.pool.Submit(op.q.plan, op.opts)
 			}
+			op.doneAt = time.Now()
 		}()
 		if !op.solo && op.registers() {
 			for !burst && r.pool.Stats().Submitted == n {
 				time.Sleep(20 * time.Microsecond)
 			}
 			op.regAt = time.Now()
-			if op.parked != nil && !burst {
+			if op.asleep != nil && !burst {
 				select {
-				case <-op.parked:
+				case <-op.asleep:
 				case <-op.done:
 				}
 			}
@@ -518,6 +573,12 @@ func (r *pmRun) play() {
 		close(start)
 	}
 	wg.Wait()
+	// A request stopped while parked drains without waiting for its unpark.
+	for _, op := range ops {
+		if !op.parkedAt.IsZero() {
+			<-op.unparked
+		}
+	}
 	timer.Stop()
 
 	faulted := 0
@@ -536,8 +597,14 @@ func (r *pmRun) play() {
 		}
 	}
 	after := r.pool.Stats()
-	var poisoned, cancelled, clean uint64
+	var poisoned, cancelled, clean, parkBound uint64
 	for _, op := range registered {
+		if !op.parkedAt.IsZero() {
+			// Each worker ends at most one quantum on a park: the one it
+			// held or had picked when the park came. A worker that picked
+			// a parked request again would count more.
+			parkBound += uint64(r.width)
+		}
 		switch {
 		case errors.Is(op.res.Err, engine.ErrRequestPoisoned):
 			poisoned++
@@ -548,8 +615,9 @@ func (r *pmRun) play() {
 		}
 	}
 	if after.Active != 0 || after.Submitted-before.Submitted != uint64(len(registered)) || after.Completed != after.Submitted ||
-		after.PanicsRecovered-before.PanicsRecovered != poisoned {
-		r.fatalf("round %d: pool stats %+v after %+v, for %d registered requests, %d poisoned", r.round, after, before, len(registered), poisoned)
+		after.PanicsRecovered-before.PanicsRecovered != poisoned || after.Parked != 0 || after.Parks-before.Parks > parkBound {
+		r.fatalf("round %d: pool stats %+v after %+v, for %d registered requests, %d poisoned, parks at most %d",
+			r.round, after, before, len(registered), poisoned, parkBound)
 	}
 	yields := after.Yields - before.Yields
 	// A request that answered the oracle exactly shared the pool, in a round
@@ -589,19 +657,19 @@ func (r *pmRun) play() {
 }
 
 // newcomers checks, on a pool of one worker, that a request whose worker
-// sat parked in its first group past the yield slice while the next request
+// slept in its first group past the yield slice while the next request
 // registered gives the worker up when it wakes: the worker runs no task and
 // delivers no group of it before its next pick, which is another request,
-// since the newcomer started at the fewest slots and the parked request's
-// task counts one more. It checks rounds of clean requests only, whose
-// picks all show in the trace.
+// since the newcomer started at the fewest slots and the sleeping request's
+// task counts one more. It checks rounds of clean requests that do not park
+// only, whose picks all show in the trace.
 func (r *pmRun) newcomers(registered []*pmOp, trace []pmEvent) {
-	if !slices.ContainsFunc(registered, (*pmOp).parks) || slices.ContainsFunc(registered, func(op *pmOp) bool { return !op.clean() }) {
+	if !slices.ContainsFunc(registered, (*pmOp).mustYield) || slices.ContainsFunc(registered, func(op *pmOp) bool { return !op.clean() || op.parkAt > 0 }) {
 		return
 	}
 	for i, a := range registered[:max(0, len(registered)-1)] {
 		b := registered[i+1]
-		if a.trace == nil || !a.parks() || a.woke.IsZero() || !b.regAt.Before(a.woke) {
+		if a.trace == nil || !a.mustYield() || a.woke.IsZero() || !b.regAt.Before(a.woke) {
 			continue
 		}
 		for _, e := range trace[a.wakeAt:] {
@@ -781,6 +849,27 @@ func (r *pmRun) check(op *pmOp) {
 	ev(o.Timeout > time.Nanosecond && res.TimedOut, "timed-out")
 	ev(op.block > 0, "block")
 	ev(complete && op.registers(), "complete")
+
+	// A park stops each worker serving the request within the group in
+	// hand, and frees the pool for every neighbour.
+	if op.parkedAt.IsZero() {
+		return
+	}
+	par := op.width
+	if w := o.Workers; w > 0 && w < par {
+		par = w
+	}
+	if op.ordered() {
+		par = 1
+	}
+	if late := op.late.Load(); late > int64(par-1) {
+		fail("%d groups began while parked, beside at most %d other workers", late, par-1)
+	}
+	ev(complete, "park")
+	ev(complete && op.ordered(), "park-ordered")
+	for _, nb := range op.neighbours {
+		ev(!nb.solo && nb.registers() && nb.doneAt.After(op.parkedAt) && nb.doneAt.Before(op.unparkedAt), "park-beside")
+	}
 }
 
 // pmSubset reports whether sorted rows are distinct rows of want, which is

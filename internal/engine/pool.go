@@ -3,6 +3,7 @@ package engine
 import (
 	"math/rand/v2"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,7 +22,9 @@ import (
 // at once: the worker that closes the drained channel yields its processor
 // (lastOut) rather than go on into another request's tasks first. Ordered
 // (capped-row) and NOSTL runs never yield to a newcomer: their row order and
-// static split are defined by whole quanta.
+// static split are defined by whole quanta. Every run ends its quantum early
+// when its owner parks it (Options.ParkSwitch), and is not picked again until
+// it is unparked.
 const fairQuantum = 8
 
 // Pool is a morsel worker set shared by all in-flight requests, and the
@@ -48,6 +51,7 @@ type Pool struct {
 	tasks     atomic.Uint64
 	panics    atomic.Uint64
 	yields    atomic.Uint64
+	parks     atomic.Uint64
 }
 
 // poolReq is one request registered with the pool.
@@ -72,6 +76,10 @@ type PoolStats struct {
 	// Yields counts quanta a worker ended early because a newer request
 	// registered while it held its slot past yieldSlice.
 	Yields uint64
+	// Parks counts quanta a worker ended because its request was parked
+	// (Options.ParkSwitch), and Parked the requests parked right now.
+	Parks  uint64
+	Parked int
 	// PanicsRecovered counts requests poisoned by a recovered worker
 	// panic (one per poisoned request, not per panic — later panics on an
 	// already-poisoned request are recovered silently). A non-zero value
@@ -101,7 +109,12 @@ func (p *Pool) Workers() int { return p.workers }
 // Stats returns a snapshot of the pool's scheduler counters.
 func (p *Pool) Stats() PoolStats {
 	p.mu.Lock()
-	active := len(p.reqs)
+	active, parked := len(p.reqs), 0
+	for _, r := range p.reqs {
+		if r.st.isParked() {
+			parked++
+		}
+	}
 	p.mu.Unlock()
 	return PoolStats{
 		Workers:         p.workers,
@@ -110,6 +123,8 @@ func (p *Pool) Stats() PoolStats {
 		Completed:       p.completed.Load(),
 		Tasks:           p.tasks.Load(),
 		Yields:          p.yields.Load(),
+		Parks:           p.parks.Load(),
+		Parked:          parked,
 		PanicsRecovered: p.panics.Load(),
 	}
 }
@@ -150,9 +165,18 @@ func (p *Pool) Submit(plan *core.Plan, opts Options) Result {
 	if plan.Empty || len(seedCandidates(plan, &opts)) == 0 {
 		return Result{Elapsed: time.Since(start)}
 	}
+	// Task queues are sized to the whole pool: any worker may serve any
+	// request, so every worker needs its own deque slot in every request
+	// (an ordered run has the one slot they all serve, see newRunState).
+	st := newRunState(plan, opts, p.workers)
+	st.onPanic = func() { p.panics.Add(1) }
 	r := &poolReq{
+		st:      st,
 		maxPar:  int32(opts.Workers),
 		drained: make(chan struct{}),
+	}
+	if opts.ParkSwitch != nil {
+		opts.ParkSwitch(func(on bool) { p.park(st, on) })
 	}
 
 	p.mu.Lock()
@@ -160,12 +184,6 @@ func (p *Pool) Submit(plan *core.Plan, opts Options) Result {
 		p.mu.Unlock()
 		return Result{Err: ErrPoolClosed}
 	}
-	// Task queues are sized to the whole pool: any worker may serve any
-	// request, so every worker needs its own deque slot in every request
-	// (an ordered run has the one slot they all serve, see newRunState).
-	st := newRunState(plan, opts, p.workers)
-	st.onPanic = func() { p.panics.Add(1) }
-	r.st = st
 	// A new request starts at the fewest slots among active requests, not
 	// at zero — otherwise a newcomer would monopolise the pool until it
 	// caught up with long-running requests. Every registered request also
@@ -208,7 +226,22 @@ func fairPick(slots []uint64) int {
 	return best
 }
 
-// workerLoop is one persistent pool worker: snapshot the active requests,
+// park sets or clears a run's park flag (Options.ParkSwitch). Clearing a
+// set flag wakes the workers waiting in waitWork: each checked the flag under
+// p.mu before it waited, so taking p.mu before the broadcast orders the two.
+func (p *Pool) park(st *runState, on bool) {
+	if on {
+		st.ctl.Or(ctlPark)
+		return
+	}
+	if st.ctl.And(^uint64(ctlPark))&ctlPark != 0 {
+		p.mu.Lock()
+		p.mu.Unlock()
+		p.cond.Broadcast()
+	}
+}
+
+// workerLoop is one persistent pool worker: snapshot the runnable requests,
 // serve them fewest slots first one quantum at a time, back off when no
 // request has runnable work, exit when the pool is closed and drained. An
 // exiting worker hands its scratch areas back to core's pool before Close
@@ -272,30 +305,43 @@ func (p *Pool) isClosed() bool {
 	return p.closed
 }
 
-// snapshot copies the active request list under the lock.
+// snapshot appends the runnable requests to buf under the lock: every
+// registered request but the parked ones, which fair pick skips.
 func (p *Pool) snapshot(buf []*poolReq) []*poolReq {
 	p.mu.Lock()
-	buf = append(buf, p.reqs...)
+	for _, r := range p.reqs {
+		if r.runnable() {
+			buf = append(buf, r)
+		}
+	}
 	p.mu.Unlock()
 	return buf
 }
 
-// waitWork blocks until a request is registered or the pool is closed.
-// Returns false when the worker should exit (closed and nothing left).
+// runnable reports whether fair pick may choose the request: it is not
+// parked.
+func (r *poolReq) runnable() bool { return !r.st.isParked() }
+
+// waitWork blocks until a request is runnable, for a Submit or an unpark,
+// or the pool is closed with nothing left. Returns false when the worker
+// should exit (closed and nothing left); a closed pool's parked requests
+// are waited for, since they must still drain.
 func (p *Pool) waitWork() bool {
 	p.mu.Lock()
-	for len(p.reqs) == 0 && !p.closed {
+	defer p.mu.Unlock()
+	for !slices.ContainsFunc(p.reqs, (*poolReq).runnable) {
+		if p.closed && len(p.reqs) == 0 {
+			return false
+		}
 		p.cond.Wait()
 	}
-	ok := len(p.reqs) > 0 || !p.closed
-	p.mu.Unlock()
-	return ok
+	return true
 }
 
 // runQuantum attaches the worker to one request and executes up to
 // fairQuantum tasks from it (popping its own deque slot first, stealing
 // within the request otherwise unless it disables stealing), then detaches;
-// a yield to a newer request ends the quantum early. Returns whether any
+// a yield to a newer request or a park ends the quantum early. Returns whether any
 // task ran. The worker whose task retires the request's pending count to zero
 // finishes it; the last worker to detach from a finished request closes
 // its drained channel — after its own detach, so the submitter never
@@ -328,7 +374,10 @@ func (p *Pool) runQuantum(w *workerState, r *poolReq, rng *rand.Rand) (did bool)
 			did = executed > 0
 		}
 		w.closeBusy()
-		if w.yielding {
+		switch {
+		case w.parked:
+			p.parks.Add(1)
+		case w.yielding:
 			p.yields.Add(1)
 		}
 		w.detach()
@@ -336,7 +385,7 @@ func (p *Pool) runQuantum(w *workerState, r *poolReq, rng *rand.Rand) (did bool)
 			p.tasks.Add(uint64(executed))
 		}
 	}()
-	for executed < fairQuantum && !w.preempted() {
+	for executed < fairQuantum && !w.givesUp() {
 		t, ok := w.my.pop()
 		if !ok {
 			// Under NOSTL tasks never migrate: an empty own deque means
@@ -356,7 +405,11 @@ func (p *Pool) runQuantum(w *workerState, r *poolReq, rng *rand.Rand) (did bool)
 			w.my.pushN(stolen)
 			continue
 		}
-		w.runOne(t)
+		if st.serial {
+			w.unwindSerial(t)
+		} else {
+			w.runOne(t)
+		}
 		executed++
 		r.slots.Add(1)
 		if st.pending.Load() == 0 {
@@ -365,6 +418,20 @@ func (p *Pool) runQuantum(w *workerState, r *poolReq, rng *rand.Rand) (did bool)
 		}
 	}
 	return executed > 0
+}
+
+// unwindSerial runs one task of a serial run. A worker that unwinds inside
+// it re-queues the rest of its inline stack in the sequential order, deepest
+// rows first (see expandBlock); reversing what the task pushed puts them on
+// the LIFO deque so that they pop in that order, and the run's rows keep it.
+// Only one worker serves a serial run at a time and none steals, so the
+// deque is the worker's own while the task runs.
+func (w *workerState) unwindSerial(t task) {
+	from := w.my.size()
+	w.runOne(t)
+	if w.yielding {
+		w.my.reverseFrom(from)
+	}
 }
 
 // lastOut decrements the request's attach count and, when this was the

@@ -20,6 +20,16 @@ func TestPoolConcurrentMixedRequests(t *testing.T) {
 	poolModel(t, pmPlan{from: 2801, to: 2804, rounds: 20, ops: "workers rows burst", must: "concurrent burst"})
 }
 
+// TestPoolParkFreesWorkers: a request parks itself mid-run through its park
+// switch and stays parked until every neighbour has finished, so a park
+// that held a worker hangs the round. While it is parked each worker that
+// served it delivers at most the group in hand, and no worker picks it
+// again; once unparked it answers the oracle's rows, a capped one the
+// oracle's first Limit rows in order, with nothing leaked.
+func TestPoolParkFreesWorkers(t *testing.T) {
+	poolModel(t, pmPlan{from: 3801, to: 3808, rounds: 20, ops: "park rows workers limit nostl solo block burst", must: "park park-ordered park-beside burst nostl-wide"})
+}
+
 // TestPoolCancelIsolation: requests cancelled mid-run share the pool with
 // others, which answer the oracle's rows, in rounds where yields fire; the
 // cancelled ones stop and leak nothing, and the pool keeps serving.

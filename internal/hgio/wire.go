@@ -347,6 +347,12 @@ type SchedulerStats struct {
 	// request registered while it held its slot past the engine's slice:
 	// how often a concurrent request's arrival preempted running ones.
 	PoolYields uint64 `json:"pool_yields,omitempty"`
+	// PoolParks counts quanta a pool worker ended because its request was
+	// parked: a /match whose frame queue was full, its reader slower than
+	// the workers. WriteParked counts the requests parked right now; each
+	// holds no pool worker while it waits for its writer.
+	PoolParks   uint64 `json:"pool_parks,omitempty"`
+	WriteParked int    `json:"write_parked"`
 
 	// AdmissionEnabled mirrors -admission; the remaining fields are zero
 	// when it is off.

@@ -260,41 +260,75 @@ func waitStats(t testing.TB, base string, what string, pred func(hgio.SchedulerS
 }
 
 // TestSlowClientAborted opens a real connection, sends a heavy /match,
-// and never reads the response. Once the kernel buffers fill, the write
-// deadline must trip: the run is cancelled (pool drains back to zero
-// active requests, admission tokens release), slow_client_aborts counts
-// it, and the server keeps serving other clients at full speed. Needs a
-// real listener — httptest recorders don't implement write deadlines.
+// and never reads the response, at pool widths 1 and 2. Once the kernel
+// buffers and the response's frame queue fill, the request parks
+// (write_parked) and holds no pool worker: while the client is still
+// stalled, before the write deadline trips, a /count and a limited /match
+// each finish in under 250 ms. Then the deadline must trip: the run is
+// cancelled (pool drains back to zero active requests, admission tokens
+// release), slow_client_aborts counts it, and the server keeps serving.
+// Needs a real listener — httptest recorders don't implement write
+// deadlines.
 func TestSlowClientAborted(t *testing.T) {
-	s := cliqueServer(t, 60, Config{
-		WriteTimeout: 200 * time.Millisecond,
-		Admission:    AdmissionConfig{Enabled: true, TenantQuota: 1 << 40, CheapThreshold: 1},
-	})
-	defer s.Close()
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-	addr := strings.TrimPrefix(srv.URL, "http://")
+	const quick = 250 * time.Millisecond
+	for _, workers := range []int{1, 2} {
+		s := cliqueServer(t, 60, Config{
+			Workers:      workers,
+			WriteTimeout: 3 * time.Second,
+			Admission:    AdmissionConfig{Enabled: true, TenantQuota: 1 << 40, CheapThreshold: 1},
+		})
+		srv := httptest.NewServer(s.Handler())
+		addr := strings.TrimPrefix(srv.URL, "http://")
 
-	body, err := json.Marshal(hgio.MatchRequest{Graph: "clique", Query: pathQueryText, TimeoutMs: 120_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn, err := hgtest.DialRequest(addr, http.MethodPost, "/match", string(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+		body, err := json.Marshal(hgio.MatchRequest{Graph: "clique", Query: pathQueryText, TimeoutMs: 120_000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn, err := hgtest.DialRequest(addr, http.MethodPost, "/match", string(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The stream is stalled once its writes stop for 100 ms: the writer
+		// is blocked in one.
+		var last uint64
+		still := 0
+		waitStats(t, srv.URL, "stalled stream", func(st hgio.SchedulerStats) bool {
+			if st.StreamWrites == 0 || st.StreamWrites != last {
+				last, still = st.StreamWrites, 0
+			}
+			still++
+			return still > 5
+		})
+		start := time.Now()
+		if sum, _ := postCount(t, srv.URL, hgio.MatchRequest{Graph: "clique", Query: "v A\nv A\ne 0 1\n"}); sum.Embeddings != 60*59/2 {
+			t.Fatalf("workers %d: /count beside a stalled reader: %d embeddings, want %d", workers, sum.Embeddings, 60*59/2)
+		}
+		countTook := time.Since(start)
+		start = time.Now()
+		if code, recs, sum := postMatch(t, srv.URL, hgio.MatchRequest{Graph: "clique", Query: pathQueryText, Limit: 5}); code != 200 || len(recs) != 5 || sum.Error != "" {
+			t.Fatalf("workers %d: /match beside a stalled reader: status=%d records=%d err=%q", workers, code, len(recs), sum.Error)
+		}
+		matchTook := time.Since(start)
+		t.Logf("workers %d: beside a stalled reader /count took %v, /match limit 5 %v", workers, countTook, matchTook)
+		if st := getStats(t, srv.URL); st.SlowClientAborts != 0 || st.WriteParked != 1 || countTook > quick || matchTook > quick {
+			t.Fatalf("workers %d: beside a stalled reader /count took %v and /match %v, want < %v each while it is parked (%d parked, %d aborts)",
+				workers, countTook, matchTook, quick, st.WriteParked, st.SlowClientAborts)
+		}
 
-	st := waitStats(t, srv.URL, "slow-client abort", func(st hgio.SchedulerStats) bool {
-		return st.SlowClientAborts >= 1 && st.ActiveRequests == 0 && st.ActiveTenants == 0
-	})
-	if st.LeakedBlocks != 0 {
-		t.Fatalf("slow-client abort leaked %d blocks", st.LeakedBlocks)
-	}
-	// The stalled connection must not have degraded service: a normal
-	// limited request completes promptly.
-	if code, recs, sum := postMatch(t, srv.URL, hgio.MatchRequest{Graph: "clique", Query: pathQueryText, Limit: 5}); code != 200 || len(recs) != 5 || sum.Error != "" {
-		t.Fatalf("service degraded beside stalled client: status=%d records=%d err=%q", code, len(recs), sum.Error)
+		st := waitStats(t, srv.URL, "slow-client abort", func(st hgio.SchedulerStats) bool {
+			return st.SlowClientAborts >= 1 && st.ActiveRequests == 0 && st.ActiveTenants == 0
+		})
+		if st.LeakedBlocks != 0 || st.WriteParked != 0 {
+			t.Fatalf("workers %d: slow-client abort leaked %d blocks, %d requests still parked", workers, st.LeakedBlocks, st.WriteParked)
+		}
+		// The stalled connection must not have degraded service: a normal
+		// limited request completes promptly.
+		if code, recs, sum := postMatch(t, srv.URL, hgio.MatchRequest{Graph: "clique", Query: pathQueryText, Limit: 5}); code != 200 || len(recs) != 5 || sum.Error != "" {
+			t.Fatalf("workers %d: service degraded after the abort: status=%d records=%d err=%q", workers, code, len(recs), sum.Error)
+		}
+		conn.Close()
+		srv.Close()
+		s.Close()
 	}
 }
 

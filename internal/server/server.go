@@ -61,21 +61,32 @@ import (
 	"hgmatch/internal/hgio"
 )
 
-// shardFlushBytes is how much NDJSON a worker shard buffers before its first
-// drain to the response under the writer lock. Each engine worker encodes
-// into its own buffer; the writer lock is taken once per drained buffer, so
-// its cost amortises over hundreds of lines on fast producers. Each later
-// drain doubles the shard's threshold up to shardFrameBytes: the first row
-// leaves as early as a 16 KiB frame allows, and a long stream goes out in
-// 64 KiB frames, a quarter of the writes (each of which net/http's chunked
-// writer turns into three write(2) calls).
+// shardFlushBytes is how much NDJSON a worker shard buffers before it first
+// hands the frame to the response's writer. Each engine worker encodes into
+// its own buffer, and one hand-off, a queue slot taken under a short lock,
+// amortises over hundreds of lines on fast producers. Each later hand-off
+// doubles the shard's threshold up to shardFrameBytes: the first row leaves
+// as early as a 16 KiB frame allows, and a long stream goes out in 64 KiB
+// frames, a quarter of the writes (net/http's chunked writer turns a frame
+// written back to back with the next into two write(2) calls, and one
+// followed by a Flush into three).
 const (
 	shardFlushBytes = 16 << 10
 	shardFrameBytes = 64 << 10
 )
 
-// frameSlack is the room a frame keeps past shardFrameBytes: a shard drains
-// after the line that crosses its threshold, so a frame holding one more
+// frameQueueDepth is how many full frames a /match response's queue holds
+// for its writer: two per worker of a 2-core box, enough for the writer to
+// write one frame while the workers fill the next ones. A deeper queue adds
+// only memory when the socket is the bottleneck; a worker that finds the
+// queue full parks the request instead of waiting (see matchStream). With
+// it, one connection's encode memory is bounded by (pool workers +
+// frameQueueDepth + 1) frames of shardFrameBytes+frameSlack (68 KiB) plus
+// the tail frame: the workers' shards, the queue and the frame in write.
+const frameQueueDepth = 4
+
+// frameSlack is the room a frame keeps past shardFrameBytes: a shard is
+// handed off after the line that crosses its threshold, so a frame holding one more
 // line of up to frameSlack bytes never reallocates.
 const frameSlack = 4 << 10
 
@@ -100,10 +111,10 @@ func putFrame(f *[]byte, b []byte) {
 	}
 }
 
-// shardFlushInterval is the periodic drain for slow producers: a ticker
-// flushes every shard this often so trickling enumerations still stream
-// interactively instead of sitting in half-empty shard buffers until the
-// run ends.
+// shardFlushInterval is the periodic drain for slow producers: this often
+// the writer queues every shard's partial frame, so trickling enumerations
+// still stream interactively instead of sitting in half-empty shard buffers
+// until the run ends.
 const shardFlushInterval = 200 * time.Millisecond
 
 // Config tunes a Server. The zero value is usable: defaults are filled in
@@ -545,8 +556,9 @@ type streamStats struct {
 // write (whole lines only) runs under a deadline, and the first failed or
 // timed-out write marks the connection broken, cancels the run's context —
 // releasing its pool slots and (via the handler's defers) admission cost —
-// and drops all further output. A stalled reader therefore costs one write
-// timeout, never a pinned worker set.
+// and drops all further output. Only the response's writer goroutine
+// writes, never a pool worker, so a stalled reader costs its own request
+// one write timeout and its neighbours nothing.
 type guardedWriter struct {
 	w       http.ResponseWriter
 	rc      *http.ResponseController
@@ -568,10 +580,10 @@ func newGuardedWriter(w http.ResponseWriter, timeout time.Duration, cancel conte
 	}
 }
 
-// write sends p to the client as one Write on the ResponseWriter and flushes
-// it to the wire, returning false once the connection is broken. Callers
-// must serialise calls.
-func (g *guardedWriter) write(p []byte) bool {
+// write sends p to the client as one Write on the ResponseWriter, then, if
+// flush is set, flushes it to the wire. It returns false once the
+// connection is broken.
+func (g *guardedWriter) write(p []byte, flush bool) bool {
 	if g.broken.Load() {
 		return false
 	}
@@ -585,8 +597,10 @@ func (g *guardedWriter) write(p []byte) bool {
 	if err == nil {
 		g.stats.writes.Add(1)
 		g.stats.bytes.Add(uint64(len(p)))
-		if ferr := g.rc.Flush(); ferr != nil && !errors.Is(ferr, http.ErrNotSupported) {
-			err = ferr
+		if flush {
+			if ferr := g.rc.Flush(); ferr != nil && !errors.Is(ferr, http.ErrNotSupported) {
+				err = ferr
+			}
 		}
 	}
 	if err != nil {
@@ -602,12 +616,13 @@ func (g *guardedWriter) write(p []byte) bool {
 }
 
 // matchShard is one engine worker's share of a streaming /match response:
-// whole NDJSON lines waiting for the next drain. frame stays nil until the
+// whole NDJSON lines waiting for the next hand-off. frame stays nil until the
 // worker's first row takes one from framePool, and buf is its contents;
-// limit is the size that drains buf next, shardFlushBytes doubling per
-// drain up to shardFrameBytes. pre is the encoded prefix of the group being
-// appended. All shards of a request sit in one slice and each is written on
-// every row, so the pad keeps two workers' shards off one cache line.
+// limit is the size that hands buf off next, shardFlushBytes doubling per
+// hand-off up to shardFrameBytes. pre is the encoded prefix of the group
+// being appended. All shards of a request sit in one slice and each is
+// written on every row, so the pad keeps two workers' shards off one cache
+// line.
 type matchShard struct {
 	mu    sync.Mutex
 	frame *[]byte
@@ -617,26 +632,178 @@ type matchShard struct {
 	_     [56]byte // 72 B of fields padded to 128
 }
 
+// queuedFrame is a full frame waiting for the writer: the framePool handle
+// and its contents.
+type queuedFrame struct {
+	frame *[]byte
+	buf   []byte
+}
+
+// matchStream is one /match response's output stage: the worker shards, a
+// bounded FIFO queue of full frames and the response's one writer, the
+// handler goroutine, which alone touches the socket. A worker whose shard
+// fills hands the frame off and takes a fresh one; when the queue is full it
+// finishes the group in hand into its shard and parks the request through
+// the run's park switch, so a slow reader holds no pool worker. The writer
+// unparks the request when it frees a slot. Frames leave in queue order,
+// and a shard is only ever queued under its own mutex, so each worker's rows
+// keep their order.
+type matchStream struct {
+	gw     *guardedWriter
+	shards []matchShard
+	ready  chan struct{} // capacity 1: a frame was queued since the writer last looked
+
+	mu     sync.Mutex // guards the queue and parked
+	queue  [frameQueueDepth]queuedFrame
+	head   int
+	n      int
+	parked bool
+	park   func(parked bool) // the run's park switch, set before its first row
+}
+
+// handOff queues sh's frame for the writer and gives the shard a fresh one
+// with a doubled threshold; the caller holds sh.mu. When the queue is full it
+// leaves the shard as it is and reports false; then, if park is set, the
+// request parks. The park is set under mu, as the writer's unpark is, so it
+// cannot slip in after the writer has emptied the queue.
+func (ms *matchStream) handOff(sh *matchShard, park bool) bool {
+	ms.mu.Lock()
+	if ms.n == frameQueueDepth {
+		if park && !ms.parked {
+			ms.parked = true
+			ms.park(true)
+		}
+		ms.mu.Unlock()
+		return false
+	}
+	ms.queue[(ms.head+ms.n)%frameQueueDepth] = queuedFrame{sh.frame, sh.buf}
+	ms.n++
+	ms.mu.Unlock()
+	select {
+	case ms.ready <- struct{}{}:
+	default:
+	}
+	sh.frame = getFrame()
+	sh.buf = *sh.frame
+	sh.limit = min(2*sh.limit, shardFrameBytes)
+	return true
+}
+
+// pop takes the oldest queued frame, unparking the request if it was
+// parked, and reports whether the queue is now empty.
+func (ms *matchStream) pop() (f queuedFrame, empty, ok bool) {
+	ms.mu.Lock()
+	defer ms.mu.Unlock()
+	if ms.n == 0 {
+		return f, true, false
+	}
+	f, ms.queue[ms.head] = ms.queue[ms.head], queuedFrame{}
+	ms.head = (ms.head + 1) % frameQueueDepth
+	ms.n--
+	if ms.parked {
+		ms.parked = false
+		ms.park(false)
+	}
+	return f, ms.n == 0, true
+}
+
+// writeQueued writes every queued frame in order, flushing only when the
+// queue is empty: frames written back to back share net/http's buffered
+// chunk writes. A broken connection drops them, still freeing the slots.
+func (ms *matchStream) writeQueued() {
+	for {
+		f, empty, ok := ms.pop()
+		if !ok {
+			return
+		}
+		ms.gw.write(f.buf, empty)
+		putFrame(f.frame, f.buf)
+	}
+}
+
+// queuePartials queues every shard's partial frame, the writer's periodic
+// drain for slow producers; a shard behind a full queue waits for the next.
+func (ms *matchStream) queuePartials() {
+	for i := range ms.shards {
+		sh := &ms.shards[i]
+		sh.mu.Lock()
+		if len(sh.buf) > 0 {
+			ms.handOff(sh, false)
+		}
+		sh.mu.Unlock()
+	}
+}
+
+// onGroup is the run's group callback: it encodes one (partial embedding,
+// candidate run) group into the worker's shard and hands the shard off
+// each time it reaches its threshold.
+func (ms *matchStream) onGroup(wid int, prefix, last []hgmatch.EdgeID) {
+	// The engine reuses both slices between calls; encode immediately
+	// rather than copy-and-retain. The shard mutex is effectively private
+	// to this worker (the writer takes it 5 times a second), so the
+	// steady-state cost is one uncontended lock per group.
+	if ms.gw.broken.Load() {
+		return // client gone; stop encoding while the cancel propagates
+	}
+	sh := &ms.shards[wid]
+	sh.mu.Lock()
+	if sh.frame == nil {
+		sh.frame = getFrame()
+		sh.buf, sh.limit = *sh.frame, shardFlushBytes
+	}
+	// The group's first line is encoded in place; the rest copy its
+	// prefix, which pre keeps across a mid-group hand-off.
+	start := len(sh.buf)
+	sh.buf = hgio.AppendEmbeddingPrefix(sh.buf, prefix)
+	if len(last) > 1 {
+		sh.pre = append(sh.pre[:0], sh.buf[start:]...)
+	}
+	handed, full := false, false
+	for i, c := range last {
+		if i > 0 {
+			sh.buf = append(sh.buf, sh.pre...)
+		}
+		sh.buf = hgio.AppendEmbeddingLast(sh.buf, c)
+		if !full && len(sh.buf) >= sh.limit {
+			if ms.handOff(sh, true) {
+				handed = true
+			} else {
+				full = true // parked: the rest of the group spills into this frame
+			}
+		}
+	}
+	sh.mu.Unlock()
+	if handed {
+		// The hand-off readied the writer on this worker's processor, where
+		// it would wait until Go preempts the worker; yield so it writes now.
+		runtime.Gosched()
+	}
+}
+
 // handleMatch streams every embedding as one NDJSON line, closing with a
 // MatchSummary line. Results never materialise server-side. The unit of
 // output is the engine's (partial embedding, candidate run) group
 // (WithGroupCallback): the worker that found it takes its own shard's mutex
 // once, encodes `{"embedding":[p0,p1,…,` once, and per candidate copies that
 // prefix and appends one number and `]}` — hgio's append encoder, no
-// reflection, no per-row lock. A shard that reaches its threshold drains to
-// the response at once under the writer lock, the first time at
-// shardFlushBytes and then at double the last threshold, up to
-// shardFrameBytes; the 5Hz background flusher drains partial ones so slow
-// enumerations still stream interactively. At the end, a shard holding at
-// least shardFlushBytes goes out as its own frame, and the smaller leftovers
-// ride with the summary in one tail frame, so a response under
-// shardFlushBytes is a single guarded write. Every buffer is a recycled
-// framePool frame. Lines from different
-// workers interleave, but each worker's rows keep their order and every
-// drained buffer holds whole lines, so the NDJSON framing is preserved. A
-// request with a limit reaches the same callback, all on worker 0, with
-// each group cut to the rows under the limit: its shard holds the first
-// limit rows of the sequential order, in that order.
+// reflection, no per-row lock. A shard that reaches its threshold is handed
+// to the response's frame queue at once, the first time at shardFlushBytes
+// and then at double the last threshold, up to shardFrameBytes. The pool run
+// goes on beside the handler goroutine, which is the response's only
+// writer: it writes queued frames in order, flushing only when the queue is
+// empty, and every shardFlushInterval queues the shards' partial frames so
+// slow enumerations still stream interactively. A worker that finds the
+// queue full parks the request (matchStream) and the writer unparks it as
+// it frees a slot, so a stalled reader holds no pool worker. At the end, a
+// shard holding at least shardFlushBytes goes out as its own frame, and the
+// smaller leftovers ride with the summary in one tail frame, so a response
+// under shardFlushBytes is a single guarded write. Every buffer is a
+// recycled framePool frame. Lines from different workers interleave, but
+// each worker's rows keep their order and every frame holds whole lines, so
+// the NDJSON framing is preserved. A request with a limit reaches the same
+// callback, all on worker 0, with each group cut to the rows under the
+// limit: its shard holds the first limit rows of the sequential order, in
+// that order.
 func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	req, ok := s.decodeRequest(w, r)
 	if !ok {
@@ -673,95 +840,47 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	// Shards are sized to the whole pool, not the request's workers cap:
 	// on the shared pool any worker may serve this request, so callback
 	// worker indexes range over [0, pool.Workers()).
-	shards := make([]matchShard, s.pool.Workers())
-	var wmu sync.Mutex // serialises shard drains into the response
-	// drain moves a shard's buffered lines to the response and ramps its
-	// threshold; the caller holds sh.mu (lock order: sh.mu, then wmu). The
-	// buffer is reset even when the connection is broken — the guard has
-	// already cancelled the run, and resetting is what keeps per-connection
-	// encode memory bounded on workers that haven't observed the stop yet.
-	drain := func(sh *matchShard) {
-		wmu.Lock()
-		gw.write(sh.buf)
-		wmu.Unlock()
-		sh.buf = sh.buf[:0]
-		sh.limit = min(2*sh.limit, shardFrameBytes)
-	}
-	stopFlush := make(chan struct{})
-	flushDone := make(chan struct{})
+	ms := &matchStream{gw: gw, shards: make([]matchShard, s.pool.Workers()), ready: make(chan struct{}, 1)}
+	opts = append(opts,
+		hgmatch.WithGroupCallback(ms.onGroup),
+		hgmatch.WithParkSwitch(func(park func(bool)) { ms.park = park }))
+	var res hgmatch.Result
+	done := make(chan struct{})
 	go func() {
-		defer close(flushDone)
-		tick := time.NewTicker(shardFlushInterval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stopFlush:
-				return
-			case <-tick.C:
-				for i := range shards {
-					sh := &shards[i]
-					sh.mu.Lock()
-					if len(sh.buf) > 0 {
-						drain(sh)
-					}
-					sh.mu.Unlock()
-				}
-			}
-		}
+		defer close(done)
+		res = s.recordRun(req.Graph, s.pool.Run(plan, opts...))
 	}()
-	opts = append(opts, hgmatch.WithGroupCallback(func(wid int, prefix, last []hgmatch.EdgeID) {
-		// The engine reuses both slices between calls; encode immediately
-		// rather than copy-and-retain. The shard mutex is effectively
-		// private to this worker (the flusher grabs it 5 times a second),
-		// so the steady-state cost is one uncontended lock per group.
-		if gw.broken.Load() {
-			return // client gone; stop encoding while the cancel propagates
+	tick := time.NewTicker(shardFlushInterval)
+	for running := true; running; {
+		select {
+		case <-ms.ready:
+		case <-tick.C:
+			ms.queuePartials()
+		case <-done:
+			running = false
 		}
-		sh := &shards[wid]
-		sh.mu.Lock()
-		if sh.frame == nil {
-			sh.frame = getFrame()
-			sh.buf, sh.limit = *sh.frame, shardFlushBytes
-		}
-		// The group's first line is encoded in place; the rest copy its
-		// prefix, which pre keeps across a mid-group drain.
-		start := len(sh.buf)
-		sh.buf = hgio.AppendEmbeddingPrefix(sh.buf, prefix)
-		if len(last) > 1 {
-			sh.pre = append(sh.pre[:0], sh.buf[start:]...)
-		}
-		for i, c := range last {
-			if i > 0 {
-				sh.buf = append(sh.buf, sh.pre...)
-			}
-			sh.buf = hgio.AppendEmbeddingLast(sh.buf, c)
-			if len(sh.buf) >= sh.limit {
-				drain(sh)
-			}
-		}
-		sh.mu.Unlock()
-	}))
+		ms.writeQueued()
+	}
+	tick.Stop()
 
-	res := s.recordRun(req.Graph, s.pool.Run(plan, opts...))
-	close(stopFlush)
-	<-flushDone
-	// The run and the flusher are over: no writers are in flight, so the
-	// shards' leftovers and the summary (or error-trailer) line need no
-	// locking. A leftover of a full first frame or more goes out alone;
-	// smaller ones gather in one tail frame, which is written early only if
-	// the next would overflow it, so it never grows past a frame.
+	// The run is over and every queued frame written: no worker touches the
+	// shards any more, so their leftovers and the summary (or error-trailer)
+	// line need no locking. A leftover of a full first frame or more goes
+	// out alone; smaller ones gather in one tail frame, which is written
+	// early only if the next would overflow it, so it never grows past a
+	// frame.
 	tf := getFrame()
 	tail := *tf
-	for i := range shards {
-		sh := &shards[i]
+	for i := range ms.shards {
+		sh := &ms.shards[i]
 		if sh.frame == nil {
 			continue
 		}
 		switch {
 		case len(sh.buf) >= shardFlushBytes:
-			gw.write(sh.buf)
+			gw.write(sh.buf, false)
 		case len(tail)+len(sh.buf) > cap(tail):
-			gw.write(tail)
+			gw.write(tail, false)
 			tail = append(tail[:0], sh.buf...)
 		default:
 			tail = append(tail, sh.buf...)
@@ -769,7 +888,7 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		putFrame(sh.frame, sh.buf)
 	}
 	tail = appendSummary(tail, summarise(res, plan, cached))
-	gw.write(tail)
+	gw.write(tail, true)
 	putFrame(tf, tail)
 }
 
@@ -851,6 +970,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Completed:        ps.Completed,
 		Tasks:            ps.Tasks,
 		PoolYields:       ps.Yields,
+		PoolParks:        ps.Parks,
+		WriteParked:      ps.Parked,
 		AdmissionEnabled: s.adm.cfg.Enabled,
 		Bypassed:         s.adm.bypassed.Load(),
 		Admitted:         s.adm.admitted.Load(),

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -378,13 +379,16 @@ func TestMatchGuardedWriteCount(t *testing.T) {
 	}
 }
 
-// frameRecorder records where each guarded write of a response ends.
+// frameRecorder records where each guarded write of a response ends, each
+// write taking delay.
 type frameRecorder struct {
 	*httptest.ResponseRecorder
-	ends []int
+	ends  []int
+	delay time.Duration
 }
 
 func (f *frameRecorder) Write(p []byte) (int, error) {
+	time.Sleep(f.delay)
 	n, err := f.ResponseRecorder.Write(p)
 	f.ends = append(f.ends, f.Body.Len())
 	return n, err
@@ -397,6 +401,9 @@ func (f *frameRecorder) Write(p []byte) (int, error) {
 // body must be json.Marshal's lines byte for byte, hold every one of the
 // 12·11·10·9 embeddings once, and split some group across two writes: a
 // mid-group drain, after which the group's later lines copy its kept prefix.
+// A capped request written through a reader slower than the workers, whose
+// frames queue up and whose request parks, must then stream the first rows
+// of the sequential order, in that order.
 func TestMatchWideIDsOnTheWire(t *testing.T) {
 	const big, small = 150, 12
 	labels := make([]uint32, big+small)
@@ -425,6 +432,9 @@ func TestMatchWideIDsOnTheWire(t *testing.T) {
 		s := New(reg, Config{Workers: workers})
 		w := &frameRecorder{ResponseRecorder: httptest.NewRecorder()}
 		s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/match", matchBody(t, hgio.MatchRequest{Graph: "wide", Query: pathQueryText})))
+		const limit = 10000
+		slow := &frameRecorder{ResponseRecorder: httptest.NewRecorder(), delay: 2 * time.Millisecond}
+		s.Handler().ServeHTTP(slow, httptest.NewRequest(http.MethodPost, "/match", matchBody(t, hgio.MatchRequest{Graph: "wide", Query: pathQueryText, Limit: limit})))
 		s.Close()
 		if w.Code != http.StatusOK {
 			t.Fatalf("workers %d: status %d: %s", workers, w.Code, w.Body)
@@ -469,6 +479,11 @@ func TestMatchWideIDsOnTheWire(t *testing.T) {
 		}
 		if split == 0 {
 			t.Fatalf("workers %d: no group spans two of the %d writes; want a mid-group drain", workers, len(w.ends))
+		}
+		capped, _ := decodeStream(t, slow.Body.Bytes())
+		cmp := func(a, b hgio.EmbeddingRecord) int { return slices.Compare(a.Embedding, b.Embedding) }
+		if sorted := slices.SortedFunc(slices.Values(recs), cmp); len(capped) != limit || !slices.EqualFunc(capped, sorted[:limit], func(a, b hgio.EmbeddingRecord) bool { return cmp(a, b) == 0 }) {
+			t.Fatalf("workers %d: a capped stream to a slow reader, %d rows in %d writes, is not the first %d rows in order", workers, len(capped), len(slow.ends), limit)
 		}
 	}
 }
