@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench fmt vet docslint
+.PHONY: build test race fmt vet docslint
 
 build:
 	$(GO) build ./...
@@ -10,11 +10,6 @@ test:
 
 race:
 	$(GO) test -race ./...
-
-# bench runs the engine kernel benchmarks (-benchmem -count=3) and rewrites
-# BENCH_engine.json so future PRs have a perf trajectory to compare against.
-bench:
-	./scripts/bench.sh
 
 fmt:
 	gofmt -l .

@@ -1,13 +1,11 @@
-// Benchmarks regenerating the paper's tables and figures (one benchmark
-// per artifact) plus ablation benches for the design choices called out in
-// docs/ARCHITECTURE.md ("Planning and matching", "Execution engine").
-// `go test -bench=. -benchmem` runs the whole evaluation at a small dataset
-// scale; `cmd/hgbench` prints the full paper-style rows.
-//
-// Absolute numbers differ from the paper (synthetic scaled datasets, one
-// machine); the *shapes* — who wins, the candidate-filtering funnel, the
-// memory gap between schedulers — are the reproduction targets (README,
-// "Performance notes").
+// Micro-benchmarks for what hgload's ladder (bench/) does not time: the
+// design ablations called out in docs/ARCHITECTURE.md ("Planning and
+// matching", "Execution engine"), the count-only kernel at one worker and
+// at GOMAXPROCS on count_heavy's shape, and a first match on a freshly
+// mapped HGB3 file beside the heap a mapping keeps while idle. The ladder
+// times every layer a workload serves, as the per-layer metrics of
+// BENCHMARK.json (bench/README.md); cmd/hgbench prints the paper's tables
+// and figures, and internal/experiments' tests run each of them.
 package hgmatch_test
 
 import (
@@ -18,47 +16,19 @@ import (
 	"strconv"
 	"sync"
 	"testing"
-	"time"
 
 	"hgmatch"
-	"hgmatch/internal/baseline"
-	"hgmatch/internal/bipartite"
 	"hgmatch/internal/core"
 	"hgmatch/internal/datagen"
 	"hgmatch/internal/engine"
-	"hgmatch/internal/experiments"
-	"hgmatch/internal/hgio"
 	"hgmatch/internal/hgtest"
 	"hgmatch/internal/hypergraph"
 	"hgmatch/internal/querygen"
 	"hgmatch/internal/setops"
 )
 
-// benchCfg is the shared small-scale configuration for figure benches.
-func benchCfg() experiments.Config {
-	return experiments.Config{
-		Scale:             0.005,
-		Seed:              1,
-		QueriesPerSetting: 5,
-		Timeout:           500 * time.Millisecond,
-		Workers:           4,
-		MaxEmbeddings:     500_000,
-		Settings:          []string{"q2", "q3"},
-	}
-}
-
-var (
-	suiteOnce sync.Once
-	suite     *experiments.Suite
-)
-
-func benchSuite() *experiments.Suite {
-	suiteOnce.Do(func() { suite = experiments.NewSuite(benchCfg()) })
-	return suite
-}
-
-// workload returns a cached medium dataset and one q3 query for kernel
-// benches.
+// workload returns a cached medium dataset and one q3 query for the
+// ablation benches.
 var (
 	wlOnce  sync.Once
 	wlData  *hypergraph.Hypergraph
@@ -96,9 +66,8 @@ func workload() (*hypergraph.Hypergraph, *hypergraph.Hypergraph) {
 }
 
 // kernelWorkload returns a larger SB dataset and its best q3 query
-// (~100k embeddings) for the steady-state enumeration kernel benchmarks:
-// big enough that per-run setup (scratch areas, worker stats, initial
-// block arenas) is noise against per-embedding costs.
+// (~100k embeddings) for the mapped-open benches: big enough that the
+// mapping's page faults and its idle heap show.
 var (
 	kwOnce  sync.Once
 	kwData  *hypergraph.Hypergraph
@@ -130,40 +99,6 @@ func kernelWorkload() (*hypergraph.Hypergraph, *hypergraph.Hypergraph) {
 		kwQuery = best
 	})
 	return kwData, kwQuery
-}
-
-// BenchmarkKernelQ3 measures the steady-state enumeration kernel on the q3
-// workload: one full Count per op, with an explicit allocs-per-embedding
-// metric. The morsel scheduler's acceptance target is ~0 allocs/emb — every
-// partial embedding lives in a recycled block, so the only allocations left
-// are per-run setup amortised over the ~100k results.
-func BenchmarkKernelQ3(b *testing.B) {
-	h, q := kernelWorkload()
-	p, err := core.NewPlan(q, h)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 4} {
-		workers := workers
-		b.Run(bName("t", workers), func(b *testing.B) {
-			var emb uint64
-			b.ReportAllocs()
-			var ms0, ms1 runtime.MemStats
-			runtime.ReadMemStats(&ms0)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				emb = engine.Run(p, engine.Options{Workers: workers}).Embeddings
-			}
-			b.StopTimer()
-			runtime.ReadMemStats(&ms1)
-			if emb == 0 {
-				b.Fatal("kernel workload found nothing")
-			}
-			allocs := float64(ms1.Mallocs-ms0.Mallocs) / float64(b.N)
-			b.ReportMetric(allocs/float64(emb), "allocs/emb")
-			b.ReportMetric(float64(emb), "embeddings")
-		})
-	}
 }
 
 // BenchmarkKernelQ4Count measures the validation kernel on the shape hgload's
@@ -206,398 +141,18 @@ func BenchmarkKernelQ4Count(b *testing.B) {
 	}
 }
 
-// BenchmarkSharedPoolQ3 measures the shared morsel pool (the hgserve
-// serving shape since PR 6) on the q3 kernel workload. "solo" is one
-// request at a time on a pool of 4 workers — comparable against
-// BenchmarkKernelQ3/t=4's per-request engine to bound the pool's overhead.
-// "shared8" runs 8 concurrent requests on that same 4-worker pool under
-// fair scheduling; "perreq8" runs the same 8 requests the
-// pre-pool way, each spawning its own 4-worker engine (8x oversubscribed
-// goroutines contending for the same cores). One op completes all 8
-// requests, so the shared8-vs-perreq8 ns/op ratio is the aggregate
-// throughput ratio; emb/s reports it directly.
-func BenchmarkSharedPoolQ3(b *testing.B) {
-	h, q := kernelWorkload()
-	p, err := core.NewPlan(q, h)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const workers = 4
-	const clients = 8
-	run8 := func(b *testing.B, one func() uint64) {
-		var total uint64
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			var wg sync.WaitGroup
-			embs := make([]uint64, clients)
-			for c := 0; c < clients; c++ {
-				wg.Add(1)
-				go func(c int) {
-					defer wg.Done()
-					embs[c] = one()
-				}(c)
-			}
-			wg.Wait()
-			for _, e := range embs {
-				total += e
-			}
-		}
-		b.StopTimer()
-		if total == 0 {
-			b.Fatal("kernel workload found nothing")
-		}
-		b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "emb/s")
-		b.ReportMetric(float64(total)/float64(b.N)/clients, "embeddings")
-	}
-	b.Run("solo", func(b *testing.B) {
-		pool := engine.NewPool(workers)
-		defer pool.Close()
-		var emb uint64
-		b.ReportAllocs()
-		var ms0, ms1 runtime.MemStats
-		runtime.ReadMemStats(&ms0)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			emb = pool.Submit(p, engine.Options{Workers: workers}).Embeddings
-		}
-		b.StopTimer()
-		runtime.ReadMemStats(&ms1)
-		if emb == 0 {
-			b.Fatal("kernel workload found nothing")
-		}
-		allocs := float64(ms1.Mallocs-ms0.Mallocs) / float64(b.N)
-		b.ReportMetric(allocs/float64(emb), "allocs/emb")
-		b.ReportMetric(float64(emb), "embeddings")
-	})
-	b.Run("shared8", func(b *testing.B) {
-		pool := engine.NewPool(workers)
-		defer pool.Close()
-		run8(b, func() uint64 {
-			return pool.Submit(p, engine.Options{Workers: workers}).Embeddings
-		})
-	})
-	b.Run("perreq8", func(b *testing.B) {
-		run8(b, func() uint64 {
-			return engine.Run(p, engine.Options{Workers: workers}).Embeddings
-		})
-	})
-}
-
-// BenchmarkOnlineIngest measures the online-update subsystem on the q3
-// workload graph. "ingest100" is the amortised unit hgserve pays per bulk
-// ingest request: a 100-edge insert batch plus one snapshot publication
-// (copy-on-write partition merge: new delta blocks, base shared).
-// "delete100" is the same for 100 deletes of base edges, which publish as
-// tombstone masks over the shared base index. "steady" is the ack between
-// compactions: one 50-insert + 50-delete batch (half the deletes hit base
-// edges, half cancel earlier pending inserts) published on a buffer that
-// already holds ~1000 pending inserts and ~1000 tombstones, so what a
-// publication costs beyond its own batch shows. "compact" folds a ~400-edge
-// delta into a fresh fully-indexed base — the background job the
-// compaction threshold schedules. "match-on-delta" and
-// "match-on-tombstoned" rerun the q3 kernel against those two snapshots,
-// pinning the read-side price of delta tails and of subtracting dead
-// lists; "match-on-compacted" runs the match-on-delta plan's query on the
-// same snapshot compacted, so the delta's read tax is the ratio of the two.
-func BenchmarkOnlineIngest(b *testing.B) {
-	h, q := kernelWorkload()
-	const batch = 100
-	rng := rand.New(rand.NewSource(99))
-	nv := uint32(h.NumVertices())
-	edges := make([][]uint32, batch*4)
-	for i := range edges {
-		edges[i] = []uint32{rng.Uint32() % nv, rng.Uint32() % nv, rng.Uint32() % nv}
-	}
-	victims := make([][]uint32, batch)
-	for i, e := range rng.Perm(h.NumEdges())[:batch] {
-		victims[i] = h.Edge(hypergraph.EdgeID(e))
-	}
-	deleteBatch := func(b *testing.B) *hypergraph.Hypergraph {
-		d, err := hypergraph.NewDeltaBuffer(h)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, vs := range victims {
-			if ok, err := d.Delete(vs...); err != nil || !ok {
-				b.Fatalf("delete %v: %v %v", vs, ok, err)
-			}
-		}
-		return d.Publish()
-	}
-	b.Run("ingest100", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			d, err := hypergraph.NewDeltaBuffer(h)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, vs := range edges[:batch] {
-				if _, _, err := d.Insert(vs...); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if s := d.Snapshot(); !s.HasDelta() {
-				b.Fatal("no delta published")
-			}
-		}
-	})
-	b.Run("delete100", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			deleteBatch(b)
-		}
-	})
-	b.Run("steady", func(b *testing.B) {
-		const (
-			prefill = 1000 // pending inserts and base tombstones before the first timed batch
-			half    = batch / 2
-			cycle   = 10 // timed batches before the buffer is rebuilt
-		)
-		fresh := make([][]uint32, prefill+cycle*half)
-		for i := range fresh {
-			vs := make([]uint32, 3+rng.Intn(10))
-			for j := range vs {
-				vs[j] = rng.Uint32() % nv
-			}
-			fresh[i] = vs
-		}
-		perm := rng.Perm(h.NumEdges())
-		doomed := make([][]uint32, prefill+cycle*half/2)
-		for i := range doomed {
-			doomed[i] = h.Edge(hypergraph.EdgeID(perm[i]))
-		}
-		var d *hypergraph.DeltaBuffer
-		var pending [][]uint32 // inserts of the current cycle, in order
-		insert := func(vs []uint32) {
-			if _, added, err := d.Insert(vs...); err != nil {
-				b.Fatal(err)
-			} else if added {
-				pending = append(pending, vs)
-			}
-		}
-		del := func(vs []uint32) {
-			if _, err := d.Delete(vs...); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			k := i % cycle
-			if k == 0 {
-				b.StopTimer()
-				var err error
-				if d, err = hypergraph.NewDeltaBuffer(h); err != nil {
-					b.Fatal(err)
-				}
-				pending = pending[:0]
-				for _, vs := range fresh[:prefill] {
-					insert(vs)
-				}
-				for _, vs := range doomed[:prefill] {
-					del(vs)
-				}
-				d.Publish()
-				b.StartTimer()
-			}
-			for _, vs := range fresh[prefill+k*half : prefill+(k+1)*half] {
-				insert(vs)
-			}
-			for _, vs := range doomed[prefill+k*half/2 : prefill+(k+1)*half/2] {
-				del(vs)
-			}
-			for _, vs := range pending[k*half/2 : (k+1)*half/2] {
-				del(vs)
-			}
-			if s := d.Publish(); !s.HasDelta() {
-				b.Fatal("no delta published")
-			}
-		}
-	})
-	b.Run("compact", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			d, err := hypergraph.NewDeltaBuffer(h)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, vs := range edges {
-				d.Insert(vs...)
-			}
-			d.Snapshot()
-			b.StartTimer()
-			if _, err := d.Compact(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	deltaPlan := func(b *testing.B) (*hypergraph.Hypergraph, *core.Plan) {
-		d, err := hypergraph.NewDeltaBuffer(h)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, vs := range edges {
-			d.Insert(vs...)
-		}
-		s := d.Snapshot()
-		p, err := core.NewPlan(q, s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 1; ; i++ {
-			if i == p.NumSteps() {
-				b.Fatal("no plan step reads a sidecar table carrying a delta")
-			}
-			if t := s.PartitionBySig(p.StepSigID(i)); t.HasBitmaps() && t.HasDelta() {
-				break
-			}
-		}
-		return s, p
-	}
-	matchOn := func(b *testing.B, p *core.Plan, what string) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		var emb uint64
-		for i := 0; i < b.N; i++ {
-			emb = engine.Run(p, engine.Options{Workers: 4}).Embeddings
-		}
-		if emb == 0 {
-			b.Fatalf("kernel workload found nothing on the %s snapshot", what)
-		}
-		b.ReportMetric(float64(emb), "embeddings")
-	}
-	b.Run("match-on-delta", func(b *testing.B) {
-		_, p := deltaPlan(b)
-		matchOn(b, p, "delta")
-	})
-	b.Run("match-on-compacted", func(b *testing.B) {
-		s, p := deltaPlan(b)
-		c, err := s.Compacted()
-		if err != nil {
-			b.Fatal(err)
-		}
-		cp, err := core.NewPlanWithOrder(q, c, p.Order)
-		if err != nil {
-			b.Fatal(err)
-		}
-		matchOn(b, cp, "compacted")
-	})
-	b.Run("match-on-tombstoned", func(b *testing.B) {
-		p, err := core.NewPlan(q, deleteBatch(b))
-		if err != nil {
-			b.Fatal(err)
-		}
-		matchOn(b, p, "tombstoned")
-	})
-}
-
-// BenchmarkCompile measures cold plan compilation: matching-order search
-// (Algorithm 3) plus per-step table compilation, the path every plan-cache
-// miss pays (the ~30x cold-vs-cache gap measured in PR 1 is exactly this
-// cost). The interned-signature index targets this number: signature
-// lookups are ID probes instead of per-call key-byte allocations.
-func BenchmarkCompile(b *testing.B) {
-	h, q := kernelWorkload()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p, err := core.NewPlan(q, h)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if p.Empty {
-			b.Fatal("workload plan is empty")
-		}
-	}
-}
-
-// BenchmarkLoadFile measures loading a binary data graph from disk onto
-// the heap: the persisted CSR index is assembled from flat arrays with
-// linear validation — the hgserve startup and graph-reload path for HGB2
-// files, WAL checkpoints and heap-read HGB3 files. V2Assembled is the
-// kernel workload graph; TC/* is the graph point_open serves (datagen TC,
-// scale 1.0, seed 3: 212k hyperedges in 118k tables) in both formats.
-func BenchmarkLoadFile(b *testing.B) {
-	h, _ := kernelWorkload()
-	dir := b.TempDir()
-	v2 := filepath.Join(dir, "wl.v2.hgb")
-	if err := hgio.WriteBinaryFile(v2, h); err != nil {
-		b.Fatal(err)
-	}
-	load := func(path string, want *hgmatch.Hypergraph) func(b *testing.B) {
-		return func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				g, err := hgmatch.LoadFile(path)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if g.NumEdges() != want.NumEdges() || g.NumPartitions() != want.NumPartitions() {
-					b.Fatal("loaded graph differs from source")
-				}
-			}
-		}
-	}
-	b.Run("V2Assembled", load(v2, h))
-
-	p, _ := datagen.ProfileByName("TC")
-	tc := datagen.Generate(p, 3)
-	tcV2 := filepath.Join(dir, "tc.v2.hgb")
-	tcV3 := filepath.Join(dir, "tc.v3.hgb")
-	if err := hgio.WriteBinaryFile(tcV2, tc); err != nil {
-		b.Fatal(err)
-	}
-	if err := hgmatch.SaveBinaryV3File(tcV3, tc); err != nil {
-		b.Fatal(err)
-	}
-	b.Run("TC/V2", load(tcV2, tc))
-	b.Run("TC/V3", load(tcV3, tc))
-}
-
-// BenchmarkMappedOpen measures the binary-v3 zero-copy open path against
-// heap loading on the same workload graph. MmapAttach is the tiered
-// registry's activation cost (validate directory + structural tables,
-// point the CSR views into the mapping — no payload copy); HeapLoadV3 is
-// the same file decoded onto the heap; ColdFirstMatch adds a plan compile
-// and a full q3 run on a freshly attached mapping, so it includes the
-// page faults the attach deferred. SteadyStateHeap reports the live heap
-// bytes a mapped graph costs while idle versus its heap twin — the number
-// -resident-bytes budgets against.
+// BenchmarkMappedOpen measures what the ladder's hgio.map_v3_s leaves out
+// on a binary-v3 file, since no workload serves one. ColdFirstMatch is a
+// plan compile and a full q3 run on a freshly attached mapping, so it
+// includes the page faults the attach deferred. SteadyStateHeap reports the
+// live heap bytes a mapped graph costs while idle versus its heap twin —
+// the number -resident-bytes budgets against.
 func BenchmarkMappedOpen(b *testing.B) {
 	h, q := kernelWorkload()
 	v3 := filepath.Join(b.TempDir(), "wl.v3.hgb")
 	if err := hgmatch.SaveBinaryV3File(v3, h); err != nil {
 		b.Fatal(err)
 	}
-	b.Run("MmapAttach", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			m, err := hgmatch.MapFile(v3, hgmatch.MapOptions{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if m.Graph().NumEdges() != h.NumEdges() {
-				b.Fatal("mapped graph differs from source")
-			}
-			// Release per iteration: thousands of concurrent mappings would
-			// exhaust vm.max_map_count and measure the wrong thing.
-			if err := m.Release(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("HeapLoadV3", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			g, err := hgmatch.LoadFile(v3)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if g.NumEdges() != h.NumEdges() {
-				b.Fatal("loaded graph differs from source")
-			}
-		}
-	})
 	b.Run("ColdFirstMatch", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -656,246 +211,6 @@ func BenchmarkMappedOpen(b *testing.B) {
 			b.ReportMetric(float64(heapCost)/float64(mappedCost), "heap/mapped")
 		}
 	})
-}
-
-// BenchmarkTable2DatasetStats regenerates Table II (dataset statistics,
-// including index sizes) per iteration.
-func BenchmarkTable2DatasetStats(b *testing.B) {
-	s := benchSuite()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rows, _ := s.Table2()
-		if len(rows) != 10 {
-			b.Fatal("bad table2")
-		}
-	}
-}
-
-// BenchmarkFig6EmbeddingDistributions regenerates the embedding-count
-// distributions of Fig. 6 on two representative datasets.
-func BenchmarkFig6EmbeddingDistributions(b *testing.B) {
-	cfg := benchCfg()
-	cfg.Datasets = []string{"HC", "CH"}
-	s := experiments.NewSuite(cfg)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, _ := s.Fig6()
-		if len(rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
-
-// BenchmarkFig7IndexBuild measures Exp-1: offline preprocessing (table
-// partitioning + inverted hyperedge index construction).
-func BenchmarkFig7IndexBuild(b *testing.B) {
-	h, _ := workload()
-	labels := append([]hypergraph.Label(nil), h.Labels()...)
-	edges := make([][]uint32, h.NumEdges())
-	for e := 0; e < h.NumEdges(); e++ {
-		edges[e] = append([]uint32(nil), h.Edge(uint32(e))...)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rebuilt, err := hypergraph.FromEdges(labels, edges)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rebuilt.NumPartitions() == 0 {
-			b.Fatal("no partitions")
-		}
-	}
-}
-
-// BenchmarkFig8SingleThread measures Exp-2: each method answering the same
-// query single-threaded. The per-op gap between the HGMatch sub-bench and
-// the others is the paper's Fig. 8 headline.
-func BenchmarkFig8SingleThread(b *testing.B) {
-	h, q := workload()
-	limit := uint64(200_000)
-	b.Run("HGMatch", func(b *testing.B) {
-		p, err := core.NewPlan(q, h)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < b.N; i++ {
-			engine.Run(p, engine.Options{Workers: 1, Limit: limit})
-		}
-	})
-	for _, alg := range []baseline.Algorithm{baseline.CFLH, baseline.DAFH, baseline.CECIH} {
-		alg := alg
-		b.Run(alg.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				baseline.Match(q, h, baseline.Options{Algorithm: alg, Limit: limit, Timeout: 2 * time.Second})
-			}
-		})
-	}
-	b.Run("RapidMatch", func(b *testing.B) {
-		qg, dg := bipartite.Convert(q), bipartite.Convert(h)
-		for i := 0; i < b.N; i++ {
-			bipartite.Match(q, qg, dg, bipartite.Options{Limit: limit, Timeout: 2 * time.Second})
-		}
-	})
-}
-
-// BenchmarkTable4CompletionRatio runs the full Fig. 8 / Table IV sweep
-// (all methods × queries with timeouts) on one dataset.
-func BenchmarkTable4CompletionRatio(b *testing.B) {
-	cfg := benchCfg()
-	cfg.Datasets = []string{"CH"}
-	cfg.Settings = []string{"q2"}
-	cfg.QueriesPerSetting = 3
-	s := experiments.NewSuite(cfg)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cells, _, _ := s.Fig8()
-		if len(cells) == 0 {
-			b.Fatal("no cells")
-		}
-	}
-}
-
-// BenchmarkFig9CandidateFiltering measures Exp-3: the instrumented
-// candidate funnel (Candidates -> Filtered -> Embeddings) per query run.
-func BenchmarkFig9CandidateFiltering(b *testing.B) {
-	h, q := workload()
-	p, err := core.NewPlan(q, h)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var last engine.Result
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		last = engine.Run(p, engine.Options{Workers: 1, Limit: 500_000})
-	}
-	b.ReportMetric(float64(last.Counters.Candidates), "candidates")
-	b.ReportMetric(float64(last.Counters.Filtered), "filtered")
-	b.ReportMetric(float64(last.Embeddings), "embeddings")
-}
-
-// BenchmarkFig10Scalability measures Exp-4: the same plan under growing
-// worker counts. On a single-core machine the wall clock stays flat; the
-// reported steals/op and balance metrics still demonstrate scheduling
-// behaviour (docs/ARCHITECTURE.md, "Execution").
-func BenchmarkFig10Scalability(b *testing.B) {
-	h, q := workload()
-	p, err := core.NewPlan(q, h)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4, 8, 16} {
-		workers := workers
-		b.Run(bName("t", workers), func(b *testing.B) {
-			var steals uint64
-			for i := 0; i < b.N; i++ {
-				res := engine.Run(p, engine.Options{Workers: workers, Limit: 500_000})
-				steals = 0
-				for _, w := range res.Workers {
-					steals += w.Steals
-				}
-			}
-			b.ReportMetric(float64(steals), "steals/op")
-		})
-	}
-}
-
-// BenchmarkFig11Scheduling measures Exp-5: task scheduler vs BFS
-// scheduling; the peak-bytes metric is the figure's y-axis. The BFS side is
-// the level-synchronous materialiser of internal/experiments. Caveat at
-// this tiny scale (~70 results): block tasks are accounted at full arena
-// capacity, so the task scheduler's peak sits on its granularity floor of
-// a few blocks and can exceed BFS here — the bounded-vs-materialised gap
-// the figure is about only opens up with workload size (see
-// TestBFSBytesAboveBlockPeak in internal/experiments).
-func BenchmarkFig11Scheduling(b *testing.B) {
-	h, q := workload()
-	p, err := core.NewPlan(q, h)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("Task", func(b *testing.B) {
-		var peak int64
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			peak = engine.Run(p, engine.Options{Workers: 4, Limit: 500_000}).PeakTaskBytes
-		}
-		b.ReportMetric(float64(peak), "peak-bytes")
-	})
-	b.Run("BFS", func(b *testing.B) {
-		var peak int64
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			peak = experiments.RunBFS(p, 0).PeakBytes
-		}
-		b.ReportMetric(float64(peak), "peak-bytes")
-	})
-}
-
-// BenchmarkFig12WorkStealing measures Exp-6: dynamic stealing vs static
-// assignment; the balance metric is max/mean per-worker busy time (1.0 =
-// the figure's dashed "perfect balance" line).
-func BenchmarkFig12WorkStealing(b *testing.B) {
-	h, q := workload()
-	p, err := core.NewPlan(q, h)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, mode := range []struct {
-		name    string
-		nosteal bool
-	}{{"HGMatch", false}, {"HGMatch-NOSTL", true}} {
-		mode := mode
-		b.Run(mode.name, func(b *testing.B) {
-			var bal float64
-			for i := 0; i < b.N; i++ {
-				res := engine.Run(p, engine.Options{Workers: 8, DisableStealing: mode.nosteal, Limit: 500_000})
-				bal = busyBalance(res.Workers)
-			}
-			b.ReportMetric(bal, "max/mean-busy")
-		})
-	}
-}
-
-func busyBalance(ws []engine.WorkerStats) float64 {
-	var sum, maxv float64
-	n := 0
-	for _, w := range ws {
-		s := w.BusyTime.Seconds()
-		sum += s
-		if s > maxv {
-			maxv = s
-		}
-		if w.Tasks > 0 {
-			n++
-		}
-	}
-	if n == 0 || sum == 0 {
-		return 1
-	}
-	return maxv / (sum / float64(len(ws)))
-}
-
-// BenchmarkFig13CaseStudy measures the §VII-D knowledge-base queries.
-func BenchmarkFig13CaseStudy(b *testing.B) {
-	kb := datagen.GenerateKB(datagen.DefaultKBConfig(), 1)
-	q1, q2 := kb.Query1(), kb.Query2()
-	p1, err := core.NewPlan(q1, kb.Graph)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p2, err := core.NewPlan(q2, kb.Graph)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var n1, n2 uint64
-	for i := 0; i < b.N; i++ {
-		n1 = engine.Run(p1, engine.Options{Workers: 2}).Embeddings
-		n2 = engine.Run(p2, engine.Options{Workers: 2}).Embeddings
-	}
-	b.ReportMetric(float64(n1), "q1-answers")
-	b.ReportMetric(float64(n2), "q2-answers")
 }
 
 // --- Ablation benches (design choices described in docs/ARCHITECTURE.md) ---
@@ -1148,33 +463,6 @@ func BenchmarkAblationPartitioning(b *testing.B) {
 		}
 		b.ReportMetric(float64(n), "matches")
 	})
-}
-
-// BenchmarkPublicAPI measures the end-to-end facade path (compile + run)
-// on the paper's Fig. 1 example — the README quickstart cost.
-func BenchmarkPublicAPI(b *testing.B) {
-	data, err := hgmatch.FromEdges(
-		[]hgmatch.Label{0, 2, 0, 0, 1, 2, 0},
-		[][]uint32{{2, 4}, {4, 6}, {0, 1, 2}, {3, 5, 6}, {0, 1, 4, 6}, {2, 3, 4, 5}},
-	)
-	if err != nil {
-		b.Fatal(err)
-	}
-	query, err := hgmatch.FromEdges(
-		[]hgmatch.Label{0, 2, 0, 0, 1},
-		[][]uint32{{2, 4}, {0, 1, 2}, {0, 1, 3, 4}},
-	)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n, err := hgmatch.Count(query, data, hgmatch.WithWorkers(1))
-		if err != nil || n != 2 {
-			b.Fatalf("n=%d err=%v", n, err)
-		}
-	}
 }
 
 func bName(prefix string, n int) string {

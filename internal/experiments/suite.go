@@ -53,18 +53,6 @@ type Config struct {
 	ParallelDataset string
 }
 
-// DefaultConfig returns the CI-sized configuration.
-func DefaultConfig() Config {
-	return Config{
-		Scale:             0.01,
-		Seed:              1,
-		QueriesPerSetting: 20,
-		Timeout:           2 * time.Second,
-		Workers:           4,
-		MaxEmbeddings:     5_000_000,
-	}
-}
-
 // Suite generates and caches datasets and query workloads.
 type Suite struct {
 	Cfg       Config

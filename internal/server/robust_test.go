@@ -274,7 +274,7 @@ func TestSlowClientAborted(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		s := cliqueServer(t, 60, Config{
 			Workers:      workers,
-			WriteTimeout: 3 * time.Second,
+			WriteTimeout: time.Second,
 			Admission:    AdmissionConfig{Enabled: true, TenantQuota: 1 << 40, CheapThreshold: 1},
 		})
 		srv := httptest.NewServer(s.Handler())

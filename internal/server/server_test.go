@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -677,100 +676,4 @@ func TestHealthz(t *testing.T) {
 	if getJSON(t, srv.URL+"/healthz", &hr); hr.Status != "ok" || hr.Graphs != 1 || hr.Version != hgmatch.Version {
 		t.Fatalf("healthz = %+v", hr)
 	}
-}
-
-// longPathQueryText renders an m-edge path query (all one label) in hgio
-// text format; long queries make Compile's per-step table construction the
-// dominant request cost, which is exactly what the plan cache removes.
-func longPathQueryText(m int) string {
-	var sb strings.Builder
-	for i := 0; i <= m; i++ {
-		sb.WriteString("v A\n")
-	}
-	for i := 0; i < m; i++ {
-		fmt.Fprintf(&sb, "e %d %d\n", i, i+1)
-	}
-	return sb.String()
-}
-
-// BenchmarkMatchCachedPlan and BenchmarkMatchColdCompile measure the full
-// HTTP /match round-trip with the plan cache warm vs forcibly cold; their
-// gap is the compile cost the cache removes from every repeated query. The
-// workload (32-edge path on K₄₀, limit 4) is match-dense so enumeration
-// stays bounded while compilation is substantial.
-func BenchmarkMatchCachedPlan(b *testing.B) {
-	benchmarkMatch(b, false)
-}
-
-func BenchmarkMatchColdCompile(b *testing.B) {
-	benchmarkMatch(b, true)
-}
-
-func benchmarkMatch(b *testing.B, resetCache bool) {
-	s := cliqueServer(b, 40, Config{})
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-
-	body, err := json.Marshal(hgio.MatchRequest{
-		Graph: "clique", Query: longPathQueryText(32), Workers: 1, Limit: 4,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Warm everything once (connection pool, first compile).
-	doMatch(b, srv.Client(), srv.URL, body)
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if resetCache {
-			s.Plans().Reset()
-		}
-		doMatch(b, srv.Client(), srv.URL, body)
-	}
-}
-
-func doMatch(b *testing.B, client *http.Client, url string, body []byte) {
-	resp, err := client.Post(url+"/match", "application/json", bytes.NewReader(body))
-	if err != nil {
-		b.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		b.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		b.Fatalf("status %d: %s", resp.StatusCode, buf.String())
-	}
-}
-
-// BenchmarkPlanCompileVsCacheGet isolates the two code paths the HTTP
-// benchmarks compare, without network noise.
-func BenchmarkPlanCompileVsCacheGet(b *testing.B) {
-	data, _ := hgmatch.Load(strings.NewReader(fig1DataText))
-	query, _ := hgmatch.Load(strings.NewReader(fig1QueryText))
-	aligned, err := hgmatch.AlignLabels(query, data)
-	if err == nil {
-		query = aligned
-	}
-
-	b.Run("compile", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := hgmatch.Compile(query, data); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("cache-get", func(b *testing.B) {
-		c := NewPlanCache(8)
-		p, _ := hgmatch.Compile(query, data)
-		key := Key("fig1", 1, hgmatch.QueryKey(query))
-		c.Put(key, p)
-		for i := 0; i < b.N; i++ {
-			if _, ok := c.Get(key); !ok {
-				b.Fatal("miss")
-			}
-		}
-	})
 }
