@@ -146,7 +146,7 @@ func BenchmarkKernelQ4Count(b *testing.B) {
 // plan compile and a full q3 run on a freshly attached mapping, so it
 // includes the page faults the attach deferred. SteadyStateHeap reports the
 // live heap bytes a mapped graph costs while idle versus its heap twin —
-// the number -resident-bytes budgets against.
+// what a registered mapped graph keeps on the heap.
 func BenchmarkMappedOpen(b *testing.B) {
 	h, q := kernelWorkload()
 	v3 := filepath.Join(b.TempDir(), "wl.v3.hgb")

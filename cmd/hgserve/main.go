@@ -8,21 +8,19 @@
 //	hgserve -addr :8080 [-plan-cache 256] [-workers 0] [-timeout 1m]
 //	        [-compact-threshold 10000] [-admission] [-tenant-quota 1000000]
 //	        [-wal-dir /var/lib/hgserve/wal] [-wal-sync batch]
-//	        [-resident-bytes 0] [-mmap-verify] [-drain-timeout 10s]
+//	        [-mmap-verify] [-drain-timeout 10s]
 //	        [-request-max-bytes 0] [-write-timeout 30s]
 //	        name=path.hg [name2=path2.hg ...]
 //
 // Each positional argument registers one data hypergraph (text or binary
 // .hg, sniffed) under the given name, and the file picks how it is served.
-// Text and HGB2 graphs are read onto the heap. HGB3 graphs are served
-// zero-copy off mmap(2): startup only reads each file's header, the first
-// request maps the file, and -resident-bytes bounds how many file bytes
-// stay mapped at once (least-recently-used graphs are unmapped over
-// budget; 0 = unbounded). -mmap-verify checksums each HGB3 file's payload
-// on every attach. Every graph is live: new hyperedges stream in over
-// POST /graphs/{name}/edges without a restart (a mapped graph takes its
-// delta over the mapping and is never evicted once written), and the delta
-// folds into a fresh heap index in the background once it reaches
+// Text and HGB2 graphs are read onto the heap. HGB3 graphs are mapped at
+// startup and served zero-copy off mmap(2); a file that fails to map
+// fails the boot, as an unreadable text or HGB2 file does. -mmap-verify
+// checksums each HGB3 file's payload once, when it is mapped. Every graph
+// is live: new hyperedges stream in over POST /graphs/{name}/edges without
+// a restart (a mapped graph takes its delta over the mapping), and the
+// delta folds into a fresh heap index in the background once it reaches
 // -compact-threshold edges (see docs/OPERATIONS.md for both).
 //
 // With -wal-dir set, ingest is crash-safe: every acked batch is journaled
@@ -102,10 +100,8 @@ func main() {
 			"root directory for per-graph write-ahead logs and checkpoints; empty disables durability (acked ingests live only in memory)")
 		walSync = flag.String("wal-sync", "batch",
 			"WAL fsync policy: batch (fsync every batch before its ack) or none")
-		residentBytes = flag.Int64("resident-bytes", 0,
-			"for HGB3 graphs, bound the summed file bytes of concurrently mapped graphs; LRU graphs are unmapped over budget (0 = unbounded)")
 		mmapVerify = flag.Bool("mmap-verify", false,
-			"for HGB3 graphs, verify each file's payload checksum on every attach (reads the whole file once)")
+			"for HGB3 graphs, verify each file's payload checksum when it is mapped at startup (reads the whole file once)")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second,
 			"how long shutdown waits for in-flight requests to drain before forcing connections closed")
 		requestMaxBytes = flag.Int64("request-max-bytes", 0,
@@ -121,7 +117,6 @@ func main() {
 	}
 
 	reg := server.NewRegistry()
-	reg.SetResidentBudget(*residentBytes)
 	reg.SetMapVerify(*mmapVerify)
 	if *walDir != "" {
 		policy, err := hgio.ParseSyncPolicy(*walSync)
@@ -174,8 +169,8 @@ func main() {
 		if err := reg.LoadFile(name, path); err != nil {
 			fatal(srv, "hgserve: %v", err)
 		}
-		// Info never activates: a cold HGB3 graph is described from its
-		// header, so nothing graph-sized is read here.
+		// Info reads array lengths, not arrays: it faults no payload page
+		// of a mapped graph.
 		info, _ := reg.Info(name)
 		log.Printf("loaded %q (%s): %d vertices, %d edges (%s)",
 			name, info.Tier, info.NumVertices, info.NumEdges, time.Since(start).Round(time.Millisecond))

@@ -281,28 +281,15 @@ func TestBinaryV3RefcountProtocol(t *testing.T) {
 	m.Retain()
 }
 
-func TestPeekFile(t *testing.T) {
+// TestMapFileNotV3: every format but HGB3 — including an empty file, too
+// short for any magic — is reported as not mappable, which routes it to a
+// heap read.
+func TestMapFileNotV3(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	h := hgtest.RandomHypergraph(rng, hgtest.RandomConfig{
 		NumVertices: 25, NumEdges: 50, NumLabels: 4, MaxArity: 5,
 	})
 	dir := t.TempDir()
-
-	v3 := filepath.Join(dir, "g3")
-	if err := hgio.WriteBinaryV3File(v3, h); err != nil {
-		t.Fatal(err)
-	}
-	p, err := hgio.PeekFile(v3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.NumVertices != h.NumVertices() || p.NumEdges != h.NumEdges() ||
-		p.Partitions != h.NumPartitions() || p.TotalArity != h.TotalArity() {
-		t.Fatalf("v3 peek wrong: %+v", p)
-	}
-
-	// Every other format — including an empty file, too short for any
-	// magic — is reported as not mappable.
 	v2, txt, empty := filepath.Join(dir, "g2"), filepath.Join(dir, "g.txt"), filepath.Join(dir, "empty")
 	if err := hgio.WriteBinaryFile(v2, h); err != nil {
 		t.Fatal(err)
@@ -314,8 +301,8 @@ func TestPeekFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, path := range []string{v2, txt, empty} {
-		if _, err := hgio.PeekFile(path); !errors.Is(err, hgio.ErrNotV3) {
-			t.Fatalf("PeekFile(%s) = %v, want ErrNotV3", filepath.Base(path), err)
+		if _, err := hgio.MapFile(path, hgio.MapOptions{}); !errors.Is(err, hgio.ErrNotV3) {
+			t.Fatalf("MapFile(%s) = %v, want ErrNotV3", filepath.Base(path), err)
 		}
 	}
 }

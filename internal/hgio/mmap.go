@@ -43,8 +43,8 @@ type MapOptions struct {
 // The handle is reference-counted: the creator holds one reference, every
 // in-flight user that may outlive the creator's interest takes another via
 // Retain, and the final Release unmaps the file. After that any access to
-// the graph's storage would fault — the registry's eviction protocol
-// drains references before releasing its own.
+// the graph's storage would fault, so each user releases only once it has
+// stopped touching the graph.
 type MappedGraph struct {
 	h      *hypergraph.Hypergraph
 	data   []byte

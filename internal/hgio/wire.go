@@ -213,13 +213,12 @@ type GraphInfo struct {
 	DeltaEdges     int `json:"delta_edges,omitempty"`
 	DeadEdges      int `json:"dead_edges,omitempty"`
 	// Tier reports how the graph is resident right now: "heap" (fully
-	// decoded into Go memory), "mapped" (served zero-copy off an mmap(2)ed
-	// binary-v3 file) or "cold" (registered but not yet activated; stat
-	// fields describe the file header only). ResidentBytes is the Go-heap
-	// footprint the graph pins in that tier — for mapped graphs just slice
-	// headers and lookup tables, the arrays stay in the page cache — and
-	// FileBytes the on-disk size of the backing file (0 for graphs that
-	// only exist in memory).
+	// decoded into Go memory) or "mapped" (served zero-copy off an
+	// mmap(2)ed binary-v3 file, which it stays until a compaction folds
+	// its delta onto the heap). ResidentBytes is the Go-heap footprint the
+	// graph pins in that tier — for mapped graphs just slice headers and
+	// lookup tables, the arrays stay in the page cache — and FileBytes the
+	// on-disk size of the mapped file (0 for a heap graph).
 	Tier          string `json:"tier,omitempty"`
 	ResidentBytes int64  `json:"resident_bytes"`
 	FileBytes     int64  `json:"file_bytes,omitempty"`
@@ -401,22 +400,12 @@ type SchedulerStats struct {
 	StreamWrites uint64 `json:"stream_writes"`
 	StreamBytes  uint64 `json:"stream_bytes"`
 
-	// Tiered-residency accounting (zero without HGB3 graphs).
-	// GraphsResident counts graphs currently attached via mmap,
-	// GraphsCold those registered but not yet activated; heap graphs are
-	// Len() minus both. ResidentBytes sums the mapped file bytes of
-	// resident graphs against ResidentBudget (-resident-bytes, 0 =
-	// unbounded). GraphActivations/GraphEvictions count mmap attaches and
-	// LRU unmaps; GraphPromotions counts file-backed graphs written for
-	// the first time (ingest or /compact), which stay mapped but are never
-	// evicted again (see docs/OPERATIONS.md).
-	GraphsResident   int    `json:"graphs_resident,omitempty"`
-	GraphsCold       int    `json:"graphs_cold,omitempty"`
-	ResidentBytes    int64  `json:"resident_bytes,omitempty"`
-	ResidentBudget   int64  `json:"resident_budget,omitempty"`
-	GraphActivations uint64 `json:"graph_activations,omitempty"`
-	GraphEvictions   uint64 `json:"graph_evictions,omitempty"`
-	GraphPromotions  uint64 `json:"graph_promotions,omitempty"`
+	// Residency accounting (zero without mapped HGB3 graphs).
+	// GraphsResident counts graphs served off their mapping, and
+	// ResidentBytes sums those mappings' file bytes: address space, whose
+	// pages the kernel reads in and reclaims (see docs/OPERATIONS.md).
+	GraphsResident int   `json:"graphs_resident,omitempty"`
+	ResidentBytes  int64 `json:"resident_bytes,omitempty"`
 }
 
 // ReadyResponse is the body of GET /readyz: readiness for traffic, as

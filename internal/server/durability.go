@@ -203,7 +203,7 @@ func (r *Registry) addDurable(name string, cfg DurabilityConfig, seed func() (*h
 	if err != nil {
 		return fmt.Errorf("server: registering graph %q: %w", name, err)
 	}
-	e.live.Store(live)
+	e.live = live
 
 	if _, ro := e.readOnly(); !ro {
 		// StartAfter hands recovery the checkpoint's coverage mark: batches

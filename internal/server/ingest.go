@@ -36,7 +36,7 @@ import (
 // they started with.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	e, live, release, err := s.graphs.lookup(name, true)
+	e, live, release, err := s.graphs.lookup(name)
 	if err != nil {
 		writePlanError(w, name, err)
 		return
@@ -249,7 +249,7 @@ func (s *Server) publishIngest(name string, e *graphEntry, live *hgmatch.DeltaBu
 			defer s.compactWG.Done()
 			defer s.compacting.Delete(name)
 			// The fold holds its own reference; the request's ends with it.
-			_, release, err := s.graphs.ensureLive(name, e)
+			_, release, err := s.graphs.hold(e)
 			if err != nil {
 				return // replaced or closed since the ingest: nothing to fold
 			}
@@ -281,7 +281,7 @@ func (e errGraphReadOnly) Error() string { return "graph is read-only: " + strin
 // ingest lock so no concurrent batch lands between the fold and the
 // truncation (it would be dropped from the log while missing from the
 // checkpoint). A fold off a mapped base detaches the mapping; an idle one
-// keeps it. The caller holds live's reference (lookup or ensureLive).
+// keeps it. The caller holds live's reference (lookup or hold).
 func (s *Server) compactGraph(name string, e *graphEntry, live *hgmatch.DeltaBuffer) (nh *hgmatch.Hypergraph, folded, dropped int, err error) {
 	e.ingestMu.Lock()
 	defer e.ingestMu.Unlock()
@@ -308,7 +308,7 @@ func (s *Server) compactGraph(name string, e *graphEntry, live *hgmatch.DeltaBuf
 func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	start := time.Now()
-	e, live, release, err := s.graphs.lookup(name, true)
+	e, live, release, err := s.graphs.lookup(name)
 	if err != nil {
 		writePlanError(w, name, err)
 		return

@@ -988,13 +988,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		StreamBytes:      s.stream.bytes.Load(),
 	}
 	ts := s.graphs.TierStats()
-	out.GraphsResident = ts.Resident
-	out.GraphsCold = ts.Cold
-	out.ResidentBytes = ts.ResidentBytes
-	out.ResidentBudget = ts.Budget
-	out.GraphActivations = ts.Activations
-	out.GraphEvictions = ts.Evictions
-	out.GraphPromotions = ts.Promotions
+	out.GraphsResident, out.ResidentBytes = ts.Resident, ts.ResidentBytes
 	if s.adm.cfg.Enabled {
 		out.CheapThreshold = s.adm.cfg.CheapThreshold
 		out.TenantQuota = s.adm.cfg.TenantQuota

@@ -83,7 +83,7 @@ func post(h http.Handler, path, body string) *httptest.ResponseRecorder {
 // handler obtains it, holding its reference until the test ends.
 func liveOf(t testing.TB, reg *Registry, name string) *hgmatch.DeltaBuffer {
 	t.Helper()
-	_, live, release, err := reg.lookup(name, true)
+	_, live, release, err := reg.lookup(name)
 	if err != nil {
 		t.Fatal(err)
 	}
