@@ -1,6 +1,8 @@
 package server
 
 import (
+	"encoding/json"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -24,6 +26,74 @@ func writeV3Graph(t testing.TB, dir, name string, h *hgmatch.Hypergraph) (string
 		t.Fatal(err)
 	}
 	return path, st.Size()
+}
+
+// TestResidencyActivationLifecycle pins a failed attach: a truncated HGB3
+// file is an error at LoadFile, not a fallback. It registers nothing, a
+// graph already under that name keeps serving its mapping, the residency
+// counters do not move, and once the file is restored the next LoadFile
+// maps it. TestRegistryLifecycle covers the rest of the lifecycle.
+func TestResidencyActivationLifecycle(t *testing.T) {
+	dir := t.TempDir()
+	goodPath, size := writeV3Graph(t, dir, "good", hgtest.Fig1Data())
+	badPath, _ := writeV3Graph(t, dir, "bad", hgtest.Fig1Data())
+	image, err := os.ReadFile(badPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(badPath, int64(len(image)/2)); err != nil {
+		t.Fatal(err)
+	}
+
+	reg := NewRegistry()
+	if err := reg.LoadFile("g", goodPath); err != nil {
+		t.Fatal(err)
+	}
+	before := reg.TierStats()
+	if before.Resident != 1 || before.ResidentBytes != size {
+		t.Fatalf("one mapped graph: %+v, want 1 resident of %d bytes", before, size)
+	}
+	if err := reg.LoadFile("g", badPath); err == nil {
+		t.Fatal("LoadFile mapped a truncated file over a serving graph")
+	}
+	if err := reg.LoadFile("bad", badPath); err == nil {
+		t.Fatal("LoadFile mapped a truncated file")
+	}
+	if info, ok := reg.Info("g"); !ok || info.Tier != "mapped" || info.FileBytes != size {
+		t.Fatalf("a failed attach replaced the serving graph: %+v (found %v)", info, ok)
+	}
+	if _, ok := reg.Info("bad"); ok {
+		t.Fatal("a failed attach registered the graph")
+	}
+	if ts := reg.TierStats(); ts != before {
+		t.Fatalf("a failed attach moved the counters: %+v, before %+v", ts, before)
+	}
+	s := New(reg, Config{})
+	defer s.Close()
+	rr := post(s.Handler(), "/count", `{"graph":"bad","query":"v 0\nv 1\ne 0 1"}`)
+	var body hgio.ErrorResponse
+	if rr.Code != http.StatusNotFound || json.Unmarshal(rr.Body.Bytes(), &body) != nil || body.Error == "" {
+		t.Fatalf("/count on a graph that failed to load: %d %s, want a 404 with a JSON error", rr.Code, rr.Body)
+	}
+
+	if err := os.WriteFile(badPath, image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.LoadFile("bad", badPath); err != nil {
+		t.Fatalf("LoadFile after the file was restored: %v", err)
+	}
+	if info, _ := reg.Info("bad"); info.Tier != "mapped" {
+		t.Fatalf("restored file attached as %q, want mapped", info.Tier)
+	}
+	if ts := reg.TierStats(); ts.Resident != 2 || ts.ResidentBytes != 2*size {
+		t.Fatalf("after the restored attach: %+v, want 2 resident of %d bytes", ts, 2*size)
+	}
+	if rr := post(s.Handler(), "/count", `{"graph":"bad","query":"v 0\nv 1\ne 0 1"}`); rr.Code != http.StatusOK {
+		t.Fatalf("/count on the restored graph: %d %s", rr.Code, rr.Body)
+	}
+	if err := reg.Close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestResidencyFileRouting pins LoadFile's routing: the file picks the
