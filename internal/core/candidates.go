@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/bits"
+	"slices"
 
 	"hgmatch/internal/hypergraph"
 	"hgmatch/internal/setops"
@@ -74,11 +75,56 @@ func (p *Plan) Expand(depth int, m []hypergraph.EdgeID, sc *Scratch, ct *Counter
 // CountValid is Expand for a consumer that only wants to know how many
 // extensions are valid: identical candidates, checks and Counters, no
 // per-extension call. At the last matching-order position the return value
-// is the number of embeddings rooted at m[:depth].
+// is the number of embeddings rooted at m[:depth]. On a compiled step its
+// loop tallies the three Counters without a data-dependent branch.
 func (p *Plan) CountValid(depth int, m []hypergraph.EdgeID, sc *Scratch, ct *Counters) uint64 {
-	before := ct.Valid
-	p.Expand(depth, m, sc, ct, nil)
-	return ct.Valid - before
+	st := &p.steps[depth]
+	if !st.lanes {
+		before := ct.Valid
+		p.Expand(depth, m, sc, ct, nil)
+		return ct.Valid - before
+	}
+	ct.Expansions++
+	cand := p.candidates(st, depth, m, sc)
+	if len(cand) == 0 {
+		return 0
+	}
+	data := p.Data
+	sc.tagLanes(st, data, m, depth)
+	// Observation V.5 in lane 0: the candidate's unseen vertices must be
+	// the ones ϕ[depth] adds. (A count below |V(Hm)| wraps and never holds.)
+	unseen := uint64(st.qVerts - sc.vlen())
+	var cands, filtered, valid uint64
+	for _, c := range cand {
+		fresh := st.unused(m, c)
+		acc := sc.laneWord(data.Edge(c))
+		v5 := fresh & b2u(acc&laneMask == unseen)
+		cands += fresh
+		filtered += v5
+		valid += v5 & b2u(acc == st.wantLanes)
+	}
+	ct.Candidates += cands
+	ct.Filtered += filtered
+	ct.Valid += valid
+	return valid
+}
+
+// b2u is 1 for true and 0 for false, without a branch.
+func b2u(b bool) uint64 {
+	var u uint64
+	if b {
+		u = 1
+	}
+	return u
+}
+
+// unused is 1 - reuses(m, c), computed without a data-dependent branch.
+func (st *step) unused(m []hypergraph.EdgeID, c hypergraph.EdgeID) uint64 {
+	u := uint64(1)
+	for _, k := range st.samePart {
+		u &= b2u(m[k] != c)
+	}
+	return u
 }
 
 // reuses reports whether the partial embedding m already maps a query
@@ -107,29 +153,20 @@ func (p *Plan) candidates(st *step, depth int, m []hypergraph.EdgeID, sc *Scratc
 	data := p.Data
 
 	// Incidence mask (and through its popcount, d_Hm(v)) for every vertex
-	// of the partial embedding; sc.vlen() is |V(Hm)|.
-	sc.fillVcnt(data, m[:depth])
-
-	// V_n_incdt: vertices matched by non-adjacent query hyperedges
-	// (Algorithm 4 line 1).
-	sc.nonAdj = sc.nonAdj[:0]
-	for _, j := range st.nonAdjPos {
-		sc.acc = setops.Union(sc.acc[:0], sc.nonAdj, data.Edge(m[j]))
-		sc.nonAdj, sc.acc = sc.acc, sc.nonAdj
-	}
+	// of the partial embedding, sc.vlen() = |V(Hm)|, and V_n_incdt: what
+	// the last call on sc built, updated for what m changed.
+	sc.sync(p, st, depth, m)
 
 	// Hybrid container plumbing: on a sidecar-carrying table the base
 	// posting views may be word-parallel bitmaps in the table's rank space,
 	// and the per-set union outputs land in reusable bitmap windows when
 	// dense. A delta segment keeps them: its postings never enter the rank
 	// space but form each set's sorted array tail (see below).
-	dense := st.useBitmaps
 	var rank setops.RankTable
 	var unrank []uint32
-	if dense {
+	if st.useBitmaps {
 		rank = st.part.BitmapRanks()
 		unrank = st.part.BaseEdges()
-		sc.ensureBitmapBufs(st.nSets, st.nBits)
 	}
 
 	// Build C': one candidate hyperedge set per (adjacent edge, shared
@@ -140,6 +177,12 @@ func (p *Plan) candidates(st *step, depth int, m []hypergraph.EdgeID, sc *Scratc
 	// and stops being built at the first set where it is empty. A base
 	// without an index (a table of a few edges) records each set's V_incdt
 	// instead, and its members are scanned against them below.
+	//
+	// A set is the union of its V_incdt's postings, so each set first
+	// selects its V_incdt and unions only when that differs from what the
+	// set's slot was built from. The sets drawn from position depth-1,
+	// which changes from one sibling to the next, are never compared or
+	// kept.
 	baseLive, tailLive := true, st.part.HasDelta()
 	sc.sets, sc.tails = sc.sets[:0], sc.tails[:0]
 	sc.incdt, sc.incdtEnd = sc.incdt[:0], sc.incdtEnd[:0]
@@ -147,11 +190,11 @@ func (p *Plan) candidates(st *step, depth int, m []hypergraph.EdgeID, sc *Scratc
 	for gi := range st.adjGroups {
 		g := &st.adjGroups[gi]
 		fe := data.Edge(m[g.pos])
+		moved := g.pos == depth-1
 		for _, u := range g.us {
 			// V_incdt: vertices of f(e) that may be matched to u
 			// (Observations V.2-V.4).
-			sc.views, sc.tviews = sc.views[:0], sc.tviews[:0]
-			start := len(sc.incdt)
+			sc.vin = sc.vin[:0]
 			for _, v := range fe {
 				if data.Label(v) != u.label {
 					continue
@@ -162,52 +205,42 @@ func (p *Plan) candidates(st *step, depth int, m []hypergraph.EdgeID, sc *Scratc
 				if len(sc.nonAdj) > 0 && setops.Contains(sc.nonAdj, v) {
 					continue
 				}
-				// he(v, S(eq)) is the base view plus, on an online
-				// snapshot, the delta view: both sorted zero-copy views
-				// into the index.
-				if baseLive {
-					if st.scanBase {
-						sc.incdt = append(sc.incdt, v)
-					} else if dense {
-						if vw := st.part.PostingsView(v); !vw.IsEmpty() {
-							sc.views = append(sc.views, vw)
-						}
-					} else if pl := st.part.Postings(v); len(pl) > 0 {
-						sc.views = append(sc.views, setops.View{Arr: pl})
-					}
-				}
-				if tailLive {
-					if pl := st.part.DeltaPostings(v); len(pl) > 0 {
-						sc.tviews = append(sc.tviews, setops.View{Arr: pl})
-					}
-				}
+				sc.vin = append(sc.vin, v)
+			}
+			if len(sc.cs) <= nset {
+				sc.cs = append(sc.cs, candSet{})
+			}
+			cs := &sc.cs[nset]
+			if moved || !cs.kept || !slices.Equal(cs.incdt, sc.vin) {
+				cs.incdt, sc.vin = sc.vin, cs.incdt
+				cs.kept, cs.baseBuilt, cs.tailBuilt = !moved, false, false
 			}
 			if st.scanBase {
-				baseLive = baseLive && len(sc.incdt) > start
-				sc.incdtEnd = append(sc.incdtEnd, len(sc.incdt))
-			} else {
-				baseLive = baseLive && len(sc.views) > 0
+				if baseLive {
+					sc.incdt = append(sc.incdt, cs.incdt...)
+					sc.incdtEnd = append(sc.incdtEnd, len(sc.incdt))
+				}
+				baseLive = baseLive && len(cs.incdt) > 0
+			} else if baseLive {
+				if !cs.baseBuilt {
+					sc.unionBase(st, cs, nset, rank)
+				}
+				baseLive = !empty(cs.base)
 			}
-			tailLive = tailLive && len(sc.tviews) > 0
+			if tailLive {
+				if !cs.tailBuilt {
+					sc.unionTail(st, cs)
+				}
+				tailLive = !empty(cs.tail)
+			}
 			if !baseLive && !tailLive {
 				return nil // some required vertex has no incident candidates
 			}
-			// Union each half's views into the set's own slots
-			// (⋃_{v∈V_incdt} he(v, S(eq))): k-way, one pass, adaptive
-			// array/bitmap output for the base half, arrays for the tail.
-			for len(sc.setBufs) <= nset {
-				sc.setBufs = append(sc.setBufs, nil)
-				sc.tailBufs = append(sc.tailBufs, nil)
-			}
 			if baseLive && !st.scanBase {
-				var bm *setops.Bitmap
-				if dense {
-					bm = &sc.bmSets[nset]
-				}
-				sc.sets = append(sc.sets, unionInto(&sc.setBufs[nset], bm, st.nBits, rank, sc.views, &sc.ks))
+				sc.sets = append(sc.sets, cs.base)
 			}
 			if tailLive {
-				sc.tails = append(sc.tails, unionInto(&sc.tailBufs[nset], nil, 0, setops.RankTable{}, sc.tviews, &sc.ks))
+				sc.tails = append(sc.tails, cs.tail)
 			}
 			nset++
 		}
@@ -248,6 +281,48 @@ func (p *Plan) candidates(st *step, depth int, m []hypergraph.EdgeID, sc *Scratc
 	return cand
 }
 
+// unionBase builds set slot cs's base half: the union of its V_incdt's
+// base postings (⋃_{v∈V_incdt} he(v, S(eq))), k-way in one pass, with an
+// adaptive array/bitmap output in the slot's own bitmap window. Each view
+// is zero-copy into the index.
+func (sc *Scratch) unionBase(st *step, cs *candSet, nset int, rank setops.RankTable) {
+	sc.views = sc.views[:0]
+	for _, v := range cs.incdt {
+		if st.useBitmaps {
+			if vw := st.part.PostingsView(v); !vw.IsEmpty() {
+				sc.views = append(sc.views, vw)
+			}
+		} else if pl := st.part.Postings(v); len(pl) > 0 {
+			sc.views = append(sc.views, setops.View{Arr: pl})
+		}
+	}
+	var bm *setops.Bitmap
+	if st.useBitmaps {
+		bm = &sc.bmSets[nset]
+	}
+	cs.base = unionInto(&cs.baseBuf, bm, st.nBits, rank, sc.views, &sc.ks)
+	cs.baseBuilt = true
+}
+
+// unionTail builds set slot cs's delta tail, the union of its V_incdt's
+// delta postings, as a sorted array.
+func (sc *Scratch) unionTail(st *step, cs *candSet) {
+	sc.views = sc.views[:0]
+	for _, v := range cs.incdt {
+		if pl := st.part.DeltaPostings(v); len(pl) > 0 {
+			sc.views = append(sc.views, setops.View{Arr: pl})
+		}
+	}
+	cs.tail = unionInto(&cs.tailBuf, nil, 0, setops.RankTable{}, sc.views, &sc.ks)
+	cs.tailBuilt = true
+}
+
+// empty reports whether a built set half holds nothing: it had no
+// non-empty posting view to union.
+func empty(v setops.View) bool {
+	return v.Bits == nil && len(v.Arr) == 0
+}
+
 // scanBase appends to dst, in member order, the members that hold a vertex
 // of every set of sc.incdt: the containment test the postings encode, so
 // the result is the ⋂ᵢ ⋃_{v∈V_incdt,i} he(v, S) an index would give.
@@ -267,11 +342,14 @@ next:
 }
 
 // unionInto unions views into the per-set slot *buf and reclaims the
-// grown buffer. A single view is the set itself, zero-copy, and *buf keeps
-// its own backing: storing the view there would make a later call union
-// INTO the index's memory.
+// grown buffer. No view is the empty set, and a single view is the set
+// itself, zero-copy: *buf keeps its own backing, since storing the view
+// there would make a later call union INTO the index's memory.
 func unionInto(buf *[]uint32, bm *setops.Bitmap, nbits int, rank setops.RankTable, views []setops.View, ks *setops.KScratch) setops.View {
-	if len(views) == 1 {
+	switch len(views) {
+	case 0:
+		return setops.View{}
+	case 1:
 		return views[0]
 	}
 	set := setops.UnionK((*buf)[:0], bm, nbits, rank, views, ks)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync/atomic"
 
 	"hgmatch/internal/hypergraph"
 	"hgmatch/internal/setops"
@@ -94,6 +95,9 @@ type step struct {
 	baseVerts int
 }
 
+// planIDs numbers compiled plans from 1.
+var planIDs atomic.Uint64
+
 // Plan is a compiled, immutable execution plan for one (query, data) pair:
 // the matching order plus per-step candidate-generation and validation
 // tables. A Plan may be shared by any number of concurrent workers.
@@ -101,6 +105,11 @@ type Plan struct {
 	Query *hypergraph.Hypergraph
 	Data  *hypergraph.Hypergraph
 	Order []hypergraph.EdgeID
+
+	// id is the plan's number, unique in the process. A Scratch keys what
+	// it keeps between Expand calls on it, so it never holds the plan, or
+	// the graph, itself.
+	id uint64
 
 	startPart hypergraph.Partition
 	steps     []step // steps[i] compiled for order position i (steps[0] carries only sig/part)
@@ -165,6 +174,7 @@ func compilePlan(q, h *hypergraph.Hypergraph, order []hypergraph.EdgeID, qs *que
 		Query: q,
 		Data:  h,
 		Order: append([]hypergraph.EdgeID(nil), order...),
+		id:    planIDs.Add(1),
 		steps: make([]step, len(order)),
 	}
 

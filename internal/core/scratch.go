@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/bits"
+	"slices"
 	"sync"
 
 	"hgmatch/internal/hypergraph"
@@ -50,11 +51,19 @@ const (
 // The stamp word of either table also carries the compiled validation
 // kernel's lane tag in its low laneTagBits bits (see validate.go): a stamp
 // is live when it equals vepoch in every bit above the tag.
+//
+// A Scratch keeps what one Expand built for the next call on the same plan
+// and depth (see sync): the table, the lane tags, V_n_incdt and the
+// candidate sets. The engine's rows arrive in sibling runs — partial
+// embeddings that differ only in their last hyperedge — so a call usually
+// redoes only what that hyperedge changed. What is kept is keyed on the
+// plan's number, never a pointer, and Reset drops it, so a Scratch holds no
+// plan, graph or posting view past its owner's run.
 type Scratch struct {
 	vmask     []uint64 // dense: incidence mask, valid only where vstamp[v] is live
 	vstamp    []uint32 // dense: epoch<<laneTagBits | lane tag, per data vertex
 	slots     []vslot  // compact: open addressing, linear probing
-	used      []uint32 // compact: the live slots, in insertion order
+	used      []uint32 // compact: the occupied slots, in insertion order
 	shift     uint32   // compact: 32 - log2(len(slots)), the hash's shift
 	compact   bool     // current table, decided per fillVcnt
 	vepoch    uint32   // current epoch, pre-shifted; bumped per fillVcnt
@@ -64,13 +73,22 @@ type Scratch struct {
 	// the compact table, math.MaxInt the dense one; 0 keeps the constant.
 	denseMax int
 
+	// The key of what is kept: the plan's number (0: nothing is kept) and
+	// the depth of the last call, and the partial embedding m[:depth] the
+	// table holds. tags says how far the lane tags lag the table; when
+	// they lag by one move, moved holds its old and new hyperedge.
+	plan   uint64
+	depth  int
+	prefix []hypergraph.EdgeID
+	tags   tagState
+	moved  [2]hypergraph.EdgeID
+
 	nonAdj   []uint32        // V_n_incdt, sorted
-	views    []setops.View   // base posting views queued for one k-way union
-	tviews   []setops.View   // delta posting views queued for one k-way union
+	views    []setops.View   // posting views queued for one k-way union
 	sets     []setops.View   // the base halves of the candidate sets C' of Algorithm 4
 	tails    []setops.View   // their delta tails
-	setBufs  [][]uint32      // array backing for sparse base halves, reused across calls
-	tailBufs [][]uint32      // array backing for tails, reused across calls
+	cs       []candSet       // per candidate set of the step: its V_incdt and unions
+	vin      []uint32        // V_incdt being selected
 	bmArena  []uint64        // word backing for dense sets, reused across calls
 	bmSets   []setops.Bitmap // per-set bitmap headers over bmArena windows
 	ks       setops.KScratch // k-way kernel scratch (loser tree, AND fold)
@@ -81,6 +99,30 @@ type Scratch struct {
 	incdt    []uint32        // an unindexed base's V_incdt sets, back to back
 	incdtEnd []int           // their ends in incdt
 	profs    []profile       // data-side profile buffer for validation
+}
+
+// tagState says which lane tags are out of date with the table.
+type tagState uint8
+
+const (
+	tagsStale tagState = iota // any: tagLanes retags every vertex
+	tagsMoved                 // the vertices of the last move's two hyperedges
+	tagsFresh                 // none
+)
+
+// candSet is one candidate set of Algorithm 4, kept across the calls of one
+// plan and depth: the V_incdt it was built from and, where built, the union
+// of its vertices' base postings and of their delta postings. The unions
+// depend on nothing else, so a call that selects the same V_incdt for the
+// set takes them as they are.
+type candSet struct {
+	incdt      []uint32
+	kept       bool // incdt is the current key's, and built unions are its
+	baseBuilt  bool
+	tailBuilt  bool
+	base, tail setops.View
+	baseBuf    []uint32 // array backing for a sparse base union
+	tailBuf    []uint32 // array backing for a tail union
 }
 
 // vslot is one entry of the compact table: a vertex of the partial
@@ -101,23 +143,89 @@ func NewScratch() *Scratch {
 // workers of engine.Run's per-call pool, EnumerateSequential): their dense
 // tables cost O(|V(H)|) to allocate and zero, which on a graph near
 // denseVcntMax dwarfs a sub-millisecond query. Engine pool workers draw
-// theirs here on first use and hand them back when their pool closes.
+// theirs here on first use and hand them back when their pool closes. A
+// pooled Scratch has been Reset: it keeps buffers, not state.
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
 // GetScratch returns a scratch area from the process-wide pool; hand it
-// back with PutScratch when no Expand call is using it any more. A Scratch
-// resets itself per Expand, so one serves any sequence of plans and graphs.
+// back with PutScratch when no Expand call is using it any more. What a
+// Scratch keeps between calls is keyed on the plan and depth, so one serves
+// any sequence of plans, depths and graphs.
 func GetScratch() *Scratch { return scratchPool.Get().(*Scratch) }
 
-// PutScratch returns sc to the pool.
-func PutScratch(sc *Scratch) { scratchPool.Put(sc) }
+// PutScratch resets sc and returns it to the pool.
+func PutScratch(sc *Scratch) {
+	sc.Reset()
+	scratchPool.Put(sc)
+}
+
+// Reset drops what the last Expand kept for the next one, so the next call
+// starts from nothing and sc references no posting view of any graph. The
+// buffers stay.
+func (sc *Scratch) Reset() {
+	sc.plan = 0
+	for i := range sc.cs {
+		cs := &sc.cs[i]
+		cs.kept, cs.base, cs.tail = false, setops.View{}, setops.View{}
+	}
+	clear(sc.views[:cap(sc.views)])
+	clear(sc.sets[:cap(sc.sets)])
+	clear(sc.tails[:cap(sc.tails)])
+}
+
+// sync brings the table, the lane-tag state and V_n_incdt to the partial
+// embedding m[:depth] of step st of p. After a call on the same plan and
+// depth whose prefix differs only at position depth-1, it moves that
+// position's bit from the old hyperedge's vertices to the new one's and
+// rebuilds V_n_incdt only when that position is non-adjacent to ϕ[depth].
+// Any other call refills everything; a call on another plan or depth also
+// forgets the kept candidate sets.
+func (sc *Scratch) sync(p *Plan, st *step, depth int, m []hypergraph.EdgeID) {
+	data, k := p.Data, depth-1
+	if sc.plan != p.id || sc.depth != depth {
+		sc.plan, sc.depth = p.id, depth
+		for i := range sc.cs {
+			sc.cs[i].kept = false
+		}
+		if st.useBitmaps {
+			sc.ensureBitmapBufs(st.nSets, st.nBits)
+		}
+	} else if k >= 0 && slices.Equal(sc.prefix[:k], m[:k]) {
+		from, to := sc.prefix[k], m[k]
+		if from == to {
+			return
+		}
+		sc.prefix[k] = to
+		if !sc.moveVcnt(data, k, from, to) {
+			sc.fillVcnt(data, m[:depth])
+		}
+		if n := len(st.nonAdjPos); n > 0 && st.nonAdjPos[n-1] == k {
+			sc.unionNonAdj(data, st, m)
+		}
+		return
+	}
+	sc.prefix = append(sc.prefix[:0], m[:depth]...)
+	sc.fillVcnt(data, m[:depth])
+	sc.unionNonAdj(data, st, m)
+}
+
+// unionNonAdj builds V_n_incdt: the vertices matched by the query
+// hyperedges non-adjacent to ϕ[depth] (Algorithm 4 line 1).
+func (sc *Scratch) unionNonAdj(data *hypergraph.Hypergraph, st *step, m []hypergraph.EdgeID) {
+	sc.nonAdj = sc.nonAdj[:0]
+	for _, j := range st.nonAdjPos {
+		sc.acc = setops.Union(sc.acc[:0], sc.nonAdj, data.Edge(m[j]))
+		sc.nonAdj, sc.acc = sc.acc, sc.nonAdj
+	}
+}
 
 // fillVcnt clears the vertex-incidence table and records the partial
 // embedding prefix of data in it: bit k of v's mask is set iff prefix[k]
 // contains v. The table is chosen by data's vertex count and sized on
 // first use: the dense one to the graph, the compact one to prefix's Σ
-// arity. Neither ever shrinks.
+// arity. Neither ever shrinks. Every lane tag is then stale.
 func (sc *Scratch) fillVcnt(data *hypergraph.Hypergraph, prefix []hypergraph.EdgeID) {
+	sc.tags = tagsStale
 	sc.vepoch += 1 << laneTagBits
 	if sc.vepoch == 0 {
 		// Epoch wrap: stale stamps from 2^29 calls ago could alias the new
@@ -162,6 +270,49 @@ func (sc *Scratch) fillVcnt(data *hypergraph.Hypergraph, prefix []hypergraph.Edg
 	}
 }
 
+// moveVcnt moves position k's bit in the table from hyperedge from's
+// vertices to hyperedge to's. A vertex whose mask drops to 0 leaves the
+// partial embedding: the dense table lets its stamp go stale, the compact
+// one keeps its slot with mask 0 and lane 0. It reports false, changing
+// nothing, when the compact table's occupied slots would pass its load
+// bound; the caller then refills.
+func (sc *Scratch) moveVcnt(data *hypergraph.Hypergraph, k int, from, to hypergraph.EdgeID) bool {
+	bit := uint64(1) << uint(k)
+	if sc.compact {
+		if len(sc.used)+data.Arity(to) > len(sc.slots)/slotsPerIncidence {
+			return false
+		}
+		for _, v := range data.Edge(from) {
+			i, _ := sc.slot(v)
+			if s := &sc.slots[i]; s.mask&^bit == 0 {
+				s.mask, s.key = 0, s.key&^badLane
+				sc.vdistinct--
+			} else {
+				s.mask &^= bit
+			}
+		}
+		for _, v := range data.Edge(to) {
+			sc.slotInc(v, k)
+		}
+	} else {
+		for _, v := range data.Edge(from) {
+			if sc.vmask[v] &^= bit; sc.vmask[v] == 0 {
+				sc.vstamp[v] = 0 // stale: vepoch is never 0
+				sc.vdistinct--
+			}
+		}
+		for _, v := range data.Edge(to) {
+			sc.vinc(v, k)
+		}
+	}
+	if sc.tags == tagsFresh {
+		sc.tags, sc.moved = tagsMoved, [2]hypergraph.EdgeID{from, to}
+	} else {
+		sc.tags = tagsStale
+	}
+	return true
+}
+
 // slot returns the index of v's compact-table slot and true when v is in
 // the partial embedding, else the index of the empty slot where v would go
 // and false. (Masking the shift, always below 32, spares the compiler's
@@ -201,7 +352,8 @@ func (sc *Scratch) vinc(v uint32, k int) {
 	sc.vmask[v] |= bit
 }
 
-// slotInc is vinc in the compact table.
+// slotInc is vinc in the compact table, where a vertex that left the
+// partial embedding may still hold its slot, with mask 0.
 func (sc *Scratch) slotInc(v uint32, k int) {
 	bit := uint64(1) << uint(k)
 	i, ok := sc.slot(v)
@@ -210,6 +362,9 @@ func (sc *Scratch) slotInc(v uint32, k int) {
 		sc.used = append(sc.used, i)
 		sc.vdistinct++
 		return
+	}
+	if sc.slots[i].mask == 0 {
+		sc.vdistinct++
 	}
 	sc.slots[i].mask |= bit
 }
@@ -235,15 +390,16 @@ func (sc *Scratch) slotMask(v uint32) uint64 {
 	return 0
 }
 
-// vlen returns |V(Hm)|: the number of distinct vertices recorded by the
-// last fillVcnt.
+// vlen returns |V(Hm)|: the number of distinct vertices of the partial
+// embedding the table holds.
 func (sc *Scratch) vlen() int {
 	return sc.vdistinct
 }
 
 // ensureBitmapBufs prepares nSets bitmap windows of nBits span over the
-// shared word arena, growing it only when the step shape grows — steady
-// state re-points headers and allocates nothing. Windows are NOT cleared
+// shared word arena, growing it only when the step shape grows. It runs
+// when a Scratch changes plan or depth, which forgets every kept candidate
+// set, so no kept set points at a moved window. Windows are NOT cleared
 // here; UnionK clears a window only when it actually picks the dense path.
 func (sc *Scratch) ensureBitmapBufs(nSets, nBits int) {
 	words := setops.WordsFor(nBits)

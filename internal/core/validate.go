@@ -63,33 +63,59 @@ func (st *step) compileLanes(i int) {
 	st.nClasses, st.wantLanes, st.lanes = n, want, true
 }
 
-// tagLanes writes the lane of every vertex of the partial embedding
-// m[:depth] into its stamp. Must follow the vinc pass of the same Expand
-// (masks are final).
+// tagLanes brings the lane tag of every vertex of the partial embedding
+// m[:depth] up to date with its mask (tagging it with its lane in its
+// stamp): all of them when the tags are stale, only the vertices of the
+// last move's two hyperedges when the tags lag the table by one move.
+// Must follow sync in the same Expand (masks are final).
 func (sc *Scratch) tagLanes(st *step, data *hypergraph.Hypergraph, m []hypergraph.EdgeID, depth int) {
-	if sc.compact {
+	switch {
+	case sc.tags == tagsMoved:
+		sc.retag(st, data, sc.moved[0])
+		sc.retag(st, data, sc.moved[1])
+	case sc.tags == tagsFresh:
+	case sc.compact:
 		for _, i := range sc.used {
 			s := &sc.slots[i]
-			s.key |= uint64(st.laneOf(s.mask, data, uint32(s.key>>32)))
+			s.key = s.key&^badLane | uint64(st.laneOf(s.mask, data, uint32(s.key>>32)))
 		}
-		return
-	}
-	for k := 0; k < depth; k++ {
-		below := uint64(1)<<uint(k) - 1
-		for _, v := range data.Edge(m[k]) {
-			mask := sc.vmask[v]
-			if mask&below != 0 {
-				continue // tagged at its first matched hyperedge
+	default:
+		for k := 0; k < depth; k++ {
+			below := uint64(1)<<uint(k) - 1
+			for _, v := range data.Edge(m[k]) {
+				mask := sc.vmask[v]
+				if mask&below != 0 {
+					continue // tagged at its first matched hyperedge
+				}
+				sc.vstamp[v] = sc.vepoch | st.laneOf(mask, data, v)
 			}
-			sc.vstamp[v] = sc.vepoch | st.laneOf(mask, data, v)
+		}
+	}
+	sc.tags = tagsFresh
+}
+
+// retag re-tags the vertices of hyperedge e still in the partial
+// embedding.
+func (sc *Scratch) retag(st *step, data *hypergraph.Hypergraph, e hypergraph.EdgeID) {
+	for _, v := range data.Edge(e) {
+		if sc.compact {
+			i, _ := sc.slot(v) // e was in the table, so v holds a slot
+			s := &sc.slots[i]
+			s.key = s.key&^badLane | uint64(st.laneOf(s.mask, data, v))
+		} else if sc.vstamp[v]^sc.vepoch < 1<<laneTagBits {
+			sc.vstamp[v] = sc.vepoch | st.laneOf(sc.vmask[v], data, v)
 		}
 	}
 }
 
-// laneOf returns the lane of seen vertex v with incidence mask mask: its
+// laneOf returns the lane of vertex v with incidence mask mask: 0 when v
+// has left the partial embedding (mask 0, a kept compact slot), its
 // class's, or badLane when ϕ[i] wants no such vertex. v's label is loaded
 // only once a class's mask matches.
 func (st *step) laneOf(mask uint64, data *hypergraph.Hypergraph, v uint32) uint32 {
+	if mask == 0 {
+		return 0
+	}
 	for j := 0; j < st.nClasses; j++ {
 		if c := &st.laneProf[j]; c.mask == mask && c.label == data.Label(v) {
 			return uint32(j + 1)
@@ -99,11 +125,7 @@ func (st *step) laneOf(mask uint64, data *hypergraph.Hypergraph, v uint32) uint3
 }
 
 // laneWord sums the lanes of a candidate's vertices: a stale stamp is an
-// unseen vertex (lane 0), a live one carries its tag. Kept out of line:
-// inlined into Expand, the accumulator and loop index spill to the stack
-// (~5 % of count_heavy's kernel time).
-//
-//go:noinline
+// unseen vertex (lane 0), a live one carries its tag.
 func (sc *Scratch) laneWord(vs []uint32) uint64 {
 	if sc.compact {
 		return sc.laneWordCompact(vs)

@@ -12,9 +12,10 @@ import (
 )
 
 // referencePlan returns a copy of p whose every step validates with the
-// sort-based validateStep.
+// sort-based validateStep: a plan of its own number.
 func referencePlan(p *Plan) *Plan {
 	r := *p
+	r.id = planIDs.Add(1)
 	r.steps = slices.Clone(p.steps)
 	for i := range r.steps {
 		r.steps[i].lanes = false

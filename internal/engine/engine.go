@@ -336,9 +336,10 @@ type workerState struct {
 
 	// One Scratch per matching-order depth: inline block expansion
 	// re-enters Expand for depth d+1 from inside depth d's emit callback,
-	// and a Scratch must never be shared by two live Expand calls.
-	// Scratches self-reset per Expand, so one set serves any sequence of
-	// plans and data graphs.
+	// and a Scratch must never be shared by two live Expand calls. Within
+	// an attachment a Scratch carries one Expand's work over to the next
+	// (a block's rows are siblings); detach resets them, so one set serves
+	// any sequence of plans and data graphs and holds none of them.
 	scs     []*core.Scratch
 	ct      core.Counters
 	emitBuf []hypergraph.EdgeID
@@ -406,7 +407,8 @@ func (w *workerState) attach(st *runState) {
 // detach flushes the worker's request-scoped accumulators into the request
 // and drops the references: the batched embedding count (one atomic add
 // per attachment in an uncapped run), the worker's stats, expansion
-// counters and the per-worker aggregation map. It runs on every way out of
+// counters and the per-worker aggregation map, and what its Scratches kept
+// of the request's plan. It runs on every way out of
 // an attachment, recovered panics included. Merges are skipped when empty so
 // a late drive-by attachment (a pool worker visiting an already-finished
 // request) writes nothing to state the submitter may already be reading.
@@ -429,6 +431,11 @@ func (w *workerState) detach() {
 		st.mergeMu.Unlock()
 		w.ct = core.Counters{}
 		clear(w.groups)
+	}
+	for _, sc := range w.scs {
+		if sc != nil {
+			sc.Reset()
+		}
 	}
 	w.st, w.my = nil, nil
 }
@@ -908,7 +915,8 @@ func (w *workerState) yieldRest(b *block, i int) bool {
 // scratch returns the worker's Scratch for one matching-order depth, drawn
 // from core's pool on first use. The worker keeps it until its pool closes
 // and then hands it back, so the next pool — Run makes one per call — finds
-// it warm.
+// it warm. Within an attachment it carries each Expand's table and sets
+// over to the next row of the depth; detach resets it.
 func (w *workerState) scratch(depth int) *core.Scratch {
 	if w.scs[depth] == nil {
 		w.scs[depth] = core.GetScratch()

@@ -267,6 +267,9 @@ func (p *Pool) workerLoop(id int) {
 	for {
 		cands = p.snapshot(cands[:0])
 		if len(cands) == 0 {
+			// An idle worker holds no finished request (nor its plan and
+			// graph) in its snapshot buffer.
+			clear(cands[:cap(cands)])
 			if !p.waitWork() {
 				return
 			}
@@ -459,7 +462,7 @@ func (p *Pool) finish(r *poolReq) {
 	p.mu.Lock()
 	for i, q := range p.reqs {
 		if q == r {
-			p.reqs = append(p.reqs[:i], p.reqs[i+1:]...)
+			p.reqs = slices.Delete(p.reqs, i, i+1) // clears the vacated slot
 			break
 		}
 	}

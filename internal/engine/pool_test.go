@@ -6,10 +6,13 @@ import (
 	"slices"
 	"testing"
 	"time"
+	"weak"
 
 	"hgmatch/internal/core"
+	"hgmatch/internal/datagen"
 	"hgmatch/internal/engine"
 	"hgmatch/internal/hgtest"
+	"hgmatch/internal/querygen"
 )
 
 // TestPoolConcurrentMixedRequests: bursts of 8 to 20 requests of mixed
@@ -49,6 +52,40 @@ func TestPoolLimitAndAggregate(t *testing.T) {
 // Close is refused with ErrPoolClosed, which wraps hgio.ErrShuttingDown.
 func TestPoolNoStealingAndClose(t *testing.T) {
 	poolModel(t, pmPlan{from: 3101, to: 3104, rounds: 10, ops: "nostl", must: "nostl closed"})
+}
+
+// TestPoolReleasesPlanAndGraph: the Scratches a shared pool's workers keep
+// from one request to the next carry no state of a finished request, and
+// neither do the pool's request lists, so once its Submit returns and the
+// workers go idle, its plan and data graph are collectable while the pool
+// stays open. (A worker may still be on its way to idle when Submit
+// returns, so the GC is retried for up to two seconds.)
+func TestPoolReleasesPlanAndGraph(t *testing.T) {
+	pool := engine.NewPool(2)
+	defer pool.Close()
+	sb, _ := datagen.ProfileByName("SB")
+	h := datagen.Generate(sb.Scaled(0.2), 3)
+	s, _ := querygen.SettingByName("q3")
+	q := querygen.SampleMany(rand.New(rand.NewSource(1)), h, s, 1)[0]
+	p, err := core.NewPlan(q, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := pool.Submit(p, engine.Options{}); res.Err != nil || res.Embeddings == 0 {
+		t.Fatalf("Submit: %d embeddings, %v: nothing was kept to release", res.Embeddings, res.Err)
+	}
+	wp, wh := weak.Make(p), weak.Make(h)
+	p, h, q = nil, nil, nil
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		runtime.GC()
+		if wp.Value() == nil && wh.Value() == nil {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("after a request on an open pool and 2 s of GCs, plan reachable=%v, graph reachable=%v",
+				wp.Value() != nil, wh.Value() != nil)
+		}
+	}
 }
 
 // TestRunJoinsItsPool: Run is a pool of one request, so every call starts
